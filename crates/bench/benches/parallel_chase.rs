@@ -1,18 +1,15 @@
-//! Parallel chase benchmarks: the (semi-)oblivious **and standard** runners at
-//! 1/2/4/8 workers on a large EGD-free ontology workload and a
-//! transitive-closure stress case.
+//! Parallel chase benchmarks: the semi-oblivious runner at 1/2/4/8 workers on a
+//! large EGD-free ontology workload and a transitive-closure stress case. (The
+//! standard and core chases run sequentially at every worker count, so they
+//! have no rows here.)
 //!
-//! `workers = 1` is the sequential runner (the exact pre-existing code path);
-//! `workers > 1` feeds shard-partitioned trigger discovery over a read-only
-//! snapshot to the persistent worker pool (`chase_core::pool`) with the
-//! deterministic `(DepId, body FactIds)` merge — and, for the standard chase,
-//! conflict-aware activity-check batching — so every configuration computes the
-//! same model (up to null renaming vs. sequential for the oblivious variants,
-//! bitwise-identical for the standard chase — proven by
-//! `tests/property_tests.rs`). Measured numbers are recorded in
-//! `BENCH_parallel_chase.json` at the repository root, together with the host's
-//! CPU budget: on a single-CPU container the parallel configurations measure
-//! determinism overhead, not speedup.
+//! `workers = 1` is the sequential runner; `workers > 1` feeds
+//! shard-partitioned trigger discovery over a read-only snapshot to the
+//! persistent worker pool (`chase_core::pool`) with the deterministic
+//! `(DepId, body FactIds)` merge, so every configuration computes the same
+//! model up to null renaming (proven by `tests/property_tests.rs`). Measured
+//! numbers are recorded in `BENCH_parallel_chase.json` at the repository root,
+//! together with the host's CPU count.
 //!
 //! With `CHASE_PARALLEL_GATE=1` the binary runs as a pass/fail **gate** instead
 //! of a criterion sweep: it detects the core count at runtime, measures the
@@ -93,33 +90,6 @@ fn bench_ontology(c: &mut Criterion) {
     group.finish();
 }
 
-/// The standard chase on the ontology workload: many distinct predicates, so
-/// `next_active_batch` finds real conflict-free prefixes and the new parallel
-/// activity-check path engages (on the closure case the single self-recursive
-/// rule conflicts with itself and batches degenerate to singletons — the drains
-/// still parallelise, but this group is where the batching itself is measured).
-fn bench_standard(c: &mut Criterion) {
-    let mut group = c.benchmark_group("parallel_chase/standard_ontology");
-    group.sample_size(10);
-    let (sigma, db) = ontology_workload(120, 120);
-    for workers in WORKER_COUNTS {
-        group.bench_with_input(
-            BenchmarkId::new(&format!("workers{workers}"), "120x120"),
-            &(),
-            |b, _| {
-                b.iter(|| {
-                    Chase::standard(&sigma)
-                        .workers(workers)
-                        .with_budget(ChaseBudget::unlimited().with_max_steps(200_000))
-                        .run(&db)
-                        .is_terminating()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_closure(c: &mut Criterion) {
     let mut group = c.benchmark_group("parallel_chase/closure");
     group.sample_size(10);
@@ -154,12 +124,7 @@ fn phase_row(
     max_steps: usize,
 ) -> JsonValue {
     let mut metrics = MetricsObserver::new();
-    let session = if group == "standard" {
-        Chase::standard(sigma)
-    } else {
-        Chase::semi_oblivious(sigma)
-    };
-    let outcome = session
+    let outcome = Chase::semi_oblivious(sigma)
         .workers(workers)
         .with_budget(ChaseBudget::unlimited().with_max_steps(max_steps))
         .run_observed(db, &mut metrics);
@@ -217,14 +182,6 @@ fn phase_breakdown() {
             rows.push(phase_row("ontology", &case, workers, &sigma, &db, 200_000));
         }
     }
-    {
-        let (sigma, db) = ontology_workload(120, 120);
-        for workers in WORKER_COUNTS {
-            rows.push(phase_row(
-                "standard", "120x120", workers, &sigma, &db, 200_000,
-            ));
-        }
-    }
     for &n in &[24usize, 40] {
         let (sigma, db) = chain_database(n);
         let case = format!("n={n}");
@@ -238,7 +195,7 @@ fn phase_breakdown() {
     );
 }
 
-criterion_group!(benches, bench_ontology, bench_standard, bench_closure);
+criterion_group!(benches, bench_ontology, bench_closure);
 
 /// `CHASE_PARALLEL_GATE=1` mode: measure the closure case at 1 vs. 4 workers
 /// and enforce the ≥ 2× speedup target — but only when the host actually has

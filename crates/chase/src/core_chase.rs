@@ -8,15 +8,13 @@
 //! produces one.
 //!
 //! "In parallel" here is the paper's logical notion (all triggers of a round fire
-//! against the same instance). Execution-wise, `workers > 1` parallelises the
-//! dominant cost — the per-null endomorphism searches of the round's core
-//! computation — on the persistent pool ([`chase_core::pool`]), deterministically;
-//! the trigger scan and the round's applications stay single-threaded. See
-//! [`Chase::workers`](crate::Chase::workers) for the full coverage matrix.
+//! against the same instance). Execution is sequential: the trigger scan, the
+//! round's applications and the fold search of [`core_of`] all run on the calling
+//! thread, whatever [`Chase::workers`](crate::Chase::workers) says.
 
 use crate::budget::{BudgetClock, BudgetLimit, ChaseBudget};
-use crate::core_of::core_of_with_workers;
-use crate::observer::{ChaseObserver, NoopObserver};
+use crate::core_of::core_of;
+use crate::observer::ChaseObserver;
 use crate::result::{ChaseOutcome, ChaseStats, EgdViolation};
 use crate::step::applicable_standard_triggers;
 use chase_core::satisfaction::satisfies_all;
@@ -30,19 +28,11 @@ use std::time::Instant;
 /// The budget's `max_rounds` and `max_steps` both bound the rounds (conjunctively —
 /// the core chase has no finer step granularity); `max_fresh_nulls`, `max_facts` and
 /// `wall_clock` apply as usual.
-///
-/// `workers > 1` parallelises the round's **core computation** — the per-null
-/// endomorphism searches of [`core_of_with_workers`] run on the persistent
-/// pool, with the first-shrinking-fold selection kept in ascending null order
-/// so the result is bitwise identical at any worker count. The round's trigger
-/// scan and applications stay sequential (they are cheap next to the fold
-/// search).
 pub(crate) fn run_core(
     sigma: &DependencySet,
     budget: &ChaseBudget,
     database: &Instance,
     observer: &mut dyn ChaseObserver,
-    workers: usize,
 ) -> ChaseOutcome {
     let clock = BudgetClock::start(budget);
     let mut current = database.clone();
@@ -140,8 +130,8 @@ pub(crate) fn run_core(
             observer.egd_collapsed(&gamma);
             next.substitute_in_place_ids(&gamma);
         }
-        // (ii) take the core (fold search parallelised across `workers`).
-        let mut cored = core_of_with_workers(&next, workers);
+        // (ii) take the core.
+        let mut cored = core_of(&next);
         // Drop the dead arena history this round accumulated (rewritten and
         // folded-away facts), so the next round's clones copy only live facts.
         cored.compact();
@@ -159,44 +149,6 @@ pub(crate) fn run_core(
             };
         }
         current = cored;
-    }
-}
-
-/// Legacy runner for the core chase.
-///
-/// Superseded by [`Chase::core`](crate::Chase::core); this shim delegates to the same
-/// implementation.
-#[derive(Clone)]
-pub struct CoreChase<'a> {
-    sigma: &'a DependencySet,
-    max_rounds: usize,
-}
-
-impl<'a> CoreChase<'a> {
-    /// Creates a core chase runner with a budget of 1 000 rounds.
-    #[deprecated(note = "use Chase::core(sigma) with a ChaseBudget instead")]
-    pub fn new(sigma: &'a DependencySet) -> Self {
-        CoreChase {
-            sigma,
-            max_rounds: 1_000,
-        }
-    }
-
-    /// Sets the round budget.
-    pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
-        self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Runs the core chase on `database`.
-    pub fn run(&self, database: &Instance) -> ChaseOutcome {
-        run_core(
-            self.sigma,
-            &ChaseBudget::unlimited().with_max_rounds(self.max_rounds),
-            database,
-            &mut NoopObserver,
-            1,
-        )
     }
 }
 

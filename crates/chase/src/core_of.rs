@@ -27,7 +27,6 @@
 //!   no full instance is ever re-materialised per attempt.
 
 use chase_core::homomorphism::Assignment;
-use chase_core::pool::{self, ScopedJob};
 use chase_core::{
     Atom, FactId, GroundTerm, HomomorphismSearch, Instance, NullValue, Predicate, Term, Variable,
 };
@@ -199,57 +198,21 @@ fn try_fold(
     None
 }
 
-/// Finds the first shrinking fold of this version: the per-null candidate
-/// sweeps are independent read-only searches, so with `workers > 1` they run
-/// concurrently on the persistent pool ([`chase_core::pool`]) in **waves** of
-/// `workers` nulls, ascending. The wave's results are inspected in null order
-/// and the first success wins — exactly the null the sequential sweep would
-/// have chosen — so the applied plan (and therefore the whole core) is
-/// bitwise identical at every worker count.
-fn find_first_fold(
-    instance: &Instance,
-    version: &FoldVersion,
-    search: &HomomorphismSearch<'_>,
-    workers: usize,
-) -> Option<FoldPlan> {
-    let workers = workers.max(1);
-    if workers == 1 || version.nulls.len() < 2 {
-        for &target in &version.nulls {
-            if let Some(plan) = try_fold(instance, version, search, target) {
-                return Some(plan);
-            }
-        }
-        return None;
-    }
-    for wave in version.nulls.chunks(workers) {
-        let jobs: Vec<ScopedJob<'_, Option<FoldPlan>>> = wave
-            .iter()
-            .map(|&target| {
-                Box::new(move || try_fold(instance, version, search, target))
-                    as ScopedJob<'_, Option<FoldPlan>>
-            })
-            .collect();
-        for plan in pool::with_workers(workers).run_jobs(jobs) {
-            if plan.is_some() {
-                return plan;
-            }
-        }
-    }
-    None
-}
-
 /// Runs one fold pass over the instance: tries every null in ascending order and
 /// applies the first shrinking fold in place. Returns `true` iff a fold was applied.
-fn fold_once(current: &mut Instance, workers: usize) -> bool {
+fn fold_once(current: &mut Instance) -> bool {
     let version = FoldVersion::build(current);
     if version.nulls.is_empty() {
         return false;
     }
     let plan = {
         // One search (and one transient candidate index) serves every
-        // (null, candidate) attempt of this version, across all workers.
+        // (null, candidate) attempt of this version.
         let search = HomomorphismSearch::new(&version.atoms, current);
-        find_first_fold(current, &version, &search, workers)
+        version
+            .nulls
+            .iter()
+            .find_map(|&target| try_fold(current, &version, &search, target))
     };
     match plan {
         Some(FoldPlan { affected, images }) => {
@@ -267,16 +230,8 @@ fn fold_once(current: &mut Instance, workers: usize) -> bool {
 
 /// Computes the core of an instance by iterated, memoised null folding.
 pub fn core_of(instance: &Instance) -> Instance {
-    core_of_with_workers(instance, 1)
-}
-
-/// [`core_of`] with the endomorphism search over per-null fold candidates
-/// parallelised across up to `workers` pool threads (see [`find_first_fold`]
-/// for why the result is identical at every worker count; `workers == 0` is
-/// normalized to 1).
-pub fn core_of_with_workers(instance: &Instance, workers: usize) -> Instance {
     let mut current = instance.clone();
-    while fold_once(&mut current, workers) {}
+    while fold_once(&mut current) {}
     current
 }
 
@@ -410,34 +365,6 @@ mod tests {
         assert_eq!(core.len(), 1);
         assert!(core.nulls().is_empty());
         assert!(core.contains(&Fact::from_parts("E", vec![gc("a"), gc("b")])));
-    }
-
-    #[test]
-    fn parallel_fold_search_is_byte_identical_at_every_worker_count() {
-        // Several foldable nulls plus kept ones: the wave-parallel search must
-        // pick the same fold at every worker count (first success in ascending
-        // null order), so the cores are equal as instances *and* fold history
-        // (same surviving ids → same sorted fact order).
-        let j = Instance::from_facts(vec![
-            Fact::from_parts("E", vec![gc("a"), gc("b")]),
-            Fact::from_parts("E", vec![gc("a"), gn(1)]),
-            Fact::from_parts("E", vec![gn(2), gn(3)]),
-            Fact::from_parts("E", vec![gc("b"), gc("c")]),
-            Fact::from_parts("R", vec![gn(4), gn(5)]),
-            Fact::from_parts("R", vec![gn(5), gn(4)]),
-        ]);
-        let sequential = core_of(&j);
-        assert!(sequential.nulls().len() < j.nulls().len());
-        // `workers(0)` is defined as sequential.
-        for workers in [0, 2, 3, 4, 7] {
-            let parallel = core_of_with_workers(&j, workers);
-            assert_eq!(sequential, parallel, "core diverged at {workers} workers");
-            assert_eq!(
-                sequential.sorted_fact_ids(),
-                parallel.sorted_fact_ids(),
-                "fold history diverged at {workers} workers"
-            );
-        }
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! variant, one [`ChaseBudget`] for resource limits (steps, rounds, fresh nulls,
 //! facts, wall-clock), one [`ChaseOutcome`] whose failure case carries the violating
 //! EGD and trigger and whose budget case names the tripped limit, and a pluggable
-//! [`ChaseObserver`] for tracing and metrics. The per-variant runners
-//! (`StandardChase`, `ObliviousChase`, `CoreChase`) remain as deprecated shims.
+//! [`ChaseObserver`] for tracing and metrics.
 //!
 //! Trigger discovery is delta-driven by default: the runners feed each step's
 //! added or rewritten facts to the incremental
@@ -70,17 +69,14 @@ pub mod universal;
 
 pub use budget::{BudgetLimit, ChaseBudget};
 pub use certain::{certain_answers, ConjunctiveQuery};
-pub use core_chase::CoreChase;
-pub use core_of::{core_of, core_of_with_workers, is_core};
+pub use core_of::{core_of, is_core};
 pub use materialize::{MaterializeError, MaterializeEvent, MaterializedRun};
 pub use metrics::MetricsObserver;
-pub use oblivious::{apply_gamma_to_keys, key_variables, ObliviousChase, ObliviousVariant};
-pub use observer::{
-    ChaseEvent, ChaseObserver, EventObserver, FnObserver, NoopObserver, TraceObserver,
-};
+pub use oblivious::{apply_gamma_to_keys, key_variables, ObliviousVariant};
+pub use observer::{ChaseEvent, ChaseObserver, EventObserver, NoopObserver, TraceObserver};
 pub use result::{ChaseOutcome, ChaseStats, EgdViolation};
 pub use session::Chase;
-pub use standard::{StandardChase, StepOrder, TriggerDiscovery};
+pub use standard::{StepOrder, TriggerDiscovery};
 pub use step::{applicable_standard_triggers, apply_step, StepEffect, Trigger};
 pub use universal::{homomorphically_equivalent, is_model, is_universal_model_among};
 
@@ -88,15 +84,14 @@ pub use universal::{homomorphically_equivalent, is_model, is_universal_model_amo
 pub mod prelude {
     pub use crate::budget::{BudgetLimit, ChaseBudget};
     pub use crate::certain::{certain_answers, ConjunctiveQuery};
-    pub use crate::core_chase::CoreChase;
     pub use crate::core_of::{core_of, is_core};
     pub use crate::metrics::MetricsObserver;
-    pub use crate::oblivious::{ObliviousChase, ObliviousVariant};
+    pub use crate::oblivious::ObliviousVariant;
     pub use crate::observer::{
         ChaseEvent, ChaseObserver, EventObserver, NoopObserver, TraceObserver,
     };
     pub use crate::result::{ChaseOutcome, ChaseStats, EgdViolation};
     pub use crate::session::Chase;
-    pub use crate::standard::{StandardChase, StepOrder, TriggerDiscovery};
+    pub use crate::standard::{StepOrder, TriggerDiscovery};
     pub use crate::universal::{homomorphically_equivalent, is_model};
 }

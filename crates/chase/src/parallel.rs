@@ -34,15 +34,9 @@
 //!   trigger fires depends on the facts added earlier in the sequence, so
 //!   batching a whole round against a stale snapshot genuinely changes the result
 //!   (a trigger can fire on the ∃-null it would have found satisfied one step
-//!   later — not even isomorphic). The standard chase therefore keeps the
-//!   sequential *apply* order and parallelises the read-only phases around it:
-//!   each drain of the delta worklist runs sharded with an order-preserving
-//!   merge ([`chase_trigger::TriggerEngine::drain_deltas_parallel`]), and
-//!   conflict-aware scheduling ([`chase_trigger::ConflictSchedule`]) evaluates
-//!   the activity checks of a conflict-free prefix of the trigger order
-//!   concurrently against the frozen pre-batch instance
-//!   ([`chase_trigger::TriggerEngine::next_active_batch`]). Both are
-//!   bitwise-identical to the sequential runner.
+//!   later — not even isomorphic). Its apply order must stay sequential, and
+//!   parallelising only the read-only phases around it never paid (0.40× at 2
+//!   workers), so the standard chase runs sequentially at any worker count.
 //! * **EGD-bearing** dependency sets fall back to the sequential runners
 //!   entirely: an EGD substitution rewrites the pending state (`h ↦ γ∘h`) and the
 //!   fired-key sets, so which triggers exist — and even how many steps fire —
@@ -50,10 +44,7 @@
 //!   the same round can produce non-isomorphic results, so no deterministic merge
 //!   can honour the equivalence contract; the run stays sequential instead.
 //! * The **core chase** already fires all triggers per round (logically); its
-//!   execution cost is dominated by core computation, whose per-null fold
-//!   search `workers > 1` parallelises deterministically
-//!   ([`crate::core_of::core_of_with_workers`]) — the round's trigger scan and
-//!   applies stay sequential.
+//!   execution cost is dominated by core computation, which runs sequentially.
 
 use crate::budget::{BudgetClock, ChaseBudget};
 use crate::observer::{record_step_effect, ChaseObserver};

@@ -116,45 +116,27 @@ impl<'a> Chase<'a> {
         self
     }
 
-    /// Runs the session with up to `n` lanes of parallelism on the persistent,
-    /// process-wide worker pool ([`chase_core::pool`]). `workers(0)` and
-    /// `workers(1)` both mean sequential execution (`0` is normalized to 1 —
-    /// here and in every layer below, so the guarantee does not depend on any
-    /// one guard). The pool's threads are spawned once and reused across
+    /// Runs the (semi-)oblivious variants with up to `n` lanes of parallelism
+    /// on the persistent, process-wide worker pool ([`chase_core::pool`]).
+    /// `workers(0)` and `workers(1)` both mean sequential execution (`0` is
+    /// normalized to 1). The pool's threads are spawned once and reused across
     /// rounds, runs and sessions; repeated runs on one session are
     /// byte-identical (pinned by the pool-reuse suite).
     ///
-    /// All parallel phases are read-only against a frozen snapshot, with
-    /// deterministic ordering re-imposed before any mutation, so a session is
-    /// **deterministic at every worker count**: two runs with the same inputs
-    /// and different `n > 1` produce byte-identical instances, statistics,
-    /// observer streams and tripped budget limits. Per variant:
+    /// The **(semi-)oblivious variants** batch whole rounds: discovery is
+    /// sharded against a frozen snapshot and the triggers are sorted by
+    /// `(DepId, body FactIds)` before a sequential apply, so two runs with the
+    /// same inputs and different `n > 1` produce byte-identical instances,
+    /// statistics, observer streams and tripped budget limits. They stay
+    /// sequential on **EGD-bearing** dependency sets, where substitutions
+    /// rewrite fired keys in sequence order and the result would depend on the
+    /// interleaving (see [`crate::parallel`] for the full argument).
     ///
-    /// * the **(semi-)oblivious variants** batch whole rounds — sharded
-    ///   discovery, triggers sorted by `(DepId, body FactIds)` before a
-    ///   sequential apply;
-    /// * the **standard chase** shards each discovery drain (order-preserving
-    ///   merge) *and* batches activity checks via conflict-aware scheduling
-    ///   ([`chase_trigger::ConflictSchedule`]): a conflict-free prefix of the
-    ///   sequential trigger order — pairwise disjoint head-writes vs.
-    ///   body/head-reads, writes that cannot seed an earlier-ranked queue —
-    ///   is checked in parallel against the pre-batch instance, then applied
-    ///   in the exact sequential order. Bitwise-identical to `workers(1)`
-    ///   (same steps, nulls, stats; phase-event granularity may coarsen to
-    ///   one discovery event per batch);
-    /// * the **core chase** parallelises its dominant cost, the per-null
-    ///   endomorphism fold search of each round's core computation, with
-    ///   first-fold selection in ascending null order (bitwise-identical
-    ///   results).
-    ///
-    /// Documented sequential fallbacks (the setting is then ignored):
-    ///
-    /// * **EGD-bearing** dependency sets — substitutions rewrite pending
-    ///   triggers and fired keys in sequence order, so the result would depend
-    ///   on the interleaving (see [`crate::parallel`] for the full argument);
-    ///   in the conflict schedule an EGD conflicts with everything;
-    /// * [`TriggerDiscovery::NaiveRescan`], the single-threaded reference
-    ///   baseline.
+    /// The **standard** and **core** chases ignore the setting and always run
+    /// sequentially: their outcomes, statistics and observer streams are those
+    /// of `workers(1)`. The standard chase's semantics is its sequential
+    /// trigger order, so only read-only phases could run in parallel, and doing
+    /// so measured 0.40× at 2 workers (`standard_ontology` 120x120).
     ///
     /// ```
     /// use chase_core::parser::parse_program;
@@ -186,7 +168,8 @@ impl<'a> Chase<'a> {
         &self.budget
     }
 
-    /// The session's worker-thread cap (1 = sequential).
+    /// The session's worker-thread cap (1 = sequential; only the
+    /// (semi-)oblivious variants use more).
     pub fn worker_count(&self) -> usize {
         self.workers
     }
@@ -215,7 +198,6 @@ impl<'a> Chase<'a> {
                 &self.budget,
                 database,
                 observer,
-                self.workers,
             ),
             Variant::Oblivious(variant) => run_oblivious(
                 self.sigma,
@@ -225,7 +207,7 @@ impl<'a> Chase<'a> {
                 observer,
                 self.workers,
             ),
-            Variant::Core => run_core(self.sigma, &self.budget, database, observer, self.workers),
+            Variant::Core => run_core(self.sigma, &self.budget, database, observer),
         };
         outcome.stats_mut().elapsed = started.elapsed();
         outcome

@@ -10,18 +10,18 @@
 //!
 //! # Architecture
 //!
-//! - One global [`WorkerPool`] (see [`global`]) shared by trigger discovery
-//!   (`chase_trigger::parallel`), the conflict-aware standard chase
-//!   (`chase_trigger::TriggerEngine::next_active_batch`), the round-parallel
-//!   oblivious runners (`chase_engine::parallel`), and `core_of`'s fold search.
-//!   Sharing one pool keeps the thread count bounded by the largest `workers(n)`
-//!   ever requested, not by the number of subsystems.
+//! - One global [`WorkerPool`] (see [`with_workers`]) shared by sharded trigger
+//!   discovery (`chase_trigger::parallel`) and the round-parallel
+//!   (semi-)oblivious runner built on it (`chase_engine::parallel`) — the only
+//!   chase paths that run on more than one thread. The standard and core
+//!   chases run sequentially at every worker count. Sharing one pool keeps the
+//!   thread count bounded by the largest `workers(n)` ever requested.
 //! - **Channel protocol:** submitters push type-erased jobs into a single
 //!   shared injector queue (a mutex-guarded deque paired with a condvar — an
 //!   MPMC channel in which a *blocked consumer holds no lock*, which is what
 //!   lets the caller steal; see below) and wake the workers; workers loop
 //!   `wait → pop → run`. Results travel back over a per-call [`mpsc`] channel
-//!   created by each [`run_jobs`] invocation, so concurrent submitters never
+//!   created by each [`run_jobs`](WorkerPool::run_jobs) invocation, so concurrent submitters never
 //!   see each other's results even though they share the injector.
 //! - **Caller participation:** the submitting thread does not block idle while
 //!   its jobs run — it steals queued jobs from the shared injector and executes
@@ -32,16 +32,16 @@
 //!
 //! # Determinism
 //!
-//! The pool is deliberately order-oblivious: [`run_jobs`] returns results in
+//! The pool is deliberately order-oblivious: [`run_jobs`](WorkerPool::run_jobs) returns results in
 //! **submission order** regardless of which thread ran which job or in what
 //! order they finished. Every deterministic-merge argument made by the callers
-//! (canonical trigger merge, shard-order concatenation, first-success-in-wave
-//! fold selection) only needs that positional guarantee.
+//! (canonical trigger merge, shard-order concatenation) only needs that
+//! positional guarantee.
 //!
 //! # Lifetime safety
 //!
-//! Jobs borrow from the caller's stack (`&DependencySet`, [`Snapshot`]s, …) but
-//! travel through a `'static` channel, so [`run_jobs`] erases their lifetime
+//! Jobs borrow from the caller's stack (`&DependencySet`, [`Snapshot`](crate::Snapshot)s, …) but
+//! travel through a `'static` channel, so [`run_jobs`](WorkerPool::run_jobs) erases their lifetime
 //! internally. This is sound because `run_jobs` is a completion barrier: it does
 //! not return until every submitted job has finished running (it collects
 //! exactly one result per job, and panicking jobs still send a result), so the

@@ -128,20 +128,11 @@ impl TerminationCriterion for Safety {
     }
 }
 
-/// Returns `true` iff `sigma` is safe: the propagation graph restricted to affected
-/// positions has no cycle through a special edge.
-#[deprecated(note = "use Safety (TerminationCriterion) or the TerminationAnalyzer")]
-pub fn is_safe(sigma: &DependencySet) -> bool {
-    Safety.accepts(sigma)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy `is_*` shims stay pinned by these tests
-
     use super::*;
     use crate::criterion::Witness;
-    use crate::weak_acyclicity::is_weakly_acyclic;
+    use crate::weak_acyclicity::WeakAcyclicity;
 
     #[test]
     fn safety_rejection_carries_the_affected_cycle() {
@@ -183,8 +174,8 @@ mod tests {
         .unwrap();
         // WA: P[2] -*-> Q[2] -> P[1] -> Q[1]? Let's check with the implementations: the
         // point of the test is the strict inclusion WA ⊆ SC on some witness.
-        let wa = is_weakly_acyclic(&safe_not_wa);
-        let sc = is_safe(&safe_not_wa);
+        let wa = WeakAcyclicity.accepts(&safe_not_wa);
+        let sc = Safety.accepts(&safe_not_wa);
         assert!(sc || !wa, "safety must be at least as permissive as WA");
     }
 
@@ -218,7 +209,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!is_safe(&sigma));
+        assert!(!Safety.accepts(&sigma));
     }
 
     #[test]
@@ -232,8 +223,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_safe(&sigma));
-        assert!(is_weakly_acyclic(&sigma));
+        assert!(Safety.accepts(&sigma));
+        assert!(WeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -246,14 +237,14 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!is_weakly_acyclic(&sigma) || is_safe(&sigma));
-        assert!(is_safe(&sigma));
+        assert!(!WeakAcyclicity.accepts(&sigma) || Safety.accepts(&sigma));
+        assert!(Safety.accepts(&sigma));
     }
 
     #[test]
     fn no_tgds_means_trivially_safe() {
         let sigma = parse_dependencies("k: R(?x, ?y), R(?x, ?z) -> ?y = ?z.").unwrap();
-        assert!(is_safe(&sigma));
+        assert!(Safety.accepts(&sigma));
         assert!(affected_positions(&sigma).is_empty());
     }
 
@@ -268,8 +259,8 @@ mod tests {
         ];
         for src in inputs {
             let sigma = parse_dependencies(src).unwrap();
-            if is_weakly_acyclic(&sigma) {
-                assert!(is_safe(&sigma), "WA ⊆ SC violated on {src}");
+            if WeakAcyclicity.accepts(&sigma) {
+                assert!(Safety.accepts(&sigma), "WA ⊆ SC violated on {src}");
             }
         }
     }

@@ -172,26 +172,8 @@ impl TerminationCriterion for CStratification {
     }
 }
 
-/// Returns `true` iff `sigma` is stratified (`Str`): every SCC of the chase graph is
-/// weakly acyclic. Acceptance guarantees the existence of at least one terminating
-/// standard chase sequence for every database.
-#[deprecated(note = "use Stratification (TerminationCriterion) or the TerminationAnalyzer")]
-pub fn is_stratified(sigma: &DependencySet) -> bool {
-    Stratification.accepts(sigma)
-}
-
-/// Returns `true` iff `sigma` is c-stratified (`CStr`): every SCC of the oblivious
-/// chase graph is weakly acyclic. Acceptance guarantees that all standard chase
-/// sequences terminate for every database.
-#[deprecated(note = "use CStratification (TerminationCriterion) or the TerminationAnalyzer")]
-pub fn is_c_stratified(sigma: &DependencySet) -> bool {
-    CStratification.accepts(sigma)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy `is_*` shims stay pinned by these tests
-
     use super::*;
     use chase_core::parser::parse_dependencies;
 
@@ -252,8 +234,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!is_stratified(&sigma));
-        assert!(!is_c_stratified(&sigma));
+        assert!(!Stratification.accepts(&sigma));
+        assert!(!CStratification.accepts(&sigma));
     }
 
     #[test]
@@ -267,7 +249,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!is_stratified(&sigma));
+        assert!(!Stratification.accepts(&sigma));
     }
 
     #[test]
@@ -280,8 +262,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_stratified(&sigma));
-        assert!(is_c_stratified(&sigma));
+        assert!(Stratification.accepts(&sigma));
+        assert!(CStratification.accepts(&sigma));
     }
 
     #[test]
@@ -295,8 +277,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_stratified(&sigma));
-        assert!(is_c_stratified(&sigma));
+        assert!(Stratification.accepts(&sigma));
+        assert!(CStratification.accepts(&sigma));
     }
 
     #[test]
@@ -310,7 +292,7 @@ mod tests {
         //   s2: E(?x, ?y), S(?y) -> S2(?y).
         // Here no rule fires s1 again, so every SCC is a singleton without self-loop.
         let not_strat = parse_dependencies("r1: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
-        assert!(!is_stratified(&not_strat));
+        assert!(!Stratification.accepts(&not_strat));
 
         let strat = parse_dependencies(
             r#"
@@ -319,8 +301,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_stratified(&strat));
-        assert!(!crate::weak_acyclicity::is_weakly_acyclic(&strat) || is_stratified(&strat));
+        assert!(Stratification.accepts(&strat));
+        assert!(!WeakAcyclicity.accepts(&strat) || Stratification.accepts(&strat));
     }
 
     #[test]
@@ -334,8 +316,11 @@ mod tests {
         ];
         for src in inputs {
             let sigma = parse_dependencies(src).unwrap();
-            if is_c_stratified(&sigma) {
-                assert!(is_stratified(&sigma), "CStr ⊆ Str violated on {src}");
+            if CStratification.accepts(&sigma) {
+                assert!(
+                    Stratification.accepts(&sigma),
+                    "CStr ⊆ Str violated on {src}"
+                );
             }
         }
     }
@@ -346,8 +331,8 @@ mod tests {
         // in fact also c-stratified under the violation-based oblivious test; both
         // therefore accept, matching the fact that every standard sequence terminates.
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?x, ?z).").unwrap();
-        assert!(is_stratified(&sigma));
-        assert!(is_c_stratified(&sigma));
+        assert!(Stratification.accepts(&sigma));
+        assert!(CStratification.accepts(&sigma));
     }
 
     #[test]
@@ -359,7 +344,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_stratified(&sigma));
-        assert!(is_c_stratified(&sigma));
+        assert!(Stratification.accepts(&sigma));
+        assert!(CStratification.accepts(&sigma));
     }
 }

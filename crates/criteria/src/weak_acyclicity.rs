@@ -122,16 +122,8 @@ pub(crate) fn verdict_from_position_graph(
     }
 }
 
-/// Returns `true` iff `sigma` is weakly acyclic.
-#[deprecated(note = "use WeakAcyclicity (TerminationCriterion) or the TerminationAnalyzer")]
-pub fn is_weakly_acyclic(sigma: &DependencySet) -> bool {
-    WeakAcyclicity.accepts(sigma)
-}
-
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the legacy `is_*` shims stay pinned by these tests
-
     use super::*;
     use chase_core::parser::parse_dependencies;
 
@@ -186,7 +178,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!is_weakly_acyclic(&sigma));
+        assert!(!WeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -198,7 +190,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_weakly_acyclic(&sigma));
+        assert!(WeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -210,13 +202,13 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(is_weakly_acyclic(&sigma));
+        assert!(WeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
     fn self_feeding_existential_is_rejected() {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
-        assert!(!is_weakly_acyclic(&sigma));
+        assert!(!WeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -225,7 +217,7 @@ mod tests {
         // edge E[1] -> E[2] lies on no cycle, and E[2] has no outgoing edge, so the set
         // is weakly acyclic.
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?x, ?z).").unwrap();
-        assert!(is_weakly_acyclic(&sigma));
+        assert!(WeakAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -246,8 +238,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            is_weakly_acyclic(&with_egd),
-            is_weakly_acyclic(&without_egd)
+            WeakAcyclicity.accepts(&with_egd),
+            WeakAcyclicity.accepts(&without_egd)
         );
     }
 
@@ -279,6 +271,6 @@ mod tests {
     #[test]
     fn empty_set_is_weakly_acyclic() {
         let sigma = DependencySet::new();
-        assert!(is_weakly_acyclic(&sigma));
+        assert!(WeakAcyclicity.accepts(&sigma));
     }
 }

@@ -33,17 +33,6 @@ impl DeltaQueue {
         self.queue.pop_front()
     }
 
-    /// Drains every waiting fact id at once, in FIFO order — the round snapshot
-    /// of the worklist that partitioned parallel discovery shards across workers.
-    ///
-    /// When no EGD substitution has remapped queued ids, FIFO order *is*
-    /// ascending [`FactId`] order (ids are handed out consecutively as facts are
-    /// interned and enqueued on insertion), so contiguous chunks of the batch are
-    /// disjoint `FactId` ranges.
-    pub fn take_batch(&mut self) -> Vec<FactId> {
-        self.queue.drain(..).collect()
-    }
-
     /// Number of facts currently waiting.
     pub fn len(&self) -> usize {
         self.queue.len()
@@ -102,29 +91,21 @@ mod tests {
         assert_eq!(q.enqueued_total(), 2);
     }
 
-    #[test]
-    fn take_batch_on_an_empty_queue_is_empty() {
-        let mut q = DeltaQueue::new();
-        assert!(q.take_batch().is_empty());
-        assert_eq!(q.enqueued_total(), 0);
-        // Draining is idempotent: a second take after a real batch is empty too.
-        q.push(FactId(3));
-        assert_eq!(q.take_batch(), vec![FactId(3)]);
-        assert!(q.take_batch().is_empty());
-        assert!(q.is_empty());
+    fn drain(q: &mut DeltaQueue) -> Vec<FactId> {
+        std::iter::from_fn(|| q.pop()).collect()
     }
 
     #[test]
-    fn take_batch_preserves_duplicate_ids_in_fifo_order() {
+    fn duplicate_ids_drain_in_fifo_order() {
         // The queue does not dedup: the same id pushed twice (e.g. a fact
         // rewritten onto an existing fact by two EGD substitutions) drains
         // twice, in push order. Dedup happens downstream, against the engine's
-        // `seen` set — never here, so the batch order stays a pure FIFO record.
+        // `seen` set — never here, so the drain order stays a pure FIFO record.
         let mut q = DeltaQueue::new();
         q.push(FactId(5));
         q.push(FactId(9));
         q.push(FactId(5));
-        assert_eq!(q.take_batch(), vec![FactId(5), FactId(9), FactId(5)]);
+        assert_eq!(drain(&mut q), vec![FactId(5), FactId(9), FactId(5)]);
         assert_eq!(q.enqueued_total(), 3);
     }
 
@@ -136,7 +117,7 @@ mod tests {
         q.push(FactId(3));
         q.push(FactId(2));
         q.retain(|id| id != FactId(2));
-        assert_eq!(q.take_batch(), vec![FactId(1), FactId(3)]);
+        assert_eq!(drain(&mut q), vec![FactId(1), FactId(3)]);
         assert_eq!(q.enqueued_total(), 4, "lifetime counter is not rewound");
     }
 

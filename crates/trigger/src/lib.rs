@@ -35,23 +35,20 @@
 //! re-enter the worklist because a substitution can *create* matches (e.g. a
 //! body atom `E(x, x)` matching only after two nulls collapse).
 //!
-//! Discovery also runs **in parallel**: [`parallel::discover_batch`] shards a
-//! delta batch across scoped worker threads over a read-only
-//! [`chase_core::Snapshot`] and merges the results deterministically —
-//! [`TriggerEngine::drain_deltas_parallel`] is the drop-in drain whose outcome is
-//! identical to the sequential one at any worker count.
+//! Discovery also runs **in parallel** for round-batched consumers:
+//! [`parallel::discover_batch`] shards a delta batch across the worker pool over
+//! a read-only [`chase_core::Snapshot`] and merges the results in batch order,
+//! identically at any worker count. The engine itself drains sequentially.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod conflict;
 pub mod delta;
 pub mod engine;
 pub mod index;
 pub mod parallel;
 pub mod search;
 
-pub use conflict::ConflictSchedule;
 pub use delta::DeltaQueue;
 pub use engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
 pub use index::FactIndex;

@@ -15,12 +15,10 @@
 //!    [`Snapshot`], collecting the candidate triggers its seeds discover;
 //! 3. the per-worker results are concatenated **in chunk order**, which
 //!    reconstructs exactly the order a single-threaded drain would have produced
-//!    — so the merged candidate list is independent of the worker count, and a
-//!    caller that preserves this order (the standard chase) behaves bitwise
-//!    identically to the sequential engine.
+//!    — so the merged candidate list is independent of the worker count.
 //!
-//! Round-batching callers (the oblivious runners in `chase_engine`) instead
-//! re-sort the merged list with [`sort_canonical`] — `(DepId, body FactIds)`
+//! The round-batching caller (the oblivious runner in `chase_engine`) then
+//! re-sorts the merged list with [`sort_canonical`] — `(DepId, body FactIds)`
 //! keys, computed lazily for the candidates that survive dedup — before applying
 //! a whole round, which pins fresh-null numbering and observer/budget accounting
 //! to a worker-count-independent order. See the "Parallel execution" section of

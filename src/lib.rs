@@ -144,20 +144,6 @@
 //! assert_eq!(reloaded, base);
 //! assert_eq!(reloaded.sorted_fact_ids(), base.sorted_fact_ids());
 //! ```
-//!
-//! ## Migrating from the legacy API
-//!
-//! The pre-redesign entry points remain as `#[deprecated]` shims delegating to the
-//! new implementation:
-//!
-//! | old call | new call |
-//! |---|---|
-//! | `StandardChase::new(σ).with_max_steps(n)` | [`Chase::standard`](chase_engine::Chase::standard)`(σ).with_budget(ChaseBudget::unlimited().with_max_steps(n))` |
-//! | `ObliviousChase::new(σ, v)` | [`Chase::oblivious`](chase_engine::Chase::oblivious)`(σ, v)` |
-//! | `CoreChase::new(σ).with_max_rounds(n)` | [`Chase::core`](chase_engine::Chase::core)`(σ).with_budget(ChaseBudget::unlimited().with_max_rounds(n))` |
-//! | `runner.run_with_trace(db, closure)` | `session.run_observed(db, &mut observer)` with a [`ChaseObserver`](chase_engine::ChaseObserver) |
-//! | `is_weakly_acyclic(σ)`, `is_safe(σ)`, … | `WeakAcyclicity.accepts(σ)`, `Safety.accepts(σ)`, … (`.verdict(σ)` for the witness) |
-//! | nine separate `is_*` calls | [`TerminationAnalyzer`](chase_termination::TerminationAnalyzer)`::new().analyze(σ)` |
 
 pub use chase_core;
 pub use chase_criteria;

@@ -1,15 +1,13 @@
 //! Integration tests for the unified `Chase` session API and the witness-producing
 //! `TerminationAnalyzer`:
 //!
-//! * every registered criterion's verdict agrees with its legacy `is_*` boolean
-//!   (or, for the paper's criteria, the standalone criterion struct) across seeded
-//!   `OntologyProfile` outputs — these tests pin that the delegation is faithful;
+//! * every registered criterion's verdict agrees with the standalone criterion
+//!   struct's `accepts` across seeded `OntologyProfile` outputs — these tests pin
+//!   that the analyzer's registry delegates faithfully;
 //! * budget enforcement: no variant ever exceeds `max_steps`, fresh-null overshoot
 //!   is bounded by a single step's worth, and exhausted runs report the tripped
 //!   limit;
 //! * `ChaseOutcome::Failed` carries full EGD diagnostics in every variant.
-
-#![allow(deprecated)] // the whole point: compare the legacy shims with the new API
 
 use chase_ontology::generator::{generate, generate_database, OntologyProfile};
 use egd_chase::prelude::*;
@@ -31,14 +29,14 @@ fn seeded_corpus() -> Vec<DependencySet> {
 
 #[test]
 fn every_criterion_verdict_agrees_with_its_legacy_boolean() {
-    type LegacyCheck = (&'static str, fn(&DependencySet) -> bool);
-    let legacy: Vec<LegacyCheck> = vec![
-        ("WA", |s| chase_criteria::is_weakly_acyclic(s)),
-        ("SC", |s| chase_criteria::is_safe(s)),
-        ("SwA", |s| chase_criteria::is_super_weakly_acyclic(s)),
-        ("Str", |s| chase_criteria::is_stratified(s)),
-        ("CStr", |s| chase_criteria::is_c_stratified(s)),
-        ("MFA", |s| chase_criteria::is_mfa(s)),
+    type StandaloneCheck = (&'static str, fn(&DependencySet) -> bool);
+    let standalone: Vec<StandaloneCheck> = vec![
+        ("WA", |s| WeakAcyclicity.accepts(s)),
+        ("SC", |s| Safety.accepts(s)),
+        ("SwA", |s| SuperWeakAcyclicity.accepts(s)),
+        ("Str", |s| Stratification.accepts(s)),
+        ("CStr", |s| CStratification.accepts(s)),
+        ("MFA", |s| ModelFaithfulAcyclicity::default().accepts(s)),
         ("S-Str", |s| SemiStratification::default().accepts(s)),
         ("SAC", |s| SemiAcyclicity::default().accepts(s)),
         ("Adn-WA", |s| AdnCombined::weak_acyclicity().accepts(s)),
@@ -50,11 +48,11 @@ fn every_criterion_verdict_agrees_with_its_legacy_boolean() {
     let criteria = all_criteria();
     assert_eq!(
         criteria.len(),
-        legacy.len(),
-        "a criterion is missing a legacy shim"
+        standalone.len(),
+        "a registered criterion is missing from the standalone table"
     );
     for (i, sigma) in seeded_corpus().into_iter().enumerate() {
-        for (name, check) in &legacy {
+        for (name, check) in &standalone {
             let criterion = criteria
                 .iter()
                 .find(|c| c.name == *name)
@@ -63,7 +61,7 @@ fn every_criterion_verdict_agrees_with_its_legacy_boolean() {
             assert_eq!(
                 verdict.accepted,
                 check(&sigma),
-                "verdict and legacy boolean disagree for {name} on seeded set #{i}:\n{sigma}"
+                "registry verdict and standalone criterion disagree for {name} on seeded set #{i}:\n{sigma}"
             );
             assert_eq!(verdict.criterion, *name);
         }
@@ -72,8 +70,8 @@ fn every_criterion_verdict_agrees_with_its_legacy_boolean() {
 
 #[test]
 fn wa_sc_swa_verdicts_match_the_independent_graph_predicates() {
-    // The `is_*` shims delegate to the verdict implementations, so the agreement
-    // test above cannot catch a bug in the new cycle *extraction* (both sides would
+    // The registry delegates to the verdict implementations, so the agreement
+    // test above cannot catch a bug in the cycle *extraction* (both sides would
     // flip together). These oracles are independent: the original SCC-based boolean
     // predicates over the same graphs, untouched by the redesign.
     use chase_criteria::safety::propagation_graph;

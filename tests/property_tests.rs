@@ -12,11 +12,13 @@ use chase_core::{
     Variable,
 };
 use chase_engine::{
-    core_of, is_core, Chase, ChaseBudget, ChaseOutcome, ObliviousVariant, StepOrder, TraceObserver,
+    core_of, is_core, Chase, ChaseBudget, ChaseEvent, ChaseOutcome, EventObserver,
+    ObliviousVariant, StepOrder, TraceObserver,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------------
 // Strategies
@@ -144,8 +146,7 @@ fn canonical_set(homs: &[Assignment]) -> BTreeSet<Vec<(Variable, GroundTerm)>> {
 
 /// The worker counts the differential suite exercises: the even splits 2, 4
 /// and 8 plus the uneven 3 and 7 (ragged shards — the last pool job gets a
-/// shorter chunk, and on a wave-based search like the core fold scan the final
-/// wave is partial), plus whatever `CHASE_TEST_WORKERS` asks for (the CI
+/// shorter chunk), plus whatever `CHASE_TEST_WORKERS` asks for (the CI
 /// parallel job runs the suite once at the canonical 4 — guarding the env
 /// plumbing — and once at 7).
 fn test_worker_counts() -> Vec<usize> {
@@ -158,6 +159,28 @@ fn test_worker_counts() -> Vec<usize> {
         }
     }
     counts
+}
+
+/// Runs `session` under an [`EventObserver`] and returns the full event stream
+/// with every wall-clock duration zeroed, so that two runs compare event for
+/// event — including each discovery event's `facts_scanned` and
+/// `triggers_found`.
+fn timeless_events(session: &Chase<'_>, db: &Instance) -> Vec<ChaseEvent> {
+    let mut events = Vec::new();
+    session.run_observed(db, &mut EventObserver(|e| events.push(e)));
+    for event in &mut events {
+        match event {
+            ChaseEvent::DiscoveryCompleted { stats } => {
+                stats.elapsed = Duration::ZERO;
+                for shard in &mut stats.shards {
+                    shard.elapsed = Duration::ZERO;
+                }
+            }
+            ChaseEvent::MergeCompleted { elapsed, .. } => *elapsed = Duration::ZERO,
+            _ => {}
+        }
+    }
+    events
 }
 
 // The null-bijection checker lives in chase_core (`isomorphic_up_to_null_renaming`)
@@ -257,9 +280,9 @@ fn parallel_worker_count_never_changes_the_output_bytes() {
 /// very same `Chase` session reuses the already-spawned pool threads instead of
 /// spawning fresh ones — and must be byte-identical to the first: no state
 /// (queued jobs, stale results, panic residue) leaks from one run into the
-/// next. Exercised across all pool-backed variants, including the standard
-/// chase (conflict-aware batching + parallel drains) and the core chase
-/// (parallel fold search).
+/// next. Exercised on every variant: the (semi-)oblivious chases run their
+/// rounds on the pool, while the standard and core chases ignore `workers`
+/// and must repeat themselves exactly as well.
 #[test]
 fn pool_reuse_across_consecutive_runs_is_byte_identical() {
     use chase_ontology::generator::{generate, generate_database, OntologyProfile};
@@ -691,8 +714,9 @@ proptest! {
     /// 3, 4, 7 and 8 workers (plus `CHASE_TEST_WORKERS`, if set) agrees with
     /// the sequential runner:
     ///
-    /// * the **standard** chase is *bitwise identical* (parallel discovery merges
-    ///   order-preservingly, so the very same trigger sequence fires);
+    /// * the **standard** chase ignores `workers`, so it is *bitwise identical*
+    ///   to `workers(1)`: outcome, stats and the full observer event stream
+    ///   (phase events included, durations excluded);
     /// * the **(semi-)oblivious** chases produce instances isomorphic to the
     ///   sequential result — equal up to a renaming of labeled nulls, verified by
     ///   an exact bijection search — with identical `ChaseOutcome` kind, tripped
@@ -728,6 +752,7 @@ proptest! {
         for (name, session) in sessions {
             let mut seq_trace = TraceObserver::new();
             let sequential = session.clone().run_observed(&db, &mut seq_trace);
+            let seq_events = (name == "standard").then(|| timeless_events(&session, &db));
             let mut previous: Option<(ChaseOutcome, TraceObserver)> = None;
             for workers in test_worker_counts() {
                 let mut trace = TraceObserver::new();
@@ -752,9 +777,9 @@ proptest! {
                     "{} step count diverged at {} workers (seed {})",
                     name, workers, seed
                 );
-                if name == "standard" {
-                    // The per-step parallel drain is order-preserving: bitwise
-                    // identity, not mere isomorphism.
+                if let Some(seq_events) = &seq_events {
+                    // The standard chase runs sequentially at every worker
+                    // count: bitwise identity, not mere isomorphism.
                     prop_assert_eq!(
                         &sequential,
                         &parallel,
@@ -763,6 +788,13 @@ proptest! {
                         seed
                     );
                     prop_assert_eq!(&seq_trace.steps, &trace.steps);
+                    prop_assert_eq!(
+                        seq_events,
+                        &timeless_events(&session.clone().workers(workers), &db),
+                        "standard chase event stream diverged at {} workers (seed {})",
+                        workers,
+                        seed
+                    );
                 } else {
                     if sequential.is_terminating() {
                         prop_assert_eq!(sequential.stats(), parallel.stats());
