@@ -72,7 +72,7 @@ pub use certain::{certain_answers, ConjunctiveQuery};
 pub use core_of::{core_of, is_core};
 pub use materialize::{MaterializeError, MaterializeEvent, MaterializedRun};
 pub use metrics::MetricsObserver;
-pub use oblivious::{apply_gamma_to_keys, key_variables, ObliviousVariant};
+pub use oblivious::{FiredKeys, ObliviousVariant};
 pub use observer::{ChaseEvent, ChaseObserver, EventObserver, NoopObserver, TraceObserver};
 pub use result::{ChaseOutcome, ChaseStats, EgdViolation};
 pub use session::Chase;

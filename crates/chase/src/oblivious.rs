@@ -21,9 +21,10 @@ use crate::result::{ChaseOutcome, ChaseStats};
 use crate::step::StepEffect;
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    DepId, Dependency, DependencySet, DiscoveryStats, GroundTerm, Instance, ShardStats, Variable,
+    Assignment, DepId, Dependency, DependencySet, DiscoveryStats, GroundTerm, Instance, ShardStats,
+    Variable,
 };
-use chase_trigger::TriggerEngine;
+use chase_trigger::{Trigger, TriggerEngine};
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -39,10 +40,7 @@ pub enum ObliviousVariant {
 /// The variables of `dep` that participate in the trigger key for `variant`, in a
 /// fixed (sorted) order: all body variables for the oblivious chase; the frontier
 /// (TGD) or the two equated variables (EGD) for the semi-oblivious chase.
-///
-/// Public because incremental maintenance (`chase_ivm`) must compute exactly the
-/// keys this module's runner fires, for its own delta repair loop.
-pub fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variable> {
+fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variable> {
     let body_vars = dep.body_variables();
     match variant {
         ObliviousVariant::Oblivious => body_vars.into_iter().collect(),
@@ -62,6 +60,105 @@ pub fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variabl
     }
 }
 
+/// The fired-key state of a (semi-)oblivious chase: the paper's trigger
+/// equivalence "`h_i(x) = h_j(x) γ_j · · · γ_{i-1}`" in one place.
+///
+/// A trigger's *key* is the image of its dependency's key variables (all body
+/// variables for [`ObliviousVariant::Oblivious`], the frontier or the equated
+/// pair for [`ObliviousVariant::SemiOblivious`]). A trigger fires only if no
+/// trigger with an equal key fired before; every EGD substitution is applied to
+/// the recorded keys ([`FiredKeys::apply_gamma`]), so later comparisons are
+/// modulo the substitutions in between. The sequential and round-parallel
+/// runners and incremental maintenance (`chase_ivm`, which also un-fires keys
+/// on retraction) all keep their state here.
+#[derive(Clone, Debug)]
+pub struct FiredKeys {
+    /// Per dependency, the key variables in a fixed order.
+    key_vars: Vec<Vec<Variable>>,
+    /// Per dependency, the keys fired so far.
+    fired: Vec<HashSet<Vec<GroundTerm>>>,
+}
+
+impl FiredKeys {
+    /// No key fired yet, with `variant`'s key variables for every dependency of
+    /// `sigma`.
+    pub fn new(sigma: &DependencySet, variant: ObliviousVariant) -> Self {
+        FiredKeys {
+            key_vars: sigma
+                .iter()
+                .map(|(_, dep)| key_variables(variant, dep))
+                .collect(),
+            fired: vec![HashSet::new(); sigma.len()],
+        }
+    }
+
+    /// The key of the trigger `(dep, h)`, or `None` if an equivalent trigger
+    /// already fired.
+    pub fn unfired_key(&self, dep: DepId, h: &Assignment) -> Option<Vec<GroundTerm>> {
+        let key: Vec<GroundTerm> = self.key_vars[dep.0]
+            .iter()
+            .map(|&v| h.get(v).expect("body variables are bound"))
+            .collect();
+        (!self.fired[dep.0].contains(&key)).then_some(key)
+    }
+
+    /// Pops the engine's next trigger whose key has not fired, trying the
+    /// dependencies in `order`, together with that key. Candidates with a
+    /// fired key are dropped.
+    pub fn next_unfired(
+        &self,
+        engine: &mut TriggerEngine<'_>,
+        order: &[DepId],
+    ) -> Option<(Trigger, Vec<GroundTerm>)> {
+        let mut accepted = None;
+        let trigger = engine.next_trigger_where(order, |dep, h| {
+            accepted = self.unfired_key(dep, h);
+            accepted.is_some()
+        })?;
+        Some((
+            trigger,
+            accepted.expect("an accepted trigger always sets its key"),
+        ))
+    }
+
+    /// Records `key` as fired for `dep`.
+    pub fn fire(&mut self, dep: DepId, key: Vec<GroundTerm>) {
+        self.fired[dep.0].insert(key);
+    }
+
+    /// Forgets that `key` fired for `dep`, so an equal key can fire again.
+    pub fn unfire(&mut self, dep: DepId, key: &[GroundTerm]) {
+        self.fired[dep.0].remove(key);
+    }
+
+    /// Rewrites every fired key under the EGD substitution `gamma`; keys that
+    /// become equal merge into one.
+    pub fn apply_gamma(&mut self, gamma: &NullSubstitution) {
+        for keys in &mut self.fired {
+            let changed = keys
+                .iter()
+                .any(|key| key.iter().any(|&t| gamma.apply_ground(t) != t));
+            if changed {
+                *keys = std::mem::take(keys)
+                    .into_iter()
+                    .map(|key| key.into_iter().map(|t| gamma.apply_ground(t)).collect())
+                    .collect();
+            }
+        }
+    }
+
+    /// The partial assignment binding `dep`'s key variables to `key`: the seed
+    /// of a search for a body witness that fires exactly this key.
+    pub fn seed(&self, dep: DepId, key: &[GroundTerm]) -> Assignment {
+        Assignment::from_pairs(
+            self.key_vars[dep.0]
+                .iter()
+                .copied()
+                .zip(key.iter().copied()),
+        )
+    }
+}
+
 /// Runs the (semi-)oblivious chase under `budget`, reporting events to `observer`.
 ///
 /// Trigger discovery is delta-driven: homomorphisms are found once, when the facts
@@ -70,12 +167,12 @@ pub fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variabl
 ///
 /// With `workers > 1` and an EGD-free `sigma`, the run goes through the
 /// round-parallel runner ([`crate::parallel`]): snapshot discovery on worker
-/// threads, canonical `(DepId, body FactIds)` merge, sequential application.
-/// EGD-bearing sets stay on the sequential path below regardless of `workers`,
-/// because the fired-key sets are rewritten by every substitution
-/// (`h ↦ γ∘h γ_j···γ_{i-1}`): which triggers fire — and how many — then depends
-/// on the interleaving of substitutions with TGD steps, so no worker-count-
-/// independent merge order can reproduce the sequential semantics.
+/// threads, rounds applied in discovery order. EGD-bearing sets stay on the
+/// sequential path below regardless of `workers`, because the fired-key sets
+/// are rewritten by every substitution (`h ↦ γ∘h γ_j···γ_{i-1}`): which
+/// triggers fire — and how many — then depends on the interleaving of
+/// substitutions with TGD steps, so no worker-count-independent merge order can
+/// reproduce the sequential semantics.
 pub(crate) fn run_oblivious(
     sigma: &DependencySet,
     variant: ObliviousVariant,
@@ -84,22 +181,16 @@ pub(crate) fn run_oblivious(
     observer: &mut dyn ChaseObserver,
     workers: usize,
 ) -> ChaseOutcome {
-    let key_vars: Vec<Vec<Variable>> = sigma
-        .iter()
-        .map(|(_, dep)| key_variables(variant, dep))
-        .collect();
+    let mut fired = FiredKeys::new(sigma, variant);
     // Derivation-observed runs stay sequential even when EGD-free: the log is
     // per applied step, and the parallel runner's outcome is sequential-
     // equivalent anyway (only wall-clock would change).
     let derivations = observer.observes_derivations();
     if workers > 1 && sigma.egd_ids().is_empty() && !derivations {
         return crate::parallel::run_oblivious_parallel(
-            sigma, &key_vars, budget, database, observer, workers,
+            sigma, fired, budget, database, observer, workers,
         );
     }
-    // Fired trigger keys per dependency, kept up to date under EGD substitutions.
-    let mut fired: Vec<Vec<Vec<GroundTerm>>> = vec![Vec::new(); sigma.len()];
-    let mut fired_lookup: Vec<HashSet<Vec<GroundTerm>>> = vec![HashSet::new(); sigma.len()];
     // Dependencies are tried in the textual order of the set, as before.
     let order: Vec<DepId> = sigma.ids().collect();
 
@@ -119,25 +210,10 @@ pub(crate) fn run_oblivious(
                 stats,
             };
         }
-        // The accept closure computes each candidate's fired key; the key of
-        // the accepted trigger is carried out through `accepted_key` so it is
-        // not rebuilt after the pop.
-        let mut accepted_key: Option<Vec<GroundTerm>> = None;
         let search_start = phases.then(Instant::now);
         let scanned_before = phases.then(|| engine.stats().deltas_processed);
         let found_before = phases.then(|| engine.stats().triggers_discovered);
-        let trigger = engine.next_trigger_where(&order, |id, h| {
-            let key: Vec<GroundTerm> = key_vars[id.0]
-                .iter()
-                .map(|v| h.get(*v).expect("body variables are bound"))
-                .collect();
-            if fired_lookup[id.0].contains(&key) {
-                false
-            } else {
-                accepted_key = Some(key);
-                true
-            }
-        });
+        let next = fired.next_unfired(&mut engine, &order);
         if let Some(start) = search_start {
             // One-shard discovery accounting from the engine-stat deltas of
             // exactly this search (zero when served from the pending queue).
@@ -152,16 +228,12 @@ pub(crate) fn run_oblivious(
                 elapsed,
             });
         }
-        let trigger = match trigger {
-            Some(t) => t,
-            None => {
-                return ChaseOutcome::Terminated {
-                    instance: engine.into_instance(),
-                    stats,
-                }
-            }
+        let Some((trigger, key)) = next else {
+            return ChaseOutcome::Terminated {
+                instance: engine.into_instance(),
+                stats,
+            };
         };
-        let key = accepted_key.expect("an accepted trigger always sets its key");
         let (effect, log) = if derivations {
             let (effect, log) = engine.apply_trigger_logged(trigger.dep, &trigger.assignment);
             (effect, Some(log))
@@ -181,8 +253,7 @@ pub(crate) fn run_oblivious(
         if effect == StepEffect::NotApplicable {
             // An EGD trigger with equal images: Definition 1 yields no chase
             // step. Record the key so we do not reconsider it forever.
-            fired[trigger.dep.0].push(key.clone());
-            fired_lookup[trigger.dep.0].insert(key);
+            fired.fire(trigger.dep, key);
             continue;
         }
         if let Some(violation) = record_step_effect(sigma, &trigger, &effect, &mut stats, observer)
@@ -191,42 +262,9 @@ pub(crate) fn run_oblivious(
         }
         // Record the trigger key, then propagate the substitution (if any) to all
         // recorded keys so that future comparisons are "modulo γ_j · · · γ_{i-1}".
-        fired[trigger.dep.0].push(key.clone());
-        fired_lookup[trigger.dep.0].insert(key);
+        fired.fire(trigger.dep, key);
         if let StepEffect::Substituted { gamma } = &effect {
-            apply_gamma_to_keys(&mut fired, &mut fired_lookup, gamma);
-        }
-    }
-}
-
-/// Rewrites every recorded fired key under an EGD substitution `γ` — the
-/// "modulo `γ_j · · · γ_{i-1}`" of the paper's trigger-equivalence — keeping the
-/// per-dependency key list and its dedup lookup in lockstep.
-///
-/// Public for the same reason as [`key_variables`]: the incremental-maintenance
-/// repair loop carries the fired-key state across update batches and must
-/// rewrite it exactly as the runner would have.
-pub fn apply_gamma_to_keys(
-    fired: &mut [Vec<Vec<GroundTerm>>],
-    fired_lookup: &mut [HashSet<Vec<GroundTerm>>],
-    gamma: &NullSubstitution,
-) {
-    for (keys, lookup) in fired.iter_mut().zip(fired_lookup.iter_mut()) {
-        let mut changed = false;
-        for key in keys.iter_mut() {
-            for t in key.iter_mut() {
-                let new = gamma.apply_ground(*t);
-                if new != *t {
-                    *t = new;
-                    changed = true;
-                }
-            }
-        }
-        if changed {
-            lookup.clear();
-            for key in keys.iter() {
-                lookup.insert(key.clone());
-            }
+            fired.apply_gamma(gamma);
         }
     }
 }
@@ -235,8 +273,60 @@ pub fn apply_gamma_to_keys(
 mod tests {
     use super::*;
     use crate::session::Chase;
-    use chase_core::parser::parse_program;
+    use chase_core::parser::{parse_dependencies, parse_program};
     use chase_core::satisfaction::satisfies_all;
+    use chase_core::term::{Constant, NullValue};
+
+    fn gc(s: &str) -> GroundTerm {
+        GroundTerm::Const(Constant::new(s))
+    }
+
+    fn gn(n: u64) -> GroundTerm {
+        GroundTerm::Null(NullValue(n))
+    }
+
+    fn bind(pairs: &[(&str, GroundTerm)]) -> Assignment {
+        Assignment::from_pairs(pairs.iter().map(|&(v, t)| (Variable::new(v), t)))
+    }
+
+    #[test]
+    fn gamma_collapsing_two_fired_keys_leaves_one() {
+        let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?x, ?z).").unwrap();
+        let r = DepId(0);
+        let mut fired = FiredKeys::new(&sigma, ObliviousVariant::SemiOblivious);
+        // Semi-oblivious: the key is the frontier image `x` alone.
+        fired.fire(r, vec![gn(1)]);
+        fired.fire(r, vec![gn(2)]);
+        assert_eq!(fired.fired[r.0].len(), 2);
+        fired.apply_gamma(&NullSubstitution::single(NullValue(1), gn(2)));
+        assert_eq!(fired.fired[r.0], HashSet::from([vec![gn(2)]]));
+        // Both the rewritten key and an equal fresh one count as fired.
+        assert_eq!(
+            fired.unfired_key(r, &bind(&[("x", gn(2)), ("y", gc("b"))])),
+            None
+        );
+        assert_eq!(
+            fired.unfired_key(r, &bind(&[("x", gc("a")), ("y", gn(2))])),
+            Some(vec![gc("a")])
+        );
+    }
+
+    #[test]
+    fn an_unfired_key_is_accepted_again() {
+        let sigma = parse_dependencies("r: E(?x, ?y) -> P(?x).").unwrap();
+        let r = DepId(0);
+        let mut fired = FiredKeys::new(&sigma, ObliviousVariant::Oblivious);
+        let h = bind(&[("x", gc("a")), ("y", gc("b"))]);
+        // Oblivious: the key is the image of every body variable.
+        let key = fired.unfired_key(r, &h).expect("nothing fired yet");
+        assert_eq!(key.len(), 2);
+        fired.fire(r, key.clone());
+        assert_eq!(fired.unfired_key(r, &h), None);
+        fired.unfire(r, &key);
+        assert_eq!(fired.unfired_key(r, &h), Some(key.clone()));
+        // The rederive seed binds exactly the key variables.
+        assert_eq!(fired.seed(r, &key), h);
+    }
 
     #[test]
     fn example6_semi_oblivious_terminates_oblivious_does_not() {

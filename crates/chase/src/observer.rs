@@ -46,7 +46,7 @@
 //!   a single worker-0 shard per discovery call; the round-parallel runner
 //!   reports one shard per worker per round.
 //! * [`ChaseObserver::merge_completed`] — the round-parallel runner finished
-//!   deduplicating and canonically sorting a round's candidate batch; emitted
+//!   deduplicating a round's candidate batch by fired key; emitted
 //!   between the round's `discovery_completed` and its step events. Sequential
 //!   runners never emit it.
 //! * [`ChaseObserver::budget_checked`] — the runner consulted the budget
@@ -116,8 +116,9 @@ pub trait ChaseObserver {
     }
 
     /// The round-parallel runner merged a round's candidate batch: `candidates`
-    /// triggers entered dedup, `deduped` survived into the canonically sorted
-    /// round, taking `elapsed` wall-clock. Only emitted when
+    /// triggers (those whose key had not fired before the round) entered the
+    /// fired-key dedup, `deduped` survived into the round (applied in discovery
+    /// order), taking `elapsed` wall-clock. Only emitted when
     /// [`ChaseObserver::observes_phases`] returns `true`.
     fn merge_completed(&mut self, candidates: usize, deduped: usize, elapsed: Duration) {
         let _ = (candidates, deduped, elapsed);

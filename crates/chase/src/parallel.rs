@@ -13,18 +13,21 @@
 //!    `FactId` ranges of the delta as jobs on the persistent worker pool
 //!    ([`chase_core::pool`] — long-lived channel-fed threads, no per-round
 //!    spawn; see [`chase_trigger::parallel::discover_batch`]);
-//! 2. **deterministic merge** — the merged candidates are deduped and sorted by
-//!    the canonical `(DepId, body FactIds)` order
-//!    ([`chase_trigger::sort_canonical`], keys computed for dedup survivors
-//!    only), which does not depend on the worker count or any hash order;
-//! 3. **sequential apply** — the sorted batch is applied one trigger at a time
-//!    with the same fired-key dedup and the same per-step budget-clock cadence
+//! 2. **deterministic merge** — the workers drop candidates whose key fired in
+//!    an earlier round (a read-only test on the frozen [`FiredKeys`]); the shard
+//!    outputs are concatenated in chunk order, which is the order a
+//!    single-threaded discovery would produce, and deduped in that order by the
+//!    same fired-key comparison as the sequential runner; neither step depends
+//!    on the worker count or any hash order;
+//! 3. **sequential apply** — the deduped batch is applied in that discovery
+//!    order, one trigger at a time, with the same per-step budget-clock cadence
 //!    as the sequential runner, so fresh-null numbering, [`ChaseObserver`] event
 //!    streams and budget accounting are bitwise-identical **at any worker count**.
 //!
 //! Relative to the *sequential* oblivious runner the only difference is the order
-//! in which the (identical) set of triggers fires, so terminating runs produce
-//! instances equal up to a renaming of labeled nulls with identical
+//! in which the (identical) set of triggers fires — round by round instead of
+//! the sequential runner's dependency-by-dependency queue order — so terminating
+//! runs produce instances equal up to a renaming of labeled nulls with identical
 //! [`ChaseStats`]; `tests/property_tests.rs` proves this differentially over
 //! random ontology corpora.
 //!
@@ -47,26 +50,21 @@
 //!   execution cost is dominated by core computation, which runs sequentially.
 
 use crate::budget::{BudgetClock, ChaseBudget};
+use crate::oblivious::FiredKeys;
 use crate::observer::{record_step_effect, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats};
-use crate::step::{StepEffect, Trigger};
-use chase_core::{DependencySet, FactId, GroundTerm, Instance, Snapshot, Variable};
-use chase_trigger::{
-    discover_batch, discover_batch_instrumented, sort_canonical, FactIndex, SeedAtoms,
-};
-use std::collections::HashSet;
+use crate::step::StepEffect;
+use chase_core::{DependencySet, DiscoveryStats, FactId, GroundTerm, Instance, Snapshot};
+use chase_trigger::{discover_batch, FactIndex, SeedAtoms};
 use std::time::Instant;
 
 /// Runs the (semi-)oblivious chase round-parallel. Callers guarantee `sigma` has
 /// no EGDs (the dispatcher in [`crate::oblivious`] falls back to the sequential
-/// runner otherwise) and `workers >= 1`.
-///
-/// `key_vars` holds, per dependency, the variables of the fired-key comparison —
-/// all body variables for the oblivious chase, the frontier for the
-/// semi-oblivious chase (see `key_variables` in [`crate::oblivious`]).
+/// runner otherwise) and `workers >= 1`; `fired` is the variant's empty
+/// fired-key state.
 pub(crate) fn run_oblivious_parallel(
     sigma: &DependencySet,
-    key_vars: &[Vec<Variable>],
+    mut fired: FiredKeys,
     budget: &ChaseBudget,
     database: &Instance,
     observer: &mut dyn ChaseObserver,
@@ -82,13 +80,6 @@ pub(crate) fn run_oblivious_parallel(
     // The round-0 delta is the database itself, loaded through the one shared
     // routine ([`FactIndex::insert_database`]) the sequential engine also uses.
     let mut delta: Vec<FactId> = index.insert_database(database);
-    // Fired trigger keys per dependency. Σ is EGD-free, so keys are never
-    // rewritten and a plain set suffices (contrast with the sequential runner's
-    // γ-propagation).
-    let mut fired: Vec<HashSet<Vec<GroundTerm>>> = vec![HashSet::new(); sigma.len()];
-    // Every assignment ever discovered, per dependency: cross-round dedup, since
-    // later rounds re-discover joins whose facts span multiple rounds.
-    let mut seen: Vec<HashSet<Vec<(Variable, GroundTerm)>>> = vec![HashSet::new(); sigma.len()];
     let mut stats = ChaseStats::default();
     let mut round = 0usize;
     // Phase instrumentation is opt-in (consulted once): without it the loop
@@ -98,33 +89,40 @@ pub(crate) fn run_oblivious_parallel(
         // Discovery round: every candidate seeded from the delta, against a
         // frozen snapshot, sharded across workers, merged in batch order.
         let had_delta = !delta.is_empty();
-        let mut batch = if !had_delta {
-            // A zero-length delta discovers nothing: skip the snapshot and, in
-            // particular, emit no empty-shard `discovery_completed` event (a
-            // round whose steps added no new facts would otherwise report a
-            // phantom zero-fact discovery round).
-            Vec::new()
-        } else {
+        // A zero-length delta discovers nothing: skip the snapshot and, in
+        // particular, emit no empty-shard `discovery_completed` event (a round
+        // whose steps added no new facts would otherwise report a phantom
+        // zero-fact discovery round).
+        let mut discovery = (phases && had_delta).then(DiscoveryStats::default);
+        // The workers skip keys fired in earlier rounds: the merge would drop
+        // them anyway, as keys of an EGD-free run are never rewritten.
+        let mut batch = if had_delta {
             let snapshot = Snapshot::new(index.indexed());
-            if phases {
-                let (batch, discovery) =
-                    discover_batch_instrumented(sigma, &seeds, snapshot, &delta, workers);
-                observer.discovery_completed(&discovery);
-                batch
-            } else {
-                discover_batch(sigma, &seeds, snapshot, &delta, workers)
-            }
+            let keep = |dep, h: &_| fired.unfired_key(dep, h).is_some();
+            let stats = discovery.as_mut();
+            discover_batch(sigma, &seeds, snapshot, &delta, workers, &keep, stats)
+        } else {
+            Vec::new()
         };
+        if let Some(discovery) = &discovery {
+            observer.discovery_completed(discovery);
+        }
         delta.clear();
-        // Dedup in (deterministic) batch order, then impose the canonical
-        // (DepId, body FactIds) merge order for application — keys are computed
-        // here, for the dedup survivors only.
-        // No discovery sweep ⇒ nothing to merge either: the skipped round
-        // emits neither event (discovery/merge events stay paired).
+        // Fired-key dedup in (deterministic) batch order: a candidate survives
+        // only if no equal key fired before in this round (discovery dropped
+        // earlier rounds' keys). Σ is EGD-free, so keys are never rewritten and
+        // every survivor fires below. No discovery sweep ⇒ nothing to merge
+        // either: the skipped round emits neither event (discovery/merge events
+        // stay paired).
         let merge_start = (phases && had_delta).then(Instant::now);
         let candidates = batch.len();
-        batch.retain(|t| seen[t.dep.0].insert(t.assignment.canonical()));
-        sort_canonical(sigma, index.store(), &mut batch);
+        batch.retain(|t| match fired.unfired_key(t.dep, &t.assignment) {
+            Some(key) => {
+                fired.fire(t.dep, key);
+                true
+            }
+            None => false,
+        });
         if let Some(start) = merge_start {
             observer.merge_completed(candidates, batch.len(), start.elapsed());
         }
@@ -147,22 +145,7 @@ pub(crate) fn run_oblivious_parallel(
                 stats,
             };
         }
-        let steps_before = stats.steps;
-        for candidate in batch {
-            // Fired-key dedup at application time, exactly like the sequential
-            // runner's accept closure (rejected candidates consume no budget).
-            let key: Vec<GroundTerm> = key_vars[candidate.dep.0]
-                .iter()
-                .map(|&v| {
-                    candidate
-                        .assignment
-                        .get(v)
-                        .expect("body variables are bound")
-                })
-                .collect();
-            if !fired[candidate.dep.0].insert(key) {
-                continue;
-            }
+        for trigger in batch {
             let tripped = clock.check_step(&stats, index.len());
             if phases {
                 observer.budget_checked(tripped);
@@ -176,10 +159,10 @@ pub(crate) fn run_oblivious_parallel(
             }
             // Apply the TGD step natively on the index (Σ is EGD-free).
             let tgd = sigma
-                .get(candidate.dep)
+                .get(trigger.dep)
                 .as_tgd()
                 .expect("EGD-free dependency set");
-            let mut extended = candidate.assignment.clone();
+            let mut extended = trigger.assignment.clone();
             let ex = tgd.existential_variables();
             let fresh_nulls = ex.len();
             for v in ex {
@@ -197,10 +180,6 @@ pub(crate) fn run_oblivious_parallel(
                     added.push(fact);
                 }
             }
-            let trigger = Trigger {
-                dep: candidate.dep,
-                assignment: candidate.assignment,
-            };
             let effect = StepEffect::AddedFacts {
                 facts: added,
                 fresh_nulls,
@@ -212,23 +191,22 @@ pub(crate) fn run_oblivious_parallel(
         // Round-granular events, in the unified order pinned by
         // `tests/api_redesign.rs`: `round_completed` immediately followed by
         // `round_nulls`, after all of the round's step/null events. A sweep in
-        // which every candidate was fired-key-rejected applied no step and
-        // reports no round — observers never see phantom no-op rounds.
-        if stats.steps > steps_before {
-            round += 1;
-            observer.round_completed(round, index.len());
-            observer.round_nulls(index.instance().nulls().len());
-        }
+        // which every candidate was fired-key-rejected ended the run above, so
+        // observers never see phantom no-op rounds.
+        round += 1;
+        observer.round_completed(round, index.len());
+        observer.round_nulls(index.instance().nulls().len());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observer::TraceObserver;
+    use crate::observer::{ChaseEvent, EventObserver, TraceObserver};
     use crate::session::Chase;
     use crate::ObliviousVariant;
     use chase_core::parser::parse_program;
+    use std::collections::HashSet;
 
     fn closure_program(n: usize) -> chase_core::Program {
         let mut src = String::from("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).\n");
@@ -239,11 +217,48 @@ mod tests {
     }
 
     #[test]
+    fn round_one_is_applied_in_deduped_discovery_order() {
+        // Two dependencies whose discoveries interleave (every fact seeds r1 and
+        // both r2 atoms), on a delta large enough to shard across 2 workers.
+        let mut src =
+            String::from("r1: E(?x, ?y) -> P(?x).\nr2: E(?x, ?y), E(?y, ?z) -> Q(?x, ?z).\n");
+        for i in 0..20 {
+            src.push_str(&format!("E(v{i}, v{}).\n", i + 1));
+        }
+        let p = parse_program(&src).unwrap();
+        let sigma = &p.dependencies;
+        let mut index = FactIndex::new();
+        let delta = index.insert_database(&p.database);
+        let snapshot = Snapshot::new(index.indexed());
+        let seeds = SeedAtoms::new(sigma);
+        let mut expected = discover_batch(sigma, &seeds, snapshot, &delta, 2, &|_, _| true, None);
+        let mut seen = HashSet::new();
+        expected.retain(|t| seen.insert((t.dep, t.assignment.canonical())));
+        assert!(
+            expected.windows(2).any(|w| w[0].dep > w[1].dep),
+            "the discovery order must differ from a dependency-major order"
+        );
+        // Oblivious keys cover every body variable, so the fired-key dedup
+        // drops exactly the repeated assignments and every survivor fires.
+        let mut round_one = Vec::new();
+        let mut round_done = false;
+        let mut obs = EventObserver(|e: ChaseEvent| match e {
+            ChaseEvent::StepApplied { trigger, .. } if !round_done => round_one.push(trigger),
+            ChaseEvent::RoundCompleted { .. } => round_done = true,
+            _ => {}
+        });
+        let out = Chase::oblivious(sigma, ObliviousVariant::Oblivious)
+            .workers(2)
+            .run_observed(&p.database, &mut obs);
+        assert!(out.is_terminating());
+        assert_eq!(round_one, expected);
+    }
+
+    #[test]
     fn zero_length_delta_rounds_emit_no_discovery_events() {
         // Satellite: a round whose delta is empty (steps that added nothing
         // new, or an empty database) must not emit a phantom zero-fact
         // `discovery_completed` shard event.
-        use crate::observer::{ChaseEvent, EventObserver};
         let p = closure_program(6);
         let count_rounds = |db: &chase_core::Instance| {
             let mut discoveries = Vec::new();

@@ -124,9 +124,9 @@ impl<'a> Chase<'a> {
     /// byte-identical (pinned by the pool-reuse suite).
     ///
     /// The **(semi-)oblivious variants** batch whole rounds: discovery is
-    /// sharded against a frozen snapshot and the triggers are sorted by
-    /// `(DepId, body FactIds)` before a sequential apply, so two runs with the
-    /// same inputs and different `n > 1` produce byte-identical instances,
+    /// sharded against a frozen snapshot and the deduped triggers are applied
+    /// sequentially in discovery order, which does not depend on `n`, so two
+    /// runs with the same inputs and different `n > 1` produce byte-identical instances,
     /// statistics, observer streams and tripped budget limits. They stay
     /// sequential on **EGD-bearing** dependency sets, where substitutions
     /// rewrite fired keys in sequence order and the result would depend on the

@@ -901,6 +901,106 @@ mod tests {
         assert_eq!(via_scan.len(), 2);
     }
 
+    // -----------------------------------------------------------------------------
+    // Searches over a maintained index (the trigger engine's entry points)
+    // -----------------------------------------------------------------------------
+
+    fn path_index() -> IndexedInstance {
+        IndexedInstance::from_instance(path_instance())
+    }
+
+    fn two_hop_query() -> Vec<Atom> {
+        vec![
+            atom("E", vec![var("x"), var("y")]),
+            atom("E", vec![var("y"), var("z")]),
+        ]
+    }
+
+    /// Collects every homomorphism the index search visits with atom
+    /// `seed_index` pinned to `seed`.
+    fn seeded(
+        atoms: &[Atom],
+        idx: &IndexedInstance,
+        seed_index: usize,
+        seed: &Fact,
+    ) -> Vec<Assignment> {
+        let mut homs = Vec::new();
+        HomomorphismSearch::over_index(atoms, idx).for_each_seeded::<()>(
+            seed_index,
+            seed,
+            &mut |h| {
+                homs.push(h.clone());
+                ControlFlow::Continue(())
+            },
+        );
+        homs
+    }
+
+    #[test]
+    fn indexed_join_matches_expected_two_hop_paths() {
+        let idx = path_index();
+        let mut count = 0;
+        HomomorphismSearch::over_index(&two_hop_query(), &idx).for_each_extending::<()>(
+            &Assignment::new(),
+            &mut |_| {
+                count += 1;
+                ControlFlow::Continue(())
+            },
+        );
+        assert_eq!(count, 2);
+    }
+
+    #[test]
+    fn seeded_search_only_finds_homs_through_the_seed() {
+        let idx = path_index();
+        let query = two_hop_query();
+        let seed = Fact::from_parts("E", vec![gc("b"), gc("c")]);
+        // Seeding atom 0 with E(b, c): the only completion is y=c, z=d.
+        let homs = seeded(&query, &idx, 0, &seed);
+        assert_eq!(homs.len(), 1);
+        assert_eq!(homs[0].get(Variable::new("z")), Some(gc("d")));
+        // Seeding atom 1 with the same fact: the only completion is x=a.
+        let homs = seeded(&query, &idx, 1, &seed);
+        assert_eq!(homs.len(), 1);
+        assert_eq!(homs[0].get(Variable::new("x")), Some(gc("a")));
+    }
+
+    #[test]
+    fn seeded_search_respects_repeated_variables() {
+        let mut idx = path_index();
+        idx.insert(Fact::from_parts("E", vec![gc("e"), gc("e")]));
+        let query = vec![atom("E", vec![var("x"), var("x")])];
+        let seed_no = Fact::from_parts("E", vec![gc("a"), gc("b")]);
+        assert!(seeded(&query, &idx, 0, &seed_no).is_empty());
+        let seed_yes = Fact::from_parts("E", vec![gc("e"), gc("e")]);
+        assert_eq!(seeded(&query, &idx, 0, &seed_yes).len(), 1);
+    }
+
+    #[test]
+    fn exists_extension_checks_partial_assignments() {
+        let idx = path_index();
+        let head = vec![atom("E", vec![var("x"), var("z")])];
+        let exists = |x: &str| {
+            let h = Assignment::from_pairs([(Variable::new("x"), gc(x))]);
+            HomomorphismSearch::over_index(&head, &idx)
+                .for_each_extending(&h, &mut |_| ControlFlow::Break(()))
+                .is_some()
+        };
+        assert!(exists("a"));
+        assert!(!exists("d"));
+    }
+
+    #[test]
+    fn constants_and_early_exit() {
+        let idx = path_index();
+        let q = vec![atom("E", vec![cst("a"), var("y")])];
+        let found = HomomorphismSearch::over_index(&q, &idx)
+            .for_each_extending(&Assignment::new(), &mut |h| {
+                ControlFlow::Break(h.get(Variable::new("y")).unwrap())
+            });
+        assert_eq!(found, Some(gc("b")));
+    }
+
     #[test]
     fn zero_ary_and_empty_queries() {
         // Empty atom list: exactly the partial assignment is visited.

@@ -60,7 +60,7 @@ use crate::instance::Instance;
 /// Shard stats are the raw material for attributing parallel-discovery cost:
 /// a balanced round has near-equal `elapsed` across workers, while a skewed
 /// predicate distribution shows up as one hot shard. They are collected by
-/// `chase_trigger::parallel::discover_batch_instrumented` and surfaced
+/// `chase_trigger::parallel::discover_batch` (when asked for stats) and surfaced
 /// through the `ChaseObserver::discovery_completed` phase event.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -69,7 +69,8 @@ pub struct ShardStats {
     pub worker: usize,
     /// Seed fact ids scanned by this shard.
     pub facts_scanned: usize,
-    /// Triggers the shard's joins produced (before cross-shard dedup).
+    /// Triggers the shard's joins produced that the caller's filter kept
+    /// (before cross-shard dedup).
     pub triggers_found: usize,
     /// Wall-clock time of the shard, measured inside the worker.
     pub elapsed: Duration,

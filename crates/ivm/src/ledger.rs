@@ -119,7 +119,7 @@ impl SupportLedger {
     /// Remaps every indexed id through an EGD substitution's `(old, new)` id
     /// delta and applies `gamma` to every record key, keeping the ledger in
     /// the engine's current id space. Mirrors
-    /// [`chase_engine::apply_gamma_to_keys`] for the fired-key sets.
+    /// [`chase_engine::FiredKeys::apply_gamma`] for the fired-key sets.
     pub fn rewrite(&mut self, gamma: &NullSubstitution, delta: &[(FactId, FactId)]) {
         let map: HashMap<FactId, FactId> = delta.iter().copied().collect();
         let mut affected: HashSet<usize> = HashSet::new();

@@ -38,13 +38,12 @@ use crate::ledger::{RecordKind, SupportLedger, SupportRecord};
 use crate::{BatchStats, IvmError};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, Instance, Variable,
+    Assignment, DepId, Dependency, DependencySet, Fact, FactId, HomomorphismSearch, Instance,
 };
 use chase_engine::{
-    key_variables, Chase, EgdViolation, MaterializeEvent, MaterializedRun, ObliviousVariant,
+    Chase, EgdViolation, FiredKeys, MaterializeEvent, MaterializedRun, ObliviousVariant,
 };
 use chase_obs::MetricsRegistry;
-use chase_trigger::search::for_each_indexed_extending;
 use chase_trigger::{StepEffect, TriggerEngine};
 use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
@@ -66,12 +65,8 @@ pub struct ChaseMaterialization<'a> {
     sigma: &'a DependencySet,
     variant: ObliviousVariant,
     engine: TriggerEngine<'a>,
-    key_vars: Vec<Vec<Variable>>,
     order: Vec<DepId>,
-    /// Per-dependency fired-key sets. Unlike the engine's runner, no ordered
-    /// key list is kept: retraction un-fires keys one at a time, and a linear
-    /// scan per un-fired key is quadratic over large models.
-    fired_lookup: Vec<HashSet<Vec<GroundTerm>>>,
+    fired: FiredKeys,
     ledger: SupportLedger,
     base: HashSet<FactId>,
     metrics: MetricsRegistry,
@@ -98,18 +93,13 @@ impl<'a> ChaseMaterialization<'a> {
         let old = outcome
             .into_instance()
             .expect("a materialized run is always terminated");
-        let key_vars: Vec<Vec<Variable>> = sigma
-            .iter()
-            .map(|(_, dep)| key_variables(variant, dep))
-            .collect();
         let order: Vec<DepId> = sigma.ids().collect();
         let mut this = ChaseMaterialization {
             sigma,
             variant,
             engine: TriggerEngine::with_database(sigma, &database),
-            key_vars,
             order,
-            fired_lookup: vec![HashSet::new(); sigma.len()],
+            fired: FiredKeys::new(sigma, variant),
             ledger: SupportLedger::default(),
             base: HashSet::new(),
             metrics: MetricsRegistry::new(),
@@ -160,7 +150,7 @@ impl<'a> ChaseMaterialization<'a> {
                             }
                         }
                     };
-                    this.fire_key(dep, key.clone());
+                    this.fired.fire(dep, key.clone());
                     this.ledger.push(SupportRecord {
                         dep,
                         key,
@@ -361,7 +351,7 @@ impl<'a> ChaseMaterialization<'a> {
                 let rec = &self.ledger.records[idx];
                 (rec.dep, rec.key.clone())
             };
-            self.unfire_key(dep, &key);
+            self.fired.unfire(dep, &key);
         }
         // Resurrected facts are deltas: let any downstream repair run out.
         match self.drain_and_fire() {
@@ -396,31 +386,10 @@ impl<'a> ChaseMaterialization<'a> {
         }
     }
 
-    fn fire_key(&mut self, dep: DepId, key: Vec<GroundTerm>) {
-        self.fired_lookup[dep.0].insert(key);
-    }
-
-    fn unfire_key(&mut self, dep: DepId, key: &[GroundTerm]) {
-        self.fired_lookup[dep.0].remove(key);
-    }
-
     /// Propagates an EGD substitution to every id- or term-keyed structure:
     /// fired keys, the base set, and the ledger.
     fn apply_rewrites(&mut self, gamma: &NullSubstitution, delta: &[(FactId, FactId)]) {
-        // Rewrite the fired-key sets in place (the set-only analogue of
-        // `chase_engine::apply_gamma_to_keys`); keys colliding post-gamma
-        // merge, exactly as the runner's lookup rebuild merges them.
-        for lookup in self.fired_lookup.iter_mut() {
-            let changed = lookup
-                .iter()
-                .any(|key| key.iter().any(|&t| gamma.apply_ground(t) != t));
-            if changed {
-                *lookup = std::mem::take(lookup)
-                    .into_iter()
-                    .map(|key| key.into_iter().map(|t| gamma.apply_ground(t)).collect())
-                    .collect();
-            }
-        }
+        self.fired.apply_gamma(gamma);
         for &(old, new) in delta {
             if self.base.remove(&old) {
                 self.base.insert(new);
@@ -436,30 +405,10 @@ impl<'a> ChaseMaterialization<'a> {
     fn drain_and_fire(&mut self) -> Result<usize, EgdViolation> {
         let mut fires = 0usize;
         loop {
-            let ChaseMaterialization {
-                engine,
-                order,
-                key_vars,
-                fired_lookup,
-                ..
-            } = self;
-            let mut accepted: Option<Vec<GroundTerm>> = None;
-            let trigger = engine.next_trigger_where(order, |id, h| {
-                let key: Vec<GroundTerm> = key_vars[id.0]
-                    .iter()
-                    .map(|v| h.get(*v).expect("body variables are bound"))
-                    .collect();
-                if fired_lookup[id.0].contains(&key) {
-                    false
-                } else {
-                    accepted = Some(key);
-                    true
-                }
-            });
-            let Some(trigger) = trigger else {
+            let Some((trigger, key)) = self.fired.next_unfired(&mut self.engine, &self.order)
+            else {
                 return Ok(fires);
             };
-            let key = accepted.expect("an accepted trigger always sets its key");
             let (effect, log) = self
                 .engine
                 .apply_trigger_logged(trigger.dep, &trigger.assignment);
@@ -478,7 +427,7 @@ impl<'a> ChaseMaterialization<'a> {
                 StepEffect::NotApplicable => RecordKind::EgdNoop,
                 StepEffect::Failure => unreachable!("handled above"),
             };
-            self.fire_key(trigger.dep, key.clone());
+            self.fired.fire(trigger.dep, key.clone());
             self.ledger.push(SupportRecord {
                 dep: trigger.dep,
                 key,
@@ -502,18 +451,10 @@ impl<'a> ChaseMaterialization<'a> {
             (rec.dep, rec.key.clone(), rec.kind, rec.heads.clone())
         };
         let dep = self.sigma.get(dep_id);
-        let seed = Assignment::from_pairs(
-            self.key_vars[dep_id.0]
-                .iter()
-                .copied()
-                .zip(key.iter().copied()),
-        );
-        let witness = for_each_indexed_extending(
-            dep.body(),
-            self.engine.fact_index(),
-            &seed,
-            &mut |h: &Assignment| ControlFlow::Break(h.clone()),
-        );
+        let seed = self.fired.seed(dep_id, &key);
+        let witness =
+            HomomorphismSearch::over_index(dep.body(), self.engine.fact_index().indexed())
+                .for_each_extending(&seed, &mut |h: &Assignment| ControlFlow::Break(h.clone()));
         let Some(h) = witness else { return false };
         let mut body = Vec::with_capacity(dep.body().len());
         for atom in dep.body() {
@@ -573,7 +514,7 @@ impl<'a> ChaseMaterialization<'a> {
             }
         };
         self.engine = fresh.engine;
-        self.fired_lookup = fresh.fired_lookup;
+        self.fired = fresh.fired;
         self.ledger = fresh.ledger;
         self.base = fresh.base;
         self.finish(stats, start)

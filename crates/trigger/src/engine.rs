@@ -22,11 +22,11 @@
 
 use crate::delta::DeltaQueue;
 use crate::index::FactIndex;
-use crate::parallel::SeedAtoms;
-use crate::search::{exists_indexed_extension, for_each_seeded_id};
+use crate::parallel::{discover_from, keep_all, SeedAtoms};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, Instance, Variable,
+    Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, HomomorphismSearch,
+    Instance, Snapshot, Variable,
 };
 use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
@@ -258,25 +258,25 @@ impl<'a> TriggerEngine<'a> {
     /// `seed_atoms` map keyed by predicate means a delta fact visits only the body
     /// atoms it can actually unify with, not all of `Σ`.
     pub fn drain_deltas(&mut self) {
+        let mut found = Vec::new();
         while let Some(fact_id) = self.deltas.pop() {
             self.stats.deltas_processed += 1;
-            let predicate = self.index.store().predicate_of(fact_id);
-            for &(id, seed_index) in self.seed_atoms.seeds_for(predicate) {
-                let body = self.sigma.get(id).body();
-                // Borrow dance: collect first, then dedup against `seen`.
-                let mut found: Vec<Assignment> = Vec::new();
-                for_each_seeded_id::<()>(body, &self.index, seed_index, fact_id, &mut |h| {
-                    found.push(h.clone());
-                    ControlFlow::Continue(())
-                });
-                for h in found {
-                    if self.seen[id.0].insert(h.canonical()) {
-                        self.stats.triggers_discovered += 1;
-                        self.pending[id.0].push_back(h);
-                    }
+            self.discover_seeded(fact_id, &mut found);
+            for t in found.drain(..) {
+                if self.seen[t.dep.0].insert(t.assignment.canonical()) {
+                    self.stats.triggers_discovered += 1;
+                    self.pending[t.dep.0].push_back(t.assignment);
                 }
             }
         }
+    }
+
+    /// Every candidate trigger seeded from the live fact `id`, appended to
+    /// `out` in discovery order — the same per-fact search the sharded
+    /// [`discover_batch`](crate::parallel::discover_batch) runs.
+    fn discover_seeded(&self, id: FactId, out: &mut Vec<Trigger>) {
+        let snapshot = Snapshot::new(self.index.indexed());
+        discover_from(self.sigma, &self.seed_atoms, &snapshot, id, &keep_all, out);
     }
 
     /// Pops the first *standard-active* trigger, trying the dependencies in the
@@ -328,7 +328,9 @@ impl<'a> TriggerEngine<'a> {
     /// for an EGD, `h` maps the equated variables to distinct terms.
     pub fn is_standard_active(&self, dep: &Dependency, h: &Assignment) -> bool {
         match dep {
-            Dependency::Tgd(tgd) => !exists_indexed_extension(&tgd.head, &self.index, h),
+            Dependency::Tgd(tgd) => HomomorphismSearch::over_index(&tgd.head, self.index.indexed())
+                .for_each_extending(h, &mut |_| ControlFlow::Break(()))
+                .is_none(),
             Dependency::Egd(egd) => h.get(egd.left) != h.get(egd.right),
         }
     }
@@ -428,22 +430,15 @@ impl<'a> TriggerEngine<'a> {
     /// as a fresh delta — a stale dedup entry would silently suppress its
     /// triggers forever.
     pub fn retract_ids(&mut self, ids: &[FactId]) -> usize {
+        let mut found = Vec::new();
         for &id in ids {
             if !self.index.instance().contains_id(id) {
                 continue;
             }
-            let predicate = self.index.store().predicate_of(id);
-            for &(dep, seed_index) in self.seed_atoms.seeds_for(predicate) {
-                let body = self.sigma.get(dep).body();
-                let mut found: Vec<Assignment> = Vec::new();
-                for_each_seeded_id::<()>(body, &self.index, seed_index, id, &mut |h| {
-                    found.push(h.clone());
-                    ControlFlow::Continue(())
-                });
-                for h in found {
-                    if self.seen[dep.0].remove(&h.canonical()) {
-                        self.pending[dep.0].retain(|p| p != &h);
-                    }
+            self.discover_seeded(id, &mut found);
+            for t in found.drain(..) {
+                if self.seen[t.dep.0].remove(&t.assignment.canonical()) {
+                    self.pending[t.dep.0].retain(|p| p != &t.assignment);
                 }
             }
         }

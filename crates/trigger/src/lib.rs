@@ -18,9 +18,11 @@
 //!   [`chase_core::FactStore`] (a delta enqueue is a 4-byte copy, and EGD
 //!   substitutions remap queued entries through the reported `(old, new)` id
 //!   pairs);
-//! * [`search`] — delta-seeded entry points into the shared join engine of
+//! * seeded search — every delta fact is pinned to each body atom it unifies
+//!   with and the remaining atoms are joined by the shared engine of
 //!   [`chase_core::homomorphism`] (a [`chase_core::JoinPlan`] executed over the
-//!   maintained indexes, most-selective-atom first);
+//!   maintained indexes through `HomomorphismSearch::over_index`,
+//!   most-selective-atom first);
 //! * [`TriggerEngine`] — the driver: [`TriggerEngine::push_facts`] /
 //!   [`TriggerEngine::apply_substitution`] feed the worklist,
 //!   [`TriggerEngine::next_active_trigger`] (standard chase) and
@@ -47,20 +49,16 @@ pub mod delta;
 pub mod engine;
 pub mod index;
 pub mod parallel;
-pub mod search;
 
 pub use delta::DeltaQueue;
 pub use engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
 pub use index::FactIndex;
-pub use parallel::{
-    body_image, discover_batch, discover_batch_instrumented, sort_canonical, DiscoveredTrigger,
-    SeedAtoms,
-};
+pub use parallel::{discover_batch, SeedAtoms};
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::delta::DeltaQueue;
     pub use crate::engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
     pub use crate::index::FactIndex;
-    pub use crate::parallel::{discover_batch, DiscoveredTrigger, SeedAtoms};
+    pub use crate::parallel::{discover_batch, SeedAtoms};
 }
