@@ -1,7 +1,9 @@
 //! Trigger-discovery benchmarks: naive full re-scan vs. the delta-driven
 //! incremental [`chase_trigger::TriggerEngine`], on terminating ontology-style
 //! workloads (the substrate of the paper's evaluation) and on a pure-Datalog
-//! transitive-closure stress case where re-scan cost grows with the instance.
+//! transitive-closure stress case where re-scan cost grows with the instance,
+//! plus an EGD key-merge case: the data-exchange mapping whose key EGD merges
+//! one invented department null per employee, where substitutions dominate.
 //!
 //! The comparison is fair by construction: the naive baseline runs over a plain
 //! index-free [`chase_core::Instance`] (no per-(predicate, position)/per-null
@@ -11,6 +13,7 @@
 
 use chase_engine::{Chase, ChaseBudget, StepOrder, TriggerDiscovery};
 use chase_ontology::generator::{generate, generate_database, OntologyProfile};
+use chase_ontology::{data_exchange_instance, ScaleProfile};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn ontology_workload(
@@ -100,5 +103,40 @@ fn bench_transitive_closure(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ontology_chase, bench_transitive_closure);
+fn bench_egd_key_merge(c: &mut Criterion) {
+    let sigma = chase_core::parser::parse_dependencies(
+        "emp: works_for(?p, ?c) -> exists ?d: Emp(?p, ?d), DeptOf(?d, ?c).
+         dept: company(?c, ?city) -> exists ?d: DeptOf(?d, ?c), Loc(?d, ?city).
+         key: DeptOf(?d1, ?c), DeptOf(?d2, ?c) -> ?d1 = ?d2.
+         works_in: Emp(?p, ?d), Loc(?d, ?city) -> WorksIn(?p, ?city).",
+    )
+    .unwrap();
+    let mut group = c.benchmark_group("trigger_discovery/egd_key_merge");
+    group.sample_size(10);
+    for &facts in &[200usize, 1000] {
+        let db = data_exchange_instance(&ScaleProfile { facts, seed: 11 });
+        for (name, discovery) in [
+            ("naive_rescan", TriggerDiscovery::NaiveRescan),
+            ("incremental", TriggerDiscovery::Incremental),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, facts), &(), |b, _| {
+                b.iter(|| {
+                    Chase::standard(&sigma)
+                        .with_order(StepOrder::EgdsFirst)
+                        .with_discovery(discovery)
+                        .run(&db)
+                        .is_terminating()
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ontology_chase,
+    bench_transitive_closure,
+    bench_egd_key_merge
+);
 criterion_main!(benches);

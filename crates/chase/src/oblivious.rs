@@ -24,8 +24,7 @@ use chase_core::{
     Assignment, DepId, Dependency, DependencySet, DiscoveryStats, GroundTerm, Instance, ShardStats,
     Variable,
 };
-use chase_trigger::{Trigger, TriggerEngine};
-use std::collections::HashSet;
+use chase_trigger::{KeySets, Trigger, TriggerEngine};
 use std::time::Instant;
 
 /// Which oblivious variant to run.
@@ -67,8 +66,9 @@ fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variable> {
 /// variables for [`ObliviousVariant::Oblivious`], the frontier or the equated
 /// pair for [`ObliviousVariant::SemiOblivious`]). A trigger fires only if no
 /// trigger with an equal key fired before; every EGD substitution is applied to
-/// the recorded keys ([`FiredKeys::apply_gamma`]), so later comparisons are
-/// modulo the substitutions in between. The sequential and round-parallel
+/// the recorded keys that mention its null ([`FiredKeys::apply_gamma`], through
+/// the per-null index of [`KeySets`]), so later comparisons are modulo the
+/// substitutions in between. The sequential and round-parallel
 /// runners and incremental maintenance (`chase_ivm`, which also un-fires keys
 /// on retraction) all keep their state here.
 #[derive(Clone, Debug)]
@@ -76,7 +76,7 @@ pub struct FiredKeys {
     /// Per dependency, the key variables in a fixed order.
     key_vars: Vec<Vec<Variable>>,
     /// Per dependency, the keys fired so far.
-    fired: Vec<HashSet<Vec<GroundTerm>>>,
+    fired: KeySets,
 }
 
 impl FiredKeys {
@@ -88,7 +88,7 @@ impl FiredKeys {
                 .iter()
                 .map(|(_, dep)| key_variables(variant, dep))
                 .collect(),
-            fired: vec![HashSet::new(); sigma.len()],
+            fired: KeySets::new(sigma.len()),
         }
     }
 
@@ -99,7 +99,7 @@ impl FiredKeys {
             .iter()
             .map(|&v| h.get(v).expect("body variables are bound"))
             .collect();
-        (!self.fired[dep.0].contains(&key)).then_some(key)
+        (!self.fired.contains(dep, &key)).then_some(key)
     }
 
     /// Pops the engine's next trigger whose key has not fired, trying the
@@ -123,28 +123,18 @@ impl FiredKeys {
 
     /// Records `key` as fired for `dep`.
     pub fn fire(&mut self, dep: DepId, key: Vec<GroundTerm>) {
-        self.fired[dep.0].insert(key);
+        self.fired.insert(dep, key);
     }
 
     /// Forgets that `key` fired for `dep`, so an equal key can fire again.
     pub fn unfire(&mut self, dep: DepId, key: &[GroundTerm]) {
-        self.fired[dep.0].remove(key);
+        self.fired.remove(dep, key);
     }
 
-    /// Rewrites every fired key under the EGD substitution `gamma`; keys that
-    /// become equal merge into one.
+    /// Rewrites the fired keys that mention `gamma`'s null; keys that become
+    /// equal merge into one.
     pub fn apply_gamma(&mut self, gamma: &NullSubstitution) {
-        for keys in &mut self.fired {
-            let changed = keys
-                .iter()
-                .any(|key| key.iter().any(|&t| gamma.apply_ground(t) != t));
-            if changed {
-                *keys = std::mem::take(keys)
-                    .into_iter()
-                    .map(|key| key.into_iter().map(|t| gamma.apply_ground(t)).collect())
-                    .collect();
-            }
-        }
+        self.fired.apply_gamma(gamma);
     }
 
     /// The partial assignment binding `dep`'s key variables to `key`: the seed
@@ -297,9 +287,10 @@ mod tests {
         // Semi-oblivious: the key is the frontier image `x` alone.
         fired.fire(r, vec![gn(1)]);
         fired.fire(r, vec![gn(2)]);
-        assert_eq!(fired.fired[r.0].len(), 2);
+        assert_eq!(fired.fired.len(r), 2);
         fired.apply_gamma(&NullSubstitution::single(NullValue(1), gn(2)));
-        assert_eq!(fired.fired[r.0], HashSet::from([vec![gn(2)]]));
+        assert_eq!(fired.fired.len(r), 1);
+        assert!(fired.fired.contains(r, &[gn(2)]));
         // Both the rewritten key and an equal fresh one count as fired.
         assert_eq!(
             fired.unfired_key(r, &bind(&[("x", gn(2)), ("y", gc("b"))])),

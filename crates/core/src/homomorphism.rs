@@ -59,6 +59,13 @@ impl Assignment {
         self.map.insert(v, t);
     }
 
+    /// Replaces every bound term `t` by `f(t)`, in place.
+    pub fn rewrite_terms(&mut self, mut f: impl FnMut(GroundTerm) -> GroundTerm) {
+        for t in self.map.values_mut() {
+            *t = f(*t);
+        }
+    }
+
     /// Removes a binding (used by backtracking searches).
     pub fn unbind(&mut self, v: Variable) {
         self.map.remove(&v);

@@ -44,7 +44,8 @@ pub enum RecordKind {
 pub struct SupportRecord {
     /// The dependency that fired.
     pub dep: DepId,
-    /// The fired key, kept in sync with EGD substitutions.
+    /// The fired key, kept in sync with EGD substitutions while the body
+    /// facts are live (every term of the key occurs in a body fact).
     pub key: Vec<GroundTerm>,
     /// The body image: one live fact id per body atom (at recording time).
     pub body: Vec<FactId>,
@@ -117,8 +118,11 @@ impl SupportLedger {
     }
 
     /// Remaps every indexed id through an EGD substitution's `(old, new)` id
-    /// delta and applies `gamma` to every record key, keeping the ledger in
-    /// the engine's current id space. Mirrors
+    /// delta and applies `gamma` to the keys of the records it touches,
+    /// keeping the ledger in the engine's current id space. A key's terms
+    /// come from its record's body facts, so a key that mentions `gamma`'s
+    /// null belongs to a record with a rewritten body fact: the work is the
+    /// records the delta touches, not the whole ledger. Mirrors
     /// [`chase_engine::FiredKeys::apply_gamma`] for the fired-key sets.
     pub fn rewrite(&mut self, gamma: &NullSubstitution, delta: &[(FactId, FactId)]) {
         let map: HashMap<FactId, FactId> = delta.iter().copied().collect();
@@ -145,8 +149,6 @@ impl SupportLedger {
                     *t = n;
                 }
             }
-        }
-        for rec in &mut self.records {
             for t in rec.key.iter_mut() {
                 *t = gamma.apply_ground(*t);
             }

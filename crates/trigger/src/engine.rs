@@ -12,8 +12,10 @@
 //!   order, re-checking standard activity at pop time, so every trigger-selection
 //!   policy (`StepOrder`-style nondeterminism) behaves exactly as with naive
 //!   re-scanning;
-//! * EGD substitutions rewrite the pending queues and the dedup set in place
-//!   (`h ↦ γ∘h`), invalidating stale bindings without discarding discovered work.
+//! * an EGD substitution `γ = {η/t}` costs what mentions `η`: the dedup keys
+//!   are rewritten through a per-null index ([`KeySets`]), and the pending
+//!   triggers are left as discovered and resolved through the substituted
+//!   nulls when popped (`h ↦ γ∘h`), so no discovered work is discarded.
 //!
 //! Dropping a trigger that is found inactive is sound for the standard chase:
 //! instances only grow or get substituted, both of which preserve TGD head
@@ -22,13 +24,14 @@
 
 use crate::delta::DeltaQueue;
 use crate::index::FactIndex;
+use crate::keys::KeySets;
 use crate::parallel::{discover_from, keep_all, SeedAtoms};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
     Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, HomomorphismSearch,
-    Instance, Snapshot, Variable,
+    Instance, NullValue, Snapshot,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
 
 /// A trigger: a dependency together with a homomorphism from its body into the
@@ -79,6 +82,9 @@ pub struct EngineStats {
     pub triggers_dropped: usize,
     /// EGD substitutions applied to the engine state.
     pub substitutions: usize,
+    /// Dedup keys rewritten by EGD substitutions (only the keys that mention
+    /// the replaced null are visited).
+    pub keys_rewritten: usize,
 }
 
 /// Fact-id level record of one applied chase step, produced by
@@ -113,11 +119,14 @@ pub struct TriggerEngine<'a> {
     /// that predicate: `(dependency, body atom index)`. Built once so that a delta
     /// fact visits only the matching seed atoms instead of scanning all of `Σ`.
     seed_atoms: SeedAtoms,
-    /// Per-dependency FIFO of discovered candidate triggers.
+    /// Per-dependency FIFO of discovered candidate triggers, holding the terms
+    /// they were discovered with; [`Replaced`] resolves them when popped.
     pending: Vec<VecDeque<Assignment>>,
-    /// Per-dependency set of every assignment ever discovered (canonical form),
+    /// Every null an EGD substitution replaced, with its replacement.
+    replaced: Replaced,
+    /// Per-dependency dedup keys of every assignment ever discovered,
     /// rewritten in lockstep with EGD substitutions.
-    seen: Vec<HashSet<Vec<(Variable, GroundTerm)>>>,
+    seen: KeySets,
     stats: EngineStats,
 }
 
@@ -130,7 +139,8 @@ impl<'a> TriggerEngine<'a> {
             deltas: DeltaQueue::new(),
             seed_atoms: SeedAtoms::new(sigma),
             pending: vec![VecDeque::new(); sigma.len()],
-            seen: vec![HashSet::new(); sigma.len()],
+            replaced: Replaced::default(),
+            seen: KeySets::new(sigma.len()),
             stats: EngineStats::default(),
         }
     }
@@ -183,9 +193,7 @@ impl<'a> TriggerEngine<'a> {
     /// [`TriggerEngine::push_facts`], for callers that track facts by id — a
     /// previously retracted fact comes back under its original id.
     pub fn push_fact_full(&mut self, fact: Fact) -> (FactId, bool) {
-        let (id, new) = self.index.insert_full(fact);
-        self.record_insert(id, new);
-        (id, new)
+        self.insert_fact(fact)
     }
 
     /// Number of discovered-but-unpopped candidate triggers across all
@@ -201,9 +209,27 @@ impl<'a> TriggerEngine<'a> {
         self.deltas.is_empty() && self.pending_len() == 0
     }
 
-    fn insert_fact(&mut self, fact: Fact) -> bool {
+    fn insert_fact(&mut self, fact: Fact) -> (FactId, bool) {
+        if fact.terms.iter().any(|&t| self.replaced.is_replaced(t)) {
+            self.revive_replaced_nulls();
+        }
         let (id, new) = self.index.insert_full(fact);
-        self.record_insert(id, new)
+        self.record_insert(id, new);
+        (id, new)
+    }
+
+    /// A caller pushed a fact naming a null an EGD substitution replaced, so
+    /// that null is live again and pending triggers that name it as
+    /// discovered must no longer resolve past it. Resolves every pending
+    /// trigger in place and forgets the replacements — O(pending), but only
+    /// reached when a replaced null is re-inserted from outside the chase.
+    fn revive_replaced_nulls(&mut self) {
+        for queue in &mut self.pending {
+            for h in queue.iter_mut() {
+                self.replaced.resolve_all(h);
+            }
+        }
+        self.replaced.0.clear();
     }
 
     fn record_insert(&mut self, id: FactId, new: bool) -> bool {
@@ -214,39 +240,27 @@ impl<'a> TriggerEngine<'a> {
         new
     }
 
-    /// Applies an EGD substitution `γ`: rewrites the instance in place, rewrites
-    /// every pending trigger and dedup key (`h ↦ γ∘h`), and re-seeds discovery
-    /// from the rewritten facts (substitution can *create* triggers, e.g. a body
-    /// atom `E(x, x)` matching a fact only after two nulls collapse). Returns
-    /// the rewritten `(old, new)` id pairs — the same delta the index reported
-    /// — so id-tracking callers (the `chase_ivm` support ledger) can map their
-    /// records forward.
+    /// Applies an EGD substitution `γ = {η/t}`: rewrites the instance in
+    /// place, rewrites the dedup keys that mention `η` (through a per-null
+    /// index, so the cost is what mentions `η`, not everything discovered),
+    /// records `η ↦ t` so pending triggers resolve to `γ∘h` when popped, and
+    /// re-seeds discovery from the rewritten facts (substitution can *create*
+    /// triggers, e.g. a body atom `E(x, x)` matching a fact only after two
+    /// nulls collapse). Returns the rewritten `(old, new)` id pairs — the same
+    /// delta the index reported — so id-tracking callers (the `chase_ivm`
+    /// support ledger) can map their records forward.
     pub fn apply_substitution(&mut self, gamma: &NullSubstitution) -> Vec<(FactId, FactId)> {
-        if gamma.is_empty() {
+        let Some((null, target)) = gamma.mapping() else {
             return Vec::new();
-        }
+        };
         self.stats.substitutions += 1;
         let delta = self.index.substitute(gamma);
         // Facts still waiting in the worklist must be rewritten too: they were
         // enqueued as members of `K` and only their images exist in `K γ`. The id
         // delta maps each rewritten fact's old id onto its image's id.
         self.deltas.apply_rewrites(&delta);
-        for queue in &mut self.pending {
-            for h in queue.iter_mut() {
-                *h = rewrite_assignment(h, gamma);
-            }
-        }
-        for set in &mut self.seen {
-            *set = set
-                .drain()
-                .map(|mut key| {
-                    for (_, t) in key.iter_mut() {
-                        *t = gamma.apply_ground(*t);
-                    }
-                    key
-                })
-                .collect();
-        }
+        self.replaced.0.insert(null, target);
+        self.stats.keys_rewritten += self.seen.apply_gamma(gamma);
         for &(_, new) in &delta {
             self.deltas.push(new);
         }
@@ -263,12 +277,19 @@ impl<'a> TriggerEngine<'a> {
             self.stats.deltas_processed += 1;
             self.discover_seeded(fact_id, &mut found);
             for t in found.drain(..) {
-                if self.seen[t.dep.0].insert(t.assignment.canonical()) {
+                if self.seen.insert(t.dep, Self::dedup_key(&t.assignment)) {
                     self.stats.triggers_discovered += 1;
                     self.pending[t.dep.0].push_back(t.assignment);
                 }
             }
         }
+    }
+
+    /// The dedup key of `h`: its terms in variable order. Every assignment
+    /// discovered for one dependency binds exactly its body variables, so
+    /// the terms alone identify it.
+    fn dedup_key(h: &Assignment) -> Vec<GroundTerm> {
+        h.canonical().into_iter().map(|(_, t)| t).collect()
     }
 
     /// Every candidate trigger seeded from the live fact `id`, appended to
@@ -286,7 +307,8 @@ impl<'a> TriggerEngine<'a> {
         self.drain_deltas();
         for &id in order {
             let dep = self.sigma.get(id);
-            while let Some(h) = self.pending[id.0].pop_front() {
+            while let Some(mut h) = self.pending[id.0].pop_front() {
+                self.replaced.resolve_all(&mut h);
                 if self.is_standard_active(dep, &h) {
                     return Some(Trigger {
                         dep: id,
@@ -310,7 +332,8 @@ impl<'a> TriggerEngine<'a> {
     ) -> Option<Trigger> {
         self.drain_deltas();
         for &id in order {
-            while let Some(h) = self.pending[id.0].pop_front() {
+            while let Some(mut h) = self.pending[id.0].pop_front() {
+                self.replaced.resolve_all(&mut h);
                 if accept(id, &h) {
                     return Some(Trigger {
                         dep: id,
@@ -437,8 +460,9 @@ impl<'a> TriggerEngine<'a> {
             }
             self.discover_seeded(id, &mut found);
             for t in found.drain(..) {
-                if self.seen[t.dep.0].remove(&t.assignment.canonical()) {
-                    self.pending[t.dep.0].retain(|p| p != &t.assignment);
+                if self.seen.remove(t.dep, &Self::dedup_key(&t.assignment)) {
+                    let replaced = &mut self.replaced;
+                    self.pending[t.dep.0].retain(|p| !replaced.resolves_to(p, &t.assignment));
                 }
             }
         }
@@ -450,8 +474,49 @@ impl<'a> TriggerEngine<'a> {
     }
 }
 
-fn rewrite_assignment(h: &Assignment, gamma: &NullSubstitution) -> Assignment {
-    Assignment::from_pairs(h.iter().map(|(v, t)| (v, gamma.apply_ground(t))))
+/// Every null an EGD substitution replaced, mapped to its replacement.
+///
+/// A replacement was live when it was recorded, so following the map from a
+/// term walks the substitutions in the order they were applied
+/// (`η1 ↦ η2 ↦ c`) and ends at the term's current image. Walks are
+/// path-compressed. A caller pushing a fact that names a replaced null
+/// revives it ([`TriggerEngine::revive_replaced_nulls`]), which empties the
+/// map.
+#[derive(Clone, Debug, Default)]
+struct Replaced(HashMap<NullValue, GroundTerm>);
+
+impl Replaced {
+    /// `true` iff `t` is a null some substitution replaced.
+    fn is_replaced(&self, t: GroundTerm) -> bool {
+        t.as_null().is_some_and(|n| self.0.contains_key(&n))
+    }
+
+    /// The current image of `t` under every substitution applied so far.
+    fn resolve(&mut self, t: GroundTerm) -> GroundTerm {
+        let mut root = t;
+        while let Some(&next) = root.as_null().and_then(|n| self.0.get(&n)) {
+            root = next;
+        }
+        // Point every null on the walk straight at the root.
+        let mut cur = t;
+        while cur != root {
+            let null = cur.as_null().expect("only nulls are replaced");
+            cur = std::mem::replace(self.0.get_mut(&null).expect("on the walk"), root);
+        }
+        root
+    }
+
+    /// Resolves every term of `h` in place.
+    fn resolve_all(&mut self, h: &mut Assignment) {
+        if !self.0.is_empty() {
+            h.rewrite_terms(|t| self.resolve(t));
+        }
+    }
+
+    /// `true` iff the pending assignment `p` resolves to `h`.
+    fn resolves_to(&mut self, p: &Assignment, h: &Assignment) -> bool {
+        p.len() == h.len() && p.iter().all(|(v, t)| h.get(v) == Some(self.resolve(t)))
+    }
 }
 
 #[cfg(test)]
@@ -459,6 +524,7 @@ mod tests {
     use super::*;
     use chase_core::parser::parse_program;
     use chase_core::term::{Constant, NullValue};
+    use chase_core::Variable;
 
     fn gc(s: &str) -> GroundTerm {
         GroundTerm::Const(Constant::new(s))
@@ -595,6 +661,158 @@ mod tests {
             other => panic!("expected AddedFacts, got {other:?}"),
         }
         assert!(engine.instance().nulls().is_empty());
+    }
+
+    fn gn(n: u64) -> GroundTerm {
+        GroundTerm::Null(NullValue(n))
+    }
+
+    fn subst(n: u64, t: GroundTerm) -> NullSubstitution {
+        NullSubstitution::single(NullValue(n), t)
+    }
+
+    #[test]
+    fn a_key_over_two_nulls_stays_deduplicated_through_substitution_chains() {
+        let p = parse_program("r: P(?x, ?y) -> Q(?x).").unwrap();
+        let mut engine = TriggerEngine::new(&p.dependencies);
+        engine.push_facts(vec![
+            Fact::from_parts("P", vec![gn(1), gn(2)]),
+            Fact::from_parts("P", vec![gn(3), gn(4)]),
+        ]);
+        engine.drain_deltas();
+        assert_eq!(engine.stats().triggers_discovered, 2);
+        // η1 → η2 → c, and η3 → d then η4 → e: the second chain only finds
+        // the key if its rewrite was re-posted under η4, a null γ left alone.
+        for gamma in [
+            subst(1, gn(2)),
+            subst(2, gc("c")),
+            subst(3, gc("d")),
+            subst(4, gc("e")),
+        ] {
+            engine.apply_substitution(&gamma);
+            engine.drain_deltas();
+        }
+        // Every rewritten fact was rediscovered, and every rediscovery was
+        // recognised as the key discovered before.
+        assert_eq!(engine.stats().triggers_discovered, 2);
+        assert_eq!(engine.stats().keys_rewritten, 4);
+    }
+
+    #[test]
+    fn a_pending_trigger_pops_resolved_through_a_substitution_chain() {
+        let p = parse_program("r: P(?x, ?y) -> Q(?x).").unwrap();
+        let order: Vec<DepId> = p.dependencies.ids().collect();
+        let mut engine = TriggerEngine::new(&p.dependencies);
+        engine.push_facts(vec![Fact::from_parts("P", vec![gc("a"), gn(1)])]);
+        engine.drain_deltas();
+        assert_eq!(engine.pending_len(), 1);
+        engine.apply_substitution(&subst(1, gn(2)));
+        engine.apply_substitution(&subst(2, gc("c")));
+        let t = engine.next_trigger_where(&order, |_, _| true).unwrap();
+        assert_eq!(
+            t.assignment,
+            Assignment::from_pairs([(Variable::new("x"), gc("a")), (Variable::new("y"), gc("c"))])
+        );
+        assert!(engine.next_trigger_where(&order, |_, _| true).is_none());
+    }
+
+    #[test]
+    fn retract_after_a_substitution_removes_the_pending_trigger() {
+        let p = parse_program("r: P(?x, ?y) -> Q(?x).").unwrap();
+        let order: Vec<DepId> = p.dependencies.ids().collect();
+        let mut engine = TriggerEngine::new(&p.dependencies);
+        engine.push_facts(vec![Fact::from_parts("P", vec![gc("a"), gn(1)])]);
+        engine.drain_deltas();
+        engine.apply_substitution(&subst(1, gc("b")));
+        let p_ab = Fact::from_parts("P", vec![gc("a"), gc("b")]);
+        let id = engine.fact_index().id_of(&p_ab).unwrap();
+        assert_eq!(engine.retract_ids(&[id]), 1);
+        assert!(engine.is_quiescent(), "the rewritten trigger was retracted");
+        engine.push_facts(vec![p_ab]);
+        let t = engine
+            .next_trigger_where(&order, |_, _| true)
+            .expect("the forgotten trigger is rediscovered");
+        assert_eq!(t.assignment.get(Variable::new("y")), Some(gc("b")));
+    }
+
+    #[test]
+    fn a_replaced_null_pushed_again_is_live_for_its_triggers() {
+        let p = parse_program("r: P(?x, ?y) -> Q(?x, ?y).").unwrap();
+        let order: Vec<DepId> = p.dependencies.ids().collect();
+        let mut engine = TriggerEngine::new(&p.dependencies);
+        engine.push_facts(vec![Fact::from_parts("P", vec![gc("a"), gn(1)])]);
+        engine.drain_deltas();
+        engine.apply_substitution(&subst(1, gc("b")));
+        // η1 comes back from outside the chase: its trigger must pop with η1,
+        // while the one discovered before γ still pops resolved to `b`.
+        engine.push_facts(vec![Fact::from_parts("P", vec![gc("a"), gn(1)])]);
+        let mut popped = Vec::new();
+        while let Some(t) = engine.next_active_trigger(&order) {
+            popped.push(t.assignment.get(Variable::new("y")).unwrap());
+            assert!(matches!(
+                engine.apply_trigger(t.dep, &t.assignment),
+                StepEffect::AddedFacts { .. }
+            ));
+        }
+        assert_eq!(popped, vec![gc("b"), gn(1)]);
+        assert!(engine
+            .instance()
+            .contains(&Fact::from_parts("Q", vec![gc("a"), gn(1)])));
+    }
+
+    /// `keys_rewritten` after a standard chase, EGDs first, of the
+    /// `DeptOf`-key data-exchange mapping over `companies` companies with
+    /// three employees each.
+    fn exchange_keys_rewritten(companies: usize) -> usize {
+        let p = parse_program(
+            r#"
+            emp: works_for(?p, ?c) -> exists ?d: Emp(?p, ?d), DeptOf(?d, ?c).
+            dept: company(?c, ?city) -> exists ?d: DeptOf(?d, ?c), Loc(?d, ?city).
+            key: DeptOf(?d1, ?c), DeptOf(?d2, ?c) -> ?d1 = ?d2.
+            works_in: Emp(?p, ?d), Loc(?d, ?city) -> WorksIn(?p, ?city).
+            "#,
+        )
+        .unwrap();
+        let sigma = p.dependencies;
+        let mut order: Vec<DepId> = sigma.ids().collect();
+        order.sort_by_key(|&id| {
+            let dep = sigma.get(id);
+            (!dep.is_egd(), !dep.is_full())
+        });
+        let mut engine = TriggerEngine::new(&sigma);
+        for c in 0..companies {
+            let company = gc(&format!("c{c}"));
+            engine.push_facts(
+                (0..3).map(|e| {
+                    Fact::from_parts("works_for", vec![gc(&format!("p{c}_{e}")), company])
+                }),
+            );
+            engine.push_facts([Fact::from_parts(
+                "company",
+                vec![company, gc(&format!("city{c}"))],
+            )]);
+        }
+        while let Some(t) = engine.next_active_trigger(&order) {
+            assert_ne!(
+                engine.apply_trigger(t.dep, &t.assignment),
+                StepEffect::Failure
+            );
+        }
+        assert_eq!(engine.stats().substitutions, 3 * companies);
+        engine.stats().keys_rewritten
+    }
+
+    #[test]
+    fn keys_rewritten_grows_linearly_with_the_source() {
+        let small = exchange_keys_rewritten(20);
+        let large = exchange_keys_rewritten(80);
+        assert!(small > 0);
+        // Rewriting every discovered key per substitution grows
+        // quadratically (about 16x here); the per-null index stays linear.
+        assert!(
+            large <= 5 * small,
+            "keys_rewritten {small} at 20 companies, {large} at 80"
+        );
     }
 
     #[test]

@@ -32,8 +32,10 @@
 //!   [`TriggerEngine::apply_trigger`] applies chase steps natively — no full
 //!   instance clone per step.
 //!
-//! EGD substitutions are first-class: pending triggers and the dedup set are
-//! rewritten `h ↦ γ∘h` in lockstep with the instance, and the rewritten facts
+//! EGD substitutions are first-class, and a substitution `γ = {η/t}` costs
+//! what mentions `η`: the dedup keys are rewritten through a per-null index
+//! ([`KeySets`], which also holds the oblivious chase's fired keys), pending
+//! triggers are resolved to `γ∘h` when popped, and the rewritten facts
 //! re-enter the worklist because a substitution can *create* matches (e.g. a
 //! body atom `E(x, x)` matching only after two nulls collapse).
 //!
@@ -48,11 +50,13 @@
 pub mod delta;
 pub mod engine;
 pub mod index;
+pub mod keys;
 pub mod parallel;
 
 pub use delta::DeltaQueue;
 pub use engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
 pub use index::FactIndex;
+pub use keys::KeySets;
 pub use parallel::{discover_batch, SeedAtoms};
 
 /// Convenience re-exports.
@@ -60,5 +64,6 @@ pub mod prelude {
     pub use crate::delta::DeltaQueue;
     pub use crate::engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
     pub use crate::index::FactIndex;
+    pub use crate::keys::KeySets;
     pub use crate::parallel::{discover_batch, SeedAtoms};
 }
