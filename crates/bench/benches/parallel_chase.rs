@@ -3,21 +3,23 @@
 //! standard and core chases run sequentially at every worker count, so they
 //! have no rows here.)
 //!
-//! `workers = 1` is the sequential runner; `workers > 1` feeds
-//! shard-partitioned trigger discovery over a read-only snapshot to the
-//! persistent worker pool (`chase_core::pool`) and applies each round's deduped
-//! candidates in discovery order, so every configuration computes the same
-//! model up to null renaming (proven by `tests/property_tests.rs`). Measured
-//! numbers are recorded in `BENCH_parallel_chase.json` at the repository root,
-//! together with the host's CPU count.
+//! Every row runs the same round runner: `workers` is only the shard width of
+//! its trigger discovery over a read-only snapshot — inline at `workers = 1`,
+//! on the persistent worker pool (`chase_core::pool`) above — and each round's
+//! deduped candidates are applied in discovery order, so every configuration
+//! computes the same model, null labels included (checked by
+//! `tests/property_tests.rs`). The rows therefore measure the pool alone.
+//! Measured numbers are recorded in `BENCH_parallel_chase.json` at the
+//! repository root, together with the host's CPU count.
 //!
 //! With `CHASE_PARALLEL_GATE=1` the binary runs as a pass/fail **gate** instead
 //! of a criterion sweep: it detects the core count at runtime, times the
-//! closure case (n = 60) at 1 and 2 workers — the minimum of 7 interleaved runs
-//! each, after a warm-up — and, when the host has ≥ 2 cores, fails (non-zero
-//! exit) if the speedup at 2 workers is below 0.9×. On a single core it prints
-//! the row and passes; CI's `parallel-tests` job runs this mode
-//! unconditionally, so the gate arms itself on every multi-core runner.
+//! closure case (n = 60) at 1 and 2 workers — both on the round runner, the
+//! minimum of 7 interleaved runs each, after a warm-up — and, when the host has
+//! ≥ 2 cores, fails (non-zero exit) if the speedup at 2 workers is below 0.9×.
+//! On a single core it prints the row and passes; CI's `parallel-tests` job
+//! runs this mode unconditionally, so the gate arms itself on every multi-core
+//! runner.
 //!
 //! After the timing groups, a **phase-attribution pass** re-runs every
 //! configuration once with a [`MetricsObserver`] attached and prints a JSON
@@ -42,7 +44,7 @@ const GATE_RUNS: usize = 7;
 /// bottleneck (a global per-round sort measured 0.64–0.66×).
 const GATE_MIN_SPEEDUP: f64 = 0.9;
 
-/// A large EGD-free ontology workload (the round-parallel runner's home turf).
+/// A large EGD-free ontology workload (the round runner's home turf).
 fn ontology_workload(
     size: usize,
     facts: usize,

@@ -61,11 +61,11 @@ fn run_all(
     analyzer: &TerminationAnalyzer,
     workers: usize,
 ) -> Vec<String> {
-    // `--workers N` rides the session builder. Σ3 and Σ6 are EGD-free, so
-    // their (semi-)oblivious runs go round-parallel at N > 1 — including Σ6's
-    // diverging oblivious column, which exercises the budget path; the
-    // EGD-bearing sets take the documented sequential fallback. Either way the
-    // verdicts are identical at any worker count.
+    // `--workers N` rides the session builder as the discovery shard width.
+    // Σ3 and Σ6 are EGD-free, so their (semi-)oblivious runs take the round
+    // runner at every N — including Σ6's diverging oblivious column, which
+    // exercises the budget path; the EGD-bearing sets run per step. Either way
+    // the verdicts are identical at any worker count.
     let std_textual = Chase::standard(sigma)
         .with_order(StepOrder::Textual)
         .with_budget(*budget)

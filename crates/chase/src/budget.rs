@@ -8,6 +8,7 @@
 //! tripped [`BudgetLimit`], so callers can distinguish "diverged past the step cap"
 //! from "ran out of time" or "instance grew too large".
 
+use crate::observer::ChaseObserver;
 use crate::result::ChaseStats;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -132,48 +133,69 @@ impl ChaseBudget {
     }
 }
 
-/// Internal per-run enforcement state: the budget plus the run's start time.
+/// Internal per-run enforcement state: the budget, the run's start time, and
+/// whether the run's observer takes phase events.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BudgetClock {
     budget: ChaseBudget,
     started: Instant,
+    phases: bool,
 }
 
 impl BudgetClock {
-    pub(crate) fn start(budget: &ChaseBudget) -> Self {
+    /// Starts the clock; with `phases` (the run's one
+    /// [`ChaseObserver::observes_phases`] answer) every check is reported as
+    /// a `budget_checked` event.
+    pub(crate) fn start(budget: &ChaseBudget, phases: bool) -> Self {
         BudgetClock {
             budget: *budget,
             started: Instant::now(),
+            phases,
         }
     }
 
     /// Checks the step-based limits against the current counters; `facts` is the
     /// current instance size.
-    pub(crate) fn check_step(&self, stats: &ChaseStats, facts: usize) -> Option<BudgetLimit> {
-        if let Some(n) = self.budget.max_steps {
-            if stats.steps >= n {
-                return Some(BudgetLimit::Steps);
-            }
-        }
-        self.check_common(stats, facts)
+    pub(crate) fn check_step(
+        &self,
+        stats: &ChaseStats,
+        facts: usize,
+        observer: &mut dyn ChaseObserver,
+    ) -> Option<BudgetLimit> {
+        let tripped = match self.budget.max_steps {
+            Some(n) if stats.steps >= n => Some(BudgetLimit::Steps),
+            _ => self.check_common(stats, facts),
+        };
+        self.report(tripped, observer)
     }
 
     /// Checks the round-based limits (core chase); `stats.steps` counts rounds.
     /// Both `max_rounds` and `max_steps` bound the rounds conjunctively (whichever
     /// trips first is reported), matching the conjunctive semantics of the other
     /// limits — a core chase has no finer step granularity than its rounds.
-    pub(crate) fn check_round(&self, stats: &ChaseStats, facts: usize) -> Option<BudgetLimit> {
-        if let Some(n) = self.budget.max_rounds {
-            if stats.steps >= n {
-                return Some(BudgetLimit::Rounds);
-            }
+    pub(crate) fn check_round(
+        &self,
+        stats: &ChaseStats,
+        facts: usize,
+        observer: &mut dyn ChaseObserver,
+    ) -> Option<BudgetLimit> {
+        let tripped = match (self.budget.max_rounds, self.budget.max_steps) {
+            (Some(n), _) if stats.steps >= n => Some(BudgetLimit::Rounds),
+            (_, Some(n)) if stats.steps >= n => Some(BudgetLimit::Steps),
+            _ => self.check_common(stats, facts),
+        };
+        self.report(tripped, observer)
+    }
+
+    fn report(
+        &self,
+        tripped: Option<BudgetLimit>,
+        observer: &mut dyn ChaseObserver,
+    ) -> Option<BudgetLimit> {
+        if self.phases {
+            observer.budget_checked(tripped);
         }
-        if let Some(n) = self.budget.max_steps {
-            if stats.steps >= n {
-                return Some(BudgetLimit::Steps);
-            }
-        }
-        self.check_common(stats, facts)
+        tripped
     }
 
     fn check_common(&self, stats: &ChaseStats, facts: usize) -> Option<BudgetLimit> {
@@ -199,6 +221,7 @@ impl BudgetClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::NoopObserver;
 
     #[test]
     fn default_matches_the_legacy_caps() {
@@ -222,23 +245,36 @@ mod tests {
         assert_eq!(b.wall_clock, Some(Duration::from_secs(1)));
     }
 
+    /// A clock for `budget` whose checks report to no observer.
+    fn clock(budget: ChaseBudget) -> BudgetClock {
+        BudgetClock::start(&budget, false)
+    }
+
+    fn steps(clock: &BudgetClock, stats: &ChaseStats, facts: usize) -> Option<BudgetLimit> {
+        clock.check_step(stats, facts, &mut NoopObserver)
+    }
+
+    fn rounds(clock: &BudgetClock, stats: &ChaseStats) -> Option<BudgetLimit> {
+        clock.check_round(stats, 0, &mut NoopObserver)
+    }
+
     #[test]
     fn clock_trips_the_right_limit() {
-        let clock = BudgetClock::start(&ChaseBudget::unlimited().with_max_steps(5));
+        let c = clock(ChaseBudget::unlimited().with_max_steps(5));
         let mut stats = ChaseStats::default();
-        assert_eq!(clock.check_step(&stats, 0), None);
+        assert_eq!(steps(&c, &stats, 0), None);
         stats.steps = 5;
-        assert_eq!(clock.check_step(&stats, 0), Some(BudgetLimit::Steps));
+        assert_eq!(steps(&c, &stats, 0), Some(BudgetLimit::Steps));
 
-        let clock = BudgetClock::start(&ChaseBudget::unlimited().with_max_fresh_nulls(2));
+        let c = clock(ChaseBudget::unlimited().with_max_fresh_nulls(2));
         stats.nulls_created = 2;
-        assert_eq!(clock.check_step(&stats, 0), Some(BudgetLimit::FreshNulls));
+        assert_eq!(steps(&c, &stats, 0), Some(BudgetLimit::FreshNulls));
 
-        let clock = BudgetClock::start(&ChaseBudget::unlimited().with_max_facts(7));
-        assert_eq!(clock.check_step(&stats, 7), Some(BudgetLimit::Facts));
+        let c = clock(ChaseBudget::unlimited().with_max_facts(7));
+        assert_eq!(steps(&c, &stats, 7), Some(BudgetLimit::Facts));
 
-        let clock = BudgetClock::start(&ChaseBudget::unlimited().with_wall_clock(Duration::ZERO));
-        assert_eq!(clock.check_step(&stats, 0), Some(BudgetLimit::WallClock));
+        let c = clock(ChaseBudget::unlimited().with_wall_clock(Duration::ZERO));
+        assert_eq!(steps(&c, &stats, 0), Some(BudgetLimit::WallClock));
     }
 
     #[test]
@@ -247,25 +283,22 @@ mod tests {
             steps: 4,
             ..Default::default()
         };
-        let only_steps = BudgetClock::start(&ChaseBudget::unlimited().with_max_steps(4));
-        assert_eq!(only_steps.check_round(&stats, 0), Some(BudgetLimit::Steps));
+        let only_steps = clock(ChaseBudget::unlimited().with_max_steps(4));
+        assert_eq!(rounds(&only_steps, &stats), Some(BudgetLimit::Steps));
         // With both limits set, whichever trips first wins — a tight step cap is
         // not silenced by a loose round cap.
-        let both = BudgetClock::start(
-            &ChaseBudget::unlimited()
+        let both = clock(
+            ChaseBudget::unlimited()
                 .with_max_steps(4)
                 .with_max_rounds(10),
         );
-        assert_eq!(both.check_round(&stats, 0), Some(BudgetLimit::Steps));
-        let rounds_first = BudgetClock::start(
-            &ChaseBudget::unlimited()
+        assert_eq!(rounds(&both, &stats), Some(BudgetLimit::Steps));
+        let rounds_first = clock(
+            ChaseBudget::unlimited()
                 .with_max_steps(10)
                 .with_max_rounds(4),
         );
-        assert_eq!(
-            rounds_first.check_round(&stats, 0),
-            Some(BudgetLimit::Rounds)
-        );
+        assert_eq!(rounds(&rounds_first, &stats), Some(BudgetLimit::Rounds));
     }
 
     #[test]

@@ -14,12 +14,12 @@
 
 use crate::budget::{BudgetClock, BudgetLimit, ChaseBudget};
 use crate::core_of::core_of;
-use crate::observer::ChaseObserver;
+use crate::observer::{report_search, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats, EgdViolation};
 use crate::step::applicable_standard_triggers;
 use chase_core::satisfaction::satisfies_all;
 use chase_core::substitution::NullSubstitution;
-use chase_core::{Dependency, DependencySet, DiscoveryStats, GroundTerm, Instance, ShardStats};
+use chase_core::{Dependency, DependencySet, GroundTerm, Instance};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -34,10 +34,10 @@ pub(crate) fn run_core(
     database: &Instance,
     observer: &mut dyn ChaseObserver,
 ) -> ChaseOutcome {
-    let clock = BudgetClock::start(budget);
+    let phases = observer.observes_phases();
+    let clock = BudgetClock::start(budget, phases);
     let mut current = database.clone();
     let mut stats = ChaseStats::default();
-    let phases = observer.observes_phases();
     loop {
         if satisfies_all(&current, sigma) {
             return ChaseOutcome::Terminated {
@@ -45,11 +45,7 @@ pub(crate) fn run_core(
                 stats,
             };
         }
-        let tripped = clock.check_round(&stats, current.len());
-        if phases {
-            observer.budget_checked(tripped);
-        }
-        if let Some(limit) = tripped {
+        if let Some(limit) = clock.check_round(&stats, current.len(), observer) {
             return ChaseOutcome::BudgetExhausted {
                 limit,
                 instance: current,
@@ -62,16 +58,7 @@ pub(crate) fn run_core(
         let search_start = phases.then(Instant::now);
         let triggers = applicable_standard_triggers(&current, sigma);
         if let Some(start) = search_start {
-            let elapsed = start.elapsed();
-            observer.discovery_completed(&DiscoveryStats {
-                shards: vec![ShardStats {
-                    worker: 0,
-                    facts_scanned: current.len(),
-                    triggers_found: triggers.len(),
-                    elapsed,
-                }],
-                elapsed,
-            });
+            report_search(observer, current.len(), triggers.len(), start.elapsed());
         }
         let mut next = current.clone();
         // Union–find over ground terms for the EGD merges of this round.

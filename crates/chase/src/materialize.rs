@@ -2,7 +2,7 @@
 //! incrementally maintained materialization.
 //!
 //! [`Chase::materialize`](crate::Chase::materialize) runs a (semi-)oblivious
-//! session sequentially with an internal observer that opts into the
+//! session on the per-step loop with an internal observer that opts into the
 //! derivation events ([`ChaseObserver::fact_derived`] /
 //! [`ChaseObserver::facts_rewritten`]),
 //! and packages the outcome together with the full derivation log as a
@@ -26,7 +26,7 @@
 //! ## Id space
 //!
 //! All [`chase_core::FactId`]s in the log refer to the run's own engine arena.
-//! Because the sequential runner is deterministic, a consumer that replays the
+//! Because the per-step runner is deterministic, a consumer that replays the
 //! log on a fresh engine seeded from the same database reproduces the same
 //! arena — but the log is self-describing either way: the final instance's
 //! [`chase_core::FactStore`] (arena interning survives EGD rewrites and
@@ -225,10 +225,10 @@ mod tests {
     }
 
     #[test]
-    fn materialize_forces_the_sequential_path() {
-        // workers(4) on an EGD-free set would take the round-parallel runner,
-        // which cannot log derivations; materialize must still record every
-        // step (one Fired per applied step on a TGD-only program).
+    fn materialize_takes_the_per_step_path() {
+        // An unobserved EGD-free run takes the round runner, which cannot log
+        // derivations; materialize must still record every step (one Fired
+        // per applied step on a TGD-only program).
         let p = parse_program("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z). E(a, b). E(b, c). E(c, d).")
             .unwrap();
         let run = Chase::semi_oblivious(&p.dependencies)

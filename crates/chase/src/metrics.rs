@@ -267,11 +267,20 @@ mod tests {
 
     #[test]
     fn metrics_agree_with_stats_on_a_sequential_run() {
-        let p = transitive();
+        // An EGD-bearing set: the (semi-)oblivious chase runs it step by step.
+        let p = parse_program(
+            r#"
+            r1: Emp(?x) -> exists ?d: Works(?x, ?d).
+            k: Works(?x, ?d1), Works(?x, ?d2) -> ?d1 = ?d2.
+            Emp(e1). Emp(e2). Works(e1, d0).
+            "#,
+        )
+        .unwrap();
         let mut metrics = MetricsObserver::new();
         let outcome =
             Chase::semi_oblivious(&p.dependencies).run_observed(&p.database, &mut metrics);
         let stats = outcome.stats();
+        assert!(stats.nulls_created > 0 && stats.null_replacements > 0);
         assert_eq!(
             metrics.registry().counter("chase.steps"),
             stats.steps as u64
@@ -284,10 +293,10 @@ mod tests {
         assert!(metrics.registry().counter("budget.checks") > 0);
         assert!(metrics.phases().get("discovery").is_some());
         assert!(metrics.phases().get("apply").is_some());
-        // Round events come from the round-parallel and core paths only, so a
-        // sequential step-at-a-time run has an empty curve.
+        // Round events come from the round runner and the core chase only, so
+        // a step-at-a-time run has an empty curve.
         assert!(metrics.rounds().is_empty());
-        // Sequential runs report their discovery as a single worker-0 shard.
+        // Per-step runs report their discovery as a single worker-0 shard.
         let workers = metrics.worker_reports();
         assert_eq!(workers.len(), 1);
         assert_eq!(workers[0].worker, 0);
@@ -304,7 +313,7 @@ mod tests {
         assert!(metrics.phases().get("merge").is_some());
         assert!(
             !metrics.rounds().is_empty(),
-            "round-parallel emits the curve"
+            "the round runner emits the curve"
         );
         let workers = metrics.worker_reports();
         assert!(!workers.is_empty() && workers.len() <= 3);

@@ -16,16 +16,12 @@
 //! [`Chase::semi_oblivious`](crate::Chase::semi_oblivious).
 
 use crate::budget::{BudgetClock, ChaseBudget};
-use crate::observer::{record_step_effect, ChaseObserver};
+use crate::observer::{observed_pop, record_step_effect, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats};
 use crate::step::StepEffect;
 use chase_core::substitution::NullSubstitution;
-use chase_core::{
-    Assignment, DepId, Dependency, DependencySet, DiscoveryStats, GroundTerm, Instance, ShardStats,
-    Variable,
-};
+use chase_core::{Assignment, DepId, Dependency, DependencySet, GroundTerm, Instance, Variable};
 use chase_trigger::{KeySets, Trigger, TriggerEngine};
-use std::time::Instant;
 
 /// Which oblivious variant to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,9 +64,9 @@ fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variable> {
 /// trigger with an equal key fired before; every EGD substitution is applied to
 /// the recorded keys that mention its null ([`FiredKeys::apply_gamma`], through
 /// the per-null index of [`KeySets`]), so later comparisons are modulo the
-/// substitutions in between. The sequential and round-parallel
-/// runners and incremental maintenance (`chase_ivm`, which also un-fires keys
-/// on retraction) all keep their state here.
+/// substitutions in between. The per-step and round runners and incremental
+/// maintenance (`chase_ivm`, which also un-fires keys on retraction) all keep
+/// their state here.
 #[derive(Clone, Debug)]
 pub struct FiredKeys {
     /// Per dependency, the key variables in a fixed order.
@@ -111,7 +107,7 @@ impl FiredKeys {
         order: &[DepId],
     ) -> Option<(Trigger, Vec<GroundTerm>)> {
         let mut accepted = None;
-        let trigger = engine.next_trigger_where(order, |dep, h| {
+        let trigger = engine.next_trigger_where(order, |_, dep, h| {
             accepted = self.unfired_key(dep, h);
             accepted.is_some()
         })?;
@@ -151,18 +147,19 @@ impl FiredKeys {
 
 /// Runs the (semi-)oblivious chase under `budget`, reporting events to `observer`.
 ///
-/// Trigger discovery is delta-driven: homomorphisms are found once, when the facts
-/// completing them appear, and wait in the engine's queues; the fired-key comparison
-/// ("`h_i(x) = h_j(x) γ_j · · · γ_{i-1}`") filters them at pop time.
+/// An EGD-free `sigma` takes the round runner ([`crate::parallel`]) at every
+/// worker count: without substitutions, trigger equivalence is plain key
+/// equality, so the step order changes the result only up to a renaming of
+/// nulls. The per-step loop below serves the two cases in which the order
+/// matters: **EGD-bearing** sets, whose substitutions rewrite the fired keys
+/// (`h ↦ γ∘h γ_j···γ_{i-1}`) so that which triggers fire — and how many —
+/// depends on how substitutions interleave with TGD steps; and
+/// **derivation-observed** runs ([`Chase::materialize`](crate::Chase::materialize)),
+/// whose log is defined per applied step.
 ///
-/// With `workers > 1` and an EGD-free `sigma`, the run goes through the
-/// round-parallel runner ([`crate::parallel`]): snapshot discovery on worker
-/// threads, rounds applied in discovery order. EGD-bearing sets stay on the
-/// sequential path below regardless of `workers`, because the fired-key sets
-/// are rewritten by every substitution (`h ↦ γ∘h γ_j···γ_{i-1}`): which
-/// triggers fire — and how many — then depends on the interleaving of
-/// substitutions with TGD steps, so no worker-count-independent merge order can
-/// reproduce the sequential semantics.
+/// Discovery here is delta-driven: homomorphisms are found once, when the
+/// facts completing them appear, and wait in the engine's queues; the
+/// fired-key comparison filters them at pop time.
 pub(crate) fn run_oblivious(
     sigma: &DependencySet,
     variant: ObliviousVariant,
@@ -172,52 +169,28 @@ pub(crate) fn run_oblivious(
     workers: usize,
 ) -> ChaseOutcome {
     let mut fired = FiredKeys::new(sigma, variant);
-    // Derivation-observed runs stay sequential even when EGD-free: the log is
-    // per applied step, and the parallel runner's outcome is sequential-
-    // equivalent anyway (only wall-clock would change).
     let derivations = observer.observes_derivations();
-    if workers > 1 && sigma.egd_ids().is_empty() && !derivations {
-        return crate::parallel::run_oblivious_parallel(
-            sigma, fired, budget, database, observer, workers,
-        );
+    if sigma.egd_ids().is_empty() && !derivations {
+        return crate::parallel::run_rounds(sigma, fired, budget, database, observer, workers);
     }
-    // Dependencies are tried in the textual order of the set, as before.
+    // Dependencies are tried in the textual order of the set.
     let order: Vec<DepId> = sigma.ids().collect();
 
-    let clock = BudgetClock::start(budget);
+    let phases = observer.observes_phases();
+    let clock = BudgetClock::start(budget, phases);
     let mut engine = TriggerEngine::with_database(sigma, database);
     let mut stats = ChaseStats::default();
-    let phases = observer.observes_phases();
     loop {
-        let tripped = clock.check_step(&stats, engine.instance().len());
-        if phases {
-            observer.budget_checked(tripped);
-        }
-        if let Some(limit) = tripped {
+        if let Some(limit) = clock.check_step(&stats, engine.instance().len(), observer) {
             return ChaseOutcome::BudgetExhausted {
                 limit,
                 instance: engine.into_instance(),
                 stats,
             };
         }
-        let search_start = phases.then(Instant::now);
-        let scanned_before = phases.then(|| engine.stats().deltas_processed);
-        let found_before = phases.then(|| engine.stats().triggers_discovered);
-        let next = fired.next_unfired(&mut engine, &order);
-        if let Some(start) = search_start {
-            // One-shard discovery accounting from the engine-stat deltas of
-            // exactly this search (zero when served from the pending queue).
-            let elapsed = start.elapsed();
-            observer.discovery_completed(&DiscoveryStats {
-                shards: vec![ShardStats {
-                    worker: 0,
-                    facts_scanned: engine.stats().deltas_processed - scanned_before.unwrap(),
-                    triggers_found: engine.stats().triggers_discovered - found_before.unwrap(),
-                    elapsed,
-                }],
-                elapsed,
-            });
-        }
+        let next = observed_pop(&mut engine, observer, phases, |engine| {
+            fired.next_unfired(engine, &order)
+        });
         let Some((trigger, key)) = next else {
             return ChaseOutcome::Terminated {
                 instance: engine.into_instance(),

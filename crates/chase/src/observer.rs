@@ -5,19 +5,22 @@
 //! events. It gives benchmarks, loggers and metrics a single hook into every
 //! variant.
 //!
-//! Event streams per variant:
+//! Event streams per runner. Which runner runs depends on the variant and on
+//! whether `Σ` has EGDs, never on [`Chase::workers`](crate::Chase::workers):
 //!
-//! * **standard** and **(semi-)oblivious** (sequential): [`ChaseObserver::step_applied`]
-//!   after every applied step (including the failing one), plus
-//!   [`ChaseObserver::nulls_created`] / [`ChaseObserver::egd_collapsed`] for the
-//!   steps that invent nulls or apply a substitution;
+//! * **per step** — the standard chase, and the (semi-)oblivious chase on
+//!   EGD-bearing sets or under a derivation observer:
+//!   [`ChaseObserver::step_applied`] after every applied step (including the
+//!   failing one), plus [`ChaseObserver::nulls_created`] /
+//!   [`ChaseObserver::egd_collapsed`] for the steps that invent nulls or apply a
+//!   substitution; no round events;
 //! * **core**: [`ChaseObserver::round_completed`] after every round, with
 //!   [`ChaseObserver::nulls_created`] and [`ChaseObserver::egd_collapsed`] for the
 //!   round's aggregate effects (the core chase applies all triggers in parallel, so
 //!   there is no meaningful per-step event);
-//! * **round-parallel (semi-)oblivious** ([`Chase::workers`](crate::Chase::workers)
-//!   `> 1`): the per-step events of the sequential runners *and* the round pair
-//!   after each completed round.
+//! * **round runner** — the EGD-free (semi-)oblivious chase at every worker
+//!   count: the per-step events *and* the round pair after each completed
+//!   round.
 //!
 //! ## Round-event order (pinned)
 //!
@@ -42,13 +45,13 @@
 //! * [`ChaseObserver::discovery_completed`] — a trigger-discovery batch
 //!   finished, with per-worker [`ShardStats`](chase_core::ShardStats)
 //!   (fact ids scanned, triggers found, shard wall-clock). Emitted **before**
-//!   the step events of the triggers it discovered. Sequential runners report
-//!   a single worker-0 shard per discovery call; the round-parallel runner
+//!   the step events of the triggers it discovered. Per-step and core runners
+//!   report a single worker-0 shard per discovery call; the round runner
 //!   reports one shard per worker per round.
-//! * [`ChaseObserver::merge_completed`] — the round-parallel runner finished
+//! * [`ChaseObserver::merge_completed`] — the round runner finished
 //!   deduplicating a round's candidate batch by fired key; emitted
-//!   between the round's `discovery_completed` and its step events. Sequential
-//!   runners never emit it.
+//!   between the round's `discovery_completed` and its step events. Per-step
+//!   and core runners never emit it.
 //! * [`ChaseObserver::budget_checked`] — the runner consulted the budget
 //!   clock; carries the tripped limit when the check failed. Emitted at every
 //!   per-step/per-round check, so it
@@ -64,8 +67,9 @@ use crate::budget::BudgetLimit;
 use crate::result::{ChaseStats, EgdViolation};
 use crate::step::{StepEffect, Trigger};
 use chase_core::substitution::NullSubstitution;
-use chase_core::{DepId, DependencySet, DiscoveryStats, FactId, GroundTerm};
-use std::time::Duration;
+use chase_core::{DepId, DependencySet, DiscoveryStats, FactId, GroundTerm, ShardStats};
+use chase_trigger::TriggerEngine;
+use std::time::{Duration, Instant};
 
 /// Receives events during a chase run. All methods default to no-ops, so an observer
 /// implements only what it cares about.
@@ -115,7 +119,7 @@ pub trait ChaseObserver {
         let _ = stats;
     }
 
-    /// The round-parallel runner merged a round's candidate batch: `candidates`
+    /// The round runner merged a round's candidate batch: `candidates`
     /// triggers (those whose key had not fired before the round) entered the
     /// fired-key dedup, `deduped` survived into the round (applied in discovery
     /// order), taking `elapsed` wall-clock. Only emitted when
@@ -134,11 +138,11 @@ pub trait ChaseObserver {
     /// Opt-in gate for the derivation events below
     /// ([`ChaseObserver::fact_derived`], [`ChaseObserver::facts_rewritten`]).
     /// Consulted **once per run**, like [`ChaseObserver::observes_phases`].
-    /// Returning `true` makes the (semi-)oblivious runners resolve each step's
+    /// Returning `true` makes the (semi-)oblivious chase resolve each step's
     /// body image at the [`FactId`] level and — because derivation logs are
-    /// defined per applied step — forces them onto the sequential path even for
-    /// EGD-free sets with `workers > 1` (whose parallel outcome is
-    /// sequential-equivalent, so only wall-clock changes). The standard and
+    /// defined per applied step — runs it on the per-step loop even for
+    /// EGD-free sets (whose round-runner outcome equals it up to a renaming of
+    /// nulls, so only wall-clock and null numbering change). The standard and
     /// core chases never emit derivation events: their step semantics are not
     /// monotone in the base, so no support ledger can maintain them (see
     /// [`Chase::materialize`](crate::Chase::materialize)).
@@ -206,6 +210,52 @@ pub(crate) fn record_step_effect(
     None
 }
 
+/// Reports one sequential trigger search as a single worker-0 discovery shard.
+/// Callers emit it only for phase observers.
+pub(crate) fn report_search(
+    observer: &mut dyn ChaseObserver,
+    facts_scanned: usize,
+    triggers_found: usize,
+    elapsed: Duration,
+) {
+    observer.discovery_completed(&DiscoveryStats {
+        shards: vec![ShardStats {
+            worker: 0,
+            facts_scanned,
+            triggers_found,
+            elapsed,
+        }],
+        elapsed,
+    });
+}
+
+/// Runs `pop`, one trigger search on `engine`, and with `phases` on reports it
+/// through [`report_search`] from the engine-stat deltas of exactly this call:
+/// the seeds drained and the candidates discovered (zero for a pop served
+/// straight from the pending queue). Without `phases` it reads no clock.
+pub(crate) fn observed_pop<'a, T>(
+    engine: &mut TriggerEngine<'a>,
+    observer: &mut dyn ChaseObserver,
+    phases: bool,
+    pop: impl FnOnce(&mut TriggerEngine<'a>) -> T,
+) -> T {
+    if !phases {
+        return pop(engine);
+    }
+    let before = engine.stats().clone();
+    let start = Instant::now();
+    let next = pop(engine);
+    let elapsed = start.elapsed();
+    let after = engine.stats();
+    report_search(
+        observer,
+        after.deltas_processed - before.deltas_processed,
+        after.triggers_discovered - before.triggers_discovered,
+        elapsed,
+    );
+    next
+}
+
 /// The do-nothing observer used by plain `run` calls.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoopObserver;
@@ -221,8 +271,8 @@ pub struct TraceObserver {
     pub collapses: Vec<NullSubstitution>,
     /// Total fresh nulls reported.
     pub nulls: usize,
-    /// Rounds completed, as `(round, facts)` (core chase and the round-parallel
-    /// runner; empty for sequential step-based variants).
+    /// Rounds completed, as `(round, facts)` (core chase and the round runner,
+    /// i.e. every EGD-free (semi-)oblivious run; empty for per-step runs).
     pub rounds: Vec<(usize, usize)>,
     /// Per-round live-null counts ([`ChaseObserver::round_nulls`]), parallel to
     /// [`TraceObserver::rounds`]. Previously this event was silently dropped by

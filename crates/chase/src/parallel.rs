@@ -1,37 +1,42 @@
-//! The round-parallel chase runner for the (semi-)oblivious variants.
+//! The round runner of the EGD-free (semi-)oblivious chase, at every worker
+//! count.
 //!
 //! The paper's oblivious and semi-oblivious chases fire *every* trigger of a round
 //! (modulo the fired-key comparison) — there is no activity check whose outcome
-//! depends on what else fired in the meantime. That makes their rounds honest:
-//! discovery can run against a frozen snapshot of the instance and the discovered
-//! batch can be applied wholesale, and the result is the same set of steps a
-//! sequential run would fire, in a different order. This module exploits exactly
-//! that:
+//! depends on what else fired in the meantime. Without EGDs, trigger equivalence
+//! ("modulo `γ_j···γ_{i-1}`") is plain key equality, so any order fires the same
+//! triggers up to a renaming of nulls. That makes rounds honest: discovery can
+//! run against a frozen snapshot of the instance and the discovered batch can be
+//! applied wholesale. This module exploits exactly that:
 //!
 //! 1. **snapshot** — the round's new facts (the delta) are discovered against a
-//!    read-only [`Snapshot`] of the [`FactIndex`], sharded over disjoint
-//!    `FactId` ranges of the delta as jobs on the persistent worker pool
-//!    ([`chase_core::pool`] — long-lived channel-fed threads, no per-round
-//!    spawn; see [`chase_trigger::parallel::discover_batch`]);
-//! 2. **deterministic merge** — the workers drop candidates whose key fired in
+//!    read-only [`Snapshot`] of the [`IndexedInstance`]. `workers` is only the
+//!    shard width: with `workers > 1` the delta is split over disjoint `FactId`
+//!    ranges as jobs on the persistent worker pool ([`chase_core::pool`] —
+//!    long-lived channel-fed threads, no per-round spawn; see
+//!    [`chase_trigger::parallel::discover_batch`]), with `workers(1)` it is
+//!    walked inline;
+//! 2. **deterministic merge** — discovery drops candidates whose key fired in
 //!    an earlier round (a read-only test on the frozen [`FiredKeys`]); the shard
 //!    outputs are concatenated in chunk order, which is the order a
-//!    single-threaded discovery would produce, and deduped in that order by the
-//!    same fired-key comparison as the sequential runner; neither step depends
+//!    single-threaded discovery produces, and deduped in that order by the
+//!    same fired-key comparison as the per-step runner; neither step depends
 //!    on the worker count or any hash order;
 //! 3. **sequential apply** — the deduped batch is applied in that discovery
 //!    order, one trigger at a time, with the same per-step budget-clock cadence
-//!    as the sequential runner, so fresh-null numbering, [`ChaseObserver`] event
+//!    as the per-step runner, so fresh-null numbering, [`ChaseObserver`] event
 //!    streams and budget accounting are bitwise-identical **at any worker count**.
 //!
-//! Relative to the *sequential* oblivious runner the only difference is the order
-//! in which the (identical) set of triggers fires — round by round instead of
-//! the sequential runner's dependency-by-dependency queue order — so terminating
-//! runs produce instances equal up to a renaming of labeled nulls with identical
-//! [`ChaseStats`]; `tests/property_tests.rs` proves this differentially over
-//! random ontology corpora.
+//! Relative to the per-step oblivious runner, which
+//! [`crate::oblivious::run_oblivious`] keeps for EGD-bearing and
+//! derivation-observed runs, the only difference is the order in which the
+//! (identical) set of triggers fires — round by round instead of
+//! dependency by dependency — so terminating runs produce instances equal up
+//! to a renaming of labeled nulls with identical [`ChaseStats`];
+//! `tests/property_tests.rs` checks this differentially over random ontology
+//! corpora.
 //!
-//! ## Why only the oblivious variants batch whole rounds
+//! ## Why only the EGD-free oblivious variants batch whole rounds
 //!
 //! * The **standard chase** checks *activity* at application time: whether a
 //!   trigger fires depends on the facts added earlier in the sequence, so
@@ -39,13 +44,13 @@
 //!   (a trigger can fire on the ∃-null it would have found satisfied one step
 //!   later — not even isomorphic). Its apply order must stay sequential, and
 //!   parallelising only the read-only phases around it never paid (0.40× at 2
-//!   workers), so the standard chase runs sequentially at any worker count.
-//! * **EGD-bearing** dependency sets fall back to the sequential runners
-//!   entirely: an EGD substitution rewrites the pending state (`h ↦ γ∘h`) and the
-//!   fired-key sets, so which triggers exist — and even how many steps fire —
-//!   depends on the interleaving of substitutions with TGD steps. Two orders of
-//!   the same round can produce non-isomorphic results, so no deterministic merge
-//!   can honour the equivalence contract; the run stays sequential instead.
+//!   workers), so the standard chase runs per step at any worker count.
+//! * **EGD-bearing** dependency sets run per step: an EGD substitution rewrites
+//!   the pending state (`h ↦ γ∘h`) and the fired-key sets, so which triggers
+//!   exist — and even how many steps fire — depends on the interleaving of
+//!   substitutions with TGD steps. Two orders of the same round can produce
+//!   non-isomorphic results, so no deterministic merge can honour the
+//!   equivalence contract.
 //! * The **core chase** already fires all triggers per round (logically); its
 //!   execution cost is dominated by core computation, which runs sequentially.
 
@@ -53,16 +58,16 @@ use crate::budget::{BudgetClock, ChaseBudget};
 use crate::oblivious::FiredKeys;
 use crate::observer::{record_step_effect, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats};
-use crate::step::StepEffect;
-use chase_core::{DependencySet, DiscoveryStats, FactId, GroundTerm, Instance, Snapshot};
-use chase_trigger::{discover_batch, FactIndex, SeedAtoms};
+use chase_core::{DependencySet, DiscoveryStats, FactId, IndexedInstance, Instance, Snapshot};
+use chase_trigger::engine::apply_tgd;
+use chase_trigger::{discover_batch, SeedAtoms};
 use std::time::Instant;
 
-/// Runs the (semi-)oblivious chase round-parallel. Callers guarantee `sigma` has
-/// no EGDs (the dispatcher in [`crate::oblivious`] falls back to the sequential
-/// runner otherwise) and `workers >= 1`; `fired` is the variant's empty
-/// fired-key state.
-pub(crate) fn run_oblivious_parallel(
+/// Runs the (semi-)oblivious chase round by round, discovering each round over
+/// up to `workers` shards. Callers guarantee `sigma` has no EGDs (the
+/// dispatcher in [`crate::oblivious`] runs those per step) and `workers >= 1`;
+/// `fired` is the variant's empty fired-key state.
+pub(crate) fn run_rounds(
     sigma: &DependencySet,
     mut fired: FiredKeys,
     budget: &ChaseBudget,
@@ -72,19 +77,20 @@ pub(crate) fn run_oblivious_parallel(
 ) -> ChaseOutcome {
     debug_assert!(
         sigma.egd_ids().is_empty(),
-        "the round-parallel runner requires an EGD-free dependency set"
+        "the round runner requires an EGD-free dependency set"
     );
-    let clock = BudgetClock::start(budget);
-    let seeds = SeedAtoms::new(sigma);
-    let mut index = FactIndex::new();
-    // The round-0 delta is the database itself, loaded through the one shared
-    // routine ([`FactIndex::insert_database`]) the sequential engine also uses.
-    let mut delta: Vec<FactId> = index.insert_database(database);
-    let mut stats = ChaseStats::default();
-    let mut round = 0usize;
     // Phase instrumentation is opt-in (consulted once): without it the loop
     // below performs no clock reads beyond the budget's own.
     let phases = observer.observes_phases();
+    let clock = BudgetClock::start(budget, phases);
+    let seeds = SeedAtoms::new(sigma);
+    let mut index = IndexedInstance::new();
+    // The round-0 delta is the database itself, loaded through the one shared
+    // routine ([`IndexedInstance::insert_database`]) the trigger engine also
+    // uses.
+    let mut delta: Vec<FactId> = index.insert_database(database);
+    let mut stats = ChaseStats::default();
+    let mut round = 0usize;
     loop {
         // Discovery round: every candidate seeded from the delta, against a
         // frozen snapshot, sharded across workers, merged in batch order.
@@ -97,7 +103,7 @@ pub(crate) fn run_oblivious_parallel(
         // The workers skip keys fired in earlier rounds: the merge would drop
         // them anyway, as keys of an EGD-free run are never rewritten.
         let mut batch = if had_delta {
-            let snapshot = Snapshot::new(index.indexed());
+            let snapshot = Snapshot::new(&index);
             let keep = |dep, h: &_| fired.unfired_key(dep, h).is_some();
             let stats = discovery.as_mut();
             discover_batch(sigma, &seeds, snapshot, &delta, workers, &keep, stats)
@@ -127,13 +133,9 @@ pub(crate) fn run_oblivious_parallel(
             observer.merge_completed(candidates, batch.len(), start.elapsed());
         }
         if batch.is_empty() {
-            // Mirror the sequential loop's cadence: the budget is checked once
+            // Mirror the per-step loop's cadence: the budget is checked once
             // more before concluding that no applicable trigger remains.
-            let tripped = clock.check_step(&stats, index.len());
-            if phases {
-                observer.budget_checked(tripped);
-            }
-            if let Some(limit) = tripped {
+            if let Some(limit) = clock.check_step(&stats, index.len(), observer) {
                 return ChaseOutcome::BudgetExhausted {
                     limit,
                     instance: index.into_instance(),
@@ -146,11 +148,7 @@ pub(crate) fn run_oblivious_parallel(
             };
         }
         for trigger in batch {
-            let tripped = clock.check_step(&stats, index.len());
-            if phases {
-                observer.budget_checked(tripped);
-            }
-            if let Some(limit) = tripped {
+            if let Some(limit) = clock.check_step(&stats, index.len(), observer) {
                 return ChaseOutcome::BudgetExhausted {
                     limit,
                     instance: index.into_instance(),
@@ -162,28 +160,11 @@ pub(crate) fn run_oblivious_parallel(
                 .get(trigger.dep)
                 .as_tgd()
                 .expect("EGD-free dependency set");
-            let mut extended = trigger.assignment.clone();
-            let ex = tgd.existential_variables();
-            let fresh_nulls = ex.len();
-            for v in ex {
-                let n = index.fresh_null();
-                extended.bind(v, GroundTerm::Null(n));
-            }
-            let mut added = Vec::new();
-            for atom in &tgd.head {
-                let fact = extended
-                    .apply_atom(atom)
-                    .expect("all head variables are bound after extension");
-                let (id, new) = index.insert_full(fact.clone());
+            let effect = apply_tgd(&mut index, tgd, &trigger.assignment, |id, new| {
                 if new {
                     delta.push(id);
-                    added.push(fact);
                 }
-            }
-            let effect = StepEffect::AddedFacts {
-                facts: added,
-                fresh_nulls,
-            };
+            });
             if record_step_effect(sigma, &trigger, &effect, &mut stats, observer).is_some() {
                 unreachable!("TGD steps cannot fail");
             }
@@ -227,9 +208,9 @@ mod tests {
         }
         let p = parse_program(&src).unwrap();
         let sigma = &p.dependencies;
-        let mut index = FactIndex::new();
+        let mut index = IndexedInstance::new();
         let delta = index.insert_database(&p.database);
-        let snapshot = Snapshot::new(index.indexed());
+        let snapshot = Snapshot::new(&index);
         let seeds = SeedAtoms::new(sigma);
         let mut expected = discover_batch(sigma, &seeds, snapshot, &delta, 2, &|_, _| true, None);
         let mut seen = HashSet::new();
@@ -282,13 +263,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_closure_matches_sequential_exactly() {
-        // Full TGDs invent no nulls, so the parallel result must be *equal* to
-        // the sequential one, not merely isomorphic.
+    fn round_runner_closure_matches_the_per_step_runner_exactly() {
+        // Full TGDs invent no nulls, so the round runner's result must be
+        // *equal* to the per-step one, not merely isomorphic. A recorded run
+        // (`materialize`) observes derivations and so runs per step.
         let p = closure_program(12);
         for variant in [ObliviousVariant::Oblivious, ObliviousVariant::SemiOblivious] {
-            let sequential = Chase::oblivious(&p.dependencies, variant).run(&p.database);
-            for workers in [2, 4] {
+            let sequential = Chase::oblivious(&p.dependencies, variant)
+                .materialize(&p.database)
+                .unwrap()
+                .outcome;
+            for workers in [1, 2, 4] {
                 let parallel = Chase::oblivious(&p.dependencies, variant)
                     .workers(workers)
                     .run(&p.database);
@@ -330,9 +315,10 @@ mod tests {
                 trace.round_null_counts,
             )
         };
-        let two = run(2);
-        for workers in [3, 4, 8] {
-            assert_eq!(two, run(workers), "worker count {workers} diverged");
+        let one = run(1);
+        assert!(!one.4.is_empty(), "workers(1) runs round by round");
+        for workers in [2, 3, 4, 8] {
+            assert_eq!(one, run(workers), "worker count {workers} diverged");
         }
     }
 
@@ -347,21 +333,17 @@ mod tests {
         )
         .unwrap();
         let budget = ChaseBudget::unlimited().with_max_steps(37);
-        let sequential = Chase::semi_oblivious(&p.dependencies)
-            .with_budget(budget)
-            .run(&p.database);
-        assert!(sequential.is_budget_exhausted());
-        let base = Chase::semi_oblivious(&p.dependencies)
-            .workers(2)
-            .with_budget(budget)
-            .run(&p.database);
-        assert_eq!(base.exhausted_limit(), sequential.exhausted_limit());
-        assert_eq!(base.stats().steps, sequential.stats().steps);
-        for workers in [4, 8] {
-            let out = Chase::semi_oblivious(&p.dependencies)
+        let run = |workers| {
+            Chase::semi_oblivious(&p.dependencies)
                 .workers(workers)
                 .with_budget(budget)
-                .run(&p.database);
+                .run(&p.database)
+        };
+        let base = run(1);
+        assert!(base.is_budget_exhausted());
+        assert_eq!(base.stats().steps, 37);
+        for workers in [2, 4, 8] {
+            let out = run(workers);
             assert_eq!(out.exhausted_limit(), base.exhausted_limit());
             assert_eq!(out.stats(), base.stats());
             assert_eq!(
@@ -372,9 +354,10 @@ mod tests {
     }
 
     #[test]
-    fn egd_bearing_sets_fall_back_to_the_sequential_runner() {
-        // With an EGD in Σ, `workers(8)` must behave exactly like the sequential
-        // session (the documented fallback), not just isomorphically.
+    fn egd_bearing_sets_run_per_step_at_every_worker_count() {
+        // With an EGD in Σ, `workers(8)` must behave exactly like `workers(1)`:
+        // both run the per-step loop, so the results are equal, not just
+        // isomorphic.
         let p = parse_program(
             r#"
             r1: Emp(?x) -> exists ?d: Works(?x, ?d).

@@ -20,8 +20,8 @@ pub struct ChaseStats {
     /// Wall-clock time of the run, stamped by the session dispatchers when the
     /// runner returns. **Excluded from equality**: two runs of the same chase
     /// are `==` whenever their logical effects agree, regardless of timing —
-    /// the determinism contracts (sequential vs. round-parallel) compare stats
-    /// directly and must not depend on the clock.
+    /// the determinism contracts (per-step vs. round runner, one worker count
+    /// vs. another) compare stats directly and must not depend on the clock.
     pub elapsed: Duration,
 }
 

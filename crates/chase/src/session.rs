@@ -116,27 +116,29 @@ impl<'a> Chase<'a> {
         self
     }
 
-    /// Runs the (semi-)oblivious variants with up to `n` lanes of parallelism
-    /// on the persistent, process-wide worker pool ([`chase_core::pool`]).
-    /// `workers(0)` and `workers(1)` both mean sequential execution (`0` is
-    /// normalized to 1). The pool's threads are spawned once and reused across
-    /// rounds, runs and sessions; repeated runs on one session are
-    /// byte-identical (pinned by the pool-reuse suite).
+    /// Sets the shard width of the (semi-)oblivious variants' trigger
+    /// discovery: up to `n` lanes on the persistent, process-wide worker pool
+    /// ([`chase_core::pool`]). `workers(0)` is normalized to 1, which
+    /// discovers inline on the calling thread. The pool's threads are spawned
+    /// once and reused across rounds, runs and sessions; repeated runs on one
+    /// session are byte-identical (pinned by the pool-reuse suite).
     ///
-    /// The **(semi-)oblivious variants** batch whole rounds: discovery is
-    /// sharded against a frozen snapshot and the deduped triggers are applied
-    /// sequentially in discovery order, which does not depend on `n`, so two
-    /// runs with the same inputs and different `n > 1` produce byte-identical instances,
-    /// statistics, observer streams and tripped budget limits. They stay
-    /// sequential on **EGD-bearing** dependency sets, where substitutions
-    /// rewrite fired keys in sequence order and the result would depend on the
-    /// interleaving (see [`crate::parallel`] for the full argument).
+    /// `n` chooses no algorithm. An **EGD-free (semi-)oblivious** run takes
+    /// the round runner at every `n`: discovery of each round's delta runs
+    /// against a frozen snapshot and the deduped triggers are applied in
+    /// discovery order, which does not depend on `n`, so runs with the same
+    /// inputs and any `n` produce byte-identical instances, statistics,
+    /// observer streams and tripped budget limits. **EGD-bearing** sets run per
+    /// step at every `n`: substitutions rewrite fired keys in sequence order,
+    /// so the result depends on the interleaving (see [`crate::parallel`] for
+    /// the full argument). So do derivation-observed runs
+    /// ([`Chase::materialize`]).
     ///
-    /// The **standard** and **core** chases ignore the setting and always run
-    /// sequentially: their outcomes, statistics and observer streams are those
-    /// of `workers(1)`. The standard chase's semantics is its sequential
-    /// trigger order, so only read-only phases could run in parallel, and doing
-    /// so measured 0.40× at 2 workers (`standard_ontology` 120x120).
+    /// The **standard** and **core** chases ignore the setting: their
+    /// outcomes, statistics and observer streams are the same at every `n`.
+    /// The standard chase's semantics is its sequential trigger order, so only
+    /// read-only phases could run in parallel, and doing so measured 0.40× at
+    /// 2 workers (`standard_ontology` 120x120).
     ///
     /// ```
     /// use chase_core::parser::parse_program;
@@ -149,14 +151,14 @@ impl<'a> Chase<'a> {
     ///     "#,
     /// )
     /// .unwrap();
-    /// let sequential = Chase::semi_oblivious(&p.dependencies).run(&p.database);
-    /// let parallel = Chase::semi_oblivious(&p.dependencies)
+    /// let one = Chase::semi_oblivious(&p.dependencies).run(&p.database);
+    /// let four = Chase::semi_oblivious(&p.dependencies)
     ///     .workers(4)
     ///     .run(&p.database);
-    /// // Full TGDs invent no nulls, so the results are outright equal; with
-    /// // existential rules they are equal up to a renaming of labeled nulls.
-    /// assert_eq!(sequential.instance().unwrap(), parallel.instance().unwrap());
-    /// assert_eq!(sequential.stats(), parallel.stats());
+    /// // Both run the same rounds in the same order: the outcomes are equal,
+    /// // labeled nulls included.
+    /// assert_eq!(one.instance().unwrap(), four.instance().unwrap());
+    /// assert_eq!(one.stats(), four.stats());
     /// ```
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
@@ -168,8 +170,8 @@ impl<'a> Chase<'a> {
         &self.budget
     }
 
-    /// The session's worker-thread cap (1 = sequential; only the
-    /// (semi-)oblivious variants use more).
+    /// The session's discovery shard width (only the (semi-)oblivious
+    /// variants use more than one).
     pub fn worker_count(&self) -> usize {
         self.workers
     }
@@ -223,9 +225,9 @@ impl<'a> Chase<'a> {
     /// supports. The standard chase (non-monotone activity check) and the core
     /// chase (folds facts away) are rejected with
     /// [`MaterializeError::UnsupportedVariant`]; failing and budget-exhausted
-    /// runs are rejected too, since there is no model to maintain. The run is
-    /// forced sequential — derivation logs are defined per applied step — which
-    /// for EGD-free sets changes only wall-clock, never the outcome.
+    /// runs are rejected too, since there is no model to maintain. The
+    /// recorder observes derivations, so the run takes the per-step loop at
+    /// every worker count: derivation logs are defined per applied step.
     pub fn materialize(&self, database: &Instance) -> Result<MaterializedRun, MaterializeError> {
         let variant = match self.variant {
             Variant::Oblivious(v) => v,
@@ -233,9 +235,7 @@ impl<'a> Chase<'a> {
             Variant::Core => return Err(MaterializeError::UnsupportedVariant("core")),
         };
         let mut recorder = DerivationRecorder::default();
-        let mut sequential = self.clone();
-        sequential.workers = 1;
-        let outcome = sequential.run_observed(database, &mut recorder);
+        let outcome = self.run_observed(database, &mut recorder);
         match outcome {
             ChaseOutcome::Terminated { .. } => Ok(MaterializedRun {
                 variant,

@@ -10,10 +10,11 @@
 //! The front door is [`Chase::standard`](crate::Chase::standard).
 
 use crate::budget::{BudgetClock, ChaseBudget};
-use crate::observer::{record_step_effect, ChaseObserver};
+use crate::observer::{observed_pop, record_step_effect, report_search, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats};
 use crate::step::{apply_step, first_applicable_trigger, StepEffect};
-use chase_core::{DepId, DependencySet, DiscoveryStats, Instance, ShardStats};
+use chase_core::{DepId, DependencySet, Instance};
+use chase_trigger::engine::is_standard_active;
 use chase_trigger::TriggerEngine;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -111,58 +112,33 @@ fn run_incremental(
     observer: &mut dyn ChaseObserver,
 ) -> ChaseOutcome {
     let order = dependency_order(sigma, order);
-    let clock = BudgetClock::start(budget);
+    let phases = observer.observes_phases();
+    let clock = BudgetClock::start(budget, phases);
     let mut engine = TriggerEngine::with_database(sigma, database);
     let mut stats = ChaseStats::default();
-    let phases = observer.observes_phases();
     loop {
-        let tripped = clock.check_step(&stats, engine.instance().len());
-        if phases {
-            observer.budget_checked(tripped);
-        }
-        if let Some(limit) = tripped {
+        if let Some(limit) = clock.check_step(&stats, engine.instance().len(), observer) {
             return ChaseOutcome::BudgetExhausted {
                 limit,
                 instance: engine.into_instance(),
                 stats,
             };
         }
-        // With phases on, each trigger search is reported as a one-shard
-        // discovery event: the engine-stat deltas give the seeds drained and
-        // candidates discovered by exactly this call (zero for searches served
-        // straight from the already-discovered queue).
-        let next = if phases {
-            let scanned_before = engine.stats().deltas_processed;
-            let found_before = engine.stats().triggers_discovered;
-            let start = Instant::now();
-            let next = engine.next_active_trigger(&order);
-            let elapsed = start.elapsed();
-            observer.discovery_completed(&DiscoveryStats {
-                shards: vec![ShardStats {
-                    worker: 0,
-                    facts_scanned: engine.stats().deltas_processed - scanned_before,
-                    triggers_found: engine.stats().triggers_discovered - found_before,
-                    elapsed,
-                }],
-                elapsed,
-            });
-            next
-        } else {
-            engine.next_active_trigger(&order)
-        };
-        let trigger = match next {
-            Some(t) => t,
-            None => {
-                return ChaseOutcome::Terminated {
-                    instance: engine.into_instance(),
-                    stats,
-                }
-            }
+        let next = observed_pop(&mut engine, observer, phases, |engine| {
+            engine.next_trigger_where(&order, |index, dep, h| {
+                is_standard_active(index, sigma.get(dep), h)
+            })
+        });
+        let Some(trigger) = next else {
+            return ChaseOutcome::Terminated {
+                instance: engine.into_instance(),
+                stats,
+            };
         };
         let effect = engine.apply_trigger(trigger.dep, &trigger.assignment);
         if effect == StepEffect::NotApplicable {
-            // `next_active_trigger` only returns active triggers, so this
-            // cannot happen; treat defensively as a skipped step.
+            // Only active triggers are popped, so this cannot happen; treat
+            // defensively as a skipped step.
             continue;
         }
         if let Some(violation) = record_step_effect(sigma, &trigger, &effect, &mut stats, observer)
@@ -181,16 +157,12 @@ fn run_naive(
     observer: &mut dyn ChaseObserver,
 ) -> ChaseOutcome {
     let order = dependency_order(sigma, order);
-    let clock = BudgetClock::start(budget);
+    let phases = observer.observes_phases();
+    let clock = BudgetClock::start(budget, phases);
     let mut current = database.clone();
     let mut stats = ChaseStats::default();
-    let phases = observer.observes_phases();
     loop {
-        let tripped = clock.check_step(&stats, current.len());
-        if phases {
-            observer.budget_checked(tripped);
-        }
-        if let Some(limit) = tripped {
+        if let Some(limit) = clock.check_step(&stats, current.len(), observer) {
             return ChaseOutcome::BudgetExhausted {
                 limit,
                 instance: current,
@@ -201,25 +173,14 @@ fn run_naive(
         let search_start = phases.then(Instant::now);
         let next = first_applicable_trigger(&current, sigma, &order);
         if let Some(start) = search_start {
-            let elapsed = start.elapsed();
-            observer.discovery_completed(&DiscoveryStats {
-                shards: vec![ShardStats {
-                    worker: 0,
-                    facts_scanned: current.len(),
-                    triggers_found: usize::from(next.is_some()),
-                    elapsed,
-                }],
-                elapsed,
-            });
+            let found = usize::from(next.is_some());
+            report_search(observer, current.len(), found, start.elapsed());
         }
-        let trigger = match next {
-            Some(t) => t,
-            None => {
-                return ChaseOutcome::Terminated {
-                    instance: current,
-                    stats,
-                }
-            }
+        let Some(trigger) = next else {
+            return ChaseOutcome::Terminated {
+                instance: current,
+                stats,
+            };
         };
         let dep = sigma.get(trigger.dep);
         let (next, effect) = apply_step(&current, dep, &trigger.assignment);

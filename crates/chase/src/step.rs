@@ -7,11 +7,11 @@
 //! by default. Both strategies share the single join engine of
 //! [`chase_core::homomorphism`] — the naive path joins through a transient
 //! per-query index built per search, the engine through the incrementally
-//! maintained indexes of its `FactIndex` — so "naive" here means *no delta
+//! maintained indexes of its `IndexedInstance` — so "naive" here means *no delta
 //! tracking and no index maintenance*, not a slower join. The [`Trigger`] and
 //! [`StepEffect`] types are shared with the engine and re-exported here.
 
-use chase_core::homomorphism::{exists_homomorphism_extending, Assignment, HomomorphismSearch};
+use chase_core::homomorphism::{Assignment, HomomorphismSearch};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{DepId, Dependency, DependencySet, GroundTerm, Instance};
 use std::ops::ControlFlow;
@@ -74,19 +74,12 @@ pub fn apply_step(
     }
 }
 
-/// Returns `true` iff the trigger `(dep, h)` is *active* in the sense of the standard
-/// chase: for a TGD, `h` does not extend to a homomorphism of body ∪ head into the
-/// instance; for an EGD, `h` maps the equated variables to distinct terms.
-pub fn is_standard_active(instance: &Instance, dep: &Dependency, h: &Assignment) -> bool {
-    match dep {
-        Dependency::Tgd(tgd) => !exists_homomorphism_extending(&tgd.head, instance, h),
-        Dependency::Egd(egd) => h.get(egd.left) != h.get(egd.right),
-    }
-}
-
-/// Enumerates the active triggers of one dependency, visiting each. The TGD head
-/// search is hoisted out of the per-homomorphism loop so its per-query index is
-/// built once per enumeration, not once per body match.
+/// Enumerates the triggers of one dependency that are *active* in the sense of
+/// the standard chase (for a TGD, `h` does not extend to a homomorphism of
+/// body ∪ head into the instance; for an EGD, `h` maps the equated variables
+/// to distinct terms), visiting each. The TGD head search is hoisted out of
+/// the per-homomorphism loop so its per-query index is built once per
+/// enumeration, not once per body match.
 fn for_each_active_trigger<B>(
     instance: &Instance,
     dep: &Dependency,
@@ -119,7 +112,7 @@ fn for_each_active_trigger<B>(
 
 /// Enumerates all standard-chase-applicable triggers of `sigma` on `instance`, i.e.
 /// pairs `(r, h)` such that `h` maps `Body(r)` into the instance and the trigger is
-/// active (see [`is_standard_active`]).
+/// active.
 pub fn applicable_standard_triggers(instance: &Instance, sigma: &DependencySet) -> Vec<Trigger> {
     let mut out = Vec::new();
     for (id, dep) in sigma.iter() {

@@ -209,6 +209,25 @@ impl IndexedInstance {
         (local, new)
     }
 
+    /// Loads a database: every fact is re-interned into this instance's arena
+    /// straight from the database's term slices (no [`Fact`] values), in sorted
+    /// order so that discovery — and any chase sequence built on it — is
+    /// reproducible across process runs. Returns the ids of the newly inserted
+    /// facts in insertion order: the initial delta. The one loading routine
+    /// shared by the trigger engine and the round runner, so their round-0
+    /// state cannot drift.
+    pub fn insert_database(&mut self, database: &Instance) -> Vec<FactId> {
+        let store = database.store();
+        let mut fresh = Vec::new();
+        for id in database.sorted_fact_ids() {
+            let (new_id, new) = self.insert_copied(store, id);
+            if new {
+                fresh.push(new_id);
+            }
+        }
+        fresh
+    }
+
     /// Removes a fact, updating all indexes; returns `true` iff it was present.
     pub fn remove(&mut self, fact: &Fact) -> bool {
         match self.instance.store().lookup_fact(fact) {
@@ -344,7 +363,10 @@ impl Eq for IndexedInstance {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{atom, cst as constant, var};
+    use crate::homomorphism::Assignment;
     use crate::term::Constant;
+    use crate::Variable;
 
     fn cst(s: &str) -> GroundTerm {
         GroundTerm::Const(Constant::new(s))
@@ -366,6 +388,19 @@ mod tests {
         assert_eq!(k.facts_by_predicate_position(e, 0, cst("c")).len(), 0);
         assert_eq!(k.facts_by_predicate_position(e, 1, cst("z")).len(), 0);
         assert!(k.probe_count() >= 4);
+        // Join candidates: the smallest bucket among bound positions and
+        // constants, or the whole predicate when nothing is bound.
+        let (x, y) = (Variable::new("x"), Variable::new("y"));
+        let e_xy = atom("E", vec![var("x"), var("y")]);
+        assert_eq!(k.candidates_for(&e_xy, &Assignment::new()).len(), 3);
+        let h = Assignment::from_pairs([(x, cst("b"))]);
+        assert_eq!(k.candidates_for(&e_xy, &h).len(), 1);
+        let h = Assignment::from_pairs([(y, cst("b"))]);
+        assert_eq!(k.candidates_for(&e_xy, &h).len(), 1);
+        let a_y = atom("E", vec![constant("a"), var("y")]);
+        assert_eq!(k.candidates_for(&a_y, &Assignment::new()).len(), 2);
+        let z_y = atom("E", vec![constant("z"), var("y")]);
+        assert!(k.candidates_for(&z_y, &Assignment::new()).is_empty());
     }
 
     #[test]
@@ -374,9 +409,16 @@ mod tests {
         k.insert(Fact::from_parts("E", vec![cst("a"), cst("b")]));
         k.insert(Fact::from_parts("E", vec![cst("a"), cst("c")]));
         let e = Predicate::new("E", 2);
-        k.remove(&Fact::from_parts("E", vec![cst("a"), cst("b")]));
+        let a_b = Fact::from_parts("E", vec![cst("a"), cst("b")]);
+        let id = k.instance().id_of(&a_b).expect("stored");
+        k.remove(&a_b);
         assert_eq!(k.facts_by_predicate_position(e, 0, cst("a")).len(), 1);
         assert_eq!(k.facts_by_predicate_position(e, 1, cst("b")).len(), 0);
+        assert!(!k.remove_id(id), "a removed fact stays removed");
+        assert_eq!(k.instance().id_of(&a_b), None);
+        // The arena keeps the interning: a re-insert gets the same id back.
+        assert_eq!(k.insert_full(a_b), (id, true));
+        assert_eq!(k.facts_by_predicate_position(e, 1, cst("b")), &[id]);
     }
 
     #[test]
@@ -404,12 +446,13 @@ mod tests {
 
     #[test]
     fn indexes_stay_consistent_after_in_place_substitution() {
-        let mut k = IndexedInstance::from_instance(Instance::from_facts(vec![
-            Fact::from_parts("E", vec![cst("a"), null(1)]),
-            Fact::from_parts("E", vec![cst("a"), cst("a")]),
-        ]));
+        let mut k = IndexedInstance::new();
+        let (old, _) = k.insert_full(Fact::from_parts("E", vec![cst("a"), null(1)]));
+        let (survivor, _) = k.insert_full(Fact::from_parts("E", vec![cst("a"), cst("a")]));
         let e = Predicate::new("E", 2);
-        k.substitute_in_place(&NullSubstitution::single(NullValue(1), cst("a")));
+        let delta = k.substitute_in_place(&NullSubstitution::single(NullValue(1), cst("a")));
+        // The rewrite lands on the stored fact and reports its id.
+        assert_eq!(delta, vec![(old, survivor)]);
         // The two facts collapsed: every index must agree on the single survivor.
         assert_eq!(k.len(), 1);
         assert_eq!(k.ids_of(e).len(), 1);

@@ -218,7 +218,7 @@ pub fn mfa_report_tgds(sigma: &DependencySet, config: &MfaConfig) -> MfaReport {
     let mut steps = 0usize;
     let mut max_term_depth = 0usize;
 
-    while let Some(trigger) = engine.next_trigger_where(&order, |_, _| true) {
+    while let Some(trigger) = engine.next_trigger_where(&order, |_, _, _| true) {
         steps += 1;
         let tgd = normalised
             .get(trigger.dep)

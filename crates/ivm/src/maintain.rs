@@ -452,9 +452,8 @@ impl<'a> ChaseMaterialization<'a> {
         };
         let dep = self.sigma.get(dep_id);
         let seed = self.fired.seed(dep_id, &key);
-        let witness =
-            HomomorphismSearch::over_index(dep.body(), self.engine.fact_index().indexed())
-                .for_each_extending(&seed, &mut |h: &Assignment| ControlFlow::Break(h.clone()));
+        let witness = HomomorphismSearch::over_index(dep.body(), self.engine.indexed())
+            .for_each_extending(&seed, &mut |h: &Assignment| ControlFlow::Break(h.clone()));
         let Some(h) = witness else { return false };
         let mut body = Vec::with_capacity(dep.body().len());
         for atom in dep.body() {

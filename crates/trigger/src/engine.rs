@@ -8,8 +8,9 @@
 //!   seeded *only* from body atoms unifiable with the delta (semi-naive
 //!   evaluation);
 //! * discovered candidate triggers wait in per-dependency FIFO queues;
-//!   [`TriggerEngine::next_active_trigger`] pops them in the caller's dependency
-//!   order, re-checking standard activity at pop time, so every trigger-selection
+//!   [`TriggerEngine::next_trigger_where`] pops them in the caller's dependency
+//!   order under the caller's acceptance test — for the standard chase,
+//!   [`is_standard_active`] re-checked at pop time — so every trigger-selection
 //!   policy (`StepOrder`-style nondeterminism) behaves exactly as with naive
 //!   re-scanning;
 //! * an EGD substitution `γ = {η/t}` costs what mentions `η`: the dedup keys
@@ -23,13 +24,12 @@
 //! become active again.
 
 use crate::delta::DeltaQueue;
-use crate::index::FactIndex;
 use crate::keys::KeySets;
 use crate::parallel::{discover_from, keep_all, SeedAtoms};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
     Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, HomomorphismSearch,
-    Instance, NullValue, Snapshot,
+    IndexedInstance, Instance, NullValue, Snapshot, Tgd,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::ControlFlow;
@@ -113,7 +113,7 @@ pub struct StepLog {
 #[derive(Clone)]
 pub struct TriggerEngine<'a> {
     sigma: &'a DependencySet,
-    index: FactIndex,
+    index: IndexedInstance,
     deltas: DeltaQueue,
     /// For each predicate, the body-atom positions that can unify with a fact of
     /// that predicate: `(dependency, body atom index)`. Built once so that a delta
@@ -135,7 +135,7 @@ impl<'a> TriggerEngine<'a> {
     pub fn new(sigma: &'a DependencySet) -> Self {
         TriggerEngine {
             sigma,
-            index: FactIndex::new(),
+            index: IndexedInstance::new(),
             deltas: DeltaQueue::new(),
             seed_atoms: SeedAtoms::new(sigma),
             pending: vec![VecDeque::new(); sigma.len()],
@@ -155,7 +155,7 @@ impl<'a> TriggerEngine<'a> {
     pub fn with_database(sigma: &'a DependencySet, database: &Instance) -> Self {
         let mut engine = TriggerEngine::new(sigma);
         for id in engine.index.insert_database(database) {
-            engine.record_insert(id, true);
+            record_insert(&mut engine.stats, &mut engine.deltas, id, true);
         }
         engine
     }
@@ -165,9 +165,9 @@ impl<'a> TriggerEngine<'a> {
         self.index.instance()
     }
 
-    /// The engine's indexed fact storage (read-only; exposes index diagnostics such
-    /// as [`chase_core::IndexedInstance::probe_count`]).
-    pub fn fact_index(&self) -> &FactIndex {
+    /// The engine's indexed instance (read-only; exposes index diagnostics such
+    /// as [`IndexedInstance::probe_count`]).
+    pub fn indexed(&self) -> &IndexedInstance {
         &self.index
     }
 
@@ -184,7 +184,7 @@ impl<'a> TriggerEngine<'a> {
     /// Adds facts to the instance. New facts become deltas; duplicates are ignored.
     pub fn push_facts<I: IntoIterator<Item = Fact>>(&mut self, facts: I) {
         for fact in facts {
-            self.insert_fact(fact);
+            self.push_fact_full(fact);
         }
     }
 
@@ -193,7 +193,12 @@ impl<'a> TriggerEngine<'a> {
     /// [`TriggerEngine::push_facts`], for callers that track facts by id — a
     /// previously retracted fact comes back under its original id.
     pub fn push_fact_full(&mut self, fact: Fact) -> (FactId, bool) {
-        self.insert_fact(fact)
+        if fact.terms.iter().any(|&t| self.replaced.is_replaced(t)) {
+            self.revive_replaced_nulls();
+        }
+        let (id, new) = self.index.insert_full(fact);
+        record_insert(&mut self.stats, &mut self.deltas, id, new);
+        (id, new)
     }
 
     /// Number of discovered-but-unpopped candidate triggers across all
@@ -207,15 +212,6 @@ impl<'a> TriggerEngine<'a> {
     /// engine will discover nothing new until facts are pushed or retracted.
     pub fn is_quiescent(&self) -> bool {
         self.deltas.is_empty() && self.pending_len() == 0
-    }
-
-    fn insert_fact(&mut self, fact: Fact) -> (FactId, bool) {
-        if fact.terms.iter().any(|&t| self.replaced.is_replaced(t)) {
-            self.revive_replaced_nulls();
-        }
-        let (id, new) = self.index.insert_full(fact);
-        self.record_insert(id, new);
-        (id, new)
     }
 
     /// A caller pushed a fact naming a null an EGD substitution replaced, so
@@ -232,14 +228,6 @@ impl<'a> TriggerEngine<'a> {
         self.replaced.0.clear();
     }
 
-    fn record_insert(&mut self, id: FactId, new: bool) -> bool {
-        if new {
-            self.stats.facts_inserted += 1;
-            self.deltas.push(id);
-        }
-        new
-    }
-
     /// Applies an EGD substitution `γ = {η/t}`: rewrites the instance in
     /// place, rewrites the dedup keys that mention `η` (through a per-null
     /// index, so the cost is what mentions `η`, not everything discovered),
@@ -254,7 +242,7 @@ impl<'a> TriggerEngine<'a> {
             return Vec::new();
         };
         self.stats.substitutions += 1;
-        let delta = self.index.substitute(gamma);
+        let delta = self.index.substitute_in_place(gamma);
         // Facts still waiting in the worklist must be rewritten too: they were
         // enqueued as members of `K` and only their images exist in `K γ`. The id
         // delta maps each rewritten fact's old id onto its image's id.
@@ -296,45 +284,27 @@ impl<'a> TriggerEngine<'a> {
     /// `out` in discovery order — the same per-fact search the sharded
     /// [`discover_batch`](crate::parallel::discover_batch) runs.
     fn discover_seeded(&self, id: FactId, out: &mut Vec<Trigger>) {
-        let snapshot = Snapshot::new(self.index.indexed());
+        let snapshot = Snapshot::new(&self.index);
         discover_from(self.sigma, &self.seed_atoms, &snapshot, id, &keep_all, out);
     }
 
-    /// Pops the first *standard-active* trigger, trying the dependencies in the
-    /// order given (the trigger-selection policy). Triggers that are no longer
-    /// active are dropped permanently — see the module docs for why that is sound.
-    pub fn next_active_trigger(&mut self, order: &[DepId]) -> Option<Trigger> {
-        self.drain_deltas();
-        for &id in order {
-            let dep = self.sigma.get(id);
-            while let Some(mut h) = self.pending[id.0].pop_front() {
-                self.replaced.resolve_all(&mut h);
-                if self.is_standard_active(dep, &h) {
-                    return Some(Trigger {
-                        dep: id,
-                        assignment: h,
-                    });
-                }
-                self.stats.triggers_dropped += 1;
-            }
-        }
-        None
-    }
-
     /// Pops the first discovered trigger accepted by `accept`, trying the
-    /// dependencies in the given order. Rejected triggers are dropped permanently;
-    /// no activity check is performed. This is the entry point for oblivious-style
-    /// consumers (fired-key dedup) and saturation procedures (accept everything).
+    /// dependencies in the given order (the trigger-selection policy). `accept`
+    /// sees the current indexed instance, the dependency and the resolved
+    /// assignment. Rejected triggers are dropped permanently: the standard
+    /// chase passes [`is_standard_active`] (see the module docs for why
+    /// dropping an inactive trigger is sound), oblivious-style consumers a
+    /// fired-key test, saturation procedures `|_, _, _| true`.
     pub fn next_trigger_where(
         &mut self,
         order: &[DepId],
-        mut accept: impl FnMut(DepId, &Assignment) -> bool,
+        mut accept: impl FnMut(&IndexedInstance, DepId, &Assignment) -> bool,
     ) -> Option<Trigger> {
         self.drain_deltas();
         for &id in order {
             while let Some(mut h) = self.pending[id.0].pop_front() {
                 self.replaced.resolve_all(&mut h);
-                if accept(id, &h) {
+                if accept(&self.index, id, &h) {
                     return Some(Trigger {
                         dep: id,
                         assignment: h,
@@ -344,18 +314,6 @@ impl<'a> TriggerEngine<'a> {
             }
         }
         None
-    }
-
-    /// Returns `true` iff `(dep, h)` is active in the standard-chase sense: for a
-    /// TGD, `h` does not extend to a homomorphism of the head into the instance;
-    /// for an EGD, `h` maps the equated variables to distinct terms.
-    pub fn is_standard_active(&self, dep: &Dependency, h: &Assignment) -> bool {
-        match dep {
-            Dependency::Tgd(tgd) => HomomorphismSearch::over_index(&tgd.head, self.index.indexed())
-                .for_each_extending(h, &mut |_| ControlFlow::Break(()))
-                .is_none(),
-            Dependency::Egd(egd) => h.get(egd.left) != h.get(egd.right),
-        }
     }
 
     /// Applies the chase step for `(dep, h)` natively on the engine's instance
@@ -377,6 +335,7 @@ impl<'a> TriggerEngine<'a> {
             let fact = h.apply_atom(atom).expect("body variables are bound");
             let id = self
                 .index
+                .instance()
                 .id_of(&fact)
                 .expect("a trigger's body maps into the live instance");
             log.body.push(id);
@@ -393,31 +352,13 @@ impl<'a> TriggerEngine<'a> {
     ) -> StepEffect {
         match self.sigma.get(dep_id) {
             Dependency::Tgd(tgd) => {
-                let mut extended = h.clone();
-                let ex = tgd.existential_variables();
-                let fresh_nulls = ex.len();
-                for v in ex {
-                    let n = self.index.fresh_null();
-                    extended.bind(v, GroundTerm::Null(n));
-                }
-                let mut added = Vec::new();
-                for atom in &tgd.head {
-                    let fact = extended
-                        .apply_atom(atom)
-                        .expect("all head variables are bound after extension");
-                    let (id, new) = self.index.insert_full(fact.clone());
-                    self.record_insert(id, new);
+                let (stats, deltas) = (&mut self.stats, &mut self.deltas);
+                apply_tgd(&mut self.index, tgd, h, |id, new| {
+                    record_insert(stats, deltas, id, new);
                     if let Some(log) = log.as_deref_mut() {
                         log.heads.push(id);
                     }
-                    if new {
-                        added.push(fact);
-                    }
-                }
-                StepEffect::AddedFacts {
-                    facts: added,
-                    fresh_nulls,
-                }
+                })
             }
             Dependency::Egd(egd) => {
                 let left = h.get(egd.left).expect("EGD body variables must be bound");
@@ -471,6 +412,56 @@ impl<'a> TriggerEngine<'a> {
         let removed = self.index.remove_ids(ids);
         self.stats.facts_retracted += removed;
         removed
+    }
+}
+
+/// Counts a new fact and queues it as a delta.
+fn record_insert(stats: &mut EngineStats, deltas: &mut DeltaQueue, id: FactId, new: bool) {
+    if new {
+        stats.facts_inserted += 1;
+        deltas.push(id);
+    }
+}
+
+/// Applies the TGD step of Definition 1(1) for `h` in place on `index`: every
+/// existential variable is bound to a fresh null, and each head fact is
+/// inserted and handed to `inserted` with its id and whether it is new. The
+/// one TGD application of the engine and of `chase_engine`'s round runner.
+pub fn apply_tgd(
+    index: &mut IndexedInstance,
+    tgd: &Tgd,
+    h: &Assignment,
+    mut inserted: impl FnMut(FactId, bool),
+) -> StepEffect {
+    let mut extended = h.clone();
+    let ex = tgd.existential_variables();
+    let fresh_nulls = ex.len();
+    for v in ex {
+        extended.bind(v, GroundTerm::Null(index.fresh_null()));
+    }
+    let mut facts = Vec::new();
+    for atom in &tgd.head {
+        let fact = extended
+            .apply_atom(atom)
+            .expect("all head variables are bound after extension");
+        let (id, new) = index.insert_full(fact.clone());
+        inserted(id, new);
+        if new {
+            facts.push(fact);
+        }
+    }
+    StepEffect::AddedFacts { facts, fresh_nulls }
+}
+
+/// Returns `true` iff `(dep, h)` is active in the standard-chase sense over
+/// `index`: for a TGD, `h` does not extend to a homomorphism of the head into
+/// the instance; for an EGD, `h` maps the equated variables to distinct terms.
+pub fn is_standard_active(index: &IndexedInstance, dep: &Dependency, h: &Assignment) -> bool {
+    match dep {
+        Dependency::Tgd(tgd) => HomomorphismSearch::over_index(&tgd.head, index)
+            .for_each_extending(h, &mut |_| ControlFlow::Break(()))
+            .is_none(),
+        Dependency::Egd(egd) => h.get(egd.left) != h.get(egd.right),
     }
 }
 
@@ -530,6 +521,14 @@ mod tests {
         GroundTerm::Const(Constant::new(s))
     }
 
+    /// Pops the next standard-active trigger: the standard chase's pop.
+    fn next_active(engine: &mut TriggerEngine<'_>, order: &[DepId]) -> Option<Trigger> {
+        let sigma = engine.sigma;
+        engine.next_trigger_where(order, |index, dep, h| {
+            is_standard_active(index, sigma.get(dep), h)
+        })
+    }
+
     fn sigma1() -> (DependencySet, Instance) {
         let p = parse_program(
             r#"
@@ -548,7 +547,7 @@ mod tests {
         let (sigma, db) = sigma1();
         let order: Vec<DepId> = sigma.ids().collect();
         let mut engine = TriggerEngine::with_database(&sigma, &db);
-        let t = engine.next_active_trigger(&order).unwrap();
+        let t = next_active(&mut engine, &order).unwrap();
         // Only r1 is active on {N(a)}.
         assert_eq!(t.dep, DepId(0));
         assert_eq!(t.assignment.get(Variable::new("x")), Some(gc("a")));
@@ -559,7 +558,7 @@ mod tests {
         let (sigma, db) = sigma1();
         let order: Vec<DepId> = sigma.ids().collect();
         let mut engine = TriggerEngine::with_database(&sigma, &db);
-        let t = engine.next_active_trigger(&order).unwrap();
+        let t = next_active(&mut engine, &order).unwrap();
         let effect = engine.apply_trigger(t.dep, &t.assignment);
         match effect {
             StepEffect::AddedFacts { facts, fresh_nulls } => {
@@ -569,7 +568,7 @@ mod tests {
             other => panic!("expected AddedFacts, got {other:?}"),
         }
         // Now r2 (textual order) is active through the new E fact.
-        let t2 = engine.next_active_trigger(&order).unwrap();
+        let t2 = next_active(&mut engine, &order).unwrap();
         assert_eq!(t2.dep, DepId(1));
     }
 
@@ -580,7 +579,7 @@ mod tests {
         let order = vec![DepId(2), DepId(0), DepId(1)];
         let mut engine = TriggerEngine::with_database(&sigma, &db);
         let mut steps = Vec::new();
-        while let Some(t) = engine.next_active_trigger(&order) {
+        while let Some(t) = next_active(&mut engine, &order) {
             steps.push(t.dep);
             let effect = engine.apply_trigger(t.dep, &t.assignment);
             assert_ne!(effect, StepEffect::Failure, "Σ1 on {{N(a)}} must not fail");
@@ -606,7 +605,7 @@ mod tests {
         // inactive, since N(a) already holds.
         engine.apply_substitution(&NullSubstitution::single(NullValue(7), gc("a")));
         let order: Vec<DepId> = sigma.ids().collect();
-        let t = engine.next_active_trigger(&order);
+        let t = next_active(&mut engine, &order);
         // r1 is satisfied (E(a,a) witnesses), r2 is satisfied (N(a)), r3 is
         // satisfied (x = y = a): nothing is active.
         assert!(t.is_none(), "got {t:?}");
@@ -626,14 +625,12 @@ mod tests {
             ],
         )]);
         let order: Vec<DepId> = p.dependencies.ids().collect();
-        assert!(engine.next_active_trigger(&order).is_none());
+        assert!(next_active(&mut engine, &order).is_none());
         engine.apply_substitution(&NullSubstitution::single(
             NullValue(1),
             GroundTerm::Null(NullValue(2)),
         ));
-        let t = engine
-            .next_active_trigger(&order)
-            .expect("collapsed fact must trigger the rule");
+        let t = next_active(&mut engine, &order).expect("collapsed fact must trigger the rule");
         assert_eq!(
             t.assignment.get(Variable::new("x")),
             Some(GroundTerm::Null(NullValue(2)))
@@ -652,7 +649,7 @@ mod tests {
         )]);
         engine.apply_substitution(&NullSubstitution::single(NullValue(1), gc("b")));
         let order: Vec<DepId> = p.dependencies.ids().collect();
-        let t = engine.next_active_trigger(&order).unwrap();
+        let t = next_active(&mut engine, &order).unwrap();
         let effect = engine.apply_trigger(t.dep, &t.assignment);
         match effect {
             StepEffect::AddedFacts { facts, .. } => {
@@ -708,12 +705,12 @@ mod tests {
         assert_eq!(engine.pending_len(), 1);
         engine.apply_substitution(&subst(1, gn(2)));
         engine.apply_substitution(&subst(2, gc("c")));
-        let t = engine.next_trigger_where(&order, |_, _| true).unwrap();
+        let t = engine.next_trigger_where(&order, |_, _, _| true).unwrap();
         assert_eq!(
             t.assignment,
             Assignment::from_pairs([(Variable::new("x"), gc("a")), (Variable::new("y"), gc("c"))])
         );
-        assert!(engine.next_trigger_where(&order, |_, _| true).is_none());
+        assert!(engine.next_trigger_where(&order, |_, _, _| true).is_none());
     }
 
     #[test]
@@ -725,12 +722,12 @@ mod tests {
         engine.drain_deltas();
         engine.apply_substitution(&subst(1, gc("b")));
         let p_ab = Fact::from_parts("P", vec![gc("a"), gc("b")]);
-        let id = engine.fact_index().id_of(&p_ab).unwrap();
+        let id = engine.instance().id_of(&p_ab).unwrap();
         assert_eq!(engine.retract_ids(&[id]), 1);
         assert!(engine.is_quiescent(), "the rewritten trigger was retracted");
         engine.push_facts(vec![p_ab]);
         let t = engine
-            .next_trigger_where(&order, |_, _| true)
+            .next_trigger_where(&order, |_, _, _| true)
             .expect("the forgotten trigger is rediscovered");
         assert_eq!(t.assignment.get(Variable::new("y")), Some(gc("b")));
     }
@@ -747,7 +744,7 @@ mod tests {
         // while the one discovered before γ still pops resolved to `b`.
         engine.push_facts(vec![Fact::from_parts("P", vec![gc("a"), gn(1)])]);
         let mut popped = Vec::new();
-        while let Some(t) = engine.next_active_trigger(&order) {
+        while let Some(t) = next_active(&mut engine, &order) {
             popped.push(t.assignment.get(Variable::new("y")).unwrap());
             assert!(matches!(
                 engine.apply_trigger(t.dep, &t.assignment),
@@ -792,7 +789,7 @@ mod tests {
                 vec![company, gc(&format!("city{c}"))],
             )]);
         }
-        while let Some(t) = engine.next_active_trigger(&order) {
+        while let Some(t) = next_active(&mut engine, &order) {
             assert_ne!(
                 engine.apply_trigger(t.dep, &t.assignment),
                 StepEffect::Failure
@@ -828,7 +825,7 @@ mod tests {
         let run = || {
             let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
             let mut picked = Vec::new();
-            while let Some(t) = engine.next_active_trigger(&order) {
+            while let Some(t) = next_active(&mut engine, &order) {
                 picked.push(t.assignment.canonical());
                 engine.apply_trigger(t.dep, &t.assignment);
                 assert!(picked.len() < 100, "diverged");
@@ -849,7 +846,7 @@ mod tests {
         .unwrap();
         let order: Vec<DepId> = p.dependencies.ids().collect();
         let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
-        let t = engine.next_active_trigger(&order).unwrap();
+        let t = next_active(&mut engine, &order).unwrap();
         let effect = engine.apply_trigger(t.dep, &t.assignment);
         assert_eq!(effect, StepEffect::Failure);
     }
@@ -861,11 +858,11 @@ mod tests {
         let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
         // Accept everything: the initial fact yields exactly one candidate.
         let t = engine
-            .next_trigger_where(&order, |_, _| true)
+            .next_trigger_where(&order, |_, _, _| true)
             .expect("one candidate");
         assert_eq!(t.assignment.get(Variable::new("x")), Some(gc("a")));
         // Reject everything afterwards: no candidate survives.
-        assert!(engine.next_trigger_where(&order, |_, _| false).is_none());
+        assert!(engine.next_trigger_where(&order, |_, _, _| false).is_none());
     }
 
     #[test]
@@ -887,11 +884,11 @@ mod tests {
         let mut engine = TriggerEngine::with_database(&sigma, &db);
         engine.drain_deltas();
         let h = Assignment::from_pairs([(Variable::new("x"), gc("a"))]);
-        let before = engine.fact_index().indexed().probe_count();
+        let before = engine.indexed().probe_count();
         // r1 is a TGD with head E(x, y): activity extends h over the head.
-        let active = engine.is_standard_active(sigma.get(DepId(0)), &h);
+        let active = is_standard_active(engine.indexed(), sigma.get(DepId(0)), &h);
         assert!(active, "no E(a, _) fact exists yet, the trigger is active");
-        let after = engine.fact_index().indexed().probe_count();
+        let after = engine.indexed().probe_count();
         assert!(
             after > before,
             "TGD-activity check did not touch the position index ({before} -> {after})"
@@ -909,18 +906,18 @@ mod tests {
         .unwrap();
         let order: Vec<DepId> = p.dependencies.ids().collect();
         let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
-        let t = engine.next_active_trigger(&order).unwrap();
+        let t = next_active(&mut engine, &order).unwrap();
         let (effect, log) = engine.apply_trigger_logged(t.dep, &t.assignment);
         let id = |pred: &str, a: &str, b: &str| {
             engine
-                .fact_index()
+                .instance()
                 .id_of(&Fact::from_parts(pred, vec![gc(a), gc(b)]))
                 .unwrap()
         };
         assert_eq!(log.body, vec![id("E", "a", "b"), id("E", "b", "c")]);
         // Both heads are logged — E(a, c) is new, N(a) already existed.
         let n_a = engine
-            .fact_index()
+            .instance()
             .id_of(&Fact::from_parts("N", vec![gc("a")]))
             .unwrap();
         assert_eq!(log.heads, vec![id("E", "a", "c"), n_a]);
@@ -949,7 +946,7 @@ mod tests {
         ));
         let (ground_id, _) = engine.push_fact_full(Fact::from_parts("P", vec![gc("a"), gc("b")]));
         let t = engine
-            .next_trigger_where(&order, |_, h| {
+            .next_trigger_where(&order, |_, _, h| {
                 h.get(Variable::new("y")) != h.get(Variable::new("z"))
             })
             .unwrap();
@@ -972,11 +969,11 @@ mod tests {
         let p = parse_program("r: E(?x, ?y) -> N(?y). E(a, b).").unwrap();
         let order: Vec<DepId> = p.dependencies.ids().collect();
         let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
-        let t = engine.next_trigger_where(&order, |_, _| true).unwrap();
+        let t = engine.next_trigger_where(&order, |_, _, _| true).unwrap();
         engine.apply_trigger(t.dep, &t.assignment);
-        assert!(engine.next_trigger_where(&order, |_, _| true).is_none());
+        assert!(engine.next_trigger_where(&order, |_, _, _| true).is_none());
         let e_ab = engine
-            .fact_index()
+            .instance()
             .id_of(&Fact::from_parts("E", vec![gc("a"), gc("b")]))
             .unwrap();
         assert_eq!(engine.retract_ids(&[e_ab]), 1);
@@ -987,7 +984,7 @@ mod tests {
         assert!(new);
         assert_eq!(again, e_ab);
         let t = engine
-            .next_trigger_where(&order, |_, _| true)
+            .next_trigger_where(&order, |_, _, _| true)
             .expect("the forgotten trigger must be rediscovered");
         assert_eq!(t.dep, DepId(0));
     }
@@ -1009,7 +1006,7 @@ mod tests {
         assert_eq!(engine.retract_ids(&[id, id2]), 2);
         assert!(engine.is_quiescent(), "no pending trigger, no queued delta");
         assert!(
-            engine.next_trigger_where(&order, |_, _| true).is_none(),
+            engine.next_trigger_where(&order, |_, _, _| true).is_none(),
             "retracted facts must not fire triggers"
         );
         assert!(engine.instance().is_empty());
@@ -1020,7 +1017,7 @@ mod tests {
         let p = parse_program("r: E(?x, ?y) -> N(?y). E(a, b).").unwrap();
         let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
         let e_ab = engine
-            .fact_index()
+            .instance()
             .id_of(&Fact::from_parts("E", vec![gc("a"), gc("b")]))
             .unwrap();
         assert_eq!(engine.retract_ids(&[e_ab, e_ab]), 1, "duplicates collapse");
@@ -1040,7 +1037,7 @@ mod tests {
         let order: Vec<DepId> = p.dependencies.ids().collect();
         let mut engine = TriggerEngine::with_database(&p.dependencies, &p.database);
         let mut steps = 0;
-        while let Some(t) = engine.next_active_trigger(&order) {
+        while let Some(t) = next_active(&mut engine, &order) {
             engine.apply_trigger(t.dep, &t.assignment);
             steps += 1;
             assert!(steps < 100, "diverged");

@@ -8,10 +8,10 @@
 //! `chase_engine::step::first_applicable_trigger` — re-derives the same matches
 //! over and over. This crate replaces the re-scan with *semi-naive* discovery:
 //!
-//! * [`FactIndex`] — indexed fact storage: an owned
-//!   [`IndexedInstance`](chase_core::IndexedInstance) whose per-(predicate,
-//!   position) hash indexes answer "which facts can this body atom map to?" by
-//!   lookup instead of scan;
+//! * indexed fact storage — the engine owns a
+//!   [`chase_core::IndexedInstance`], whose per-(predicate, position) hash
+//!   indexes answer "which facts can this body atom map to?" by lookup instead
+//!   of scan;
 //! * [`DeltaQueue`] — the worklist of facts added (TGD steps) or rewritten (EGD
 //!   substitutions) since discovery last ran, carried as dense
 //!   [`chase_core::FactId`]s over the index's arena-interned
@@ -25,9 +25,9 @@
 //!   most-selective-atom first);
 //! * [`TriggerEngine`] — the driver: [`TriggerEngine::push_facts`] /
 //!   [`TriggerEngine::apply_substitution`] feed the worklist,
-//!   [`TriggerEngine::next_active_trigger`] (standard chase) and
-//!   [`TriggerEngine::next_trigger_where`] (oblivious chases, saturation loops)
-//!   pop candidates in the caller's dependency order, preserving every
+//!   [`TriggerEngine::next_trigger_where`] pops candidates in the caller's
+//!   dependency order under the caller's acceptance test (standard activity,
+//!   an unfired key, or everything for saturation loops), preserving every
 //!   trigger-selection policy's semantics, and
 //!   [`TriggerEngine::apply_trigger`] applies chase steps natively — no full
 //!   instance clone per step.
@@ -49,13 +49,11 @@
 
 pub mod delta;
 pub mod engine;
-pub mod index;
 pub mod keys;
 pub mod parallel;
 
 pub use delta::DeltaQueue;
 pub use engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
-pub use index::FactIndex;
 pub use keys::KeySets;
 pub use parallel::{discover_batch, SeedAtoms};
 
@@ -63,7 +61,6 @@ pub use parallel::{discover_batch, SeedAtoms};
 pub mod prelude {
     pub use crate::delta::DeltaQueue;
     pub use crate::engine::{EngineStats, StepEffect, StepLog, Trigger, TriggerEngine};
-    pub use crate::index::FactIndex;
     pub use crate::keys::KeySets;
     pub use crate::parallel::{discover_batch, SeedAtoms};
 }

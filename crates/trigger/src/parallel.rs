@@ -180,10 +180,9 @@ pub fn discover_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::FactIndex;
     use chase_core::parser::parse_dependencies;
     use chase_core::term::Constant;
-    use chase_core::{Fact, GroundTerm};
+    use chase_core::{Fact, GroundTerm, IndexedInstance};
 
     fn gc(s: &str) -> GroundTerm {
         GroundTerm::Const(Constant::new(s))
@@ -194,8 +193,8 @@ mod tests {
     }
 
     /// A 40-edge chain, and its fact ids in insertion order.
-    fn chain_batch() -> (FactIndex, Vec<FactId>) {
-        let mut index = FactIndex::new();
+    fn chain_batch() -> (IndexedInstance, Vec<FactId>) {
+        let mut index = IndexedInstance::new();
         let batch = (0..40)
             .map(|i| {
                 index
@@ -230,7 +229,7 @@ mod tests {
         let seeds = SeedAtoms::new(&sigma);
         let (index, batch) = chain_batch();
         let discover = |workers| {
-            let snapshot = Snapshot::new(index.indexed());
+            let snapshot = Snapshot::new(&index);
             discover_batch(&sigma, &seeds, snapshot, &batch, workers, &keep_all, None)
         };
         let sequential = discover(1);
@@ -248,7 +247,7 @@ mod tests {
                 discover(workers),
                 "merged discovery order diverged at {workers} workers"
             );
-            let snapshot = Snapshot::new(index.indexed());
+            let snapshot = Snapshot::new(&index);
             let filtered = discover_batch(&sigma, &seeds, snapshot, &batch, workers, &keep, None);
             assert_eq!(
                 kept, filtered,
@@ -262,7 +261,7 @@ mod tests {
         let sigma = parse_dependencies("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).").unwrap();
         let (index, batch) = chain_batch();
         let seeds = SeedAtoms::new(&sigma);
-        let snapshot = Snapshot::new(index.indexed());
+        let snapshot = Snapshot::new(&index);
         let plain = discover_batch(&sigma, &seeds, snapshot, &batch, 1, &keep_all, None);
         for workers in [1, 4] {
             let mut stats = DiscoveryStats::default();

@@ -9,7 +9,7 @@
 //! * [`core`](chase_core) — the dependency language (TGDs, EGDs), instances,
 //!   homomorphisms, satisfaction and a textual parser;
 //! * [`trigger`](chase_trigger) — the delta-driven incremental trigger engine:
-//!   indexed fact storage ([`FactIndex`](chase_trigger::FactIndex)), the delta
+//!   an owned [`IndexedInstance`](chase_core::IndexedInstance), the delta
 //!   worklist and semi-naive trigger discovery that the chase variants and the
 //!   MFA saturation loop run on (full re-scans remain available as
 //!   [`TriggerDiscovery::NaiveRescan`](chase_engine::TriggerDiscovery));
@@ -17,8 +17,9 @@
 //!   [`Chase`](chase_engine::Chase) session builder: standard, oblivious,
 //!   semi-oblivious and core variants under one
 //!   [`ChaseBudget`](chase_engine::ChaseBudget) / [`ChaseObserver`](chase_engine::ChaseObserver)
-//!   vocabulary and an opt-in round-parallel execution mode
-//!   ([`Chase::workers`](chase_engine::Chase::workers)), plus core computation,
+//!   vocabulary, with a round runner for the EGD-free (semi-)oblivious chase
+//!   whose discovery shards over [`Chase::workers`](chase_engine::Chase::workers)
+//!   threads, plus core computation,
 //!   universal models and certain answers;
 //! * [`criteria`](chase_criteria) — baseline termination criteria (weak acyclicity,
 //!   safety, stratification, c-stratification, super-weak acyclicity, MFA) as

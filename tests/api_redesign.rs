@@ -387,7 +387,7 @@ fn round_events_are_ordered_consistently_across_runners() {
     );
     assert!(out.stats().nulls_created >= 2 && out.stats().null_replacements >= 1);
 
-    // The round-parallel runner obeys the same contract: step events of round k
+    // The round runner obeys the same contract: step events of round k
     // strictly precede round k's adjacent pair.
     let q = parse_program(
         r#"
@@ -403,7 +403,7 @@ fn round_events_are_ordered_consistently_across_runners() {
         .run_observed(&q.database, &mut tagged);
     assert!(out.is_terminating());
     let stream = tagged.0;
-    let rounds = assert_round_pairs_adjacent(&stream, "round-parallel");
+    let rounds = assert_round_pairs_adjacent(&stream, "round runner");
     assert!(rounds >= 2, "expected at least two rounds: {stream:?}");
     // Round numbers are 1-based and increase; steps never land inside a pair.
     let round_numbers: Vec<usize> = stream
@@ -414,15 +414,26 @@ fn round_events_are_ordered_consistently_across_runners() {
         })
         .collect();
     assert_eq!(round_numbers, (1..=rounds).collect::<Vec<_>>());
-    // The sequential step-based runners emit no round events at all.
+    // The per-step runners emit no round events at all. An EGD-bearing set
+    // runs the (semi-)oblivious chase step by step at every worker count.
+    let e = parse_program(
+        r#"
+        r1: A(?x) -> exists ?y: R(?x, ?y).
+        r2: R(?x, ?y) -> S(?y, ?x).
+        k: R(?x, ?y), R(?x, ?z) -> ?y = ?z.
+        A(a). A(b).
+        "#,
+    )
+    .unwrap();
     let mut tagged = TaggedObserver::default();
-    Chase::semi_oblivious(&q.dependencies).run_observed(&q.database, &mut tagged);
+    Chase::semi_oblivious(&e.dependencies).run_observed(&e.database, &mut tagged);
+    assert!(tagged.0.iter().any(|e| matches!(e, Ev::Step)));
     assert!(
         tagged
             .0
             .iter()
             .all(|e| !matches!(e, Ev::Round(_) | Ev::RoundNulls(_))),
-        "sequential step-based runners must not report rounds: {:?}",
+        "per-step runners must not report rounds: {:?}",
         tagged.0
     );
 }

@@ -1,8 +1,9 @@
 //! Differential tests for incremental view maintenance (`chase_ivm`): after
 //! every update batch, the maintained instance must be isomorphic up to null
 //! renaming to a from-scratch (semi-)oblivious chase of the maintained base —
-//! at worker count 1 and at 4 (and `CHASE_TEST_WORKERS`, if set), so the
-//! round-parallel runner pins the same semantics.
+//! at worker count 1 and at 4 (and `CHASE_TEST_WORKERS`, if set). The
+//! maintained run is recorded per step, while an EGD-free re-chase takes the
+//! round runner, so the two runners pin the same semantics.
 //!
 //! Streams come from `chase_ontology::update_stream` (seeded, consistent by
 //! construction) over the ontology generator's profiles and the atlas
@@ -18,8 +19,8 @@ use chase_ontology::{
 };
 use std::collections::BTreeSet;
 
-/// Worker counts every re-chase is run at: sequential, parallel, and whatever
-/// the CI matrix adds via `CHASE_TEST_WORKERS`.
+/// Worker counts every re-chase is run at: inline discovery, sharded
+/// discovery, and whatever the CI matrix adds via `CHASE_TEST_WORKERS`.
 fn worker_counts() -> Vec<usize> {
     let mut counts = vec![1, 4];
     if let Ok(value) = std::env::var("CHASE_TEST_WORKERS") {

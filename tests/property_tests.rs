@@ -8,12 +8,12 @@ use chase_core::satisfaction::satisfies_all;
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
     isomorphic_up_to_null_renaming, Assignment, Atom, Constant, Dependency, DependencySet, Egd,
-    Fact, GroundTerm, HomomorphismSearch, IndexedInstance, Instance, NullValue, Term, Tgd,
-    Variable,
+    Fact, GroundTerm, HomomorphismSearch, IndexedInstance, Instance, NullValue, ShardStats, Term,
+    Tgd, Variable,
 };
 use chase_engine::{
-    core_of, is_core, Chase, ChaseBudget, ChaseEvent, ChaseOutcome, EventObserver,
-    ObliviousVariant, StepOrder, TraceObserver,
+    core_of, is_core, Chase, ChaseBudget, ChaseEvent, ChaseObserver, ChaseOutcome, EventObserver,
+    ObliviousVariant, StepEffect, StepOrder, TraceObserver, Trigger,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -144,13 +144,13 @@ fn canonical_set(homs: &[Assignment]) -> BTreeSet<Vec<(Variable, GroundTerm)>> {
 // Parallel-runner differential harness helpers
 // ---------------------------------------------------------------------------------
 
-/// The worker counts the differential suite exercises: the even splits 2, 4
-/// and 8 plus the uneven 3 and 7 (ragged shards — the last pool job gets a
-/// shorter chunk), plus whatever `CHASE_TEST_WORKERS` asks for (the CI
-/// parallel job runs the suite once at the canonical 4 — guarding the env
-/// plumbing — and once at 7).
+/// The worker counts the differential suite exercises: inline discovery at 1,
+/// the even splits 2, 4 and 8 plus the uneven 3 and 7 (ragged shards — the
+/// last pool job gets a shorter chunk), plus whatever `CHASE_TEST_WORKERS`
+/// asks for (the CI parallel job runs the suite once at the canonical 4 —
+/// guarding the env plumbing — and once at 7).
 fn test_worker_counts() -> Vec<usize> {
-    let mut counts = vec![2usize, 3, 4, 7, 8];
+    let mut counts = vec![1usize, 2, 3, 4, 7, 8];
     if let Ok(value) = std::env::var("CHASE_TEST_WORKERS") {
         if let Ok(n) = value.parse::<usize>() {
             if n > 1 && !counts.contains(&n) {
@@ -181,6 +181,51 @@ fn timeless_events(session: &Chase<'_>, db: &Instance) -> Vec<ChaseEvent> {
         }
     }
     events
+}
+
+/// [`timeless_events`] with each discovery batch's shards summed into one
+/// worker-0 shard: the phase stream as it reads whatever the split of a batch
+/// over workers.
+fn shard_free_events(session: &Chase<'_>, db: &Instance) -> Vec<ChaseEvent> {
+    let mut events = timeless_events(session, db);
+    for event in &mut events {
+        if let ChaseEvent::DiscoveryCompleted { stats } = event {
+            stats.shards = vec![ShardStats {
+                worker: 0,
+                facts_scanned: stats.facts_scanned(),
+                triggers_found: stats.triggers_found(),
+                elapsed: Duration::ZERO,
+            }];
+        }
+    }
+    events
+}
+
+/// The per-step oracle: a [`TraceObserver`] that also observes derivations,
+/// which keeps a (semi-)oblivious run on the per-step loop even when `Σ` is
+/// EGD-free (unobserved, such a run takes the round runner).
+#[derive(Default)]
+struct PerStepTrace(TraceObserver);
+
+impl ChaseObserver for PerStepTrace {
+    fn observes_derivations(&self) -> bool {
+        true
+    }
+    fn step_applied(&mut self, trigger: &Trigger, effect: &StepEffect) {
+        self.0.step_applied(trigger, effect);
+    }
+    fn nulls_created(&mut self, count: usize) {
+        self.0.nulls_created(count);
+    }
+    fn egd_collapsed(&mut self, gamma: &NullSubstitution) {
+        self.0.egd_collapsed(gamma);
+    }
+    fn round_completed(&mut self, round: usize, facts: usize) {
+        self.0.round_completed(round, facts);
+    }
+    fn round_nulls(&mut self, nulls: usize) {
+        self.0.round_nulls(nulls);
+    }
 }
 
 // The null-bijection checker lives in chase_core (`isomorphic_up_to_null_renaming`)
@@ -239,10 +284,12 @@ fn null_renaming_check_accepts_renamings_and_rejects_collapses() {
     assert!(!isomorphic_up_to_null_renaming(&a, &twisted));
 }
 
-/// Satellite: metamorphic determinism. Two runs of the parallel runner on the
-/// same input at *different* worker counts yield byte-identical
-/// `sorted_facts()` output (same facts, same null labels, same order) and
-/// identical statistics — parallelism changes wall-clock time, never the answer.
+/// Satellite: metamorphic determinism. Two runs of the round runner on the
+/// same input at *different* worker counts, 1 included, yield byte-identical
+/// `sorted_facts()` output (same facts, same null labels, same order),
+/// identical statistics and the same phase events up to the split of a
+/// discovery batch into shards — parallelism changes wall-clock time, never
+/// the answer.
 #[test]
 fn parallel_worker_count_never_changes_the_output_bytes() {
     use chase_ontology::generator::{generate, generate_database, OntologyProfile};
@@ -256,14 +303,18 @@ fn parallel_worker_count_never_changes_the_output_bytes() {
         });
         let db = generate_database(&sigma, 10, seed);
         for variant in [ObliviousVariant::Oblivious, ObliviousVariant::SemiOblivious] {
-            let mut reference: Option<(Vec<Fact>, chase_engine::ChaseStats)> = None;
+            let mut reference = None;
             for workers in test_worker_counts() {
-                let out = Chase::oblivious(&sigma, variant)
+                let session = Chase::oblivious(&sigma, variant)
                     .workers(workers)
-                    .with_budget(ChaseBudget::unlimited().with_max_steps(5_000))
-                    .run(&db);
+                    .with_budget(ChaseBudget::unlimited().with_max_steps(5_000));
+                let out = session.run(&db);
                 assert!(out.is_terminating(), "seed {seed} {variant:?} diverged");
-                let fingerprint = (out.instance().unwrap().sorted_facts(), out.stats().clone());
+                let fingerprint = (
+                    out.instance().unwrap().sorted_facts(),
+                    out.stats().clone(),
+                    shard_free_events(&session, &db),
+                );
                 match &reference {
                     None => reference = Some(fingerprint),
                     Some(r) => assert_eq!(
@@ -708,21 +759,21 @@ proptest! {
         );
     }
 
-    /// Differential test of the round-parallel chase runner (satellite of the
-    /// parallel-execution tentpole): on random `OntologyProfile` corpora — with
-    /// and without EGDs, terminating and diverging — the parallel runner at 2,
-    /// 3, 4, 7 and 8 workers (plus `CHASE_TEST_WORKERS`, if set) agrees with
-    /// the sequential runner:
+    /// Differential test of the round runner: on random `OntologyProfile`
+    /// corpora — with and without EGDs, terminating and diverging — a session
+    /// at 1, 2, 3, 4, 7 and 8 workers (plus `CHASE_TEST_WORKERS`, if set)
+    /// agrees with the per-step oracle, the same session run under
+    /// [`PerStepTrace`]:
     ///
     /// * the **standard** chase ignores `workers`, so it is *bitwise identical*
-    ///   to `workers(1)`: outcome, stats and the full observer event stream
+    ///   to the oracle: outcome, stats and the full observer event stream
     ///   (phase events included, durations excluded);
     /// * the **(semi-)oblivious** chases produce instances isomorphic to the
-    ///   sequential result — equal up to a renaming of labeled nulls, verified by
+    ///   oracle's — equal up to a renaming of labeled nulls, verified by
     ///   an exact bijection search — with identical `ChaseOutcome` kind, tripped
     ///   `BudgetLimit`, `ChaseStats`, and per-`(dep, effect)` observer event
     ///   multisets;
-    /// * all parallel worker counts are *byte-identical* to each other
+    /// * all worker counts are *byte-identical* to each other
     ///   (instances, stats, full observer streams — the metamorphic determinism
     ///   contract).
     #[test]
@@ -750,15 +801,17 @@ proptest! {
             ),
         ];
         for (name, session) in sessions {
-            let mut seq_trace = TraceObserver::new();
-            let sequential = session.clone().run_observed(&db, &mut seq_trace);
+            let mut oracle = PerStepTrace::default();
+            let sequential = session.clone().run_observed(&db, &mut oracle);
+            let seq_trace = oracle.0;
+            prop_assert!(seq_trace.rounds.is_empty(), "the oracle runs per step");
             let seq_events = (name == "standard").then(|| timeless_events(&session, &db));
             let mut previous: Option<(ChaseOutcome, TraceObserver)> = None;
             for workers in test_worker_counts() {
                 let mut trace = TraceObserver::new();
                 let parallel = session.clone().workers(workers).run_observed(&db, &mut trace);
                 // Outcome kind, tripped limit and step count match the
-                // sequential runner exactly.
+                // per-step oracle exactly.
                 prop_assert_eq!(
                     std::mem::discriminant(&sequential),
                     std::mem::discriminant(&parallel),
@@ -816,7 +869,7 @@ proptest! {
                         );
                     }
                 }
-                // Metamorphic determinism: every parallel worker count is
+                // Metamorphic determinism: every worker count is
                 // byte-identical to every other (instances, stats, full traces).
                 if let Some((prev_out, prev_trace)) = &previous {
                     prop_assert_eq!(prev_out, &parallel);
