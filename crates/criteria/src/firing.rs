@@ -23,6 +23,13 @@
 //! of [`chase_core::homomorphism`] (indexed via a transient per-query index over the
 //! small witness instances).
 //!
+//! Two cheap tests decide before anything is built. A TGD `r1` whose head shares no
+//! predicate with `Body(r2)` fires nothing. An EGD step is settled per partition and
+//! labelling, before step 3's subsets are built: `h1` is fixed by them, and the step
+//! exists iff the EGD's two sides lie in different blocks that are not both labelled
+//! constant. The partitions skipped are exactly those on which no subset has a step,
+//! so the witnesses reported, and their order, do not change.
+//!
 //! When the combined variable count exceeds [`FiringConfig::max_variables`] the test
 //! falls back to a conservative answer (an edge is assumed), which keeps every
 //! criterion built on top of it sound.
@@ -115,12 +122,8 @@ pub fn for_each_firing_witness(
     // Cheap pruning: a TGD can only newly violate r2 through facts it adds, so its head
     // must share a predicate with Body(r2). (EGD steps change facts by merging nulls,
     // so no such pruning applies.)
-    if r1.is_tgd() {
-        let heads = r1.head_predicates();
-        let bodies = r2.body_predicates();
-        if heads.intersection(&bodies).next().is_none() {
-            return FiringAnswer::DoesNotFire;
-        }
+    if r1.is_tgd() && !shares_predicate(r1.head_atoms(), r2.body()) {
+        return FiringAnswer::DoesNotFire;
     }
 
     // Rename r2's variables apart so that r1 == r2 is handled uniformly.
@@ -148,12 +151,37 @@ pub fn for_each_firing_witness(
         return FiringAnswer::Unknown;
     }
 
-    // Enumerate partitions via restricted growth strings.
+    // The values of the blocks: block i is the null i or the constant `@c{i}`.
     let n = all_vars.len();
+    let block_values: Vec<(GroundTerm, GroundTerm)> = (0..n)
+        .map(|block| {
+            (
+                GroundTerm::Null(NullValue(block as u64)),
+                GroundTerm::Const(Constant::new(&format!("@c{block}"))),
+            )
+        })
+        .collect();
+    // The positions in `all_vars` of the sides of an EGD `r1` (EGD sides are body
+    // variables, so both are found).
+    let egd_sides = r1.as_egd().and_then(|egd| {
+        let side = |v: Variable| all_vars.iter().position(|w| *w == v);
+        Some((side(egd.left)?, side(egd.right)?))
+    });
+
+    // Enumerate partitions via restricted growth strings.
     let mut rgs = vec![0usize; n];
     loop {
         let block_count = rgs.iter().copied().max().map(|m| m + 1).unwrap_or(0);
         for labelling in block_labellings(r1, block_count) {
+            // An EGD step exists iff `h1` maps the two sides to distinct values that
+            // are not both constants (see `simulate_step`). `h1` depends only on the
+            // partition and the labelling, so this settles every subset of step 3.
+            if let Some((left, right)) = egd_sides {
+                let (a, b) = (rgs[left], rgs[right]);
+                if a == b || !(labelling[a] || labelling[b]) {
+                    continue;
+                }
+            }
             if let ControlFlow::Break(()) = try_partition(
                 r1,
                 r2,
@@ -161,6 +189,7 @@ pub fn for_each_firing_witness(
                 &all_vars,
                 &rgs,
                 &labelling,
+                &block_values,
                 config,
                 on_witness,
             ) {
@@ -172,6 +201,12 @@ pub fn for_each_firing_witness(
         }
     }
     FiringAnswer::DoesNotFire
+}
+
+/// Does some atom of `a` share its predicate with some atom of `b`?
+pub fn shares_predicate(a: &[Atom], b: &[Atom]) -> bool {
+    a.iter()
+        .any(|x| b.iter().any(|y| x.predicate == y.predicate))
 }
 
 /// Returns `true` iff `r1 ≺ r2` may hold (conservatively), i.e. the chase-graph edge of
@@ -226,18 +261,15 @@ fn try_partition(
     all_vars: &[Variable],
     rgs: &[usize],
     labelling: &[bool],
+    block_values: &[(GroundTerm, GroundTerm)],
     config: &FiringConfig,
     on_witness: &mut dyn FnMut(&FiringWitness) -> ControlFlow<()>,
 ) -> ControlFlow<()> {
     // Build the assignment: block i -> fresh null i or fresh constant i.
     let mut sigma_map = Assignment::new();
     for (v, &block) in all_vars.iter().zip(rgs.iter()) {
-        let value = if labelling[block] {
-            GroundTerm::Null(NullValue(block as u64))
-        } else {
-            GroundTerm::Const(Constant::new(&format!("@c{block}")))
-        };
-        sigma_map.bind(*v, value);
+        let (null, constant) = block_values[block];
+        sigma_map.bind(*v, if labelling[block] { null } else { constant });
     }
 
     let facts1: Vec<Fact> = r1

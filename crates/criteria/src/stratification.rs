@@ -12,12 +12,13 @@
 //! simple cycles; as in the research prototypes we check every SCC instead, which is
 //! sound because weak acyclicity is closed under taking subsets of dependencies.
 
-use crate::criterion::{Guarantee, TerminationCriterion, Verdict, Witness};
+use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness};
 use crate::firing::{chase_graph, Applicability, FiringConfig};
 use crate::graph::DiGraph;
 use crate::weak_acyclicity::WeakAcyclicity;
 use chase_core::{DepId, DependencySet, Position};
 use std::collections::BTreeSet;
+use std::rc::Rc;
 
 /// Builds the chase graph `G(Σ)` with standard-chase applicability (the graph of
 /// stratification).
@@ -29,6 +30,15 @@ pub fn standard_chase_graph(sigma: &DependencySet) -> DiGraph {
             ..FiringConfig::default()
         },
     )
+}
+
+/// The chase graph `G(Σ)` of the context's set under `config`, built once per
+/// configuration. Str builds it with the default configuration; semi-stratification
+/// filters the same graph into its firing graph, since every edge of the latter is an
+/// edge of the former.
+pub fn standard_chase_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc<DiGraph> {
+    debug_assert_eq!(config.applicability, Applicability::Standard);
+    cx.shared(("chase graph", *config), || chase_graph(cx.sigma(), config))
 }
 
 /// Builds the chase graph with oblivious-chase applicability (the graph of
@@ -146,6 +156,11 @@ impl TerminationCriterion for Stratification {
     fn verdict(&self, sigma: &DependencySet) -> Verdict {
         let graph = standard_chase_graph(sigma);
         verdict_from_components(self.name(), self.guarantee(), sigma, &graph)
+    }
+
+    fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
+        let graph = standard_chase_graph_in(cx, &FiringConfig::default());
+        verdict_from_components(self.name(), self.guarantee(), cx.sigma(), &graph)
     }
 }
 

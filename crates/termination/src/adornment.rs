@@ -67,9 +67,9 @@ use chase_core::{
     Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, Instance, NullValue,
     Predicate, Term, Tgd, Variable,
 };
-use chase_criteria::firing::FiringConfig;
+use chase_criteria::firing::{shares_predicate, FiringConfig};
 use chase_criteria::AnalysisContext;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -304,11 +304,26 @@ struct Adn<'a> {
     exact_fireable: bool,
     /// Firing information over the *original* set, used by the Ω(AD) cyclicity test.
     original_firing: OriginalFiring,
+    /// The universally quantified dependencies of the original set, EGDs first (lines
+    /// 6–10), and the existential ones (lines 11–12).
+    full_first: Vec<usize>,
+    existential: Vec<usize>,
     rules: Vec<AdRule>,
+    /// `AP(Σµ)` of `rules`, and in exact mode their rendering, derived on first use
+    /// and dropped whenever `rules` changes.
+    ap: Option<BTreeSet<(Predicate, Adornment)>>,
+    rendered: Option<Rendered>,
     ad: Vec<AdnDefinition>,
     acyclic: bool,
     iterations: usize,
     budget_exhausted: bool,
+}
+
+/// The adorned set rendered as dependencies, with its `Σ∀`, for the exact fireability
+/// test.
+struct Rendered {
+    set: DependencySet,
+    full: Vec<Dependency>,
 }
 
 /// Reachability structure over the original dependency set used by the cyclicity
@@ -333,18 +348,12 @@ impl OriginalFiring {
         } else {
             for (i, r1) in sigma.iter() {
                 for (j, r2) in sigma.iter() {
-                    let fires = if r1.is_tgd() {
-                        r1.head_predicates()
-                            .intersection(&r2.body_predicates())
-                            .next()
-                            .is_some()
+                    let feeds = if r1.is_tgd() {
+                        r1.head_atoms()
                     } else {
-                        r1.body_predicates()
-                            .intersection(&r2.body_predicates())
-                            .next()
-                            .is_some()
+                        r1.body()
                     };
-                    if fires {
+                    if shares_predicate(feeds, r2.body()) {
                         edges[i.0].insert(j.0);
                     }
                 }
@@ -392,6 +401,18 @@ impl<'a> Adn<'a> {
             FireableMode::Auto => sigma.len() <= config.auto_threshold,
         };
         let original_firing = OriginalFiring::compute(cx, config, exact);
+        // EGDs before full TGDs (the order is immaterial for correctness).
+        let mut full_first: Vec<usize> = sigma
+            .iter()
+            .filter(|(_, d)| d.is_full())
+            .map(|(i, _)| i.0)
+            .collect();
+        full_first.sort_by_key(|&i| if sigma.as_slice()[i].is_egd() { 0 } else { 1 });
+        let existential = sigma
+            .iter()
+            .filter(|(_, d)| d.is_existential())
+            .map(|(i, _)| i.0)
+            .collect();
         // Base rules: R(x1, …, xn) → R^{b…b}(x1, …, xn) for every predicate of Σ.
         let mut rules = Vec::new();
         for pred in sigma.predicates() {
@@ -417,7 +438,11 @@ impl<'a> Adn<'a> {
             config,
             exact_fireable: exact,
             original_firing,
+            full_first,
+            existential,
             rules,
+            ap: None,
+            rendered: None,
             ad: Vec::new(),
             acyclic: true,
             iterations: 0,
@@ -438,25 +463,9 @@ impl<'a> Adn<'a> {
             let mut changed = false;
             // Lines 6–10: prefer universally quantified dependencies (EGDs and full
             // TGDs).
-            let full_first: Vec<usize> = {
-                let mut ids: Vec<usize> = self
-                    .sigma
-                    .iter()
-                    .filter(|(_, d)| d.is_full())
-                    .map(|(i, _)| i.0)
-                    .collect();
-                // EGDs before full TGDs (the order is immaterial for correctness).
-                ids.sort_by_key(|&i| {
-                    if self.sigma.as_slice()[i].is_egd() {
-                        0
-                    } else {
-                        1
-                    }
-                });
-                ids
-            };
             let mut newly_added: Option<usize> = None;
-            for idx in full_first {
+            for k in 0..self.full_first.len() {
+                let idx = self.full_first[k];
                 if let Some(rule_idx) = self.try_adorn(idx) {
                     newly_added = Some(rule_idx);
                     changed = true;
@@ -472,13 +481,8 @@ impl<'a> Adn<'a> {
             }
             if newly_added.is_none() {
                 // Lines 11–12: existentially quantified dependencies.
-                let existential: Vec<usize> = self
-                    .sigma
-                    .iter()
-                    .filter(|(_, d)| d.is_existential())
-                    .map(|(i, _)| i.0)
-                    .collect();
-                for idx in existential {
+                for k in 0..self.existential.len() {
+                    let idx = self.existential[k];
                     if let Some(rule_idx) = self.try_adorn(idx) {
                         newly_added = Some(rule_idx);
                         changed = true;
@@ -511,7 +515,7 @@ impl<'a> Adn<'a> {
                 break;
             }
         }
-        let adorned = self.to_dependency_set();
+        let adorned = render(&self.rules);
         let fireable_pairs: Vec<(usize, usize)> = self
             .original_firing
             .edges
@@ -531,34 +535,41 @@ impl<'a> Adn<'a> {
     }
 
     /// The set of adorned predicates `AP(Σµ)` occurring anywhere in the adorned rules.
-    fn adorned_predicates(&self) -> BTreeSet<(Predicate, Adornment)> {
-        let mut out = BTreeSet::new();
-        for rule in &self.rules {
-            for atom in rule.body.iter().chain(match &rule.head {
-                AdHead::Atoms(atoms) => atoms.iter(),
-                AdHead::Equality(_, _) => [].iter(),
-            }) {
-                if let Some(adornment) = &atom.adornment {
-                    out.insert((atom.predicate, adornment.clone()));
+    fn adorned_predicates(&mut self) -> &BTreeSet<(Predicate, Adornment)> {
+        let rules = &self.rules;
+        self.ap.get_or_insert_with(|| {
+            let mut out = BTreeSet::new();
+            for rule in rules {
+                for atom in rule.body.iter().chain(match &rule.head {
+                    AdHead::Atoms(atoms) => atoms.iter(),
+                    AdHead::Equality(_, _) => [].iter(),
+                }) {
+                    if let Some(adornment) = &atom.adornment {
+                        out.insert((atom.predicate, adornment.clone()));
+                    }
                 }
             }
-        }
-        out
+            out
+        })
+    }
+
+    /// Drops what was derived from `rules`; called on every change to them.
+    fn rules_changed(&mut self) {
+        self.ap = None;
+        self.rendered = None;
     }
 
     /// Function 2 (`adorn`): tries to produce a new adorned version of the original
     /// dependency `idx`; on success the rule is appended and its index returned.
     fn try_adorn(&mut self, idx: usize) -> Option<usize> {
         let dep = &self.sigma.as_slice()[idx];
-        let ap = self.adorned_predicates();
+        let candidates = coherent_adorned_bodies(dep.body(), self.adorned_predicates());
         let existing_bodies: BTreeSet<Vec<AdAtom>> = self
             .rules
             .iter()
             .filter(|r| r.src == Some(idx))
             .map(|r| r.body.clone())
             .collect();
-        let candidates = coherent_adorned_bodies(dep.body(), &ap);
-        let mut rendered = None;
         for (body, var_adornment) in candidates {
             if existing_bodies.contains(&body) {
                 continue;
@@ -569,14 +580,15 @@ impl<'a> Adn<'a> {
             let head = self.head_adorn(dep, idx, &var_adornment, &mut scratch_ad);
             let candidate = AdRule {
                 src: Some(idx),
-                body: body.clone(),
+                body,
                 head,
             };
-            if !self.is_fireable(&candidate, &mut rendered) {
+            if !self.is_fireable(&candidate) {
                 continue;
             }
             self.ad = scratch_ad;
             self.rules.push(candidate);
+            self.rules_changed();
             return Some(self.rules.len() - 1);
         }
         None
@@ -661,29 +673,32 @@ impl<'a> Adn<'a> {
     }
 
     /// Is the candidate adorned rule fireable with respect to the current adorned set?
-    /// The exact test renders that set into `rendered` on first use: `self.rules` only
-    /// changes once a candidate is accepted, so one rendering serves every candidate.
-    fn is_fireable(&self, candidate: &AdRule, rendered: &mut Option<DependencySet>) -> bool {
+    /// The exact test renders that set on first use and keeps the rendering until
+    /// `self.rules` changes, so one rendering serves every candidate in between.
+    fn is_fireable(&mut self, candidate: &AdRule) -> bool {
         if self.exact_fireable {
-            let current = rendered.get_or_insert_with(|| self.to_dependency_set());
+            let rules = &self.rules;
+            let current = self.rendered.get_or_insert_with(|| {
+                let set = render(rules);
+                let full = set.iter().map(|(_, d)| d).filter(|d| d.is_full());
+                let full = full.cloned().collect();
+                Rendered { set, full }
+            });
             let candidate_dep = ad_rule_to_dependency(candidate, usize::MAX);
-            let full_deps = crate::firing::full_dependencies(current);
-            current.iter().any(|(_, dep)| {
-                let config = &self.config.firing;
-                crate::firing::definition2_edge_among(&full_deps, dep, &candidate_dep, config)
+            let config = &self.config.firing;
+            current.set.iter().any(|(_, dep)| {
+                crate::firing::definition2_edge_among(&current.full, dep, &candidate_dep, config)
             })
         } else {
             // Overlap approximation: some rule's (adorned) head can syntactically feed
             // the candidate's body.
-            let body_preds: BTreeSet<(Predicate, Option<Adornment>)> = candidate
-                .body
-                .iter()
-                .map(|a| (a.predicate, a.adornment.clone()))
-                .collect();
             self.rules.iter().any(|rule| match &rule.head {
-                AdHead::Atoms(atoms) => atoms
-                    .iter()
-                    .any(|a| body_preds.contains(&(a.predicate, a.adornment.clone()))),
+                AdHead::Atoms(atoms) => atoms.iter().any(|a| {
+                    candidate
+                        .body
+                        .iter()
+                        .any(|b| b.predicate == a.predicate && b.adornment == a.adornment)
+                }),
                 AdHead::Equality(_, _) => rule
                     .body
                     .iter()
@@ -703,7 +718,7 @@ impl<'a> Adn<'a> {
     /// spurious τ (the historical `adorn_with` soundness gap).
     ///
     /// Returns the instance together with the adornment symbol of every null.
-    fn dmu_instance(&self) -> (Instance, BTreeMap<u64, u32>) {
+    fn dmu_instance(&mut self) -> (Instance, BTreeMap<u64, u32>) {
         let mut inst = Instance::new();
         let mut symbol_of: BTreeMap<u64, u32> = BTreeMap::new();
         let mut next_null: u64 = 0;
@@ -725,7 +740,7 @@ impl<'a> Adn<'a> {
                 })
                 .collect();
             inst.insert(Fact {
-                predicate: pred,
+                predicate: *pred,
                 terms,
             });
         }
@@ -740,7 +755,7 @@ impl<'a> Adn<'a> {
     /// of distinct Skolem values, and τ = {f_i / f_i} would destructively erase the
     /// symbol's definitions while changing nothing). Skipping an unrealizable match is
     /// conservative — it can only bias the criterion toward rejection.
-    fn dmu_chase_step(&self, idx: usize) -> Option<(u32, AdSym)> {
+    fn dmu_chase_step(&mut self, idx: usize) -> Option<(u32, AdSym)> {
         let egd = self.sigma.as_slice()[idx].as_egd()?;
         let (dmu, symbol_of) = self.dmu_instance();
         for h in chase_core::homomorphism::homomorphisms(&egd.body, &dmu) {
@@ -775,6 +790,7 @@ impl<'a> Adn<'a> {
         for rule in &mut self.rules {
             apply_map_to_rule(rule, &map);
         }
+        self.rules_changed();
         self.ad.retain(|d| d.symbol != from);
         for def in &mut self.ad {
             for a in &mut def.args {
@@ -841,6 +857,7 @@ impl<'a> Adn<'a> {
         for rule in &mut self.rules {
             apply_map_to_rule(rule, theta);
         }
+        self.rules_changed();
         for def in &mut self.ad {
             if let Some(AdSym::F(j)) = theta.get(&def.symbol) {
                 def.symbol = *j;
@@ -860,15 +877,13 @@ impl<'a> Adn<'a> {
     }
 
     fn dedupe_rules(&mut self) {
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut kept = Vec::with_capacity(self.rules.len());
-        for rule in self.rules.drain(..) {
-            let key = format!("{rule:?}");
-            if seen.insert(key) {
-                kept.push(rule);
-            }
+        let mut seen: HashSet<&AdRule> = HashSet::with_capacity(self.rules.len());
+        let first: Vec<bool> = self.rules.iter().map(|rule| seen.insert(rule)).collect();
+        if first.contains(&false) {
+            let mut first = first.into_iter();
+            self.rules.retain(|_| first.next() == Some(true));
+            self.rules_changed();
         }
-        self.rules = kept;
     }
 
     /// Builds Ω(AD): an edge `f_i → f_j` labeled `f^r_z` whenever `f_i = f^r_z(… f_j …)`
@@ -892,17 +907,17 @@ impl<'a> Adn<'a> {
         }
         edges
     }
+}
 
-    /// Converts the current adorned rules into a plain dependency set.
-    fn to_dependency_set(&self) -> DependencySet {
-        DependencySet::from_vec(
-            self.rules
-                .iter()
-                .enumerate()
-                .map(|(k, r)| ad_rule_to_dependency(r, k))
-                .collect(),
-        )
-    }
+/// Converts adorned rules into a plain dependency set.
+fn render(rules: &[AdRule]) -> DependencySet {
+    DependencySet::from_vec(
+        rules
+            .iter()
+            .enumerate()
+            .map(|(k, r)| ad_rule_to_dependency(r, k))
+            .collect(),
+    )
 }
 
 /// Lines 15–16: is the (θ-substituted) adorned head cyclic w.r.t. `AD`, whose Ω graph

@@ -12,9 +12,11 @@
 use chase_core::homomorphism::{Assignment, HomomorphismSearch};
 use chase_core::satisfaction::satisfies_under;
 use chase_core::{Dependency, DependencySet, GroundTerm, Instance};
-use chase_criteria::firing::{for_each_firing_witness, Applicability, FiringConfig, FiringWitness};
+use chase_criteria::firing::{for_each_firing_witness, FiringConfig, FiringWitness};
 use chase_criteria::graph::DiGraph;
+use chase_criteria::stratification::standard_chase_graph_in;
 use chase_criteria::AnalysisContext;
+use std::borrow::Borrow;
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
@@ -40,14 +42,15 @@ pub(crate) fn full_dependencies(sigma: &DependencySet) -> Vec<&Dependency> {
 }
 
 /// [`definition2_edge`] with `Σ∀` given, for callers testing many pairs of one set.
-pub(crate) fn definition2_edge_among(
-    full_deps: &[&Dependency],
+pub(crate) fn definition2_edge_among<D: Borrow<Dependency>>(
+    full_deps: &[D],
     r1: &Dependency,
     r2: &Dependency,
     config: &FiringConfig,
 ) -> bool {
+    let existential = r2.is_existential();
     let answer = for_each_firing_witness(r1, r2, config, &mut |w| {
-        if !r2.is_existential() || !witness_is_blocked(full_deps, w, r2) {
+        if !existential || !witness_is_blocked(full_deps, w, r2) {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
@@ -58,8 +61,13 @@ pub(crate) fn definition2_edge_among(
 
 /// Checks the blocking condition of Definition 2 for a single witness: is there a full
 /// dependency `r3` and a standard chase step on `K` whose result satisfies `h2(r2)`?
-fn witness_is_blocked(full_deps: &[&Dependency], witness: &FiringWitness, r2: &Dependency) -> bool {
+fn witness_is_blocked<D: Borrow<Dependency>>(
+    full_deps: &[D],
+    witness: &FiringWitness,
+    r2: &Dependency,
+) -> bool {
     for r3 in full_deps {
+        let r3 = r3.borrow();
         let blocked = HomomorphismSearch::new(r3.body(), &witness.k).for_each_extending(
             &Assignment::new(),
             &mut |h3| {
@@ -123,20 +131,26 @@ pub fn firing_graph_with(sigma: &DependencySet, config: &FiringConfig) -> DiGrap
 
 /// The firing graph of the context's set, built once per configuration and shared by
 /// semi-stratification and the exact fireability test of the adornment.
+///
+/// It is filtered from the context's standard chase graph, which Str builds first in
+/// an analysis. `r1 < r2` accepts a subset of the witnesses of `r1 ≺ r2`, so every
+/// edge of `Gf(Σ)` is a chase-graph edge. When `r2` is full, Definition 2 accepts the
+/// first witness, as the chase graph does, so the two edges coincide. Only the edges
+/// into existential dependencies run the blocking enumeration.
 pub(crate) fn firing_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc<DiGraph> {
     cx.shared(("Definition 2", *config), || {
-        debug_assert_eq!(config.applicability, Applicability::Standard);
         let sigma = cx.sigma();
+        let deps = sigma.as_slice();
+        let chase_graph = standard_chase_graph_in(cx, config);
         let full_deps = full_dependencies(sigma);
         let mut g = DiGraph::new();
         for id in sigma.ids() {
             g.add_node(id.0);
         }
-        for (i, r1) in sigma.iter() {
-            for (j, r2) in sigma.iter() {
-                if definition2_edge_among(&full_deps, r1, r2, config) {
-                    g.add_edge(i.0, j.0, false);
-                }
+        for (i, j, _) in chase_graph.edges() {
+            let (r1, r2) = (&deps[i], &deps[j]);
+            if r2.is_full() || definition2_edge_among(&full_deps, r1, r2, config) {
+                g.add_edge(i, j, false);
             }
         }
         g
@@ -146,9 +160,10 @@ pub(crate) fn firing_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc
 /// Returns `true` iff `r1` is *fireable* with respect to `sigma`: some dependency of
 /// `sigma` fires it (Definition 2).
 pub fn is_fireable(sigma: &DependencySet, r1: &Dependency, config: &FiringConfig) -> bool {
+    let full_deps = full_dependencies(sigma);
     sigma
         .iter()
-        .any(|(_, r2)| definition2_edge(sigma, r2, r1, config))
+        .any(|(_, r2)| definition2_edge_among(&full_deps, r2, r1, config))
 }
 
 #[cfg(test)]
