@@ -94,7 +94,7 @@ fn oracle_outcome_string(outcome: &ChaseOutcome) -> &'static str {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = ExperimentOptions::from_arg_slice(&args);
+    let opts = ExperimentOptions::from_args();
     let atlas = AtlasOptions::from_arg_slice(&args);
     // The oracle budget is deliberately generous: it stands in for the paper's
     // experiment timeout, and tripping it on an *accepted* program is treated as

@@ -1,8 +1,10 @@
 //! # chase-bench
 //!
 //! Shared infrastructure for the experiment binaries that regenerate every table and
-//! figure of Calautti et al. (PVLDB 2016) — see `EXPERIMENTS.md` at the workspace root
-//! for the experiment index — plus the Criterion micro-benchmarks.
+//! figure of Calautti et al. (PVLDB 2016): option parsing, the ground-truth chase and
+//! text tables. The repository's benchmark is `perfbench/`; this crate's binaries
+//! reproduce the paper's results and run the CI gates `table2` (the atlas soundness
+//! oracle), `fact_store` and `parallel_gate`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,33 +55,43 @@ impl Default for ExperimentOptions {
 impl ExperimentOptions {
     /// Parses `--seed N`, `--scale X`, `--cyclic-fraction X`, `--budget N`,
     /// `--facts N`, `--workers N` and the boolean `--json` from the process
-    /// arguments; unknown arguments are ignored.
+    /// arguments; unknown arguments are ignored. A bad or missing value for a
+    /// known flag prints the error and exits with status 2.
     pub fn from_args() -> Self {
-        Self::from_arg_slice(&std::env::args().skip(1).collect::<Vec<String>>())
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Self::from_arg_slice(&args).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
     }
 
     /// [`from_args`](ExperimentOptions::from_args) over an explicit argument
-    /// slice (exposed for tests).
-    pub fn from_arg_slice(args: &[String]) -> Self {
+    /// slice (exposed for tests). Errs on an unparsable or missing value for a
+    /// known flag.
+    pub fn from_arg_slice(args: &[String]) -> Result<Self, String> {
+        fn parse<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
+            let value = value.ok_or_else(|| format!("{flag} expects a value"))?;
+            value
+                .parse()
+                .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+        }
         let mut opts = ExperimentOptions::default();
         let mut i = 0;
         while i < args.len() {
-            // `--json` is a bare flag; every other option consumes a value.
-            if args[i] == "--json" {
-                opts.json = true;
-                i += 1;
-                continue;
-            }
-            let Some(value) = args.get(i + 1) else { break };
-            match args[i].as_str() {
-                "--seed" => opts.seed = value.parse().unwrap_or(opts.seed),
-                "--scale" => opts.scale = value.parse().unwrap_or(opts.scale),
-                "--cyclic-fraction" => {
-                    opts.cyclic_fraction = value.parse().unwrap_or(opts.cyclic_fraction)
+            let (flag, value) = (args[i].as_str(), args.get(i + 1));
+            match flag {
+                // `--json` is a bare flag; every other known option consumes a value.
+                "--json" => {
+                    opts.json = true;
+                    i += 1;
+                    continue;
                 }
-                "--budget" => opts.chase_budget = value.parse().unwrap_or(opts.chase_budget),
-                "--facts" => opts.database_facts = value.parse().unwrap_or(opts.database_facts),
-                "--workers" => opts.workers = value.parse::<usize>().unwrap_or(opts.workers).max(1),
+                "--seed" => opts.seed = parse(flag, value)?,
+                "--scale" => opts.scale = parse(flag, value)?,
+                "--cyclic-fraction" => opts.cyclic_fraction = parse(flag, value)?,
+                "--budget" => opts.chase_budget = parse(flag, value)?,
+                "--facts" => opts.database_facts = parse(flag, value)?,
+                "--workers" => opts.workers = parse::<usize>(flag, value)?.max(1),
                 _ => {
                     i += 1;
                     continue;
@@ -87,7 +99,7 @@ impl ExperimentOptions {
             }
             i += 2;
         }
-        opts
+        Ok(opts)
     }
 }
 
@@ -220,7 +232,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let opts = ExperimentOptions::from_arg_slice(&args);
+        let opts = ExperimentOptions::from_arg_slice(&args).unwrap();
         assert!(opts.json);
         assert_eq!(opts.workers, 4);
         assert_eq!(opts.seed, 7);
@@ -229,8 +241,34 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let opts = ExperimentOptions::from_arg_slice(&args);
+        let opts = ExperimentOptions::from_arg_slice(&args).unwrap();
         assert!(opts.json);
         assert_eq!(opts.chase_budget, 99);
+    }
+
+    #[test]
+    fn bad_value_is_an_error() {
+        for args in [["--scale", "0,01"], ["--workers", "two"]] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = ExperimentOptions::from_arg_slice(&args).unwrap_err();
+            assert!(err.contains(&args[0]) && err.contains(&args[1]), "{err}");
+        }
+        // Unknown flags (the atlas options `table2` shares its arguments
+        // with) are still skipped.
+        let args: Vec<String> = ["--sizes", "8,24", "--seed", "3"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(ExperimentOptions::from_arg_slice(&args).unwrap().seed, 3);
+    }
+
+    #[test]
+    fn missing_value_is_an_error() {
+        let args: Vec<String> = ["--json", "--facts"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = ExperimentOptions::from_arg_slice(&args).unwrap_err();
+        assert_eq!(err, "--facts expects a value");
     }
 }

@@ -19,8 +19,9 @@
 //! Trigger discovery is delta-driven by default: the runners feed each step's
 //! added or rewritten facts to the incremental
 //! [`TriggerEngine`](chase_trigger::TriggerEngine) instead of re-scanning the
-//! whole instance (switch back with
-//! [`Chase::with_discovery`]`(`[`TriggerDiscovery::NaiveRescan`]`)`). Step
+//! whole instance ([`Chase::with_discovery`]`(`[`TriggerDiscovery::NaiveRescan`]`)`
+//! keeps the full re-scan as the reference the differential tests compare
+//! against). Step
 //! bookkeeping rides the arena-interned `chase_core::FactStore`: deltas travel
 //! as dense `FactId`s, the core chase substitutes in place through the id delta,
 //! and [`core_of`](crate::core_of::core_of) folds nulls on ids with per-version

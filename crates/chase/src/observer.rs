@@ -43,7 +43,7 @@
 //! measurements and slot into the pinned order without disturbing it:
 //!
 //! * [`ChaseObserver::discovery_completed`] — a trigger-discovery batch
-//!   finished, with per-worker [`ShardStats`](chase_core::ShardStats)
+//!   finished, with per-worker [`ShardStats`]
 //!   (fact ids scanned, triggers found, shard wall-clock). Emitted **before**
 //!   the step events of the triggers it discovered. Per-step and core runners
 //!   report a single worker-0 shard per discovery call; the round runner

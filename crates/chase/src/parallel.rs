@@ -28,7 +28,7 @@
 //!    streams and budget accounting are bitwise-identical **at any worker count**.
 //!
 //! Relative to the per-step oblivious runner, which
-//! [`crate::oblivious::run_oblivious`] keeps for EGD-bearing and
+//! `oblivious::run_oblivious` keeps for EGD-bearing and
 //! derivation-observed runs, the only difference is the order in which the
 //! (identical) set of triggers fires — round by round instead of
 //! dependency by dependency — so terminating runs produce instances equal up

@@ -31,7 +31,8 @@ pub enum TriggerDiscovery {
     /// The original strategy: a full homomorphism re-scan of the entire instance
     /// before every step, over a plain index-free [`chase_core::Instance`] (the
     /// join itself still runs through the shared engine, on a transient per-query
-    /// index). Kept as the reference implementation and benchmark baseline.
+    /// index). Kept only as the reference that the differential tests compare
+    /// the incremental engine against.
     NaiveRescan,
 }
 
@@ -148,7 +149,7 @@ fn run_incremental(
     }
 }
 
-/// The original full re-scan loop, kept as reference and benchmark baseline.
+/// The original full re-scan loop, kept as the differential tests' reference.
 fn run_naive(
     sigma: &DependencySet,
     order: StepOrder,

@@ -11,8 +11,9 @@
 //! * [`trigger`](chase_trigger) — the delta-driven incremental trigger engine:
 //!   an owned [`IndexedInstance`](chase_core::IndexedInstance), the delta
 //!   worklist and semi-naive trigger discovery that the chase variants and the
-//!   MFA saturation loop run on (full re-scans remain available as
-//!   [`TriggerDiscovery::NaiveRescan`](chase_engine::TriggerDiscovery));
+//!   MFA saturation loop run on (the full re-scan,
+//!   [`TriggerDiscovery::NaiveRescan`](chase_engine::TriggerDiscovery), stays
+//!   as the reference the differential tests compare against);
 //! * [`engine`](chase_engine) — the chase behind the unified
 //!   [`Chase`](chase_engine::Chase) session builder: standard, oblivious,
 //!   semi-oblivious and core variants under one
