@@ -76,9 +76,9 @@
 
 use crate::atom::{Fact, Predicate};
 use crate::error::CoreError;
+use crate::hash::{hash_one, FastMap, WordHasher};
 use crate::substitution::NullSubstitution;
 use crate::term::GroundTerm;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -157,7 +157,7 @@ const EMPTY_TERM_BUCKET: TermBucket = TermBucket {
 pub struct FactStore {
     /// Interned predicates, indexed by `PredicateId`.
     predicates: Vec<Predicate>,
-    predicate_ids: HashMap<Predicate, PredicateId>,
+    predicate_ids: FastMap<Predicate, PredicateId>,
     /// The term dictionary, indexed by `TermId`.
     dict: Vec<GroundTerm>,
     /// Inline-key open-addressing dictionary map (power-of-two capacity,
@@ -242,7 +242,7 @@ impl FactStore {
         };
         FactStore {
             predicates: Vec::with_capacity(predicates),
-            predicate_ids: HashMap::with_capacity(predicates),
+            predicate_ids: FastMap::with_capacity_and_hasher(predicates, Default::default()),
             dict: Vec::with_capacity(terms),
             term_table,
             strips: Vec::with_capacity(predicates),
@@ -359,19 +359,13 @@ impl FactStore {
         self.dict[id.0 as usize]
     }
 
-    fn hash_term(term: GroundTerm) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        term.hash(&mut h);
-        h.finish()
-    }
-
     /// The dictionary id of a ground term, if it has been interned. A term that
     /// was never interned occurs in no fact, so lookups can miss fast on `None`.
     pub fn term_id(&self, term: GroundTerm) -> Option<TermId> {
         if self.term_table.is_empty() {
             return None;
         }
-        let hash = Self::hash_term(term);
+        let hash = hash_one(&term);
         let tag = (hash >> 32) as u32;
         let mask = self.term_table.len() - 1;
         let mut slot = (hash as usize) & mask;
@@ -392,7 +386,7 @@ impl FactStore {
         let mut fresh = vec![EMPTY_TERM_BUCKET; new_cap];
         let mask = new_cap - 1;
         for (i, &term) in self.dict.iter().enumerate() {
-            let hash = Self::hash_term(term);
+            let hash = hash_one(&term);
             let mut slot = (hash as usize) & mask;
             while fresh[slot].id != EMPTY_TERM_BUCKET.id {
                 slot = (slot + 1) & mask;
@@ -413,7 +407,7 @@ impl FactStore {
         if self.term_table.len() < (self.dict.len() + 1) * 2 {
             self.grow_term_table();
         }
-        let hash = Self::hash_term(term);
+        let hash = hash_one(&term);
         let tag = (hash >> 32) as u32;
         let mask = self.term_table.len() - 1;
         let mut slot = (hash as usize) & mask;
@@ -533,7 +527,7 @@ impl FactStore {
     /// not the cell ids — so a [`FactStore::lookup`] can hash its query terms
     /// directly and never touch the dictionary map at all.
     fn hash_fact(pred: PredicateId, terms: impl IntoIterator<Item = GroundTerm>) -> u64 {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = WordHasher::default();
         pred.0.hash(&mut h);
         for t in terms {
             t.hash(&mut h);
@@ -674,7 +668,7 @@ impl FactStore {
         cells.clear();
         // Fold the fact's value hash in while translating terms, so the hot
         // intern path never re-reads the dictionary to hash.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = WordHasher::default();
         pred.0.hash(&mut h);
         let mut failed = None;
         for &t in terms {
@@ -807,7 +801,7 @@ impl FactStore {
                     if let GroundTerm::Null(nv) = t {
                         *max_null = Some(max_null.map_or(nv.0, |m: u64| m.max(nv.0)));
                     }
-                    let h = Self::hash_term(t);
+                    let h = hash_one(&t);
                     reqs.push(TermReq {
                         key: ((((h as usize) & tmask) as u64) << 32) | (base + j) as u64,
                         term: t,
@@ -1016,7 +1010,7 @@ impl FactStore {
         let pred = self.predicate_id(src.predicates[m.pred.0 as usize]);
         let mut cells = std::mem::take(&mut self.scratch);
         cells.clear();
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = WordHasher::default();
         pred.0.hash(&mut h);
         for col in &src.strips[m.pred.0 as usize].columns {
             let term = src.dict[col[m.row as usize].0 as usize];
@@ -1046,7 +1040,7 @@ impl FactStore {
         let pred = self.predicate_id(src.predicates[m.pred.0 as usize]);
         let mut cells = std::mem::take(&mut self.scratch);
         cells.clear();
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        let mut h = WordHasher::default();
         pred.0.hash(&mut h);
         for col in &src.strips[m.pred.0 as usize].columns {
             let old = col[m.row as usize];
@@ -1164,7 +1158,7 @@ impl FactStore {
                 }
                 let base = start[i] as usize;
                 for (j, &t) in terms.iter().enumerate() {
-                    let h = Self::hash_term(t);
+                    let h = hash_one(&t);
                     thash[base + j] = h;
                     owner[base + j] = i as u32;
                     reqs.push(((((h as usize) & tmask) as u64) << 32) | (base + j) as u64);
@@ -1358,7 +1352,7 @@ impl FactStore {
                     .iter()
                     .enumerate()
                     .map(|(i, &term)| {
-                        let hash = Self::hash_term(term);
+                        let hash = hash_one(&term);
                         (
                             ((((hash as usize) & mask) as u64) << 32) | i as u64,
                             term,
@@ -1392,8 +1386,8 @@ impl FactStore {
                 fresh
             }
         };
-        let mut predicate_ids: HashMap<Predicate, PredicateId> =
-            HashMap::with_capacity(predicates.len());
+        let mut predicate_ids: FastMap<Predicate, PredicateId> =
+            FastMap::with_capacity_and_hasher(predicates.len(), Default::default());
         for (i, &p) in predicates.iter().enumerate() {
             if predicate_ids.insert(p, PredicateId(i as u32)).is_some() {
                 return Err(format!("duplicate predicate at PredicateId({i})"));

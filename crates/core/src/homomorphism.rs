@@ -17,23 +17,33 @@
 //!   plain [`Instance`] ([`HomomorphismSearch::new`]);
 //! * the early-exit callback interface lets callers stop at the first witness.
 //!
+//! Trying a candidate fact allocates nothing and hashes nothing: the
+//! [`Assignment`] is a sorted vector, one unification routine binds in place and
+//! records its bindings on an inline trail, and the plan is built in small
+//! inline vectors.
+//!
 //! A deliberately index-free, plan-free reference implementation is retained as
 //! [`naive_homomorphisms_extending`] for differential testing of the engine.
 
 use crate::atom::{Atom, Fact, Predicate};
 use crate::fact_store::{FactId, FactStore};
+use crate::hash::FastMap;
 use crate::index::IndexedInstance;
 use crate::instance::Instance;
 use crate::term::{GroundTerm, Term, Variable};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Deref, DerefMut};
 
 /// A (partial) assignment of variables to ground terms — the variable part of a
 /// homomorphism. Constants are always mapped to themselves.
+///
+/// The bindings are kept in a vector sorted by [`Variable`]: the few variables of
+/// a dependency body are found by binary search, bound and unbound in place, and
+/// the sorted vector is its own canonical form.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Assignment {
-    map: HashMap<Variable, GroundTerm>,
+    pairs: Vec<(Variable, GroundTerm)>,
 }
 
 impl Assignment {
@@ -42,48 +52,79 @@ impl Assignment {
         Assignment::default()
     }
 
-    /// Creates an assignment from pairs.
-    pub fn from_pairs<I: IntoIterator<Item = (Variable, GroundTerm)>>(pairs: I) -> Self {
+    /// An empty assignment with room for `n` bindings.
+    fn with_capacity(n: usize) -> Self {
         Assignment {
-            map: pairs.into_iter().collect(),
+            pairs: Vec::with_capacity(n),
         }
     }
 
+    /// Creates an assignment from pairs. A variable given twice keeps its last
+    /// binding.
+    pub fn from_pairs<I: IntoIterator<Item = (Variable, GroundTerm)>>(pairs: I) -> Self {
+        let mut out = Assignment::new();
+        for (v, t) in pairs {
+            out.bind(v, t);
+        }
+        out
+    }
+
+    /// Where `v`'s binding is, or where it would be inserted.
+    #[inline]
+    fn slot(&self, v: Variable) -> Result<usize, usize> {
+        self.pairs.binary_search_by(|&(w, _)| w.cmp(&v))
+    }
+
     /// Looks up a variable.
+    #[inline]
     pub fn get(&self, v: Variable) -> Option<GroundTerm> {
-        self.map.get(&v).copied()
+        self.slot(v).ok().map(|i| self.pairs[i].1)
     }
 
     /// Binds a variable (overwrites any previous binding).
     pub fn bind(&mut self, v: Variable, t: GroundTerm) {
-        self.map.insert(v, t);
+        match self.slot(v) {
+            Ok(i) => self.pairs[i].1 = t,
+            Err(i) => self.pairs.insert(i, (v, t)),
+        }
     }
 
     /// Replaces every bound term `t` by `f(t)`, in place.
     pub fn rewrite_terms(&mut self, mut f: impl FnMut(GroundTerm) -> GroundTerm) {
-        for t in self.map.values_mut() {
+        for (_, t) in &mut self.pairs {
             *t = f(*t);
         }
     }
 
     /// Removes a binding (used by backtracking searches).
     pub fn unbind(&mut self, v: Variable) {
-        self.map.remove(&v);
+        if let Ok(i) = self.slot(v) {
+            self.pairs.remove(i);
+        }
+    }
+
+    /// Unbinds the variables `trail` recorded after `mark`, truncating it there.
+    fn unwind(&mut self, trail: &mut Trail, mark: usize) {
+        while trail.len() > mark {
+            let v = trail.remove(trail.len() - 1);
+            self.unbind(v);
+        }
     }
 
     /// Number of bound variables.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.pairs.len()
     }
 
     /// Returns `true` iff no variable is bound.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.pairs.is_empty()
     }
 
-    /// Iterates over the bindings in an arbitrary order.
+    /// Iterates over the bindings in ascending [`Variable`] order (the order of
+    /// [`Assignment::canonical`]).
     pub fn iter(&self) -> impl Iterator<Item = (Variable, GroundTerm)> + '_ {
-        self.map.iter().map(|(v, t)| (*v, *t))
+        self.pairs.iter().copied()
     }
 
     /// Applies the assignment to a term: bound variables are replaced by their image,
@@ -121,16 +162,14 @@ impl Assignment {
 
     /// Returns a canonical, sorted vector of bindings (useful as a hash key).
     pub fn canonical(&self) -> Vec<(Variable, GroundTerm)> {
-        let mut v: Vec<_> = self.map.iter().map(|(a, b)| (*a, *b)).collect();
-        v.sort();
-        v
+        self.pairs.clone()
     }
 }
 
 impl fmt::Display for Assignment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (v, t)) in self.canonical().iter().enumerate() {
+        for (i, (v, t)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -146,88 +185,177 @@ impl fmt::Debug for Assignment {
     }
 }
 
-/// Tries to unify `atom` with `fact` under `assignment`, binding unbound variables.
-/// On success returns the newly bound variables; on failure the assignment is
-/// rolled back and `None` is returned.
-pub fn unify_atom_with_fact(
-    atom: &Atom,
-    fact: &Fact,
-    assignment: &mut Assignment,
-) -> Option<Vec<Variable>> {
-    debug_assert_eq!(atom.predicate, fact.predicate);
-    unify_atom_with_terms(atom, &fact.terms, assignment)
-}
+/// The variables a search bound, in binding order, so backtracking can unbind
+/// them; a search binding up to sixteen variables keeps it inline.
+type Trail = SmallVec<Variable, 16>;
 
-/// Tries to unify `atom` with a fact given by its argument terms as a value
-/// slice under `assignment`. The predicate is assumed to match. Semantics are
-/// those of [`unify_atom_with_fact`]; facts already interned in a
-/// [`FactStore`] unify without materialising a slice via
-/// [`unify_atom_with_stored`].
-pub fn unify_atom_with_terms(
+/// The one unification routine: unifies `atom` with the fact whose term at
+/// position `i` is `term_at(i)`, under `assignment`, binding the unbound
+/// variables. Each new binding is pushed onto `trail`, so the caller undoes the
+/// match with [`Assignment::unwind`] to the trail's length before the call. On a
+/// mismatch the bindings made so far are undone and `false` is returned. The
+/// predicate is assumed to match. Atoms of any width unify; nothing allocates
+/// while the assignment and the trail have room.
+#[inline]
+fn unify(
     atom: &Atom,
-    fact_terms: &[GroundTerm],
+    term_at: impl Fn(usize) -> GroundTerm,
     assignment: &mut Assignment,
-) -> Option<Vec<Variable>> {
-    debug_assert_eq!(atom.terms.len(), fact_terms.len());
-    let mut new_bindings: Vec<Variable> = Vec::new();
-    for (t, g) in atom.terms.iter().zip(fact_terms.iter()) {
+    trail: &mut Trail,
+) -> bool {
+    let mark = trail.len();
+    for (pos, t) in atom.terms.iter().enumerate() {
+        let g = term_at(pos);
         let ok = match t {
-            Term::Const(c) => GroundTerm::Const(*c) == *g,
-            Term::Null(n) => GroundTerm::Null(*n) == *g,
-            Term::Var(v) => match assignment.get(*v) {
-                Some(bound) => bound == *g,
-                None => {
-                    assignment.bind(*v, *g);
-                    new_bindings.push(*v);
+            Term::Const(c) => GroundTerm::Const(*c) == g,
+            Term::Null(n) => GroundTerm::Null(*n) == g,
+            Term::Var(v) => match assignment.slot(*v) {
+                Ok(i) => assignment.pairs[i].1 == g,
+                Err(i) => {
+                    assignment.pairs.insert(i, (*v, g));
+                    trail.push(*v);
                     true
                 }
             },
         };
         if !ok {
-            for v in &new_bindings {
-                assignment.unbind(*v);
-            }
-            return None;
+            assignment.unwind(trail, mark);
+            return false;
         }
     }
-    Some(new_bindings)
+    true
 }
 
-/// Tries to unify `atom` with the interned fact `id` of `store` under
-/// `assignment` — the hot-path variant of [`unify_atom_with_terms`], reading
-/// each position straight from the store's column strips (two array reads per
-/// position, no term vector). The predicate is assumed to match.
-pub fn unify_atom_with_stored(
+/// [`unify`] against the interned fact `id` of `store`, reading each position
+/// straight from the store's column strips.
+#[inline]
+fn unify_stored(
     atom: &Atom,
     store: &FactStore,
     id: FactId,
     assignment: &mut Assignment,
-) -> Option<Vec<Variable>> {
+    trail: &mut Trail,
+) -> bool {
     let view = store.terms(id);
     debug_assert_eq!(atom.terms.len(), view.len());
-    let mut new_bindings: Vec<Variable> = Vec::new();
-    for (pos, t) in atom.terms.iter().enumerate() {
-        let g = view.get(pos);
-        let ok = match t {
-            Term::Const(c) => GroundTerm::Const(*c) == g,
-            Term::Null(n) => GroundTerm::Null(*n) == g,
-            Term::Var(v) => match assignment.get(*v) {
-                Some(bound) => bound == g,
-                None => {
-                    assignment.bind(*v, g);
-                    new_bindings.push(*v);
-                    true
-                }
-            },
-        };
-        if !ok {
-            for v in &new_bindings {
-                assignment.unbind(*v);
+    unify(atom, |pos| view.get(pos), assignment, trail)
+}
+
+/// The room a search over `atoms` reserves for its bindings: the atoms'
+/// positions bound the variables they can bind, so a body's search never grows
+/// its assignment. Past 64 (an instance searched as a query, as `core_of` does,
+/// has thousands of positions) the assignment grows as it binds.
+fn binding_room(atoms: &[Atom]) -> usize {
+    atoms.iter().map(|a| a.terms.len()).sum::<usize>().min(64)
+}
+
+// ---------------------------------------------------------------------------------
+// Small vectors
+// ---------------------------------------------------------------------------------
+
+/// A vector of up to `N` `Copy` values held inline, moving to the heap past that:
+/// the planner's and the search's scratch, which bodies of a few atoms never
+/// allocate. The inline buffer is filled with the first value pushed, so `T`
+/// needs no default.
+#[derive(Clone)]
+enum SmallVec<T: Copy, const N: usize> {
+    Empty,
+    Inline(usize, [T; N]),
+    Heap(Vec<T>),
+}
+
+impl<T: Copy, const N: usize> SmallVec<T, N> {
+    fn new() -> Self {
+        SmallVec::Empty
+    }
+
+    fn clear(&mut self) {
+        *self = SmallVec::Empty;
+    }
+
+    fn insert(&mut self, i: usize, value: T) {
+        match self {
+            SmallVec::Empty => {
+                assert_eq!(i, 0, "insertion index out of bounds");
+                *self = SmallVec::Inline(1, [value; N]);
             }
-            return None;
+            SmallVec::Inline(len, buf) if *len < N => {
+                buf.copy_within(i..*len, i + 1);
+                buf[i] = value;
+                *len += 1;
+            }
+            SmallVec::Inline(len, buf) => {
+                let mut heap = Vec::with_capacity(2 * N);
+                heap.extend_from_slice(&buf[..*len]);
+                heap.insert(i, value);
+                *self = SmallVec::Heap(heap);
+            }
+            SmallVec::Heap(heap) => heap.insert(i, value),
         }
     }
-    Some(new_bindings)
+
+    fn push(&mut self, value: T) {
+        self.insert(self.len(), value);
+    }
+
+    fn remove(&mut self, i: usize) -> T {
+        let value = self[i];
+        match self {
+            SmallVec::Inline(len, buf) => {
+                buf.copy_within(i + 1..*len, i);
+                *len -= 1;
+            }
+            SmallVec::Heap(heap) => {
+                heap.remove(i);
+            }
+            SmallVec::Empty => unreachable!("indexing checked the bound"),
+        }
+        value
+    }
+}
+
+impl<T: Copy, const N: usize> Extend<T> for SmallVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for value in iter {
+            self.push(value);
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> Deref for SmallVec<T, N> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            SmallVec::Empty => &[],
+            SmallVec::Inline(len, buf) => &buf[..*len],
+            SmallVec::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<T: Copy, const N: usize> DerefMut for SmallVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            SmallVec::Empty => &mut [],
+            SmallVec::Inline(len, buf) => &mut buf[..*len],
+            SmallVec::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<T: Copy + PartialEq, const N: usize> PartialEq for SmallVec<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl<T: Copy + Eq, const N: usize> Eq for SmallVec<T, N> {}
+
+impl<T: Copy + fmt::Debug, const N: usize> fmt::Debug for SmallVec<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 // ---------------------------------------------------------------------------------
@@ -260,9 +388,13 @@ pub fn unify_atom_with_stored(
 /// re-evaluated as the join binds more variables. Candidate enumeration at execution
 /// time still consults the index with the *full* current assignment, so later atoms
 /// benefit from every binding made before them regardless of the plan-time estimate.
+/// A plan over a single atom has nothing to order and asks for no estimate.
+///
+/// Planning a body of up to eight atoms over up to sixteen bound variables
+/// allocates nothing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JoinPlan {
-    order: Vec<usize>,
+    order: SmallVec<usize, 8>,
 }
 
 impl JoinPlan {
@@ -274,8 +406,7 @@ impl JoinPlan {
         partial: &Assignment,
         cardinality: impl FnMut(usize) -> usize,
     ) -> JoinPlan {
-        let include: Vec<usize> = (0..atoms.len()).collect();
-        JoinPlan::for_subset(atoms, &include, partial, cardinality)
+        JoinPlan::plan(atoms, 0..atoms.len(), atoms.len(), partial, cardinality)
     }
 
     /// Plans a join over the subset `include` of `atoms` (used by seeded searches,
@@ -284,37 +415,54 @@ impl JoinPlan {
         atoms: &[Atom],
         include: &[usize],
         partial: &Assignment,
+        cardinality: impl FnMut(usize) -> usize,
+    ) -> JoinPlan {
+        JoinPlan::plan(
+            atoms,
+            include.iter().copied(),
+            include.len(),
+            partial,
+            cardinality,
+        )
+    }
+
+    /// Plans the `count` atoms `include` yields.
+    fn plan(
+        atoms: &[Atom],
+        include: impl Iterator<Item = usize>,
+        count: usize,
+        partial: &Assignment,
         mut cardinality: impl FnMut(usize) -> usize,
     ) -> JoinPlan {
-        let mut bound: HashSet<Variable> = partial.iter().map(|(v, _)| v).collect();
-        let estimates: HashMap<usize, usize> =
-            include.iter().map(|&i| (i, cardinality(i))).collect();
-        let mut remaining: Vec<usize> = include.to_vec();
+        let mut order = SmallVec::new();
+        if count <= 1 {
+            order.extend(include);
+            return JoinPlan { order };
+        }
+        // `(original index, estimate)`, in ascending original-index order, so the
+        // first minimum below is the lowest index among ties (stability).
+        let mut remaining: SmallVec<(usize, usize), 8> = SmallVec::new();
+        remaining.extend(include.map(|i| (i, cardinality(i))));
         remaining.sort_unstable();
-        let mut order = Vec::with_capacity(remaining.len());
+        // The bound variables, sorted: `partial`'s, then each planned atom's.
+        let mut bound: SmallVec<Variable, 16> = SmallVec::new();
+        bound.extend(partial.iter().map(|(v, _)| v));
         while !remaining.is_empty() {
-            // `min_by_key` keeps the first minimum; `remaining` is in ascending
-            // original-index order, so ties resolve to the lowest index (stability).
+            // `min_by_key` keeps the first minimum.
             let (pos, _) = remaining
                 .iter()
                 .enumerate()
-                .map(|(pos, &ai)| {
-                    let unbound = atoms[ai]
-                        .terms
-                        .iter()
-                        .filter_map(|t| match t {
-                            Term::Var(v) if !bound.contains(v) => Some(*v),
-                            _ => None,
-                        })
-                        .collect::<BTreeSet<_>>()
-                        .len();
-                    (pos, (unbound, estimates[&ai]))
+                .min_by_key(|&(_, &(ai, estimate))| {
+                    (unbound_variables(&atoms[ai], &bound), estimate)
                 })
-                .min_by_key(|&(_, key)| key)
                 .expect("remaining is non-empty");
-            let ai = remaining.remove(pos);
-            for v in atoms[ai].variables() {
-                bound.insert(v);
+            let (ai, _) = remaining.remove(pos);
+            for t in &atoms[ai].terms {
+                if let Term::Var(v) = t {
+                    if let Err(i) = bound.binary_search(v) {
+                        bound.insert(i, *v);
+                    }
+                }
             }
             order.push(ai);
         }
@@ -325,6 +473,18 @@ impl JoinPlan {
     pub fn order(&self) -> &[usize] {
         &self.order
     }
+}
+
+/// The number of distinct variables of `atom` not in the sorted `bound`.
+fn unbound_variables(atom: &Atom, bound: &[Variable]) -> usize {
+    atom.terms
+        .iter()
+        .enumerate()
+        .filter(|&(pos, t)| match t {
+            Term::Var(v) => bound.binary_search(v).is_err() && !atom.terms[..pos].contains(t),
+            _ => false,
+        })
+        .count()
 }
 
 // ---------------------------------------------------------------------------------
@@ -369,12 +529,12 @@ pub(crate) fn select_smallest_bucket<B>(
 /// the predicates of one query. Buckets hold [`FactId`]s into the instance's arena,
 /// so facts are never cloned.
 struct QueryIndex {
-    buckets: HashMap<(Predicate, usize, GroundTerm), Vec<FactId>>,
+    buckets: FastMap<(Predicate, usize, GroundTerm), Vec<FactId>>,
 }
 
 impl QueryIndex {
     fn build(atoms: &[Atom], instance: &Instance) -> QueryIndex {
-        let mut buckets: HashMap<(Predicate, usize, GroundTerm), Vec<FactId>> = HashMap::new();
+        let mut buckets: FastMap<(Predicate, usize, GroundTerm), Vec<FactId>> = FastMap::default();
         let predicates: BTreeSet<Predicate> = atoms.iter().map(|a| a.predicate).collect();
         let store = instance.store();
         // Column-major build: one pass per (predicate, position) over that
@@ -492,17 +652,15 @@ impl<'a> HomomorphismSearch<'a> {
         let plan = JoinPlan::new(self.atoms, partial, |i| {
             self.source.candidate_count(&self.atoms[i], partial)
         });
-        let mut assignment = partial.clone();
-        match self.search(plan.order(), 0, &mut assignment, visit) {
-            ControlFlow::Break(b) => Some(b),
-            ControlFlow::Continue(()) => None,
-        }
+        let mut assignment = Assignment::with_capacity(partial.len() + binding_room(self.atoms));
+        assignment.pairs.extend_from_slice(&partial.pairs);
+        self.run(plan.order(), &mut assignment, &mut Trail::new(), visit)
     }
 
     /// Visits every homomorphism in which atom `seed_index` is mapped to `seed_fact`
     /// — the semi-naive seeding step of delta-driven trigger discovery. The seed is
     /// unified from the given fact value; [`HomomorphismSearch::for_each_seeded_id`]
-    /// is the allocation-free entry point for seeds already interned in the source's
+    /// is the entry point for seeds already interned in the source's
     /// [`FactStore`].
     pub fn for_each_seeded<B>(
         &self,
@@ -510,12 +668,12 @@ impl<'a> HomomorphismSearch<'a> {
         seed_fact: &Fact,
         visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
     ) -> Option<B> {
-        if self.atoms[seed_index].predicate != seed_fact.predicate {
+        let atom = &self.atoms[seed_index];
+        if atom.predicate != seed_fact.predicate {
             return None;
         }
-        let mut assignment = Assignment::new();
-        unify_atom_with_terms(&self.atoms[seed_index], &seed_fact.terms, &mut assignment)?;
-        self.seeded_continue(seed_index, assignment, visit)
+        debug_assert_eq!(atom.terms.len(), seed_fact.terms.len());
+        self.seeded(seed_index, |pos| seed_fact.terms[pos], visit)
     }
 
     /// Visits every homomorphism in which atom `seed_index` is mapped to the
@@ -531,22 +689,48 @@ impl<'a> HomomorphismSearch<'a> {
         if self.atoms[seed_index].predicate != store.predicate_of(seed) {
             return None;
         }
-        let mut assignment = Assignment::new();
-        unify_atom_with_stored(&self.atoms[seed_index], store, seed, &mut assignment)?;
-        self.seeded_continue(seed_index, assignment, visit)
+        let view = store.terms(seed);
+        debug_assert_eq!(self.atoms[seed_index].terms.len(), view.len());
+        self.seeded(seed_index, |pos| view.get(pos), visit)
     }
 
-    fn seeded_continue<B>(
+    /// Unifies the seed atom with the fact whose term at position `i` is
+    /// `term_at(i)`, then joins the other atoms.
+    fn seeded<B>(
         &self,
         seed_index: usize,
-        mut assignment: Assignment,
+        term_at: impl Fn(usize) -> GroundTerm,
         visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
     ) -> Option<B> {
-        let include: Vec<usize> = (0..self.atoms.len()).filter(|&i| i != seed_index).collect();
-        let plan = JoinPlan::for_subset(self.atoms, &include, &assignment, |i| {
+        let mut assignment = Assignment::with_capacity(binding_room(self.atoms));
+        let mut trail = Trail::new();
+        if !unify(
+            &self.atoms[seed_index],
+            term_at,
+            &mut assignment,
+            &mut trail,
+        ) {
+            return None;
+        }
+        // The seed's bindings hold for the whole search.
+        trail.clear();
+        let others = (0..self.atoms.len()).filter(|&i| i != seed_index);
+        let plan = JoinPlan::plan(self.atoms, others, self.atoms.len() - 1, &assignment, |i| {
             self.source.candidate_count(&self.atoms[i], &assignment)
         });
-        match self.search(plan.order(), 0, &mut assignment, visit) {
+        self.run(plan.order(), &mut assignment, &mut trail, visit)
+    }
+
+    /// Runs the join in `order` from `assignment`, with one (empty) trail for
+    /// the whole search.
+    fn run<B>(
+        &self,
+        order: &[usize],
+        assignment: &mut Assignment,
+        trail: &mut Trail,
+        visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
+    ) -> Option<B> {
+        match self.search(order, 0, assignment, trail, visit) {
             ControlFlow::Break(b) => Some(b),
             ControlFlow::Continue(()) => None,
         }
@@ -557,51 +741,30 @@ impl<'a> HomomorphismSearch<'a> {
         order: &[usize],
         depth: usize,
         assignment: &mut Assignment,
+        trail: &mut Trail,
         visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         if depth == order.len() {
             return visit(assignment);
         }
         let atom = &self.atoms[order[depth]];
-        match &self.source {
-            Source::Indexed(ix) => {
-                for &id in ix.candidates_for(atom, assignment) {
-                    self.try_id(order, depth, atom, id, assignment, visit)?;
-                }
-            }
-            Source::Scan { instance, index } => {
-                let candidates = match index.best_bucket(atom, assignment) {
-                    Some(bucket) => bucket,
-                    None => instance.ids_of(atom.predicate),
-                };
-                for &id in candidates {
-                    self.try_id(order, depth, atom, id, assignment, visit)?;
-                }
+        let candidates = match &self.source {
+            Source::Indexed(ix) => ix.candidates_for(atom, assignment),
+            Source::Scan { instance, index } => match index.best_bucket(atom, assignment) {
+                Some(bucket) => bucket,
+                None => instance.ids_of(atom.predicate),
+            },
+        };
+        let store = self.source.store();
+        for &id in candidates {
+            let mark = trail.len();
+            if unify_stored(atom, store, id, assignment, trail) {
+                let flow = self.search(order, depth + 1, assignment, trail, visit);
+                assignment.unwind(trail, mark);
+                flow?;
             }
         }
         ControlFlow::Continue(())
-    }
-
-    fn try_id<B>(
-        &self,
-        order: &[usize],
-        depth: usize,
-        atom: &Atom,
-        id: FactId,
-        assignment: &mut Assignment,
-        visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
-    ) -> ControlFlow<B> {
-        if let Some(new_bindings) =
-            unify_atom_with_stored(atom, self.source.store(), id, assignment)
-        {
-            let flow = self.search(order, depth + 1, assignment, visit);
-            for v in &new_bindings {
-                assignment.unbind(*v);
-            }
-            flow
-        } else {
-            ControlFlow::Continue(())
-        }
     }
 }
 
@@ -667,6 +830,7 @@ pub fn naive_homomorphisms_extending(
         instance: &Instance,
         depth: usize,
         assignment: &mut Assignment,
+        trail: &mut Trail,
         out: &mut Vec<Assignment>,
     ) {
         let Some(atom) = atoms.get(depth) else {
@@ -674,18 +838,23 @@ pub fn naive_homomorphisms_extending(
             return;
         };
         for &id in instance.ids_of(atom.predicate) {
-            if let Some(new_bindings) =
-                unify_atom_with_stored(atom, instance.store(), id, assignment)
-            {
-                recurse(atoms, instance, depth + 1, assignment, out);
-                for v in &new_bindings {
-                    assignment.unbind(*v);
-                }
+            let mark = trail.len();
+            if unify_stored(atom, instance.store(), id, assignment, trail) {
+                recurse(atoms, instance, depth + 1, assignment, trail, out);
+                assignment.unwind(trail, mark);
             }
         }
     }
     let mut out = Vec::new();
-    recurse(atoms, instance, 0, &mut partial.clone(), &mut out);
+    let mut assignment = partial.clone();
+    recurse(
+        atoms,
+        instance,
+        0,
+        &mut assignment,
+        &mut Trail::new(),
+        &mut out,
+    );
     out
 }
 

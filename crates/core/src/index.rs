@@ -22,11 +22,12 @@
 
 use crate::atom::{Atom, Fact, Predicate};
 use crate::fact_store::{FactId, FactStore};
+use crate::hash::FastMap;
 use crate::homomorphism::select_smallest_bucket;
 use crate::instance::Instance;
 use crate::substitution::NullSubstitution;
 use crate::term::{GroundTerm, NullValue};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,10 +42,10 @@ pub struct IndexedInstance {
     instance: Instance,
     /// Per-(predicate, position) index: maps the ground term at that position to the
     /// ids of the facts carrying it there.
-    by_position: HashMap<(Predicate, usize, GroundTerm), Vec<FactId>>,
+    by_position: FastMap<(Predicate, usize, GroundTerm), Vec<FactId>>,
     /// Ids of the facts mentioning each labeled null (each fact listed once per
     /// distinct null), so EGD substitution touches only the facts it rewrites.
-    by_null: HashMap<NullValue, Vec<FactId>>,
+    by_null: FastMap<NullValue, Vec<FactId>>,
     /// Number of position-index lookups served (diagnostics; lets tests assert that a
     /// caller routed through the indexed path rather than a scan). Atomic so the
     /// counter does not cost the type its `Sync`-ness.
@@ -76,8 +77,8 @@ impl IndexedInstance {
     pub fn from_instance(instance: Instance) -> Self {
         let mut out = IndexedInstance {
             instance,
-            by_position: HashMap::new(),
-            by_null: HashMap::new(),
+            by_position: FastMap::default(),
+            by_null: FastMap::default(),
             probes: AtomicU64::new(0),
         };
         for id in out.instance.sorted_fact_ids() {

@@ -20,6 +20,7 @@
 //! * the workspace's single join engine ([`JoinPlan`] + [`HomomorphismSearch`]),
 //!   substitutions and first-order satisfaction — see [`homomorphism`],
 //!   [`substitution`] and [`satisfaction`];
+//! * one fixed, fast word hasher for the engine's internal maps — see [`hash`];
 //! * a small textual format and parser for dependencies and facts — see [`parser`];
 //! * ergonomic constructors for writing dependencies in Rust — see [`builder`].
 //!
@@ -52,6 +53,7 @@ pub mod builder;
 pub mod dependency;
 pub mod error;
 pub mod fact_store;
+pub mod hash;
 pub mod homomorphism;
 pub mod id_set;
 pub mod index;

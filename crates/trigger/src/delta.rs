@@ -1,7 +1,8 @@
 //! The delta worklist: facts added or rewritten since trigger discovery last ran.
 
+use chase_core::hash::FastMap;
 use chase_core::FactId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// FIFO worklist of fact ids whose trigger contributions are still undiscovered.
 ///
@@ -65,7 +66,7 @@ impl DeltaQueue {
         if delta.is_empty() || self.queue.is_empty() {
             return;
         }
-        let map: HashMap<FactId, FactId> = delta.iter().copied().collect();
+        let map: FastMap<FactId, FactId> = delta.iter().copied().collect();
         for id in &mut self.queue {
             if let Some(&new) = map.get(id) {
                 *id = new;

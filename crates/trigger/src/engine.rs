@@ -26,12 +26,13 @@
 use crate::delta::DeltaQueue;
 use crate::keys::KeySets;
 use crate::parallel::{discover_from, keep_all, SeedAtoms};
+use chase_core::hash::FastMap;
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
     Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, HomomorphismSearch,
     IndexedInstance, Instance, NullValue, Snapshot, Tgd,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
 
 /// A trigger: a dependency together with a homomorphism from its body into the
@@ -277,7 +278,7 @@ impl<'a> TriggerEngine<'a> {
     /// discovered for one dependency binds exactly its body variables, so
     /// the terms alone identify it.
     fn dedup_key(h: &Assignment) -> Vec<GroundTerm> {
-        h.canonical().into_iter().map(|(_, t)| t).collect()
+        h.iter().map(|(_, t)| t).collect()
     }
 
     /// Every candidate trigger seeded from the live fact `id`, appended to
@@ -474,7 +475,7 @@ pub fn is_standard_active(index: &IndexedInstance, dep: &Dependency, h: &Assignm
 /// revives it ([`TriggerEngine::revive_replaced_nulls`]), which empties the
 /// map.
 #[derive(Clone, Debug, Default)]
-struct Replaced(HashMap<NullValue, GroundTerm>);
+struct Replaced(FastMap<NullValue, GroundTerm>);
 
 impl Replaced {
     /// `true` iff `t` is a null some substitution replaced.

@@ -7,18 +7,18 @@
 //! the keys that mention it, so `γ` touches only the keys that mention `η`
 //! instead of every key ever recorded.
 
+use chase_core::hash::{FastMap, FastSet};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{DepId, GroundTerm, NullValue};
-use std::collections::{HashMap, HashSet};
 
 /// From each labelled null to the `(dependency, key)` entries that mention it.
-type Postings = HashMap<NullValue, Vec<(DepId, Vec<GroundTerm>)>>;
+type Postings = FastMap<NullValue, Vec<(DepId, Vec<GroundTerm>)>>;
 
 /// Per-dependency sets of ground-term keys, rewritten under EGD substitutions
 /// through a per-null index ([`KeySets::apply_gamma`]).
 #[derive(Clone, Debug)]
 pub struct KeySets {
-    sets: Vec<HashSet<Vec<GroundTerm>>>,
+    sets: Vec<FastSet<Vec<GroundTerm>>>,
     /// The per-null index. Built at the first substitution, so a run without
     /// one (every run of an EGD-free Σ) never pays for it.
     ///
@@ -43,7 +43,7 @@ impl KeySets {
     /// Empty sets for `deps` dependencies.
     pub fn new(deps: usize) -> Self {
         KeySets {
-            sets: vec![HashSet::new(); deps],
+            sets: vec![FastSet::default(); deps],
             postings: None,
             entries: 0,
             live_entries: 0,
@@ -154,7 +154,7 @@ impl KeySets {
 
     /// Builds the index from the live keys.
     fn rebuild(&mut self) {
-        let mut postings = HashMap::new();
+        let mut postings = Postings::default();
         let mut entries = 0;
         for (dep, set) in self.sets.iter().enumerate() {
             for key in set {

@@ -23,10 +23,10 @@
 //! execution" section of `crates/README.md` for the determinism contract.
 
 use crate::engine::Trigger;
+use chase_core::hash::FastMap;
 use chase_core::pool::{self, ScopedJob};
 use chase_core::snapshot::{DiscoveryStats, ShardStats, Snapshot};
 use chase_core::{Assignment, DepId, DependencySet, FactId, Predicate};
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::time::Instant;
 
@@ -43,13 +43,13 @@ const MIN_PARALLEL_BATCH: usize = 16;
 /// drain and the parallel workers here).
 #[derive(Clone, Debug, Default)]
 pub struct SeedAtoms {
-    by_predicate: HashMap<Predicate, Vec<(DepId, usize)>>,
+    by_predicate: FastMap<Predicate, Vec<(DepId, usize)>>,
 }
 
 impl SeedAtoms {
     /// Indexes the body atoms of `sigma` by predicate.
     pub fn new(sigma: &DependencySet) -> Self {
-        let mut by_predicate: HashMap<Predicate, Vec<(DepId, usize)>> = HashMap::new();
+        let mut by_predicate: FastMap<Predicate, Vec<(DepId, usize)>> = FastMap::default();
         for (id, dep) in sigma.iter() {
             for (atom_index, atom) in dep.body().iter().enumerate() {
                 by_predicate
