@@ -344,8 +344,10 @@ impl fmt::Display for Verdict {
 ///
 /// A context is created for a single `Σ` and dropped when the analysis ends; it holds
 /// no state beyond that. Criteria that derive the same artefact from `Σ` — the `Adn∃`
-/// result, the chase and firing graphs — fetch it through [`AnalysisContext::shared`],
-/// so it is computed once, by whichever criterion asks first, and reused by the rest.
+/// result, the firing graph, the standard and oblivious chase graphs (one
+/// enumeration builds both: Str pays for it, CStr reads the oblivious graph) — fetch
+/// it through [`AnalysisContext::shared`], so it is computed once, by whichever
+/// criterion asks first, and reused by the rest.
 ///
 /// ```
 /// use chase_core::parser::parse_dependencies;

@@ -33,6 +33,16 @@
 //! When the combined variable count exceeds [`FiringConfig::max_variables`] the test
 //! falls back to a conservative answer (an edge is assumed), which keeps every
 //! criterion built on top of it sound.
+//!
+//! Both chase graphs come from one enumeration per pair ([`chase_graphs`]). The
+//! standard and the oblivious step of `r1` build the same `K`, `h1` and `J`; they
+//! differ only in that a standard TGD step needs `h1` not to extend to `r1`'s head in
+//! `K`. So the standard witnesses are exactly the oblivious witnesses for which `r1`
+//! is an EGD or its head does not extend `h1` into `K`, reported in the same order,
+//! and the two searches share the prefilter and the [`FiringAnswer::Unknown`] cap.
+//! One oblivious enumeration, run until its first standard witness, therefore
+//! decides both edges, and the standard chase graph `G(Σ)` is a subgraph of the
+//! oblivious one `Gc(Σ)`, edge by edge.
 
 use crate::graph::DiGraph;
 use chase_core::homomorphism::{homomorphisms, Assignment};
@@ -215,21 +225,79 @@ pub fn chase_graph_edge(r1: &Dependency, r2: &Dependency, config: &FiringConfig)
     for_each_firing_witness(r1, r2, config, &mut |_| ControlFlow::Break(())).may_fire()
 }
 
-/// Builds the chase graph `G(Σ)` of stratification: nodes are dependencies, with an
-/// edge `(r1, r2)` iff `r1 ≺ r2` (conservatively).
-pub fn chase_graph(sigma: &DependencySet, config: &FiringConfig) -> DiGraph {
-    let mut g = DiGraph::new();
-    for id in sigma.ids() {
-        g.add_node(id.0);
+/// Both chase-graph edges of the pair, `(standard, oblivious)`, from one oblivious
+/// enumeration (see the module documentation): a witness counts for the standard
+/// edge iff `r1` is an EGD or its head does not extend `h1` into `K`.
+fn chase_graph_edges(r1: &Dependency, r2: &Dependency, max_variables: usize) -> (bool, bool) {
+    let config = FiringConfig {
+        applicability: Applicability::Oblivious,
+        max_variables,
+    };
+    let mut oblivious = false;
+    let answer = for_each_firing_witness(r1, r2, &config, &mut |w| {
+        oblivious = true;
+        let standard = match r1 {
+            Dependency::Egd(_) => true,
+            Dependency::Tgd(tgd) => {
+                !chase_core::homomorphism::exists_homomorphism_extending(&tgd.head, &w.k, &w.h1)
+            }
+        };
+        if standard {
+            ControlFlow::Break(())
+        } else {
+            ControlFlow::Continue(())
+        }
+    });
+    match answer {
+        FiringAnswer::DoesNotFire => (false, oblivious),
+        FiringAnswer::Fires | FiringAnswer::Unknown => (true, true),
     }
+}
+
+/// The chase graphs of stratification and c-stratification: nodes are dependencies,
+/// with an edge `(r1, r2)` iff `r1 ≺ r2` (conservatively) under standard and under
+/// oblivious applicability respectively.
+#[derive(Clone, Debug)]
+pub struct ChaseGraphs {
+    /// `G(Σ)`, the graph of stratification.
+    pub standard: DiGraph,
+    /// `Gc(Σ)`, the graph of c-stratification; a supergraph of `standard`.
+    pub oblivious: DiGraph,
+}
+
+/// Builds both chase graphs with one oblivious witness enumeration per pair (see the
+/// module documentation).
+pub fn chase_graphs(sigma: &DependencySet, max_variables: usize) -> ChaseGraphs {
+    let mut standard = DiGraph::new();
+    for id in sigma.ids() {
+        standard.add_node(id.0);
+    }
+    let mut oblivious = standard.clone();
     for (i, r1) in sigma.iter() {
         for (j, r2) in sigma.iter() {
-            if chase_graph_edge(r1, r2, config) {
-                g.add_edge(i.0, j.0, false);
+            let (std_edge, obl_edge) = chase_graph_edges(r1, r2, max_variables);
+            if std_edge {
+                standard.add_edge(i.0, j.0, false);
+            }
+            if obl_edge {
+                oblivious.add_edge(i.0, j.0, false);
             }
         }
     }
-    g
+    ChaseGraphs {
+        standard,
+        oblivious,
+    }
+}
+
+/// The chase graph of `sigma` under `config`'s applicability: the matching
+/// projection of [`chase_graphs`].
+pub fn chase_graph(sigma: &DependencySet, config: &FiringConfig) -> DiGraph {
+    let graphs = chase_graphs(sigma, config.max_variables);
+    match config.applicability {
+        Applicability::Standard => graphs.standard,
+        Applicability::Oblivious => graphs.oblivious,
+    }
 }
 
 /// The per-block labellings worth trying (see the module documentation): constants and
@@ -549,6 +617,33 @@ mod tests {
         assert!(g.has_edge(1, 0));
         assert!(g.has_edge(2, 1));
         assert!(g.has_edge(2, 2));
+    }
+
+    #[test]
+    fn an_egd_target_can_have_an_oblivious_edge_but_no_standard_one() {
+        // K = {A(a), B(a, b)} already satisfies r1's head, so only the oblivious step
+        // adds B(a, η), which violates the key r2 together with B(a, b).
+        let sigma = parse_dependencies(
+            r#"
+            r1: A(?x) -> exists ?y: B(?x, ?y).
+            r2: B(?x, ?y), B(?x, ?z) -> ?y = ?z.
+            "#,
+        )
+        .unwrap();
+        let (r1, r2) = (sigma.get(DepId(0)), sigma.get(DepId(1)));
+        let obl = FiringConfig {
+            applicability: Applicability::Oblivious,
+            ..cfg()
+        };
+        assert!(!chase_graph_edge(r1, r2, &cfg()));
+        assert!(chase_graph_edge(r1, r2, &obl));
+        assert_eq!(
+            chase_graph_edges(r1, r2, cfg().max_variables),
+            (false, true)
+        );
+        let graphs = chase_graphs(&sigma, cfg().max_variables);
+        assert!(!graphs.standard.has_edge(0, 1));
+        assert!(graphs.oblivious.has_edge(0, 1));
     }
 
     #[test]

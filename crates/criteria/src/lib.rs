@@ -62,8 +62,8 @@ pub use criterion::{
     TerminationCriterion, Verdict, Witness,
 };
 pub use firing::{
-    chase_graph, chase_graph_edge, for_each_firing_witness, Applicability, FiringAnswer,
-    FiringConfig, FiringWitness,
+    chase_graph, chase_graph_edge, chase_graphs, for_each_firing_witness, Applicability,
+    ChaseGraphs, FiringAnswer, FiringConfig, FiringWitness,
 };
 pub use mfa::{mfa_report_tgds, MfaConfig, MfaReport, MfaVerdict, ModelFaithfulAcyclicity};
 pub use safety::{affected_positions, Safety};

@@ -13,7 +13,7 @@
 //! sound because weak acyclicity is closed under taking subsets of dependencies.
 
 use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness};
-use crate::firing::{chase_graph, Applicability, FiringConfig};
+use crate::firing::{chase_graphs, ChaseGraphs, FiringConfig};
 use crate::graph::DiGraph;
 use crate::weak_acyclicity::WeakAcyclicity;
 use chase_core::{DepId, DependencySet, Position};
@@ -23,34 +23,23 @@ use std::rc::Rc;
 /// Builds the chase graph `G(Σ)` with standard-chase applicability (the graph of
 /// stratification).
 pub fn standard_chase_graph(sigma: &DependencySet) -> DiGraph {
-    chase_graph(
-        sigma,
-        &FiringConfig {
-            applicability: Applicability::Standard,
-            ..FiringConfig::default()
-        },
-    )
-}
-
-/// The chase graph `G(Σ)` of the context's set under `config`, built once per
-/// configuration. Str builds it with the default configuration; semi-stratification
-/// filters the same graph into its firing graph, since every edge of the latter is an
-/// edge of the former.
-pub fn standard_chase_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc<DiGraph> {
-    debug_assert_eq!(config.applicability, Applicability::Standard);
-    cx.shared(("chase graph", *config), || chase_graph(cx.sigma(), config))
+    chase_graphs(sigma, FiringConfig::default().max_variables).standard
 }
 
 /// Builds the chase graph with oblivious-chase applicability (the graph of
 /// c-stratification).
 pub fn oblivious_chase_graph(sigma: &DependencySet) -> DiGraph {
-    chase_graph(
-        sigma,
-        &FiringConfig {
-            applicability: Applicability::Oblivious,
-            ..FiringConfig::default()
-        },
-    )
+    chase_graphs(sigma, FiringConfig::default().max_variables).oblivious
+}
+
+/// Both chase graphs of the context's set, built once per variable cap. Str builds
+/// them and is charged for both; CStr reads the oblivious graph, and
+/// semi-stratification filters the standard one into its firing graph, since every
+/// edge of the latter is an edge of the former.
+pub fn chase_graphs_in(cx: &AnalysisContext, max_variables: usize) -> Rc<ChaseGraphs> {
+    cx.shared(("chase graphs", max_variables), || {
+        chase_graphs(cx.sigma(), max_variables)
+    })
 }
 
 /// Checks whether every strongly connected component of `graph` induces a weakly
@@ -159,8 +148,8 @@ impl TerminationCriterion for Stratification {
     }
 
     fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        let graph = standard_chase_graph_in(cx, &FiringConfig::default());
-        verdict_from_components(self.name(), self.guarantee(), cx.sigma(), &graph)
+        let graphs = chase_graphs_in(cx, FiringConfig::default().max_variables);
+        verdict_from_components(self.name(), self.guarantee(), cx.sigma(), &graphs.standard)
     }
 }
 
@@ -184,6 +173,11 @@ impl TerminationCriterion for CStratification {
     fn verdict(&self, sigma: &DependencySet) -> Verdict {
         let graph = oblivious_chase_graph(sigma);
         verdict_from_components(self.name(), self.guarantee(), sigma, &graph)
+    }
+
+    fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
+        let graphs = chase_graphs_in(cx, FiringConfig::default().max_variables);
+        verdict_from_components(self.name(), self.guarantee(), cx.sigma(), &graphs.oblivious)
     }
 }
 

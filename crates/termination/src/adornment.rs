@@ -63,13 +63,14 @@
 //! genuinely single-fact EGD violations (e.g. Σ1's `E(?x, ?y) -> ?x = ?y`) still fire
 //! their τ exactly as the paper prescribes.
 
+use crate::firing::definition2_edge_among;
 use chase_core::{
     Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, Instance, NullValue,
     Predicate, Term, Tgd, Variable,
 };
 use chase_criteria::firing::{shares_predicate, FiringConfig};
 use chase_criteria::AnalysisContext;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 
@@ -148,6 +149,15 @@ struct AdRule {
     head: AdHead,
 }
 
+impl AdRule {
+    fn head_atoms(&self) -> &[AdAtom] {
+        match &self.head {
+            AdHead::Atoms(atoms) => atoms,
+            AdHead::Equality(_, _) => &[],
+        }
+    }
+}
+
 /// How the `fireable` condition of Function 2 is evaluated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FireableMode {
@@ -210,6 +220,10 @@ pub struct AdnResult {
     /// `true` iff the rule budget was exhausted (the result is then a conservative
     /// rejection).
     pub budget_exhausted: bool,
+    /// Number of τ, θ and deduplicating rewrites of `Σµ`: the only steps that are not
+    /// appends, so the only ones after which the incremental state (`AP(Σµ)`, the
+    /// rendering and the rejected candidates) is rebuilt. Not part of the witness.
+    pub rebuilds: usize,
 }
 
 impl AdnResult {
@@ -309,21 +323,69 @@ struct Adn<'a> {
     full_first: Vec<usize>,
     existential: Vec<usize>,
     rules: Vec<AdRule>,
-    /// `AP(Σµ)` of `rules`, and in exact mode their rendering, derived on first use
-    /// and dropped whenever `rules` changes.
-    ap: Option<BTreeSet<(Predicate, Adornment)>>,
-    rendered: Option<Rendered>,
+    /// What is derived from `rules`: built on first use, extended in place when a
+    /// rule is appended, and dropped when a rewrite changes `rules`.
+    derived: Option<Derived>,
     ad: Vec<AdnDefinition>,
     acyclic: bool,
     iterations: usize,
     budget_exhausted: bool,
+    rebuilds: usize,
 }
 
-/// The adorned set rendered as dependencies, with its `Σ∀`, for the exact fireability
-/// test.
-struct Rendered {
-    set: DependencySet,
+/// The state `Adn∃` derives from its adorned rules. Appending a rule only adds to it.
+///
+/// `rejected` makes the fireability test semi-naive: a candidate that no rule fired is
+/// stored with the number of rules it was tested against, and a re-test only tries the
+/// rules appended since. This is exact while rules are only appended: the old rules
+/// are unchanged, and the new full rules only add blockers to Definition 2, which can
+/// block more witnesses but never unblock one.
+struct Derived {
+    /// `AP(Σµ)`.
+    ap: BTreeSet<(Predicate, Adornment)>,
+    /// The bodies of the adorned versions of each original dependency.
+    bodies: Vec<HashSet<Vec<AdAtom>>>,
+    /// In exact mode, the rules rendered as dependencies (same order), and their `Σ∀`.
+    rendered: Vec<Dependency>,
     full: Vec<Dependency>,
+    /// Candidates that no rule fired, with the number of rules they were tested
+    /// against.
+    rejected: HashMap<AdRule, usize>,
+}
+
+impl Derived {
+    fn build(rules: &[AdRule], sources: usize, exact: bool) -> Self {
+        let mut derived = Derived {
+            ap: BTreeSet::new(),
+            bodies: vec![HashSet::new(); sources],
+            rendered: Vec::new(),
+            full: Vec::new(),
+            rejected: HashMap::new(),
+        };
+        for (k, rule) in rules.iter().enumerate() {
+            derived.append(rule, k, exact);
+        }
+        derived
+    }
+
+    /// Accounts for `rule`, appended at `index`.
+    fn append(&mut self, rule: &AdRule, index: usize, exact: bool) {
+        for atom in rule.body.iter().chain(rule.head_atoms()) {
+            if let Some(adornment) = &atom.adornment {
+                self.ap.insert((atom.predicate, adornment.clone()));
+            }
+        }
+        if let Some(src) = rule.src {
+            self.bodies[src].insert(rule.body.clone());
+        }
+        if exact {
+            let dep = ad_rule_to_dependency(rule, index);
+            if dep.is_full() {
+                self.full.push(dep.clone());
+            }
+            self.rendered.push(dep);
+        }
+    }
 }
 
 /// Reachability structure over the original dependency set used by the cyclicity
@@ -441,12 +503,12 @@ impl<'a> Adn<'a> {
             full_first,
             existential,
             rules,
-            ap: None,
-            rendered: None,
+            derived: None,
             ad: Vec::new(),
             acyclic: true,
             iterations: 0,
             budget_exhausted: false,
+            rebuilds: 0,
         }
     }
 
@@ -461,6 +523,8 @@ impl<'a> Adn<'a> {
                 break;
             }
             let mut changed = false;
+            // A pushed rule is never a duplicate; only τ and θ can create one.
+            let mut rewritten = false;
             // Lines 6–10: prefer universally quantified dependencies (EGDs and full
             // TGDs).
             let mut newly_added: Option<usize> = None;
@@ -474,6 +538,7 @@ impl<'a> Adn<'a> {
                     if self.sigma.as_slice()[idx].is_egd() {
                         if let Some((from, to)) = self.dmu_chase_step(idx) {
                             self.apply_tau(from, to);
+                            rewritten = true;
                         }
                     }
                     break;
@@ -495,6 +560,7 @@ impl<'a> Adn<'a> {
                 if let Some(theta) = self.find_valid_theta(rule_idx) {
                     let head = self.rules[rule_idx].head.clone();
                     self.apply_theta(&theta);
+                    rewritten = true;
                     let substituted_head = apply_theta_to_head(&head, &theta);
                     // `headµθ is cyclic`: the head of the newly adorned dependency may
                     // itself be an equality (when the trigger was an adorned EGD, as in
@@ -509,7 +575,9 @@ impl<'a> Adn<'a> {
                         self.acyclic = false;
                     }
                 }
-                self.dedupe_rules();
+                if rewritten {
+                    self.dedupe_rules();
+                }
             }
             if !changed {
                 break;
@@ -531,65 +599,50 @@ impl<'a> Adn<'a> {
             iterations: self.iterations,
             fireable_pairs,
             budget_exhausted: self.budget_exhausted,
+            rebuilds: self.rebuilds,
         }
     }
 
-    /// The set of adorned predicates `AP(Σµ)` occurring anywhere in the adorned rules.
-    fn adorned_predicates(&mut self) -> &BTreeSet<(Predicate, Adornment)> {
-        let rules = &self.rules;
-        self.ap.get_or_insert_with(|| {
-            let mut out = BTreeSet::new();
-            for rule in rules {
-                for atom in rule.body.iter().chain(match &rule.head {
-                    AdHead::Atoms(atoms) => atoms.iter(),
-                    AdHead::Equality(_, _) => [].iter(),
-                }) {
-                    if let Some(adornment) = &atom.adornment {
-                        out.insert((atom.predicate, adornment.clone()));
-                    }
-                }
-            }
-            out
-        })
+    /// The state derived from the current rules, built if a rewrite dropped it.
+    fn derived(&mut self) -> &mut Derived {
+        let (rules, sources, exact) = (&self.rules, self.sigma.len(), self.exact_fireable);
+        self.derived
+            .get_or_insert_with(|| Derived::build(rules, sources, exact))
     }
 
-    /// Drops what was derived from `rules`; called on every change to them.
+    /// Drops what was derived from `rules`; called on every rewrite of them.
     fn rules_changed(&mut self) {
-        self.ap = None;
-        self.rendered = None;
+        self.derived = None;
+        self.rebuilds += 1;
     }
 
     /// Function 2 (`adorn`): tries to produce a new adorned version of the original
     /// dependency `idx`; on success the rule is appended and its index returned.
     fn try_adorn(&mut self, idx: usize) -> Option<usize> {
         let dep = &self.sigma.as_slice()[idx];
-        let candidates = coherent_adorned_bodies(dep.body(), self.adorned_predicates());
-        let existing_bodies: BTreeSet<Vec<AdAtom>> = self
-            .rules
-            .iter()
-            .filter(|r| r.src == Some(idx))
-            .map(|r| r.body.clone())
-            .collect();
+        let candidates = coherent_adorned_bodies(dep.body(), &self.derived().ap);
         for (body, var_adornment) in candidates {
-            if existing_bodies.contains(&body) {
+            if self.derived().bodies[idx].contains(&body) {
                 continue;
             }
-            // Tentatively compute the adorned head (HeadAdn); AD additions are only
-            // committed if the rule is accepted.
-            let mut scratch_ad = self.ad.clone();
-            let head = self.head_adorn(dep, idx, &var_adornment, &mut scratch_ad);
+            // Tentatively compute the adorned head (HeadAdn); its AD additions are
+            // undone if the rule is rejected.
+            let committed = self.ad.len();
+            let head = Self::head_adorn(dep, idx, &var_adornment, &mut self.ad);
             let candidate = AdRule {
                 src: Some(idx),
                 body,
                 head,
             };
             if !self.is_fireable(&candidate) {
+                self.ad.truncate(committed);
                 continue;
             }
-            self.ad = scratch_ad;
+            let index = self.rules.len();
+            let exact = self.exact_fireable;
+            self.derived().append(&candidate, index, exact);
             self.rules.push(candidate);
-            self.rules_changed();
-            return Some(self.rules.len() - 1);
+            return Some(index);
         }
         None
     }
@@ -597,7 +650,6 @@ impl<'a> Adn<'a> {
     /// HeadAdn (Section 6): propagate body adornments to the head; existential
     /// variables get Skolem-style adornment definitions.
     fn head_adorn(
-        &self,
         dep: &Dependency,
         idx: usize,
         var_adornment: &BTreeMap<Variable, AdSym>,
@@ -673,26 +725,29 @@ impl<'a> Adn<'a> {
     }
 
     /// Is the candidate adorned rule fireable with respect to the current adorned set?
-    /// The exact test renders that set on first use and keeps the rendering until
-    /// `self.rules` changes, so one rendering serves every candidate in between.
+    /// A candidate rejected before is only tested against the rules appended since
+    /// (see [`Derived`]). In exact mode TGD sources are tried before EGD sources: their
+    /// tests are cheaper, and the answer does not depend on the order.
     fn is_fireable(&mut self, candidate: &AdRule) -> bool {
-        if self.exact_fireable {
-            let rules = &self.rules;
-            let current = self.rendered.get_or_insert_with(|| {
-                let set = render(rules);
-                let full = set.iter().map(|(_, d)| d).filter(|d| d.is_full());
-                let full = full.cloned().collect();
-                Rendered { set, full }
-            });
+        let (exact, config) = (self.exact_fireable, &self.config.firing);
+        let rules = &self.rules;
+        let derived = self.derived.as_mut().expect("built by try_adorn");
+        let tested = derived.rejected.get(candidate).copied().unwrap_or(0);
+        if tested == rules.len() {
+            return false;
+        }
+        let fires = if exact {
             let candidate_dep = ad_rule_to_dependency(candidate, usize::MAX);
-            let config = &self.config.firing;
-            current.set.iter().any(|(_, dep)| {
-                crate::firing::definition2_edge_among(&current.full, dep, &candidate_dep, config)
-            })
+            let new = &derived.rendered[tested..];
+            let full = &derived.full;
+            let fires_it =
+                |dep: &Dependency| definition2_edge_among(full, dep, &candidate_dep, config);
+            new.iter().filter(|d| d.is_tgd()).any(fires_it)
+                || new.iter().filter(|d| d.is_egd()).any(fires_it)
         } else {
             // Overlap approximation: some rule's (adorned) head can syntactically feed
             // the candidate's body.
-            self.rules.iter().any(|rule| match &rule.head {
+            rules[tested..].iter().any(|rule| match &rule.head {
                 AdHead::Atoms(atoms) => atoms.iter().any(|a| {
                     candidate
                         .body
@@ -704,7 +759,11 @@ impl<'a> Adn<'a> {
                     .iter()
                     .any(|a| candidate.body.iter().any(|b| b.predicate == a.predicate)),
             })
+        };
+        if !fires {
+            derived.rejected.insert(candidate.clone(), rules.len());
         }
+        fires
     }
 
     /// `Dµ(Σµ)`: one fact per adorned predicate, with `b` as a constant and each free
@@ -722,7 +781,7 @@ impl<'a> Adn<'a> {
         let mut inst = Instance::new();
         let mut symbol_of: BTreeMap<u64, u32> = BTreeMap::new();
         let mut next_null: u64 = 0;
-        for (pred, adornment) in self.adorned_predicates() {
+        for (pred, adornment) in &self.derived().ap {
             let mut per_fact: BTreeMap<u32, NullValue> = BTreeMap::new();
             let terms: Vec<GroundTerm> = adornment
                 .iter()
@@ -1416,6 +1475,41 @@ mod tests {
             let ratio = result.size_ratio(&sigma);
             assert!(ratio < 10.0, "|Σµ|/|Σ| unexpectedly large: {ratio}");
         }
+    }
+
+    #[test]
+    fn a_rejected_candidate_is_retested_against_rules_appended_later() {
+        // r0 over B^{f1f1} is first tested when only adn8_of_r0 yields B^{f1f1}, and
+        // only on the diagonal, where r0's head already holds: rejected. adn9_of_r2,
+        // appended next, yields any B^{f1f1} fact and fires it.
+        let sigma = parse_dependencies(
+            r#"
+            r0: B(?y, ?x), B(?x, ?y) -> B(?y, ?y).
+            r1: B(?y, ?y) -> exists ?z: A(?z).
+            r2: A(?y), A(?x) -> B(?x, ?y).
+            "#,
+        )
+        .unwrap();
+        let config = AdnConfig {
+            fireable_mode: FireableMode::Exact,
+            ..AdnConfig::default()
+        };
+        let result = adorn_with(&sigma, &config);
+        assert_eq!(result.adorned_rule_count, 10);
+        let rendered = result.adorned.to_string();
+        assert!(
+            rendered.contains("adn10_of_r0: B__f1f1(?y, ?x), B__f1f1(?x, ?y) -> B__f1f1(?y, ?y)."),
+            "{rendered}"
+        );
+    }
+
+    #[test]
+    fn rewrites_are_counted_as_rebuilds() {
+        // Σ1's EGD collapses f1 into b: a τ rewrite.
+        assert!(adorn(&sigma1()).rebuilds >= 1);
+        // A full TGD alone only appends rules.
+        let closure = parse_dependencies("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).").unwrap();
+        assert_eq!(adorn(&closure).rebuilds, 0);
     }
 
     #[test]

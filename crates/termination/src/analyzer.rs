@@ -12,12 +12,14 @@
 //!
 //! One [`AnalysisContext`] per call lets the criteria share what they derive from
 //! the same set: the `Adn∃` result is computed once for SAC and the three `Adn∃-C`
-//! criteria. The standard chase graph is built once, by Str; S-Str filters it into
-//! the firing graph (every firing edge is a chase-graph edge), which the
-//! adornment's exact fireability test reuses. A shared artefact is charged to the
-//! `elapsed` of the first criterion that needs it: Str's time includes the chase
-//! graph, S-Str's only the filtering, SAC's the adornment, and the `Adn∃-C` rows
-//! time only their inner criterion on `Σµ`.
+//! criteria. One witness enumeration per pair builds both chase graphs, once, for
+//! Str; CStr reads the oblivious one, which contains the standard one edge by edge.
+//! S-Str filters the standard graph into the firing graph (every firing edge is a
+//! chase-graph edge), which the adornment's exact fireability test reuses. A shared
+//! artefact is charged to the `elapsed` of the first criterion that needs it: Str's
+//! time includes both chase graphs, CStr's only its components, S-Str's only the
+//! filtering, SAC's the adornment, and the `Adn∃-C` rows time only their inner
+//! criterion on `Σµ`.
 //!
 //! ```
 //! use chase_core::parser::parse_dependencies;

@@ -14,7 +14,7 @@ use chase_core::satisfaction::satisfies_under;
 use chase_core::{Dependency, DependencySet, GroundTerm, Instance};
 use chase_criteria::firing::{for_each_firing_witness, FiringConfig, FiringWitness};
 use chase_criteria::graph::DiGraph;
-use chase_criteria::stratification::standard_chase_graph_in;
+use chase_criteria::stratification::chase_graphs_in;
 use chase_criteria::AnalysisContext;
 use std::borrow::Borrow;
 use std::ops::ControlFlow;
@@ -141,13 +141,13 @@ pub(crate) fn firing_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc
     cx.shared(("Definition 2", *config), || {
         let sigma = cx.sigma();
         let deps = sigma.as_slice();
-        let chase_graph = standard_chase_graph_in(cx, config);
+        let graphs = chase_graphs_in(cx, config.max_variables);
         let full_deps = full_dependencies(sigma);
         let mut g = DiGraph::new();
         for id in sigma.ids() {
             g.add_node(id.0);
         }
-        for (i, j, _) in chase_graph.edges() {
+        for (i, j, _) in graphs.standard.edges() {
             let (r1, r2) = (&deps[i], &deps[j]);
             if r2.is_full() || definition2_edge_among(&full_deps, r1, r2, config) {
                 g.add_edge(i, j, false);

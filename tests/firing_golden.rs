@@ -11,10 +11,10 @@
 //! On a mismatch the test prints the whole recomputed table, ready to paste.
 
 use chase_core::parser::parse_dependencies;
-use chase_core::DependencySet;
+use chase_core::{DepId, DependencySet};
 use chase_criteria::graph::DiGraph;
 use chase_criteria::stratification::{oblivious_chase_graph, standard_chase_graph};
-use chase_criteria::FiringConfig;
+use chase_criteria::{chase_graph_edge, chase_graphs, Applicability, FiringConfig};
 use chase_ontology::corpus::{paper_classes, scaled_paper_corpus};
 use chase_ontology::families::atlas_corpus;
 use chase_termination::{adorn_with, definition2_edge, firing_graph, AdnConfig, FireableMode};
@@ -150,6 +150,90 @@ fn firing_graph_is_the_all_pairs_definition2_graph_inside_the_chase_graph() {
                     i.0,
                     j.0
                 );
+            }
+        }
+    }
+}
+
+/// `sigma` with only the first `kept` of its full dependencies.
+fn with_full_prefix(sigma: &DependencySet, kept: usize) -> DependencySet {
+    let mut full_seen = 0;
+    sigma
+        .iter()
+        .filter(|(_, d)| {
+            if !d.is_full() {
+                return true;
+            }
+            full_seen += 1;
+            full_seen <= kept
+        })
+        .map(|(_, d)| d.clone())
+        .collect()
+}
+
+/// The lemma behind `Adn∃`'s semi-naive fireability test: more full dependencies only
+/// add blockers, so an edge into an existential dependency that fails with a prefix
+/// of `Σ∀` also fails with all of it. Checked on every prefix of every program.
+#[test]
+fn a_firing_edge_absent_under_fewer_blockers_stays_absent() {
+    let config = FiringConfig::default();
+    for (name, sigma) in programs() {
+        let full = sigma.iter().filter(|(_, d)| d.is_full()).count();
+        let prefixes: Vec<DependencySet> = (0..=full)
+            .map(|kept| with_full_prefix(&sigma, kept))
+            .collect();
+        for (i, r1) in sigma.iter() {
+            for (j, r2) in sigma.iter().filter(|(_, d)| d.is_existential()) {
+                let edges: Vec<bool> = prefixes
+                    .iter()
+                    .map(|prefix| definition2_edge(prefix, r1, r2, &config))
+                    .collect();
+                assert!(
+                    edges.windows(2).all(|w| w[0] || !w[1]),
+                    "{name}: ({}, {}) fires under more blockers but not under fewer: {edges:?}",
+                    i.0,
+                    j.0
+                );
+            }
+        }
+    }
+    // A blocker that really removes an edge: in Σ11, r3 defuses r2 < r1.
+    let sigma11 = &programs()[2].1;
+    let (r1, r2) = (sigma11.get(DepId(0)), sigma11.get(DepId(1)));
+    assert!(definition2_edge(
+        &with_full_prefix(sigma11, 1),
+        r2,
+        r1,
+        &config
+    ));
+    assert!(!definition2_edge(sigma11, r2, r1, &config));
+}
+
+/// Both projections of `chase_graphs` equal the per-pair test under each
+/// applicability, and the standard graph lies inside the oblivious one.
+#[test]
+fn the_fused_chase_graphs_equal_the_per_applicability_loops() {
+    let standard = FiringConfig::default();
+    let oblivious = FiringConfig {
+        applicability: Applicability::Oblivious,
+        ..standard
+    };
+    for (name, sigma) in programs() {
+        let graphs = chase_graphs(&sigma, standard.max_variables);
+        for (i, r1) in sigma.iter() {
+            for (j, r2) in sigma.iter() {
+                let (s, o) = (
+                    graphs.standard.has_edge(i.0, j.0),
+                    graphs.oblivious.has_edge(i.0, j.0),
+                );
+                let pair = (i.0, j.0);
+                assert_eq!(s, chase_graph_edge(r1, r2, &standard), "{name}: G {pair:?}");
+                assert_eq!(
+                    o,
+                    chase_graph_edge(r1, r2, &oblivious),
+                    "{name}: Gc {pair:?}"
+                );
+                assert!(!s || o, "{name}: G edge {pair:?} is not a Gc edge");
             }
         }
     }
