@@ -22,12 +22,11 @@
 
 use crate::atom::{Atom, Fact, Predicate};
 use crate::fact_store::{FactId, FactStore};
-use crate::hash::FastMap;
+use crate::hash::{FastMap, FastSet};
 use crate::homomorphism::select_smallest_bucket;
 use crate::instance::Instance;
 use crate::substitution::NullSubstitution;
 use crate::term::{GroundTerm, NullValue};
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -252,7 +251,7 @@ impl IndexedInstance {
     /// [`Instance::remove_ids`], which sweeps each affected per-predicate
     /// list once per batch instead of once per id.
     pub fn remove_ids(&mut self, ids: &[FactId]) -> usize {
-        let mut seen: HashSet<FactId> = HashSet::with_capacity(ids.len());
+        let mut seen: FastSet<FactId> = FastSet::default();
         let present: Vec<FactId> = ids
             .iter()
             .copied()
@@ -277,11 +276,15 @@ impl IndexedInstance {
             return Vec::new();
         };
         let changed = self.by_null.remove(&null).unwrap_or_default();
+        // One sweep of the per-predicate lists for the whole rewrite. No image
+        // equals a removed fact (the images lack γ's null), so removing first
+        // and appending the images afterwards leaves the lists in the order
+        // per-fact removal would.
+        self.instance.remove_ids(&changed);
         let mut delta = Vec::with_capacity(changed.len());
         for id in changed {
-            // The fact's entry in `by_null[null]` is already gone; `remove_id`
-            // clears the position buckets and any other null lists it is on.
-            self.instance.remove_id(id);
+            // The fact's entry in `by_null[null]` is already gone; this clears
+            // the position buckets and any other null lists it is on.
             self.unindex_fact(id);
             let new = self.instance.store_mut().intern_rewritten(id, gamma);
             if self.instance.insert_id(new) {

@@ -22,7 +22,7 @@ use crate::fact_store::{FactId, FactStore, PredicateId};
 use crate::id_set::FactIdSet;
 use crate::substitution::NullSubstitution;
 use crate::term::{Constant, GroundTerm, NullValue};
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A finite set of facts over constants and labeled nulls, stored as interned
@@ -265,22 +265,27 @@ impl Instance {
     /// (duplicates count once). Same semantics as [`Instance::remove_id`] per
     /// id, but each affected dense per-predicate list is swept **once per
     /// batch** instead of once per id — a large retraction is
-    /// O(batch + affected lists), not O(batch × predicate list).
+    /// O(batch + affected lists), not O(batch × predicate list). The sweep
+    /// tests each entry against the live bitset, which no longer holds the
+    /// batch, and keeps the survivors in their insertion order.
     pub fn remove_ids(&mut self, ids: &[FactId]) -> usize {
-        let mut dead: HashSet<FactId> = HashSet::with_capacity(ids.len());
-        let mut affected: HashSet<PredicateId> = HashSet::new();
+        let mut removed = 0;
+        let mut affected: Vec<PredicateId> = Vec::new();
         for &id in ids {
             if self.live.remove(id) {
-                dead.insert(id);
-                affected.insert(self.store.predicate_id_of(id));
+                removed += 1;
+                affected.push(self.store.predicate_id_of(id));
             }
         }
+        affected.sort_unstable();
+        affected.dedup();
+        let live = &self.live;
         for pid in affected {
             if let Some(v) = self.by_predicate.get_mut(pid.0 as usize) {
-                v.retain(|f| !dead.contains(f));
+                v.retain(|&f| live.contains(f));
             }
         }
-        dead.len()
+        removed
     }
 
     /// Iterates over all facts (arbitrary order), materialising each from the arena.
@@ -698,6 +703,56 @@ mod tests {
         }
         // Removing an already-removed batch is a no-op.
         assert_eq!(batched.remove_ids(&targets), 0);
+    }
+
+    #[test]
+    fn remove_ids_keeps_insertion_order_through_scattered_churn() {
+        // A `Vec` per predicate models the dense lists: removal keeps the
+        // survivors' order, and a re-insert appends at the end.
+        let preds = [Predicate::new("E", 2), Predicate::new("N", 1)];
+        let fact = |i: usize| {
+            let a = cst(&format!("a{i}"));
+            if i.is_multiple_of(3) {
+                Fact::from_parts("N", vec![a])
+            } else {
+                Fact::from_parts("E", vec![a, cst(&format!("b{i}"))])
+            }
+        };
+        let mut k = Instance::new();
+        let mut model: Vec<Vec<FactId>> = vec![Vec::new(); preds.len()];
+        let slot = |f: &Fact| usize::from(f.predicate.arity == 1);
+        for i in 0..200 {
+            let f = fact(i);
+            let (id, _) = k.insert_full(f.clone());
+            model[slot(&f)].push(id);
+        }
+        for round in 0..6usize {
+            // Scattered removals: a stride that changes every round, plus a
+            // duplicate and an id that is already gone.
+            let mut batch: Vec<FactId> = (0..200)
+                .filter(|i| (i * 7 + round) % (3 + round) == 0)
+                .filter_map(|i| k.id_of(&fact(i)))
+                .collect();
+            if let Some(&first) = batch.first() {
+                batch.push(first);
+            }
+            let expected = batch.len() - usize::from(!batch.is_empty());
+            assert_eq!(k.remove_ids(&batch), expected);
+            for list in &mut model {
+                list.retain(|id| !batch.contains(id));
+            }
+            // Re-insert every other removed fact: same id, appended last.
+            for &id in batch.iter().step_by(2) {
+                let f = k.store().fact(id);
+                if k.insert_id(id) {
+                    model[slot(&f)].push(id);
+                }
+            }
+            for (p, list) in preds.iter().zip(&model) {
+                assert_eq!(k.ids_of(*p), list.as_slice(), "round {round}");
+            }
+            assert_eq!(k.len(), model.iter().map(Vec::len).sum::<usize>());
+        }
     }
 
     #[test]

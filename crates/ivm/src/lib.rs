@@ -122,13 +122,27 @@ pub struct BatchStats {
     pub egd_replay: bool,
     /// Instance size after the repair.
     pub facts_after: usize,
+    /// Records the support ledger holds after the repair.
+    pub ledger_len: usize,
     /// Wall-clock spent in the batch.
     pub elapsed: Duration,
+    /// Wall-clock spent killing the records that lean on retracted facts.
+    pub overdelete: Duration,
+    /// Wall-clock spent sparing overdeleted facts that kept a derivation.
+    pub prune: Duration,
+    /// Wall-clock spent removing the dead facts from the engine.
+    pub removal: Duration,
+    /// Wall-clock spent reviving dead records, then un-firing and reclaiming
+    /// the ones that stayed dead.
+    pub rederive: Duration,
+    /// Wall-clock spent chasing the batch's deltas (inserts and resurrected
+    /// facts).
+    pub drain: Duration,
 }
 
 impl BatchStats {
-    /// Folds another batch's numbers into this one (`facts_after` is taken
-    /// from `other`, the later batch).
+    /// Folds another batch's numbers into this one (`facts_after` and
+    /// `ledger_len` are taken from `other`, the later batch).
     pub fn absorb(&mut self, other: &BatchStats) {
         self.inserted += other.inserted;
         self.retracted += other.retracted;
@@ -137,7 +151,26 @@ impl BatchStats {
         self.rederived += other.rederived;
         self.egd_replay |= other.egd_replay;
         self.facts_after = other.facts_after;
+        self.ledger_len = other.ledger_len;
         self.elapsed += other.elapsed;
+        self.overdelete += other.overdelete;
+        self.prune += other.prune;
+        self.removal += other.removal;
+        self.rederive += other.rederive;
+        self.drain += other.drain;
+    }
+
+    /// The named repair phases in batch order, with their wall-clock times.
+    /// They never sum to more than `elapsed`; an EGD replay's re-chase is in
+    /// no phase.
+    pub fn phases(&self) -> [(&'static str, Duration); 5] {
+        [
+            ("overdelete", self.overdelete),
+            ("prune", self.prune),
+            ("removal", self.removal),
+            ("rederive", self.rederive),
+            ("drain", self.drain),
+        ]
     }
 
     /// Appends the batch's numbers to a report's annotations, under an
@@ -153,7 +186,11 @@ impl BatchStats {
         push("rederived", self.rederived.to_string());
         push("egd_replay", self.egd_replay.to_string());
         push("facts_after", self.facts_after.to_string());
+        push("ledger_len", self.ledger_len.to_string());
         push("elapsed_ns", self.elapsed.as_nanos().to_string());
+        for (phase, time) in self.phases() {
+            push(&format!("{phase}_ns"), time.as_nanos().to_string());
+        }
     }
 }
 
@@ -412,6 +449,48 @@ mod tests {
             .annotations
             .iter()
             .any(|(k, v)| k == "ivm.update.retracted" && v == "1"));
+    }
+
+    #[test]
+    fn repair_phases_sum_to_at_most_the_batch_time() {
+        let p = parse_program(
+            r#"
+            t: E(?x, ?y), E(?y, ?z) -> D(?x, ?z).
+            k: W(?x, ?d1), W(?x, ?d2) -> ?d1 = ?d2.
+            g: M(?x) -> exists ?d: W(?x, ?d).
+            E(a, b). E(b, c). E(a, d). E(d, c). M(e). W(e, hq).
+            "#,
+        )
+        .unwrap();
+        let mut live = materialize(&p);
+        let within = |stats: &BatchStats| {
+            let phases: Duration = stats.phases().iter().map(|&(_, t)| t).sum();
+            assert!(phases <= stats.elapsed, "{phases:?} > {:?}", stats.elapsed);
+        };
+        // A retraction with a revival, an insert, a mixed batch, and a
+        // retraction that falls back to replay.
+        let retract = live.retract([fact("E", &["a", "b"])]).unwrap();
+        assert_eq!(retract.rederived, 1);
+        within(&retract);
+        let insert = live.insert([fact("E", &["a", "b"])]).unwrap();
+        within(&insert);
+        let mut both = live
+            .update(vec![fact("E", &["c", "f"])], vec![fact("E", &["d", "c"])])
+            .unwrap();
+        within(&both);
+        assert_eq!(both.ledger_len, live.ledger().len());
+        let replay = live.retract([fact("W", &["e", "hq"])]).unwrap();
+        assert!(replay.egd_replay);
+        within(&replay);
+        assert_eq!(live.ledger().len(), live.ledger().alive_len());
+
+        both.absorb(&replay);
+        within(&both);
+        let mut report = chase_obs::RunReport::new("ivm-phases");
+        both.annotate(&mut report, "");
+        for key in ["ivm.drain_ns", "ivm.rederive_ns", "ivm.ledger_len"] {
+            assert!(report.annotations.iter().any(|(k, _)| k == key), "{key}");
+        }
     }
 
     #[test]

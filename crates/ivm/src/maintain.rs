@@ -20,11 +20,19 @@
 //!    to its fired key** — the Skolem semantics of the (semi-)oblivious chase
 //!    mean the same key always produces the same heads, so a witness lets the
 //!    record resurrect its original heads (original nulls included) instead
-//!    of inventing new ones. Runs to a fixpoint because resurrections can
-//!    feed each other.
+//!    of inventing new ones. The record is revived in place under the new
+//!    body: same key, kind and heads, no second record. Runs to a fixpoint
+//!    because resurrections can feed each other.
 //! 4. Keys of unrederivable records are *un-fired* so a future insert can
-//!    legitimately fire them again, and the engine forgets their discovery
-//!    dedup entries ([`TriggerEngine::retract_ids`]).
+//!    legitimately fire them again, and the records are reclaimed: their
+//!    index entries go and their slots are reused. Between steps 2 and 3 the
+//!    dead facts are removed and the engine forgets their discovery dedup
+//!    entries ([`TriggerEngine::retract_ids`]).
+//!
+//! After a batch every record the ledger holds is alive, one per fired key,
+//! so the ledger is as large as the model, not its history.
+//! [`BatchStats`] times each step (`overdelete`, `prune`, `removal`,
+//! `rederive` with the un-firing, and `drain` for the forward chase).
 //!
 //! **EGD caveat**: a dead `EgdSubst` record means a null-collapsing rewrite
 //! may no longer be justified, and undoing a substitution is global (it was
@@ -38,16 +46,24 @@ use crate::ledger::{RecordKind, SupportLedger, SupportRecord};
 use crate::{BatchStats, IvmError};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    Assignment, DepId, Dependency, DependencySet, Fact, FactId, HomomorphismSearch, Instance,
+    Assignment, DepId, Dependency, DependencySet, Fact, FactId, FactIdSet, HomomorphismSearch,
+    Instance,
 };
 use chase_engine::{
     Chase, EgdViolation, FiredKeys, MaterializeEvent, MaterializedRun, ObliviousVariant,
 };
 use chase_obs::MetricsRegistry;
 use chase_trigger::{StepEffect, TriggerEngine};
-use std::collections::{HashSet, VecDeque};
 use std::ops::ControlFlow;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// The time since `*mark`, restarting the mark: one phase's wall-clock.
+fn lap(mark: &mut Instant) -> Duration {
+    let now = Instant::now();
+    let time = now - *mark;
+    *mark = now;
+    time
+}
 
 /// A materialized (semi-)oblivious chase model, maintained incrementally
 /// under base-fact [`insert`](ChaseMaterialization::insert) /
@@ -68,7 +84,7 @@ pub struct ChaseMaterialization<'a> {
     order: Vec<DepId>,
     fired: FiredKeys,
     ledger: SupportLedger,
-    base: HashSet<FactId>,
+    base: FactIdSet,
     metrics: MetricsRegistry,
     poisoned: bool,
 }
@@ -101,7 +117,7 @@ impl<'a> ChaseMaterialization<'a> {
             order,
             fired: FiredKeys::new(sigma, variant),
             ledger: SupportLedger::default(),
-            base: HashSet::new(),
+            base: FactIdSet::new(),
             metrics: MetricsRegistry::new(),
             poisoned: false,
         };
@@ -204,7 +220,7 @@ impl<'a> ChaseMaterialization<'a> {
     /// re-chase would start from).
     pub fn base_instance(&self) -> Instance {
         let store = self.engine.instance().store();
-        Instance::from_facts(self.base.iter().map(|&id| store.fact(id)))
+        Instance::from_facts(self.base.iter().map(|id| store.fact(id)))
     }
 
     /// The support ledger (diagnostics).
@@ -245,7 +261,10 @@ impl<'a> ChaseMaterialization<'a> {
                 stats.inserted += 1;
             }
         }
-        match self.drain_and_fire() {
+        let drain = Instant::now();
+        let drained = self.drain_and_fire();
+        stats.drain = drain.elapsed();
+        match drained {
             Ok(fires) => stats.triggers_fired = fires,
             Err(violation) => {
                 self.poisoned = true;
@@ -271,7 +290,7 @@ impl<'a> ChaseMaterialization<'a> {
         let mut requested: Vec<FactId> = Vec::new();
         for fact in facts {
             if let Some(id) = self.engine.instance().id_of(&fact) {
-                if self.base.remove(&id) {
+                if self.base.remove(id) {
                     requested.push(id);
                     stats.retracted += 1;
                 }
@@ -284,48 +303,47 @@ impl<'a> ChaseMaterialization<'a> {
         // Overdelete: kill every record leaning on a dead fact; heads of
         // killed records die too unless they are base facts. Deliberately
         // ignores alternative derivations (that is what makes cycles work) —
-        // the prune and rederive passes below bring survivors back.
-        let mut dead: HashSet<FactId> = HashSet::new();
-        let mut queue: VecDeque<FactId> = VecDeque::new();
+        // the prune and rederive passes below bring survivors back. `dead`
+        // lists each overdeleted fact once, in discovery order, and the walk
+        // runs over it as a queue.
+        let mut phase = Instant::now();
+        let mut seen = FactIdSet::new();
+        let mut dead: Vec<FactId> = Vec::new();
         for id in requested {
-            if dead.insert(id) {
-                queue.push_back(id);
+            if seen.insert(id) {
+                dead.push(id);
             }
         }
         let mut dirty: Vec<usize> = Vec::new();
-        while let Some(id) = queue.pop_front() {
-            for idx in self.ledger.consumers_of(id) {
-                let rec = &mut self.ledger.records[idx];
-                if !rec.alive {
-                    continue;
+        let mut next = 0;
+        while let Some(&id) = dead.get(next) {
+            next += 1;
+            let base = &self.base;
+            self.ledger.kill_consumers(id, &mut dirty, |h| {
+                if !base.contains(h) && seen.insert(h) {
+                    dead.push(h);
                 }
-                rec.alive = false;
-                dirty.push(idx);
-                let heads = rec.heads.clone();
-                for h in heads {
-                    if !self.base.contains(&h) && dead.insert(h) {
-                        queue.push_back(h);
-                    }
-                }
-            }
+            });
         }
+        stats.overdelete = lap(&mut phase);
         // Prune: a fact some alive record still derives is not dead.
         dead.retain(|&id| !self.ledger.has_alive_support(id));
         stats.overdeleted = dead.len();
+        stats.prune = lap(&mut phase);
 
         // A dead EgdSubst record would require undoing a global rewrite:
         // replay from the surviving base instead.
         if dirty
             .iter()
-            .any(|&i| self.ledger.records[i].kind == RecordKind::EgdSubst)
+            .any(|&i| self.ledger.record(i).kind == RecordKind::EgdSubst)
         {
             return self.replay_from_base(stats, start);
         }
 
         // Physically remove the dead facts; the engine forgets the matching
         // discovery-dedup entries and purges queued work.
-        let dead_vec: Vec<FactId> = dead.iter().copied().collect();
-        self.engine.retract_ids(&dead_vec);
+        self.engine.retract_ids(&dead);
+        stats.removal = lap(&mut phase);
 
         // Rederive to a fixpoint: resurrections re-insert facts, which can
         // make further records rederivable.
@@ -345,16 +363,18 @@ impl<'a> ChaseMaterialization<'a> {
         }
         // Un-fire the keys of records that stayed dead, so a future insert
         // completing their body fires them again (with fresh nulls — the
-        // differential invariant is up to null renaming).
+        // differential invariant is up to null renaming), and reclaim the
+        // records: a re-firing writes a new one.
         for idx in remaining {
-            let (dep, key) = {
-                let rec = &self.ledger.records[idx];
-                (rec.dep, rec.key.clone())
-            };
-            self.fired.unfire(dep, &key);
+            let rec = self.ledger.record(idx);
+            self.fired.unfire(rec.dep, &rec.key);
+            self.ledger.reclaim(idx);
         }
+        stats.rederive = lap(&mut phase);
         // Resurrected facts are deltas: let any downstream repair run out.
-        match self.drain_and_fire() {
+        let drained = self.drain_and_fire();
+        stats.drain = lap(&mut phase);
+        match drained {
             Ok(fires) => stats.triggers_fired += fires,
             Err(violation) => {
                 self.poisoned = true;
@@ -391,7 +411,7 @@ impl<'a> ChaseMaterialization<'a> {
     fn apply_rewrites(&mut self, gamma: &NullSubstitution, delta: &[(FactId, FactId)]) {
         self.fired.apply_gamma(gamma);
         for &(old, new) in delta {
-            if self.base.remove(&old) {
+            if self.base.remove(old) {
                 self.base.insert(new);
             }
         }
@@ -444,46 +464,36 @@ impl<'a> ChaseMaterialization<'a> {
 
     /// Tries to resurrect a dead record: searches for a body witness bound to
     /// the record's fired key and, if found, re-inserts the record's original
-    /// heads (same facts, same arena ids) under a fresh alive record.
+    /// heads (same facts, same arena ids) and revives the record in place
+    /// under the new body.
     fn try_rederive(&mut self, idx: usize, stats: &mut BatchStats) -> bool {
-        let (dep_id, key, kind, heads) = {
-            let rec = &self.ledger.records[idx];
-            (rec.dep, rec.key.clone(), rec.kind, rec.heads.clone())
-        };
-        let dep = self.sigma.get(dep_id);
-        let seed = self.fired.seed(dep_id, &key);
+        let rec = self.ledger.record(idx);
+        let dep = self.sigma.get(rec.dep);
+        let seed = self.fired.seed(rec.dep, &rec.key);
         let witness = HomomorphismSearch::over_index(dep.body(), self.engine.indexed())
             .for_each_extending(&seed, &mut |h: &Assignment| ControlFlow::Break(h.clone()));
         let Some(h) = witness else { return false };
-        let mut body = Vec::with_capacity(dep.body().len());
-        for atom in dep.body() {
-            let fact = h.apply_atom(atom).expect("body variables are bound");
-            body.push(
-                self.engine
-                    .instance()
-                    .id_of(&fact)
-                    .expect("witness facts are live"),
-            );
-        }
+        let instance = self.engine.instance();
+        let body: Vec<FactId> = dep
+            .body()
+            .iter()
+            .map(|atom| {
+                let fact = h.apply_atom(atom).expect("body variables are bound");
+                instance.id_of(&fact).expect("witness facts are live")
+            })
+            .collect();
         // Same key ⇒ same Skolem heads: bring back the original facts (arena
         // interning returns their original ids, so sibling records that also
         // reference them stay valid).
-        let store = self.engine.instance().store();
-        let head_facts: Vec<Fact> = heads.iter().map(|&id| store.fact(id)).collect();
+        let store = instance.store();
+        let head_facts: Vec<Fact> = rec.heads.iter().map(|&id| store.fact(id)).collect();
         for fact in head_facts {
             let (_, new) = self.engine.push_fact_full(fact);
             if new {
                 stats.rederived += 1;
             }
         }
-        self.ledger.push(SupportRecord {
-            dep: dep_id,
-            key,
-            body,
-            heads,
-            kind,
-            alive: true,
-        });
+        self.ledger.revive(idx, body);
         true
     }
 
@@ -521,6 +531,7 @@ impl<'a> ChaseMaterialization<'a> {
 
     fn finish(&mut self, mut stats: BatchStats, start: Instant) -> Result<BatchStats, IvmError> {
         stats.facts_after = self.engine.instance().len();
+        stats.ledger_len = self.ledger.len();
         stats.elapsed = start.elapsed();
         self.metrics.inc("ivm.batches");
         self.metrics.add("ivm.inserted", stats.inserted as u64);

@@ -26,13 +26,13 @@
 use crate::delta::DeltaQueue;
 use crate::keys::KeySets;
 use crate::parallel::{discover_from, keep_all, SeedAtoms};
-use chase_core::hash::FastMap;
+use chase_core::hash::{FastMap, FastSet};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
     Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, HomomorphismSearch,
     IndexedInstance, Instance, NullValue, Snapshot, Tgd,
 };
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
 /// A trigger: a dependency together with a homomorphism from its body into the
@@ -408,7 +408,7 @@ impl<'a> TriggerEngine<'a> {
                 }
             }
         }
-        let dead: HashSet<FactId> = ids.iter().copied().collect();
+        let dead: FastSet<FactId> = ids.iter().copied().collect();
         self.deltas.retain(|id| !dead.contains(&id));
         let removed = self.index.remove_ids(ids);
         self.stats.facts_retracted += removed;
