@@ -73,7 +73,7 @@ pub use certain::{certain_answers, ConjunctiveQuery};
 pub use core_of::{core_of, is_core};
 pub use materialize::{MaterializeError, MaterializeEvent, MaterializedRun};
 pub use metrics::MetricsObserver;
-pub use oblivious::{FiredKeys, ObliviousVariant};
+pub use oblivious::{chase_steps, FiredKeys, ObliviousVariant, StepHalt};
 pub use observer::{ChaseEvent, ChaseObserver, EventObserver, NoopObserver, TraceObserver};
 pub use result::{ChaseOutcome, ChaseStats, EgdViolation};
 pub use session::Chase;

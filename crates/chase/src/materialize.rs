@@ -2,14 +2,12 @@
 //! incrementally maintained materialization.
 //!
 //! [`Chase::materialize`](crate::Chase::materialize) runs a (semi-)oblivious
-//! session on the per-step loop with an internal observer that opts into the
-//! derivation events ([`ChaseObserver::fact_derived`] /
-//! [`ChaseObserver::facts_rewritten`]),
-//! and packages the outcome together with the full derivation log as a
-//! [`MaterializedRun`]. The log is **replayable**: every event carries enough
-//! information — fired key, body image, head ids, substitution deltas — for a
-//! consumer (`chase_ivm::ChaseMaterialization`) to rebuild the run's support
-//! structure in a fresh engine without re-running any homomorphism search.
+//! session on the per-step loop ([`chase_steps`](crate::chase_steps)) with a
+//! step log, and hands over the run as a [`MaterializedRun`]: the quiescent
+//! engine, its fired keys and the log. A consumer
+//! (`chase_ivm::ChaseMaterialization`) keeps maintaining that engine; it folds
+//! the log into its support structure and repeats no step, no homomorphism
+//! search and no interning.
 //!
 //! ## Why only the (semi-)oblivious variants
 //!
@@ -25,28 +23,27 @@
 //!
 //! ## Id space
 //!
-//! All [`chase_core::FactId`]s in the log refer to the run's own engine arena.
-//! Because the per-step runner is deterministic, a consumer that replays the
-//! log on a fresh engine seeded from the same database reproduces the same
-//! arena — but the log is self-describing either way: the final instance's
-//! [`chase_core::FactStore`] (arena interning survives EGD rewrites and
-//! removals) resolves every id that ever appears.
+//! Every [`chase_core::FactId`] in the log and in [`MaterializedRun::base`]
+//! is an id of the handed-over engine's own arena, as it was when the event
+//! happened: a [`MaterializeEvent::Rewritten`] maps the ids before it
+//! forward, so a consumer that folds the log in order ends in the engine's
+//! current id space.
 
-use crate::budget::BudgetLimit;
-use crate::oblivious::ObliviousVariant;
-use crate::observer::ChaseObserver;
-use crate::result::{ChaseOutcome, EgdViolation};
+use crate::budget::{BudgetLimit, ChaseBudget};
+use crate::oblivious::{FiredKeys, ObliviousVariant};
+use crate::result::{ChaseStats, EgdViolation};
 use chase_core::substitution::NullSubstitution;
-use chase_core::{DepId, FactId, GroundTerm, Instance};
+use chase_core::{DepId, FactId, FactIdSet, GroundTerm, Instance};
+use chase_trigger::TriggerEngine;
 use std::fmt;
 
 /// One derivation event of a (semi-)oblivious run, in application order.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum MaterializeEvent {
-    /// A trigger consumed its fired key ([`ChaseObserver::fact_derived`]):
-    /// a TGD step (non-empty `heads`), an EGD substitution step (the next
-    /// event is the matching [`MaterializeEvent::Rewritten`]) or an EGD
-    /// trigger with equal images (no step; empty `heads`, no rewrite).
+    /// A trigger consumed its fired key: a TGD step (non-empty `heads`), an
+    /// EGD substitution step (the next event is the matching
+    /// [`MaterializeEvent::Rewritten`]) or an EGD trigger with equal images
+    /// (no step; empty `heads`, no rewrite).
     Fired {
         /// The dependency that fired.
         dep: DepId,
@@ -57,9 +54,8 @@ pub enum MaterializeEvent {
         /// All head fact ids (TGD steps only), pre-existing ones included.
         heads: Vec<FactId>,
     },
-    /// An EGD substitution step rewrote the instance
-    /// ([`ChaseObserver::facts_rewritten`]):
-    /// `γ` plus the `(old, new)` id pairs mapping every rewritten fact forward.
+    /// An EGD substitution step rewrote the instance: `γ` plus the
+    /// `(old, new)` id pairs mapping every rewritten fact forward.
     Rewritten {
         /// The applied substitution.
         gamma: NullSubstitution,
@@ -68,28 +64,32 @@ pub enum MaterializeEvent {
     },
 }
 
-/// A completed, derivation-recorded (semi-)oblivious chase run: the input to
-/// incremental view maintenance. Produced by
-/// [`Chase::materialize`](crate::Chase::materialize); always wraps a
-/// [`ChaseOutcome::Terminated`].
-#[derive(Clone, Debug)]
-pub struct MaterializedRun {
+/// A terminated, derivation-recorded (semi-)oblivious chase run: the input
+/// to incremental view maintenance. Produced by
+/// [`Chase::materialize`](crate::Chase::materialize).
+#[derive(Clone)]
+pub struct MaterializedRun<'a> {
     /// Which oblivious variant ran (fired-key discipline of the log).
     pub variant: ObliviousVariant,
-    /// The base the run chased (consumers re-seed their own engine from it).
-    pub database: Instance,
-    /// The terminated outcome; its instance's store resolves every logged id.
-    pub outcome: ChaseOutcome,
-    /// Every derivation event, in application order.
+    /// The run's engine, quiescent: its instance is the chase result.
+    pub engine: TriggerEngine<'a>,
+    /// The keys the run fired, modulo its EGD substitutions.
+    pub fired: FiredKeys,
+    /// Every derivation event, in application order (see the module docs
+    /// for the id space).
     pub log: Vec<MaterializeEvent>,
+    /// The run's statistics.
+    pub stats: ChaseStats,
+    /// The session's budget, for consumers that chase again.
+    pub budget: ChaseBudget,
+    /// The ids of the database's facts, as the run started.
+    pub base: FactIdSet,
 }
 
-impl MaterializedRun {
+impl MaterializedRun<'_> {
     /// The run's final instance.
     pub fn instance(&self) -> &Instance {
-        self.outcome
-            .instance()
-            .expect("a materialized run is always terminated")
+        self.engine.instance()
     }
 }
 
@@ -126,41 +126,6 @@ impl fmt::Display for MaterializeError {
 }
 
 impl std::error::Error for MaterializeError {}
-
-/// The internal observer behind [`Chase::materialize`](crate::Chase::materialize):
-/// opts into derivation events and records them verbatim.
-#[derive(Debug, Default)]
-pub(crate) struct DerivationRecorder {
-    log: Vec<MaterializeEvent>,
-}
-
-impl DerivationRecorder {
-    pub(crate) fn into_log(self) -> Vec<MaterializeEvent> {
-        self.log
-    }
-}
-
-impl ChaseObserver for DerivationRecorder {
-    fn observes_derivations(&self) -> bool {
-        true
-    }
-
-    fn fact_derived(&mut self, dep: DepId, key: &[GroundTerm], body: &[FactId], heads: &[FactId]) {
-        self.log.push(MaterializeEvent::Fired {
-            dep,
-            key: key.to_vec(),
-            body: body.to_vec(),
-            heads: heads.to_vec(),
-        });
-    }
-
-    fn facts_rewritten(&mut self, gamma: &NullSubstitution, delta: &[(FactId, FactId)]) {
-        self.log.push(MaterializeEvent::Rewritten {
-            gamma: gamma.clone(),
-            delta: delta.to_vec(),
-        });
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -201,7 +166,7 @@ mod tests {
         let run = Chase::semi_oblivious(&p.dependencies)
             .materialize(&p.database)
             .unwrap();
-        assert!(run.outcome.is_terminating());
+        assert!(run.engine.is_quiescent(), "a materialized run terminated");
         // r1 fires (a TGD `Fired` with one head), the key EGD collapses the
         // invented department null onto d0 (a `Fired` immediately followed by
         // its `Rewritten` pair); EGD triggers with equal images appear as
@@ -219,14 +184,15 @@ mod tests {
         assert_eq!(tgd_fires, 1);
         assert_eq!(rewrites, 1);
         assert!(run.instance().nulls().is_empty());
-        // The recorded outcome is the same as an unobserved run's.
+        // The recorded run is the same as an unrecorded one.
         let plain = Chase::semi_oblivious(&p.dependencies).run(&p.database);
-        assert_eq!(run.outcome, plain);
+        assert_eq!(Some(run.instance()), plain.instance());
+        assert_eq!(&run.stats, plain.stats());
     }
 
     #[test]
     fn materialize_takes_the_per_step_path() {
-        // An unobserved EGD-free run takes the round runner, which cannot log
+        // An EGD-free run takes the round runner, which cannot log
         // derivations; materialize must still record every step (one Fired
         // per applied step on a TGD-only program).
         let p = parse_program("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z). E(a, b). E(b, c). E(c, d).")
@@ -235,8 +201,10 @@ mod tests {
             .workers(4)
             .materialize(&p.database)
             .unwrap();
-        assert_eq!(run.log.len(), run.outcome.stats().steps);
+        assert_eq!(run.log.len(), run.stats.steps);
         assert_eq!(run.instance().len(), 6, "closure of a 4-chain");
-        assert_eq!(run.database, p.database);
+        let store = run.instance().store();
+        let base = Instance::from_facts(run.base.iter().map(|id| store.fact(id)));
+        assert_eq!(base, p.database);
     }
 }

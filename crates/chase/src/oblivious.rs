@@ -15,9 +15,10 @@
 //! The front door is [`Chase::oblivious`](crate::Chase::oblivious) /
 //! [`Chase::semi_oblivious`](crate::Chase::semi_oblivious).
 
-use crate::budget::{BudgetClock, ChaseBudget};
+use crate::budget::{BudgetClock, BudgetLimit, ChaseBudget};
+use crate::materialize::MaterializeEvent;
 use crate::observer::{observed_pop, record_step_effect, ChaseObserver};
-use crate::result::{ChaseOutcome, ChaseStats};
+use crate::result::{ChaseOutcome, ChaseStats, EgdViolation};
 use crate::step::StepEffect;
 use chase_core::substitution::NullSubstitution;
 use chase_core::{Assignment, DepId, Dependency, DependencySet, GroundTerm, Instance, Variable};
@@ -64,9 +65,9 @@ fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variable> {
 /// trigger with an equal key fired before; every EGD substitution is applied to
 /// the recorded keys that mention its null ([`FiredKeys::apply_gamma`], through
 /// the per-null index of [`KeySets`]), so later comparisons are modulo the
-/// substitutions in between. The per-step and round runners and incremental
-/// maintenance (`chase_ivm`, which also un-fires keys on retraction) all keep
-/// their state here.
+/// substitutions in between. The per-step loop ([`chase_steps`]), the round
+/// runner and incremental maintenance (`chase_ivm`, which also un-fires keys
+/// on retraction) all keep their state here.
 #[derive(Clone, Debug)]
 pub struct FiredKeys {
     /// Per dependency, the key variables in a fixed order.
@@ -122,6 +123,18 @@ impl FiredKeys {
         self.fired.insert(dep, key);
     }
 
+    /// The number of keys fired so far, over all dependencies.
+    pub fn len(&self) -> usize {
+        (0..self.key_vars.len())
+            .map(|i| self.fired.len(DepId(i)))
+            .sum()
+    }
+
+    /// `true` iff no key has fired.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Forgets that `key` fired for `dep`, so an equal key can fire again.
     pub fn unfire(&mut self, dep: DepId, key: &[GroundTerm]) {
         self.fired.remove(dep, key);
@@ -147,19 +160,13 @@ impl FiredKeys {
 
 /// Runs the (semi-)oblivious chase under `budget`, reporting events to `observer`.
 ///
-/// An EGD-free `sigma` takes the round runner ([`crate::parallel`]) at every
-/// worker count: without substitutions, trigger equivalence is plain key
-/// equality, so the step order changes the result only up to a renaming of
-/// nulls. The per-step loop below serves the two cases in which the order
-/// matters: **EGD-bearing** sets, whose substitutions rewrite the fired keys
-/// (`h ↦ γ∘h γ_j···γ_{i-1}`) so that which triggers fire — and how many —
-/// depends on how substitutions interleave with TGD steps; and
-/// **derivation-observed** runs ([`Chase::materialize`](crate::Chase::materialize)),
-/// whose log is defined per applied step.
-///
-/// Discovery here is delta-driven: homomorphisms are found once, when the
-/// facts completing them appear, and wait in the engine's queues; the
-/// fired-key comparison filters them at pop time.
+/// The runner depends on `sigma` alone. An EGD-free set takes the round
+/// runner ([`crate::parallel`]) at every worker count: without substitutions,
+/// trigger equivalence is plain key equality, so the step order changes the
+/// result only up to a renaming of nulls. An EGD-bearing set runs on
+/// [`chase_steps`]: its substitutions rewrite the fired keys
+/// (`h ↦ γ∘h γ_j···γ_{i-1}`), so which triggers fire — and how many —
+/// depends on how substitutions interleave with TGD steps.
 pub(crate) fn run_oblivious(
     sigma: &DependencySet,
     variant: ObliviousVariant,
@@ -169,65 +176,109 @@ pub(crate) fn run_oblivious(
     workers: usize,
 ) -> ChaseOutcome {
     let mut fired = FiredKeys::new(sigma, variant);
-    let derivations = observer.observes_derivations();
-    if sigma.egd_ids().is_empty() && !derivations {
+    if sigma.egd_ids().is_empty() {
         return crate::parallel::run_rounds(sigma, fired, budget, database, observer, workers);
     }
-    // Dependencies are tried in the textual order of the set.
-    let order: Vec<DepId> = sigma.ids().collect();
-
-    let phases = observer.observes_phases();
-    let clock = BudgetClock::start(budget, phases);
     let mut engine = TriggerEngine::with_database(sigma, database);
     let mut stats = ChaseStats::default();
+    match chase_steps(&mut engine, &mut fired, budget, &mut stats, observer, None) {
+        Ok(()) => ChaseOutcome::Terminated {
+            instance: engine.into_instance(),
+            stats,
+        },
+        Err(StepHalt::Budget(limit)) => ChaseOutcome::BudgetExhausted {
+            limit,
+            instance: engine.into_instance(),
+            stats,
+        },
+        Err(StepHalt::Violation(violation)) => ChaseOutcome::Failed { violation, stats },
+    }
+}
+
+/// Why [`chase_steps`] stopped before the engine quiesced.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum StepHalt {
+    /// A budget limit tripped.
+    Budget(BudgetLimit),
+    /// An EGD equated two distinct constants (`⊥`).
+    Violation(EgdViolation),
+}
+
+/// The per-step (semi-)oblivious chase loop, on a caller-owned engine and
+/// fired-key state: pops the engine's next trigger whose key has not fired
+/// (dependencies in textual order), applies it, records its key, and
+/// propagates an EGD substitution to the recorded keys, until the engine
+/// quiesces (`Ok`) or the run halts.
+///
+/// `budget` is checked before every step against `stats`, which the loop
+/// adds each applied step to. With `log`, each trigger that consumed its key
+/// appends a [`MaterializeEvent::Fired`] in the engine's own fact ids — EGD
+/// triggers with equal images too, with empty heads — and a substitution
+/// step appends its [`MaterializeEvent::Rewritten`] right after.
+///
+/// Discovery is delta-driven: homomorphisms are found once, when the facts
+/// completing them appear, and wait in the engine's queues; the fired-key
+/// comparison filters them at pop time. So a caller that pushes facts into a
+/// quiescent engine and calls the loop again continues the same run: this is
+/// how `chase_ivm` repairs a materialization.
+pub fn chase_steps(
+    engine: &mut TriggerEngine<'_>,
+    fired: &mut FiredKeys,
+    budget: &ChaseBudget,
+    stats: &mut ChaseStats,
+    observer: &mut dyn ChaseObserver,
+    mut log: Option<&mut Vec<MaterializeEvent>>,
+) -> Result<(), StepHalt> {
+    let sigma = engine.sigma();
+    let order: Vec<DepId> = sigma.ids().collect();
+    let phases = observer.observes_phases();
+    let clock = BudgetClock::start(budget, phases);
     loop {
-        if let Some(limit) = clock.check_step(&stats, engine.instance().len(), observer) {
-            return ChaseOutcome::BudgetExhausted {
-                limit,
-                instance: engine.into_instance(),
-                stats,
-            };
+        if let Some(limit) = clock.check_step(stats, engine.instance().len(), observer) {
+            return Err(StepHalt::Budget(limit));
         }
-        let next = observed_pop(&mut engine, observer, phases, |engine| {
+        let next = observed_pop(engine, observer, phases, |engine| {
             fired.next_unfired(engine, &order)
         });
         let Some((trigger, key)) = next else {
-            return ChaseOutcome::Terminated {
-                instance: engine.into_instance(),
-                stats,
-            };
+            return Ok(());
         };
-        let (effect, log) = if derivations {
-            let (effect, log) = engine.apply_trigger_logged(trigger.dep, &trigger.assignment);
-            (effect, Some(log))
+        let (effect, step) = if log.is_some() {
+            let (effect, step) = engine.apply_trigger_logged(trigger.dep, &trigger.assignment);
+            (effect, Some(step))
         } else {
             (engine.apply_trigger(trigger.dep, &trigger.assignment), None)
         };
-        // Derivation events precede the step's standard events (pinned order);
-        // `fact_derived` fires for NotApplicable EGD triggers too, because
-        // their key is recorded below and a support ledger must know which
-        // body facts that record leans on.
-        if let Some(log) = &log {
-            observer.fact_derived(trigger.dep, &key, &log.body, &log.heads);
-            if let StepEffect::Substituted { gamma } = &effect {
-                observer.facts_rewritten(gamma, &log.rewrites);
+        // An EGD trigger with equal images is no chase step (Definition 1),
+        // but its key is recorded so that it is not reconsidered forever.
+        if effect != StepEffect::NotApplicable {
+            if let Some(violation) = record_step_effect(sigma, &trigger, &effect, stats, observer) {
+                return Err(StepHalt::Violation(violation));
             }
         }
-        if effect == StepEffect::NotApplicable {
-            // An EGD trigger with equal images: Definition 1 yields no chase
-            // step. Record the key so we do not reconsider it forever.
-            fired.fire(trigger.dep, key);
-            continue;
-        }
-        if let Some(violation) = record_step_effect(sigma, &trigger, &effect, &mut stats, observer)
-        {
-            return ChaseOutcome::Failed { violation, stats };
-        }
+        let rewrites = match (log.as_deref_mut(), step) {
+            (Some(log), Some(step)) => {
+                log.push(MaterializeEvent::Fired {
+                    dep: trigger.dep,
+                    key: key.clone(),
+                    body: step.body,
+                    heads: step.heads,
+                });
+                step.rewrites
+            }
+            _ => Vec::new(),
+        };
         // Record the trigger key, then propagate the substitution (if any) to all
         // recorded keys so that future comparisons are "modulo γ_j · · · γ_{i-1}".
         fired.fire(trigger.dep, key);
-        if let StepEffect::Substituted { gamma } = &effect {
-            fired.apply_gamma(gamma);
+        if let StepEffect::Substituted { gamma } = effect {
+            fired.apply_gamma(&gamma);
+            if let Some(log) = log.as_deref_mut() {
+                log.push(MaterializeEvent::Rewritten {
+                    gamma,
+                    delta: rewrites,
+                });
+            }
         }
     }
 }
@@ -235,6 +286,7 @@ pub(crate) fn run_oblivious(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observer::TraceObserver;
     use crate::session::Chase;
     use chase_core::parser::{parse_dependencies, parse_program};
     use chase_core::satisfaction::satisfies_all;
@@ -290,6 +342,19 @@ mod tests {
         assert_eq!(fired.unfired_key(r, &h), Some(key.clone()));
         // The rederive seed binds exactly the key variables.
         assert_eq!(fired.seed(r, &key), h);
+    }
+
+    #[test]
+    fn the_observer_does_not_choose_the_runner() {
+        // An EGD-free set takes the round runner under any observer: a trace
+        // of it records rounds.
+        let p = parse_program("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z). E(a, b). E(b, c). E(c, d).")
+            .unwrap();
+        let mut trace = TraceObserver::new();
+        let out = Chase::semi_oblivious(&p.dependencies).run_observed(&p.database, &mut trace);
+        assert!(out.is_terminating());
+        assert!(!trace.rounds.is_empty(), "the round runner reports rounds");
+        assert_eq!(trace.steps.len(), out.stats().steps);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! whether `Σ` has EGDs, never on [`Chase::workers`](crate::Chase::workers):
 //!
 //! * **per step** — the standard chase, and the (semi-)oblivious chase on
-//!   EGD-bearing sets or under a derivation observer:
+//!   EGD-bearing sets:
 //!   [`ChaseObserver::step_applied`] after every applied step (including the
 //!   failing one), plus [`ChaseObserver::nulls_created`] /
 //!   [`ChaseObserver::egd_collapsed`] for the steps that invent nulls or apply a
@@ -67,12 +67,13 @@ use crate::budget::BudgetLimit;
 use crate::result::{ChaseStats, EgdViolation};
 use crate::step::{StepEffect, Trigger};
 use chase_core::substitution::NullSubstitution;
-use chase_core::{DepId, DependencySet, DiscoveryStats, FactId, GroundTerm, ShardStats};
+use chase_core::{DependencySet, DiscoveryStats, ShardStats};
 use chase_trigger::TriggerEngine;
 use std::time::{Duration, Instant};
 
 /// Receives events during a chase run. All methods default to no-ops, so an observer
-/// implements only what it cares about.
+/// implements only what it cares about. No method chooses the runner: that
+/// depends on the variant and `Σ` alone.
 pub trait ChaseObserver {
     /// A chase step was applied (or failed): the trigger and its effect.
     fn step_applied(&mut self, trigger: &Trigger, effect: &StepEffect) {
@@ -133,43 +134,6 @@ pub trait ChaseObserver {
     /// [`ChaseObserver::observes_phases`] returns `true`.
     fn budget_checked(&mut self, tripped: Option<BudgetLimit>) {
         let _ = tripped;
-    }
-
-    /// Opt-in gate for the derivation events below
-    /// ([`ChaseObserver::fact_derived`], [`ChaseObserver::facts_rewritten`]).
-    /// Consulted **once per run**, like [`ChaseObserver::observes_phases`].
-    /// Returning `true` makes the (semi-)oblivious chase resolve each step's
-    /// body image at the [`FactId`] level and — because derivation logs are
-    /// defined per applied step — runs it on the per-step loop even for
-    /// EGD-free sets (whose round-runner outcome equals it up to a renaming of
-    /// nulls, so only wall-clock and null numbering change). The standard and
-    /// core chases never emit derivation events: their step semantics are not
-    /// monotone in the base, so no support ledger can maintain them (see
-    /// [`Chase::materialize`](crate::Chase::materialize)).
-    fn observes_derivations(&self) -> bool {
-        false
-    }
-
-    /// A (semi-)oblivious trigger consumed its fired key: the dependency, the
-    /// key (the images of the variant's key variables), the body image (one
-    /// interned id per body atom) and — for TGD steps — **all** head fact ids,
-    /// pre-existing ones included. Also emitted for EGD triggers that yield no
-    /// chase step (`NotApplicable`: equal images) with empty `heads`, because
-    /// the key is recorded as fired and a support ledger must know which body
-    /// facts that record leans on. Emitted immediately before the step's
-    /// standard events. Only when [`ChaseObserver::observes_derivations`] is
-    /// `true`.
-    fn fact_derived(&mut self, dep: DepId, key: &[GroundTerm], body: &[FactId], heads: &[FactId]) {
-        let _ = (dep, key, body, heads);
-    }
-
-    /// An EGD substitution step rewrote the instance: `γ` plus the rewritten
-    /// `(old, new)` id pairs — emitted right after the step's
-    /// [`ChaseObserver::fact_derived`], whose body ids are in the pre-rewrite
-    /// id space this delta maps forward. Only when
-    /// [`ChaseObserver::observes_derivations`] is `true`.
-    fn facts_rewritten(&mut self, gamma: &NullSubstitution, delta: &[(FactId, FactId)]) {
-        let _ = (gamma, delta);
     }
 }
 

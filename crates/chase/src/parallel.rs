@@ -27,9 +27,9 @@
 //!    as the per-step runner, so fresh-null numbering, [`ChaseObserver`] event
 //!    streams and budget accounting are bitwise-identical **at any worker count**.
 //!
-//! Relative to the per-step oblivious runner, which
-//! `oblivious::run_oblivious` keeps for EGD-bearing and
-//! derivation-observed runs, the only difference is the order in which the
+//! Relative to the per-step oblivious loop ([`crate::chase_steps`]), which
+//! EGD-bearing sets and [`Chase::materialize`](crate::Chase::materialize)
+//! run, the only difference is the order in which the
 //! (identical) set of triggers fires — round by round instead of
 //! dependency by dependency — so terminating runs produce instances equal up
 //! to a renaming of labeled nulls with identical [`ChaseStats`];
@@ -266,24 +266,23 @@ mod tests {
     fn round_runner_closure_matches_the_per_step_runner_exactly() {
         // Full TGDs invent no nulls, so the round runner's result must be
         // *equal* to the per-step one, not merely isomorphic. A recorded run
-        // (`materialize`) observes derivations and so runs per step.
+        // (`materialize`) runs per step.
         let p = closure_program(12);
         for variant in [ObliviousVariant::Oblivious, ObliviousVariant::SemiOblivious] {
             let sequential = Chase::oblivious(&p.dependencies, variant)
                 .materialize(&p.database)
-                .unwrap()
-                .outcome;
+                .unwrap();
             for workers in [1, 2, 4] {
                 let parallel = Chase::oblivious(&p.dependencies, variant)
                     .workers(workers)
                     .run(&p.database);
                 assert!(parallel.is_terminating());
                 assert_eq!(
-                    sequential.instance().unwrap(),
+                    sequential.instance(),
                     parallel.instance().unwrap(),
                     "{variant:?} at {workers} workers"
                 );
-                assert_eq!(sequential.stats(), parallel.stats());
+                assert_eq!(&sequential.stats, parallel.stats());
             }
         }
     }

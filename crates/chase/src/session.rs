@@ -30,12 +30,13 @@
 
 use crate::budget::ChaseBudget;
 use crate::core_chase::run_core;
-use crate::materialize::{DerivationRecorder, MaterializeError, MaterializedRun};
-use crate::oblivious::{run_oblivious, ObliviousVariant};
+use crate::materialize::{MaterializeError, MaterializedRun};
+use crate::oblivious::{chase_steps, run_oblivious, FiredKeys, ObliviousVariant, StepHalt};
 use crate::observer::{ChaseObserver, NoopObserver};
-use crate::result::ChaseOutcome;
+use crate::result::{ChaseOutcome, ChaseStats};
 use crate::standard::{run_standard, StepOrder, TriggerDiscovery};
 use chase_core::{DependencySet, Instance};
+use chase_trigger::TriggerEngine;
 
 /// Which chase variant a [`Chase`] session runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -131,8 +132,8 @@ impl<'a> Chase<'a> {
     /// observer streams and tripped budget limits. **EGD-bearing** sets run per
     /// step at every `n`: substitutions rewrite fired keys in sequence order,
     /// so the result depends on the interleaving (see [`crate::parallel`] for
-    /// the full argument). So do derivation-observed runs
-    /// ([`Chase::materialize`]).
+    /// the full argument). So does [`Chase::materialize`], whose log is defined
+    /// per applied step.
     ///
     /// The **standard** and **core** chases ignore the setting: their
     /// outcomes, statistics and observer streams are the same at every `n`.
@@ -215,9 +216,11 @@ impl<'a> Chase<'a> {
         outcome
     }
 
-    /// Runs the session on `database` while recording every derivation, and
-    /// returns the completed, replayable run — the input to incremental view
-    /// maintenance (`chase_ivm::ChaseMaterialization`).
+    /// Runs the session on `database` on the per-step loop
+    /// ([`chase_steps`]) while logging every derivation,
+    /// and hands over the terminated run — its engine, fired keys and log —
+    /// as the input to incremental view maintenance
+    /// (`chase_ivm::ChaseMaterialization`).
     ///
     /// Only the (semi-)oblivious variants are maintainable: their fired-key
     /// step semantics are monotone in the base, so inserted facts can ride the
@@ -225,29 +228,47 @@ impl<'a> Chase<'a> {
     /// supports. The standard chase (non-monotone activity check) and the core
     /// chase (folds facts away) are rejected with
     /// [`MaterializeError::UnsupportedVariant`]; failing and budget-exhausted
-    /// runs are rejected too, since there is no model to maintain. The
-    /// recorder observes derivations, so the run takes the per-step loop at
-    /// every worker count: derivation logs are defined per applied step.
-    pub fn materialize(&self, database: &Instance) -> Result<MaterializedRun, MaterializeError> {
+    /// runs are rejected too, since there is no model to maintain. The log is
+    /// defined per applied step, so the run takes the per-step loop at every
+    /// worker count, EGD-free sets included.
+    pub fn materialize(
+        &self,
+        database: &Instance,
+    ) -> Result<MaterializedRun<'a>, MaterializeError> {
         let variant = match self.variant {
             Variant::Oblivious(v) => v,
             Variant::Standard => return Err(MaterializeError::UnsupportedVariant("standard")),
             Variant::Core => return Err(MaterializeError::UnsupportedVariant("core")),
         };
-        let mut recorder = DerivationRecorder::default();
-        let outcome = self.run_observed(database, &mut recorder);
-        match outcome {
-            ChaseOutcome::Terminated { .. } => Ok(MaterializedRun {
-                variant,
-                database: database.clone(),
-                outcome,
-                log: recorder.into_log(),
-            }),
-            ChaseOutcome::Failed { violation, .. } => Err(MaterializeError::Failed(violation)),
-            ChaseOutcome::BudgetExhausted { limit, .. } => {
-                Err(MaterializeError::BudgetExhausted(limit))
-            }
+        let started = std::time::Instant::now();
+        let mut engine = TriggerEngine::with_database(self.sigma, database);
+        let base = engine.instance().fact_ids().collect();
+        let mut fired = FiredKeys::new(self.sigma, variant);
+        let mut stats = ChaseStats::default();
+        let mut log = Vec::new();
+        let halt = chase_steps(
+            &mut engine,
+            &mut fired,
+            &self.budget,
+            &mut stats,
+            &mut NoopObserver,
+            Some(&mut log),
+        );
+        match halt {
+            Ok(()) => {}
+            Err(StepHalt::Violation(violation)) => return Err(MaterializeError::Failed(violation)),
+            Err(StepHalt::Budget(limit)) => return Err(MaterializeError::BudgetExhausted(limit)),
         }
+        stats.elapsed = started.elapsed();
+        Ok(MaterializedRun {
+            variant,
+            engine,
+            fired,
+            log,
+            stats,
+            budget: self.budget,
+            base,
+        })
     }
 }
 

@@ -2,6 +2,12 @@
 //!
 //! ## Repair strategy
 //!
+//! The materialization keeps the engine and fired keys that
+//! [`Chase::materialize`] handed over, and every forward chase it runs is
+//! [`chase_steps`], the per-step loop that produced the run. Each drain's step
+//! log is folded into the support ledger by the same function that folds the
+//! run's log in [`ChaseMaterialization::from_run`].
+//!
 //! **Inserts** ride the engine's semi-naive path unchanged: new base facts
 //! become deltas, trigger discovery is seeded only from them, and the
 //! fired-key filter guarantees no key fires twice — exactly the tail of a
@@ -37,23 +43,22 @@
 //! **EGD caveat**: a dead `EgdSubst` record means a null-collapsing rewrite
 //! may no longer be justified, and undoing a substitution is global (it was
 //! applied to the whole instance, the fired-key sets and the ledger). The
-//! repair falls back to replaying the materialization from the current base —
-//! correct, observable via [`BatchStats::egd_replay`], and honest about the
-//! cost. EGD triggers whose images were equal (`EgdNoop`) carry no rewrite
-//! and repair locally like TGDs.
+//! repair falls back to replaying the materialization from the current base,
+//! under the budget of the run it was built from — correct, observable via
+//! [`BatchStats::egd_replay`], and honest about the cost. EGD triggers whose
+//! images were equal (`EgdNoop`) carry no rewrite and repair locally like
+//! TGDs.
 
 use crate::ledger::{RecordKind, SupportLedger, SupportRecord};
 use crate::{BatchStats, IvmError};
-use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    Assignment, DepId, Dependency, DependencySet, Fact, FactId, FactIdSet, HomomorphismSearch,
-    Instance,
+    Assignment, Dependency, DependencySet, Fact, FactId, FactIdSet, HomomorphismSearch, Instance,
 };
 use chase_engine::{
-    Chase, EgdViolation, FiredKeys, MaterializeEvent, MaterializedRun, ObliviousVariant,
+    chase_steps, Chase, ChaseBudget, ChaseStats, EgdViolation, FiredKeys, MaterializeEvent,
+    MaterializedRun, NoopObserver, ObliviousVariant, StepHalt,
 };
-use chase_obs::MetricsRegistry;
-use chase_trigger::{StepEffect, TriggerEngine};
+use chase_trigger::TriggerEngine;
 use std::ops::ControlFlow;
 use std::time::{Duration, Instant};
 
@@ -80,119 +85,40 @@ fn lap(mark: &mut Instant) -> Duration {
 pub struct ChaseMaterialization<'a> {
     sigma: &'a DependencySet,
     variant: ObliviousVariant,
+    budget: ChaseBudget,
     engine: TriggerEngine<'a>,
-    order: Vec<DepId>,
     fired: FiredKeys,
     ledger: SupportLedger,
     base: FactIdSet,
-    metrics: MetricsRegistry,
     poisoned: bool,
 }
 
 impl<'a> ChaseMaterialization<'a> {
-    /// Rebuilds a completed run's engine state (instance, fired-key sets,
-    /// support ledger) by replaying its derivation log — no homomorphism
-    /// search is repeated for the recorded steps, though the engine does
-    /// re-discover (and drop) the run's candidate triggers once, to reach a
-    /// clean quiescent state.
+    /// Takes over a completed run: its quiescent engine and fired keys as
+    /// they are, and its derivation log folded into the support ledger and
+    /// the base set, as a repair's drain folds its own steps. Nothing is
+    /// re-chased or re-interned.
     ///
-    /// `sigma` must be the dependency set the run was chased with; the replay
-    /// cross-checks itself and returns [`IvmError::Reconstruction`] if the
-    /// rebuilt instance diverges from the recorded one.
-    pub fn from_run(sigma: &'a DependencySet, run: MaterializedRun) -> Result<Self, IvmError> {
-        let MaterializedRun {
-            variant,
-            database,
-            outcome,
-            log,
-        } = run;
-        let old = outcome
-            .into_instance()
-            .expect("a materialized run is always terminated");
-        let order: Vec<DepId> = sigma.ids().collect();
-        let mut this = ChaseMaterialization {
-            sigma,
-            variant,
-            engine: TriggerEngine::with_database(sigma, &database),
-            order,
-            fired: FiredKeys::new(sigma, variant),
-            ledger: SupportLedger::default(),
-            base: FactIdSet::new(),
-            metrics: MetricsRegistry::new(),
-            poisoned: false,
-        };
-        this.base = this.engine.instance().fact_ids().collect();
-
-        // Replay the log. Logged ids live in the recorded run's arena; each is
-        // resolved to a fact through the recorded final store (arena interning
-        // survives rewrites and removals) and re-interned in the fresh engine.
-        let old_store = old.store();
-        let mut events = log.into_iter().peekable();
-        while let Some(event) = events.next() {
-            match event {
-                MaterializeEvent::Fired {
-                    dep,
-                    key,
-                    body,
-                    heads,
-                } => {
-                    let mut new_body = Vec::with_capacity(body.len());
-                    for id in body {
-                        let fact = old_store.fact(id);
-                        let live =
-                            this.engine
-                                .instance()
-                                .id_of(&fact)
-                                .ok_or(IvmError::Reconstruction(
-                                    "a logged body fact is not live at its replay point",
-                                ))?;
-                        new_body.push(live);
-                    }
-                    let mut new_heads = Vec::with_capacity(heads.len());
-                    for id in heads {
-                        let fact = old_store.fact(id);
-                        let (live, _) = this.engine.push_fact_full(fact);
-                        new_heads.push(live);
-                    }
-                    let kind = match this.sigma.get(dep) {
-                        Dependency::Tgd(_) => RecordKind::Tgd,
-                        // The runner emits an EGD substitution step's
-                        // `Rewritten` event immediately after its `Fired`.
-                        Dependency::Egd(_) => {
-                            if matches!(events.peek(), Some(MaterializeEvent::Rewritten { .. })) {
-                                RecordKind::EgdSubst
-                            } else {
-                                RecordKind::EgdNoop
-                            }
-                        }
-                    };
-                    this.fired.fire(dep, key.clone());
-                    this.ledger.push(SupportRecord {
-                        dep,
-                        key,
-                        body: new_body,
-                        heads: new_heads,
-                        kind,
-                        alive: true,
-                    });
-                }
-                MaterializeEvent::Rewritten { gamma, .. } => {
-                    // Recompute the id delta in this engine's arena rather
-                    // than translating the recorded one.
-                    let delta = this.engine.apply_substitution(&gamma);
-                    this.apply_rewrites(&gamma, &delta);
-                }
-            }
-        }
-
-        // Quiesce: the run terminated, so every candidate the engine now
-        // discovers carries an already-fired key and is dropped.
-        this.drain_and_fire().map_err(IvmError::Violation)?;
-        if this.engine.instance() != &old {
+    /// `sigma` must be the dependency set the run was chased with; any other
+    /// set is refused with [`IvmError::Reconstruction`]. The run's budget
+    /// bounds the re-chase of an EGD replay (see the module docs).
+    pub fn from_run(sigma: &'a DependencySet, run: MaterializedRun<'a>) -> Result<Self, IvmError> {
+        if sigma.as_slice() != run.engine.sigma().as_slice() {
             return Err(IvmError::Reconstruction(
-                "the replayed engine diverged from the recorded run",
+                "the run was chased with a different dependency set",
             ));
         }
+        let mut this = ChaseMaterialization {
+            sigma,
+            variant: run.variant,
+            budget: run.budget,
+            engine: run.engine,
+            fired: run.fired,
+            ledger: SupportLedger::default(),
+            base: run.base,
+            poisoned: false,
+        };
+        this.fold(run.log);
         Ok(this)
     }
 
@@ -228,11 +154,9 @@ impl<'a> ChaseMaterialization<'a> {
         &self.ledger
     }
 
-    /// Lifetime counters: `ivm.batches`, `ivm.inserted`, `ivm.retracted`,
-    /// `ivm.triggers_fired`, `ivm.overdeleted`, `ivm.rederived`,
-    /// `ivm.egd_replays`.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+    /// The fired-key state (diagnostics).
+    pub fn fired_keys(&self) -> &FiredKeys {
+        &self.fired
     }
 
     /// `true` once an unrepairable error occurred; every further batch
@@ -262,7 +186,7 @@ impl<'a> ChaseMaterialization<'a> {
             }
         }
         let drain = Instant::now();
-        let drained = self.drain_and_fire();
+        let drained = self.drain();
         stats.drain = drain.elapsed();
         match drained {
             Ok(fires) => stats.triggers_fired = fires,
@@ -372,7 +296,7 @@ impl<'a> ChaseMaterialization<'a> {
         }
         stats.rederive = lap(&mut phase);
         // Resurrected facts are deltas: let any downstream repair run out.
-        let drained = self.drain_and_fire();
+        let drained = self.drain();
         stats.drain = lap(&mut phase);
         match drained {
             Ok(fires) => stats.triggers_fired += fires,
@@ -385,8 +309,7 @@ impl<'a> ChaseMaterialization<'a> {
     }
 
     /// A mixed batch: retractions first, then insertions. Runs as two repair
-    /// passes, so `ivm.batches` counts it twice; the returned [`BatchStats`]
-    /// are the combined totals.
+    /// passes; the returned [`BatchStats`] are the combined totals.
     pub fn update(
         &mut self,
         inserts: Vec<Fact>,
@@ -406,58 +329,73 @@ impl<'a> ChaseMaterialization<'a> {
         }
     }
 
-    /// Propagates an EGD substitution to every id- or term-keyed structure:
-    /// fired keys, the base set, and the ledger.
-    fn apply_rewrites(&mut self, gamma: &NullSubstitution, delta: &[(FactId, FactId)]) {
-        self.fired.apply_gamma(gamma);
-        for &(old, new) in delta {
-            if self.base.remove(old) {
-                self.base.insert(new);
+    /// Chases the engine's queued work to quiescence on the chase's own
+    /// per-step loop and folds the steps into the ledger and the base set.
+    /// Returns the number of applied steps (EGD triggers with equal images
+    /// consume their key but do not count).
+    fn drain(&mut self) -> Result<usize, EgdViolation> {
+        let mut stats = ChaseStats::default();
+        let mut log = Vec::new();
+        let halt = chase_steps(
+            &mut self.engine,
+            &mut self.fired,
+            &ChaseBudget::unlimited(),
+            &mut stats,
+            &mut NoopObserver,
+            Some(&mut log),
+        );
+        match halt {
+            Ok(()) => {
+                self.fold(log);
+                Ok(stats.steps)
             }
+            Err(StepHalt::Violation(violation)) => Err(violation),
+            Err(StepHalt::Budget(_)) => unreachable!("an unlimited budget never trips"),
         }
-        self.ledger.rewrite(gamma, delta);
     }
 
-    /// Runs the (semi-)oblivious chase loop on the engine's queued work:
-    /// pops candidates, filters by fired key, applies accepted steps and
-    /// writes their support records. Returns the number of applied steps
-    /// (EGD triggers with equal images consume their key but do not count).
-    fn drain_and_fire(&mut self) -> Result<usize, EgdViolation> {
-        let mut fires = 0usize;
-        loop {
-            let Some((trigger, key)) = self.fired.next_unfired(&mut self.engine, &self.order)
-            else {
-                return Ok(fires);
-            };
-            let (effect, log) = self
-                .engine
-                .apply_trigger_logged(trigger.dep, &trigger.assignment);
-            if effect == StepEffect::Failure {
-                return Err(EgdViolation::from_trigger(self.sigma, &trigger));
-            }
-            let kind = match &effect {
-                StepEffect::AddedFacts { .. } => {
-                    fires += 1;
-                    RecordKind::Tgd
+    /// Folds a step log into the support ledger (one record per fired key)
+    /// and maps every EGD rewrite forward over the ledger and the base set.
+    fn fold(&mut self, log: Vec<MaterializeEvent>) {
+        let mut events = log.into_iter().peekable();
+        while let Some(event) = events.next() {
+            match event {
+                MaterializeEvent::Fired {
+                    dep,
+                    key,
+                    body,
+                    heads,
+                } => {
+                    // A substitution step's `Rewritten` follows its `Fired`.
+                    let kind = match self.sigma.get(dep) {
+                        Dependency::Tgd(_) => RecordKind::Tgd,
+                        Dependency::Egd(_)
+                            if matches!(
+                                events.peek(),
+                                Some(MaterializeEvent::Rewritten { .. })
+                            ) =>
+                        {
+                            RecordKind::EgdSubst
+                        }
+                        Dependency::Egd(_) => RecordKind::EgdNoop,
+                    };
+                    self.ledger.push(SupportRecord {
+                        dep,
+                        key,
+                        body,
+                        heads,
+                        kind,
+                        alive: true,
+                    });
                 }
-                StepEffect::Substituted { .. } => {
-                    fires += 1;
-                    RecordKind::EgdSubst
+                MaterializeEvent::Rewritten { gamma, delta } => {
+                    for &(old, new) in &delta {
+                        if self.base.remove(old) {
+                            self.base.insert(new);
+                        }
+                    }
+                    self.ledger.rewrite(&gamma, &delta);
                 }
-                StepEffect::NotApplicable => RecordKind::EgdNoop,
-                StepEffect::Failure => unreachable!("handled above"),
-            };
-            self.fired.fire(trigger.dep, key.clone());
-            self.ledger.push(SupportRecord {
-                dep: trigger.dep,
-                key,
-                body: log.body,
-                heads: log.heads,
-                kind,
-                alive: true,
-            });
-            if let StepEffect::Substituted { gamma } = &effect {
-                self.apply_rewrites(gamma, &log.rewrites);
             }
         }
     }
@@ -497,35 +435,27 @@ impl<'a> ChaseMaterialization<'a> {
         true
     }
 
-    /// The EGD fallback: re-chases the surviving base from scratch and swaps
-    /// the rebuilt state in, keeping the metrics history.
+    /// The EGD fallback: re-chases the surviving base from scratch, under the
+    /// budget of the run the materialization was built from, and takes the
+    /// new run over.
     fn replay_from_base(
         &mut self,
         mut stats: BatchStats,
         start: Instant,
     ) -> Result<BatchStats, IvmError> {
         stats.egd_replay = true;
-        self.metrics.inc("ivm.egd_replays");
-        let database = self.base_instance();
-        let run = match Chase::oblivious(self.sigma, self.variant).materialize(&database) {
+        let run = Chase::oblivious(self.sigma, self.variant)
+            .with_budget(self.budget)
+            .materialize(&self.base_instance());
+        let run = match run {
             Ok(run) => run,
             Err(e) => {
                 self.poisoned = true;
                 return Err(IvmError::Replay(e));
             }
         };
-        stats.triggers_fired += run.outcome.stats().steps;
-        let fresh = match Self::from_run(self.sigma, run) {
-            Ok(fresh) => fresh,
-            Err(e) => {
-                self.poisoned = true;
-                return Err(e);
-            }
-        };
-        self.engine = fresh.engine;
-        self.fired = fresh.fired;
-        self.ledger = fresh.ledger;
-        self.base = fresh.base;
+        stats.triggers_fired += run.stats.steps;
+        *self = Self::from_run(self.sigma, run).expect("the run chased this materialization's set");
         self.finish(stats, start)
     }
 
@@ -533,14 +463,6 @@ impl<'a> ChaseMaterialization<'a> {
         stats.facts_after = self.engine.instance().len();
         stats.ledger_len = self.ledger.len();
         stats.elapsed = start.elapsed();
-        self.metrics.inc("ivm.batches");
-        self.metrics.add("ivm.inserted", stats.inserted as u64);
-        self.metrics.add("ivm.retracted", stats.retracted as u64);
-        self.metrics
-            .add("ivm.triggers_fired", stats.triggers_fired as u64);
-        self.metrics
-            .add("ivm.overdeleted", stats.overdeleted as u64);
-        self.metrics.add("ivm.rederived", stats.rederived as u64);
         Ok(stats)
     }
 }

@@ -161,6 +161,11 @@ impl<'a> TriggerEngine<'a> {
         engine
     }
 
+    /// The dependency set the engine discovers triggers for.
+    pub fn sigma(&self) -> &'a DependencySet {
+        self.sigma
+    }
+
     /// The current instance.
     pub fn instance(&self) -> &Instance {
         self.index.instance()

@@ -455,3 +455,112 @@ fn ontology_ledger_stays_bounded_over_a_periodic_stream() {
     let base = generate_database(&sigma, 600, 0x1_dead).sorted_facts();
     assert_ledger_stays_bounded("ontology", &sigma, &base);
 }
+
+/// Takes `base` over twice: handed over by [`ChaseMaterialization::from_run`]
+/// from a run on `base`, and inserted into a materialization of the empty
+/// base. Both run the same per-step loop on the same facts, so they must
+/// agree up to null renaming, with as many ledger records and fired keys.
+/// Returns the EGD substitutions of the run on `base`.
+fn assert_handoff_matches_insert(workload: &str, sigma: &DependencySet, base: &Instance) -> usize {
+    let materialize = |db: &Instance| {
+        Chase::semi_oblivious(sigma)
+            .with_budget(budget())
+            .materialize(db)
+            .expect("the workload chase terminates")
+    };
+    let run = materialize(base);
+    let substitutions = run.stats.null_replacements;
+    let handed = ChaseMaterialization::from_run(sigma, run).expect("the run's own set");
+    let mut inserted = ChaseMaterialization::from_run(sigma, materialize(&Instance::new()))
+        .expect("the run's own set");
+    inserted
+        .insert(base.sorted_facts())
+        .expect("the workload base has a model");
+    assert!(
+        isomorphic_up_to_null_renaming(handed.instance(), inserted.instance()),
+        "{workload}: the handed-over model differs from the inserted one"
+    );
+    assert_eq!(handed.base_len(), inserted.base_len(), "{workload}");
+    assert_eq!(handed.ledger().len(), inserted.ledger().len(), "{workload}");
+    assert_eq!(
+        handed.fired_keys().len(),
+        inserted.fired_keys().len(),
+        "{workload}"
+    );
+    substitutions
+}
+
+#[test]
+fn from_run_agrees_with_inserting_the_base() {
+    let closure = chase_core::parser::parse_dependencies(
+        "copy: E(?x, ?y) -> R(?x, ?y). step: R(?x, ?y), E(?y, ?z) -> R(?x, ?z).",
+    )
+    .unwrap();
+    let node = |i: usize, j: usize| GroundTerm::Const(Constant::new(&format!("c{i}_{j}")));
+    let chains = Instance::from_facts((0..20).flat_map(|i| {
+        (0..6).map(move |j| Fact::from_parts("E", vec![node(i, j), node(i, j + 1)]))
+    }));
+    assert_handoff_matches_insert("closure", &closure, &chains);
+
+    let profile = OntologyProfile {
+        existential: 3,
+        full: 6,
+        egds: 3,
+        cyclic: false,
+        seed: 5,
+    };
+    let sigma = generate(&profile);
+    let base = generate_database(&sigma, 40, profile.seed ^ 0x5eed);
+    let substitutions = assert_handoff_matches_insert("ontology", &sigma, &base);
+    assert!(substitutions > 0, "the ontology run applies an EGD");
+}
+
+#[test]
+fn from_run_refuses_another_dependency_set() {
+    let p = chase_core::parser::parse_program("t: E(?x, ?y) -> R(?x, ?y). E(a, b).").unwrap();
+    let other = chase_core::parser::parse_dependencies("t: E(?x, ?y) -> R(?y, ?x).").unwrap();
+    let run = Chase::semi_oblivious(&p.dependencies)
+        .materialize(&p.database)
+        .unwrap();
+    assert!(matches!(
+        ChaseMaterialization::from_run(&other, run),
+        Err(IvmError::Reconstruction(_))
+    ));
+}
+
+/// An EGD replay re-chases under the budget of the run it replaces: here the
+/// run needs more steps than `ChaseBudget::default()` allows.
+#[test]
+fn egd_replay_runs_under_the_run_budget() {
+    const EDGES: usize = 460;
+    let sigma = chase_core::parser::parse_dependencies(
+        "copy: E(?x, ?y) -> R(?x, ?y). step: R(?x, ?y), E(?y, ?z) -> R(?x, ?z).
+         g: A(?x) -> exists ?y: B(?x, ?y).
+         k: B(?x, ?y), C(?x, ?z) -> ?y = ?z.",
+    )
+    .unwrap();
+    let c = |s: &str| GroundTerm::Const(Constant::new(s));
+    let node = |i: usize| c(&format!("n{i}"));
+    let key_fact = Fact::from_parts("C", vec![c("a"), c("c")]);
+    let base = Instance::from_facts(
+        (0..EDGES)
+            .map(|i| Fact::from_parts("E", vec![node(i), node(i + 1)]))
+            .chain([Fact::from_parts("A", vec![c("a")]), key_fact.clone()]),
+    );
+    let run = Chase::semi_oblivious(&sigma)
+        .with_budget(ChaseBudget::unlimited())
+        .materialize(&base)
+        .expect("the chase terminates");
+    let closure = EDGES * (EDGES + 1) / 2;
+    assert_eq!(run.stats.steps, closure + 2, "the closure, g and k");
+    assert!(ChaseBudget::default().max_steps < Some(run.stats.steps));
+    let mut live = ChaseMaterialization::from_run(&sigma, run).unwrap();
+    let stats = live
+        .retract([key_fact])
+        .expect("the replay runs under the run's unlimited budget");
+    assert!(stats.egd_replay);
+    assert!(!live.is_poisoned());
+    // The closure, the edges, A(a) and B(a, η) with a fresh null.
+    assert_eq!(live.instance().len(), closure + EDGES + 2);
+    assert_eq!(live.instance().nulls().len(), 1);
+}

@@ -12,9 +12,10 @@ use chase_core::{
     Tgd, Variable,
 };
 use chase_engine::{
-    core_of, is_core, Chase, ChaseBudget, ChaseEvent, ChaseObserver, ChaseOutcome, EventObserver,
-    ObliviousVariant, StepEffect, StepOrder, TraceObserver, Trigger,
+    chase_steps, core_of, is_core, Chase, ChaseBudget, ChaseEvent, ChaseOutcome, ChaseStats,
+    EventObserver, FiredKeys, ObliviousVariant, StepHalt, StepOrder, TraceObserver,
 };
+use chase_trigger::TriggerEngine;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
@@ -201,31 +202,43 @@ fn shard_free_events(session: &Chase<'_>, db: &Instance) -> Vec<ChaseEvent> {
     events
 }
 
-/// The per-step oracle: a [`TraceObserver`] that also observes derivations,
-/// which keeps a (semi-)oblivious run on the per-step loop even when `Σ` is
-/// EGD-free (unobserved, such a run takes the round runner).
-#[derive(Default)]
-struct PerStepTrace(TraceObserver);
-
-impl ChaseObserver for PerStepTrace {
-    fn observes_derivations(&self) -> bool {
-        true
-    }
-    fn step_applied(&mut self, trigger: &Trigger, effect: &StepEffect) {
-        self.0.step_applied(trigger, effect);
-    }
-    fn nulls_created(&mut self, count: usize) {
-        self.0.nulls_created(count);
-    }
-    fn egd_collapsed(&mut self, gamma: &NullSubstitution) {
-        self.0.egd_collapsed(gamma);
-    }
-    fn round_completed(&mut self, round: usize, facts: usize) {
-        self.0.round_completed(round, facts);
-    }
-    fn round_nulls(&mut self, nulls: usize) {
-        self.0.round_nulls(nulls);
-    }
+/// The per-step oracle: the standard session as it runs, and a
+/// (semi-)oblivious one (`variant`) on [`chase_steps`], the per-step loop,
+/// even when `Σ` is EGD-free (as a session, such a run takes the round runner).
+fn per_step_oracle(
+    sigma: &DependencySet,
+    variant: Option<ObliviousVariant>,
+    session: &Chase<'_>,
+    db: &Instance,
+) -> (ChaseOutcome, TraceObserver) {
+    let mut trace = TraceObserver::new();
+    let Some(variant) = variant else {
+        return (session.run_observed(db, &mut trace), trace);
+    };
+    let mut engine = TriggerEngine::with_database(sigma, db);
+    let mut fired = FiredKeys::new(sigma, variant);
+    let mut stats = ChaseStats::default();
+    let halt = chase_steps(
+        &mut engine,
+        &mut fired,
+        session.budget(),
+        &mut stats,
+        &mut trace,
+        None,
+    );
+    let outcome = match halt {
+        Ok(()) => ChaseOutcome::Terminated {
+            instance: engine.into_instance(),
+            stats,
+        },
+        Err(StepHalt::Budget(limit)) => ChaseOutcome::BudgetExhausted {
+            limit,
+            instance: engine.into_instance(),
+            stats,
+        },
+        Err(StepHalt::Violation(violation)) => ChaseOutcome::Failed { violation, stats },
+    };
+    (outcome, trace)
 }
 
 // The null-bijection checker lives in chase_core (`isomorphic_up_to_null_renaming`)
@@ -762,8 +775,7 @@ proptest! {
     /// Differential test of the round runner: on random `OntologyProfile`
     /// corpora — with and without EGDs, terminating and diverging — a session
     /// at 1, 2, 3, 4, 7 and 8 workers (plus `CHASE_TEST_WORKERS`, if set)
-    /// agrees with the per-step oracle, the same session run under
-    /// [`PerStepTrace`]:
+    /// agrees with the per-step oracle, [`per_step_oracle`]:
     ///
     /// * the **standard** chase ignores `workers`, so it is *bitwise identical*
     ///   to the oracle: outcome, stats and the full observer event stream
@@ -790,20 +802,20 @@ proptest! {
         let db = generate_database(&sigma, facts, seed ^ 0x00c0_ffee);
         let budget = ChaseBudget::unlimited().with_max_steps(300);
         let sessions = vec![
-            ("standard", Chase::standard(&sigma).with_budget(budget)),
+            ("standard", None, Chase::standard(&sigma).with_budget(budget)),
             (
                 "oblivious",
+                Some(ObliviousVariant::Oblivious),
                 Chase::oblivious(&sigma, ObliviousVariant::Oblivious).with_budget(budget),
             ),
             (
                 "semi-oblivious",
+                Some(ObliviousVariant::SemiOblivious),
                 Chase::semi_oblivious(&sigma).with_budget(budget),
             ),
         ];
-        for (name, session) in sessions {
-            let mut oracle = PerStepTrace::default();
-            let sequential = session.clone().run_observed(&db, &mut oracle);
-            let seq_trace = oracle.0;
+        for (name, variant, session) in sessions {
+            let (sequential, seq_trace) = per_step_oracle(&sigma, variant, &session, &db);
             prop_assert!(seq_trace.rounds.is_empty(), "the oracle runs per step");
             let seq_events = (name == "standard").then(|| timeless_events(&session, &db));
             let mut previous: Option<(ChaseOutcome, TraceObserver)> = None;
