@@ -19,9 +19,21 @@
 //!
 //! For each candidate we simulate one chase step of `r1` on `K` and report every
 //! homomorphism `h2 : Body(r2) → J` with `K ⊨ h2(r2)` and `J ⊭ h2(r2)` to the caller.
-//! The `h2` enumeration and the activity checks run through the shared join engine
-//! of [`chase_core::homomorphism`] (indexed via a transient per-query index over the
-//! small witness instances).
+//!
+//! Each distinct candidate `(h1, K)` is evaluated once per pair, on its plain list of
+//! facts: `K` is deduplicated, and a `(h1, K)` met again under another partition,
+//! labelling or subset is skipped. The step is simulated on the list (fresh nulls are
+//! numbered from `K`'s largest null + 1, as [`Instance::fresh_null`] does), and `h2`
+//! is enumerated over `J` by a small backtracking matcher. The candidate reports `h2`
+//! iff `h2(Body(r2)) ⊄ K` and `J ⊭ h2(r2)`, which is the condition above:
+//!
+//! * if `h2(Body(r2)) ⊆ K`, then `K ⊨ h2(r2)` iff `J ⊨ h2(r2)`. For a TGD `r1`,
+//!   `K ⊆ J`. For an EGD `r1` with substitution γ, `h2` maps into `J = γ(K)`, so it
+//!   avoids the replaced null, and γ maps a head extension in `K` into `J`;
+//! * otherwise `K ⊨ h2(r2)` holds vacuously.
+//!
+//! Only a candidate that reports a witness builds the columnar [`Instance`]s `K` and
+//! `J` of [`FiringWitness`], once for all its `h2`.
 //!
 //! Two cheap tests decide before anything is built. A TGD `r1` whose head shares no
 //! predicate with `Body(r2)` fires nothing. An EGD step is settled per partition and
@@ -30,8 +42,9 @@
 //! constant. The partitions skipped are exactly those on which no subset has a step,
 //! so the witnesses reported, and their order, do not change.
 //!
-//! When the combined variable count exceeds [`FiringConfig::max_variables`] the test
-//! falls back to a conservative answer (an edge is assumed), which keeps every
+//! When the combined variable count exceeds [`FiringConfig::max_variables`], or
+//! `Body(r2)` has more than 20 atoms (step 3 numbers its subsets by 20 mask bits), the
+//! test falls back to a conservative answer (an edge is assumed), which keeps every
 //! criterion built on top of it sound.
 //!
 //! Both chase graphs come from one enumeration per pair ([`chase_graphs`]). The
@@ -45,13 +58,14 @@
 //! oblivious one `Gc(Σ)`, edge by edge.
 
 use crate::graph::DiGraph;
-use chase_core::homomorphism::{homomorphisms, Assignment};
-use chase_core::satisfaction::satisfies_under;
+use chase_core::hash::{FastMap, FastSet};
+use chase_core::homomorphism::Assignment;
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    Atom, Constant, Dependency, DependencySet, Fact, GroundTerm, Instance, NullValue, Term,
-    Variable,
+    Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, Instance, NullValue, Term,
+    Tgd, Variable,
 };
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
@@ -117,8 +131,16 @@ impl FiringAnswer {
     }
 }
 
+/// The widest `Body(r2)` whose subsets the firing test enumerates (`2^20` candidate
+/// instances per partition); a wider body answers [`FiringAnswer::Unknown`].
+const MAX_BODY2_ATOMS: usize = 20;
+
 /// Enumerates firing witnesses for the ordered pair `(r1, r2)`, invoking `on_witness`
 /// for each; the callback may stop the search by returning `ControlFlow::Break`.
+///
+/// Each distinct witness is reported once, in a deterministic first-visit order
+/// (partitions, then labellings, then subsets of `Body(r2)`, then the `h2` of one
+/// candidate).
 ///
 /// Returns [`FiringAnswer::Fires`] iff the callback broke out (accepted a witness),
 /// [`FiringAnswer::DoesNotFire`] if the enumeration completed without acceptance, and
@@ -157,7 +179,7 @@ pub fn for_each_firing_witness(
         .into_iter()
         .collect();
     let all_vars: Vec<Variable> = vars1.iter().chain(vars2.iter()).copied().collect();
-    if all_vars.len() > config.max_variables {
+    if all_vars.len() > config.max_variables || body2_renamed.len() > MAX_BODY2_ATOMS {
         return FiringAnswer::Unknown;
     }
 
@@ -177,6 +199,21 @@ pub fn for_each_firing_witness(
         let side = |v: Variable| all_vars.iter().position(|w| *w == v);
         Some((side(egd.left)?, side(egd.right)?))
     });
+    let pair = Pair {
+        r1,
+        r2,
+        applicability: config.applicability,
+        body2_renamed,
+        vars1_len: vars1.len(),
+        all_vars,
+        existentials: r1
+            .as_tgd()
+            .map(Tgd::existential_variables)
+            .unwrap_or_default(),
+        block_values,
+    };
+    let mut pool = FactPool::default();
+    let mut seen: FastMap<Vec<(Variable, GroundTerm)>, FastSet<Vec<u32>>> = FastMap::default();
 
     // Enumerate partitions via restricted growth strings.
     let mut rgs = vec![0usize; n];
@@ -184,25 +221,17 @@ pub fn for_each_firing_witness(
         let block_count = rgs.iter().copied().max().map(|m| m + 1).unwrap_or(0);
         for labelling in block_labellings(r1, block_count) {
             // An EGD step exists iff `h1` maps the two sides to distinct values that
-            // are not both constants (see `simulate_step`). `h1` depends only on the
-            // partition and the labelling, so this settles every subset of step 3.
+            // are not both constants (see `egd_substitution`). `h1` depends only on
+            // the partition and the labelling, so this settles every subset of step 3.
             if let Some((left, right)) = egd_sides {
                 let (a, b) = (rgs[left], rgs[right]);
                 if a == b || !(labelling[a] || labelling[b]) {
                     continue;
                 }
             }
-            if let ControlFlow::Break(()) = try_partition(
-                r1,
-                r2,
-                &body2_renamed,
-                &all_vars,
-                &rgs,
-                &labelling,
-                &block_values,
-                config,
-                on_witness,
-            ) {
+            if let ControlFlow::Break(()) =
+                pair.try_partition(&rgs, &labelling, &mut pool, &mut seen, on_witness)
+            {
                 return FiringAnswer::Fires;
             }
         }
@@ -321,75 +350,290 @@ fn block_labellings(r1: &Dependency, block_count: usize) -> Vec<Vec<bool>> {
     out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn try_partition(
-    r1: &Dependency,
-    r2: &Dependency,
-    body2_renamed: &[Atom],
-    all_vars: &[Variable],
-    rgs: &[usize],
-    labelling: &[bool],
-    block_values: &[(GroundTerm, GroundTerm)],
-    config: &FiringConfig,
-    on_witness: &mut dyn FnMut(&FiringWitness) -> ControlFlow<()>,
-) -> ControlFlow<()> {
-    // Build the assignment: block i -> fresh null i or fresh constant i.
-    let mut sigma_map = Assignment::new();
-    for (v, &block) in all_vars.iter().zip(rgs.iter()) {
-        let (null, constant) = block_values[block];
-        sigma_map.bind(*v, if labelling[block] { null } else { constant });
+/// The invariants of one pair's enumeration.
+struct Pair<'a> {
+    r1: &'a Dependency,
+    r2: &'a Dependency,
+    applicability: Applicability,
+    /// `Body(r2)` with its variables renamed apart from `r1`'s.
+    body2_renamed: Vec<Atom>,
+    /// `Vars(Body(r1))`, then the renamed `Vars(Body(r2))`.
+    all_vars: Vec<Variable>,
+    /// How many of `all_vars` are `r1`'s: the domain of `h1`.
+    vars1_len: usize,
+    /// `r1`'s existential variables, in the order their fresh nulls are numbered.
+    existentials: Vec<Variable>,
+    /// Block `i`'s value as a null and as a constant.
+    block_values: Vec<(GroundTerm, GroundTerm)>,
+}
+
+/// The distinct facts of one pair's candidates; a candidate `K` is the sorted list of
+/// its facts' indices.
+#[derive(Default)]
+struct FactPool {
+    facts: Vec<Fact>,
+    ids: FastMap<Fact, u32>,
+}
+
+impl FactPool {
+    fn intern(&mut self, fact: Fact) -> u32 {
+        let next = u32::try_from(self.facts.len()).expect("fewer than 2^32 candidate facts");
+        *self.ids.entry(fact).or_insert_with_key(|fact| {
+            self.facts.push(fact.clone());
+            next
+        })
+    }
+}
+
+impl Pair<'_> {
+    /// Evaluates every distinct candidate `(h1, K)` of one partition and labelling
+    /// that `seen` does not hold yet, and records it there.
+    fn try_partition(
+        &self,
+        rgs: &[usize],
+        labelling: &[bool],
+        pool: &mut FactPool,
+        seen: &mut FastMap<Vec<(Variable, GroundTerm)>, FastSet<Vec<u32>>>,
+        on_witness: &mut dyn FnMut(&FiringWitness) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        // Block i -> fresh null i or fresh constant i.
+        let value = |block: usize| {
+            let (null, constant) = self.block_values[block];
+            if labelling[block] {
+                null
+            } else {
+                constant
+            }
+        };
+        let sigma_map =
+            Assignment::from_pairs(self.all_vars.iter().zip(rgs).map(|(v, &b)| (*v, value(b))));
+        let mut ground = |atoms: &[Atom]| -> Vec<u32> {
+            atoms
+                .iter()
+                .map(|a| {
+                    pool.intern(
+                        sigma_map
+                            .apply_atom(a)
+                            .expect("all body variables are assigned"),
+                    )
+                })
+                .collect()
+        };
+        let facts1 = ground(self.r1.body());
+        let facts2 = ground(&self.body2_renamed);
+        let h1 = Assignment::from_pairs(
+            self.all_vars[..self.vars1_len]
+                .iter()
+                .zip(rgs)
+                .map(|(v, &b)| (*v, value(b))),
+        );
+        let pool = &*pool;
+        let seen = seen.entry(h1.canonical()).or_default();
+
+        for mask in 0..(1u32 << facts2.len()) {
+            let masked = || {
+                facts2
+                    .iter()
+                    .enumerate()
+                    .filter(move |(idx, _)| mask & (1 << idx) != 0)
+                    .map(|(_, &id)| id)
+            };
+            let mut k: Vec<u32> = facts1.iter().copied().chain(masked()).collect();
+            k.sort_unstable();
+            k.dedup();
+            if seen.contains(&k) {
+                continue;
+            }
+            // The witness's `K` as an instance: the facts of `Body(r1)`, then the
+            // masked facts of `Body(r2)`.
+            let k_instance = || {
+                Instance::from_facts(
+                    facts1
+                        .iter()
+                        .copied()
+                        .chain(masked())
+                        .map(|id| pool.facts[id as usize].clone()),
+                )
+            };
+            let flow = self.evaluate(pool, &k, &h1, k_instance, on_witness);
+            seen.insert(k);
+            flow?;
+        }
+        ControlFlow::Continue(())
     }
 
-    let facts1: Vec<Fact> = r1
-        .body()
-        .iter()
-        .map(|a| {
-            sigma_map
-                .apply_atom(a)
-                .expect("all body variables are assigned")
-        })
-        .collect();
-    let facts2: Vec<Fact> = body2_renamed
-        .iter()
-        .map(|a| {
-            sigma_map
-                .apply_atom(a)
-                .expect("all body variables are assigned")
-        })
-        .collect();
-
-    let h1 = restrict_to(&sigma_map, &r1.body_variables());
-
-    for mask in 0..(1u32 << facts2.len().min(20)) {
-        let mut k = Instance::from_facts(facts1.iter().cloned());
-        for (idx, f) in facts2.iter().enumerate() {
-            if mask & (1 << idx) != 0 {
-                k.insert(f.clone());
+    /// Simulates `r1`'s step under `h1` on the facts of `K` and reports every
+    /// `h2 : Body(r2) → J` with `h2(Body(r2)) ⊄ K` and `J ⊭ h2(r2)`. The `K` and `J`
+    /// instances of the witnesses are built once, on the first one.
+    fn evaluate(
+        &self,
+        pool: &FactPool,
+        k: &[u32],
+        h1: &Assignment,
+        k_instance: impl Fn() -> Instance,
+        on_witness: &mut dyn FnMut(&FiringWitness) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let k_facts: Vec<&Fact> = k.iter().map(|&id| &pool.facts[id as usize]).collect();
+        // `J` as a duplicate-free list, each fact with whether it is in `K`.
+        let mut j: Vec<(Cow<Fact>, bool)> = Vec::with_capacity(k_facts.len() + 2);
+        match self.r1 {
+            Dependency::Tgd(tgd) => {
+                if self.applicability == Applicability::Standard
+                    && extends_into(&tgd.head, &k_facts, h1)
+                {
+                    return ControlFlow::Continue(());
+                }
+                // Fresh nulls follow `K`'s largest null, as `Instance::fresh_null`
+                // numbers them.
+                let next = k_facts
+                    .iter()
+                    .flat_map(|f| &f.terms)
+                    .filter_map(|t| match t {
+                        GroundTerm::Null(n) => Some(n.0 + 1),
+                        GroundTerm::Const(_) => None,
+                    })
+                    .max()
+                    .unwrap_or(0);
+                let mut extended = h1.clone();
+                for (i, &v) in self.existentials.iter().enumerate() {
+                    extended.bind(v, GroundTerm::Null(NullValue(next + i as u64)));
+                }
+                j.extend(k_facts.iter().map(|&fact| (Cow::Borrowed(fact), true)));
+                for atom in &tgd.head {
+                    let fact = extended.apply_atom(atom).expect("head variables bound");
+                    let in_k = k_facts.contains(&&fact);
+                    push_distinct(&mut j, Cow::Owned(fact), in_k);
+                }
             }
-        }
-        // Simulate one chase step of r1 on K under h1.
-        let step = simulate_step(&k, r1, &h1, config.applicability);
-        let (j, gamma) = match step {
-            Some(x) => x,
-            None => continue,
-        };
-        // Look for h2 : Body(r2) → J with K ⊨ h2(r2) and J ⊭ h2(r2).
-        for h2 in homomorphisms(r2.body(), &j) {
-            if satisfies_under(&k, r2, &h2) && !satisfies_under(&j, r2, &h2) {
-                let witness = FiringWitness {
-                    k: k.clone(),
-                    j: j.clone(),
-                    h1: h1.clone(),
-                    h2,
-                    gamma: gamma.clone(),
+            Dependency::Egd(egd) => {
+                let Some(gamma) = egd_substitution(egd, h1) else {
+                    return ControlFlow::Continue(());
                 };
-                if let ControlFlow::Break(()) = on_witness(&witness) {
-                    return ControlFlow::Break(());
+                let (null, _) = gamma.mapping().expect("an EGD step replaces one null");
+                for &fact in &k_facts {
+                    if fact.terms.contains(&GroundTerm::Null(null)) {
+                        let merged = fact.apply(&gamma);
+                        let in_k = k_facts.contains(&&merged);
+                        push_distinct(&mut j, Cow::Owned(merged), in_k);
+                    } else {
+                        push_distinct(&mut j, Cow::Borrowed(fact), true);
+                    }
                 }
             }
         }
+        let j_facts: Vec<&Fact> = j.iter().map(|(f, _)| f.as_ref()).collect();
+
+        let mut witness: Option<FiringWitness> = None;
+        let mut search = Matcher::new(&j_facts, Assignment::new());
+        search.run(self.r2.body(), &mut |h2, matched| {
+            // A match inside `K` is no witness: `K ⊨ h2(r2)` iff `J ⊨ h2(r2)` then.
+            if matched.iter().all(|&i| j[i].1) || satisfied_in(self.r2, h2, &j_facts) {
+                return ControlFlow::Continue(());
+            }
+            let w = witness.get_or_insert_with(|| {
+                let k = k_instance();
+                let (j, gamma) = simulate_step(&k, self.r1, h1, self.applicability)
+                    .expect("the step exists on the facts of K, so on K");
+                FiringWitness {
+                    k,
+                    j,
+                    h1: h1.clone(),
+                    h2: Assignment::new(),
+                    gamma,
+                }
+            });
+            w.h2 = h2.clone();
+            on_witness(w)
+        })
     }
-    ControlFlow::Continue(())
+}
+
+/// Appends `fact` to the list `j` unless it is already there.
+fn push_distinct<'a>(j: &mut Vec<(Cow<'a, Fact>, bool)>, fact: Cow<'a, Fact>, in_k: bool) {
+    if !j.iter().any(|(g, _)| *g == fact) {
+        j.push((fact, in_k));
+    }
+}
+
+/// `facts ⊨ h(dep)`, for an `h` that maps `Body(dep)` into `facts`.
+fn satisfied_in(dep: &Dependency, h: &Assignment, facts: &[&Fact]) -> bool {
+    match dep {
+        Dependency::Tgd(tgd) => extends_into(&tgd.head, facts, h),
+        Dependency::Egd(egd) => h.get(egd.left) == h.get(egd.right),
+    }
+}
+
+/// Does `h` extend to a homomorphism from `atoms` into `facts`?
+fn extends_into(atoms: &[Atom], facts: &[&Fact], h: &Assignment) -> bool {
+    Matcher::new(facts, h.clone())
+        .run(atoms, &mut |_, _| ControlFlow::Break(()))
+        .is_break()
+}
+
+/// A backtracking search for homomorphisms from a few atoms into a few facts: the
+/// facts of one firing candidate, too few to index.
+struct Matcher<'f> {
+    facts: &'f [&'f Fact],
+    h: Assignment,
+    /// The variables bound by the search, in binding order.
+    trail: Vec<Variable>,
+    /// The index in `facts` of each matched atom's image.
+    matched: Vec<usize>,
+}
+
+impl<'f> Matcher<'f> {
+    fn new(facts: &'f [&'f Fact], h: Assignment) -> Self {
+        Matcher {
+            facts,
+            h,
+            trail: Vec::new(),
+            matched: Vec::new(),
+        }
+    }
+
+    /// Calls `on_match` with every extension of the start assignment that maps
+    /// `atoms` into the facts, together with the image index of each atom.
+    fn run(
+        &mut self,
+        atoms: &[Atom],
+        on_match: &mut dyn FnMut(&Assignment, &[usize]) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let Some(atom) = atoms.get(self.matched.len()) else {
+            return on_match(&self.h, &self.matched);
+        };
+        for (i, fact) in self.facts.iter().enumerate() {
+            let mark = self.trail.len();
+            let flow = if self.unify(atom, fact) {
+                self.matched.push(i);
+                let flow = self.run(atoms, on_match);
+                self.matched.pop();
+                flow
+            } else {
+                ControlFlow::Continue(())
+            };
+            for v in self.trail.drain(mark..) {
+                self.h.unbind(v);
+            }
+            flow?;
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Extends the assignment so that `atom` maps onto `fact`, if it can.
+    fn unify(&mut self, atom: &Atom, fact: &Fact) -> bool {
+        atom.predicate == fact.predicate
+            && atom.terms.iter().zip(&fact.terms).all(|(t, &g)| match t {
+                Term::Var(v) => match self.h.get(*v) {
+                    Some(bound) => bound == g,
+                    None => {
+                        self.h.bind(*v, g);
+                        self.trail.push(*v);
+                        true
+                    }
+                },
+                other => *other == Term::from(g),
+            })
+    }
 }
 
 /// Simulates a single chase step of `dep` on `k` under `h`, returning the successor and
@@ -420,28 +664,24 @@ fn simulate_step(
             Some((j, NullSubstitution::empty()))
         }
         Dependency::Egd(egd) => {
-            let a = h.get(egd.left)?;
-            let b = h.get(egd.right)?;
-            if a == b {
-                return None;
-            }
-            let gamma = match (a, b) {
-                (GroundTerm::Const(_), GroundTerm::Const(_)) => return None,
-                (GroundTerm::Null(n), other) => NullSubstitution::single(n, other),
-                (other, GroundTerm::Null(n)) => NullSubstitution::single(n, other),
-            };
+            let gamma = egd_substitution(egd, h)?;
             Some((k.apply_substitution(&gamma), gamma))
         }
     }
 }
 
-fn restrict_to(assignment: &Assignment, vars: &BTreeSet<Variable>) -> Assignment {
-    Assignment::from_pairs(
-        assignment
-            .iter()
-            .filter(|(v, _)| vars.contains(v))
-            .collect::<Vec<_>>(),
-    )
+/// The substitution of an EGD step under `h`, or `None` if there is no step: the two
+/// sides are equal, or both are constants (a failing step).
+fn egd_substitution(egd: &Egd, h: &Assignment) -> Option<NullSubstitution> {
+    let a = h.get(egd.left)?;
+    let b = h.get(egd.right)?;
+    match (a, b) {
+        _ if a == b => None,
+        (GroundTerm::Const(_), GroundTerm::Const(_)) => None,
+        (GroundTerm::Null(n), other) | (other, GroundTerm::Null(n)) => {
+            Some(NullSubstitution::single(n, other))
+        }
+    }
 }
 
 /// Advances a restricted growth string to the next set partition; returns `false` when
@@ -470,6 +710,7 @@ fn next_restricted_growth_string(rgs: &mut [usize]) -> bool {
 mod tests {
     use super::*;
     use chase_core::parser::parse_dependencies;
+    use chase_core::satisfaction::satisfies_under;
     use chase_core::DepId;
 
     fn cfg() -> FiringConfig {
@@ -599,6 +840,44 @@ mod tests {
         let ans = for_each_firing_witness(b1, b2, &cfg(), &mut |_| ControlFlow::Break(()));
         assert_eq!(ans, FiringAnswer::Unknown);
         assert!(ans.may_fire());
+    }
+
+    /// `a: A(x) -> P0(x)` and `b: P0(x), …, P{atoms-1}(x) -> B(x)`.
+    fn wide_body_pair(atoms: usize) -> DependencySet {
+        let body: Vec<String> = (0..atoms).map(|i| format!("P{i}(?x)")).collect();
+        parse_dependencies(&format!(
+            "a: A(?x) -> P0(?x). b: {} -> B(?x).",
+            body.join(", ")
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_body_wider_than_twenty_atoms_answers_unknown() {
+        // With 21 atoms the pair fires (K = {A(c), P1(c), …, P20(c)}), but only 20
+        // subset bits exist; with 33 the bit shift would overflow.
+        for atoms in [21, 33] {
+            let sigma = wide_body_pair(atoms);
+            let (a, b) = (sigma.get(DepId(0)), sigma.get(DepId(1)));
+            for applicability in [Applicability::Standard, Applicability::Oblivious] {
+                let config = FiringConfig {
+                    applicability,
+                    ..cfg()
+                };
+                let ans = for_each_firing_witness(a, b, &config, &mut |_| ControlFlow::Break(()));
+                assert_eq!(
+                    ans,
+                    FiringAnswer::Unknown,
+                    "{atoms} atoms, {applicability:?}"
+                );
+            }
+            assert!(chase_graph_edge(a, b, &cfg()));
+        }
+        // A narrower body is still enumerated exactly.
+        let sigma = wide_body_pair(3);
+        let (a, b) = (sigma.get(DepId(0)), sigma.get(DepId(1)));
+        let ans = for_each_firing_witness(a, b, &cfg(), &mut |_| ControlFlow::Break(()));
+        assert_eq!(ans, FiringAnswer::Fires);
     }
 
     #[test]
