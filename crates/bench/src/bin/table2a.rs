@@ -2,7 +2,8 @@
 //! number of existential TGDs and the number of EGDs, with the number of ontologies
 //! and the average dependency-set size per class).
 //!
-//! The corpus is synthetic (see DESIGN.md §3); by default it is generated at
+//! The corpus is synthetic, because the paper's is not redistributable (see the
+//! `chase_ontology` crate docs); by default it is generated at
 //! `--scale 0.02` of the paper's sizes so the whole pipeline runs in seconds. Use
 //! `--scale 1.0` to generate at the paper's sizes.
 

@@ -81,6 +81,7 @@ pub(crate) fn hash_one<T: std::hash::Hash + ?Sized>(value: &T) -> u64 {
 mod tests {
     use super::*;
     use crate::term::{Constant, GroundTerm, NullValue};
+    use crate::Symbol;
 
     /// Bucket occupancy of `hashes` over the low `bits` bits.
     fn occupancy(hashes: impl Iterator<Item = u64>, bits: u32) -> Vec<usize> {
@@ -121,9 +122,12 @@ mod tests {
                 .map(|i| hash_one(&GroundTerm::Null(NullValue(i))))
                 .collect(),
         );
-        let constants: Vec<Constant> = (0..N)
-            .map(|i| Constant::new(&format!("word-hasher-spread-{i}")))
-            .collect();
+        // Interned in one run, so that no symbol another test interns meanwhile
+        // punches holes in the sequence.
+        let names: Vec<String> = (0..N).map(|i| format!("word-hasher-spread-{i}")).collect();
+        let symbols = Symbol::new_run(names.iter().map(String::as_str));
+        assert!(symbols.windows(2).all(|w| w[1].raw() == w[0].raw() + 1));
+        let constants: Vec<Constant> = symbols.into_iter().map(Constant).collect();
         assert_spread(
             "interned Symbol",
             constants.iter().map(|c| hash_one(&c.0)).collect(),

@@ -71,6 +71,16 @@ impl Symbol {
     }
 }
 
+#[cfg(test)]
+impl Symbol {
+    /// Interns `names` under one write lock, so that the names not interned yet get
+    /// consecutive ids even while other threads intern.
+    pub(crate) fn new_run<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<Symbol> {
+        let mut guard = global().write().expect("interner lock poisoned");
+        names.into_iter().map(|s| Symbol(guard.intern(s))).collect()
+    }
+}
+
 impl fmt::Display for Symbol {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.as_str())

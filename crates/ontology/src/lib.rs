@@ -12,7 +12,8 @@
 //! inclusions, role domains and ranges, existential restrictions, role inverses,
 //! functional roles and keys (as EGDs). A configurable fraction of the generated sets
 //! contains a genuine null-propagation cycle, mirroring the non-terminating ontologies
-//! of the original corpus. See DESIGN.md §3 for the substitution rationale.
+//! of the original corpus. The class statistics the generator reproduces are listed
+//! in [`corpus`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

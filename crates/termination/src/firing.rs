@@ -8,11 +8,15 @@
 //!
 //! This is what allows semi-stratification to recognise sets such as Σ11 of Example 11,
 //! where the re-firing of the existential rule can always be blocked by a full TGD.
+//!
+//! The witnesses of `≺` come from [`for_each_firing_witness`], each a view of its
+//! candidate's facts. The blocking condition is
+//! [`FiringWitness::is_blocked_by`](chase_criteria::firing::FiringWitness::is_blocked_by),
+//! which simulates each blocker's standard step on those facts. As for `K ⊨ h2(r2)`,
+//! `J' ⊨ h2(r2)` holds vacuously when `h2` does not map `Body(r2)` into `J'`.
 
-use chase_core::homomorphism::{Assignment, HomomorphismSearch};
-use chase_core::satisfaction::satisfies_under;
-use chase_core::{Dependency, DependencySet, GroundTerm, Instance};
-use chase_criteria::firing::{for_each_firing_witness, FiringConfig, FiringWitness};
+use chase_core::{Dependency, DependencySet};
+use chase_criteria::firing::{for_each_firing_witness, FiringConfig};
 use chase_criteria::graph::DiGraph;
 use chase_criteria::stratification::chase_graphs_in;
 use chase_criteria::AnalysisContext;
@@ -50,71 +54,13 @@ pub(crate) fn definition2_edge_among<D: Borrow<Dependency>>(
 ) -> bool {
     let existential = r2.is_existential();
     let answer = for_each_firing_witness(r1, r2, config, &mut |w| {
-        if !existential || !witness_is_blocked(full_deps, w, r2) {
+        if !existential || !w.is_blocked_by(full_deps, r2) {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
         }
     });
     answer.may_fire()
-}
-
-/// Checks the blocking condition of Definition 2 for a single witness: is there a full
-/// dependency `r3` and a standard chase step on `K` whose result satisfies `h2(r2)`?
-fn witness_is_blocked<D: Borrow<Dependency>>(
-    full_deps: &[D],
-    witness: &FiringWitness,
-    r2: &Dependency,
-) -> bool {
-    for r3 in full_deps {
-        let r3 = r3.borrow();
-        let blocked = HomomorphismSearch::new(r3.body(), &witness.k).for_each_extending(
-            &Assignment::new(),
-            &mut |h3| {
-                if let Some(j_prime) = standard_step(&witness.k, r3, h3) {
-                    if satisfies_under(&j_prime, r2, &witness.h2) {
-                        return ControlFlow::Break(());
-                    }
-                }
-                ControlFlow::Continue(())
-            },
-        );
-        if blocked.is_some() {
-            return true;
-        }
-    }
-    false
-}
-
-/// Simulates one standard chase step of the full dependency `r3` under `h3`, returning
-/// the successor instance if the step is applicable and non-failing.
-fn standard_step(k: &Instance, r3: &Dependency, h3: &Assignment) -> Option<Instance> {
-    match r3 {
-        Dependency::Tgd(tgd) => {
-            if chase_core::homomorphism::exists_homomorphism_extending(&tgd.head, k, h3) {
-                return None;
-            }
-            // Full TGD: no fresh nulls are needed.
-            let mut j = k.clone();
-            for atom in &tgd.head {
-                j.insert(h3.apply_atom(atom).expect("full TGD head variables bound"));
-            }
-            Some(j)
-        }
-        Dependency::Egd(egd) => {
-            let a = h3.get(egd.left)?;
-            let b = h3.get(egd.right)?;
-            if a == b {
-                return None;
-            }
-            let gamma = match (a, b) {
-                (GroundTerm::Const(_), GroundTerm::Const(_)) => return None,
-                (GroundTerm::Null(n), other) => chase_core::NullSubstitution::single(n, other),
-                (other, GroundTerm::Null(n)) => chase_core::NullSubstitution::single(n, other),
-            };
-            Some(k.apply_substitution(&gamma))
-        }
-    }
 }
 
 /// Builds the firing graph `Gf(Σ)` of Definition 2: nodes are dependency indices, with
