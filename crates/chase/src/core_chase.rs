@@ -72,11 +72,11 @@ pub(crate) fn run_core(
                     let fresh = tgd.existential_variables();
                     stats.nulls_created += fresh.len();
                     round_nulls += fresh.len();
-                    for v in fresh {
+                    for &v in fresh {
                         let n = next.fresh_null();
                         extended.bind(v, GroundTerm::Null(n));
                     }
-                    for atom in &tgd.head {
+                    for atom in tgd.head() {
                         let fact = extended
                             .apply_atom(atom)
                             .expect("head variables are bound after extension");

@@ -21,7 +21,9 @@ use crate::observer::{observed_pop, record_step_effect, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats, EgdViolation};
 use crate::step::StepEffect;
 use chase_core::substitution::NullSubstitution;
-use chase_core::{Assignment, DepId, Dependency, DependencySet, GroundTerm, Instance, Variable};
+use chase_core::{
+    Assignment, DepId, Dependency, DependencySet, GroundTerm, Instance, NullValue, Variable,
+};
 use chase_trigger::{KeySets, Trigger, TriggerEngine};
 
 /// Which oblivious variant to run.
@@ -41,13 +43,7 @@ fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variable> {
     match variant {
         ObliviousVariant::Oblivious => body_vars.into_iter().collect(),
         ObliviousVariant::SemiOblivious => match dep {
-            Dependency::Tgd(t) => {
-                let frontier = t.frontier_variables();
-                body_vars
-                    .into_iter()
-                    .filter(|v| frontier.contains(v))
-                    .collect()
-            }
+            Dependency::Tgd(t) => t.frontier_variables().to_vec(),
             Dependency::Egd(e) => body_vars
                 .into_iter()
                 .filter(|v| *v == e.left || *v == e.right)
@@ -55,6 +51,9 @@ fn key_variables(variant: ObliviousVariant, dep: &Dependency) -> Vec<Variable> {
         },
     }
 }
+
+/// The longest trigger key [`FiredKeys`] probes without allocating.
+const INLINE_KEY: usize = 16;
 
 /// The fired-key state of a (semi-)oblivious chase: the paper's trigger
 /// equivalence "`h_i(x) = h_j(x) γ_j · · · γ_{i-1}`" in one place.
@@ -92,11 +91,30 @@ impl FiredKeys {
     /// The key of the trigger `(dep, h)`, or `None` if an equivalent trigger
     /// already fired.
     pub fn unfired_key(&self, dep: DepId, h: &Assignment) -> Option<Vec<GroundTerm>> {
-        let key: Vec<GroundTerm> = self.key_vars[dep.0]
-            .iter()
-            .map(|&v| h.get(v).expect("body variables are bound"))
-            .collect();
-        (!self.fired.contains(dep, &key)).then_some(key)
+        self.with_key(dep, h, |key| {
+            (!self.fired.contains(dep, key)).then(|| key.to_vec())
+        })
+    }
+
+    /// `true` iff a trigger equivalent to `(dep, h)` already fired. Allocates
+    /// nothing for a key of up to 16 terms.
+    pub fn has_fired(&self, dep: DepId, h: &Assignment) -> bool {
+        self.with_key(dep, h, |key| self.fired.contains(dep, key))
+    }
+
+    /// Calls `f` on the key of `(dep, h)`, built in a stack buffer unless it
+    /// has more than [`INLINE_KEY`] terms.
+    fn with_key<R>(&self, dep: DepId, h: &Assignment, f: impl FnOnce(&[GroundTerm]) -> R) -> R {
+        let vars = &self.key_vars[dep.0];
+        let image = |&v: &Variable| h.get(v).expect("body variables are bound");
+        if vars.len() > INLINE_KEY {
+            return f(&vars.iter().map(image).collect::<Vec<_>>());
+        }
+        let mut buf = [GroundTerm::Null(NullValue(0)); INLINE_KEY];
+        for (slot, v) in buf.iter_mut().zip(vars) {
+            *slot = image(v);
+        }
+        f(&buf[..vars.len()])
     }
 
     /// Pops the engine's next trigger whose key has not fired, trying the
@@ -336,12 +354,36 @@ mod tests {
         // Oblivious: the key is the image of every body variable.
         let key = fired.unfired_key(r, &h).expect("nothing fired yet");
         assert_eq!(key.len(), 2);
+        assert!(!fired.has_fired(r, &h));
         fired.fire(r, key.clone());
         assert_eq!(fired.unfired_key(r, &h), None);
+        assert!(fired.has_fired(r, &h));
         fired.unfire(r, &key);
         assert_eq!(fired.unfired_key(r, &h), Some(key.clone()));
         // The rederive seed binds exactly the key variables.
         assert_eq!(fired.seed(r, &key), h);
+    }
+
+    #[test]
+    fn a_key_longer_than_the_stack_buffer_is_probed_too() {
+        let n = INLINE_KEY + 1;
+        let vars: Vec<String> = (0..n).map(|i| format!("?v{i}")).collect();
+        let rule = format!("r: W({}) -> P(?v0).", vars.join(", "));
+        let sigma = parse_dependencies(&rule).unwrap();
+        let r = DepId(0);
+        let mut fired = FiredKeys::new(&sigma, ObliviousVariant::Oblivious);
+        let names: Vec<String> = (0..n).map(|i| format!("v{i}")).collect();
+        let h = bind(
+            &names
+                .iter()
+                .map(|v| (v.as_str(), gc(v)))
+                .collect::<Vec<_>>(),
+        );
+        let key = fired.unfired_key(r, &h).expect("nothing fired yet");
+        assert_eq!(key.len(), n);
+        fired.fire(r, key);
+        assert!(fired.has_fired(r, &h));
+        assert_eq!(fired.unfired_key(r, &h), None);
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub(crate) fn run_rounds(
         // them anyway, as keys of an EGD-free run are never rewritten.
         let mut batch = if had_delta {
             let snapshot = Snapshot::new(&index);
-            let keep = |dep, h: &_| fired.unfired_key(dep, h).is_some();
+            let keep = |dep, h: &_| !fired.has_fired(dep, h);
             let stats = discovery.as_mut();
             discover_batch(sigma, &seeds, snapshot, &delta, workers, &keep, stats)
         } else {

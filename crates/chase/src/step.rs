@@ -35,12 +35,12 @@ pub fn apply_step(
             let mut extended = h.clone();
             let ex = tgd.existential_variables();
             let fresh_nulls = ex.len();
-            for v in ex {
+            for &v in ex {
                 let n = next.fresh_null();
                 extended.bind(v, GroundTerm::Null(n));
             }
             let mut added = Vec::new();
-            for atom in &tgd.head {
+            for atom in tgd.head() {
                 let fact = extended
                     .apply_atom(atom)
                     .expect("all head variables are bound after extension");
@@ -88,7 +88,7 @@ fn for_each_active_trigger<B>(
     let body_search = HomomorphismSearch::new(dep.body(), instance);
     match dep {
         Dependency::Tgd(tgd) => {
-            let head_search = HomomorphismSearch::new(&tgd.head, instance);
+            let head_search = HomomorphismSearch::new(tgd.head(), instance);
             body_search.for_each_extending(&Assignment::new(), &mut |h| {
                 let satisfied = head_search
                     .for_each_extending::<()>(h, &mut |_| ControlFlow::Break(()))
@@ -154,7 +154,7 @@ mod tests {
     use super::*;
     use chase_core::parser::parse_program;
     use chase_core::term::{Constant, NullValue};
-    use chase_core::{Fact, Variable};
+    use chase_core::{Fact, IndexedInstance, Variable};
 
     fn gc(s: &str) -> GroundTerm {
         GroundTerm::Const(Constant::new(s))
@@ -174,6 +174,39 @@ mod tests {
         )
         .unwrap();
         (p.dependencies, p.database)
+    }
+
+    #[test]
+    fn the_engine_tgd_step_numbers_nulls_as_the_naive_step() {
+        let p = parse_program(
+            r#"
+            r: A(?x) -> exists ?z, ?w: R(?x, ?x), S(?x, ?z, ?w), T(?w, ?z, c).
+            A(a). R(a, a).
+            "#,
+        )
+        .unwrap();
+        let dep = p.dependencies.get(DepId(0));
+        let mut db = p.database;
+        db.insert(Fact {
+            predicate: chase_core::Predicate::new("A", 1),
+            terms: vec![gn(7)],
+        });
+        let h = Assignment::from_pairs([(Variable::new("x"), gc("a"))]);
+
+        let (naive_next, naive) = apply_step(&db, dep, &h);
+        let mut index = IndexedInstance::from_instance(db);
+        let engine =
+            chase_trigger::engine::apply_tgd(&mut index, dep.as_tgd().unwrap(), &h, |_, _| {});
+        assert_eq!(engine, naive);
+        let StepEffect::AddedFacts { facts, fresh_nulls } = &naive else {
+            panic!("a TGD step adds facts");
+        };
+        assert_eq!(*fresh_nulls, 2);
+        assert_eq!(facts.len(), 2, "R(a, a) was already in K");
+        assert_eq!(
+            index.instance().sorted_facts(),
+            naive_next.unwrap().sorted_facts()
+        );
     }
 
     #[test]

@@ -13,14 +13,20 @@ use std::fmt;
 /// The body and head are conjunctions of atoms. Variables occurring in the head but not
 /// in the body are the existentially quantified variables `z`; variables occurring in
 /// both body and head are the *frontier* `x`.
+///
+/// Both variable lists are computed once, by [`Tgd::new`], and read as slices:
+/// [`Tgd::existential_variables`] in first-occurrence order across the head atoms,
+/// [`Tgd::frontier_variables`] sorted and deduplicated. The fields are private so the
+/// lists cannot go stale, and boxed: a TGD never grows, so it keeps no spare capacity.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Tgd {
-    /// Optional label (e.g. `r1`) used for display and graph output.
-    pub label: Option<String>,
-    /// Body atoms `ϕ(x, y)`.
-    pub body: Vec<Atom>,
-    /// Head atoms `ψ(x, z)`.
-    pub head: Vec<Atom>,
+    label: Option<Box<str>>,
+    body: Box<[Atom]>,
+    head: Box<[Atom]>,
+    /// The existential variables followed by the frontier, in one allocation.
+    variables: Box<[Variable]>,
+    /// The number of existential variables: where the frontier starts in `variables`.
+    existential_len: usize,
 }
 
 impl Tgd {
@@ -42,43 +48,47 @@ impl Tgd {
                 return Err(CoreError::NullInDependency);
             }
         }
-        Ok(Tgd { label, body, head })
+        let (variables, existential_len) = classify_head_variables(&body, &head);
+        Ok(Tgd {
+            label: label.map(String::into_boxed_str),
+            body: body.into_boxed_slice(),
+            head: head.into_boxed_slice(),
+            variables,
+            existential_len,
+        })
     }
 
-    /// The universally quantified variables: all variables of the body.
-    pub fn universal_variables(&self) -> BTreeSet<Variable> {
-        self.body.iter().flat_map(|a| a.variables()).collect()
+    /// The optional label (e.g. `r1`) used for display and graph output.
+    pub fn label(&self) -> Option<&str> {
+        self.label.as_deref()
     }
 
-    /// The existentially quantified variables: head variables not occurring in the body.
-    pub fn existential_variables(&self) -> Vec<Variable> {
-        let universal = self.universal_variables();
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for atom in &self.head {
-            for v in atom.variables() {
-                if !universal.contains(&v) && seen.insert(v) {
-                    out.push(v);
-                }
-            }
-        }
-        out
+    /// Body atoms `ϕ(x, y)`.
+    pub fn body(&self) -> &[Atom] {
+        &self.body
     }
 
-    /// The frontier: variables occurring in both body and head.
-    pub fn frontier_variables(&self) -> BTreeSet<Variable> {
-        let universal = self.universal_variables();
-        self.head
-            .iter()
-            .flat_map(|a| a.variables())
-            .filter(|v| universal.contains(v))
-            .collect()
+    /// Head atoms `ψ(x, z)`.
+    pub fn head(&self) -> &[Atom] {
+        &self.head
+    }
+
+    /// The existentially quantified variables: head variables not occurring in the
+    /// body, in order of first occurrence across the head atoms.
+    pub fn existential_variables(&self) -> &[Variable] {
+        &self.variables[..self.existential_len]
+    }
+
+    /// The frontier: variables occurring in both body and head, sorted and
+    /// deduplicated.
+    pub fn frontier_variables(&self) -> &[Variable] {
+        &self.variables[self.existential_len..]
     }
 
     /// Returns `true` iff the TGD is full (universally quantified), i.e. has no
     /// existential variables.
     pub fn is_full(&self) -> bool {
-        self.existential_variables().is_empty()
+        self.existential_len == 0
     }
 
     /// Positions of the body in which `v` occurs.
@@ -90,6 +100,33 @@ impl Tgd {
     pub fn head_positions_of(&self, v: Variable) -> Vec<Position> {
         positions_of(&self.head, v)
     }
+}
+
+/// The head variables of a TGD, split by [`Tgd::new`]: the existential ones in
+/// first-occurrence order, then the frontier sorted, and the number of existential
+/// ones. Linear scans over the atoms; TGDs are small.
+fn classify_head_variables(body: &[Atom], head: &[Atom]) -> (Box<[Variable]>, usize) {
+    let head_vars = || {
+        head.iter().flat_map(|a| &a.terms).filter_map(|t| match t {
+            Term::Var(v) => Some(*v),
+            _ => None,
+        })
+    };
+    let in_body = |v: Variable| body.iter().any(|a| a.terms.contains(&Term::Var(v)));
+    let mut variables: Vec<Variable> = Vec::new();
+    for v in head_vars() {
+        if !variables.contains(&v) && !in_body(v) {
+            variables.push(v);
+        }
+    }
+    let existential_len = variables.len();
+    for v in head_vars() {
+        if !variables[existential_len..].contains(&v) && in_body(v) {
+            variables.push(v);
+        }
+    }
+    variables[existential_len..].sort_unstable();
+    (variables.into_boxed_slice(), existential_len)
 }
 
 fn positions_of(atoms: &[Atom], v: Variable) -> Vec<Position> {
@@ -184,7 +221,7 @@ impl Dependency {
     /// Replaces the label.
     pub fn with_label(mut self, label: &str) -> Self {
         match &mut self {
-            Dependency::Tgd(t) => t.label = Some(label.to_owned()),
+            Dependency::Tgd(t) => t.label = Some(label.into()),
             Dependency::Egd(e) => e.label = Some(label.to_owned()),
         }
         self
@@ -503,12 +540,65 @@ mod tests {
     fn tgd_variable_classification() {
         let sigma = example1();
         let r1 = sigma.get(DepId(0)).as_tgd().unwrap().clone();
-        assert_eq!(r1.existential_variables(), vec![Variable::new("y")]);
+        assert_eq!(r1.existential_variables(), [Variable::new("y")]);
         assert!(r1.frontier_variables().contains(&Variable::new("x")));
         assert!(!r1.is_full());
         let r2 = sigma.get(DepId(1)).as_tgd().unwrap().clone();
         assert!(r2.is_full());
         assert!(r2.existential_variables().is_empty());
+    }
+
+    #[test]
+    fn cached_variable_lists_keep_their_order_contracts() {
+        // `z` repeats within one head atom and `u` across head atoms; `x` is a
+        // frontier variable repeated in the head; `c` is a head constant.
+        let t = Tgd::new(
+            None,
+            vec![
+                atom("A", vec![var("y"), var("x")]),
+                atom("B", vec![var("x"), var("w")]),
+            ],
+            vec![
+                atom("R", vec![var("z"), var("x"), var("z"), cst("c")]),
+                atom("S", vec![var("u"), var("x"), var("y")]),
+                atom("T", vec![var("y"), var("u"), var("z")]),
+            ],
+        )
+        .unwrap();
+        let v = Variable::new;
+        assert_eq!(t.existential_variables(), [v("z"), v("u")]);
+        // Sorted and deduplicated: the order a `BTreeSet` iterates.
+        let frontier: BTreeSet<Variable> = [v("y"), v("x")].into_iter().collect();
+        assert_eq!(
+            t.frontier_variables(),
+            frontier.into_iter().collect::<Vec<_>>()
+        );
+        assert!(!t.is_full());
+
+        let full = Tgd::new(
+            None,
+            vec![atom("A", vec![var("y"), var("x")])],
+            vec![
+                atom("R", vec![var("x"), var("x"), cst("c")]),
+                atom("S", vec![var("y"), var("x")]),
+            ],
+        )
+        .unwrap();
+        assert!(full.existential_variables().is_empty());
+        assert!(full.is_full());
+        assert_eq!(full.frontier_variables().len(), 2);
+        assert!(full.frontier_variables().windows(2).all(|w| w[0] < w[1]));
+
+        // A head of constants only: no existential and no frontier variable.
+        let ground = Tgd::new(
+            None,
+            vec![atom("A", vec![var("x")])],
+            vec![atom("B", vec![cst("c")])],
+        )
+        .unwrap();
+        assert!(ground.is_full());
+        assert!(ground.existential_variables().is_empty());
+        assert!(ground.frontier_variables().is_empty());
     }
 
     #[test]

@@ -92,20 +92,18 @@ impl IndexedInstance {
     fn index_fact(&mut self, id: FactId) {
         let store = self.instance.store();
         let predicate = store.predicate_of(id);
-        let mut nulls: Vec<NullValue> = Vec::new();
-        for (i, t) in store.terms(id).iter().enumerate() {
+        let terms = store.terms(id);
+        for (i, t) in terms.iter().enumerate() {
             self.by_position
                 .entry((predicate, i, t))
                 .or_default()
                 .push(id);
+            // A null is listed once per fact: at its first position.
             if let GroundTerm::Null(n) = t {
-                nulls.push(n);
+                if !terms.iter().take(i).any(|u| u == t) {
+                    self.by_null.entry(n).or_default().push(id);
+                }
             }
-        }
-        nulls.sort_unstable();
-        nulls.dedup();
-        for n in nulls {
-            self.by_null.entry(n).or_default().push(id);
         }
     }
 

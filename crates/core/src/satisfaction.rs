@@ -34,10 +34,10 @@ fn maps_body_into(instance: &Instance, body: &[Atom], h: &Assignment) -> bool {
 /// Returns `true` iff `instance ⊨ tgd`: every homomorphism from the body extends to a
 /// homomorphism from body ∪ head.
 pub fn satisfies_tgd(instance: &Instance, tgd: &Tgd) -> bool {
-    let search = HomomorphismSearch::new(&tgd.body, instance);
+    let search = HomomorphismSearch::new(tgd.body(), instance);
     // One head search serves every body match (its per-query index is built once,
     // not once per homomorphism).
-    let head_search = HomomorphismSearch::new(&tgd.head, instance);
+    let head_search = HomomorphismSearch::new(tgd.head(), instance);
     search
         .for_each_extending(&Assignment::new(), &mut |h| {
             if head_search
@@ -58,10 +58,10 @@ pub fn satisfies_tgd(instance: &Instance, tgd: &Tgd) -> bool {
 /// This is the condition `K ⊨ h(r)` used in the definitions of stratification and of
 /// the firing graph (Definition 2).
 pub fn satisfies_tgd_under(instance: &Instance, tgd: &Tgd, h: &Assignment) -> bool {
-    if !maps_body_into(instance, &tgd.body, h) {
+    if !maps_body_into(instance, tgd.body(), h) {
         return true;
     }
-    exists_homomorphism_extending(&tgd.head, instance, h)
+    exists_homomorphism_extending(tgd.head(), instance, h)
 }
 
 /// Returns `true` iff `instance ⊨ egd`: every homomorphism from the body maps the two
@@ -116,8 +116,8 @@ pub fn violations(instance: &Instance, sigma: &DependencySet) -> Vec<(usize, Ass
     for (id, dep) in sigma.iter() {
         match dep {
             Dependency::Tgd(t) => {
-                let head_search = HomomorphismSearch::new(&t.head, instance);
-                let found = HomomorphismSearch::new(&t.body, instance).for_each_extending(
+                let head_search = HomomorphismSearch::new(t.head(), instance);
+                let found = HomomorphismSearch::new(t.body(), instance).for_each_extending(
                     &Assignment::new(),
                     &mut |h| {
                         if head_search

@@ -125,7 +125,7 @@ impl FiringWitness<'_> {
     pub fn is_standard_step(&self) -> bool {
         match self.r1 {
             Dependency::Egd(_) => true,
-            Dependency::Tgd(tgd) => !extends_into(&tgd.head, self.k, self.h1),
+            Dependency::Tgd(tgd) => !extends_into(tgd.head(), self.k, self.h1),
         }
     }
 
@@ -254,10 +254,7 @@ pub fn for_each_firing_witness(
         body2_renamed,
         vars1_len: vars1.len(),
         all_vars,
-        existentials: r1
-            .as_tgd()
-            .map(Tgd::existential_variables)
-            .unwrap_or_default(),
+        existentials: r1.as_tgd().map_or(&[], Tgd::existential_variables),
         block_values,
     };
     let mut pool = FactPool::default();
@@ -404,7 +401,7 @@ struct Pair<'a> {
     /// How many of `all_vars` are `r1`'s: the domain of `h1`.
     vars1_len: usize,
     /// `r1`'s existential variables, in the order their fresh nulls are numbered.
-    existentials: Vec<Variable>,
+    existentials: &'a [Variable],
     /// Block `i`'s value as a null and as a constant.
     block_values: Vec<(GroundTerm, GroundTerm)>,
 }
@@ -501,13 +498,7 @@ impl Pair<'_> {
         on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let k_facts: Vec<&Fact> = k.iter().map(|&id| &pool.facts[id as usize]).collect();
-        let Some(j) = step(
-            self.r1,
-            h1,
-            &k_facts,
-            self.applicability,
-            &self.existentials,
-        ) else {
+        let Some(j) = step(self.r1, h1, &k_facts, self.applicability, self.existentials) else {
             return ControlFlow::Continue(());
         };
         let j_facts: Vec<&Fact> = j.iter().map(|(f, _)| f.as_ref()).collect();
@@ -543,7 +534,7 @@ fn step<'k>(
     let mut j: Vec<(Cow<Fact>, bool)> = Vec::with_capacity(k.len() + 2);
     match dep {
         Dependency::Tgd(tgd) => {
-            if applicability == Applicability::Standard && extends_into(&tgd.head, k, h) {
+            if applicability == Applicability::Standard && extends_into(tgd.head(), k, h) {
                 return None;
             }
             let next = k
@@ -560,7 +551,7 @@ fn step<'k>(
                 extended.bind(v, GroundTerm::Null(NullValue(next + i as u64)));
             }
             j.extend(k.iter().map(|&fact| (Cow::Borrowed(fact), true)));
-            for atom in &tgd.head {
+            for atom in tgd.head() {
                 let fact = extended.apply_atom(atom).expect("head variables bound");
                 let in_k = k.contains(&&fact);
                 push_distinct(&mut j, Cow::Owned(fact), in_k);
@@ -593,7 +584,7 @@ fn push_distinct<'a>(j: &mut Vec<(Cow<'a, Fact>, bool)>, fact: Cow<'a, Fact>, in
 /// `facts ⊨ h(dep)`, for an `h` that maps `Body(dep)` into `facts`.
 fn satisfied_in(dep: &Dependency, h: &Assignment, facts: &[&Fact]) -> bool {
     match dep {
-        Dependency::Tgd(tgd) => extends_into(&tgd.head, facts, h),
+        Dependency::Tgd(tgd) => extends_into(tgd.head(), facts, h),
         Dependency::Egd(egd) => h.get(egd.left) == h.get(egd.right),
     }
 }

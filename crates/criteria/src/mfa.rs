@@ -23,7 +23,7 @@
 use crate::criterion::{Guarantee, TerminationCriterion, Verdict, Witness};
 use crate::simulation::{has_egds, substitution_free_simulation};
 use chase_core::term::Constant;
-use chase_core::{DependencySet, GroundTerm, Instance, Term, Variable};
+use chase_core::{DependencySet, GroundTerm, Instance, Term};
 use chase_trigger::TriggerEngine;
 use std::collections::HashMap;
 
@@ -197,9 +197,9 @@ pub fn mfa_report_tgds(sigma: &DependencySet, config: &MfaConfig) -> MfaReport {
             };
             chase_core::Dependency::Tgd(
                 chase_core::Tgd::new(
-                    tgd.label.clone(),
-                    norm_atoms(&tgd.body),
-                    norm_atoms(&tgd.head),
+                    tgd.label().map(str::to_owned),
+                    norm_atoms(tgd.body()),
+                    norm_atoms(tgd.head()),
                 )
                 .expect("star-normalisation preserves well-formedness"),
             )
@@ -226,11 +226,7 @@ pub fn mfa_report_tgds(sigma: &DependencySet, config: &MfaConfig) -> MfaReport {
             .expect("the normalised set contains only TGDs");
         let rule_idx = original_index[trigger.dep.0];
         let existential = tgd.existential_variables();
-        let frontier: Vec<Variable> = {
-            let mut f: Vec<Variable> = tgd.frontier_variables().into_iter().collect();
-            f.sort();
-            f
-        };
+        let frontier = tgd.frontier_variables();
         // Extend the assignment with Skolem terms for the existential variables.
         let mut extended = trigger.assignment.clone();
         for (z_idx, z) in existential.iter().enumerate() {
@@ -273,7 +269,7 @@ pub fn mfa_report_tgds(sigma: &DependencySet, config: &MfaConfig) -> MfaReport {
             extended.bind(*z, GroundTerm::Const(interner.encode(term)));
         }
         let head_facts: Vec<chase_core::Fact> = tgd
-            .head
+            .head()
             .iter()
             .map(|atom| {
                 extended

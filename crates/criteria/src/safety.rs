@@ -23,7 +23,7 @@ pub fn affected_positions(sigma: &DependencySet) -> BTreeSet<Position> {
     // Base case: existential positions.
     for (_, dep) in sigma.iter() {
         if let Some(tgd) = dep.as_tgd() {
-            for z in tgd.existential_variables() {
+            for &z in tgd.existential_variables() {
                 for q in tgd.head_positions_of(z) {
                     affected.insert(q);
                 }
@@ -36,7 +36,7 @@ pub fn affected_positions(sigma: &DependencySet) -> BTreeSet<Position> {
         let mut changed = false;
         for (_, dep) in sigma.iter() {
             if let Some(tgd) = dep.as_tgd() {
-                for x in tgd.frontier_variables() {
+                for &x in tgd.frontier_variables() {
                     let body_pos = tgd.body_positions_of(x);
                     if body_pos.iter().all(|p| affected.contains(p)) {
                         for q in tgd.head_positions_of(x) {
@@ -74,7 +74,7 @@ pub fn propagation_graph(sigma: &DependencySet) -> (DiGraph, Vec<Position>) {
             None => continue,
         };
         let existential = tgd.existential_variables();
-        for x in tgd.frontier_variables() {
+        for &x in tgd.frontier_variables() {
             let body_pos = tgd.body_positions_of(x);
             // Only variables that can carry a null propagate: all body occurrences
             // must be affected.
@@ -90,7 +90,7 @@ pub fn propagation_graph(sigma: &DependencySet) -> (DiGraph, Vec<Position>) {
                         graph.add_edge(pid, qid, false);
                     }
                 }
-                for &z in &existential {
+                for &z in existential {
                     for q in tgd.head_positions_of(z) {
                         let qid = intern(q, &mut positions);
                         graph.add_edge(pid, qid, true);

@@ -97,7 +97,7 @@ pub fn substitution_free_simulation(sigma: &DependencySet) -> DependencySet {
         let mut seen: BTreeMap<Variable, usize> = BTreeMap::new();
         let mut extra_eq: Vec<Atom> = Vec::new();
         let mut new_body: Vec<Atom> = Vec::new();
-        for atom in &tgd.body {
+        for atom in tgd.body() {
             let mut terms = Vec::with_capacity(atom.terms.len());
             for t in &atom.terms {
                 match t {
@@ -123,8 +123,12 @@ pub fn substitution_free_simulation(sigma: &DependencySet) -> DependencySet {
         }
         new_body.extend(extra_eq);
         out.push(Dependency::Tgd(
-            Tgd::new(tgd.label.clone(), new_body, tgd.head.clone())
-                .expect("rewritten TGD is well-formed"),
+            Tgd::new(
+                tgd.label().map(str::to_owned),
+                new_body,
+                tgd.head().to_vec(),
+            )
+            .expect("rewritten TGD is well-formed"),
         ));
     }
     DependencySet::from_vec(out)

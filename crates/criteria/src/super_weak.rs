@@ -51,7 +51,7 @@ pub fn reachable_positions(
                 Some(t) => t,
                 None => continue,
             };
-            for x in tgd.frontier_variables() {
+            for &x in tgd.frontier_variables() {
                 let body_pos = tgd.body_positions_of(x);
                 // The null can be matched against x only if it can appear in every
                 // occurrence of x in the body (Marnette's repeated-variable refinement).
@@ -85,11 +85,11 @@ pub fn trigger_graph(sigma: &DependencySet) -> DiGraph {
     }
     for &i in &existential {
         let tgd = sigma.as_slice()[i].as_tgd().expect("existential TGD");
-        for y in tgd.existential_variables() {
+        for &y in tgd.existential_variables() {
             let reach = reachable_positions(sigma, i, y);
             for &j in &existential {
                 let target = sigma.as_slice()[j].as_tgd().expect("existential TGD");
-                let fires = target.frontier_variables().into_iter().any(|x| {
+                let fires = target.frontier_variables().iter().any(|&x| {
                     let body_pos = target.body_positions_of(x);
                     !body_pos.is_empty() && body_pos.iter().all(|p| reach.contains(p))
                 });

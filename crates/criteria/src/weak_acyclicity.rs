@@ -35,8 +35,8 @@ pub fn dependency_graph(sigma: &DependencySet) -> (DiGraph, Vec<Position>) {
             Some(t) => t,
             None => continue, // EGDs are ignored by weak acyclicity.
         };
-        let existential: Vec<_> = tgd.existential_variables();
-        for x in tgd.frontier_variables() {
+        let existential = tgd.existential_variables();
+        for &x in tgd.frontier_variables() {
             let body_positions = tgd.body_positions_of(x);
             let head_positions = tgd.head_positions_of(x);
             for &p in &body_positions {
@@ -46,7 +46,7 @@ pub fn dependency_graph(sigma: &DependencySet) -> (DiGraph, Vec<Position>) {
                     let qid = intern(q, &mut positions);
                     graph.add_edge(pid, qid, false);
                 }
-                for &z in &existential {
+                for &z in existential {
                     for q in tgd.head_positions_of(z) {
                         let qid = intern(q, &mut positions);
                         graph.add_edge(pid, qid, true);
@@ -56,7 +56,7 @@ pub fn dependency_graph(sigma: &DependencySet) -> (DiGraph, Vec<Position>) {
         }
         // Positions mentioned only through constants or non-propagating variables are
         // still registered as nodes so the graph mirrors the schema.
-        for atom in tgd.body.iter().chain(tgd.head.iter()) {
+        for atom in tgd.body().iter().chain(tgd.head().iter()) {
             for (i, t) in atom.terms.iter().enumerate() {
                 if matches!(t, Term::Var(_) | Term::Const(_)) {
                     let pid = intern(Position::new(atom.predicate, i), &mut positions);

@@ -658,8 +658,7 @@ impl<'a> Adn<'a> {
         match dep {
             Dependency::Egd(e) => AdHead::Equality(e.left, e.right),
             Dependency::Tgd(tgd) => {
-                let mut frontier: Vec<Variable> = tgd.frontier_variables().into_iter().collect();
-                frontier.sort();
+                let frontier = tgd.frontier_variables();
                 let args: Vec<AdSym> = frontier
                     .iter()
                     .map(|v| *var_adornment.get(v).unwrap_or(&AdSym::B))
@@ -697,7 +696,7 @@ impl<'a> Adn<'a> {
                     ex_symbols.insert(*z, sym);
                 }
                 let atoms = tgd
-                    .head
+                    .head()
                     .iter()
                     .map(|atom| {
                         let adornment: Adornment = atom

@@ -29,8 +29,8 @@ use crate::parallel::{discover_from, keep_all, SeedAtoms};
 use chase_core::hash::{FastMap, FastSet};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    Assignment, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm, HomomorphismSearch,
-    IndexedInstance, Instance, NullValue, Snapshot, Tgd,
+    Assignment, Atom, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm,
+    HomomorphismSearch, IndexedInstance, Instance, NullValue, Snapshot, Term, Tgd,
 };
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -337,12 +337,18 @@ impl<'a> TriggerEngine<'a> {
     /// change are identical to the unlogged call.
     pub fn apply_trigger_logged(&mut self, dep_id: DepId, h: &Assignment) -> (StepEffect, StepLog) {
         let mut log = StepLog::default();
-        for atom in self.sigma.get(dep_id).body() {
-            let fact = h.apply_atom(atom).expect("body variables are bound");
+        let body = self.sigma.get(dep_id).body();
+        let mut terms: Vec<GroundTerm> = Vec::with_capacity(max_arity(body));
+        for atom in body {
+            terms.clear();
+            terms.extend(atom.terms.iter().map(|t| match *t {
+                Term::Var(v) => h.get(v).expect("body variables are bound"),
+                _ => t.as_ground().expect("a non-variable term is ground"),
+            }));
             let id = self
                 .index
                 .instance()
-                .id_of(&fact)
+                .id_of_parts(atom.predicate, &terms)
                 .expect("a trigger's body maps into the live instance");
             log.body.push(id);
         }
@@ -433,30 +439,51 @@ fn record_insert(stats: &mut EngineStats, deltas: &mut DeltaQueue, id: FactId, n
 /// existential variable is bound to a fresh null, and each head fact is
 /// inserted and handed to `inserted` with its id and whether it is new. The
 /// one TGD application of the engine and of `chase_engine`'s round runner.
+///
+/// One term buffer serves the whole step: it holds the fresh nulls, then each
+/// head atom's image in turn, which is interned from the buffer. Only a new
+/// fact is built as a [`Fact`], for [`StepEffect::AddedFacts`].
 pub fn apply_tgd(
     index: &mut IndexedInstance,
     tgd: &Tgd,
     h: &Assignment,
     mut inserted: impl FnMut(FactId, bool),
 ) -> StepEffect {
-    let mut extended = h.clone();
     let ex = tgd.existential_variables();
     let fresh_nulls = ex.len();
-    for v in ex {
-        extended.bind(v, GroundTerm::Null(index.fresh_null()));
-    }
+    let mut buf: Vec<GroundTerm> = Vec::with_capacity(fresh_nulls + max_arity(tgd.head()));
+    buf.extend((0..fresh_nulls).map(|_| GroundTerm::Null(index.fresh_null())));
     let mut facts = Vec::new();
-    for atom in &tgd.head {
-        let fact = extended
-            .apply_atom(atom)
-            .expect("all head variables are bound after extension");
-        let (id, new) = index.insert_full(fact.clone());
+    for atom in tgd.head() {
+        buf.truncate(fresh_nulls);
+        for t in &atom.terms {
+            let g = match *t {
+                Term::Var(v) => match ex.iter().position(|&z| z == v) {
+                    Some(i) => buf[i],
+                    None => h
+                        .get(v)
+                        .expect("all head variables are bound after extension"),
+                },
+                _ => t.as_ground().expect("a non-variable term is ground"),
+            };
+            buf.push(g);
+        }
+        let terms = &buf[fresh_nulls..];
+        let (id, new) = index.insert_parts(atom.predicate, terms);
         inserted(id, new);
         if new {
-            facts.push(fact);
+            facts.push(Fact {
+                predicate: atom.predicate,
+                terms: terms.to_vec(),
+            });
         }
     }
     StepEffect::AddedFacts { facts, fresh_nulls }
+}
+
+/// The largest arity among `atoms` (0 for none).
+fn max_arity(atoms: &[Atom]) -> usize {
+    atoms.iter().map(|a| a.terms.len()).max().unwrap_or(0)
 }
 
 /// Returns `true` iff `(dep, h)` is active in the standard-chase sense over
@@ -464,7 +491,7 @@ pub fn apply_tgd(
 /// the instance; for an EGD, `h` maps the equated variables to distinct terms.
 pub fn is_standard_active(index: &IndexedInstance, dep: &Dependency, h: &Assignment) -> bool {
     match dep {
-        Dependency::Tgd(tgd) => HomomorphismSearch::over_index(&tgd.head, index)
+        Dependency::Tgd(tgd) => HomomorphismSearch::over_index(tgd.head(), index)
             .for_each_extending(h, &mut |_| ControlFlow::Break(()))
             .is_none(),
         Dependency::Egd(egd) => h.get(egd.left) != h.get(egd.right),
@@ -527,6 +554,13 @@ mod tests {
         GroundTerm::Const(Constant::new(s))
     }
 
+    fn fact(name: &str, arity: usize, terms: Vec<GroundTerm>) -> Fact {
+        Fact {
+            predicate: chase_core::Predicate::new(name, arity),
+            terms,
+        }
+    }
+
     /// Pops the next standard-active trigger: the standard chase's pop.
     fn next_active(engine: &mut TriggerEngine<'_>, order: &[DepId]) -> Option<Trigger> {
         let sigma = engine.sigma;
@@ -546,6 +580,47 @@ mod tests {
         )
         .unwrap();
         (p.dependencies, p.database)
+    }
+
+    #[test]
+    fn apply_tgd_interns_an_existing_head_atom_without_listing_it() {
+        let p = parse_program(
+            r#"
+            r: A(?x) -> exists ?z, ?w: R(?x, ?x), S(?x, ?z, ?w), T(?w, ?z, c).
+            A(a). R(a, a).
+            "#,
+        )
+        .unwrap();
+        let tgd = p.dependencies.get(DepId(0)).as_tgd().unwrap();
+        let mut db = p.database;
+        db.insert(fact("A", 1, vec![GroundTerm::Null(NullValue(7))]));
+        // The nulls a step must invent, in the order it must invent them.
+        let (z, w) = {
+            let mut probe = db.clone();
+            (probe.fresh_null(), probe.fresh_null())
+        };
+        let existing = db.id_of(&fact("R", 2, vec![gc("a"), gc("a")]));
+        let mut index = IndexedInstance::from_instance(db);
+        let h = Assignment::from_pairs([(Variable::new("x"), gc("a"))]);
+        let mut interned = Vec::new();
+        let effect = apply_tgd(&mut index, tgd, &h, |id, new| interned.push((id, new)));
+
+        let (z, w) = (GroundTerm::Null(z), GroundTerm::Null(w));
+        let s_fact = fact("S", 3, vec![gc("a"), z, w]);
+        let t_fact = fact("T", 3, vec![w, z, gc("c")]);
+        assert_eq!(
+            effect,
+            StepEffect::AddedFacts {
+                facts: vec![s_fact.clone(), t_fact.clone()],
+                fresh_nulls: 2,
+            }
+        );
+        let ids = |f: &Fact| index.instance().id_of(f);
+        assert_eq!(interned[0], (existing.unwrap(), false));
+        assert_eq!(
+            interned[1..],
+            [(ids(&s_fact).unwrap(), true), (ids(&t_fact).unwrap(), true)]
+        );
     }
 
     #[test]
