@@ -1,5 +1,7 @@
 //! Experiment E3 — Table 2(b): cost of the adornment algorithm per corpus class — the
-//! average ratio `|Σµ|/|Σ|` and the average wall-clock time of `Adn∃`.
+//! average ratio `|Σµ|/|Σ|`, the number of programs whose run hit the rule budget
+//! (`budget_exhausted`: their ratio is that of a truncated `Σµ`) and the average
+//! wall-clock time of `Adn∃`.
 
 use chase_bench::{render_table, timed, ExperimentOptions};
 use chase_ontology::corpus::{paper_classes, scaled_paper_corpus};
@@ -19,16 +21,19 @@ fn main() {
         let members: Vec<_> = corpus.iter().filter(|o| o.class_index == i).collect();
         let mut total_ratio = 0.0;
         let mut total_time_ms = 0.0;
+        let mut exhausted = 0;
         for ont in &members {
             let (result, elapsed) = timed(|| adorn_with(&ont.sigma, &config));
             total_ratio += result.size_ratio(&ont.sigma);
             total_time_ms += elapsed.as_secs_f64() * 1_000.0;
+            exhausted += usize::from(result.budget_exhausted);
         }
         let n = members.len().max(1) as f64;
         rows.push(vec![
             class.id(),
             format!("{}", members.len()),
             format!("{:.2}", total_ratio / n),
+            format!("{exhausted}"),
             format!("{:.1}", total_time_ms / n),
         ]);
     }
@@ -39,7 +44,13 @@ fn main() {
                 "Table 2(b) — |Σµ|/|Σ| and Adn∃ running time (seed {}, scale {})",
                 opts.seed, opts.scale
             ),
-            &["class", "#tests", "|Σµ|/|Σ| avg", "time ms avg"],
+            &[
+                "class",
+                "#tests",
+                "|Σµ|/|Σ| avg",
+                "exhausted",
+                "time ms avg"
+            ],
             &rows,
         )
     );

@@ -71,8 +71,13 @@ impl IndexedInstance {
     /// Builds the indexes over `instance` (taking ownership, preserving its
     /// labeled-null allocator state and arena).
     ///
-    /// Facts are indexed in sorted order so that join candidate enumeration — and any
-    /// chase sequence built on it — is reproducible across process runs.
+    /// Facts are indexed in [`Instance::sorted_fact_ids`] order, which compares
+    /// predicates and constants by their interned `Symbol` ids
+    /// ([`FactStore::compare`](crate::FactStore::compare)). So join candidate
+    /// enumeration, and any chase sequence built on it, does not depend on the
+    /// instance's insertion order, but does follow the process-global interning
+    /// order, which another process, or other threads of this one, can make
+    /// different.
     pub fn from_instance(instance: Instance) -> Self {
         let mut out = IndexedInstance {
             instance,
@@ -208,11 +213,12 @@ impl IndexedInstance {
     }
 
     /// Loads a database: every fact is re-interned into this instance's arena
-    /// straight from the database's term slices (no [`Fact`] values), in sorted
-    /// order so that discovery — and any chase sequence built on it — is
-    /// reproducible across process runs. Returns the ids of the newly inserted
-    /// facts in insertion order: the initial delta. The one loading routine
-    /// shared by the trigger engine and the round runner, so their round-0
+    /// straight from the database's term slices (no [`Fact`] values), in
+    /// [`Instance::sorted_fact_ids`] order. That order compares interned `Symbol`
+    /// ids, so it follows the process-global interning order, as in
+    /// [`from_instance`](IndexedInstance::from_instance). Returns the ids of the
+    /// newly inserted facts in insertion order: the initial delta. The one loading
+    /// routine shared by the trigger engine and the round runner, so their round-0
     /// state cannot drift.
     pub fn insert_database(&mut self, database: &Instance) -> Vec<FactId> {
         let store = database.store();

@@ -68,8 +68,9 @@ use chase_core::{
     Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, Instance, NullValue,
     Predicate, Term, Tgd, Variable,
 };
-use chase_criteria::firing::{shares_predicate, FiringConfig};
+use chase_criteria::firing::FiringConfig;
 use chase_criteria::AnalysisContext;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
@@ -122,6 +123,16 @@ impl fmt::Display for AdnDefinition {
             self.var_index,
             adornment_string(&self.args)
         )
+    }
+}
+
+impl AdnDefinition {
+    /// The largest symbol the definition mentions, as its symbol or an argument.
+    fn largest_symbol(&self) -> u32 {
+        self.args.iter().fold(self.symbol, |max, s| match s {
+            AdSym::F(i) => max.max(*i),
+            AdSym::B => max,
+        })
     }
 }
 
@@ -222,7 +233,9 @@ pub struct AdnResult {
     pub budget_exhausted: bool,
     /// Number of τ, θ and deduplicating rewrites of `Σµ`: the only steps that are not
     /// appends, so the only ones after which the incremental state (`AP(Σµ)`, the
-    /// rendering and the rejected candidates) is rebuilt. Not part of the witness.
+    /// rendering, the rejected candidates, and which bodies of which dependencies are
+    /// still to be tested) is rebuilt, and every dependency revisited in full. Not
+    /// part of the witness.
     pub rebuilds: usize,
 }
 
@@ -312,26 +325,63 @@ pub(crate) fn adorn_in(cx: &AnalysisContext, config: &AdnConfig) -> Rc<AdnResult
 // Implementation
 // ---------------------------------------------------------------------------------
 
+/// One run of Algorithm 1. Its main loop is semi-naive: lines 6–12 try only the
+/// dependencies that are not settled, in the paper's scan order, and each tests only
+/// the bodies that changed since its last try ([`Revisit`]). The rules, symbols and
+/// iterations are those of the full rescan, which rescans every body of every
+/// dependency after each appended rule.
 struct Adn<'a> {
     sigma: &'a DependencySet,
     config: &'a AdnConfig,
     exact_fireable: bool,
     /// Firing information over the *original* set, used by the Ω(AD) cyclicity test.
     original_firing: OriginalFiring,
-    /// The universally quantified dependencies of the original set, EGDs first (lines
-    /// 6–10), and the existential ones (lines 11–12).
-    full_first: Vec<usize>,
-    existential: Vec<usize>,
+    /// The scan order of lines 6–12: the universally quantified dependencies of the
+    /// original set, EGDs first (lines 6–10), then the existential ones (lines 11–12).
+    /// `rank` is its inverse, and the existential dependencies are at `existential..`.
+    order: Vec<usize>,
+    rank: Vec<usize>,
+    existential: usize,
+    /// `readers[p]`: the dependencies of the original set whose body mentions `p`.
+    readers: HashMap<Predicate, Vec<usize>>,
     rules: Vec<AdRule>,
+    /// The indices in `rules` of the adorned versions of each original dependency,
+    /// ascending.
+    versions: Vec<Vec<usize>>,
     /// What is derived from `rules`: built on first use, extended in place when a
     /// rule is appended, and dropped when a rewrite changes `rules`.
     derived: Option<Derived>,
     ad: Vec<AdnDefinition>,
+    /// `AD` indexed by `(rule, var_index, args)`, to the first such definition's
+    /// symbol, and the largest symbol `AD` mentions (as a definition or an argument):
+    /// the next fresh symbol is one more. Rebuilt after every τ and θ.
+    ad_index: AdIndex,
+    ad_max: u32,
     acyclic: bool,
     iterations: usize,
     budget_exhausted: bool,
     rebuilds: usize,
+    /// Test-only: ignore every [`Revisit`] and enumerate all bodies each time, as the
+    /// full rescan of lines 6–12 does.
+    #[cfg(test)]
+    full_rescan: bool,
 }
+
+/// `AD` by `(rule, var_index)`, then by `args`, to the symbol of the first such
+/// definition.
+type AdIndex = HashMap<(usize, usize), HashMap<Vec<AdSym>, u32>>;
+
+fn index_definition(index: &mut AdIndex, def: &AdnDefinition) {
+    index
+        .entry((def.rule, def.var_index))
+        .or_default()
+        .entry(def.args.clone())
+        .or_insert(def.symbol);
+}
+
+/// `AP(Σµ)`, the adorned predicates, indexed by predicate. Iterated nested, it is in
+/// `(predicate, adornment)` order.
+type AdornedPredicates = BTreeMap<Predicate, BTreeSet<Adornment>>;
 
 /// The state `Adn∃` derives from its adorned rules. Appending a rule only adds to it.
 ///
@@ -340,27 +390,44 @@ struct Adn<'a> {
 /// rules appended since. This is exact while rules are only appended: the old rules
 /// are unchanged, and the new full rules only add blockers to Definition 2, which can
 /// block more witnesses but never unblock one.
+///
+/// `revisit` makes the main loop semi-naive too: it records, per source dependency,
+/// which of its coherent bodies its next `try_adorn` must look at (see [`Revisit`]).
+/// All of it is dropped, and every dependency revisited in full, when a τ, θ or
+/// deduplicating rewrite changes the rules.
 struct Derived {
-    /// `AP(Σµ)`.
-    ap: BTreeSet<(Predicate, Adornment)>,
+    ap: AdornedPredicates,
     /// The bodies of the adorned versions of each original dependency.
     bodies: Vec<HashSet<Vec<AdAtom>>>,
     /// In exact mode, the rules rendered as dependencies (same order), and their `Σ∀`.
     rendered: Vec<Dependency>,
     full: Vec<Dependency>,
+    /// In overlap mode, the last rule with each adorned head atom, and the last
+    /// adorned EGD reading each predicate: a rule after `k` feeds a body iff one of
+    /// them, for one of its atoms, is at or after `k`.
+    last_feeder: HashMap<Predicate, HashMap<Adornment, usize>>,
+    last_egd_reader: HashMap<Predicate, usize>,
     /// Candidates that no rule fired, with the number of rules they were tested
     /// against.
     rejected: HashMap<AdRule, usize>,
+    /// Per original dependency, what its next `try_adorn` tests.
+    revisit: Vec<Revisit>,
+    /// The positions in the scan order of the dependencies that are not settled.
+    unsettled: BTreeSet<usize>,
 }
 
 impl Derived {
     fn build(rules: &[AdRule], sources: usize, exact: bool) -> Self {
         let mut derived = Derived {
-            ap: BTreeSet::new(),
+            ap: BTreeMap::new(),
             bodies: vec![HashSet::new(); sources],
             rendered: Vec::new(),
             full: Vec::new(),
+            last_feeder: HashMap::new(),
+            last_egd_reader: HashMap::new(),
             rejected: HashMap::new(),
+            revisit: vec![Revisit::default(); sources],
+            unsettled: (0..sources).collect(),
         };
         for (k, rule) in rules.iter().enumerate() {
             derived.append(rule, k, exact);
@@ -368,11 +435,22 @@ impl Derived {
         derived
     }
 
+    /// Revisits in full the dependencies at `positions` of the scan `order`.
+    fn revisit_all(&mut self, positions: std::ops::Range<usize>, order: &[usize]) {
+        for k in positions {
+            self.revisit[order[k]] = Revisit::default();
+            self.unsettled.insert(k);
+        }
+    }
+
     /// Accounts for `rule`, appended at `index`.
     fn append(&mut self, rule: &AdRule, index: usize, exact: bool) {
         for atom in rule.body.iter().chain(rule.head_atoms()) {
             if let Some(adornment) = &atom.adornment {
-                self.ap.insert((atom.predicate, adornment.clone()));
+                let known = self.ap.entry(atom.predicate).or_default();
+                if !known.contains(adornment) {
+                    known.insert(adornment.clone());
+                }
             }
         }
         if let Some(src) = rule.src {
@@ -384,6 +462,84 @@ impl Derived {
                 self.full.push(dep.clone());
             }
             self.rendered.push(dep);
+        } else {
+            match &rule.head {
+                AdHead::Atoms(atoms) => {
+                    for atom in atoms {
+                        let adornment = atom.adornment.clone().expect("adorned heads are adorned");
+                        let last = self.last_feeder.entry(atom.predicate).or_default();
+                        last.insert(adornment, index);
+                    }
+                }
+                AdHead::Equality(_, _) => {
+                    for atom in &rule.body {
+                        self.last_egd_reader.insert(atom.predicate, index);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Which coherent bodies of one source dependency its next `try_adorn` must test.
+///
+/// Bodies are ordered by their per-atom adornment tuples: the order in which
+/// [`coherent_adorned_bodies`] enumerates them, and so the order in which `try_adorn`
+/// tests them and picks the first fireable one. The invariant is: **every coherent
+/// body that is not after `done` and uses no element of `fed` is already the body of
+/// an adorned version of the dependency, or a candidate that the full rescan would
+/// test and reject now.** `try_adorn` then tests exactly the bodies after `done` and
+/// those using an element of `fed`, in the full order, so it returns what the full
+/// rescan returns, and leaves the rest untested. A rejected candidate's stored test
+/// count may lag behind the full rescan's, but only by rules that fail Definition 2's
+/// prefilter (or the overlap test) against it, so its next test gives the same
+/// answer.
+///
+/// `try_adorn` sets `done` to the body it appended (every body before it was tested),
+/// or to [`Done::Everything`] when it appends nothing (the dependency is *settled*),
+/// and empties `fed`. The rest of the loop keeps the invariant like this:
+///
+/// 1. An appended TGD rule whose head atom is `p^α` adds `(p, α)` to `fed` for every
+///    dependency with `p` in its body. A body without `p^α` cannot be fired by the
+///    rule: Definition 2's prefilter, and the overlap test, need a head atom and a
+///    body atom with the same adorned predicate. When `p^α` is new in `AP(Σµ)` the new
+///    bodies are exactly those that use it. (This one trigger covers both "AP gained
+///    an adorned predicate" and "a new rule feeds an old one".)
+/// 2. An appended adorned EGD revisits every dependency in full: an EGD step changes
+///    facts by merging nulls, so its firing test has no prefilter.
+/// 3. In exact mode, a new definition in `AD` revisits every existential dependency
+///    in full: the next fresh symbol moves, so a retried candidate gets a different
+///    head, and Definition 2's blocking check reads the head. The overlap test reads
+///    only the body, so it needs no such trigger.
+/// 4. A τ, θ or deduplicating rewrite drops the whole [`Derived`] state.
+#[derive(Clone, Debug, Default)]
+struct Revisit {
+    done: Done,
+    /// The adorned predicates fed to the dependency's body since `done` was set.
+    fed: AdornedPredicates,
+}
+
+/// How far through the ordered coherent bodies a dependency's last `try_adorn` got.
+#[derive(Clone, Debug, Default, PartialEq)]
+enum Done {
+    /// Nothing: every body is tested.
+    #[default]
+    Nothing,
+    /// Every body up to this one (by per-atom adornments), included.
+    Through(Vec<Adornment>),
+    /// Every body: the dependency is settled.
+    Everything,
+}
+
+impl Revisit {
+    /// Records that an appended rule feeds `predicate^adornment` to the body; nothing
+    /// to record while every body is to be tested anyway.
+    fn feed(&mut self, predicate: Predicate, adornment: &Adornment) {
+        if self.done != Done::Nothing {
+            let fed = self.fed.entry(predicate).or_default();
+            if !fed.contains(adornment) {
+                fed.insert(adornment.clone());
+            }
         }
     }
 }
@@ -398,7 +554,12 @@ struct OriginalFiring {
 }
 
 impl OriginalFiring {
-    fn compute(cx: &AnalysisContext, config: &AdnConfig, exact: bool) -> Self {
+    fn compute(
+        cx: &AnalysisContext,
+        config: &AdnConfig,
+        exact: bool,
+        readers: &HashMap<Predicate, Vec<usize>>,
+    ) -> Self {
         let sigma = cx.sigma();
         let n = sigma.len();
         let mut edges = vec![BTreeSet::new(); n];
@@ -408,15 +569,17 @@ impl OriginalFiring {
                 edges[f].insert(t);
             }
         } else {
+            // `r1` feeds every `r2` whose body shares a predicate with its head (its
+            // body, for an EGD).
             for (i, r1) in sigma.iter() {
-                for (j, r2) in sigma.iter() {
-                    let feeds = if r1.is_tgd() {
-                        r1.head_atoms()
-                    } else {
-                        r1.body()
-                    };
-                    if shares_predicate(feeds, r2.body()) {
-                        edges[i.0].insert(j.0);
+                let feeds = if r1.is_tgd() {
+                    r1.head_atoms()
+                } else {
+                    r1.body()
+                };
+                for atom in feeds {
+                    if let Some(readers) = readers.get(&atom.predicate) {
+                        edges[i.0].extend(readers.iter().copied());
                     }
                 }
             }
@@ -462,19 +625,34 @@ impl<'a> Adn<'a> {
             FireableMode::PredicateOverlap => false,
             FireableMode::Auto => sigma.len() <= config.auto_threshold,
         };
-        let original_firing = OriginalFiring::compute(cx, config, exact);
+        let mut readers: HashMap<Predicate, Vec<usize>> = HashMap::new();
+        for (i, dep) in sigma.iter() {
+            for atom in dep.body() {
+                let list = readers.entry(atom.predicate).or_default();
+                if list.last() != Some(&i.0) {
+                    list.push(i.0);
+                }
+            }
+        }
+        let original_firing = OriginalFiring::compute(cx, config, exact, &readers);
         // EGDs before full TGDs (the order is immaterial for correctness).
-        let mut full_first: Vec<usize> = sigma
+        let mut order: Vec<usize> = sigma
             .iter()
             .filter(|(_, d)| d.is_full())
             .map(|(i, _)| i.0)
             .collect();
-        full_first.sort_by_key(|&i| if sigma.as_slice()[i].is_egd() { 0 } else { 1 });
-        let existential = sigma
-            .iter()
-            .filter(|(_, d)| d.is_existential())
-            .map(|(i, _)| i.0)
-            .collect();
+        order.sort_by_key(|&i| if sigma.as_slice()[i].is_egd() { 0 } else { 1 });
+        let existential = order.len();
+        order.extend(
+            sigma
+                .iter()
+                .filter(|(_, d)| d.is_existential())
+                .map(|(i, _)| i.0),
+        );
+        let mut rank = vec![0; order.len()];
+        for (k, &i) in order.iter().enumerate() {
+            rank[i] = k;
+        }
         // Base rules: R(x1, …, xn) → R^{b…b}(x1, …, xn) for every predicate of Σ.
         let mut rules = Vec::new();
         for pred in sigma.predicates() {
@@ -500,15 +678,22 @@ impl<'a> Adn<'a> {
             config,
             exact_fireable: exact,
             original_firing,
-            full_first,
+            order,
+            rank,
             existential,
+            readers,
             rules,
+            versions: vec![Vec::new(); sigma.len()],
             derived: None,
             ad: Vec::new(),
+            ad_index: HashMap::new(),
+            ad_max: 0,
             acyclic: true,
             iterations: 0,
             budget_exhausted: false,
             rebuilds: 0,
+            #[cfg(test)]
+            full_rescan: false,
         }
     }
 
@@ -525,11 +710,12 @@ impl<'a> Adn<'a> {
             let mut changed = false;
             // A pushed rule is never a duplicate; only τ and θ can create one.
             let mut rewritten = false;
-            // Lines 6–10: prefer universally quantified dependencies (EGDs and full
-            // TGDs).
+            // Lines 6–12, in `order`: the first dependency that yields a rule wins.
+            // Settled dependencies yield none, so only the others are tried.
             let mut newly_added: Option<usize> = None;
-            for k in 0..self.full_first.len() {
-                let idx = self.full_first[k];
+            let mut from = 0;
+            while let Some(k) = self.next_unsettled(from) {
+                let idx = self.order[k];
                 if let Some(rule_idx) = self.try_adorn(idx) {
                     newly_added = Some(rule_idx);
                     changed = true;
@@ -543,17 +729,7 @@ impl<'a> Adn<'a> {
                     }
                     break;
                 }
-            }
-            if newly_added.is_none() {
-                // Lines 11–12: existentially quantified dependencies.
-                for k in 0..self.existential.len() {
-                    let idx = self.existential[k];
-                    if let Some(rule_idx) = self.try_adorn(idx) {
-                        newly_added = Some(rule_idx);
-                        changed = true;
-                        break;
-                    }
-                }
+                from = k + 1;
             }
             // Lines 13–16: adornment substitution θ and cyclicity detection.
             if let Some(rule_idx) = newly_added {
@@ -610,50 +786,138 @@ impl<'a> Adn<'a> {
             .get_or_insert_with(|| Derived::build(rules, sources, exact))
     }
 
+    /// The first position of `order` from `from` on whose dependency is not settled.
+    fn next_unsettled(&mut self, from: usize) -> Option<usize> {
+        #[cfg(test)]
+        if self.full_rescan {
+            return (from < self.order.len()).then_some(from);
+        }
+        self.derived().unsettled.range(from..).next().copied()
+    }
+
     /// Drops what was derived from `rules`; called on every rewrite of them.
     fn rules_changed(&mut self) {
         self.derived = None;
+        for versions in &mut self.versions {
+            versions.clear();
+        }
+        for (k, rule) in self.rules.iter().enumerate() {
+            if let Some(src) = rule.src {
+                self.versions[src].push(k);
+            }
+        }
         self.rebuilds += 1;
     }
 
     /// Function 2 (`adorn`): tries to produce a new adorned version of the original
     /// dependency `idx`; on success the rule is appended and its index returned.
+    ///
+    /// Only the bodies that the dependency's [`Revisit`] leaves open are tested, in the
+    /// full enumeration order, so the first fireable one is the full rescan's.
     fn try_adorn(&mut self, idx: usize) -> Option<usize> {
+        let revisit = std::mem::take(&mut self.derived().revisit[idx]);
+        #[cfg(test)]
+        let revisit = if self.full_rescan {
+            Revisit::default()
+        } else {
+            revisit
+        };
         let dep = &self.sigma.as_slice()[idx];
-        let candidates = coherent_adorned_bodies(dep.body(), &self.derived().ap);
+        let candidates = coherent_adorned_bodies(dep.body(), &self.derived().ap, &revisit);
+        let mut fresh = Vec::new();
         for (body, var_adornment) in candidates {
             if self.derived().bodies[idx].contains(&body) {
                 continue;
             }
-            // Tentatively compute the adorned head (HeadAdn); its AD additions are
-            // undone if the rule is rejected.
-            let committed = self.ad.len();
-            let head = Self::head_adorn(dep, idx, &var_adornment, &mut self.ad);
+            // Compute the adorned head (HeadAdn); its new definitions are committed to
+            // AD only if the rule is appended.
+            fresh.clear();
+            let head = self.head_adorn(dep, idx, &var_adornment, &mut fresh);
             let candidate = AdRule {
                 src: Some(idx),
                 body,
                 head,
             };
             if !self.is_fireable(&candidate) {
-                self.ad.truncate(committed);
                 continue;
             }
-            let index = self.rules.len();
-            let exact = self.exact_fireable;
-            self.derived().append(&candidate, index, exact);
-            self.rules.push(candidate);
-            return Some(index);
+            let through = candidate
+                .body
+                .iter()
+                .map(|atom| atom.adornment.clone().expect("adorned bodies are adorned"))
+                .collect();
+            self.derived().revisit[idx] = Revisit {
+                done: Done::Through(through),
+                fed: BTreeMap::new(),
+            };
+            return Some(self.push_rule(candidate, &fresh));
         }
+        let settled = self.rank[idx];
+        let derived = self.derived();
+        derived.revisit[idx] = Revisit {
+            done: Done::Everything,
+            fed: BTreeMap::new(),
+        };
+        derived.unsettled.remove(&settled);
         None
     }
 
+    /// Appends `rule`, whose head defined the `fresh` symbols, and revisits the
+    /// dependencies it can affect (see [`Revisit`]).
+    fn push_rule(&mut self, rule: AdRule, fresh: &[AdnDefinition]) -> usize {
+        let index = self.rules.len();
+        let exact = self.exact_fireable;
+        let (readers, rank) = (&self.readers, &self.rank);
+        let derived = self.derived.as_mut().expect("built by try_adorn");
+        derived.append(&rule, index, exact);
+        match &rule.head {
+            AdHead::Atoms(atoms) => {
+                for atom in atoms {
+                    let adornment = atom.adornment.as_ref().expect("adorned heads are adorned");
+                    for &reader in readers.get(&atom.predicate).into_iter().flatten() {
+                        derived.revisit[reader].feed(atom.predicate, adornment);
+                        derived.unsettled.insert(rank[reader]);
+                    }
+                }
+            }
+            AdHead::Equality(_, _) => derived.revisit_all(0..self.order.len(), &self.order),
+        }
+        if !fresh.is_empty() {
+            if exact {
+                derived.revisit_all(self.existential..self.order.len(), &self.order);
+            }
+            for def in fresh {
+                self.ad_max = self.ad_max.max(def.largest_symbol());
+                index_definition(&mut self.ad_index, def);
+            }
+            self.ad.extend_from_slice(fresh);
+        }
+        if let Some(src) = rule.src {
+            self.versions[src].push(index);
+        }
+        self.rules.push(rule);
+        index
+    }
+
+    /// Rebuilds the `AD` index and its largest symbol after a τ or θ rewrote `AD`.
+    fn reindex_ad(&mut self) {
+        self.ad_index.clear();
+        self.ad_max = 0;
+        for def in &self.ad {
+            self.ad_max = self.ad_max.max(def.largest_symbol());
+            index_definition(&mut self.ad_index, def);
+        }
+    }
+
     /// HeadAdn (Section 6): propagate body adornments to the head; existential
-    /// variables get Skolem-style adornment definitions.
+    /// variables get Skolem-style adornment definitions. A definition `AD` does not
+    /// hold yet is pushed to `fresh`, with the next symbol after `AD`'s and `fresh`'s.
     fn head_adorn(
+        &self,
         dep: &Dependency,
         idx: usize,
         var_adornment: &BTreeMap<Variable, AdSym>,
-        ad: &mut Vec<AdnDefinition>,
+        fresh: &mut Vec<AdnDefinition>,
     ) -> AdHead {
         match dep {
             Dependency::Egd(e) => AdHead::Equality(e.left, e.right),
@@ -665,32 +929,25 @@ impl<'a> Adn<'a> {
                     .collect();
                 let existential = tgd.existential_variables();
                 let mut ex_symbols: BTreeMap<Variable, AdSym> = BTreeMap::new();
+                let mut max = self.ad_max;
                 for (z_idx, z) in existential.iter().enumerate() {
-                    let existing = ad
-                        .iter()
-                        .find(|d| d.rule == idx && d.var_index == z_idx && d.args == args);
+                    let existing = self
+                        .ad_index
+                        .get(&(idx, z_idx))
+                        .and_then(|by_args| by_args.get(args.as_slice()));
                     let sym = match existing {
-                        Some(d) => AdSym::F(d.symbol),
+                        Some(&symbol) => AdSym::F(symbol),
                         None => {
-                            let next = 1 + ad
-                                .iter()
-                                .flat_map(|d| {
-                                    std::iter::once(d.symbol).chain(d.args.iter().filter_map(|s| {
-                                        match s {
-                                            AdSym::F(i) => Some(*i),
-                                            AdSym::B => None,
-                                        }
-                                    }))
-                                })
-                                .max()
-                                .unwrap_or(0);
-                            ad.push(AdnDefinition {
-                                symbol: next,
+                            let symbol = max + 1;
+                            let def = AdnDefinition {
+                                symbol,
                                 rule: idx,
                                 var_index: z_idx,
                                 args: args.clone(),
-                            });
-                            AdSym::F(next)
+                            };
+                            max = max.max(def.largest_symbol());
+                            fresh.push(def);
+                            AdSym::F(symbol)
                         }
                     };
                     ex_symbols.insert(*z, sym);
@@ -729,10 +986,10 @@ impl<'a> Adn<'a> {
     /// tests are cheaper, and the answer does not depend on the order.
     fn is_fireable(&mut self, candidate: &AdRule) -> bool {
         let (exact, config) = (self.exact_fireable, &self.config.firing);
-        let rules = &self.rules;
+        let rules = self.rules.len();
         let derived = self.derived.as_mut().expect("built by try_adorn");
         let tested = derived.rejected.get(candidate).copied().unwrap_or(0);
-        if tested == rules.len() {
+        if tested == rules {
             return false;
         }
         let fires = if exact {
@@ -745,22 +1002,20 @@ impl<'a> Adn<'a> {
                 || new.iter().filter(|d| d.is_egd()).any(fires_it)
         } else {
             // Overlap approximation: some rule's (adorned) head can syntactically feed
-            // the candidate's body.
-            rules[tested..].iter().any(|rule| match &rule.head {
-                AdHead::Atoms(atoms) => atoms.iter().any(|a| {
-                    candidate
-                        .body
-                        .iter()
-                        .any(|b| b.predicate == a.predicate && b.adornment == a.adornment)
-                }),
-                AdHead::Equality(_, _) => rule
-                    .body
-                    .iter()
-                    .any(|a| candidate.body.iter().any(|b| b.predicate == a.predicate)),
+            // the candidate's body, or some adorned EGD reads one of its predicates.
+            let since = |last: Option<&usize>| last.is_some_and(|&k| k >= tested);
+            candidate.body.iter().any(|b| {
+                let feeder = b.adornment.as_ref().and_then(|adornment| {
+                    derived
+                        .last_feeder
+                        .get(&b.predicate)?
+                        .get(adornment.as_slice())
+                });
+                since(feeder) || since(derived.last_egd_reader.get(&b.predicate))
             })
         };
         if !fires {
-            derived.rejected.insert(candidate.clone(), rules.len());
+            derived.rejected.insert(candidate.clone(), rules);
         }
         fires
     }
@@ -780,7 +1035,12 @@ impl<'a> Adn<'a> {
         let mut inst = Instance::new();
         let mut symbol_of: BTreeMap<u64, u32> = BTreeMap::new();
         let mut next_null: u64 = 0;
-        for (pred, adornment) in &self.derived().ap {
+        for (pred, adornment) in self
+            .derived()
+            .ap
+            .iter()
+            .flat_map(|(pred, adornments)| adornments.iter().map(move |a| (pred, a)))
+        {
             let mut per_fact: BTreeMap<u32, NullValue> = BTreeMap::new();
             let terms: Vec<GroundTerm> = adornment
                 .iter()
@@ -863,6 +1123,7 @@ impl<'a> Adn<'a> {
         // collapses neighbours, so deduplicate with a seen-set instead.
         let mut seen: BTreeSet<AdnDefinition> = BTreeSet::new();
         self.ad.retain(|d| seen.insert(d.clone()));
+        self.reindex_ad();
     }
 
     /// Lines 13–14: look for a non-empty valid substitution θ mapping the newly adorned
@@ -870,8 +1131,9 @@ impl<'a> Adn<'a> {
     fn find_valid_theta(&self, rule_idx: usize) -> Option<BTreeMap<u32, AdSym>> {
         let new_rule = &self.rules[rule_idx];
         let src = new_rule.src?;
-        for (k, other) in self.rules.iter().enumerate() {
-            if k == rule_idx || other.src != Some(src) {
+        for &k in &self.versions[src] {
+            let other = &self.rules[k];
+            if k == rule_idx {
                 continue;
             }
             if let Some(theta) = unify_adornments(new_rule, other) {
@@ -932,6 +1194,7 @@ impl<'a> Adn<'a> {
         let mut seen = BTreeSet::new();
         self.ad
             .retain(|d| seen.insert((d.symbol, d.rule, d.var_index, d.args.clone())));
+        self.reindex_ad();
     }
 
     fn dedupe_rules(&mut self) {
@@ -1153,87 +1416,125 @@ fn unify_adornments(new_rule: &AdRule, other: &AdRule) -> Option<BTreeMap<u32, A
 }
 
 /// Enumerates the coherent adorned versions of a body with respect to the available
-/// adorned predicates, together with the induced variable adornment.
+/// adorned predicates, together with the induced variable adornment, in
+/// lexicographic order of their per-atom adornments. Only the bodies `revisit` leaves
+/// open are returned: those after `revisit.done` and those using an element of
+/// `revisit.fed`.
 fn coherent_adorned_bodies(
     body: &[Atom],
-    ap: &BTreeSet<(Predicate, Adornment)>,
+    ap: &AdornedPredicates,
+    revisit: &Revisit,
 ) -> Vec<(Vec<AdAtom>, BTreeMap<Variable, AdSym>)> {
-    let mut per_atom: Vec<Vec<&Adornment>> = Vec::with_capacity(body.len());
+    let no_adornments = BTreeSet::new();
+    let mut options = Vec::with_capacity(body.len());
+    let mut fed = Vec::with_capacity(body.len());
     for atom in body {
-        let options: Vec<&Adornment> = ap
-            .iter()
-            .filter(|(p, _)| *p == atom.predicate)
-            .map(|(_, a)| a)
-            .collect();
-        if options.is_empty() {
-            return Vec::new();
+        match ap.get(&atom.predicate) {
+            Some(adornments) => options.push(adornments),
+            None => return Vec::new(),
         }
-        per_atom.push(options);
+        fed.push(revisit.fed.get(&atom.predicate).unwrap_or(&no_adornments));
     }
-    let mut out = Vec::new();
-    let mut assignment: BTreeMap<Variable, AdSym> = BTreeMap::new();
-    let mut chosen: Vec<&Adornment> = Vec::with_capacity(body.len());
-    fn recurse2<'x>(
-        body: &[Atom],
-        per_atom: &[Vec<&'x Adornment>],
-        idx: usize,
-        assignment: &mut BTreeMap<Variable, AdSym>,
-        chosen: &mut Vec<&'x Adornment>,
-        out: &mut Vec<(Vec<AdAtom>, BTreeMap<Variable, AdSym>)>,
-    ) {
-        if idx == body.len() {
-            let atoms = body
-                .iter()
-                .zip(chosen.iter())
-                .map(|(atom, adornment)| AdAtom {
-                    predicate: atom.predicate,
-                    adornment: Some((*adornment).clone()),
-                    terms: atom.terms.clone(),
-                })
-                .collect();
-            out.push((atoms, assignment.clone()));
+    // `fed_after[i]`: some atom from `i` on has a fed adornment.
+    let mut fed_after = vec![false; body.len() + 1];
+    for i in (0..body.len()).rev() {
+        fed_after[i] = fed_after[i + 1] || !fed[i].is_empty();
+    }
+    // The position of the bodies enumerated so far relative to `done`: all after it,
+    // tied with its prefix, or all before it.
+    let (position, done): (Ordering, &[Adornment]) = match &revisit.done {
+        Done::Nothing => (Ordering::Greater, &[]),
+        Done::Through(done) => (Ordering::Equal, done),
+        Done::Everything => (Ordering::Less, &[]),
+    };
+    let mut bodies = Bodies {
+        body,
+        options,
+        fed,
+        fed_after,
+        done,
+        assignment: BTreeMap::new(),
+        chosen: Vec::with_capacity(body.len()),
+        out: Vec::new(),
+    };
+    bodies.extend(0, position, false);
+    bodies.out
+}
+
+/// The state of [`coherent_adorned_bodies`]' depth-first enumeration.
+struct Bodies<'x> {
+    body: &'x [Atom],
+    /// Per body atom, the adornments of its predicate in `AP(Σµ)` and the fed ones.
+    options: Vec<&'x BTreeSet<Adornment>>,
+    fed: Vec<&'x BTreeSet<Adornment>>,
+    fed_after: Vec<bool>,
+    done: &'x [Adornment],
+    assignment: BTreeMap<Variable, AdSym>,
+    chosen: Vec<&'x Adornment>,
+    out: Vec<(Vec<AdAtom>, BTreeMap<Variable, AdSym>)>,
+}
+
+impl<'x> Bodies<'x> {
+    /// Extends the chosen prefix from atom `idx` on; `position` compares the prefix
+    /// with `done`'s, and `fed` tells whether it uses a fed adornment.
+    fn extend(&mut self, idx: usize, position: Ordering, fed: bool) {
+        if idx == self.body.len() {
+            if fed || position == Ordering::Greater {
+                let atoms = self
+                    .body
+                    .iter()
+                    .zip(&self.chosen)
+                    .map(|(atom, adornment)| AdAtom {
+                        predicate: atom.predicate,
+                        adornment: Some((*adornment).clone()),
+                        terms: atom.terms.clone(),
+                    })
+                    .collect();
+                self.out.push((atoms, self.assignment.clone()));
+            }
             return;
         }
-        let atom = &body[idx];
-        'options: for adornment in &per_atom[idx] {
-            let mut newly_bound: Vec<Variable> = Vec::new();
-            for (t, s) in atom.terms.iter().zip(adornment.iter()) {
-                match t {
-                    Term::Const(_) => {
-                        if *s != AdSym::B {
-                            for v in newly_bound.drain(..) {
-                                assignment.remove(&v);
-                            }
-                            continue 'options;
-                        }
-                    }
-                    Term::Null(_) => {}
-                    Term::Var(v) => match assignment.get(v) {
-                        Some(existing) => {
-                            if existing != s {
-                                for v in newly_bound.drain(..) {
-                                    assignment.remove(&v);
-                                }
-                                continue 'options;
-                            }
-                        }
-                        None => {
-                            assignment.insert(*v, *s);
-                            newly_bound.push(*v);
-                        }
-                    },
-                }
+        // Before `done` with nothing fed yet, and no fed adornment further right: only
+        // this atom's fed adornments can still open a body.
+        let only_fed = position == Ordering::Less && !fed && !self.fed_after[idx + 1];
+        let options = if only_fed {
+            self.fed[idx]
+        } else {
+            self.options[idx]
+        };
+        let atom = &self.body[idx];
+        for adornment in options {
+            let position = match position {
+                Ordering::Equal => adornment.cmp(&self.done[idx]),
+                other => other,
+            };
+            let fed = fed || only_fed || self.fed[idx].contains(adornment);
+            if position == Ordering::Less && !fed && !self.fed_after[idx + 1] {
+                continue;
             }
-            chosen.push(adornment);
-            recurse2(body, per_atom, idx + 1, assignment, chosen, out);
-            chosen.pop();
+            let mut newly_bound: Vec<Variable> = Vec::new();
+            let coherent = atom.terms.iter().zip(adornment).all(|(t, s)| match t {
+                Term::Const(_) => *s == AdSym::B,
+                Term::Null(_) => true,
+                Term::Var(v) => match self.assignment.get(v) {
+                    Some(existing) => existing == s,
+                    None => {
+                        self.assignment.insert(*v, *s);
+                        newly_bound.push(*v);
+                        true
+                    }
+                },
+            });
+            if coherent {
+                self.chosen.push(adornment);
+                self.extend(idx + 1, position, fed);
+                self.chosen.pop();
+            }
             for v in newly_bound {
-                assignment.remove(&v);
+                self.assignment.remove(&v);
             }
         }
     }
-    recurse2(body, &per_atom, 0, &mut assignment, &mut chosen, &mut out);
-    out
 }
 
 /// Renders an adorned rule as an ordinary dependency with mangled predicate names.
@@ -1509,6 +1810,132 @@ mod tests {
         // A full TGD alone only appends rules.
         let closure = parse_dependencies("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).").unwrap();
         assert_eq!(adorn(&closure).rebuilds, 0);
+    }
+
+    /// Every field of an [`AdnResult`], the rendered `Σµ` as text.
+    type Fingerprint = (
+        String,
+        bool,
+        Vec<AdnDefinition>,
+        usize,
+        usize,
+        Vec<(usize, usize)>,
+        bool,
+        usize,
+    );
+
+    fn fingerprint(result: AdnResult) -> Fingerprint {
+        (
+            result.adorned.to_string(),
+            result.acyclic,
+            result.definitions,
+            result.adorned_rule_count,
+            result.iterations,
+            result.fireable_pairs,
+            result.budget_exhausted,
+            result.rebuilds,
+        )
+    }
+
+    /// Runs `Adn∃` on `sigma` as shipped and as the full rescan of lines 6–12, and
+    /// compares every field of the two results.
+    fn assert_matches_full_rescan(sigma: &DependencySet, config: &AdnConfig, what: &str) {
+        let cx = AnalysisContext::new(sigma);
+        let semi_naive = Adn::new(&cx, config).run();
+        let mut reference = Adn::new(&cx, config);
+        reference.full_rescan = true;
+        let full_rescan = reference.run();
+        assert_eq!(
+            fingerprint(semi_naive),
+            fingerprint(full_rescan),
+            "{what} under {:?}:\n{sigma}",
+            config.fireable_mode
+        );
+    }
+
+    /// A seeded program of 3–7 dependencies over `P/1`, `Q/2`, `R/2` and `S/3`: full
+    /// and existential TGDs with one or two body atoms and EGDs.
+    fn random_program(seed: u64) -> DependencySet {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut below = move |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let predicates = [("P", 1), ("Q", 2), ("R", 2), ("S", 3)];
+        let mut text = String::new();
+        for i in 0..3 + below(5) {
+            let mut body = Vec::new();
+            let mut body_vars: Vec<&str> = Vec::new();
+            for _ in 0..1 + below(2) {
+                let (name, arity) = predicates[below(4)];
+                let terms: Vec<&str> = (0..arity).map(|_| ["?x", "?y", "?z"][below(3)]).collect();
+                for v in &terms {
+                    if !body_vars.contains(v) {
+                        body_vars.push(v);
+                    }
+                }
+                body.push(format!("{name}({})", terms.join(", ")));
+            }
+            let body = body.join(", ");
+            let kind = below(10);
+            let mut pick = || body_vars[below(body_vars.len())];
+            if kind < 2 {
+                let (left, right) = (pick(), pick());
+                if left != right {
+                    text.push_str(&format!("r{i}: {body} -> {left} = {right}.\n"));
+                    continue;
+                }
+            }
+            let mut head = Vec::new();
+            let mut existential = false;
+            for _ in 0..1 + below(4) / 3 {
+                let (name, arity) = predicates[below(4)];
+                let terms: Vec<&str> = (0..arity)
+                    .map(|_| {
+                        if kind >= 5 && below(3) == 0 {
+                            existential = true;
+                            "?w"
+                        } else {
+                            body_vars[below(body_vars.len())]
+                        }
+                    })
+                    .collect();
+                head.push(format!("{name}({})", terms.join(", ")));
+            }
+            let exists = if existential { "exists ?w: " } else { "" };
+            text.push_str(&format!("r{i}: {body} -> {exists}{}.\n", head.join(", ")));
+        }
+        parse_dependencies(&text).expect("generated programs parse")
+    }
+
+    /// The semi-naive main loop (settled dependencies, fed adornments, resumed
+    /// enumeration) returns exactly what rescanning every dependency's every body
+    /// returns. One test, so that no other test interns symbols while it runs: the
+    /// order of `AP(Σµ)` follows the interning order of the predicates.
+    #[test]
+    fn semi_naive_loop_matches_the_full_rescan() {
+        for seed in 800..1000 {
+            let sigma = random_program(seed);
+            for fireable_mode in [FireableMode::Exact, FireableMode::PredicateOverlap] {
+                let config = AdnConfig {
+                    fireable_mode,
+                    max_adorned_rules: 60,
+                    ..AdnConfig::default()
+                };
+                assert_matches_full_rescan(&sigma, &config, &format!("random seed {seed}"));
+            }
+        }
+        let config = AdnConfig::default();
+        for program in chase_ontology::atlas_corpus(&[8], 20160396) {
+            let what = format!("atlas {} at size 8", program.family);
+            assert_matches_full_rescan(&program.sigma, &config, &what);
+        }
+        for ontology in chase_ontology::scaled_paper_corpus(20160396, 0.55, 0.003) {
+            let what = format!("Table 2 class {} at scale 0.003", ontology.class_id);
+            assert_matches_full_rescan(&ontology.sigma, &config, &what);
+        }
     }
 
     #[test]

@@ -148,11 +148,16 @@ impl<'a> TriggerEngine<'a> {
 
     /// Creates an engine and loads the database (every database fact is a delta).
     ///
-    /// Facts are seeded in sorted order so that discovery — and hence the chase
-    /// sequence built on it — is reproducible across process runs (the database's
-    /// own fact set iterates in hash order). The facts are re-interned into the
-    /// engine's own arena directly from the database's term slices; no `Fact`
-    /// values are materialised.
+    /// Facts are seeded in [`Instance::sorted_fact_ids`] order: by predicate, then
+    /// by argument terms, where predicates and constants compare by their interned
+    /// `Symbol` ids ([`FactStore::compare`](chase_core::FactStore::compare)). That
+    /// order is independent of how the database was built (its live set is a
+    /// `FactIdSet` bitset, which iterates in id order, that is insertion order), but
+    /// it follows the process-global interning order: two processes, or one process
+    /// whose threads intern the same names in another order, can seed the same
+    /// database differently, and so discover and fire triggers in a different order.
+    /// The facts are re-interned into the engine's own arena directly from the
+    /// database's term slices; no `Fact` values are materialised.
     pub fn with_database(sigma: &'a DependencySet, database: &Instance) -> Self {
         let mut engine = TriggerEngine::new(sigma);
         for id in engine.index.insert_database(database) {
