@@ -5,16 +5,12 @@
 
 use chase_bench::{render_table, timed, ExperimentOptions};
 use chase_ontology::corpus::{paper_classes, scaled_paper_corpus};
-use chase_termination::adornment::{adorn_with, AdnConfig, FireableMode};
+use chase_termination::adornment::adorn;
 
 fn main() {
     let opts = ExperimentOptions::from_args();
     let corpus = scaled_paper_corpus(opts.seed, opts.cyclic_fraction, opts.scale);
     let classes = paper_classes();
-    let config = AdnConfig {
-        fireable_mode: FireableMode::Auto,
-        ..AdnConfig::default()
-    };
 
     let mut rows = Vec::new();
     for (i, class) in classes.iter().enumerate() {
@@ -23,7 +19,7 @@ fn main() {
         let mut total_time_ms = 0.0;
         let mut exhausted = 0;
         for ont in &members {
-            let (result, elapsed) = timed(|| adorn_with(&ont.sigma, &config));
+            let (result, elapsed) = timed(|| adorn(&ont.sigma));
             total_ratio += result.size_ratio(&ont.sigma);
             total_time_ms += elapsed.as_secs_f64() * 1_000.0;
             exhausted += usize::from(result.budget_exhausted);

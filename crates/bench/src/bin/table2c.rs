@@ -10,16 +10,12 @@
 
 use chase_bench::{chase_ground_truth, render_table, ChaseGroundTruth, ExperimentOptions};
 use chase_ontology::corpus::{paper_classes, scaled_paper_corpus};
-use chase_termination::adornment::{adorn_with, AdnConfig, FireableMode};
+use chase_termination::adornment::adorn;
 
 fn main() {
     let opts = ExperimentOptions::from_args();
     let corpus = scaled_paper_corpus(opts.seed, opts.cyclic_fraction, opts.scale);
     let classes = paper_classes();
-    let config = AdnConfig {
-        fireable_mode: FireableMode::Auto,
-        ..AdnConfig::default()
-    };
 
     let mut rows = Vec::new();
     let mut total_halted = 0usize;
@@ -30,7 +26,7 @@ fn main() {
         let mut not_acc_not_halting = 0usize;
         let mut false_negatives = 0usize;
         for ont in &members {
-            let sac = adorn_with(&ont.sigma, &config).acyclic;
+            let sac = adorn(&ont.sigma).acyclic;
             let truth = chase_ground_truth(&ont.sigma, &opts, ont.profile.seed);
             if truth == ChaseGroundTruth::Halted {
                 total_halted += 1;

@@ -152,7 +152,7 @@ pub enum Witness {
         /// The final adornment definitions `AD`, rendered as `f_i = f^r_z(α)`.
         definitions: Vec<String>,
         /// The fireable pairs `(r, r')` of the original set used by the Ω(AD)
-        /// cyclicity test (the firing relation, or its overlap approximation).
+        /// cyclicity test: the edges of the Definition-2 firing graph.
         fireable_pairs: Vec<(DepId, DepId)>,
         /// `true` iff the adornment budget was exhausted (conservative rejection).
         budget_exhausted: bool,

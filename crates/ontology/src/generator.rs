@@ -368,7 +368,7 @@ mod tests {
 
     #[test]
     fn acyclic_profiles_are_mostly_recognised_by_the_adornment_algorithm() {
-        use chase_termination::adornment::{adorn_with, AdnConfig, FireableMode};
+        use chase_termination::adornment::adorn;
         let mut accepted = 0;
         let total = 10;
         for seed in 0..total {
@@ -379,11 +379,7 @@ mod tests {
                 cyclic: false,
                 seed,
             });
-            let cfg = AdnConfig {
-                fireable_mode: FireableMode::PredicateOverlap,
-                ..AdnConfig::default()
-            };
-            if adorn_with(&sigma, &cfg).acyclic {
+            if adorn(&sigma).acyclic {
                 accepted += 1;
             }
         }
@@ -392,7 +388,7 @@ mod tests {
 
     #[test]
     fn cyclic_profiles_are_rejected_by_the_adornment_algorithm() {
-        use chase_termination::adornment::{adorn_with, AdnConfig, FireableMode};
+        use chase_termination::adornment::adorn;
         // Every seed must be rejected — seed 3 included, which used to trip the
         // historical `adorn_with` per-symbol-null soundness gap (an unrelated
         // functional-role EGD joining two distinct Dµ facts through a shared null).
@@ -404,12 +400,8 @@ mod tests {
                 cyclic: true,
                 seed,
             });
-            let cfg = AdnConfig {
-                fireable_mode: FireableMode::PredicateOverlap,
-                ..AdnConfig::default()
-            };
             assert!(
-                !adorn_with(&sigma, &cfg).acyclic,
+                !adorn(&sigma).acyclic,
                 "cyclic ontology (seed {seed}) must be rejected"
             );
         }

@@ -34,12 +34,11 @@
 //! different Skolem instantiations — and the resulting spurious τ deleted a cyclic
 //! symbol's definitions, erasing the very evidence the cyclicity test needed. The
 //! distilled reproducer (a cyclic gadget `g1`/`g2`, an unrelated functional EGD on
-//! `R0`, and a copy chain `c1`/`c2` enabling the θ-merge) must be rejected under
-//! both fireable modes:
+//! `R0`, and a copy chain `c1`/`c2` enabling the θ-merge) must be rejected:
 //!
 //! ```
 //! use chase_core::parser::parse_dependencies;
-//! use chase_termination::adornment::{adorn_with, AdnConfig, FireableMode};
+//! use chase_termination::adornment::adorn;
 //!
 //! let sigma = parse_dependencies(
 //!     r#"
@@ -52,10 +51,7 @@
 //!     "#,
 //! )
 //! .unwrap();
-//! for mode in [FireableMode::Exact, FireableMode::PredicateOverlap] {
-//!     let cfg = AdnConfig { fireable_mode: mode, ..AdnConfig::default() };
-//!     assert!(!adorn_with(&sigma, &cfg).acyclic, "the gadget's cycle must be found");
-//! }
+//! assert!(!adorn(&sigma).acyclic, "the gadget's cycle must be found");
 //! ```
 //!
 //! Skipping a match that is only realizable across facts biases the criterion toward
@@ -169,31 +165,12 @@ impl AdRule {
     }
 }
 
-/// How the `fireable` condition of Function 2 is evaluated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FireableMode {
-    /// The exact Definition-2 firing test over the current adorned set. Precise but
-    /// expensive; suitable for small and medium sets.
-    Exact,
-    /// A predicate-overlap over-approximation: a rule counts as fireable if some rule
-    /// of the adorned set can syntactically feed its body. Sound (it only adorns more
-    /// rules, never fewer), and fast enough for large ontologies.
-    PredicateOverlap,
-    /// Use [`FireableMode::Exact`] below [`AdnConfig::auto_threshold`] dependencies and
-    /// [`FireableMode::PredicateOverlap`] above.
-    Auto,
-}
-
-/// Configuration of the adornment algorithm.
+/// Configuration of the adornment algorithm. The `fireable` condition of Function 2
+/// is always Definition 2's firing test over the current adorned set.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AdnConfig {
     /// Configuration of the underlying firing tests.
     pub firing: FiringConfig,
-    /// How the fireable condition is evaluated.
-    pub fireable_mode: FireableMode,
-    /// Size (number of dependencies) above which [`FireableMode::Auto`] switches to the
-    /// overlap approximation.
-    pub auto_threshold: usize,
     /// Hard cap on the number of adorned dependencies; exceeding it aborts with
     /// `Acyc = false` (a conservative rejection).
     pub max_adorned_rules: usize,
@@ -203,8 +180,6 @@ impl Default for AdnConfig {
     fn default() -> Self {
         AdnConfig {
             firing: FiringConfig::default(),
-            fireable_mode: FireableMode::Auto,
-            auto_threshold: 40,
             max_adorned_rules: 5_000,
         }
     }
@@ -225,8 +200,7 @@ pub struct AdnResult {
     /// Number of main-loop iterations executed.
     pub iterations: usize,
     /// The fireable pairs `(s, r)` over the *original* set used by the Ω(AD)
-    /// cyclicity test: the firing relation of Definition 2 in
-    /// [`FireableMode::Exact`], or its predicate-overlap over-approximation.
+    /// cyclicity test: the edges of the Definition-2 firing graph.
     pub fireable_pairs: Vec<(usize, usize)>,
     /// `true` iff the rule budget was exhausted (the result is then a conservative
     /// rejection).
@@ -333,7 +307,6 @@ pub(crate) fn adorn_in(cx: &AnalysisContext, config: &AdnConfig) -> Rc<AdnResult
 struct Adn<'a> {
     sigma: &'a DependencySet,
     config: &'a AdnConfig,
-    exact_fireable: bool,
     /// Firing information over the *original* set, used by the Ω(AD) cyclicity test.
     original_firing: OriginalFiring,
     /// The scan order of lines 6–12: the universally quantified dependencies of the
@@ -399,14 +372,9 @@ struct Derived {
     ap: AdornedPredicates,
     /// The bodies of the adorned versions of each original dependency.
     bodies: Vec<HashSet<Vec<AdAtom>>>,
-    /// In exact mode, the rules rendered as dependencies (same order), and their `Σ∀`.
+    /// The rules rendered as dependencies (same order), and their `Σ∀`.
     rendered: Vec<Dependency>,
     full: Vec<Dependency>,
-    /// In overlap mode, the last rule with each adorned head atom, and the last
-    /// adorned EGD reading each predicate: a rule after `k` feeds a body iff one of
-    /// them, for one of its atoms, is at or after `k`.
-    last_feeder: HashMap<Predicate, HashMap<Adornment, usize>>,
-    last_egd_reader: HashMap<Predicate, usize>,
     /// Candidates that no rule fired, with the number of rules they were tested
     /// against.
     rejected: HashMap<AdRule, usize>,
@@ -417,20 +385,18 @@ struct Derived {
 }
 
 impl Derived {
-    fn build(rules: &[AdRule], sources: usize, exact: bool) -> Self {
+    fn build(rules: &[AdRule], sources: usize) -> Self {
         let mut derived = Derived {
             ap: BTreeMap::new(),
             bodies: vec![HashSet::new(); sources],
             rendered: Vec::new(),
             full: Vec::new(),
-            last_feeder: HashMap::new(),
-            last_egd_reader: HashMap::new(),
             rejected: HashMap::new(),
             revisit: vec![Revisit::default(); sources],
             unsettled: (0..sources).collect(),
         };
         for (k, rule) in rules.iter().enumerate() {
-            derived.append(rule, k, exact);
+            derived.append(rule, k);
         }
         derived
     }
@@ -444,7 +410,7 @@ impl Derived {
     }
 
     /// Accounts for `rule`, appended at `index`.
-    fn append(&mut self, rule: &AdRule, index: usize, exact: bool) {
+    fn append(&mut self, rule: &AdRule, index: usize) {
         for atom in rule.body.iter().chain(rule.head_atoms()) {
             if let Some(adornment) = &atom.adornment {
                 let known = self.ap.entry(atom.predicate).or_default();
@@ -456,28 +422,11 @@ impl Derived {
         if let Some(src) = rule.src {
             self.bodies[src].insert(rule.body.clone());
         }
-        if exact {
-            let dep = ad_rule_to_dependency(rule, index);
-            if dep.is_full() {
-                self.full.push(dep.clone());
-            }
-            self.rendered.push(dep);
-        } else {
-            match &rule.head {
-                AdHead::Atoms(atoms) => {
-                    for atom in atoms {
-                        let adornment = atom.adornment.clone().expect("adorned heads are adorned");
-                        let last = self.last_feeder.entry(atom.predicate).or_default();
-                        last.insert(adornment, index);
-                    }
-                }
-                AdHead::Equality(_, _) => {
-                    for atom in &rule.body {
-                        self.last_egd_reader.insert(atom.predicate, index);
-                    }
-                }
-            }
+        let dep = ad_rule_to_dependency(rule, index);
+        if dep.is_full() {
+            self.full.push(dep.clone());
         }
+        self.rendered.push(dep);
     }
 }
 
@@ -492,8 +441,7 @@ impl Derived {
 /// those using an element of `fed`, in the full order, so it returns what the full
 /// rescan returns, and leaves the rest untested. A rejected candidate's stored test
 /// count may lag behind the full rescan's, but only by rules that fail Definition 2's
-/// prefilter (or the overlap test) against it, so its next test gives the same
-/// answer.
+/// prefilter against it, so its next test gives the same answer.
 ///
 /// `try_adorn` sets `done` to the body it appended (every body before it was tested),
 /// or to [`Done::Everything`] when it appends nothing (the dependency is *settled*),
@@ -501,16 +449,15 @@ impl Derived {
 ///
 /// 1. An appended TGD rule whose head atom is `p^α` adds `(p, α)` to `fed` for every
 ///    dependency with `p` in its body. A body without `p^α` cannot be fired by the
-///    rule: Definition 2's prefilter, and the overlap test, need a head atom and a
-///    body atom with the same adorned predicate. When `p^α` is new in `AP(Σµ)` the new
-///    bodies are exactly those that use it. (This one trigger covers both "AP gained
-///    an adorned predicate" and "a new rule feeds an old one".)
+///    rule: Definition 2's prefilter needs a head atom and a body atom with the same
+///    adorned predicate. When `p^α` is new in `AP(Σµ)` the new bodies are exactly
+///    those that use it. (This one trigger covers both "AP gained an adorned
+///    predicate" and "a new rule feeds an old one".)
 /// 2. An appended adorned EGD revisits every dependency in full: an EGD step changes
 ///    facts by merging nulls, so its firing test has no prefilter.
-/// 3. In exact mode, a new definition in `AD` revisits every existential dependency
-///    in full: the next fresh symbol moves, so a retried candidate gets a different
-///    head, and Definition 2's blocking check reads the head. The overlap test reads
-///    only the body, so it needs no such trigger.
+/// 3. A new definition in `AD` revisits every existential dependency in full: the
+///    next fresh symbol moves, so a retried candidate gets a different head, and
+///    Definition 2's blocking check reads the head.
 /// 4. A τ, θ or deduplicating rewrite drops the whole [`Derived`] state.
 #[derive(Clone, Debug, Default)]
 struct Revisit {
@@ -547,42 +494,17 @@ impl Revisit {
 /// Reachability structure over the original dependency set used by the cyclicity
 /// condition of Ω(AD): `s ⇝ r` iff `s < r1 < · · · < rn < r` with every `ri ∈ Σ∀`.
 struct OriginalFiring {
-    /// `edges[s]` = set of direct successors of `s` under the firing relation (or its
-    /// overlap over-approximation for large inputs).
+    /// `edges[s]` = set of direct successors of `s` in the Definition-2 firing graph.
     edges: Vec<BTreeSet<usize>>,
     full: Vec<bool>,
 }
 
 impl OriginalFiring {
-    fn compute(
-        cx: &AnalysisContext,
-        config: &AdnConfig,
-        exact: bool,
-        readers: &HashMap<Predicate, Vec<usize>>,
-    ) -> Self {
+    fn compute(cx: &AnalysisContext, config: &AdnConfig) -> Self {
         let sigma = cx.sigma();
-        let n = sigma.len();
-        let mut edges = vec![BTreeSet::new(); n];
-        if exact {
-            let graph = crate::firing::firing_graph_in(cx, &config.firing);
-            for (f, t, _) in graph.edges() {
-                edges[f].insert(t);
-            }
-        } else {
-            // `r1` feeds every `r2` whose body shares a predicate with its head (its
-            // body, for an EGD).
-            for (i, r1) in sigma.iter() {
-                let feeds = if r1.is_tgd() {
-                    r1.head_atoms()
-                } else {
-                    r1.body()
-                };
-                for atom in feeds {
-                    if let Some(readers) = readers.get(&atom.predicate) {
-                        edges[i.0].extend(readers.iter().copied());
-                    }
-                }
-            }
+        let mut edges = vec![BTreeSet::new(); sigma.len()];
+        for (f, t, _) in crate::firing::firing_graph_in(cx, &config.firing).edges() {
+            edges[f].insert(t);
         }
         let full = sigma.iter().map(|(_, d)| d.is_full()).collect();
         OriginalFiring { edges, full }
@@ -620,11 +542,6 @@ impl OriginalFiring {
 impl<'a> Adn<'a> {
     fn new(cx: &AnalysisContext<'a>, config: &'a AdnConfig) -> Self {
         let sigma = cx.sigma();
-        let exact = match config.fireable_mode {
-            FireableMode::Exact => true,
-            FireableMode::PredicateOverlap => false,
-            FireableMode::Auto => sigma.len() <= config.auto_threshold,
-        };
         let mut readers: HashMap<Predicate, Vec<usize>> = HashMap::new();
         for (i, dep) in sigma.iter() {
             for atom in dep.body() {
@@ -634,7 +551,7 @@ impl<'a> Adn<'a> {
                 }
             }
         }
-        let original_firing = OriginalFiring::compute(cx, config, exact, &readers);
+        let original_firing = OriginalFiring::compute(cx, config);
         // EGDs before full TGDs (the order is immaterial for correctness).
         let mut order: Vec<usize> = sigma
             .iter()
@@ -676,7 +593,6 @@ impl<'a> Adn<'a> {
         Adn {
             sigma,
             config,
-            exact_fireable: exact,
             original_firing,
             order,
             rank,
@@ -781,9 +697,9 @@ impl<'a> Adn<'a> {
 
     /// The state derived from the current rules, built if a rewrite dropped it.
     fn derived(&mut self) -> &mut Derived {
-        let (rules, sources, exact) = (&self.rules, self.sigma.len(), self.exact_fireable);
+        let (rules, sources) = (&self.rules, self.sigma.len());
         self.derived
-            .get_or_insert_with(|| Derived::build(rules, sources, exact))
+            .get_or_insert_with(|| Derived::build(rules, sources))
     }
 
     /// The first position of `order` from `from` on whose dependency is not settled.
@@ -866,10 +782,9 @@ impl<'a> Adn<'a> {
     /// dependencies it can affect (see [`Revisit`]).
     fn push_rule(&mut self, rule: AdRule, fresh: &[AdnDefinition]) -> usize {
         let index = self.rules.len();
-        let exact = self.exact_fireable;
         let (readers, rank) = (&self.readers, &self.rank);
         let derived = self.derived.as_mut().expect("built by try_adorn");
-        derived.append(&rule, index, exact);
+        derived.append(&rule, index);
         match &rule.head {
             AdHead::Atoms(atoms) => {
                 for atom in atoms {
@@ -883,9 +798,7 @@ impl<'a> Adn<'a> {
             AdHead::Equality(_, _) => derived.revisit_all(0..self.order.len(), &self.order),
         }
         if !fresh.is_empty() {
-            if exact {
-                derived.revisit_all(self.existential..self.order.len(), &self.order);
-            }
+            derived.revisit_all(self.existential..self.order.len(), &self.order);
             for def in fresh {
                 self.ad_max = self.ad_max.max(def.largest_symbol());
                 index_definition(&mut self.ad_index, def);
@@ -899,8 +812,12 @@ impl<'a> Adn<'a> {
         index
     }
 
-    /// Rebuilds the `AD` index and its largest symbol after a τ or θ rewrote `AD`.
+    /// After a τ or θ rewrote `AD`: drops every definition equal to an earlier one (a
+    /// rewrite can make non-adjacent definitions equal, which `Vec::dedup` would
+    /// miss), then rebuilds the `AD` index and its largest symbol.
     fn reindex_ad(&mut self) {
+        let mut seen: BTreeSet<AdnDefinition> = BTreeSet::new();
+        self.ad.retain(|d| seen.insert(d.clone()));
         self.ad_index.clear();
         self.ad_max = 0;
         for def in &self.ad {
@@ -982,38 +899,22 @@ impl<'a> Adn<'a> {
 
     /// Is the candidate adorned rule fireable with respect to the current adorned set?
     /// A candidate rejected before is only tested against the rules appended since
-    /// (see [`Derived`]). In exact mode TGD sources are tried before EGD sources: their
-    /// tests are cheaper, and the answer does not depend on the order.
+    /// (see [`Derived`]). TGD sources are tried before EGD sources: their tests are
+    /// cheaper, and the answer does not depend on the order.
     fn is_fireable(&mut self, candidate: &AdRule) -> bool {
-        let (exact, config) = (self.exact_fireable, &self.config.firing);
+        let config = &self.config.firing;
         let rules = self.rules.len();
         let derived = self.derived.as_mut().expect("built by try_adorn");
         let tested = derived.rejected.get(candidate).copied().unwrap_or(0);
         if tested == rules {
             return false;
         }
-        let fires = if exact {
-            let candidate_dep = ad_rule_to_dependency(candidate, usize::MAX);
-            let new = &derived.rendered[tested..];
-            let full = &derived.full;
-            let fires_it =
-                |dep: &Dependency| definition2_edge_among(full, dep, &candidate_dep, config);
-            new.iter().filter(|d| d.is_tgd()).any(fires_it)
-                || new.iter().filter(|d| d.is_egd()).any(fires_it)
-        } else {
-            // Overlap approximation: some rule's (adorned) head can syntactically feed
-            // the candidate's body, or some adorned EGD reads one of its predicates.
-            let since = |last: Option<&usize>| last.is_some_and(|&k| k >= tested);
-            candidate.body.iter().any(|b| {
-                let feeder = b.adornment.as_ref().and_then(|adornment| {
-                    derived
-                        .last_feeder
-                        .get(&b.predicate)?
-                        .get(adornment.as_slice())
-                });
-                since(feeder) || since(derived.last_egd_reader.get(&b.predicate))
-            })
-        };
+        let candidate_dep = ad_rule_to_dependency(candidate, usize::MAX);
+        let new = &derived.rendered[tested..];
+        let full = &derived.full;
+        let fires_it = |dep: &Dependency| definition2_edge_among(full, dep, &candidate_dep, config);
+        let fires = new.iter().filter(|d| d.is_tgd()).any(fires_it)
+            || new.iter().filter(|d| d.is_egd()).any(fires_it);
         if !fires {
             derived.rejected.insert(candidate.clone(), rules);
         }
@@ -1119,10 +1020,6 @@ impl<'a> Adn<'a> {
                 }
             }
         }
-        // Rewriting args can make non-adjacent definitions equal; `Vec::dedup` only
-        // collapses neighbours, so deduplicate with a seen-set instead.
-        let mut seen: BTreeSet<AdnDefinition> = BTreeSet::new();
-        self.ad.retain(|d| seen.insert(d.clone()));
         self.reindex_ad();
     }
 
@@ -1190,10 +1087,6 @@ impl<'a> Adn<'a> {
                 }
             }
         }
-        self.ad.dedup();
-        let mut seen = BTreeSet::new();
-        self.ad
-            .retain(|d| seen.insert((d.symbol, d.rule, d.var_index, d.args.clone())));
         self.reindex_ad();
     }
 
@@ -1716,27 +1609,6 @@ mod tests {
     }
 
     #[test]
-    fn fireable_modes_agree_on_small_paper_examples() {
-        for sigma in [sigma1(), sigma10()] {
-            let exact = adorn_with(
-                &sigma,
-                &AdnConfig {
-                    fireable_mode: FireableMode::Exact,
-                    ..AdnConfig::default()
-                },
-            );
-            let overlap = adorn_with(
-                &sigma,
-                &AdnConfig {
-                    fireable_mode: FireableMode::PredicateOverlap,
-                    ..AdnConfig::default()
-                },
-            );
-            assert_eq!(exact.acyclic, overlap.acyclic);
-        }
-    }
-
-    #[test]
     fn key_constraints_and_full_tgds_are_semi_acyclic() {
         let sigma = parse_dependencies(
             r#"
@@ -1790,11 +1662,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let config = AdnConfig {
-            fireable_mode: FireableMode::Exact,
-            ..AdnConfig::default()
-        };
-        let result = adorn_with(&sigma, &config);
+        let result = adorn(&sigma);
         assert_eq!(result.adorned_rule_count, 10);
         let rendered = result.adorned.to_string();
         assert!(
@@ -1848,8 +1716,7 @@ mod tests {
         assert_eq!(
             fingerprint(semi_naive),
             fingerprint(full_rescan),
-            "{what} under {:?}:\n{sigma}",
-            config.fireable_mode
+            "{what}:\n{sigma}"
         );
     }
 
@@ -1916,16 +1783,13 @@ mod tests {
     /// order of `AP(Σµ)` follows the interning order of the predicates.
     #[test]
     fn semi_naive_loop_matches_the_full_rescan() {
+        let config = AdnConfig {
+            max_adorned_rules: 60,
+            ..AdnConfig::default()
+        };
         for seed in 800..1000 {
             let sigma = random_program(seed);
-            for fireable_mode in [FireableMode::Exact, FireableMode::PredicateOverlap] {
-                let config = AdnConfig {
-                    fireable_mode,
-                    max_adorned_rules: 60,
-                    ..AdnConfig::default()
-                };
-                assert_matches_full_rescan(&sigma, &config, &format!("random seed {seed}"));
-            }
+            assert_matches_full_rescan(&sigma, &config, &format!("random seed {seed}"));
         }
         let config = AdnConfig::default();
         for program in chase_ontology::atlas_corpus(&[8], 20160396) {

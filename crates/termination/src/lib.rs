@@ -54,7 +54,7 @@ pub mod firing;
 pub mod semi_stratification;
 
 pub use adornment::{
-    adorn, adorn_with, adornment_witness, AdSym, AdnConfig, AdnDefinition, AdnResult, FireableMode,
+    adorn, adorn_with, adornment_witness, AdSym, AdnConfig, AdnDefinition, AdnResult,
     SemiAcyclicity,
 };
 pub use analyzer::{AnalysisEntry, TerminationAnalyzer, TerminationReport};

@@ -1,8 +1,9 @@
-//! Regression tests for the (fixed) `adorn_with` soundness gap in the `Adn∃`
-//! adornment algorithm.
+//! Regression tests for two fixed soundness gaps in the `Adn∃` adornment
+//! algorithm, both of which made SAC accept a set whose standard chase never
+//! terminates.
 //!
-//! The bug (ROADMAP.md "Carryover fixes", fixed in this revision): the `Dµ(Σµ)`
-//! abstraction used to render every free symbol `f_i` as a single global labeled
+//! The `Dµ(Σµ)` gap: the abstraction used to render every free symbol `f_i` as a
+//! single global labeled
 //! null `η_i`. After a θ-merge folds several Skolem classes into one symbol, an
 //! EGD body could then join two *distinct* Dµ facts through that shared null — a
 //! match no real chase step can realise, because the two facts stand for
@@ -12,12 +13,19 @@
 //! (same-fact occurrences of a symbol still share one), so an EGD violation only
 //! fires when it is realizable within a single fact's known-equal nulls.
 //!
-//! These tests gate in tier-1; they were `#[ignore]`d while the bug was open.
+//! The overlap gap: above 40 dependencies `Adn∃` used to replace Definition 2's
+//! fireability test by a predicate-overlap approximation that, for an EGD, linked
+//! only the readers of the EGD's body predicates. Its Ω(AD) cyclicity test then
+//! missed the chains through an EGD, and a non-terminating 5-rule set padded with
+//! unrelated rules past 40 dependencies was accepted. Definition 2 now decides
+//! fireability at every size.
 
-use chase_core::parser::parse_dependencies;
+use chase_core::parser::{parse_database, parse_dependencies};
 use chase_core::DependencySet;
+use chase_engine::{Chase, ChaseBudget, StepOrder};
 use chase_ontology::generator::{generate, OntologyProfile};
-use chase_termination::adornment::{adorn_with, AdnConfig, FireableMode};
+use chase_termination::adornment::adorn;
+use chase_termination::{firing_graph, TerminationAnalyzer};
 
 /// The profile from the ROADMAP open item. Generates (among others) the cyclic
 /// gadget `r8: C0(?x) -> exists ?y: Rcyc2(?x, ?y). r9: Rcyc2(?x, ?y) -> C0(?y).`
@@ -40,25 +48,12 @@ fn without_egds(sigma: &DependencySet) -> DependencySet {
         .collect()
 }
 
-fn rejected_under_both_modes(sigma: &DependencySet) -> bool {
-    [FireableMode::Exact, FireableMode::PredicateOverlap]
-        .into_iter()
-        .all(|mode| {
-            let cfg = AdnConfig {
-                fireable_mode: mode,
-                ..AdnConfig::default()
-            };
-            !adorn_with(sigma, &cfg).acyclic
-        })
-}
-
-/// Guard: the cyclic gadget alone (EGD-free projection) is rejected under both
-/// fireable modes.
+/// Guard: the cyclic gadget alone (EGD-free projection) is rejected.
 #[test]
 fn cyclic_gadget_is_rejected_without_the_unrelated_egd() {
     let sigma = without_egds(&generate(&gadget_profile()));
     assert!(
-        rejected_under_both_modes(&sigma),
+        !adorn(&sigma).acyclic,
         "the cyclic gadget must be rejected without EGDs present"
     );
 }
@@ -74,7 +69,7 @@ fn cyclic_gadget_must_stay_rejected_when_an_unrelated_egd_is_present() {
         "the profile must actually generate the unrelated EGD"
     );
     assert!(
-        rejected_under_both_modes(&sigma),
+        !adorn(&sigma).acyclic,
         "unsound acceptance: the unrelated functional-role EGD must not make the \
          cyclic gadget pass"
     );
@@ -92,7 +87,7 @@ fn cyclic_gadget_must_stay_rejected_when_an_unrelated_egd_is_present() {
 ///
 /// Pre-fix, the conflated symbol's single global null let `e1`'s body join two
 /// distinct `R0` facts in `Dµ(Σµ)`, firing a spurious τ that erased the gadget's
-/// cycle evidence: the set was accepted under both modes. It must be rejected.
+/// cycle evidence: the set was accepted. It must be rejected.
 #[test]
 fn minimal_reproducer_gadget_plus_egd_plus_copy_chain_is_rejected() {
     let sigma = parse_dependencies(
@@ -107,8 +102,8 @@ fn minimal_reproducer_gadget_plus_egd_plus_copy_chain_is_rejected() {
     )
     .expect("reproducer parses");
     assert!(
-        rejected_under_both_modes(&sigma),
-        "the minimal reproducer must be rejected under both fireable modes"
+        !adorn(&sigma).acyclic,
+        "the minimal reproducer must be rejected"
     );
 }
 
@@ -127,5 +122,60 @@ fn bare_gadget_plus_egd_was_always_rejected() {
         "#,
     )
     .expect("gadget parses");
-    assert!(rejected_under_both_modes(&sigma));
+    assert!(!adorn(&sigma).acyclic);
+}
+
+/// Five rules whose standard chase from `{P(a)}` never terminates: in every
+/// sequence, `r4` mints a fresh `P` null that `r1` and `r4` must chase again.
+const NON_TERMINATING_CORE: &str = r#"
+    r0: R(?z, ?y) -> ?z = ?y.
+    r1: P(?y) -> exists ?w: R(?y, ?w), T(?y, ?y).
+    r2: P(?y), T(?z, ?z) -> exists ?w: S(?w, ?z, ?y).
+    r3: T(?z, ?y), S(?y, ?x, ?y) -> S(?z, ?x, ?x).
+    r4: T(?x, ?z) -> exists ?w: S(?x, ?x, ?z), P(?w).
+"#;
+
+/// The overlap gap's reproducer: the non-terminating core plus 36 unrelated rules
+/// `ui: Ui(?x) -> Vi(?x).`, 41 dependencies in all. The overlap approximation
+/// found 10 fireable pairs here and accepted the set; Definition 2 finds every
+/// edge of the firing graph, and every criterion rejects it. The ground truth:
+/// the core's standard chase from `{P(a)}` exhausts a 2,000-step budget under
+/// every step order tried.
+#[test]
+fn a_non_terminating_set_padded_past_40_dependencies_is_rejected() {
+    let mut text = NON_TERMINATING_CORE.to_string();
+    for i in 0..36 {
+        text.push_str(&format!("u{i}: U{i}(?x) -> V{i}(?x).\n"));
+    }
+    let sigma = parse_dependencies(&text).expect("padded set parses");
+    assert_eq!(sigma.len(), 41);
+    let report = TerminationAnalyzer::new().analyze(&sigma);
+    assert!(
+        report.accepted().is_none(),
+        "unsound acceptance: {}",
+        report.summary()
+    );
+    let result = adorn(&sigma);
+    assert!(!result.acyclic);
+    let firing: Vec<(usize, usize)> = firing_graph(&sigma)
+        .edges()
+        .map(|(f, t, _)| (f, t))
+        .collect();
+    assert_eq!(firing.len(), 49);
+    assert_eq!(result.fireable_pairs, firing);
+
+    let core = parse_dependencies(NON_TERMINATING_CORE).expect("core parses");
+    let database = parse_database("P(a).").expect("database parses");
+    for order in [
+        StepOrder::Textual,
+        StepOrder::EgdsFirst,
+        StepOrder::FullFirst,
+        StepOrder::Shuffled(7),
+    ] {
+        let outcome = Chase::standard(&core)
+            .with_order(order)
+            .with_budget(ChaseBudget::unlimited().with_max_steps(2_000))
+            .run(&database);
+        assert!(outcome.is_budget_exhausted(), "{order:?} terminated");
+    }
 }

@@ -1,18 +1,15 @@
 //! Differential test of the analyzer's shared `AnalysisContext`: the criteria of
 //! one analysis share the `Adn∃` result and the firing graph, and that sharing must
-//! not change a single verdict or witness. For every program and both exact and
-//! overlap fireability, the exhaustive analyzer's entries equal, in order, each
-//! criterion's standalone `verdict(σ)`, and the short-circuiting analyzer's entries
-//! are a prefix of that list.
+//! not change a single verdict or witness. For every program, the exhaustive
+//! analyzer's entries equal, in order, each criterion's standalone `verdict(σ)`, and
+//! the short-circuiting analyzer's entries are a prefix of that list.
 
 use chase_core::parser::parse_dependencies;
 use chase_core::DependencySet;
 use chase_criteria::criterion::{baseline_criteria, NamedCriterion, Verdict};
 use chase_ontology::corpus::scaled_paper_corpus;
 use chase_ontology::families::atlas_corpus;
-use chase_termination::{
-    AdnCombined, AdnConfig, FireableMode, SemiAcyclicity, SemiStratification, TerminationAnalyzer,
-};
+use chase_termination::{AdnCombined, SemiAcyclicity, SemiStratification, TerminationAnalyzer};
 
 const SEED: u64 = 20160396;
 
@@ -54,39 +51,28 @@ fn programs() -> Vec<(String, DependencySet)> {
     out
 }
 
-/// The paper's criteria, with the adornment in fireable mode `mode`, optionally
-/// behind the baseline criteria.
-fn portfolio(mode: FireableMode, with_baselines: bool) -> Vec<NamedCriterion> {
-    let config = AdnConfig {
-        fireable_mode: mode,
-        ..AdnConfig::default()
-    };
-    let mut criteria = if with_baselines {
-        baseline_criteria()
-    } else {
-        Vec::new()
-    };
+/// The paper's criteria behind the baseline criteria.
+fn portfolio() -> Vec<NamedCriterion> {
+    let mut criteria = baseline_criteria();
     criteria.push(NamedCriterion::from_criterion(SemiStratification::default()));
-    criteria.push(NamedCriterion::from_criterion(SemiAcyclicity {
-        config: config.clone(),
-    }));
+    criteria.push(NamedCriterion::from_criterion(SemiAcyclicity::default()));
     for adn_c in [
         AdnCombined::weak_acyclicity(),
         AdnCombined::safety(),
         AdnCombined::super_weak_acyclicity(),
     ] {
-        criteria.push(NamedCriterion::from_criterion(
-            adn_c.with_config(config.clone()),
-        ));
+        criteria.push(NamedCriterion::from_criterion(adn_c));
     }
     criteria
 }
 
-fn assert_sharing_preserves_verdicts(mode: FireableMode, with_baselines: bool) {
-    let exhaustive = TerminationAnalyzer::with_criteria(portfolio(mode, with_baselines))
-        .with_short_circuit(false);
-    let short_circuit = TerminationAnalyzer::with_criteria(portfolio(mode, with_baselines));
-    let standalone = portfolio(mode, with_baselines);
+/// S-Str and the adornment share the firing graph, behind the baselines, which run
+/// on the same context without reading it.
+#[test]
+fn shared_context_verdicts_equal_standalone_verdicts() {
+    let exhaustive = TerminationAnalyzer::with_criteria(portfolio()).with_short_circuit(false);
+    let short_circuit = TerminationAnalyzer::with_criteria(portfolio());
+    let standalone = portfolio();
     for (name, sigma) in programs() {
         let expected: Vec<Verdict> = exhaustive
             .criteria_names()
@@ -102,7 +88,7 @@ fn assert_sharing_preserves_verdicts(mode: FireableMode, with_baselines: bool) {
             .into_iter()
             .map(|e| e.verdict)
             .collect();
-        assert_eq!(shared, expected, "{mode:?}: {name}");
+        assert_eq!(shared, expected, "{name}");
         let prefix: Vec<Verdict> = short_circuit
             .analyze(&sigma)
             .entries
@@ -110,20 +96,6 @@ fn assert_sharing_preserves_verdicts(mode: FireableMode, with_baselines: bool) {
             .map(|e| e.verdict)
             .collect();
         assert!(!prefix.is_empty());
-        assert_eq!(prefix, expected[..prefix.len()], "{mode:?}: {name}");
+        assert_eq!(prefix, expected[..prefix.len()], "{name}");
     }
-}
-
-/// Exact fireability: S-Str and the adornment share the firing graph, behind the
-/// baselines, which run on the same context without reading it.
-#[test]
-fn shared_context_verdicts_equal_standalone_verdicts_exact() {
-    assert_sharing_preserves_verdicts(FireableMode::Exact, true);
-}
-
-/// Overlap fireability: only the `Adn∃` result is shared. The baselines are left
-/// out, as they do not depend on the fireable mode and the exact test covers them.
-#[test]
-fn shared_context_verdicts_equal_standalone_verdicts_overlap() {
-    assert_sharing_preserves_verdicts(FireableMode::PredicateOverlap, false);
 }
