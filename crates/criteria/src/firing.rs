@@ -64,16 +64,54 @@
 //! One oblivious enumeration, run until its first standard witness, therefore
 //! decides both edges, and the standard chase graph `G(Σ)` is a subgraph of the
 //! oblivious one `Gc(Σ)`, edge by edge.
+//!
+//! # Pairs by index, answers by shape
+//!
+//! A graph build visits fewer pairs and enumerates fewer of them. It prepares each
+//! dependency once ([`PreparedDependency`]): its body variables as `r1`, and its body
+//! renamed apart as `r2`. A TGD row visits only the dependencies whose body reads a
+//! predicate of its head, through a predicate → readers index: the other pairs fail
+//! the prefilter. An EGD row visits every dependency.
+//!
+//! Each visited pair is keyed by its *shape* ([`shape_key`]), and one enumeration
+//! answers every pair of a shape. The memo lives for one build. The key holds:
+//!
+//! * the [`FiringConfig`] and the kinds of both dependencies;
+//! * every atom of `r1` and `r2` in order, body then head. Predicates are numbered
+//!   by first occurrence in the pair (a `Predicate` includes its arity), and
+//!   constants stand for themselves;
+//! * each body variable by its rank in the enumeration's order: `Vars(Body(r1))`,
+//!   then the renamed `Vars(Body(r2))`. Each existential variable by its position
+//!   in its TGD's list;
+//! * for Definition 2 into an existential `r2`, the pair's relevant blockers
+//!   (`chase_termination::firing`). They form a sorted set without duplicates, each
+//!   under the pair's predicate numbering. A head predicate that the pair does not
+//!   mention is one wildcard. Variables are numbered by first occurrence.
+//!
+//! Equal keys mean isomorphic enumerations. Two pairs with one key differ only by a
+//! bijection of predicates and a renaming of variables that keeps their ranks. The
+//! enumeration reads a variable only through its rank: the rank fixes its block in
+//! every partition. So the labelling profiles, which depend on blocks 0 and 1,
+//! coincide. The candidates `K`, the steps and the matches correspond fact for fact
+//! and in the same order. Every test they run compares only predicates, terms and
+//! positions. A blocker reads `K` alone, so a blocker whose body reads another
+//! predicate matches nothing and is left out. A wildcard head atom can neither
+//! extend into `K` nor meet an atom of `r2`, so the predicate behind it does not
+//! matter. Both pairs then get the same answer, `Unknown` included.
+//!
+//! [`for_each_firing_witness`] and [`chase_graph_edge`] stay single-pair entry
+//! points without a memo. They are the oracle for the builders.
 
 use crate::graph::DiGraph;
 use chase_core::hash::{FastMap, FastSet};
 use chase_core::homomorphism::Assignment;
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, NullValue, Term, Tgd,
-    Variable,
+    Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, NullValue, Predicate, Term,
+    Tgd, Variable,
 };
 use std::borrow::{Borrow, Cow};
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
 
@@ -199,34 +237,29 @@ pub fn for_each_firing_witness(
     config: &FiringConfig,
     on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
 ) -> FiringAnswer {
+    let (r1, r2) = (PreparedDependency::new(r1), PreparedDependency::new(r2));
+    for_each_prepared_witness(&r1, &r2, config, on_witness)
+}
+
+/// [`for_each_firing_witness`] on prepared dependencies, for callers testing many
+/// pairs of one set: the same witnesses, in the same order.
+pub fn for_each_prepared_witness(
+    r1: &PreparedDependency<'_>,
+    r2: &PreparedDependency<'_>,
+    config: &FiringConfig,
+    on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
+) -> FiringAnswer {
+    let (r1_dep, r2_dep) = (r1.dependency(), r2.dependency());
     // Cheap pruning: a TGD can only newly violate r2 through facts it adds, so its head
     // must share a predicate with Body(r2). (EGD steps change facts by merging nulls,
     // so no such pruning applies.)
-    if r1.is_tgd() && !shares_predicate(r1.head_atoms(), r2.body()) {
+    if r1_dep.is_tgd() && !shares_predicate(r1_dep.head_atoms(), r2_dep.body()) {
         return FiringAnswer::DoesNotFire;
     }
 
-    // Rename r2's variables apart so that r1 == r2 is handled uniformly.
-    let rename = |v: &Variable| Variable::new(&format!("@r2_{}", v.name()));
-    let body2_renamed: Vec<Atom> = r2
-        .body()
-        .iter()
-        .map(|a| {
-            a.map_terms(|t| match t {
-                Term::Var(v) => Term::Var(rename(v)),
-                other => *other,
-            })
-        })
-        .collect();
-
-    let vars1: Vec<Variable> = r1.body_variables().into_iter().collect();
-    let vars2: Vec<Variable> = body2_renamed
-        .iter()
-        .flat_map(|a| a.variables())
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let all_vars: Vec<Variable> = vars1.iter().chain(vars2.iter()).copied().collect();
+    // r2's variables are renamed apart, so that r1 == r2 is handled uniformly.
+    let (vars1, (body2_renamed, side2)) = (&r1.as_r1().vars, r2.as_r2());
+    let all_vars: Vec<Variable> = vars1.iter().chain(&side2.vars).copied().collect();
     if all_vars.len() > config.max_variables || body2_renamed.len() > MAX_BODY2_ATOMS {
         return FiringAnswer::Unknown;
     }
@@ -243,18 +276,18 @@ pub fn for_each_firing_witness(
         .collect();
     // The positions in `all_vars` of the sides of an EGD `r1` (EGD sides are body
     // variables, so both are found).
-    let egd_sides = r1.as_egd().and_then(|egd| {
+    let egd_sides = r1_dep.as_egd().and_then(|egd| {
         let side = |v: Variable| all_vars.iter().position(|w| *w == v);
         Some((side(egd.left)?, side(egd.right)?))
     });
     let pair = Pair {
-        r1,
-        r2,
+        r1: r1_dep,
+        r2: r2_dep,
         applicability: config.applicability,
         body2_renamed,
         vars1_len: vars1.len(),
         all_vars,
-        existentials: r1.as_tgd().map_or(&[], Tgd::existential_variables),
+        existentials: r1_dep.as_tgd().map_or(&[], Tgd::existential_variables),
         block_values,
     };
     let mut pool = FactPool::default();
@@ -264,7 +297,7 @@ pub fn for_each_firing_witness(
     let mut rgs = vec![0usize; n];
     loop {
         let block_count = rgs.iter().copied().max().map(|m| m + 1).unwrap_or(0);
-        for labelling in block_labellings(r1, block_count) {
+        for labelling in block_labellings(r1_dep, block_count) {
             // An EGD step exists iff `h1` maps the two sides to distinct values that
             // are not both constants (see `egd_substitution`). `h1` depends only on
             // the partition and the labelling, so this settles every subset of step 3.
@@ -287,6 +320,236 @@ pub fn for_each_firing_witness(
     FiringAnswer::DoesNotFire
 }
 
+/// A dependency prepared for the firing tests of many pairs: what the enumeration
+/// derives from the dependency alone, computed on first use in each role, once
+/// instead of once per pair.
+#[derive(Clone, Debug)]
+pub struct PreparedDependency<'a> {
+    dep: Cow<'a, Dependency>,
+    as_r1: OnceCell<Side>,
+    /// The side as `r2`, with `Body(dep)` renamed apart.
+    as_r2: OnceCell<(Vec<Atom>, Side)>,
+}
+
+/// One dependency in one role of a pair.
+#[derive(Clone, Debug)]
+struct Side {
+    /// The variables of the body in the enumeration's order: `Vars(Body(r1))`, the
+    /// domain of `h1`, or the renamed `Vars(Body(r2))`.
+    vars: Vec<Variable>,
+    /// The dependency's [`ShapeKey`] tokens, with raw predicates, and its variables
+    /// ranked in `vars`.
+    shape: Vec<Token>,
+}
+
+impl<'a> PreparedDependency<'a> {
+    /// Prepares a borrowed dependency.
+    pub fn new(dep: &'a Dependency) -> Self {
+        Self::prepare(Cow::Borrowed(dep))
+    }
+
+    /// Prepares an owned dependency.
+    pub fn owned(dep: Dependency) -> Self {
+        Self::prepare(Cow::Owned(dep))
+    }
+
+    fn prepare(dep: Cow<'a, Dependency>) -> Self {
+        PreparedDependency {
+            dep,
+            as_r1: OnceCell::new(),
+            as_r2: OnceCell::new(),
+        }
+    }
+
+    /// The dependency.
+    pub fn dependency(&self) -> &Dependency {
+        &self.dep
+    }
+
+    fn as_r1(&self) -> &Side {
+        self.as_r1.get_or_init(|| {
+            let vars: Vec<Variable> = self.dep.body_variables().into_iter().collect();
+            let shape = shape_template(&self.dep, |v| vars.iter().position(|w| *w == v));
+            Side { vars, shape }
+        })
+    }
+
+    fn as_r2(&self) -> (&[Atom], &Side) {
+        let (body, side) = self.as_r2.get_or_init(|| {
+            // Renamed in order of occurrence, each variable once.
+            let mut renamed: Vec<(Variable, Variable)> = Vec::new();
+            let body: Vec<Atom> = self
+                .dep
+                .body()
+                .iter()
+                .map(|a| {
+                    a.map_terms(|t| match t {
+                        Term::Var(v) => Term::Var(match renamed.iter().find(|(w, _)| w == v) {
+                            Some(&(_, r)) => r,
+                            None => {
+                                let r = Variable::new(&format!("@r2_{}", v.name()));
+                                renamed.push((*v, r));
+                                r
+                            }
+                        }),
+                        other => *other,
+                    })
+                })
+                .collect();
+            let vars: Vec<Variable> = renamed
+                .iter()
+                .map(|&(_, r)| r)
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            let shape = shape_template(&self.dep, |v| {
+                let (_, r) = renamed.iter().find(|(w, _)| *w == v)?;
+                vars.iter().position(|w| w == r)
+            });
+            (body, Side { vars, shape })
+        });
+        (body, side)
+    }
+}
+
+/// The shape of a firing pair: equal keys mean isomorphic witness enumerations, so
+/// one answer serves every pair of a shape (see the module documentation).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct ShapeKey(Vec<Token>);
+
+/// One token of a [`ShapeKey`] or of a dependency's shape template.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Token {
+    /// The firing configuration.
+    Config {
+        oblivious: bool,
+        max_variables: usize,
+    },
+    /// The kind of the dependency that follows.
+    Tgd,
+    Egd,
+    /// Ends a body.
+    Head,
+    /// Starts a blocker.
+    Blocker,
+    /// A predicate as written: templates only.
+    Predicate(Predicate),
+    /// A predicate by its first occurrence in the pair.
+    Numbered(u32),
+    /// A blocker's head predicate that the pair does not mention.
+    Wildcard,
+    /// A variable by its rank in the enumeration's order (or, in a blocker, by its
+    /// first occurrence there).
+    Var(u32),
+    /// An existential variable by its position in its TGD's list.
+    Existential(u32),
+    Const(Constant),
+}
+
+/// `dep` as [`Token`]s: its kind, body, [`Token::Head`], then its head atoms or the
+/// two sides of its equality. `rank` places the body variables, called in order of
+/// occurrence; the others are existential.
+fn shape_template(dep: &Dependency, mut rank: impl FnMut(Variable) -> Option<usize>) -> Vec<Token> {
+    let existentials = dep.as_tgd().map_or(&[][..], Tgd::existential_variables);
+    let mut term = |t: &Term| match t {
+        Term::Var(v) => match rank(*v) {
+            Some(r) => Token::Var(r as u32),
+            None => {
+                let position = existentials.iter().position(|w| w == v);
+                Token::Existential(position.expect("a head-only variable is existential") as u32)
+            }
+        },
+        Term::Const(c) => Token::Const(*c),
+        Term::Null(_) => unreachable!("dependencies hold no nulls"),
+    };
+    let mut out = vec![if dep.is_tgd() { Token::Tgd } else { Token::Egd }];
+    let (body, head) = (dep.body(), dep.head_atoms());
+    for (k, atom) in body.iter().chain(head).enumerate() {
+        if k == body.len() {
+            out.push(Token::Head);
+        }
+        out.push(Token::Predicate(atom.predicate));
+        out.extend(atom.terms.iter().map(&mut term));
+    }
+    if let Some(egd) = dep.as_egd() {
+        out.push(Token::Head);
+        out.extend([term(&Term::Var(egd.left)), term(&Term::Var(egd.right))]);
+    }
+    out
+}
+
+/// The shape of the pair `(r1, r2)` under `config`, with the blockers of Definition 2
+/// that can match in its candidates (none for the chase graphs, or when `r2` is
+/// full). Every blocker must read only predicates of `Body(r1)` and `Body(r2)`.
+pub fn shape_key(
+    r1: &PreparedDependency<'_>,
+    r2: &PreparedDependency<'_>,
+    config: &FiringConfig,
+    blockers: &[&Dependency],
+) -> ShapeKey {
+    debug_assert!(
+        blockers.iter().all(|b| b.body().iter().all(|a| {
+            let mut bodies = r1.dependency().body().iter().chain(r2.dependency().body());
+            bodies.any(|c| c.predicate == a.predicate)
+        })),
+        "a blocker reads a predicate outside the pair's bodies"
+    );
+    let (side1, (_, side2)) = (r1.as_r1(), r2.as_r2());
+    let mut predicates: Vec<Predicate> = Vec::new();
+    let mut tokens = Vec::with_capacity(1 + side1.shape.len() + side2.shape.len());
+    tokens.push(Token::Config {
+        oblivious: config.applicability == Applicability::Oblivious,
+        max_variables: config.max_variables,
+    });
+    let offset = side1.vars.len() as u32;
+    for (shape, offset) in [(&side1.shape, 0), (&side2.shape, offset)] {
+        tokens.extend(shape.iter().map(|&t| match t {
+            Token::Predicate(p) => Token::Numbered(match predicates.iter().position(|q| *q == p) {
+                Some(n) => n as u32,
+                None => {
+                    predicates.push(p);
+                    predicates.len() as u32 - 1
+                }
+            }),
+            Token::Var(r) => Token::Var(r + offset),
+            other => other,
+        }));
+    }
+    let mut shapes: Vec<Vec<Token>> = blockers
+        .iter()
+        .map(|b| blocker_shape(b, &predicates))
+        .collect();
+    shapes.sort_unstable();
+    shapes.dedup();
+    for shape in shapes {
+        tokens.push(Token::Blocker);
+        tokens.extend(shape);
+    }
+    ShapeKey(tokens)
+}
+
+/// A blocker under the pair's predicate numbering: a head predicate the pair does not
+/// mention is [`Token::Wildcard`] (no candidate fact and no atom of `r2` can use it),
+/// and variables are numbered by first occurrence.
+fn blocker_shape(blocker: &Dependency, predicates: &[Predicate]) -> Vec<Token> {
+    let mut vars: Vec<Variable> = Vec::new();
+    let mut template = shape_template(blocker, |v| {
+        Some(vars.iter().position(|w| *w == v).unwrap_or_else(|| {
+            vars.push(v);
+            vars.len() - 1
+        }))
+    });
+    for token in &mut template {
+        if let Token::Predicate(p) = *token {
+            *token = predicates
+                .iter()
+                .position(|q| *q == p)
+                .map_or(Token::Wildcard, |n| Token::Numbered(n as u32));
+        }
+    }
+    template
+}
+
 /// Does some atom of `a` share its predicate with some atom of `b`?
 pub fn shares_predicate(a: &[Atom], b: &[Atom]) -> bool {
     a.iter()
@@ -302,13 +565,14 @@ pub fn chase_graph_edge(r1: &Dependency, r2: &Dependency, config: &FiringConfig)
 /// Both chase-graph edges of the pair, `(standard, oblivious)`, from one oblivious
 /// enumeration (see the module documentation): a witness counts for the standard
 /// edge iff `r1` is an EGD or its head does not extend `h1` into `K`.
-fn chase_graph_edges(r1: &Dependency, r2: &Dependency, max_variables: usize) -> (bool, bool) {
-    let config = FiringConfig {
-        applicability: Applicability::Oblivious,
-        max_variables,
-    };
+fn chase_graph_edges(
+    r1: &PreparedDependency<'_>,
+    r2: &PreparedDependency<'_>,
+    config: &FiringConfig,
+) -> (bool, bool) {
+    debug_assert_eq!(config.applicability, Applicability::Oblivious);
     let mut oblivious = false;
-    let answer = for_each_firing_witness(r1, r2, &config, &mut |w| {
+    let answer = for_each_prepared_witness(r1, r2, config, &mut |w| {
         oblivious = true;
         if w.is_standard_step() {
             ControlFlow::Break(())
@@ -333,22 +597,61 @@ pub struct ChaseGraphs {
     pub oblivious: DiGraph,
 }
 
-/// Builds both chase graphs with one oblivious witness enumeration per pair (see the
-/// module documentation).
+/// Builds both chase graphs with one oblivious witness enumeration per pair shape
+/// (see the module documentation). A TGD `r1` is paired only with the dependencies
+/// whose body reads a predicate of its head; an EGD with every dependency.
 pub fn chase_graphs(sigma: &DependencySet, max_variables: usize) -> ChaseGraphs {
     let mut standard = DiGraph::new();
     for id in sigma.ids() {
         standard.add_node(id.0);
     }
     let mut oblivious = standard.clone();
-    for (i, r1) in sigma.iter() {
-        for (j, r2) in sigma.iter() {
-            let (std_edge, obl_edge) = chase_graph_edges(r1, r2, max_variables);
+    let config = FiringConfig {
+        applicability: Applicability::Oblivious,
+        max_variables,
+    };
+    let deps: Vec<PreparedDependency> = sigma
+        .as_slice()
+        .iter()
+        .map(PreparedDependency::new)
+        .collect();
+    let mut readers: FastMap<Predicate, Vec<usize>> = FastMap::default();
+    for (j, dep) in sigma.iter() {
+        for atom in dep.body() {
+            let list = readers.entry(atom.predicate).or_default();
+            if list.last() != Some(&j.0) {
+                list.push(j.0);
+            }
+        }
+    }
+    let mut memo: FastMap<ShapeKey, (bool, bool)> = FastMap::default();
+    // `row[j] == i` once `r2 = j` is among row `i`'s targets.
+    let mut row = vec![usize::MAX; deps.len()];
+    let mut targets: Vec<usize> = Vec::new();
+    for (i, r1) in deps.iter().enumerate() {
+        targets.clear();
+        if r1.dependency().is_tgd() {
+            for atom in r1.dependency().head_atoms() {
+                for &j in readers.get(&atom.predicate).into_iter().flatten() {
+                    if row[j] != i {
+                        row[j] = i;
+                        targets.push(j);
+                    }
+                }
+            }
+        } else {
+            targets.extend(0..deps.len());
+        }
+        for &j in &targets {
+            let r2 = &deps[j];
+            let (std_edge, obl_edge) = *memo
+                .entry(shape_key(r1, r2, &config, &[]))
+                .or_insert_with(|| chase_graph_edges(r1, r2, &config));
             if std_edge {
-                standard.add_edge(i.0, j.0, false);
+                standard.add_edge(i, j, false);
             }
             if obl_edge {
-                oblivious.add_edge(i.0, j.0, false);
+                oblivious.add_edge(i, j, false);
             }
         }
     }
@@ -395,7 +698,7 @@ struct Pair<'a> {
     r2: &'a Dependency,
     applicability: Applicability,
     /// `Body(r2)` with its variables renamed apart from `r1`'s.
-    body2_renamed: Vec<Atom>,
+    body2_renamed: &'a [Atom],
     /// `Vars(Body(r1))`, then the renamed `Vars(Body(r2))`.
     all_vars: Vec<Variable>,
     /// How many of `all_vars` are `r1`'s: the domain of `h1`.
@@ -459,7 +762,7 @@ impl Pair<'_> {
                 .collect()
         };
         let facts1 = ground(self.r1.body());
-        let facts2 = ground(&self.body2_renamed);
+        let facts2 = ground(self.body2_renamed);
         let h1 = Assignment::from_pairs(
             self.all_vars[..self.vars1_len]
                 .iter()
@@ -908,7 +1211,11 @@ mod tests {
         assert!(!chase_graph_edge(r1, r2, &cfg()));
         assert!(chase_graph_edge(r1, r2, &obl));
         assert_eq!(
-            chase_graph_edges(r1, r2, cfg().max_variables),
+            chase_graph_edges(
+                &PreparedDependency::new(r1),
+                &PreparedDependency::new(r2),
+                &obl
+            ),
             (false, true)
         );
         let graphs = chase_graphs(&sigma, cfg().max_variables);

@@ -59,12 +59,13 @@
 //! genuinely single-fact EGD violations (e.g. Σ1's `E(?x, ?y) -> ?x = ?y`) still fire
 //! their τ exactly as the paper prescribes.
 
-use crate::firing::definition2_edge_among;
+use crate::firing::{Blockers, Definition2Memo};
+use chase_core::hash::FastMap;
 use chase_core::{
     Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, Instance, NullValue,
     Predicate, Term, Tgd, Variable,
 };
-use chase_criteria::firing::FiringConfig;
+use chase_criteria::firing::{FiringConfig, PreparedDependency};
 use chase_criteria::AnalysisContext;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -324,6 +325,9 @@ struct Adn<'a> {
     /// What is derived from `rules`: built on first use, extended in place when a
     /// rule is appended, and dropped when a rewrite changes `rules`.
     derived: Option<Derived>,
+    /// Definition 2's answers by pair shape, for the whole run: a shape key describes
+    /// its pair up to renaming, so it stays valid across rewrites.
+    memo: Definition2Memo,
     ad: Vec<AdnDefinition>,
     /// `AD` indexed by `(rule, var_index, args)`, to the first such definition's
     /// symbol, and the largest symbol `AD` mentions (as a definition or an argument):
@@ -364,6 +368,14 @@ type AdornedPredicates = BTreeMap<Predicate, BTreeSet<Adornment>>;
 /// are unchanged, and the new full rules only add blockers to Definition 2, which can
 /// block more witnesses but never unblock one.
 ///
+/// The rules a candidate is tested against are found by index: `writers` maps each
+/// adorned predicate to the TGD rules whose head writes it, and `egds` lists the
+/// adorned EGDs, both ascending, so the rules from a test count on are a suffix of
+/// each list. A TGD rule whose head writes no predicate of the candidate's body fails
+/// Definition 2's prefilter, so only an EGD is tried against every candidate.
+/// `blockers` is `Σ∀µ`, indexed for the relevant-blocker lookup. The answers of the
+/// tests are memoised by pair shape in `Adn::memo`, which outlives this state.
+///
 /// `revisit` makes the main loop semi-naive too: it records, per source dependency,
 /// which of its coherent bodies its next `try_adorn` must look at (see [`Revisit`]).
 /// All of it is dropped, and every dependency revisited in full, when a τ, θ or
@@ -372,9 +384,12 @@ struct Derived {
     ap: AdornedPredicates,
     /// The bodies of the adorned versions of each original dependency.
     bodies: Vec<HashSet<Vec<AdAtom>>>,
-    /// The rules rendered as dependencies (same order), and their `Σ∀`.
-    rendered: Vec<Dependency>,
-    full: Vec<Dependency>,
+    /// The rules rendered as dependencies and prepared for the firing test (same
+    /// order), the TGD rules by head predicate, the EGD rules, and `Σ∀µ`.
+    rendered: Vec<PreparedDependency<'static>>,
+    writers: FastMap<Predicate, Vec<usize>>,
+    egds: Vec<usize>,
+    blockers: Blockers<Dependency>,
     /// Candidates that no rule fired, with the number of rules they were tested
     /// against.
     rejected: HashMap<AdRule, usize>,
@@ -390,7 +405,9 @@ impl Derived {
             ap: BTreeMap::new(),
             bodies: vec![HashSet::new(); sources],
             rendered: Vec::new(),
-            full: Vec::new(),
+            writers: FastMap::default(),
+            egds: Vec::new(),
+            blockers: Blockers::new(),
             rejected: HashMap::new(),
             revisit: vec![Revisit::default(); sources],
             unsettled: (0..sources).collect(),
@@ -423,10 +440,34 @@ impl Derived {
             self.bodies[src].insert(rule.body.clone());
         }
         let dep = ad_rule_to_dependency(rule, index);
-        if dep.is_full() {
-            self.full.push(dep.clone());
+        if dep.is_egd() {
+            self.egds.push(index);
         }
-        self.rendered.push(dep);
+        for atom in dep.head_atoms() {
+            let writers = self.writers.entry(atom.predicate).or_default();
+            if writers.last() != Some(&index) {
+                writers.push(index);
+            }
+        }
+        if dep.is_full() {
+            self.blockers.push(dep.clone());
+        }
+        self.rendered.push(PreparedDependency::owned(dep));
+    }
+
+    /// The rules from `tested` on that can fire a candidate whose rendered body is
+    /// `body`: the TGD rules writing one of its predicates, then every adorned EGD.
+    fn sources(&self, body: &[Atom], tested: usize) -> Vec<usize> {
+        let mut sources: Vec<usize> = Vec::new();
+        for atom in body {
+            if let Some(writers) = self.writers.get(&atom.predicate) {
+                sources.extend_from_slice(&writers[writers.partition_point(|&k| k < tested)..]);
+            }
+        }
+        sources.sort_unstable();
+        sources.dedup();
+        sources.extend_from_slice(&self.egds[self.egds.partition_point(|&k| k < tested)..]);
+        sources
     }
 }
 
@@ -601,6 +642,7 @@ impl<'a> Adn<'a> {
             rules,
             versions: vec![Vec::new(); sigma.len()],
             derived: None,
+            memo: Definition2Memo::default(),
             ad: Vec::new(),
             ad_index: HashMap::new(),
             ad_max: 0,
@@ -898,9 +940,8 @@ impl<'a> Adn<'a> {
     }
 
     /// Is the candidate adorned rule fireable with respect to the current adorned set?
-    /// A candidate rejected before is only tested against the rules appended since
-    /// (see [`Derived`]). TGD sources are tried before EGD sources: their tests are
-    /// cheaper, and the answer does not depend on the order.
+    /// A candidate rejected before is only tested against the rules appended since,
+    /// and of those only against the ones that can fire it (see [`Derived`]).
     fn is_fireable(&mut self, candidate: &AdRule) -> bool {
         let config = &self.config.firing;
         let rules = self.rules.len();
@@ -909,12 +950,14 @@ impl<'a> Adn<'a> {
         if tested == rules {
             return false;
         }
-        let candidate_dep = ad_rule_to_dependency(candidate, usize::MAX);
-        let new = &derived.rendered[tested..];
-        let full = &derived.full;
-        let fires_it = |dep: &Dependency| definition2_edge_among(full, dep, &candidate_dep, config);
-        let fires = new.iter().filter(|d| d.is_tgd()).any(fires_it)
-            || new.iter().filter(|d| d.is_egd()).any(fires_it);
+        let target = PreparedDependency::owned(ad_rule_to_dependency(candidate, usize::MAX));
+        let fires = derived
+            .sources(target.dependency().body(), tested)
+            .into_iter()
+            .any(|k| {
+                self.memo
+                    .edge(&derived.blockers, &derived.rendered[k], &target, config)
+            });
         if !fires {
             derived.rejected.insert(candidate.clone(), rules);
         }

@@ -12,12 +12,15 @@
 //!
 //! One [`AnalysisContext`] per call lets the criteria share what they derive from
 //! the same set: the `Adn∃` result is computed once for SAC and the three `Adn∃-C`
-//! criteria. One witness enumeration per pair builds both chase graphs, once, for
-//! Str; CStr reads the oblivious one, which contains the standard one edge by edge.
-//! S-Str filters the standard graph into the firing graph (every firing edge is a
-//! chase-graph edge), which the adornment's exact fireability test reuses. A shared
-//! artefact is charged to the `elapsed` of the first criterion that needs it: Str's
-//! time includes both chase graphs, CStr's only its components, S-Str's only the
+//! criteria. One witness enumeration per pair shape builds both chase graphs, once,
+//! for Str; CStr reads the oblivious one, which contains the standard one edge by
+//! edge. S-Str filters the standard graph into the firing graph (every firing edge
+//! is a chase-graph edge), which the adornment's Ω(AD) cyclicity test reuses. The
+//! firing tests cost what their distinct shapes cost: each graph build and each
+//! `Adn∃` run answers a pair shape once (`chase_criteria::firing`), and a TGD is
+//! paired only with the dependencies that read its head. A shared artefact is
+//! charged to the `elapsed` of the first criterion that needs it: Str's time
+//! includes both chase graphs, CStr's only its components, S-Str's only the
 //! filtering, SAC's the adornment, and the `Adn∃-C` rows time only their inner
 //! criterion on `Σµ`.
 //!

@@ -9,14 +9,26 @@
 //! This is what allows semi-stratification to recognise sets such as Σ11 of Example 11,
 //! where the re-firing of the existential rule can always be blocked by a full TGD.
 //!
-//! The witnesses of `≺` come from [`for_each_firing_witness`], each a view of its
-//! candidate's facts. The blocking condition is
+//! The witnesses of `≺` come from
+//! [`for_each_firing_witness`](chase_criteria::firing::for_each_firing_witness), each
+//! a view of its candidate's facts. The blocking condition is
 //! [`FiringWitness::is_blocked_by`](chase_criteria::firing::FiringWitness::is_blocked_by),
 //! which simulates each blocker's standard step on those facts. As for `K ⊨ h2(r2)`,
 //! `J' ⊨ h2(r2)` holds vacuously when `h2` does not map `Body(r2)` into `J'`.
+//!
+//! Only the *relevant* blockers of a pair can block (`Blockers`): those whose body
+//! predicates all occur in `Body(r1)` or `Body(r2)`, since `K` holds no other facts.
+//! The firing graph and `Adn∃` pass only those to the blocking check. They memoise
+//! the answers by pair shape (`Definition2Memo`), and the shape of a pair into an
+//! existential `r2` includes its relevant blockers: two pairs of one shape, one with
+//! a blocker and one without, can differ. [`definition2_edge`] stays the
+//! single-pair oracle, with all of `Σ∀` and no memo.
 
-use chase_core::{Dependency, DependencySet};
-use chase_criteria::firing::{for_each_firing_witness, FiringConfig};
+use chase_core::hash::FastMap;
+use chase_core::{Dependency, DependencySet, Predicate};
+use chase_criteria::firing::{
+    for_each_prepared_witness, shape_key, FiringConfig, PreparedDependency, ShapeKey,
+};
 use chase_criteria::graph::DiGraph;
 use chase_criteria::stratification::chase_graphs_in;
 use chase_criteria::AnalysisContext;
@@ -33,11 +45,12 @@ pub fn definition2_edge(
     r2: &Dependency,
     config: &FiringConfig,
 ) -> bool {
-    definition2_edge_among(&full_dependencies(sigma), r1, r2, config)
+    let (r1, r2) = (PreparedDependency::new(r1), PreparedDependency::new(r2));
+    definition2_answer(&r1, &r2, &full_dependencies(sigma), config)
 }
 
 /// `Σ∀`: the full dependencies of `sigma`, the blockers of Definition 2.
-pub(crate) fn full_dependencies(sigma: &DependencySet) -> Vec<&Dependency> {
+fn full_dependencies(sigma: &DependencySet) -> Vec<&Dependency> {
     sigma
         .iter()
         .filter(|(_, d)| d.is_full())
@@ -45,22 +58,115 @@ pub(crate) fn full_dependencies(sigma: &DependencySet) -> Vec<&Dependency> {
         .collect()
 }
 
-/// [`definition2_edge`] with `Σ∀` given, for callers testing many pairs of one set.
-pub(crate) fn definition2_edge_among<D: Borrow<Dependency>>(
-    full_deps: &[D],
-    r1: &Dependency,
-    r2: &Dependency,
+/// `r1 < r2` by one witness enumeration, with `blockers` as `Σ∀` (all of it, or only
+/// the blockers relevant to the pair: the answer is the same).
+fn definition2_answer<D: Borrow<Dependency>>(
+    r1: &PreparedDependency<'_>,
+    r2: &PreparedDependency<'_>,
+    blockers: &[D],
     config: &FiringConfig,
 ) -> bool {
-    let existential = r2.is_existential();
-    let answer = for_each_firing_witness(r1, r2, config, &mut |w| {
-        if !existential || !w.is_blocked_by(full_deps, r2) {
+    let target = r2.dependency();
+    let existential = target.is_existential();
+    let answer = for_each_prepared_witness(r1, r2, config, &mut |w| {
+        if !existential || !w.is_blocked_by(blockers, target) {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
         }
     });
     answer.may_fire()
+}
+
+/// `Σ∀`, the blockers of Definition 2, indexed by their first body predicate.
+///
+/// A candidate `K` of the pair `(r1, r2)` holds only facts over the predicates of
+/// `Body(r1)` and `Body(r2)`. So a blocker whose body reads any other predicate has no
+/// match in `K` and blocks nothing. The pair's *relevant* blockers are the others:
+/// those whose body predicates all occur in `Body(r1)` or `Body(r2)`. Only they are
+/// passed to the blocking check, and only they enter the pair's [`ShapeKey`]. They
+/// are found through the index (a dependency's body is never empty) once per pair,
+/// not once per witness.
+pub(crate) struct Blockers<D> {
+    deps: Vec<D>,
+    by_first_predicate: FastMap<Predicate, Vec<usize>>,
+}
+
+impl<D: Borrow<Dependency>> Blockers<D> {
+    pub(crate) fn new() -> Self {
+        Blockers {
+            deps: Vec::new(),
+            by_first_predicate: FastMap::default(),
+        }
+    }
+
+    /// Adds a full dependency.
+    pub(crate) fn push(&mut self, blocker: D) {
+        let first = blocker.borrow().body()[0].predicate;
+        self.by_first_predicate
+            .entry(first)
+            .or_default()
+            .push(self.deps.len());
+        self.deps.push(blocker);
+    }
+
+    /// The blockers relevant to the pair `(r1, r2)`: none when `r2` is full, as
+    /// Definition 2 blocks nothing then.
+    fn relevant(&self, r1: &Dependency, r2: &Dependency) -> Vec<&Dependency> {
+        if r2.is_full() {
+            return Vec::new();
+        }
+        let mut read: Vec<Predicate> = Vec::new();
+        for atom in r1.body().iter().chain(r2.body()) {
+            if !read.contains(&atom.predicate) {
+                read.push(atom.predicate);
+            }
+        }
+        let mut out: Vec<&Dependency> = Vec::new();
+        for p in &read {
+            for &k in self.by_first_predicate.get(p).into_iter().flatten() {
+                let blocker = self.deps[k].borrow();
+                if blocker.body().iter().all(|a| read.contains(&a.predicate)) {
+                    out.push(blocker);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Definition 2's answers by pair shape (see [`chase_criteria::firing`]), kept for
+/// one firing-graph build or one `Adn∃` run and dropped with it.
+#[derive(Default)]
+pub(crate) struct Definition2Memo(FastMap<ShapeKey, bool>);
+
+impl Definition2Memo {
+    /// `r1 < r2` with `blockers` as `Σ∀`.
+    pub(crate) fn edge<D: Borrow<Dependency>>(
+        &mut self,
+        blockers: &Blockers<D>,
+        r1: &PreparedDependency<'_>,
+        r2: &PreparedDependency<'_>,
+        config: &FiringConfig,
+    ) -> bool {
+        let relevant = blockers.relevant(r1.dependency(), r2.dependency());
+        self.answer(r1, r2, &relevant, config)
+    }
+
+    /// `r1 < r2` given the pair's `relevant` blockers: one enumeration per shape, the
+    /// shape including them.
+    fn answer(
+        &mut self,
+        r1: &PreparedDependency<'_>,
+        r2: &PreparedDependency<'_>,
+        relevant: &[&Dependency],
+        config: &FiringConfig,
+    ) -> bool {
+        *self
+            .0
+            .entry(shape_key(r1, r2, config, relevant))
+            .or_insert_with(|| definition2_answer(r1, r2, relevant, config))
+    }
 }
 
 /// Builds the firing graph `Gf(Σ)` of Definition 2: nodes are dependency indices, with
@@ -80,22 +186,32 @@ pub fn firing_graph_with(sigma: &DependencySet, config: &FiringConfig) -> DiGrap
 ///
 /// It is filtered from the context's standard chase graph, which Str builds first in
 /// an analysis. `r1 < r2` accepts a subset of the witnesses of `r1 ≺ r2`, so every
-/// edge of `Gf(Σ)` is a chase-graph edge. When `r2` is full, Definition 2 accepts the
-/// first witness, as the chase graph does, so the two edges coincide. Only the edges
-/// into existential dependencies run the blocking enumeration.
+/// edge of `Gf(Σ)` is a chase-graph edge. When `r2` is full, or the pair has no
+/// relevant blocker, Definition 2 accepts the first witness, as the chase graph does,
+/// so the two edges coincide. Only the other edges run the blocking enumeration, once
+/// per pair shape.
 pub(crate) fn firing_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc<DiGraph> {
     cx.shared(("Definition 2", *config), || {
         let sigma = cx.sigma();
-        let deps = sigma.as_slice();
         let graphs = chase_graphs_in(cx, config.max_variables);
-        let full_deps = full_dependencies(sigma);
+        let deps: Vec<PreparedDependency> = sigma
+            .as_slice()
+            .iter()
+            .map(PreparedDependency::new)
+            .collect();
+        let mut blockers = Blockers::new();
+        for blocker in full_dependencies(sigma) {
+            blockers.push(blocker);
+        }
+        let mut memo = Definition2Memo::default();
         let mut g = DiGraph::new();
         for id in sigma.ids() {
             g.add_node(id.0);
         }
         for (i, j, _) in graphs.standard.edges() {
             let (r1, r2) = (&deps[i], &deps[j]);
-            if r2.is_full() || definition2_edge_among(&full_deps, r1, r2, config) {
+            let relevant = blockers.relevant(r1.dependency(), r2.dependency());
+            if relevant.is_empty() || memo.answer(r1, r2, &relevant, config) {
                 g.add_edge(i, j, false);
             }
         }
@@ -107,9 +223,10 @@ pub(crate) fn firing_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc
 /// `sigma` fires it (Definition 2).
 pub fn is_fireable(sigma: &DependencySet, r1: &Dependency, config: &FiringConfig) -> bool {
     let full_deps = full_dependencies(sigma);
-    sigma
-        .iter()
-        .any(|(_, r2)| definition2_edge_among(&full_deps, r2, r1, config))
+    let target = PreparedDependency::new(r1);
+    sigma.iter().any(|(_, r2)| {
+        definition2_answer(&PreparedDependency::new(r2), &target, &full_deps, config)
+    })
 }
 
 #[cfg(test)]
