@@ -6,7 +6,6 @@ use chase_bench::paper_sets::all_named_sets;
 use chase_bench::render_table;
 use chase_core::parser::parse_dependencies;
 use chase_core::DependencySet;
-use chase_criteria::criterion::TerminationCriterion;
 use chase_termination::combined::all_criteria;
 
 fn witnesses() -> Vec<(String, DependencySet)> {
@@ -32,7 +31,7 @@ fn witnesses() -> Vec<(String, DependencySet)> {
 fn main() {
     let criteria = all_criteria();
     let header: Vec<String> = std::iter::once("set".to_string())
-        .chain(criteria.iter().map(|c| c.name.to_string()))
+        .chain(criteria.iter().map(|c| c.name().to_string()))
         .collect();
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
 

@@ -3,7 +3,7 @@
 
 use chase_bench::paper_sets::sigma11;
 use chase_criteria::criterion::TerminationCriterion;
-use chase_criteria::firing::{chase_graph, FiringConfig};
+use chase_criteria::firing::chase_graphs;
 use chase_criteria::stratification::Stratification;
 use chase_termination::firing::firing_graph;
 use chase_termination::semi_stratification::SemiStratification;
@@ -25,7 +25,7 @@ fn main() {
     }
     println!();
 
-    let g = chase_graph(&sigma, &FiringConfig::default());
+    let g = chase_graphs(&sigma).standard;
     println!("Chase graph G(Σ11) (Figure 1, left):");
     for (f, t, _) in g.edges() {
         println!("  {} -> {}", labels[f], labels[t]);
@@ -49,7 +49,7 @@ fn main() {
     );
     println!(
         "semi-stratified (S-Str): {}",
-        if SemiStratification::default().accepts(&sigma) {
+        if SemiStratification.accepts(&sigma) {
             "yes"
         } else {
             "no"

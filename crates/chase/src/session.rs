@@ -171,12 +171,6 @@ impl<'a> Chase<'a> {
         &self.budget
     }
 
-    /// The session's discovery shard width (only the (semi-)oblivious
-    /// variants use more than one).
-    pub fn worker_count(&self) -> usize {
-        self.workers
-    }
-
     /// Runs the session on `database`.
     pub fn run(&self, database: &Instance) -> ChaseOutcome {
         self.run_observed(database, &mut NoopObserver)

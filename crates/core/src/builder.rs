@@ -36,11 +36,6 @@ pub fn tgd(label: &str, body: Vec<Atom>, head: Vec<Atom>) -> Dependency {
     Dependency::Tgd(Tgd::new(Some(label.to_owned()), body, head).expect("malformed TGD in builder"))
 }
 
-/// An unlabelled TGD.
-pub fn tgd_unlabelled(body: Vec<Atom>, head: Vec<Atom>) -> Dependency {
-    Dependency::Tgd(Tgd::new(None, body, head).expect("malformed TGD in builder"))
-}
-
 /// An EGD `body → left = right` with the given label. Panics on malformed input.
 pub fn egd(label: &str, body: Vec<Atom>, left: &str, right: &str) -> Dependency {
     Dependency::Egd(
@@ -51,14 +46,6 @@ pub fn egd(label: &str, body: Vec<Atom>, left: &str, right: &str) -> Dependency 
             Variable::new(right),
         )
         .expect("malformed EGD in builder"),
-    )
-}
-
-/// An unlabelled EGD.
-pub fn egd_unlabelled(body: Vec<Atom>, left: &str, right: &str) -> Dependency {
-    Dependency::Egd(
-        Egd::new(None, body, Variable::new(left), Variable::new(right))
-            .expect("malformed EGD in builder"),
     )
 }
 

@@ -5,7 +5,7 @@ use crate::atom::{Atom, Predicate};
 use crate::error::CoreError;
 use crate::position::Position;
 use crate::term::{Term, Variable};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A tuple generating dependency `∀x∀y ϕ(x,y) → ∃z ψ(x,z)`.
@@ -193,11 +193,6 @@ impl Egd {
             right,
         })
     }
-
-    /// All variables of the body.
-    pub fn universal_variables(&self) -> BTreeSet<Variable> {
-        self.body.iter().flat_map(|a| a.variables()).collect()
-    }
 }
 
 /// A dependency: either a TGD or an EGD.
@@ -295,16 +290,6 @@ impl Dependency {
             .chain(self.head_atoms())
             .map(|a| a.predicate)
             .collect()
-    }
-
-    /// Predicates occurring in the body.
-    pub fn body_predicates(&self) -> BTreeSet<Predicate> {
-        self.body().iter().map(|a| a.predicate).collect()
-    }
-
-    /// Predicates occurring in the head (empty for EGDs).
-    pub fn head_predicates(&self) -> BTreeSet<Predicate> {
-        self.head_atoms().iter().map(|a| a.predicate).collect()
     }
 }
 
@@ -476,13 +461,6 @@ impl DependencySet {
     /// Looks up a dependency by label.
     pub fn by_label(&self, label: &str) -> Option<(DepId, &Dependency)> {
         self.iter().find(|(_, d)| d.label() == Some(label))
-    }
-
-    /// Returns the map from labels to ids (only labelled dependencies appear).
-    pub fn label_map(&self) -> BTreeMap<String, DepId> {
-        self.iter()
-            .filter_map(|(i, d)| d.label().map(|l| (l.to_owned(), i)))
-            .collect()
     }
 }
 

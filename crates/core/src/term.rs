@@ -85,14 +85,6 @@ impl Term {
         matches!(self, Term::Null(_))
     }
 
-    /// Returns the variable if this term is one.
-    pub fn as_var(&self) -> Option<Variable> {
-        match self {
-            Term::Var(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Returns the ground term if this term is ground (constant or null).
     pub fn as_ground(&self) -> Option<GroundTerm> {
         match self {

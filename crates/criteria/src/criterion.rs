@@ -8,7 +8,9 @@
 //!
 //! Criteria analysed together share work through an [`AnalysisContext`]: one per
 //! dependency set and analysis, memoising the artefacts (such as the `Adn∃` result)
-//! that several criteria derive from the same set.
+//! that several criteria derive from the same set. A criterion implements
+//! [`TerminationCriterion::verdict_in`] on a context; the standalone
+//! [`TerminationCriterion::verdict`] runs it in a fresh one.
 
 use chase_core::{DepId, DependencySet, Position};
 use std::any::Any;
@@ -432,13 +434,13 @@ pub trait TerminationCriterion {
         u32::MAX
     }
 
-    /// Runs the criterion, returning a witness-producing verdict.
-    fn verdict(&self, sigma: &DependencySet) -> Verdict;
-
     /// Runs the criterion on the context's set, reusing the artefacts other criteria
-    /// of the same analysis already computed. The default ignores the context.
-    fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        self.verdict(cx.sigma())
+    /// of the same analysis already computed.
+    fn verdict_in(&self, cx: &AnalysisContext) -> Verdict;
+
+    /// Runs the criterion on `sigma` alone, in a fresh context.
+    fn verdict(&self, sigma: &DependencySet) -> Verdict {
+        self.verdict_in(&AnalysisContext::new(sigma))
     }
 
     /// Returns `true` iff the criterion accepts `sigma`.
@@ -447,78 +449,17 @@ pub trait TerminationCriterion {
     }
 }
 
-/// A boxed criterion together with its metadata — convenient for registries.
-pub struct NamedCriterion {
-    /// Display name.
-    pub name: &'static str,
-    /// Termination guarantee.
-    pub guarantee: Guarantee,
-    /// Relative analysis cost (lower is cheaper).
-    pub cost: u32,
-    check: Box<dyn Fn(&AnalysisContext) -> Verdict + Send + Sync>,
-}
-
-impl NamedCriterion {
-    /// Wraps a verdict-producing closure as a criterion.
-    pub fn with_verdict(
-        name: &'static str,
-        guarantee: Guarantee,
-        cost: u32,
-        check: impl Fn(&DependencySet) -> Verdict + Send + Sync + 'static,
-    ) -> Self {
-        NamedCriterion {
-            name,
-            guarantee,
-            cost,
-            check: Box::new(move |cx| check(cx.sigma())),
-        }
-    }
-
-    /// Boxes any [`TerminationCriterion`] into a registry entry, carrying over its
-    /// name, guarantee and cost.
-    pub fn from_criterion(c: impl TerminationCriterion + Send + Sync + 'static) -> Self {
-        NamedCriterion {
-            name: c.name(),
-            guarantee: c.guarantee(),
-            cost: c.cost(),
-            check: Box::new(move |cx| c.verdict_in(cx)),
-        }
-    }
-}
-
-impl TerminationCriterion for NamedCriterion {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn guarantee(&self) -> Guarantee {
-        self.guarantee
-    }
-
-    fn cost(&self) -> u32 {
-        self.cost
-    }
-
-    fn verdict(&self, sigma: &DependencySet) -> Verdict {
-        (self.check)(&AnalysisContext::new(sigma))
-    }
-
-    fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        (self.check)(cx)
-    }
-}
-
 /// The registry of baseline criteria implemented in this crate, in increasing order of
 /// analysis cost. (The paper's own criteria, S-Str and SAC, live in
 /// `chase-termination` and can be appended by callers.)
-pub fn baseline_criteria() -> Vec<NamedCriterion> {
+pub fn baseline_criteria() -> Vec<Box<dyn TerminationCriterion + Send + Sync>> {
     vec![
-        NamedCriterion::from_criterion(crate::weak_acyclicity::WeakAcyclicity),
-        NamedCriterion::from_criterion(crate::safety::Safety),
-        NamedCriterion::from_criterion(crate::super_weak::SuperWeakAcyclicity),
-        NamedCriterion::from_criterion(crate::stratification::CStratification),
-        NamedCriterion::from_criterion(crate::stratification::Stratification),
-        NamedCriterion::from_criterion(crate::mfa::ModelFaithfulAcyclicity::default()),
+        Box::new(crate::weak_acyclicity::WeakAcyclicity),
+        Box::new(crate::safety::Safety),
+        Box::new(crate::super_weak::SuperWeakAcyclicity),
+        Box::new(crate::stratification::CStratification),
+        Box::new(crate::stratification::Stratification),
+        Box::new(crate::mfa::ModelFaithfulAcyclicity),
     ]
 }
 
@@ -530,7 +471,7 @@ mod tests {
     #[test]
     fn registry_names_are_unique() {
         let cs = baseline_criteria();
-        let mut names: Vec<&str> = cs.iter().map(|c| c.name).collect();
+        let mut names: Vec<&str> = cs.iter().map(|c| c.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), cs.len());

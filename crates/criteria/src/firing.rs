@@ -50,8 +50,7 @@
 //! constant. The partitions skipped are exactly those on which no subset has a step,
 //! so the witnesses reported, and their order, do not change.
 //!
-//! When the combined variable count exceeds [`FiringConfig::max_variables`], or
-//! `Body(r2)` has more than 20 atoms (step 3 numbers its subsets by 20 mask bits), the
+//! When the combined variable count exceeds 10, or `Body(r2)` has more than 20 atoms (step 3 numbers its subsets by 20 mask bits), the
 //! test falls back to a conservative answer (an edge is assumed), which keeps every
 //! criterion built on top of it sound.
 //!
@@ -76,7 +75,7 @@
 //! Each visited pair is keyed by its *shape* ([`shape_key`]), and one enumeration
 //! answers every pair of a shape. The memo lives for one build. The key holds:
 //!
-//! * the [`FiringConfig`] and the kinds of both dependencies;
+//! * the [`Applicability`] and the kinds of both dependencies;
 //! * every atom of `r1` and `r2` in order, body then head. Predicates are numbered
 //!   by first occurrence in the pair (a `Predicate` includes its arity), and
 //!   constants stand for themselves;
@@ -125,24 +124,9 @@ pub enum Applicability {
     Oblivious,
 }
 
-/// Configuration of the firing test.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FiringConfig {
-    /// Applicability notion for the step of `r1`.
-    pub applicability: Applicability,
-    /// Maximum number of combined body variables before falling back to the
-    /// conservative answer.
-    pub max_variables: usize,
-}
-
-impl Default for FiringConfig {
-    fn default() -> Self {
-        FiringConfig {
-            applicability: Applicability::Standard,
-            max_variables: 10,
-        }
-    }
-}
+/// The most combined body variables of a pair that the firing test enumerates the
+/// partitions of; a pair with more answers [`FiringAnswer::Unknown`].
+const MAX_VARIABLES: usize = 10;
 
 /// A witness that enforcing `r1` can make `r2` violated: a view of the candidate
 /// that reports it.
@@ -234,11 +218,11 @@ const MAX_BODY2_ATOMS: usize = 20;
 pub fn for_each_firing_witness(
     r1: &Dependency,
     r2: &Dependency,
-    config: &FiringConfig,
+    applicability: Applicability,
     on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
 ) -> FiringAnswer {
     let (r1, r2) = (PreparedDependency::new(r1), PreparedDependency::new(r2));
-    for_each_prepared_witness(&r1, &r2, config, on_witness)
+    for_each_prepared_witness(&r1, &r2, applicability, on_witness)
 }
 
 /// [`for_each_firing_witness`] on prepared dependencies, for callers testing many
@@ -246,7 +230,7 @@ pub fn for_each_firing_witness(
 pub fn for_each_prepared_witness(
     r1: &PreparedDependency<'_>,
     r2: &PreparedDependency<'_>,
-    config: &FiringConfig,
+    applicability: Applicability,
     on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
 ) -> FiringAnswer {
     let (r1_dep, r2_dep) = (r1.dependency(), r2.dependency());
@@ -260,7 +244,7 @@ pub fn for_each_prepared_witness(
     // r2's variables are renamed apart, so that r1 == r2 is handled uniformly.
     let (vars1, (body2_renamed, side2)) = (&r1.as_r1().vars, r2.as_r2());
     let all_vars: Vec<Variable> = vars1.iter().chain(&side2.vars).copied().collect();
-    if all_vars.len() > config.max_variables || body2_renamed.len() > MAX_BODY2_ATOMS {
+    if all_vars.len() > MAX_VARIABLES || body2_renamed.len() > MAX_BODY2_ATOMS {
         return FiringAnswer::Unknown;
     }
 
@@ -283,7 +267,7 @@ pub fn for_each_prepared_witness(
     let pair = Pair {
         r1: r1_dep,
         r2: r2_dep,
-        applicability: config.applicability,
+        applicability,
         body2_renamed,
         vars1_len: vars1.len(),
         all_vars,
@@ -420,11 +404,8 @@ pub struct ShapeKey(Vec<Token>);
 /// One token of a [`ShapeKey`] or of a dependency's shape template.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum Token {
-    /// The firing configuration.
-    Config {
-        oblivious: bool,
-        max_variables: usize,
-    },
+    /// The applicability: `true` for oblivious.
+    Oblivious(bool),
     /// The kind of the dependency that follows.
     Tgd,
     Egd,
@@ -478,13 +459,13 @@ fn shape_template(dep: &Dependency, mut rank: impl FnMut(Variable) -> Option<usi
     out
 }
 
-/// The shape of the pair `(r1, r2)` under `config`, with the blockers of Definition 2
+/// The shape of the pair `(r1, r2)` under `applicability`, with the blockers of Definition 2
 /// that can match in its candidates (none for the chase graphs, or when `r2` is
 /// full). Every blocker must read only predicates of `Body(r1)` and `Body(r2)`.
 pub fn shape_key(
     r1: &PreparedDependency<'_>,
     r2: &PreparedDependency<'_>,
-    config: &FiringConfig,
+    applicability: Applicability,
     blockers: &[&Dependency],
 ) -> ShapeKey {
     debug_assert!(
@@ -497,10 +478,7 @@ pub fn shape_key(
     let (side1, (_, side2)) = (r1.as_r1(), r2.as_r2());
     let mut predicates: Vec<Predicate> = Vec::new();
     let mut tokens = Vec::with_capacity(1 + side1.shape.len() + side2.shape.len());
-    tokens.push(Token::Config {
-        oblivious: config.applicability == Applicability::Oblivious,
-        max_variables: config.max_variables,
-    });
+    tokens.push(Token::Oblivious(applicability == Applicability::Oblivious));
     let offset = side1.vars.len() as u32;
     for (shape, offset) in [(&side1.shape, 0), (&side2.shape, offset)] {
         tokens.extend(shape.iter().map(|&t| match t {
@@ -558,21 +536,16 @@ pub fn shares_predicate(a: &[Atom], b: &[Atom]) -> bool {
 
 /// Returns `true` iff `r1 ≺ r2` may hold (conservatively), i.e. the chase-graph edge of
 /// stratification.
-pub fn chase_graph_edge(r1: &Dependency, r2: &Dependency, config: &FiringConfig) -> bool {
-    for_each_firing_witness(r1, r2, config, &mut |_| ControlFlow::Break(())).may_fire()
+pub fn chase_graph_edge(r1: &Dependency, r2: &Dependency, applicability: Applicability) -> bool {
+    for_each_firing_witness(r1, r2, applicability, &mut |_| ControlFlow::Break(())).may_fire()
 }
 
 /// Both chase-graph edges of the pair, `(standard, oblivious)`, from one oblivious
 /// enumeration (see the module documentation): a witness counts for the standard
 /// edge iff `r1` is an EGD or its head does not extend `h1` into `K`.
-fn chase_graph_edges(
-    r1: &PreparedDependency<'_>,
-    r2: &PreparedDependency<'_>,
-    config: &FiringConfig,
-) -> (bool, bool) {
-    debug_assert_eq!(config.applicability, Applicability::Oblivious);
+fn chase_graph_edges(r1: &PreparedDependency<'_>, r2: &PreparedDependency<'_>) -> (bool, bool) {
     let mut oblivious = false;
-    let answer = for_each_prepared_witness(r1, r2, config, &mut |w| {
+    let answer = for_each_prepared_witness(r1, r2, Applicability::Oblivious, &mut |w| {
         oblivious = true;
         if w.is_standard_step() {
             ControlFlow::Break(())
@@ -600,16 +573,12 @@ pub struct ChaseGraphs {
 /// Builds both chase graphs with one oblivious witness enumeration per pair shape
 /// (see the module documentation). A TGD `r1` is paired only with the dependencies
 /// whose body reads a predicate of its head; an EGD with every dependency.
-pub fn chase_graphs(sigma: &DependencySet, max_variables: usize) -> ChaseGraphs {
+pub fn chase_graphs(sigma: &DependencySet) -> ChaseGraphs {
     let mut standard = DiGraph::new();
     for id in sigma.ids() {
         standard.add_node(id.0);
     }
     let mut oblivious = standard.clone();
-    let config = FiringConfig {
-        applicability: Applicability::Oblivious,
-        max_variables,
-    };
     let deps: Vec<PreparedDependency> = sigma
         .as_slice()
         .iter()
@@ -645,8 +614,8 @@ pub fn chase_graphs(sigma: &DependencySet, max_variables: usize) -> ChaseGraphs 
         for &j in &targets {
             let r2 = &deps[j];
             let (std_edge, obl_edge) = *memo
-                .entry(shape_key(r1, r2, &config, &[]))
-                .or_insert_with(|| chase_graph_edges(r1, r2, &config));
+                .entry(shape_key(r1, r2, Applicability::Oblivious, &[]))
+                .or_insert_with(|| chase_graph_edges(r1, r2));
             if std_edge {
                 standard.add_edge(i, j, false);
             }
@@ -658,16 +627,6 @@ pub fn chase_graphs(sigma: &DependencySet, max_variables: usize) -> ChaseGraphs 
     ChaseGraphs {
         standard,
         oblivious,
-    }
-}
-
-/// The chase graph of `sigma` under `config`'s applicability: the matching
-/// projection of [`chase_graphs`].
-pub fn chase_graph(sigma: &DependencySet, config: &FiringConfig) -> DiGraph {
-    let graphs = chase_graphs(sigma, config.max_variables);
-    match config.applicability {
-        Applicability::Standard => graphs.standard,
-        Applicability::Oblivious => graphs.oblivious,
     }
 }
 
@@ -1007,9 +966,8 @@ mod tests {
     use chase_core::parser::parse_dependencies;
     use chase_core::DepId;
 
-    fn cfg() -> FiringConfig {
-        FiringConfig::default()
-    }
+    const STD: Applicability = Applicability::Standard;
+    const OBL: Applicability = Applicability::Oblivious;
 
     fn sigma1() -> DependencySet {
         parse_dependencies(
@@ -1047,18 +1005,18 @@ mod tests {
         let r2 = sigma.get(DepId(1));
         let r3 = sigma.get(DepId(2));
         // r1 adds E(x, η), which can violate r2 and r3.
-        assert!(chase_graph_edge(r1, r2, &cfg()));
-        assert!(chase_graph_edge(r1, r3, &cfg()));
+        assert!(chase_graph_edge(r1, r2, STD));
+        assert!(chase_graph_edge(r1, r3, STD));
         // r2 adds N(y), which can make r1 violated.
-        assert!(chase_graph_edge(r2, r1, &cfg()));
+        assert!(chase_graph_edge(r2, r1, STD));
         // r2 cannot violate r3 (it does not touch E), nor r2 itself.
-        assert!(!chase_graph_edge(r2, r3, &cfg()));
-        assert!(!chase_graph_edge(r2, r2, &cfg()));
+        assert!(!chase_graph_edge(r2, r3, STD));
+        assert!(!chase_graph_edge(r2, r2, STD));
         // r3 merges the two columns of E; this can re-violate r2 … no: merging nulls
         // only collapses facts, every new body match of N-free r2 must use an E fact
         // that existed before up to renaming. The interesting edge is r3 -> r1? r1's
         // body is N(x), untouched by r3. So r3 has no outgoing edges to r1.
-        assert!(!chase_graph_edge(r3, r1, &cfg()));
+        assert!(!chase_graph_edge(r3, r1, STD));
     }
 
     #[test]
@@ -1072,9 +1030,9 @@ mod tests {
         .unwrap();
         let a = sigma.get(DepId(0));
         let b = sigma.get(DepId(1));
-        assert!(chase_graph_edge(a, b, &cfg()));
-        assert!(!chase_graph_edge(b, a, &cfg()));
-        assert!(!chase_graph_edge(a, a, &cfg()));
+        assert!(chase_graph_edge(a, b, STD));
+        assert!(!chase_graph_edge(b, a, STD));
+        assert!(!chase_graph_edge(a, a, STD));
     }
 
     #[test]
@@ -1083,7 +1041,7 @@ mod tests {
         // a fresh null, which yields a new active trigger of r itself.
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
         let r = sigma.get(DepId(0));
-        assert!(chase_graph_edge(r, r, &cfg()));
+        assert!(chase_graph_edge(r, r, STD));
     }
 
     #[test]
@@ -1092,15 +1050,11 @@ mod tests {
         // trigger (the head is already satisfied for x), so there is no edge r ≺ r.
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?x, ?z).").unwrap();
         let r = sigma.get(DepId(0));
-        assert!(!chase_graph_edge(r, r, &cfg()));
+        assert!(!chase_graph_edge(r, r, STD));
         // Under oblivious applicability the edge is also absent for the *violation*
         // notion used here (the head being satisfied means r2 is never violated), which
         // matches c-stratification treating this set as terminating.
-        let obl = FiringConfig {
-            applicability: Applicability::Oblivious,
-            ..cfg()
-        };
-        assert!(!chase_graph_edge(r, r, &obl));
+        assert!(!chase_graph_edge(r, r, OBL));
     }
 
     #[test]
@@ -1115,13 +1069,13 @@ mod tests {
         .unwrap();
         let e = sigma.get(DepId(0));
         let t = sigma.get(DepId(1));
-        assert!(chase_graph_edge(e, t, &cfg()));
-        assert!(!chase_graph_edge(t, e, &cfg()));
+        assert!(chase_graph_edge(e, t, STD));
+        assert!(!chase_graph_edge(t, e, STD));
     }
 
     #[test]
     fn unknown_answer_for_oversized_pairs() {
-        // 12 distinct variables exceed the default bound of 10.
+        // 12 distinct variables exceed the bound of 10.
         let sigma = parse_dependencies(
             r#"
             big1: R(?a, ?b, ?c, ?d, ?e, ?f) -> S(?a).
@@ -1131,7 +1085,7 @@ mod tests {
         .unwrap();
         let b1 = sigma.get(DepId(0));
         let b2 = sigma.get(DepId(1));
-        let ans = for_each_firing_witness(b1, b2, &cfg(), &mut |_| ControlFlow::Break(()));
+        let ans = for_each_firing_witness(b1, b2, STD, &mut |_| ControlFlow::Break(()));
         assert_eq!(ans, FiringAnswer::Unknown);
         assert!(ans.may_fire());
     }
@@ -1153,31 +1107,28 @@ mod tests {
         for atoms in [21, 33] {
             let sigma = wide_body_pair(atoms);
             let (a, b) = (sigma.get(DepId(0)), sigma.get(DepId(1)));
-            for applicability in [Applicability::Standard, Applicability::Oblivious] {
-                let config = FiringConfig {
-                    applicability,
-                    ..cfg()
-                };
-                let ans = for_each_firing_witness(a, b, &config, &mut |_| ControlFlow::Break(()));
+            for applicability in [STD, OBL] {
+                let ans =
+                    for_each_firing_witness(a, b, applicability, &mut |_| ControlFlow::Break(()));
                 assert_eq!(
                     ans,
                     FiringAnswer::Unknown,
                     "{atoms} atoms, {applicability:?}"
                 );
             }
-            assert!(chase_graph_edge(a, b, &cfg()));
+            assert!(chase_graph_edge(a, b, STD));
         }
         // A narrower body is still enumerated exactly.
         let sigma = wide_body_pair(3);
         let (a, b) = (sigma.get(DepId(0)), sigma.get(DepId(1)));
-        let ans = for_each_firing_witness(a, b, &cfg(), &mut |_| ControlFlow::Break(()));
+        let ans = for_each_firing_witness(a, b, STD, &mut |_| ControlFlow::Break(()));
         assert_eq!(ans, FiringAnswer::Fires);
     }
 
     #[test]
     fn chase_graph_of_example1_has_five_edges() {
         let sigma = sigma1();
-        let g = chase_graph(&sigma, &cfg());
+        let g = chase_graphs(&sigma).standard;
         // Edges: r1->r2, r1->r3, r2->r1, r3->r2, r3->r3.
         //  * r3->r2 arises from K = {E(η1, η2)}: enforcing r3 produces J = {E(η2, η2)},
         //    and the homomorphism x, y ↦ η2 maps Body(r2) into J but not into K, with
@@ -1204,21 +1155,13 @@ mod tests {
         )
         .unwrap();
         let (r1, r2) = (sigma.get(DepId(0)), sigma.get(DepId(1)));
-        let obl = FiringConfig {
-            applicability: Applicability::Oblivious,
-            ..cfg()
-        };
-        assert!(!chase_graph_edge(r1, r2, &cfg()));
-        assert!(chase_graph_edge(r1, r2, &obl));
+        assert!(!chase_graph_edge(r1, r2, STD));
+        assert!(chase_graph_edge(r1, r2, OBL));
         assert_eq!(
-            chase_graph_edges(
-                &PreparedDependency::new(r1),
-                &PreparedDependency::new(r2),
-                &obl
-            ),
+            chase_graph_edges(&PreparedDependency::new(r1), &PreparedDependency::new(r2)),
             (false, true)
         );
-        let graphs = chase_graphs(&sigma, cfg().max_variables);
+        let graphs = chase_graphs(&sigma);
         assert!(!graphs.standard.has_edge(0, 1));
         assert!(graphs.oblivious.has_edge(0, 1));
     }

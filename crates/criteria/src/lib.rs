@@ -17,10 +17,15 @@
 //!   [`Verdict`] type and the registry used by the experiment harness and by
 //!   `chase_termination::TerminationAnalyzer`.
 //!
-//! Every criterion is a unit struct implementing [`TerminationCriterion`]; its
-//! [`verdict`](TerminationCriterion::verdict) explains *why* with a machine-readable
-//! [`Witness`] (the special-edge cycle for WA/SC, the stratum assignment for
-//! (C-)Str, the trigger cycle for SwA, the saturation certificate for MFA):
+//! Every criterion is a unit struct implementing [`TerminationCriterion`], whose one
+//! required method, [`verdict_in`](TerminationCriterion::verdict_in), runs on an
+//! [`AnalysisContext`] shared by the criteria of one analysis;
+//! [`verdict`](TerminationCriterion::verdict) runs it in a fresh context. A verdict
+//! explains *why* with a machine-readable [`Witness`] (the special-edge cycle for
+//! WA/SC, the stratum assignment for (C-)Str, the trigger cycle for SwA, the
+//! saturation certificate for MFA). No criterion has a setting: the bounds of the
+//! firing test and of MFA's saturation are fixed, so each shared artefact is
+//! computed once per analysis.
 //!
 //! ```
 //! use chase_core::parser::parse_dependencies;
@@ -40,7 +45,7 @@
 //! assert!(!Safety.accepts(&sigma1));
 //! assert!(!Stratification.accepts(&sigma1));
 //! assert!(!SuperWeakAcyclicity.accepts(&sigma1));
-//! assert!(!ModelFaithfulAcyclicity::default().accepts(&sigma1));
+//! assert!(!ModelFaithfulAcyclicity.accepts(&sigma1));
 //! // … which is exactly the gap the paper's EGD-aware criteria close.
 //! ```
 
@@ -58,14 +63,14 @@ pub mod super_weak;
 pub mod weak_acyclicity;
 
 pub use criterion::{
-    baseline_criteria, AnalysisContext, CriterionId, Guarantee, NamedCriterion,
-    TerminationCriterion, Verdict, Witness,
+    baseline_criteria, AnalysisContext, CriterionId, Guarantee, TerminationCriterion, Verdict,
+    Witness,
 };
 pub use firing::{
-    chase_graph, chase_graph_edge, chase_graphs, for_each_firing_witness, Applicability,
-    ChaseGraphs, FiringAnswer, FiringConfig, FiringWitness,
+    chase_graph_edge, chase_graphs, for_each_firing_witness, Applicability, ChaseGraphs,
+    FiringAnswer, FiringWitness,
 };
-pub use mfa::{mfa_report_tgds, MfaConfig, MfaReport, MfaVerdict, ModelFaithfulAcyclicity};
+pub use mfa::{mfa_report_tgds, MfaReport, MfaVerdict, ModelFaithfulAcyclicity};
 pub use safety::{affected_positions, Safety};
 pub use simulation::{natural_simulation, substitution_free_simulation};
 pub use stratification::{CStratification, Stratification};

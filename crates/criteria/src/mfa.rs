@@ -20,7 +20,7 @@
 //! tens of thousands of critical-instance facts a deep saturation derives are
 //! interned once and never re-hashed or cloned.
 
-use crate::criterion::{Guarantee, TerminationCriterion, Verdict, Witness};
+use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness};
 use crate::simulation::{has_egds, substitution_free_simulation};
 use chase_core::term::Constant;
 use chase_core::{DependencySet, GroundTerm, Instance, Term};
@@ -115,23 +115,10 @@ impl SkInterner {
     }
 }
 
-/// Configuration of the MFA check.
-#[derive(Clone, Copy, Debug)]
-pub struct MfaConfig {
-    /// Maximum number of derived facts before giving up (conservatively rejecting).
-    pub max_facts: usize,
-    /// Maximum Skolem-term depth before giving up (conservatively rejecting).
-    pub max_depth: usize,
-}
-
-impl Default for MfaConfig {
-    fn default() -> Self {
-        MfaConfig {
-            max_facts: 50_000,
-            max_depth: 24,
-        }
-    }
-}
+/// The most facts the saturation holds before it gives up (a conservative rejection).
+const MAX_FACTS: usize = 50_000;
+/// The deepest Skolem term the saturation derives before it gives up.
+const MAX_DEPTH: usize = 24;
 
 /// The verdict of the MFA analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -161,20 +148,21 @@ pub struct MfaReport {
     pub cyclic_term: Option<(String, usize)>,
 }
 
-/// Runs the MFA analysis on a TGD-only set, returning the verdict only; see
-/// [`mfa_report_tgds`] for the certificate-carrying variant.
-pub fn mfa_verdict_tgds(sigma: &DependencySet, config: &MfaConfig) -> MfaVerdict {
-    mfa_report_tgds(sigma, config).verdict
-}
-
 /// Runs the MFA analysis on a TGD-only set.
 ///
 /// The Skolemised critical-instance chase is saturated semi-naively through the
 /// [`TriggerEngine`]: rules are star-normalised (every rule constant is conflated
 /// with the critical constant, which only adds derivations and keeps the
 /// criterion sound), Skolem terms are encoded as interned constants, and each
-/// body homomorphism fires exactly once, when the facts completing it appear.
-pub fn mfa_report_tgds(sigma: &DependencySet, config: &MfaConfig) -> MfaReport {
+/// body homomorphism fires exactly once, when the facts completing it appear. The
+/// saturation gives up, with [`MfaVerdict::BudgetExhausted`], past 50,000 facts or
+/// at a Skolem term deeper than 24.
+pub fn mfa_report_tgds(sigma: &DependencySet) -> MfaReport {
+    saturate(sigma, MAX_FACTS, MAX_DEPTH)
+}
+
+/// [`mfa_report_tgds`] under the given caps.
+fn saturate(sigma: &DependencySet, max_facts: usize, max_depth: usize) -> MfaReport {
     let star = Constant::new("⟨★⟩");
     // Star-normalise the TGDs so that plain homomorphism matching implements the
     // "rule constants match only *" convention of the original formulation.
@@ -257,7 +245,7 @@ pub fn mfa_report_tgds(sigma: &DependencySet, config: &MfaConfig) -> MfaReport {
                     cyclic_term: Some((term.render(), depth)),
                 };
             }
-            if depth > config.max_depth {
+            if depth > max_depth {
                 return MfaReport {
                     verdict: MfaVerdict::BudgetExhausted,
                     facts: engine.instance().len(),
@@ -278,7 +266,7 @@ pub fn mfa_report_tgds(sigma: &DependencySet, config: &MfaConfig) -> MfaReport {
             })
             .collect();
         engine.push_facts(head_facts);
-        if engine.instance().len() > config.max_facts {
+        if engine.instance().len() > max_facts {
             return MfaReport {
                 verdict: MfaVerdict::BudgetExhausted,
                 facts: engine.instance().len(),
@@ -303,10 +291,7 @@ pub fn mfa_report_tgds(sigma: &DependencySet, config: &MfaConfig) -> MfaReport {
 /// chase; rejections the cyclic Skolem term that raised the alarm. EGD-bearing sets
 /// are analysed through the substitution-free simulation.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ModelFaithfulAcyclicity {
-    /// Budget configuration of the saturation.
-    pub config: MfaConfig,
-}
+pub struct ModelFaithfulAcyclicity;
 
 impl TerminationCriterion for ModelFaithfulAcyclicity {
     fn name(&self) -> &'static str {
@@ -321,11 +306,18 @@ impl TerminationCriterion for ModelFaithfulAcyclicity {
         70
     }
 
-    fn verdict(&self, sigma: &DependencySet) -> Verdict {
+    fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
+        self.verdict_within(cx.sigma(), MAX_FACTS, MAX_DEPTH)
+    }
+}
+
+impl ModelFaithfulAcyclicity {
+    /// The verdict on `sigma` under the given saturation caps.
+    fn verdict_within(&self, sigma: &DependencySet, max_facts: usize, max_depth: usize) -> Verdict {
         let report = if has_egds(sigma) {
-            mfa_report_tgds(&substitution_free_simulation(sigma), &self.config)
+            saturate(&substitution_free_simulation(sigma), max_facts, max_depth)
         } else {
-            mfa_report_tgds(sigma, &self.config)
+            saturate(sigma, max_facts, max_depth)
         };
         match report.verdict {
             MfaVerdict::Acyclic => Verdict::accept(
@@ -376,7 +368,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let verdict = ModelFaithfulAcyclicity::default().verdict(&sigma);
+        let verdict = ModelFaithfulAcyclicity.verdict(&sigma);
         assert!(verdict.accepted);
         match verdict.witness {
             Witness::MfaSaturation {
@@ -408,12 +400,12 @@ mod tests {
             "#,
         )
         .unwrap();
-        let report = mfa_report_tgds(&sigma, &MfaConfig::default());
+        let report = mfa_report_tgds(&sigma);
         assert_eq!(report.verdict, MfaVerdict::CyclicTermDerived);
         let (term, depth) = report.cyclic_term.expect("rejections carry the term");
         assert_eq!(depth, 2, "the cyclic term itself nests once: {term}");
         assert!(report.max_term_depth >= 3, "the chain went deeper first");
-        match ModelFaithfulAcyclicity::default().verdict(&sigma).witness {
+        match ModelFaithfulAcyclicity.verdict(&sigma).witness {
             Witness::CyclicSkolemTerm { depth, .. } => assert_eq!(depth, 2),
             other => panic!("expected CyclicSkolemTerm, got {other:?}"),
         }
@@ -422,7 +414,7 @@ mod tests {
     #[test]
     fn cyclic_term_witness_on_rejection() {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
-        let verdict = ModelFaithfulAcyclicity::default().verdict(&sigma);
+        let verdict = ModelFaithfulAcyclicity.verdict(&sigma);
         assert!(!verdict.accepted);
         match verdict.witness {
             Witness::CyclicSkolemTerm { term, depth } => {
@@ -445,13 +437,13 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(ModelFaithfulAcyclicity::default().accepts(&sigma));
+        assert!(ModelFaithfulAcyclicity.accepts(&sigma));
     }
 
     #[test]
     fn self_feeding_rule_is_not_mfa() {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
-        assert!(!ModelFaithfulAcyclicity::default().accepts(&sigma));
+        assert!(!ModelFaithfulAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -463,7 +455,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!ModelFaithfulAcyclicity::default().accepts(&sigma));
+        assert!(!ModelFaithfulAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -481,7 +473,7 @@ mod tests {
         .unwrap();
         // B(*, f(*)) alone cannot match both B(x,y) and B(y,x) with x = *, y = f(*)
         // unless B(f(*), *) is also derived, which never happens; so MFA accepts.
-        assert!(ModelFaithfulAcyclicity::default().accepts(&sigma));
+        assert!(ModelFaithfulAcyclicity.accepts(&sigma));
         let _ = SuperWeakAcyclicity.accepts(&sigma);
     }
 
@@ -499,7 +491,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(!ModelFaithfulAcyclicity::default().accepts(&sigma8));
+        assert!(!ModelFaithfulAcyclicity.accepts(&sigma8));
     }
 
     #[test]
@@ -511,7 +503,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        assert!(ModelFaithfulAcyclicity::default().accepts(&sigma));
+        assert!(ModelFaithfulAcyclicity.accepts(&sigma));
     }
 
     #[test]
@@ -530,7 +522,7 @@ mod tests {
             let sigma = parse_dependencies(src).unwrap();
             if SuperWeakAcyclicity.accepts(&sigma) {
                 assert!(
-                    ModelFaithfulAcyclicity::default().accepts(&sigma),
+                    ModelFaithfulAcyclicity.accepts(&sigma),
                     "SwA ⊆ MFA violated on {src}"
                 );
             }
@@ -540,12 +532,12 @@ mod tests {
     #[test]
     fn budget_exhaustion_is_a_rejection() {
         let sigma = parse_dependencies("r: E(?x, ?y) -> exists ?z: E(?y, ?z).").unwrap();
-        let verdict = mfa_verdict_tgds(&sigma, &MfaConfig::default());
+        let verdict = mfa_report_tgds(&sigma).verdict;
         assert_eq!(verdict, MfaVerdict::CyclicTermDerived);
-        let config = MfaConfig {
-            max_facts: 1,
-            max_depth: 1,
-        };
-        assert!(!ModelFaithfulAcyclicity { config }.accepts(&sigma));
+        assert!(
+            !ModelFaithfulAcyclicity
+                .verdict_within(&sigma, 1, 1)
+                .accepted
+        );
     }
 }

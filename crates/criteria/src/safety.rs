@@ -5,7 +5,7 @@
 //! propagating along body variables all of whose occurrences lie in affected positions.
 //! Like weak acyclicity, the analysis ignores EGDs.
 
-use crate::criterion::{Guarantee, TerminationCriterion, Verdict};
+use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict};
 use crate::graph::DiGraph;
 use crate::weak_acyclicity::verdict_from_position_graph;
 use chase_core::{DependencySet, Position};
@@ -122,7 +122,8 @@ impl TerminationCriterion for Safety {
         20
     }
 
-    fn verdict(&self, sigma: &DependencySet) -> Verdict {
+    fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
+        let sigma = cx.sigma();
         let (graph, positions) = propagation_graph(sigma);
         verdict_from_position_graph(self.name(), self.guarantee(), &graph, &positions)
     }

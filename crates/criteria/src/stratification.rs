@@ -13,53 +13,24 @@
 //! sound because weak acyclicity is closed under taking subsets of dependencies.
 
 use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness};
-use crate::firing::{chase_graphs, ChaseGraphs, FiringConfig};
+use crate::firing::{chase_graphs, ChaseGraphs};
 use crate::graph::DiGraph;
 use crate::weak_acyclicity::WeakAcyclicity;
 use chase_core::{DepId, DependencySet, Position};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-/// Builds the chase graph `G(Σ)` with standard-chase applicability (the graph of
-/// stratification).
-pub fn standard_chase_graph(sigma: &DependencySet) -> DiGraph {
-    chase_graphs(sigma, FiringConfig::default().max_variables).standard
+/// Both chase graphs of the context's set, built once per analysis. Str builds them
+/// and is charged for both; CStr reads the oblivious graph, and semi-stratification
+/// filters the standard one into its firing graph, since every edge of the latter is
+/// an edge of the former.
+pub fn chase_graphs_in(cx: &AnalysisContext) -> Rc<ChaseGraphs> {
+    cx.shared("chase graphs", || chase_graphs(cx.sigma()))
 }
 
-/// Builds the chase graph with oblivious-chase applicability (the graph of
-/// c-stratification).
-pub fn oblivious_chase_graph(sigma: &DependencySet) -> DiGraph {
-    chase_graphs(sigma, FiringConfig::default().max_variables).oblivious
-}
-
-/// Both chase graphs of the context's set, built once per variable cap. Str builds
-/// them and is charged for both; CStr reads the oblivious graph, and
-/// semi-stratification filters the standard one into its firing graph, since every
-/// edge of the latter is an edge of the former.
-pub fn chase_graphs_in(cx: &AnalysisContext, max_variables: usize) -> Rc<ChaseGraphs> {
-    cx.shared(("chase graphs", max_variables), || {
-        chase_graphs(cx.sigma(), max_variables)
-    })
-}
-
-/// Checks whether every strongly connected component of `graph` induces a weakly
-/// acyclic subset of `sigma`. Singleton components without a self-loop are trivially
-/// fine.
-pub fn all_components_weakly_acyclic(sigma: &DependencySet, graph: &DiGraph) -> bool {
-    offending_component(sigma, graph).is_none()
-}
-
-/// The first cyclic SCC of `graph` whose dependencies are not weakly acyclic, if any,
-/// together with the special-edge position cycle inside that subset.
-pub fn offending_component(
-    sigma: &DependencySet,
-    graph: &DiGraph,
-) -> Option<(Vec<DepId>, Vec<Position>)> {
-    offending_component_in(sigma, graph, &graph.sccs())
-}
-
-/// [`offending_component`] over a precomputed SCC decomposition of `graph`, so
-/// callers that also need the components pay for Tarjan only once.
+/// The first cyclic component of `sccs`, the SCC decomposition of `graph`, whose
+/// dependencies are not weakly acyclic, if any, together with the special-edge
+/// position cycle inside that subset.
 pub fn offending_component_in(
     sigma: &DependencySet,
     graph: &DiGraph,
@@ -142,13 +113,8 @@ impl TerminationCriterion for Stratification {
         40
     }
 
-    fn verdict(&self, sigma: &DependencySet) -> Verdict {
-        let graph = standard_chase_graph(sigma);
-        verdict_from_components(self.name(), self.guarantee(), sigma, &graph)
-    }
-
     fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        let graphs = chase_graphs_in(cx, FiringConfig::default().max_variables);
+        let graphs = chase_graphs_in(cx);
         verdict_from_components(self.name(), self.guarantee(), cx.sigma(), &graphs.standard)
     }
 }
@@ -170,13 +136,8 @@ impl TerminationCriterion for CStratification {
         50
     }
 
-    fn verdict(&self, sigma: &DependencySet) -> Verdict {
-        let graph = oblivious_chase_graph(sigma);
-        verdict_from_components(self.name(), self.guarantee(), sigma, &graph)
-    }
-
     fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        let graphs = chase_graphs_in(cx, FiringConfig::default().max_variables);
+        let graphs = chase_graphs_in(cx);
         verdict_from_components(self.name(), self.guarantee(), cx.sigma(), &graphs.oblivious)
     }
 }

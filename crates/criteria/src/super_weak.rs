@@ -15,7 +15,7 @@
 //! substitution-free simulation (`Σ` is accepted iff its simulation is), exactly as the
 //! paper assumes in Sections 3–4.
 
-use crate::criterion::{Guarantee, TerminationCriterion, Verdict, Witness};
+use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness};
 use crate::graph::DiGraph;
 use crate::simulation::{has_egds, substitution_free_simulation};
 use chase_core::{DepId, DependencySet, Position, Variable};
@@ -134,7 +134,8 @@ impl TerminationCriterion for SuperWeakAcyclicity {
         30
     }
 
-    fn verdict(&self, sigma: &DependencySet) -> Verdict {
+    fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
+        let sigma = cx.sigma();
         let simulated;
         let analysed: &DependencySet = if has_egds(sigma) {
             simulated = substitution_free_simulation(sigma);

@@ -12,7 +12,7 @@
 //! ignored by the analysis (exactly as in the original definition — this is the
 //! weakness the paper sets out to address).
 
-use crate::criterion::{Guarantee, TerminationCriterion, Verdict, Witness};
+use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness};
 use crate::graph::DiGraph;
 use chase_core::{DependencySet, Position, Term};
 use std::collections::BTreeMap;
@@ -88,7 +88,8 @@ impl TerminationCriterion for WeakAcyclicity {
         10
     }
 
-    fn verdict(&self, sigma: &DependencySet) -> Verdict {
+    fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
+        let sigma = cx.sigma();
         let (graph, positions) = dependency_graph(sigma);
         verdict_from_position_graph(self.name(), self.guarantee(), &graph, &positions)
     }

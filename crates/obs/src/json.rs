@@ -54,14 +54,6 @@ impl JsonValue {
         }
     }
 
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Int(n) => Some(*n as f64),
-            JsonValue::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             JsonValue::Bool(b) => Some(*b),

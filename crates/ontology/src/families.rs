@@ -203,7 +203,7 @@ fn functional_roles(size: usize) -> Vec<Dependency> {
 /// every EGD-blind criterion reject, but enforcing the EGD first collapses each
 /// invented null into its parent, so an EGD-first sequence terminates
 /// (`CT_std_∃`): only the EGD-aware criteria (SAC, Adn∃-C) accept. This family
-/// exercises the fixed τ substitution path of `adorn_with` at scale.
+/// exercises the fixed τ substitution path of `adorn` at scale.
 fn egd_collapse_cycles(size: usize) -> Vec<Dependency> {
     let copies = (size / 3).max(1);
     let mut deps = Vec::with_capacity(3 * copies);

@@ -65,7 +65,7 @@ use chase_core::{
     Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, Instance, NullValue,
     Predicate, Term, Tgd, Variable,
 };
-use chase_criteria::firing::{FiringConfig, PreparedDependency};
+use chase_criteria::firing::PreparedDependency;
 use chase_criteria::AnalysisContext;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -166,25 +166,10 @@ impl AdRule {
     }
 }
 
-/// Configuration of the adornment algorithm. The `fireable` condition of Function 2
-/// is always Definition 2's firing test over the current adorned set.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AdnConfig {
-    /// Configuration of the underlying firing tests.
-    pub firing: FiringConfig,
-    /// Hard cap on the number of adorned dependencies; exceeding it aborts with
-    /// `Acyc = false` (a conservative rejection).
-    pub max_adorned_rules: usize,
-}
-
-impl Default for AdnConfig {
-    fn default() -> Self {
-        AdnConfig {
-            firing: FiringConfig::default(),
-            max_adorned_rules: 5_000,
-        }
-    }
-}
+/// Hard cap on the number of adorned dependencies, base rules included: a run with
+/// more, or with more than four times as many main-loop iterations, stops with
+/// `Acyc = false` (a conservative rejection) and [`AdnResult::budget_exhausted`].
+const MAX_ADORNED_RULES: usize = 5_000;
 
 /// The result of running `Adn∃` on a dependency set.
 #[derive(Clone, Debug)]
@@ -225,9 +210,13 @@ impl AdnResult {
     }
 }
 
-/// Runs the adornment algorithm with the default configuration.
+/// Runs the adornment algorithm `Adn∃` (Algorithm 1). The `fireable` condition of
+/// Function 2 is Definition 2's firing test over the current adorned set.
 pub fn adorn(sigma: &DependencySet) -> AdnResult {
-    adorn_with(sigma, &AdnConfig::default())
+    // The context, and with it its share of the result, is dropped with this
+    // statement, so the result is moved out, not cloned.
+    let result = adorn_in(&AnalysisContext::new(sigma));
+    Rc::unwrap_or_clone(result)
 }
 
 /// Builds the [`Witness`](chase_criteria::Witness) describing an adornment run: the
@@ -250,11 +239,8 @@ pub fn adornment_witness(result: &AdnResult) -> chase_criteria::Witness {
 /// Semi-acyclicity (`SAC`, Definition 4) as a witness-producing
 /// [`TerminationCriterion`](chase_criteria::TerminationCriterion): runs `Adn∃` and
 /// reports the adornment trace and fireable-pair set either way.
-#[derive(Clone, Debug, Default)]
-pub struct SemiAcyclicity {
-    /// Configuration of the adornment algorithm.
-    pub config: AdnConfig,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SemiAcyclicity;
 
 impl chase_criteria::TerminationCriterion for SemiAcyclicity {
     fn name(&self) -> &'static str {
@@ -269,12 +255,8 @@ impl chase_criteria::TerminationCriterion for SemiAcyclicity {
         80
     }
 
-    fn verdict(&self, sigma: &DependencySet) -> chase_criteria::Verdict {
-        self.verdict_in(&AnalysisContext::new(sigma))
-    }
-
     fn verdict_in(&self, cx: &AnalysisContext) -> chase_criteria::Verdict {
-        let result = adorn_in(cx, &self.config);
+        let result = adorn_in(cx);
         chase_criteria::Verdict {
             criterion: self.name(),
             guarantee: chase_criteria::Guarantee::SomeSequence,
@@ -284,16 +266,10 @@ impl chase_criteria::TerminationCriterion for SemiAcyclicity {
     }
 }
 
-/// Runs the adornment algorithm `Adn∃` (Algorithm 1).
-pub fn adorn_with(sigma: &DependencySet, config: &AdnConfig) -> AdnResult {
-    let result = adorn_in(&AnalysisContext::new(sigma), config);
-    Rc::unwrap_or_clone(result)
-}
-
-/// `Adn∃` on the context's set: run once per configuration and shared by SAC and
-/// every `Adn∃-C` criterion of the analysis.
-pub(crate) fn adorn_in(cx: &AnalysisContext, config: &AdnConfig) -> Rc<AdnResult> {
-    cx.shared(config.clone(), || Adn::new(cx, config).run())
+/// `Adn∃` on the context's set: run once per analysis and shared by SAC and every
+/// `Adn∃-C` criterion.
+pub(crate) fn adorn_in(cx: &AnalysisContext) -> Rc<AdnResult> {
+    cx.shared("Adn∃", || Adn::new(cx, MAX_ADORNED_RULES).run())
 }
 
 // ---------------------------------------------------------------------------------
@@ -307,7 +283,8 @@ pub(crate) fn adorn_in(cx: &AnalysisContext, config: &AdnConfig) -> Rc<AdnResult
 /// dependency after each appended rule.
 struct Adn<'a> {
     sigma: &'a DependencySet,
-    config: &'a AdnConfig,
+    /// [`MAX_ADORNED_RULES`], or a smaller cap in tests.
+    rule_cap: usize,
     /// Firing information over the *original* set, used by the Ω(AD) cyclicity test.
     original_firing: OriginalFiring,
     /// The scan order of lines 6–12: the universally quantified dependencies of the
@@ -541,10 +518,10 @@ struct OriginalFiring {
 }
 
 impl OriginalFiring {
-    fn compute(cx: &AnalysisContext, config: &AdnConfig) -> Self {
+    fn compute(cx: &AnalysisContext) -> Self {
         let sigma = cx.sigma();
         let mut edges = vec![BTreeSet::new(); sigma.len()];
-        for (f, t, _) in crate::firing::firing_graph_in(cx, &config.firing).edges() {
+        for (f, t, _) in crate::firing::firing_graph_in(cx).edges() {
             edges[f].insert(t);
         }
         let full = sigma.iter().map(|(_, d)| d.is_full()).collect();
@@ -581,7 +558,7 @@ impl OriginalFiring {
 }
 
 impl<'a> Adn<'a> {
-    fn new(cx: &AnalysisContext<'a>, config: &'a AdnConfig) -> Self {
+    fn new(cx: &AnalysisContext<'a>, rule_cap: usize) -> Self {
         let sigma = cx.sigma();
         let mut readers: HashMap<Predicate, Vec<usize>> = HashMap::new();
         for (i, dep) in sigma.iter() {
@@ -592,7 +569,7 @@ impl<'a> Adn<'a> {
                 }
             }
         }
-        let original_firing = OriginalFiring::compute(cx, config);
+        let original_firing = OriginalFiring::compute(cx);
         // EGDs before full TGDs (the order is immaterial for correctness).
         let mut order: Vec<usize> = sigma
             .iter()
@@ -633,7 +610,7 @@ impl<'a> Adn<'a> {
         }
         Adn {
             sigma,
-            config,
+            rule_cap,
             original_firing,
             order,
             rank,
@@ -658,9 +635,7 @@ impl<'a> Adn<'a> {
     fn run(mut self) -> AdnResult {
         loop {
             self.iterations += 1;
-            if self.rules.len() > self.config.max_adorned_rules
-                || self.iterations > 4 * self.config.max_adorned_rules
-            {
+            if self.rules.len() > self.rule_cap || self.iterations > 4 * self.rule_cap {
                 self.budget_exhausted = true;
                 self.acyclic = false;
                 break;
@@ -943,7 +918,6 @@ impl<'a> Adn<'a> {
     /// A candidate rejected before is only tested against the rules appended since,
     /// and of those only against the ones that can fire it (see [`Derived`]).
     fn is_fireable(&mut self, candidate: &AdRule) -> bool {
-        let config = &self.config.firing;
         let rules = self.rules.len();
         let derived = self.derived.as_mut().expect("built by try_adorn");
         let tested = derived.rejected.get(candidate).copied().unwrap_or(0);
@@ -956,7 +930,7 @@ impl<'a> Adn<'a> {
             .into_iter()
             .any(|k| {
                 self.memo
-                    .edge(&derived.blockers, &derived.rendered[k], &target, config)
+                    .edge(&derived.blockers, &derived.rendered[k], &target)
             });
         if !fires {
             derived.rejected.insert(candidate.clone(), rules);
@@ -1513,13 +1487,13 @@ mod tests {
     use chase_criteria::TerminationCriterion;
 
     fn is_semi_acyclic(sigma: &DependencySet) -> bool {
-        SemiAcyclicity::default().accepts(sigma)
+        SemiAcyclicity.accepts(sigma)
     }
 
     #[test]
     fn verdict_carries_the_adornment_trace() {
         use chase_criteria::Witness;
-        let verdict = SemiAcyclicity::default().verdict(&sigma10());
+        let verdict = SemiAcyclicity.verdict(&sigma10());
         assert!(!verdict.accepted);
         match verdict.witness {
             Witness::AdornmentTrace {
@@ -1750,10 +1724,10 @@ mod tests {
 
     /// Runs `Adn∃` on `sigma` as shipped and as the full rescan of lines 6–12, and
     /// compares every field of the two results.
-    fn assert_matches_full_rescan(sigma: &DependencySet, config: &AdnConfig, what: &str) {
+    fn assert_matches_full_rescan(sigma: &DependencySet, rule_cap: usize, what: &str) {
         let cx = AnalysisContext::new(sigma);
-        let semi_naive = Adn::new(&cx, config).run();
-        let mut reference = Adn::new(&cx, config);
+        let semi_naive = Adn::new(&cx, rule_cap).run();
+        let mut reference = Adn::new(&cx, rule_cap);
         reference.full_rescan = true;
         let full_rescan = reference.run();
         assert_eq!(
@@ -1826,22 +1800,17 @@ mod tests {
     /// order of `AP(Σµ)` follows the interning order of the predicates.
     #[test]
     fn semi_naive_loop_matches_the_full_rescan() {
-        let config = AdnConfig {
-            max_adorned_rules: 60,
-            ..AdnConfig::default()
-        };
         for seed in 800..1000 {
             let sigma = random_program(seed);
-            assert_matches_full_rescan(&sigma, &config, &format!("random seed {seed}"));
+            assert_matches_full_rescan(&sigma, 60, &format!("random seed {seed}"));
         }
-        let config = AdnConfig::default();
         for program in chase_ontology::atlas_corpus(&[8], 20160396) {
             let what = format!("atlas {} at size 8", program.family);
-            assert_matches_full_rescan(&program.sigma, &config, &what);
+            assert_matches_full_rescan(&program.sigma, MAX_ADORNED_RULES, &what);
         }
         for ontology in chase_ontology::scaled_paper_corpus(20160396, 0.55, 0.003) {
             let what = format!("Table 2 class {} at scale 0.003", ontology.class_id);
-            assert_matches_full_rescan(&ontology.sigma, &config, &what);
+            assert_matches_full_rescan(&ontology.sigma, MAX_ADORNED_RULES, &what);
         }
     }
 

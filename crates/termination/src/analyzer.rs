@@ -11,7 +11,8 @@
 //! example and the `table1` experiment binary.
 //!
 //! One [`AnalysisContext`] per call lets the criteria share what they derive from
-//! the same set: the `Adn∃` result is computed once for SAC and the three `Adn∃-C`
+//! the same set. No criterion has a setting, so each artefact has one key and is
+//! built once: the `Adn∃` result is computed once for SAC and the three `Adn∃-C`
 //! criteria. One witness enumeration per pair shape builds both chase graphs, once,
 //! for Str; CStr reads the oblivious one, which contains the standard one edge by
 //! edge. S-Str filters the standard graph into the firing graph (every firing edge
@@ -42,9 +43,7 @@
 
 use crate::combined::all_criteria;
 use chase_core::DependencySet;
-use chase_criteria::criterion::{
-    AnalysisContext, Guarantee, NamedCriterion, TerminationCriterion, Verdict,
-};
+use chase_criteria::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -203,7 +202,7 @@ impl fmt::Display for TerminationReport {
 /// criterion (e.g. to compare expressiveness, or to obtain the strongest guarantee
 /// rather than the cheapest acceptance).
 pub struct TerminationAnalyzer {
-    criteria: Vec<NamedCriterion>,
+    criteria: Vec<Box<dyn TerminationCriterion + Send + Sync>>,
     short_circuit: bool,
 }
 
@@ -229,8 +228,8 @@ impl TerminationAnalyzer {
 
     /// An analyzer over a custom criteria portfolio (sorted cheapest-first by
     /// [`TerminationCriterion::cost`]).
-    pub fn with_criteria(mut criteria: Vec<NamedCriterion>) -> Self {
-        criteria.sort_by_key(|c| c.cost);
+    pub fn with_criteria(mut criteria: Vec<Box<dyn TerminationCriterion + Send + Sync>>) -> Self {
+        criteria.sort_by_key(|c| c.cost());
         TerminationAnalyzer {
             criteria,
             short_circuit: true,
@@ -245,7 +244,7 @@ impl TerminationAnalyzer {
 
     /// The names of the registered criteria, in execution order.
     pub fn criteria_names(&self) -> Vec<&'static str> {
-        self.criteria.iter().map(|c| c.name).collect()
+        self.criteria.iter().map(|c| c.name()).collect()
     }
 
     /// Analyzes `sigma`, producing a [`TerminationReport`]. The criteria share one
@@ -256,7 +255,7 @@ impl TerminationAnalyzer {
         let mut settled = false;
         for criterion in &self.criteria {
             if settled {
-                report.skipped.push(criterion.name);
+                report.skipped.push(criterion.name());
                 continue;
             }
             let start = Instant::now();

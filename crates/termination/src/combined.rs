@@ -6,11 +6,10 @@
 //! often gains some, because the adorned set has the same or weaker structural
 //! dependencies (EGD effects having been compiled away into the adornments).
 
-use crate::adornment::{adorn_in, adornment_witness, AdnConfig, SemiAcyclicity};
+use crate::adornment::{adorn_in, adornment_witness, SemiAcyclicity};
 use crate::semi_stratification::SemiStratification;
-use chase_core::DependencySet;
 use chase_criteria::criterion::{
-    AnalysisContext, Guarantee, NamedCriterion, TerminationCriterion, Verdict, Witness,
+    AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness,
 };
 use chase_criteria::safety::Safety;
 use chase_criteria::super_weak::SuperWeakAcyclicity;
@@ -24,7 +23,6 @@ use chase_criteria::weak_acyclicity::WeakAcyclicity;
 /// regardless of what `C` guarantees on sets it analyses directly.
 pub struct AdnCombined {
     name: &'static str,
-    config: AdnConfig,
     cost: u32,
     inner: Box<dyn TerminationCriterion + Send + Sync>,
 }
@@ -38,16 +36,9 @@ impl AdnCombined {
     ) -> Self {
         AdnCombined {
             name,
-            config: AdnConfig::default(),
             cost,
             inner: Box::new(inner),
         }
-    }
-
-    /// Sets the adornment configuration.
-    pub fn with_config(mut self, config: AdnConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// `Adn∃-WA`: weak acyclicity on the adorned set.
@@ -79,12 +70,8 @@ impl TerminationCriterion for AdnCombined {
         self.cost
     }
 
-    fn verdict(&self, sigma: &DependencySet) -> Verdict {
-        self.verdict_in(&AnalysisContext::new(sigma))
-    }
-
     fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        let result = adorn_in(cx, &self.config);
+        let result = adorn_in(cx);
         let inner = self.inner.verdict(&result.adorned);
         Verdict {
             criterion: self.name,
@@ -100,26 +87,22 @@ impl TerminationCriterion for AdnCombined {
 
 /// Wraps every baseline criterion `C` into its `Adn∃-C` counterpart, for use in the
 /// experiment harness. All combined criteria guarantee membership in `CT_std_∃`.
-pub fn combined_criteria() -> Vec<NamedCriterion> {
+pub fn combined_criteria() -> Vec<Box<dyn TerminationCriterion + Send + Sync>> {
     vec![
-        NamedCriterion::from_criterion(AdnCombined::weak_acyclicity()),
-        NamedCriterion::from_criterion(AdnCombined::safety()),
-        NamedCriterion::from_criterion(AdnCombined::super_weak_acyclicity()),
+        Box::new(AdnCombined::weak_acyclicity()),
+        Box::new(AdnCombined::safety()),
+        Box::new(AdnCombined::super_weak_acyclicity()),
     ]
 }
 
-/// The paper's own criteria packaged as [`NamedCriterion`]s: semi-stratification and
-/// semi-acyclicity.
-pub fn paper_criteria() -> Vec<NamedCriterion> {
-    vec![
-        NamedCriterion::from_criterion(SemiStratification::default()),
-        NamedCriterion::from_criterion(SemiAcyclicity::default()),
-    ]
+/// The paper's own criteria: semi-stratification and semi-acyclicity.
+pub fn paper_criteria() -> Vec<Box<dyn TerminationCriterion + Send + Sync>> {
+    vec![Box::new(SemiStratification), Box::new(SemiAcyclicity)]
 }
 
 /// Every criterion known to the workspace: the baselines, the paper's criteria and the
 /// `Adn∃-C` combinations, in that order.
-pub fn all_criteria() -> Vec<NamedCriterion> {
+pub fn all_criteria() -> Vec<Box<dyn TerminationCriterion + Send + Sync>> {
     let mut out = chase_criteria::criterion::baseline_criteria();
     out.extend(paper_criteria());
     out.extend(combined_criteria());
@@ -129,7 +112,13 @@ pub fn all_criteria() -> Vec<NamedCriterion> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::firing::firing_graph_in;
     use chase_core::parser::parse_dependencies;
+    use chase_core::DependencySet;
+    use chase_criteria::firing::ChaseGraphs;
+    use chase_criteria::graph::DiGraph;
+    use chase_criteria::stratification::{chase_graphs_in, CStratification, Stratification};
+    use std::rc::Rc;
 
     fn sigma1() -> DependencySet {
         parse_dependencies(
@@ -198,30 +187,64 @@ mod tests {
         let sigma = sigma1();
         assert!(!WeakAcyclicity.accepts(&sigma));
         assert!(!Safety.accepts(&sigma));
-        assert!(crate::adornment::SemiAcyclicity::default().accepts(&sigma));
+        assert!(crate::adornment::SemiAcyclicity.accepts(&sigma));
     }
 
+    /// Str, CStr, S-Str, SAC and the `Adn∃-C` criteria, run in the analyzer's order on
+    /// one context, build one artefact of each kind: Str the chase graphs, S-Str the
+    /// firing graph and SAC the `Adn∃` run. The later criteria find them, and every
+    /// verdict equals the criterion's standalone one.
     #[test]
-    fn sac_and_the_adn_c_criteria_share_one_adornment_run() {
-        let sigma = sigma1();
-        let cx = AnalysisContext::new(&sigma);
-        let sac = SemiAcyclicity::default().verdict_in(&cx);
-        let result = cx.shared(AdnConfig::default(), || -> crate::AdnResult {
-            panic!("SAC must have left its Adn∃ result in the context")
-        });
-        assert_eq!(sac.accepted, result.acyclic);
-        for criterion in [
-            AdnCombined::weak_acyclicity(),
-            AdnCombined::safety(),
-            AdnCombined::super_weak_acyclicity(),
-        ] {
-            let shared = criterion.verdict_in(&cx);
-            assert_eq!(shared, criterion.verdict(&sigma), "{}", criterion.name());
-            match shared.witness {
-                Witness::Combined { adornment, .. } => {
-                    assert_eq!(*adornment, adornment_witness(&result))
+    fn one_artefact_of_each_kind_per_analysis() {
+        let sigma11 = parse_dependencies(
+            "r1: N(?x) -> exists ?y: E(?x, ?y). r2: E(?x, ?y) -> N(?y). r3: E(?x, ?y) -> E(?y, ?x).",
+        )
+        .unwrap();
+        for sigma in [sigma1(), sigma11] {
+            let cx = AnalysisContext::new(&sigma);
+            let mut verdicts = vec![(
+                Stratification.verdict_in(&cx),
+                Stratification.verdict(&sigma),
+            )];
+            let chase_graphs = cx.shared("chase graphs", || -> ChaseGraphs {
+                panic!("Str must have left the chase graphs in the context")
+            });
+            verdicts.push((
+                CStratification.verdict_in(&cx),
+                CStratification.verdict(&sigma),
+            ));
+            verdicts.push((
+                SemiStratification.verdict_in(&cx),
+                SemiStratification.verdict(&sigma),
+            ));
+            let firing = cx.shared("Definition 2", || -> DiGraph {
+                panic!("S-Str must have left the firing graph in the context")
+            });
+            let sac = SemiAcyclicity.verdict_in(&cx);
+            let result = cx.shared("Adn∃", || -> crate::AdnResult {
+                panic!("SAC must have left its Adn∃ result in the context")
+            });
+            assert_eq!(sac.accepted, result.acyclic);
+            verdicts.push((sac, SemiAcyclicity.verdict(&sigma)));
+            for criterion in [
+                AdnCombined::weak_acyclicity(),
+                AdnCombined::safety(),
+                AdnCombined::super_weak_acyclicity(),
+            ] {
+                let shared = criterion.verdict_in(&cx);
+                match &shared.witness {
+                    Witness::Combined { adornment, .. } => {
+                        assert_eq!(**adornment, adornment_witness(&result))
+                    }
+                    other => panic!("expected Combined, got {other:?}"),
                 }
-                other => panic!("expected Combined, got {other:?}"),
+                verdicts.push((shared, criterion.verdict(&sigma)));
+            }
+            assert!(Rc::ptr_eq(&chase_graphs, &chase_graphs_in(&cx)));
+            assert!(Rc::ptr_eq(&firing, &firing_graph_in(&cx)));
+            assert!(Rc::ptr_eq(&result, &adorn_in(&cx)));
+            for (shared, standalone) in verdicts {
+                assert_eq!(shared, standalone, "{}", shared.criterion);
             }
         }
     }
@@ -229,7 +252,7 @@ mod tests {
     #[test]
     fn registry_contains_paper_and_combined_criteria() {
         let all = all_criteria();
-        let names: Vec<&str> = all.iter().map(|c| c.name).collect();
+        let names: Vec<&str> = all.iter().map(|c| c.name()).collect();
         for expected in [
             "WA", "SC", "SwA", "Str", "CStr", "MFA", "S-Str", "SAC", "Adn-WA",
         ] {
@@ -250,11 +273,15 @@ mod tests {
         .unwrap();
         for criterion in all_criteria() {
             let verdict = criterion.verdict(&sigma10);
-            assert!(!verdict.accepted, "{} wrongly accepts Σ10", criterion.name);
+            assert!(
+                !verdict.accepted,
+                "{} wrongly accepts Σ10",
+                criterion.name()
+            );
             assert!(
                 !verdict.witness.is_trivial(),
                 "{} must explain its rejection",
-                criterion.name
+                criterion.name()
             );
         }
     }

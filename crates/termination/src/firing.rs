@@ -27,7 +27,7 @@
 use chase_core::hash::FastMap;
 use chase_core::{Dependency, DependencySet, Predicate};
 use chase_criteria::firing::{
-    for_each_prepared_witness, shape_key, FiringConfig, PreparedDependency, ShapeKey,
+    for_each_prepared_witness, shape_key, Applicability, PreparedDependency, ShapeKey,
 };
 use chase_criteria::graph::DiGraph;
 use chase_criteria::stratification::chase_graphs_in;
@@ -39,14 +39,9 @@ use std::rc::Rc;
 /// Returns `true` iff `r1 < r2` (Definition 2), evaluated over the bounded witness
 /// space of [`chase_criteria::firing`]. `sigma` provides the set `Σ∀` used by the
 /// blocking condition.
-pub fn definition2_edge(
-    sigma: &DependencySet,
-    r1: &Dependency,
-    r2: &Dependency,
-    config: &FiringConfig,
-) -> bool {
+pub fn definition2_edge(sigma: &DependencySet, r1: &Dependency, r2: &Dependency) -> bool {
     let (r1, r2) = (PreparedDependency::new(r1), PreparedDependency::new(r2));
-    definition2_answer(&r1, &r2, &full_dependencies(sigma), config)
+    definition2_answer(&r1, &r2, &full_dependencies(sigma))
 }
 
 /// `Σ∀`: the full dependencies of `sigma`, the blockers of Definition 2.
@@ -64,11 +59,10 @@ fn definition2_answer<D: Borrow<Dependency>>(
     r1: &PreparedDependency<'_>,
     r2: &PreparedDependency<'_>,
     blockers: &[D],
-    config: &FiringConfig,
 ) -> bool {
     let target = r2.dependency();
     let existential = target.is_existential();
-    let answer = for_each_prepared_witness(r1, r2, config, &mut |w| {
+    let answer = for_each_prepared_witness(r1, r2, Applicability::Standard, &mut |w| {
         if !existential || !w.is_blocked_by(blockers, target) {
             ControlFlow::Break(())
         } else {
@@ -147,10 +141,9 @@ impl Definition2Memo {
         blockers: &Blockers<D>,
         r1: &PreparedDependency<'_>,
         r2: &PreparedDependency<'_>,
-        config: &FiringConfig,
     ) -> bool {
         let relevant = blockers.relevant(r1.dependency(), r2.dependency());
-        self.answer(r1, r2, &relevant, config)
+        self.answer(r1, r2, &relevant)
     }
 
     /// `r1 < r2` given the pair's `relevant` blockers: one enumeration per shape, the
@@ -160,29 +153,25 @@ impl Definition2Memo {
         r1: &PreparedDependency<'_>,
         r2: &PreparedDependency<'_>,
         relevant: &[&Dependency],
-        config: &FiringConfig,
     ) -> bool {
         *self
             .0
-            .entry(shape_key(r1, r2, config, relevant))
-            .or_insert_with(|| definition2_answer(r1, r2, relevant, config))
+            .entry(shape_key(r1, r2, Applicability::Standard, relevant))
+            .or_insert_with(|| definition2_answer(r1, r2, relevant))
     }
 }
 
 /// Builds the firing graph `Gf(Σ)` of Definition 2: nodes are dependency indices, with
 /// an edge `(r1, r2)` iff `r1 < r2`.
 pub fn firing_graph(sigma: &DependencySet) -> DiGraph {
-    firing_graph_with(sigma, &FiringConfig::default())
-}
-
-/// [`firing_graph`] with an explicit firing-test configuration.
-pub fn firing_graph_with(sigma: &DependencySet, config: &FiringConfig) -> DiGraph {
-    let graph = firing_graph_in(&AnalysisContext::new(sigma), config);
+    // As in `adorn`: the context is dropped with this statement, so the graph is
+    // moved out, not cloned.
+    let graph = firing_graph_in(&AnalysisContext::new(sigma));
     Rc::unwrap_or_clone(graph)
 }
 
-/// The firing graph of the context's set, built once per configuration and shared by
-/// semi-stratification and the exact fireability test of the adornment.
+/// The firing graph of the context's set, built once per analysis and shared by
+/// semi-stratification and the Ω(AD) cyclicity test of the adornment.
 ///
 /// It is filtered from the context's standard chase graph, which Str builds first in
 /// an analysis. `r1 < r2` accepts a subset of the witnesses of `r1 ≺ r2`, so every
@@ -190,10 +179,10 @@ pub fn firing_graph_with(sigma: &DependencySet, config: &FiringConfig) -> DiGrap
 /// relevant blocker, Definition 2 accepts the first witness, as the chase graph does,
 /// so the two edges coincide. Only the other edges run the blocking enumeration, once
 /// per pair shape.
-pub(crate) fn firing_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc<DiGraph> {
-    cx.shared(("Definition 2", *config), || {
+pub(crate) fn firing_graph_in(cx: &AnalysisContext) -> Rc<DiGraph> {
+    cx.shared("Definition 2", || {
         let sigma = cx.sigma();
-        let graphs = chase_graphs_in(cx, config.max_variables);
+        let graphs = chase_graphs_in(cx);
         let deps: Vec<PreparedDependency> = sigma
             .as_slice()
             .iter()
@@ -211,7 +200,7 @@ pub(crate) fn firing_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc
         for (i, j, _) in graphs.standard.edges() {
             let (r1, r2) = (&deps[i], &deps[j]);
             let relevant = blockers.relevant(r1.dependency(), r2.dependency());
-            if relevant.is_empty() || memo.answer(r1, r2, &relevant, config) {
+            if relevant.is_empty() || memo.answer(r1, r2, &relevant) {
                 g.add_edge(i, j, false);
             }
         }
@@ -221,12 +210,12 @@ pub(crate) fn firing_graph_in(cx: &AnalysisContext, config: &FiringConfig) -> Rc
 
 /// Returns `true` iff `r1` is *fireable* with respect to `sigma`: some dependency of
 /// `sigma` fires it (Definition 2).
-pub fn is_fireable(sigma: &DependencySet, r1: &Dependency, config: &FiringConfig) -> bool {
+pub fn is_fireable(sigma: &DependencySet, r1: &Dependency) -> bool {
     let full_deps = full_dependencies(sigma);
     let target = PreparedDependency::new(r1);
-    sigma.iter().any(|(_, r2)| {
-        definition2_answer(&PreparedDependency::new(r2), &target, &full_deps, config)
-    })
+    sigma
+        .iter()
+        .any(|(_, r2)| definition2_answer(&PreparedDependency::new(r2), &target, &full_deps))
 }
 
 #[cfg(test)]
@@ -234,11 +223,7 @@ mod tests {
     use super::*;
     use chase_core::parser::parse_dependencies;
     use chase_core::DepId;
-    use chase_criteria::firing::chase_graph_edge;
-
-    fn cfg() -> FiringConfig {
-        FiringConfig::default()
-    }
+    use chase_criteria::firing::{chase_graph_edge, chase_graphs};
 
     fn sigma11() -> DependencySet {
         parse_dependencies(
@@ -257,10 +242,10 @@ mod tests {
         let r1 = sigma.get(DepId(0));
         let r2 = sigma.get(DepId(1));
         // Chase graph (stratification) has the edge r2 ≺ r1 …
-        assert!(chase_graph_edge(r2, r1, &cfg()));
+        assert!(chase_graph_edge(r2, r1, Applicability::Standard));
         // … but the firing of r1 because of r2 is always blocked by first enforcing r3,
         // so r2 < r1 does not hold (Figure 1 of the paper).
-        assert!(!definition2_edge(&sigma, r2, r1, &cfg()));
+        assert!(!definition2_edge(&sigma, r2, r1));
     }
 
     #[test]
@@ -302,7 +287,7 @@ mod tests {
                 if r2.is_full() {
                     assert_eq!(
                         g.has_edge(i.0, j.0),
-                        chase_graph_edge(r1, r2, &cfg()),
+                        chase_graph_edge(r1, r2, Applicability::Standard),
                         "mismatch on ({i:?}, {j:?})"
                     );
                 }
@@ -314,9 +299,9 @@ mod tests {
     fn fireable_dependencies_of_example11() {
         let sigma = sigma11();
         // r2 and r3 are fireable (r1 fires them); r1 is not fireable.
-        assert!(is_fireable(&sigma, sigma.get(DepId(1)), &cfg()));
-        assert!(is_fireable(&sigma, sigma.get(DepId(2)), &cfg()));
-        assert!(!is_fireable(&sigma, sigma.get(DepId(0)), &cfg()));
+        assert!(is_fireable(&sigma, sigma.get(DepId(1))));
+        assert!(is_fireable(&sigma, sigma.get(DepId(2))));
+        assert!(!is_fireable(&sigma, sigma.get(DepId(0))));
     }
 
     #[test]
@@ -329,7 +314,7 @@ mod tests {
         ] {
             let sigma = parse_dependencies(src).unwrap();
             let gf = firing_graph(&sigma);
-            let gc = chase_criteria::firing::chase_graph(&sigma, &cfg());
+            let gc = chase_graphs(&sigma).standard;
             for (f, t, _) in gf.edges() {
                 assert!(gc.has_edge(f, t), "Gf ⊆ G violated on {src}: ({f},{t})");
             }

@@ -19,6 +19,11 @@
 //!   run cheapest-first with short-circuiting, producing a witness-carrying
 //!   [`TerminationReport`].
 //!
+//! The criteria are functions of `Σ` alone: none has a setting. The firing graph and
+//! the `Adn∃` run are built once per [`AnalysisContext`](chase_criteria::AnalysisContext)
+//! under one fixed key each, and `Adn∃` stops at a fixed cap of 5,000 adorned rules
+//! (a conservative rejection, [`AdnResult::budget_exhausted`]).
+//!
 //! ```
 //! use chase_core::parser::parse_dependencies;
 //! use chase_termination::prelude::*;
@@ -30,7 +35,7 @@
 //!      r3: E(?x, ?y) -> E(?y, ?x).",
 //! )
 //! .unwrap();
-//! assert!(SemiStratification::default().accepts(&sigma11));
+//! assert!(SemiStratification.accepts(&sigma11));
 //!
 //! // Σ1 of Example 1: recognised by the adornment algorithm (Example 12). The
 //! // analyzer runs the hierarchy cheapest-first and reports who accepted and why.
@@ -53,13 +58,10 @@ pub mod combined;
 pub mod firing;
 pub mod semi_stratification;
 
-pub use adornment::{
-    adorn, adorn_with, adornment_witness, AdSym, AdnConfig, AdnDefinition, AdnResult,
-    SemiAcyclicity,
-};
+pub use adornment::{adorn, adornment_witness, AdSym, AdnDefinition, AdnResult, SemiAcyclicity};
 pub use analyzer::{AnalysisEntry, TerminationAnalyzer, TerminationReport};
 pub use combined::{all_criteria, paper_criteria, AdnCombined};
-pub use firing::{definition2_edge, firing_graph, firing_graph_with, is_fireable};
+pub use firing::{definition2_edge, firing_graph, is_fireable};
 pub use semi_stratification::{
     semi_stratification_report, SemiStratification, SemiStratificationReport,
 };
@@ -68,7 +70,7 @@ pub use semi_stratification::{
 pub mod prelude {
     pub use chase_criteria::criterion::{Guarantee, TerminationCriterion, Verdict, Witness};
 
-    pub use crate::adornment::{adorn, AdnConfig, AdnResult, SemiAcyclicity};
+    pub use crate::adornment::{adorn, AdnResult, SemiAcyclicity};
     pub use crate::analyzer::{TerminationAnalyzer, TerminationReport};
     pub use crate::combined::{all_criteria, paper_criteria, AdnCombined};
     pub use crate::firing::{definition2_edge, firing_graph};

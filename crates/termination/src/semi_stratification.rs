@@ -7,10 +7,9 @@
 //! guarantees, for every database, the existence of a terminating standard chase
 //! sequence of length polynomial in the database (Theorem 3).
 
-use crate::firing::{firing_graph_in, firing_graph_with};
+use crate::firing::{firing_graph, firing_graph_in};
 use chase_core::DependencySet;
 use chase_criteria::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict};
-use chase_criteria::firing::FiringConfig;
 use chase_criteria::graph::DiGraph;
 
 /// The result of the semi-stratification analysis, retaining the firing graph and the
@@ -34,15 +33,7 @@ impl SemiStratificationReport {
 
 /// Runs the semi-stratification analysis and returns the full report.
 pub fn semi_stratification_report(sigma: &DependencySet) -> SemiStratificationReport {
-    semi_stratification_report_with(sigma, &FiringConfig::default())
-}
-
-/// [`semi_stratification_report`] with an explicit firing-test configuration.
-pub fn semi_stratification_report_with(
-    sigma: &DependencySet,
-    config: &FiringConfig,
-) -> SemiStratificationReport {
-    let graph = firing_graph_with(sigma, config);
+    let graph = firing_graph(sigma);
     let components = graph.sccs();
     // The offending-component search is shared with the stratification family.
     let offending =
@@ -61,11 +52,8 @@ pub fn semi_stratification_report_with(
 /// Acceptance carries the stratum assignment (the SCC decomposition of the firing
 /// graph `Gf(Σ)`); rejection the offending component and its inner special-edge
 /// position cycle.
-#[derive(Clone, Debug, Default)]
-pub struct SemiStratification {
-    /// Configuration of the underlying firing tests.
-    pub config: FiringConfig,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SemiStratification;
 
 impl TerminationCriterion for SemiStratification {
     fn name(&self) -> &'static str {
@@ -80,12 +68,8 @@ impl TerminationCriterion for SemiStratification {
         60
     }
 
-    fn verdict(&self, sigma: &DependencySet) -> Verdict {
-        self.verdict_in(&AnalysisContext::new(sigma))
-    }
-
     fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        let graph = firing_graph_in(cx, &self.config);
+        let graph = firing_graph_in(cx);
         chase_criteria::stratification::verdict_from_components(
             self.name(),
             self.guarantee(),
@@ -104,7 +88,7 @@ mod tests {
     use chase_criteria::stratification::Stratification;
 
     fn is_semi_stratified(sigma: &DependencySet) -> bool {
-        SemiStratification::default().accepts(sigma)
+        SemiStratification.accepts(sigma)
     }
 
     fn is_stratified(sigma: &DependencySet) -> bool {
@@ -121,7 +105,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let verdict = SemiStratification::default().verdict(&sigma1);
+        let verdict = SemiStratification.verdict(&sigma1);
         assert!(!verdict.accepted);
         match &verdict.witness {
             Witness::OffendingComponent { component, .. } => {
@@ -138,7 +122,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let verdict = SemiStratification::default().verdict(&sigma11);
+        let verdict = SemiStratification.verdict(&sigma11);
         assert!(verdict.accepted);
         assert!(matches!(verdict.witness, Witness::StratumAssignment { .. }));
     }

@@ -46,7 +46,7 @@ fn main() {
     );
     println!(
         "  semi-acyclic (SAC):   {}",
-        SemiAcyclicity::default().accepts(&program.dependencies)
+        SemiAcyclicity.accepts(&program.dependencies)
     );
 
     // The chase computes a universal solution. The EGD t1 merges the department nulls

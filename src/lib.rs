@@ -73,6 +73,12 @@
 //! assert_eq!(report.accepted().unwrap().criterion, "SAC");
 //! assert!(!report.verdict_for("Str").unwrap().accepted);
 //!
+//! // Each criterion also runs on its own, and none has a setting: `verdict` runs
+//! // the criterion on a fresh context, where the analyzer shares one context
+//! // between all of them.
+//! let sac = SemiAcyclicity.verdict(&program.dependencies);
+//! assert_eq!(Some(&sac), report.verdict_for("SAC"));
+//!
 //! // And indeed a terminating standard chase sequence exists: one session builder
 //! // serves every variant, with budgets and failure diagnostics built in.
 //! let result = Chase::standard(&program.dependencies)

@@ -59,7 +59,7 @@ fn cyclic_gadget_is_rejected_without_the_unrelated_egd() {
 }
 
 /// The formerly-unsound case: with the unrelated functional-role EGD present,
-/// `adorn_with` must still reject the cyclic gadget (an EGD on a role the gadget
+/// `adorn` must still reject the cyclic gadget (an EGD on a role the gadget
 /// never touches cannot create a terminating sequence).
 #[test]
 fn cyclic_gadget_must_stay_rejected_when_an_unrelated_egd_is_present() {

@@ -6,7 +6,7 @@
 
 use chase_core::parser::parse_dependencies;
 use chase_core::DependencySet;
-use chase_criteria::criterion::{baseline_criteria, NamedCriterion, Verdict};
+use chase_criteria::criterion::{baseline_criteria, TerminationCriterion, Verdict};
 use chase_ontology::corpus::scaled_paper_corpus;
 use chase_ontology::families::atlas_corpus;
 use chase_termination::{AdnCombined, SemiAcyclicity, SemiStratification, TerminationAnalyzer};
@@ -52,16 +52,16 @@ fn programs() -> Vec<(String, DependencySet)> {
 }
 
 /// The paper's criteria behind the baseline criteria.
-fn portfolio() -> Vec<NamedCriterion> {
+fn portfolio() -> Vec<Box<dyn TerminationCriterion + Send + Sync>> {
     let mut criteria = baseline_criteria();
-    criteria.push(NamedCriterion::from_criterion(SemiStratification::default()));
-    criteria.push(NamedCriterion::from_criterion(SemiAcyclicity::default()));
+    criteria.push(Box::new(SemiStratification));
+    criteria.push(Box::new(SemiAcyclicity));
     for adn_c in [
         AdnCombined::weak_acyclicity(),
         AdnCombined::safety(),
         AdnCombined::super_weak_acyclicity(),
     ] {
-        criteria.push(NamedCriterion::from_criterion(adn_c));
+        criteria.push(Box::new(adn_c));
     }
     criteria
 }
@@ -78,8 +78,8 @@ fn shared_context_verdicts_equal_standalone_verdicts() {
             .criteria_names()
             .into_iter()
             .map(|c| {
-                let criterion = standalone.iter().find(|s| s.name == c).unwrap();
-                chase_criteria::TerminationCriterion::verdict(criterion, &sigma)
+                let criterion = standalone.iter().find(|s| s.name() == c).unwrap();
+                criterion.verdict(&sigma)
             })
             .collect();
         let shared: Vec<Verdict> = exhaustive

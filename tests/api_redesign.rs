@@ -36,9 +36,9 @@ fn every_criterion_verdict_agrees_with_its_legacy_boolean() {
         ("SwA", |s| SuperWeakAcyclicity.accepts(s)),
         ("Str", |s| Stratification.accepts(s)),
         ("CStr", |s| CStratification.accepts(s)),
-        ("MFA", |s| ModelFaithfulAcyclicity::default().accepts(s)),
-        ("S-Str", |s| SemiStratification::default().accepts(s)),
-        ("SAC", |s| SemiAcyclicity::default().accepts(s)),
+        ("MFA", |s| ModelFaithfulAcyclicity.accepts(s)),
+        ("S-Str", |s| SemiStratification.accepts(s)),
+        ("SAC", |s| SemiAcyclicity.accepts(s)),
         ("Adn-WA", |s| AdnCombined::weak_acyclicity().accepts(s)),
         ("Adn-SC", |s| AdnCombined::safety().accepts(s)),
         ("Adn-SwA", |s| {
@@ -55,7 +55,7 @@ fn every_criterion_verdict_agrees_with_its_legacy_boolean() {
         for (name, check) in &standalone {
             let criterion = criteria
                 .iter()
-                .find(|c| c.name == *name)
+                .find(|c| c.name() == *name)
                 .unwrap_or_else(|| panic!("criterion {name} not registered"));
             let verdict = criterion.verdict(&sigma);
             assert_eq!(

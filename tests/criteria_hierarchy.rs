@@ -39,7 +39,7 @@ fn corpus() -> Vec<DependencySet> {
 
 #[test]
 fn classical_hierarchy_wa_sc_swa_mfa() {
-    let mfa = ModelFaithfulAcyclicity::default();
+    let mfa = ModelFaithfulAcyclicity;
     for sigma in corpus() {
         if WeakAcyclicity.accepts(&sigma) {
             assert!(Safety.accepts(&sigma), "WA ⊆ SC violated on\n{sigma}");
@@ -58,7 +58,7 @@ fn classical_hierarchy_wa_sc_swa_mfa() {
 
 #[test]
 fn theorem5_stratification_implies_semi_stratification() {
-    let s_str = SemiStratification::default();
+    let s_str = SemiStratification;
     for sigma in corpus() {
         if Stratification.accepts(&sigma) {
             assert!(s_str.accepts(&sigma), "Str ⊆ S-Str violated on\n{sigma}");
@@ -74,8 +74,8 @@ fn theorem5_stratification_implies_semi_stratification() {
 
 #[test]
 fn theorem9_semi_stratification_implies_semi_acyclicity() {
-    let s_str = SemiStratification::default();
-    let sac = SemiAcyclicity::default();
+    let s_str = SemiStratification;
+    let sac = SemiAcyclicity;
     for sigma in corpus() {
         if s_str.accepts(&sigma) {
             assert!(sac.accepts(&sigma), "S-Str ⊆ SAC violated on\n{sigma}");
@@ -169,13 +169,13 @@ fn separating_witnesses_exist() {
         "r1: N(?x) -> exists ?y: E(?x, ?y). r2: E(?x, ?y) -> N(?y). r3: E(?x, ?y) -> E(?y, ?x).",
     )
     .unwrap();
-    let s_str = SemiStratification::default();
-    let sac = SemiAcyclicity::default();
+    let s_str = SemiStratification;
+    let sac = SemiAcyclicity;
     // S-Str strictly extends Str (Σ11), SAC strictly extends S-Str (Σ1).
     assert!(s_str.accepts(&sigma11) && !Stratification.accepts(&sigma11));
     assert!(sac.accepts(&sigma1) && !s_str.accepts(&sigma1));
     // SAC is incomparable with the CT_∀ criteria: Σ1 ∈ SAC \ MFA …
-    assert!(!ModelFaithfulAcyclicity::default().accepts(&sigma1));
+    assert!(!ModelFaithfulAcyclicity.accepts(&sigma1));
     // … and the repeated-variable witness is in SwA/MFA but needs no EGD reasoning.
     let swa_witness =
         parse_dependencies("r1: S(?x) -> exists ?y: E(?x, ?y). r2: E(?x, ?x) -> S(?x).").unwrap();

@@ -16,8 +16,7 @@
 use chase_core::parser::parse_dependencies;
 use chase_core::{DepId, DependencySet};
 use chase_criteria::graph::DiGraph;
-use chase_criteria::stratification::{oblivious_chase_graph, standard_chase_graph};
-use chase_criteria::{chase_graph_edge, chase_graphs, Applicability, FiringConfig};
+use chase_criteria::{chase_graph_edge, chase_graphs, Applicability};
 use chase_ontology::corpus::{paper_classes, scaled_paper_corpus};
 use chase_ontology::families::atlas_corpus;
 use chase_termination::{adorn, definition2_edge, firing_graph};
@@ -97,12 +96,12 @@ struct Row {
 }
 
 fn row(name: &str, sigma: &DependencySet) -> Row {
-    let standard = standard_chase_graph(sigma);
-    let oblivious = oblivious_chase_graph(sigma);
+    let graphs = chase_graphs(sigma);
+    let (standard, oblivious) = (&graphs.standard, &graphs.oblivious);
     let firing = firing_graph(sigma);
     let mut text = String::new();
-    render_edges(&mut text, "standard", &standard);
-    render_edges(&mut text, "oblivious", &oblivious);
+    render_edges(&mut text, "standard", standard);
+    render_edges(&mut text, "oblivious", oblivious);
     render_edges(&mut text, "firing", &firing);
     let r = adorn(sigma);
     // `Exact:` is the label of the section the digests were recomputed from.
@@ -128,16 +127,15 @@ fn row(name: &str, sigma: &DependencySet) -> Row {
 
 #[test]
 fn firing_graph_is_the_all_pairs_definition2_graph_inside_the_chase_graph() {
-    let config = FiringConfig::default();
     for (name, sigma) in programs() {
         let firing = firing_graph(&sigma);
-        let standard = standard_chase_graph(&sigma);
+        let standard = chase_graphs(&sigma).standard;
         for (i, r1) in sigma.iter() {
             for (j, r2) in sigma.iter() {
                 let edge = firing.has_edge(i.0, j.0);
                 assert_eq!(
                     edge,
-                    definition2_edge(&sigma, r1, r2, &config),
+                    definition2_edge(&sigma, r1, r2),
                     "{name}: firing graph and definition2_edge disagree on ({}, {})",
                     i.0,
                     j.0
@@ -174,7 +172,6 @@ fn with_full_prefix(sigma: &DependencySet, kept: usize) -> DependencySet {
 /// of `Σ∀` also fails with all of it. Checked on every prefix of every program.
 #[test]
 fn a_firing_edge_absent_under_fewer_blockers_stays_absent() {
-    let config = FiringConfig::default();
     for (name, sigma) in programs() {
         let full = sigma.iter().filter(|(_, d)| d.is_full()).count();
         let prefixes: Vec<DependencySet> = (0..=full)
@@ -184,7 +181,7 @@ fn a_firing_edge_absent_under_fewer_blockers_stays_absent() {
             for (j, r2) in sigma.iter().filter(|(_, d)| d.is_existential()) {
                 let edges: Vec<bool> = prefixes
                     .iter()
-                    .map(|prefix| definition2_edge(prefix, r1, r2, &config))
+                    .map(|prefix| definition2_edge(prefix, r1, r2))
                     .collect();
                 assert!(
                     edges.windows(2).all(|w| w[0] || !w[1]),
@@ -198,26 +195,17 @@ fn a_firing_edge_absent_under_fewer_blockers_stays_absent() {
     // A blocker that really removes an edge: in Σ11, r3 defuses r2 < r1.
     let sigma11 = &programs()[2].1;
     let (r1, r2) = (sigma11.get(DepId(0)), sigma11.get(DepId(1)));
-    assert!(definition2_edge(
-        &with_full_prefix(sigma11, 1),
-        r2,
-        r1,
-        &config
-    ));
-    assert!(!definition2_edge(sigma11, r2, r1, &config));
+    assert!(definition2_edge(&with_full_prefix(sigma11, 1), r2, r1));
+    assert!(!definition2_edge(sigma11, r2, r1));
 }
 
 /// Both projections of `chase_graphs` equal the per-pair test under each
 /// applicability, and the standard graph lies inside the oblivious one.
 #[test]
 fn the_fused_chase_graphs_equal_the_per_applicability_loops() {
-    let standard = FiringConfig::default();
-    let oblivious = FiringConfig {
-        applicability: Applicability::Oblivious,
-        ..standard
-    };
+    let (standard, oblivious) = (Applicability::Standard, Applicability::Oblivious);
     for (name, sigma) in programs() {
-        let graphs = chase_graphs(&sigma, standard.max_variables);
+        let graphs = chase_graphs(&sigma);
         for (i, r1) in sigma.iter() {
             for (j, r2) in sigma.iter() {
                 let (s, o) = (
@@ -225,10 +213,10 @@ fn the_fused_chase_graphs_equal_the_per_applicability_loops() {
                     graphs.oblivious.has_edge(i.0, j.0),
                 );
                 let pair = (i.0, j.0);
-                assert_eq!(s, chase_graph_edge(r1, r2, &standard), "{name}: G {pair:?}");
+                assert_eq!(s, chase_graph_edge(r1, r2, standard), "{name}: G {pair:?}");
                 assert_eq!(
                     o,
-                    chase_graph_edge(r1, r2, &oblivious),
+                    chase_graph_edge(r1, r2, oblivious),
                     "{name}: Gc {pair:?}"
                 );
                 assert!(!s || o, "{name}: G edge {pair:?} is not a Gc edge");

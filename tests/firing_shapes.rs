@@ -6,35 +6,31 @@
 
 use chase_core::parser::parse_dependencies;
 use chase_core::{Dependency, DependencySet};
-use chase_criteria::{chase_graph_edge, chase_graphs, Applicability, FiringConfig};
+use chase_criteria::{chase_graph_edge, chase_graphs, Applicability};
 use chase_termination::{definition2_edge, firing_graph, TerminationAnalyzer};
 
 /// Asserts that `chase_graphs` and `firing_graph` equal the pairwise
 /// `chase_graph_edge` and `definition2_edge` on every ordered pair of `sigma`.
 fn assert_graphs_match_the_pairwise_tests(sigma: &DependencySet, what: &str) {
-    let standard = FiringConfig::default();
-    let oblivious = FiringConfig {
-        applicability: Applicability::Oblivious,
-        ..standard
-    };
-    let graphs = chase_graphs(sigma, standard.max_variables);
+    let (standard, oblivious) = (Applicability::Standard, Applicability::Oblivious);
+    let graphs = chase_graphs(sigma);
     let firing = firing_graph(sigma);
     for (i, r1) in sigma.iter() {
         for (j, r2) in sigma.iter() {
             let pair = (i.0, j.0);
             assert_eq!(
                 graphs.standard.has_edge(i.0, j.0),
-                chase_graph_edge(r1, r2, &standard),
+                chase_graph_edge(r1, r2, standard),
                 "{what}: G(Σ) {pair:?}\n{sigma}"
             );
             assert_eq!(
                 graphs.oblivious.has_edge(i.0, j.0),
-                chase_graph_edge(r1, r2, &oblivious),
+                chase_graph_edge(r1, r2, oblivious),
                 "{what}: Gc(Σ) {pair:?}\n{sigma}"
             );
             assert_eq!(
                 firing.has_edge(i.0, j.0),
-                definition2_edge(sigma, r1, r2, &standard),
+                definition2_edge(sigma, r1, r2),
                 "{what}: Gf(Σ) {pair:?}\n{sigma}"
             );
         }

@@ -45,9 +45,9 @@ fn example1_is_recognised_only_by_the_egd_aware_criteria() {
     assert!(!Stratification.accepts(&sigma));
     assert!(!CStratification.accepts(&sigma));
     assert!(!SuperWeakAcyclicity.accepts(&sigma));
-    assert!(!ModelFaithfulAcyclicity::default().accepts(&sigma));
+    assert!(!ModelFaithfulAcyclicity.accepts(&sigma));
     // Example 12: the adornment algorithm accepts Σ1 — and the analyzer reports it.
-    assert!(SemiAcyclicity::default().accepts(&sigma));
+    assert!(SemiAcyclicity.accepts(&sigma));
     let report = TerminationAnalyzer::new().analyze(&sigma);
     assert_eq!(report.accepted().unwrap().criterion, "SAC");
     assert_eq!(report.guarantee(), Some(Guarantee::SomeSequence));
@@ -173,7 +173,7 @@ fn example8_all_sequences_terminate_but_simulation_based_criteria_reject() {
     // Theorem 2: the substitution-free simulation cannot be recognised.
     let simulated = substitution_free_simulation(&p.dependencies);
     assert!(!SuperWeakAcyclicity.accepts(&simulated.tgds_only()));
-    assert!(!ModelFaithfulAcyclicity::default().accepts(&p.dependencies));
+    assert!(!ModelFaithfulAcyclicity.accepts(&p.dependencies));
     assert!(!SuperWeakAcyclicity.accepts(&p.dependencies));
 }
 
@@ -237,8 +237,8 @@ fn example11_semi_stratification_and_figure1() {
     )
     .unwrap();
     assert!(!Stratification.accepts(&sigma11));
-    assert!(SemiStratification::default().accepts(&sigma11));
-    assert!(SemiAcyclicity::default().accepts(&sigma11));
+    assert!(SemiStratification.accepts(&sigma11));
+    assert!(SemiAcyclicity.accepts(&sigma11));
     // The terminating sequence of Example 11: apply r3 before r1.
     let db = parse_program("N(a).").unwrap().database;
     let out = Chase::standard(&sigma11)
