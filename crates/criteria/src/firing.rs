@@ -36,8 +36,8 @@
 //! * otherwise `K ⊨ h2(r2)` holds vacuously.
 //!
 //! A witness is a view of the candidate that reports it ([`FiringWitness`]): `K`'s
-//! facts, `h1` and `h2`. Its two checks run on the same facts, through the same step
-//! simulator and matcher, and build no instance:
+//! facts, `h1` and `h2`. Its two checks run on the candidate itself, through the
+//! same step simulator and matcher, and build no instance:
 //! [`is_standard_step`](FiringWitness::is_standard_step), used by the chase graphs
 //! below, and [`is_blocked_by`](FiringWitness::is_blocked_by), the blocking
 //! condition of Definition 2 (`chase_termination::firing`), which simulates the
@@ -50,9 +50,10 @@
 //! constant. The partitions skipped are exactly those on which no subset has a step,
 //! so the witnesses reported, and their order, do not change.
 //!
-//! When the combined variable count exceeds 10, or `Body(r2)` has more than 20 atoms (step 3 numbers its subsets by 20 mask bits), the
-//! test falls back to a conservative answer (an edge is assumed), which keeps every
-//! criterion built on top of it sound.
+//! When the combined variable count exceeds 10, or `Body(r2)` has more than 20 atoms
+//! (step 3 numbers its subsets by 20 mask bits), the test falls back to a
+//! conservative answer (an edge is assumed), which keeps every criterion built on top
+//! of it sound.
 //!
 //! Both chase graphs come from one enumeration per pair ([`chase_graphs`]). The
 //! standard and the oblivious step of `r1` build the same `K`, `h1` and `J`; they
@@ -64,16 +65,46 @@
 //! decides both edges, and the standard chase graph `G(Σ)` is a subgraph of the
 //! oblivious one `Gc(Σ)`, edge by edge.
 //!
+//! # The kernel: codes, not facts
+//!
+//! The enumeration runs on a *compiled pair* and builds no [`Fact`] or
+//! [`Assignment`] until it reports a witness.
+//!
+//! * **Per pair.** Every atom of `Body(r1)`, `Head(r1)`, `Body(r2)` and `Head(r2)` is
+//!   compiled from the dependencies' shape templates (below) into a predicate,
+//!   numbered by first occurrence in the pair, and term codes. A term code is a
+//!   *slot* of a rank-indexed assignment (a body variable's rank in the enumeration's
+//!   order, or an existential variable) or a value. A value is a null's label or a
+//!   constant: block `i`'s constant, or one of the pair's rule constants. Block
+//!   constants are fresh: they never equal a rule constant (the parser admits no
+//!   `@` in a name, so no parsed constant can be the `@c{i}` a report renders).
+//! * **Per partition and labelling.** The blocks' values fill the first slots. The
+//!   grounded body facts are rows of codes in a pool kept for the pair; a fact's
+//!   pool id is the order of its first grounding, and `K` is the sorted list of its
+//!   facts' ids. The candidates evaluated are a set of rows `h1 ++ K`, looked up by
+//!   hash.
+//! * **Per candidate.** `K`'s rows, the step's result `J` and the matches of
+//!   `Body(r2)` and of the heads live in buffers reused by the whole enumeration;
+//!   bindings are undone through a trail.
+//! * **Per report.** Only then are `K`'s facts, `h1` and `h2` written out as
+//!   [`Fact`]s and [`Assignment`]s, into a view that every report of the pair
+//!   overwrites in place. The witness's two checks run on the codes: the
+//!   standard-step test once per candidate, and the blocking test on each blocker
+//!   compiled into the pair's codes (a blocker reading a predicate the pair lacks
+//!   matches nothing) in buffers that every report of the pair reuses.
+//!
 //! # Pairs by index, answers by shape
 //!
 //! A graph build visits fewer pairs and enumerates fewer of them. It prepares each
 //! dependency once ([`PreparedDependency`]): its body variables as `r1`, and its body
-//! renamed apart as `r2`. A TGD row visits only the dependencies whose body reads a
-//! predicate of its head, through a predicate → readers index: the other pairs fail
-//! the prefilter. An EGD row visits every dependency.
+//! variables renamed apart as `r2`, each role with its shape template. A TGD row
+//! visits only the dependencies whose body reads a predicate of its head, through a
+//! predicate → readers index: the other pairs fail the prefilter. An EGD row visits
+//! every dependency.
 //!
 //! Each visited pair is keyed by its *shape* ([`shape_key`]), and one enumeration
-//! answers every pair of a shape. The memo lives for one build. The key holds:
+//! answers every pair of a shape ([`ShapeMemo`]). The memo lives for one build. The
+//! key holds:
 //!
 //! * the [`Applicability`] and the kinds of both dependencies;
 //! * every atom of `r1` and `r2` in order, body then head. Predicates are numbered
@@ -89,30 +120,34 @@
 //!
 //! Equal keys mean isomorphic enumerations. Two pairs with one key differ only by a
 //! bijection of predicates and a renaming of variables that keeps their ranks. The
-//! enumeration reads a variable only through its rank: the rank fixes its block in
-//! every partition. So the labelling profiles, which depend on blocks 0 and 1,
-//! coincide. The candidates `K`, the steps and the matches correspond fact for fact
-//! and in the same order. Every test they run compares only predicates, terms and
-//! positions. A blocker reads `K` alone, so a blocker whose body reads another
-//! predicate matches nothing and is left out. A wildcard head atom can neither
-//! extend into `K` nor meet an atom of `r2`, so the predicate behind it does not
-//! matter. Both pairs then get the same answer, `Unknown` included.
+//! kernel is compiled from the key's own tokens and reads a variable only through
+//! its rank: the rank fixes its block in every partition. So the labelling profiles,
+//! which depend on blocks 0 and 1, coincide. The candidates `K`, the steps and the
+//! matches correspond fact for fact and in the same order. Every test they run
+//! compares only predicates, terms and positions. A blocker reads `K` alone, so a
+//! blocker whose body reads another predicate matches nothing and is left out. A
+//! wildcard head atom can neither extend into `K` nor meet an atom of `r2`, so the
+//! predicate behind it does not matter. Both pairs then get the same answer,
+//! `Unknown` included.
+//!
+//! A memo builds each key into a reused buffer and looks it up by slice; it
+//! allocates a key only for a shape it has not seen.
 //!
 //! [`for_each_firing_witness`] and [`chase_graph_edge`] stay single-pair entry
 //! points without a memo. They are the oracle for the builders.
 
 use crate::graph::DiGraph;
-use chase_core::hash::{FastMap, FastSet};
+use chase_core::hash::{FastMap, WordHasher};
 use chase_core::homomorphism::Assignment;
-use chase_core::substitution::NullSubstitution;
 use chase_core::{
-    Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, NullValue, Predicate, Term,
-    Tgd, Variable,
+    Atom, Constant, Dependency, DependencySet, Fact, GroundTerm, NullValue, Predicate, Term, Tgd,
+    Variable,
 };
 use std::borrow::{Borrow, Cow};
-use std::cell::OnceCell;
-use std::collections::BTreeSet;
-use std::ops::ControlFlow;
+use std::cell::{OnceCell, RefCell};
+use std::fmt;
+use std::hash::Hasher;
+use std::ops::{ControlFlow, Range};
 
 /// Which notion of chase-step applicability the witness search uses for `r1`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -130,7 +165,7 @@ const MAX_VARIABLES: usize = 10;
 
 /// A witness that enforcing `r1` can make `r2` violated: a view of the candidate
 /// that reports it.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy)]
 pub struct FiringWitness<'a> {
     /// The facts of `K`, the instance before the step, each once.
     pub k: &'a [&'a Fact],
@@ -138,48 +173,48 @@ pub struct FiringWitness<'a> {
     pub h1: &'a Assignment,
     /// The homomorphism under which `r2` is satisfied in `K` but violated in `J`.
     pub h2: &'a Assignment,
-    r1: &'a Dependency,
+    standard: bool,
+    candidate: Candidate<'a>,
+}
+
+/// The codes behind a reported witness.
+#[derive(Clone, Copy)]
+struct Candidate<'a> {
+    kernel: &'a Kernel<'a>,
+    /// `K`'s rows.
+    k: &'a Rows,
+    /// The slots: `h1`, `h2` and nothing else bound.
+    vals: &'a [Code],
+    blocking: &'a RefCell<BlockerBuffers>,
 }
 
 impl FiringWitness<'_> {
     /// Is `r1`'s step a standard one: is `r1` an EGD, or does its head not extend
     /// `h1` into `K`?
     pub fn is_standard_step(&self) -> bool {
-        match self.r1 {
-            Dependency::Egd(_) => true,
-            Dependency::Tgd(tgd) => !extends_into(tgd.head(), self.k, self.h1),
-        }
+        self.standard
     }
 
     /// The blocking condition of Definition 2: does some `r3` of the full
     /// dependencies `full_deps` have a standard step on `K` whose result `J'`
     /// satisfies `h2(r2)`? As `K ⊨ h2(r2)` does, `J' ⊨ h2(r2)` also holds vacuously
-    /// when `h2` does not map `Body(r2)` into `J'`.
+    /// when `h2` does not map `Body(r2)` into `J'`. `r2` is the pair's `r2`.
     pub fn is_blocked_by<D: Borrow<Dependency>>(&self, full_deps: &[D], r2: &Dependency) -> bool {
-        let image: Vec<Fact> = r2
-            .body()
-            .iter()
-            .map(|a| self.h2.apply_atom(a).expect("h2 binds Body(r2)"))
-            .collect();
-        full_deps.iter().any(|r3| {
-            let r3 = r3.borrow();
-            Matcher::new(self.k, Assignment::new())
-                .run(r3.body(), &mut |h3, _| {
-                    // `r3` is full: its step invents no null.
-                    let Some(j) = step(r3, h3, self.k, Applicability::Standard, &[]) else {
-                        return ControlFlow::Continue(());
-                    };
-                    let j: Vec<&Fact> = j.iter().map(|(f, _)| f.as_ref()).collect();
-                    let satisfied =
-                        !image.iter().all(|f| j.contains(&f)) || satisfied_in(r2, self.h2, &j);
-                    if satisfied {
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                })
-                .is_break()
-        })
+        debug_assert!(r2 == self.candidate.kernel.r2, "r2 is the pair's r2");
+        self.candidate
+            .blocking
+            .borrow_mut()
+            .blocked(&self.candidate, full_deps)
+    }
+}
+
+impl fmt::Debug for FiringWitness<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FiringWitness")
+            .field("k", &self.k)
+            .field("h1", &self.h1)
+            .field("h2", &self.h2)
+            .finish_non_exhaustive()
     }
 }
 
@@ -240,68 +275,17 @@ pub fn for_each_prepared_witness(
     if r1_dep.is_tgd() && !shares_predicate(r1_dep.head_atoms(), r2_dep.body()) {
         return FiringAnswer::DoesNotFire;
     }
-
     // r2's variables are renamed apart, so that r1 == r2 is handled uniformly.
-    let (vars1, (body2_renamed, side2)) = (&r1.as_r1().vars, r2.as_r2());
-    let all_vars: Vec<Variable> = vars1.iter().chain(&side2.vars).copied().collect();
-    if all_vars.len() > MAX_VARIABLES || body2_renamed.len() > MAX_BODY2_ATOMS {
+    let (side1, side2) = (r1.as_r1(), r2.as_r2());
+    if side1.vars.len() + side2.vars.len() > MAX_VARIABLES || r2_dep.body().len() > MAX_BODY2_ATOMS
+    {
         return FiringAnswer::Unknown;
     }
-
-    // The values of the blocks: block i is the null i or the constant `@c{i}`.
-    let n = all_vars.len();
-    let block_values: Vec<(GroundTerm, GroundTerm)> = (0..n)
-        .map(|block| {
-            (
-                GroundTerm::Null(NullValue(block as u64)),
-                GroundTerm::Const(Constant::new(&format!("@c{block}"))),
-            )
-        })
-        .collect();
-    // The positions in `all_vars` of the sides of an EGD `r1` (EGD sides are body
-    // variables, so both are found).
-    let egd_sides = r1_dep.as_egd().and_then(|egd| {
-        let side = |v: Variable| all_vars.iter().position(|w| *w == v);
-        Some((side(egd.left)?, side(egd.right)?))
-    });
-    let pair = Pair {
-        r1: r1_dep,
-        r2: r2_dep,
-        applicability,
-        body2_renamed,
-        vars1_len: vars1.len(),
-        all_vars,
-        existentials: r1_dep.as_tgd().map_or(&[], Tgd::existential_variables),
-        block_values,
-    };
-    let mut pool = FactPool::default();
-    let mut seen: FastMap<Vec<(Variable, GroundTerm)>, FastSet<Vec<u32>>> = FastMap::default();
-
-    // Enumerate partitions via restricted growth strings.
-    let mut rgs = vec![0usize; n];
-    loop {
-        let block_count = rgs.iter().copied().max().map(|m| m + 1).unwrap_or(0);
-        for labelling in block_labellings(r1_dep, block_count) {
-            // An EGD step exists iff `h1` maps the two sides to distinct values that
-            // are not both constants (see `egd_substitution`). `h1` depends only on
-            // the partition and the labelling, so this settles every subset of step 3.
-            if let Some((left, right)) = egd_sides {
-                let (a, b) = (rgs[left], rgs[right]);
-                if a == b || !(labelling[a] || labelling[b]) {
-                    continue;
-                }
-            }
-            if let ControlFlow::Break(()) =
-                pair.try_partition(&rgs, &labelling, &mut pool, &mut seen, on_witness)
-            {
-                return FiringAnswer::Fires;
-            }
-        }
-        if !next_restricted_growth_string(&mut rgs) {
-            break;
-        }
+    let kernel = Kernel::compile(r1_dep, side1, r2_dep, side2, applicability);
+    match kernel.run(on_witness) {
+        ControlFlow::Break(()) => FiringAnswer::Fires,
+        ControlFlow::Continue(()) => FiringAnswer::DoesNotFire,
     }
-    FiringAnswer::DoesNotFire
 }
 
 /// A dependency prepared for the firing tests of many pairs: what the enumeration
@@ -311,18 +295,18 @@ pub fn for_each_prepared_witness(
 pub struct PreparedDependency<'a> {
     dep: Cow<'a, Dependency>,
     as_r1: OnceCell<Side>,
-    /// The side as `r2`, with `Body(dep)` renamed apart.
-    as_r2: OnceCell<(Vec<Atom>, Side)>,
+    /// The side as `r2`, with `Vars(Body(dep))` renamed apart.
+    as_r2: OnceCell<Side>,
 }
 
 /// One dependency in one role of a pair.
 #[derive(Clone, Debug)]
 struct Side {
     /// The variables of the body in the enumeration's order: `Vars(Body(r1))`, the
-    /// domain of `h1`, or the renamed `Vars(Body(r2))`.
+    /// domain of `h1`, or `Vars(Body(r2))` in the order of their renamed versions.
     vars: Vec<Variable>,
     /// The dependency's [`ShapeKey`] tokens, with raw predicates, and its variables
-    /// ranked in `vars`.
+    /// ranked in `vars`. The kernel is compiled from them.
     shape: Vec<Token>,
 }
 
@@ -352,48 +336,47 @@ impl<'a> PreparedDependency<'a> {
 
     fn as_r1(&self) -> &Side {
         self.as_r1.get_or_init(|| {
-            let vars: Vec<Variable> = self.dep.body_variables().into_iter().collect();
+            let mut vars = body_variables(&self.dep);
+            vars.sort_unstable();
             let shape = shape_template(&self.dep, |v| vars.iter().position(|w| *w == v));
             Side { vars, shape }
         })
     }
 
-    fn as_r2(&self) -> (&[Atom], &Side) {
-        let (body, side) = self.as_r2.get_or_init(|| {
-            // Renamed in order of occurrence, each variable once.
-            let mut renamed: Vec<(Variable, Variable)> = Vec::new();
-            let body: Vec<Atom> = self
-                .dep
-                .body()
-                .iter()
-                .map(|a| {
-                    a.map_terms(|t| match t {
-                        Term::Var(v) => Term::Var(match renamed.iter().find(|(w, _)| w == v) {
-                            Some(&(_, r)) => r,
-                            None => {
-                                let r = Variable::new(&format!("@r2_{}", v.name()));
-                                renamed.push((*v, r));
-                                r
-                            }
-                        }),
-                        other => *other,
-                    })
+    fn as_r2(&self) -> &Side {
+        self.as_r2.get_or_init(|| {
+            // `x` is renamed `@r2_x`, interned in order of occurrence, and the
+            // variables are ranked in the order of their renamed symbols.
+            let mut name = String::new();
+            let mut renamed: Vec<(Variable, Variable)> = body_variables(&self.dep)
+                .into_iter()
+                .map(|v| {
+                    name.clear();
+                    name.push_str("@r2_");
+                    name.push_str(&v.name());
+                    (Variable::new(&name), v)
                 })
                 .collect();
-            let vars: Vec<Variable> = renamed
-                .iter()
-                .map(|&(_, r)| r)
-                .collect::<BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            let shape = shape_template(&self.dep, |v| {
-                let (_, r) = renamed.iter().find(|(w, _)| *w == v)?;
-                vars.iter().position(|w| w == r)
-            });
-            (body, Side { vars, shape })
-        });
-        (body, side)
+            renamed.sort_unstable();
+            let vars: Vec<Variable> = renamed.into_iter().map(|(_, v)| v).collect();
+            let shape = shape_template(&self.dep, |v| vars.iter().position(|w| *w == v));
+            Side { vars, shape }
+        })
     }
+}
+
+/// The distinct variables of `dep`'s body, in order of occurrence.
+fn body_variables(dep: &Dependency) -> Vec<Variable> {
+    let mut vars: Vec<Variable> =
+        Vec::with_capacity(dep.body().iter().map(|a| a.terms.len()).sum());
+    for term in dep.body().iter().flat_map(|a| &a.terms) {
+        if let Term::Var(v) = term {
+            if !vars.contains(v) {
+                vars.push(*v);
+            }
+        }
+    }
+    vars
 }
 
 /// The shape of a firing pair: equal keys mean isomorphic witness enumerations, so
@@ -430,7 +413,19 @@ enum Token {
 /// `dep` as [`Token`]s: its kind, body, [`Token::Head`], then its head atoms or the
 /// two sides of its equality. `rank` places the body variables, called in order of
 /// occurrence; the others are existential.
-fn shape_template(dep: &Dependency, mut rank: impl FnMut(Variable) -> Option<usize>) -> Vec<Token> {
+fn shape_template(dep: &Dependency, rank: impl FnMut(Variable) -> Option<usize>) -> Vec<Token> {
+    let atoms = dep.body().iter().chain(dep.head_atoms());
+    let mut out = Vec::with_capacity(4 + atoms.map(|a| 1 + a.terms.len()).sum::<usize>());
+    push_template(&mut out, dep, rank);
+    out
+}
+
+/// Appends [`shape_template`]`(dep, rank)` to `out`.
+fn push_template(
+    out: &mut Vec<Token>,
+    dep: &Dependency,
+    mut rank: impl FnMut(Variable) -> Option<usize>,
+) {
     let existentials = dep.as_tgd().map_or(&[][..], Tgd::existential_variables);
     let mut term = |t: &Term| match t {
         Term::Var(v) => match rank(*v) {
@@ -443,7 +438,7 @@ fn shape_template(dep: &Dependency, mut rank: impl FnMut(Variable) -> Option<usi
         Term::Const(c) => Token::Const(*c),
         Term::Null(_) => unreachable!("dependencies hold no nulls"),
     };
-    let mut out = vec![if dep.is_tgd() { Token::Tgd } else { Token::Egd }];
+    out.push(if dep.is_tgd() { Token::Tgd } else { Token::Egd });
     let (body, head) = (dep.body(), dep.head_atoms());
     for (k, atom) in body.iter().chain(head).enumerate() {
         if k == body.len() {
@@ -456,7 +451,6 @@ fn shape_template(dep: &Dependency, mut rank: impl FnMut(Variable) -> Option<usi
         out.push(Token::Head);
         out.extend([term(&Term::Var(egd.left)), term(&Term::Var(egd.right))]);
     }
-    out
 }
 
 /// The shape of the pair `(r1, r2)` under `applicability`, with the blockers of Definition 2
@@ -468,64 +462,136 @@ pub fn shape_key(
     applicability: Applicability,
     blockers: &[&Dependency],
 ) -> ShapeKey {
-    debug_assert!(
-        blockers.iter().all(|b| b.body().iter().all(|a| {
-            let mut bodies = r1.dependency().body().iter().chain(r2.dependency().body());
-            bodies.any(|c| c.predicate == a.predicate)
-        })),
-        "a blocker reads a predicate outside the pair's bodies"
-    );
-    let (side1, (_, side2)) = (r1.as_r1(), r2.as_r2());
-    let mut predicates: Vec<Predicate> = Vec::new();
-    let mut tokens = Vec::with_capacity(1 + side1.shape.len() + side2.shape.len());
-    tokens.push(Token::Oblivious(applicability == Applicability::Oblivious));
-    let offset = side1.vars.len() as u32;
-    for (shape, offset) in [(&side1.shape, 0), (&side2.shape, offset)] {
-        tokens.extend(shape.iter().map(|&t| match t {
-            Token::Predicate(p) => Token::Numbered(match predicates.iter().position(|q| *q == p) {
-                Some(n) => n as u32,
-                None => {
-                    predicates.push(p);
-                    predicates.len() as u32 - 1
-                }
-            }),
-            Token::Var(r) => Token::Var(r + offset),
-            other => other,
-        }));
-    }
-    let mut shapes: Vec<Vec<Token>> = blockers
-        .iter()
-        .map(|b| blocker_shape(b, &predicates))
-        .collect();
-    shapes.sort_unstable();
-    shapes.dedup();
-    for shape in shapes {
-        tokens.push(Token::Blocker);
-        tokens.extend(shape);
-    }
-    ShapeKey(tokens)
+    let mut builder = KeyBuilder::default();
+    ShapeKey(builder.build(r1, r2, applicability, blockers).to_vec())
 }
 
-/// A blocker under the pair's predicate numbering: a head predicate the pair does not
-/// mention is [`Token::Wildcard`] (no candidate fact and no atom of `r2` can use it),
-/// and variables are numbered by first occurrence.
-fn blocker_shape(blocker: &Dependency, predicates: &[Predicate]) -> Vec<Token> {
-    let mut vars: Vec<Variable> = Vec::new();
-    let mut template = shape_template(blocker, |v| {
-        Some(vars.iter().position(|w| *w == v).unwrap_or_else(|| {
-            vars.push(v);
-            vars.len() - 1
-        }))
-    });
-    for token in &mut template {
-        if let Token::Predicate(p) = *token {
-            *token = predicates
-                .iter()
-                .position(|q| *q == p)
-                .map_or(Token::Wildcard, |n| Token::Numbered(n as u32));
+/// Answers by [`shape_key`], for one graph build or one `Adn∃` run: each shape is
+/// answered once. A key is built into a reused buffer and looked up by slice, and
+/// stored only for a shape not seen before.
+pub struct ShapeMemo<V> {
+    answers: FastMap<Box<[Token]>, V>,
+    builder: KeyBuilder,
+}
+
+impl<V> Default for ShapeMemo<V> {
+    fn default() -> Self {
+        ShapeMemo {
+            answers: FastMap::default(),
+            builder: KeyBuilder::default(),
         }
     }
-    template
+}
+
+impl<V: Copy> ShapeMemo<V> {
+    /// The answer for the shape of `(r1, r2)` under `applicability` with `blockers`
+    /// (as for [`shape_key`]), from `compute` if the shape is new.
+    pub fn get_or_insert_with(
+        &mut self,
+        r1: &PreparedDependency<'_>,
+        r2: &PreparedDependency<'_>,
+        applicability: Applicability,
+        blockers: &[&Dependency],
+        compute: impl FnOnce() -> V,
+    ) -> V {
+        let key = self.builder.build(r1, r2, applicability, blockers);
+        if let Some(&answer) = self.answers.get(key) {
+            return answer;
+        }
+        let answer = compute();
+        self.answers.insert(key.into(), answer);
+        answer
+    }
+}
+
+/// The buffers a [`ShapeKey`] is built in.
+#[derive(Default)]
+struct KeyBuilder {
+    key: Vec<Token>,
+    /// The pair's predicates, in order of first occurrence.
+    predicates: Vec<Predicate>,
+    /// Every blocker's tokens, end to end, and the span of each.
+    blockers: Vec<Token>,
+    spans: Vec<Range<usize>>,
+    /// One blocker's variables, in order of first occurrence.
+    vars: Vec<Variable>,
+}
+
+impl KeyBuilder {
+    fn build(
+        &mut self,
+        r1: &PreparedDependency<'_>,
+        r2: &PreparedDependency<'_>,
+        applicability: Applicability,
+        blockers: &[&Dependency],
+    ) -> &[Token] {
+        debug_assert!(
+            blockers.iter().all(|b| b.body().iter().all(|a| {
+                let mut bodies = r1.dependency().body().iter().chain(r2.dependency().body());
+                bodies.any(|c| c.predicate == a.predicate)
+            })),
+            "a blocker reads a predicate outside the pair's bodies"
+        );
+        let (side1, side2) = (r1.as_r1(), r2.as_r2());
+        let KeyBuilder {
+            key,
+            predicates,
+            blockers: tokens,
+            spans,
+            vars,
+        } = self;
+        key.clear();
+        predicates.clear();
+        key.push(Token::Oblivious(applicability == Applicability::Oblivious));
+        let offset = side1.vars.len() as u32;
+        for (shape, offset) in [(&side1.shape, 0), (&side2.shape, offset)] {
+            key.extend(shape.iter().map(|&t| match t {
+                Token::Predicate(p) => Token::Numbered(number(predicates, p)),
+                Token::Var(r) => Token::Var(r + offset),
+                other => other,
+            }));
+        }
+        // Each blocker under the pair's predicate numbering: a head predicate the
+        // pair does not mention is a wildcard (no candidate fact and no atom of `r2`
+        // can use it), and variables are numbered by first occurrence.
+        tokens.clear();
+        spans.clear();
+        for blocker in blockers {
+            let start = tokens.len();
+            vars.clear();
+            push_template(tokens, blocker, |v| {
+                Some(vars.iter().position(|w| *w == v).unwrap_or_else(|| {
+                    vars.push(v);
+                    vars.len() - 1
+                }))
+            });
+            for token in &mut tokens[start..] {
+                if let Token::Predicate(p) = *token {
+                    *token = predicates
+                        .iter()
+                        .position(|q| *q == p)
+                        .map_or(Token::Wildcard, |n| Token::Numbered(n as u32));
+                }
+            }
+            spans.push(start..tokens.len());
+        }
+        spans.sort_unstable_by(|a, b| tokens[a.clone()].cmp(&tokens[b.clone()]));
+        spans.dedup_by(|a, b| tokens[a.clone()] == tokens[b.clone()]);
+        for span in spans.iter() {
+            key.push(Token::Blocker);
+            key.extend_from_slice(&tokens[span.clone()]);
+        }
+        key
+    }
+}
+
+/// `p`'s number in `predicates`, appending it if it is new.
+fn number(predicates: &mut Vec<Predicate>, p: Predicate) -> u32 {
+    let n = predicates.iter().position(|q| *q == p).unwrap_or_else(|| {
+        predicates.push(p);
+        predicates.len() - 1
+    });
+    n as u32
 }
 
 /// Does some atom of `a` share its predicate with some atom of `b`?
@@ -593,7 +659,7 @@ pub fn chase_graphs(sigma: &DependencySet) -> ChaseGraphs {
             }
         }
     }
-    let mut memo: FastMap<ShapeKey, (bool, bool)> = FastMap::default();
+    let mut memo: ShapeMemo<(bool, bool)> = ShapeMemo::default();
     // `row[j] == i` once `r2 = j` is among row `i`'s targets.
     let mut row = vec![usize::MAX; deps.len()];
     let mut targets: Vec<usize> = Vec::new();
@@ -613,9 +679,10 @@ pub fn chase_graphs(sigma: &DependencySet) -> ChaseGraphs {
         }
         for &j in &targets {
             let r2 = &deps[j];
-            let (std_edge, obl_edge) = *memo
-                .entry(shape_key(r1, r2, Applicability::Oblivious, &[]))
-                .or_insert_with(|| chase_graph_edges(r1, r2));
+            let (std_edge, obl_edge) =
+                memo.get_or_insert_with(r1, r2, Applicability::Oblivious, &[], || {
+                    chase_graph_edges(r1, r2)
+                });
             if std_edge {
                 standard.add_edge(i, j, false);
             }
@@ -630,122 +697,648 @@ pub fn chase_graphs(sigma: &DependencySet) -> ChaseGraphs {
     }
 }
 
-/// The per-block labellings worth trying (see the module documentation): constants and
-/// nulls only matter for EGD steps of `r1` and for the blocking check of Definition 2,
-/// so a handful of profiles suffices.
-fn block_labellings(r1: &Dependency, block_count: usize) -> Vec<Vec<bool>> {
-    // `true` = labeled null, `false` = fresh constant.
-    let all_nulls = vec![true; block_count];
-    let all_consts = vec![false; block_count];
-    let mut out = vec![all_nulls, all_consts];
-    if r1.is_egd() && block_count >= 2 {
-        // Mixed profiles so that the equated pair can be (null, const) in either order.
-        let mut first_const = vec![true; block_count];
-        first_const[0] = false;
-        let mut second_const = vec![true; block_count];
-        second_const[1] = false;
-        out.push(first_const);
-        out.push(second_const);
-    }
-    out.dedup();
-    out
+/// A value, or in a compiled atom a term. A value is a null's label, or a constant
+/// when [`CONST`] is set: block `i`'s constant is `CONST | i`, the pair's `j`-th
+/// rule constant `CONST | (MAX_VARIABLES + j)`. In a compiled atom a code without
+/// [`CONST`] is a slot of the assignment.
+type Code = u32;
+
+const CONST: Code = 1 << 31;
+
+/// An unbound slot: no value has every bit set.
+const UNBOUND: Code = Code::MAX;
+
+/// The predicate of a blocker's head atom that the pair does not mention: no row
+/// has it.
+const NO_PREDICATE: u32 = u32::MAX;
+
+/// An atom compiled into the pair's codes: a predicate number and the span of its
+/// terms.
+#[derive(Clone, Copy, Debug)]
+struct CAtom {
+    predicate: u32,
+    start: u32,
+    end: u32,
 }
 
-/// The invariants of one pair's enumeration.
-struct Pair<'a> {
-    r1: &'a Dependency,
+impl CAtom {
+    fn terms<'t>(&self, terms: &'t [Code]) -> &'t [Code] {
+        &terms[self.start as usize..self.end as usize]
+    }
+}
+
+/// One pair compiled for the kernel (see the module documentation).
+struct Kernel<'a> {
     r2: &'a Dependency,
     applicability: Applicability,
-    /// `Body(r2)` with its variables renamed apart from `r1`'s.
-    body2_renamed: &'a [Atom],
-    /// `Vars(Body(r1))`, then the renamed `Vars(Body(r2))`.
-    all_vars: Vec<Variable>,
-    /// How many of `all_vars` are `r1`'s: the domain of `h1`.
-    vars1_len: usize,
-    /// `r1`'s existential variables, in the order their fresh nulls are numbered.
-    existentials: &'a [Variable],
-    /// Block `i`'s value as a null and as a constant.
-    block_values: Vec<(GroundTerm, GroundTerm)>,
+    /// The pair's predicates and rule constants, by number.
+    predicates: Vec<Predicate>,
+    constants: Vec<Constant>,
+    /// `Body(r1)`, `Head(r1)`, `Body(r2)` and `Head(r2)`, in these ranges.
+    atoms: Vec<CAtom>,
+    terms: Vec<Code>,
+    body1: Range<usize>,
+    head1: Range<usize>,
+    body2: Range<usize>,
+    head2: Range<usize>,
+    /// The slots of the two sides of an EGD `r1` or `r2`.
+    egd1: Option<(usize, usize)>,
+    egd2: Option<(usize, usize)>,
+    /// `Vars(Body(r1))` and `Vars(Body(r2))` in rank order: slots `0..n`.
+    vars1: &'a [Variable],
+    vars2: &'a [Variable],
+    /// How many existential variables `r1` has: slots `n..n + existentials1`. Those
+    /// of `r2` follow, up to `slots`.
+    existentials1: usize,
+    slots: usize,
 }
 
-/// The distinct facts of one pair's candidates; a candidate `K` is the sorted list of
-/// its facts' indices.
-#[derive(Default)]
-struct FactPool {
-    facts: Vec<Fact>,
-    ids: FastMap<Fact, u32>,
-}
+impl<'a> Kernel<'a> {
+    fn compile(
+        r1: &'a Dependency,
+        side1: &'a Side,
+        r2: &'a Dependency,
+        side2: &'a Side,
+        applicability: Applicability,
+    ) -> Self {
+        let existentials =
+            |dep: &Dependency| dep.as_tgd().map_or(0, |t| t.existential_variables().len());
+        let (e1, e2) = (existentials(r1), existentials(r2));
+        let (v1, n) = (side1.vars.len(), side1.vars.len() + side2.vars.len());
+        let mut kernel = Kernel {
+            r2,
+            applicability,
+            predicates: Vec::new(),
+            constants: Vec::new(),
+            atoms: Vec::with_capacity(
+                r1.body().len() + r1.head_atoms().len() + r2.body().len() + r2.head_atoms().len(),
+            ),
+            terms: Vec::with_capacity(side1.shape.len() + side2.shape.len()),
+            body1: 0..0,
+            head1: 0..0,
+            body2: 0..0,
+            head2: 0..0,
+            egd1: None,
+            egd2: None,
+            vars1: &side1.vars,
+            vars2: &side2.vars,
+            existentials1: e1,
+            slots: n + e1 + e2,
+        };
+        let (body1, head1, egd1) = kernel.compile_side(&side1.shape, 0, n);
+        let (body2, head2, egd2) = kernel.compile_side(&side2.shape, v1, n + e1);
+        (kernel.body1, kernel.head1, kernel.egd1) = (body1, head1, egd1);
+        (kernel.body2, kernel.head2, kernel.egd2) = (body2, head2, egd2);
+        kernel
+    }
 
-impl FactPool {
-    fn intern(&mut self, fact: Fact) -> u32 {
-        let next = u32::try_from(self.facts.len()).expect("fewer than 2^32 candidate facts");
-        *self.ids.entry(fact).or_insert_with_key(|fact| {
-            self.facts.push(fact.clone());
-            next
+    /// Compiles one side's shape template, its body variables at slots `vars..` and
+    /// its existential variables at `existentials..`: the ranges of its body and head
+    /// atoms, and the slots of an EGD's sides.
+    fn compile_side(
+        &mut self,
+        shape: &[Token],
+        vars: usize,
+        existentials: usize,
+    ) -> (Range<usize>, Range<usize>, Option<(usize, usize)>) {
+        let slot = |t: Token| match t {
+            Token::Var(r) => vars + r as usize,
+            Token::Existential(p) => existentials + p as usize,
+            other => unreachable!("{other:?} is not a variable"),
+        };
+        let start = self.atoms.len();
+        let mut head = None;
+        let mut egd = None;
+        let mut tokens = shape.iter().copied();
+        let is_egd = tokens.next() == Some(Token::Egd);
+        while let Some(token) = tokens.next() {
+            match token {
+                Token::Head => {
+                    head = Some(self.atoms.len());
+                    if is_egd {
+                        let (left, right) = (tokens.next(), tokens.next());
+                        egd = Some((slot(left.expect("a side")), slot(right.expect("a side"))));
+                    }
+                }
+                Token::Predicate(p) => {
+                    let predicate = number(&mut self.predicates, p);
+                    let start = self.terms.len() as u32;
+                    for _ in 0..p.arity {
+                        let code = match tokens.next().expect("one token per term") {
+                            Token::Const(c) => {
+                                let j = self.constants.iter().position(|d| *d == c);
+                                let j = j.unwrap_or_else(|| {
+                                    self.constants.push(c);
+                                    self.constants.len() - 1
+                                });
+                                CONST | (MAX_VARIABLES + j) as Code
+                            }
+                            variable => slot(variable) as Code,
+                        };
+                        self.terms.push(code);
+                    }
+                    let end = self.terms.len() as u32;
+                    self.atoms.push(CAtom {
+                        predicate,
+                        start,
+                        end,
+                    });
+                }
+                other => unreachable!("{other:?} in a template"),
+            }
+        }
+        let head = head.expect("a template has a head");
+        (start..head, head..self.atoms.len(), egd)
+    }
+
+    fn n(&self) -> usize {
+        self.vars1.len() + self.vars2.len()
+    }
+
+    /// Runs the enumeration; breaks iff `on_witness` did.
+    fn run(
+        &self,
+        on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let mut state = State::new(self);
+        let mut partitions = Partitions::new(self.n());
+        loop {
+            let (labellings, count) = labellings(self.egd1.is_some(), partitions.block_count());
+            for &nulls in &labellings[..count] {
+                // An EGD step exists iff `h1` maps the two sides to distinct values
+                // that are not both constants (see `gamma`). `h1` depends only on the
+                // partition and the labelling, so this settles every subset of step 3.
+                if let Some((left, right)) = self.egd1 {
+                    let (a, b) = (partitions.blocks[left], partitions.blocks[right]);
+                    if a == b || nulls & ((1 << a) | (1 << b)) == 0 {
+                        continue;
+                    }
+                }
+                state.try_partition(self, &partitions, nulls, on_witness)?;
+            }
+            if !partitions.advance() {
+                return ControlFlow::Continue(());
+            }
+        }
+    }
+
+    /// The value a code stands for. Block constants are interned on first use,
+    /// into `blocks`.
+    fn value(&self, code: Code, blocks: &mut [Option<Constant>; MAX_VARIABLES]) -> GroundTerm {
+        if code & CONST == 0 {
+            return GroundTerm::Null(NullValue(u64::from(code)));
+        }
+        let i = (code & !CONST) as usize;
+        GroundTerm::Const(match i.checked_sub(MAX_VARIABLES) {
+            Some(j) => self.constants[j],
+            None => *blocks[i].get_or_insert_with(|| Constant::new(&format!("@c{i}"))),
         })
+    }
+
+    /// `facts ⊨ h(r2)`, for bindings `b` that map `Body(r2)` into `facts`.
+    fn r2_satisfied(&self, facts: &Rows, b: &mut Bindings) -> bool {
+        match self.egd2 {
+            Some((left, right)) => b.vals[left] == b.vals[right],
+            None => extends(&self.atoms[self.head2.clone()], &self.terms, facts, b),
+        }
     }
 }
 
-impl Pair<'_> {
+/// The labellings worth trying for `blocks` blocks (see the module documentation),
+/// as masks of the blocks labelled null, and how many there are: all nulls, all
+/// constants and, for an EGD `r1`, a constant first or second block.
+fn labellings(egd: bool, blocks: usize) -> ([u16; 4], usize) {
+    let all_nulls = ((1u32 << blocks) - 1) as u16;
+    match blocks {
+        0 => ([0; 4], 1),
+        1 => ([all_nulls, 0, 0, 0], 2),
+        _ if egd => ([all_nulls, 0, all_nulls & !1, all_nulls & !2], 4),
+        _ => ([all_nulls, 0, 0, 0], 2),
+    }
+}
+
+/// The set partitions of `n` variables in restricted-growth order: variable `i` is
+/// in block `blocks[i]`, and `prefix_max[i]` is the largest of `blocks[..=i]`.
+struct Partitions {
+    n: usize,
+    blocks: [usize; MAX_VARIABLES],
+    prefix_max: [usize; MAX_VARIABLES],
+}
+
+impl Partitions {
+    /// The partition with a single block.
+    fn new(n: usize) -> Self {
+        Partitions {
+            n,
+            blocks: [0; MAX_VARIABLES],
+            prefix_max: [0; MAX_VARIABLES],
+        }
+    }
+
+    fn block_count(&self) -> usize {
+        self.n
+            .checked_sub(1)
+            .map_or(0, |last| self.prefix_max[last] + 1)
+    }
+
+    /// Advances to the next partition; returns `false` when the enumeration is
+    /// exhausted. The rightmost variable whose block is at most the largest block
+    /// before it moves to the next block, and the variables after it go back to
+    /// block 0.
+    fn advance(&mut self) -> bool {
+        for i in (1..self.n).rev() {
+            if self.blocks[i] <= self.prefix_max[i - 1] {
+                self.blocks[i] += 1;
+                self.prefix_max[i] = self.prefix_max[i - 1].max(self.blocks[i]);
+                for j in i + 1..self.n {
+                    self.blocks[j] = 0;
+                    self.prefix_max[j] = self.prefix_max[i];
+                }
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Facts as rows of codes `[predicate, terms…]`, stored end to end.
+#[derive(Default)]
+struct Rows {
+    data: Vec<Code>,
+    ends: Vec<u32>,
+}
+
+impl Rows {
+    fn with_capacity(rows: usize) -> Self {
+        Rows {
+            data: Vec::with_capacity(4 * rows),
+            ends: Vec::with_capacity(rows),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn row(&self, i: usize) -> &[Code] {
+        let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        &self.data[start..self.ends[i] as usize]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[Code]> {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    fn contains(&self, row: &[Code]) -> bool {
+        self.iter().any(|r| r == row)
+    }
+
+    fn push(&mut self, row: &[Code]) {
+        self.data.extend_from_slice(row);
+        let end = u32::try_from(self.data.len()).expect("fewer than 2^32 codes in a row list");
+        self.ends.push(end);
+    }
+
+    fn clear(&mut self) {
+        self.data.clear();
+        self.ends.clear();
+    }
+}
+
+/// Rows stored once each and found by hash (open addressing): a row's id is the
+/// order of its first insertion.
+struct RowSet {
+    rows: Rows,
+    /// A row's id + 1, or 0 for an empty slot; a power of two long.
+    slots: Vec<u32>,
+}
+
+impl RowSet {
+    fn with_capacity(rows: usize) -> Self {
+        RowSet {
+            rows: Rows::with_capacity(rows),
+            slots: vec![0; (2 * rows).next_power_of_two()],
+        }
+    }
+
+    /// `row`'s id, and whether it was inserted now.
+    fn insert(&mut self, row: &[Code]) -> (u32, bool) {
+        if 2 * (self.rows.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = row_hash(row) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    let id = u32::try_from(self.rows.len()).expect("fewer than 2^32 rows");
+                    self.rows.push(row);
+                    self.slots[i] = id + 1;
+                    return (id, true);
+                }
+                slot if self.rows.row(slot as usize - 1) == row => return (slot - 1, false),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        self.slots = vec![0; 2 * self.slots.len()];
+        let mask = self.slots.len() - 1;
+        for id in 0..self.rows.len() {
+            let mut i = row_hash(self.rows.row(id)) as usize & mask;
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = id as u32 + 1;
+        }
+    }
+}
+
+fn row_hash(row: &[Code]) -> u64 {
+    let mut h = WordHasher::default();
+    for &code in row {
+        h.write_u32(code);
+    }
+    h.finish()
+}
+
+/// A rank-indexed assignment with a trail of the slots bound since a mark, and the
+/// stack of the facts matched by the searches in progress.
+#[derive(Default)]
+struct Bindings {
+    vals: Vec<Code>,
+    trail: Vec<usize>,
+    matched: Vec<usize>,
+}
+
+impl Bindings {
+    /// Extends the bindings so that the compiled terms `pattern` map onto `row`'s
+    /// terms, if they can.
+    fn unify(&mut self, pattern: &[Code], row: &[Code]) -> bool {
+        pattern.iter().zip(row).all(|(&t, &g)| {
+            if t & CONST != 0 {
+                return t == g;
+            }
+            let slot = &mut self.vals[t as usize];
+            if *slot == UNBOUND {
+                *slot = g;
+                self.trail.push(t as usize);
+                true
+            } else {
+                *slot == g
+            }
+        })
+    }
+
+    fn unwind(&mut self, mark: usize) {
+        for slot in self.trail.drain(mark..) {
+            self.vals[slot] = UNBOUND;
+        }
+    }
+
+    /// The row `atom` grounds to, into `out`.
+    fn ground(&self, atom: CAtom, terms: &[Code], out: &mut Vec<Code>) {
+        out.clear();
+        out.push(atom.predicate);
+        out.extend(atom.terms(terms).iter().map(|&t| {
+            let value = if t & CONST != 0 {
+                t
+            } else {
+                self.vals[t as usize]
+            };
+            debug_assert_ne!(value, UNBOUND, "a grounded term is bound");
+            value
+        }));
+    }
+}
+
+/// Calls `on_match` with every extension of `b` that maps `atoms` into `facts`,
+/// atoms in order and facts in order; the matched facts' indices are
+/// `b.matched[mark..]`, `mark` being the callback's second argument.
+fn search(
+    atoms: &[CAtom],
+    terms: &[Code],
+    facts: &Rows,
+    b: &mut Bindings,
+    on_match: &mut dyn FnMut(&mut Bindings, usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let mark = b.matched.len();
+    search_from(atoms, terms, facts, b, mark, on_match)
+}
+
+fn search_from(
+    atoms: &[CAtom],
+    terms: &[Code],
+    facts: &Rows,
+    b: &mut Bindings,
+    mark: usize,
+    on_match: &mut dyn FnMut(&mut Bindings, usize) -> ControlFlow<()>,
+) -> ControlFlow<()> {
+    let Some(&atom) = atoms.get(b.matched.len() - mark) else {
+        return on_match(b, mark);
+    };
+    let pattern = atom.terms(terms);
+    for (i, row) in facts.iter().enumerate() {
+        if row[0] != atom.predicate {
+            continue;
+        }
+        let trail = b.trail.len();
+        let flow = if b.unify(pattern, &row[1..]) {
+            b.matched.push(i);
+            let flow = search_from(atoms, terms, facts, b, mark, on_match);
+            b.matched.pop();
+            flow
+        } else {
+            ControlFlow::Continue(())
+        };
+        b.unwind(trail);
+        flow?;
+    }
+    ControlFlow::Continue(())
+}
+
+/// Do the bindings extend to a homomorphism from `atoms` into `facts`?
+fn extends(atoms: &[CAtom], terms: &[Code], facts: &Rows, b: &mut Bindings) -> bool {
+    search(atoms, terms, facts, b, &mut |_, _| ControlFlow::Break(())).is_break()
+}
+
+/// The substitution of an EGD step whose sides have the values `a` and `b`: the
+/// null replaced and its replacement, or `None` if there is no step (the sides are
+/// equal, or both are constants, a failing step).
+fn gamma(a: Code, b: Code) -> Option<(Code, Code)> {
+    if a == b {
+        None
+    } else if a & CONST == 0 {
+        Some((a, b))
+    } else if b & CONST == 0 {
+        Some((b, a))
+    } else {
+        None
+    }
+}
+
+/// The result `J` of a step, as a duplicate-free list of rows, each with whether it
+/// is in `K`.
+#[derive(Default)]
+struct StepResult {
+    facts: Rows,
+    in_k: Vec<bool>,
+}
+
+impl StepResult {
+    fn push_distinct(&mut self, row: &[Code], in_k: bool) {
+        if !self.facts.contains(row) {
+            self.facts.push(row);
+            self.in_k.push(in_k);
+        }
+    }
+
+    /// `K` followed by the rows `head` grounds to under `b`, for a TGD step.
+    fn tgd_step(
+        &mut self,
+        k: &Rows,
+        head: &[CAtom],
+        terms: &[Code],
+        b: &Bindings,
+        row: &mut Vec<Code>,
+    ) {
+        self.facts.clear();
+        self.in_k.clear();
+        for fact in k.iter() {
+            self.facts.push(fact);
+            self.in_k.push(true);
+        }
+        for &atom in head {
+            b.ground(atom, terms, row);
+            self.push_distinct(row, false);
+        }
+    }
+
+    /// `K` with the null `null` replaced by `by`, for an EGD step.
+    fn egd_step(&mut self, k: &Rows, (null, by): (Code, Code), row: &mut Vec<Code>) {
+        self.facts.clear();
+        self.in_k.clear();
+        for fact in k.iter() {
+            if fact[1..].contains(&null) {
+                row.clear();
+                row.extend(
+                    fact.iter()
+                        .enumerate()
+                        .map(|(p, &c)| if p > 0 && c == null { by } else { c }),
+                );
+                let in_k = k.contains(row);
+                self.push_distinct(row, in_k);
+            } else {
+                self.push_distinct(fact, true);
+            }
+        }
+    }
+}
+
+/// The buffers of one pair's enumeration, reused by all its partitions and
+/// candidates.
+struct State {
+    /// The grounded body facts of every partition so far.
+    pool: RowSet,
+    /// The candidates evaluated so far, as rows `h1 ++ K`.
+    seen: RowSet,
+    b: Bindings,
+    /// The pool ids of `θ(Body(r1))` and `θ(Body(r2))`, and of one candidate `K`.
+    facts1: Vec<u32>,
+    facts2: Vec<u32>,
+    k_ids: Vec<u32>,
+    /// `K`'s rows, and `J`.
+    k: Rows,
+    j: StepResult,
+    /// A row or key being built.
+    row: Vec<Code>,
+    /// The witness view, rebuilt in place for each report: `K`'s facts (the first
+    /// `|K|`), `h1` and `h2` (their domains never change), and the block constants
+    /// interned for it.
+    facts: Vec<Fact>,
+    h1: Assignment,
+    h2: Assignment,
+    blocks: [Option<Constant>; MAX_VARIABLES],
+    blocking: RefCell<BlockerBuffers>,
+}
+
+impl State {
+    fn new(kernel: &Kernel<'_>) -> Self {
+        let bodies = kernel.body1.len() + kernel.body2.len();
+        State {
+            pool: RowSet::with_capacity(64),
+            seen: RowSet::with_capacity(256),
+            b: Bindings {
+                vals: vec![UNBOUND; kernel.slots],
+                trail: Vec::with_capacity(kernel.slots),
+                matched: Vec::with_capacity(16),
+            },
+            facts1: Vec::with_capacity(kernel.body1.len()),
+            facts2: Vec::with_capacity(kernel.body2.len()),
+            k_ids: Vec::with_capacity(bodies),
+            k: Rows::with_capacity(bodies),
+            j: StepResult {
+                facts: Rows::with_capacity(bodies + kernel.head1.len()),
+                in_k: Vec::with_capacity(bodies + kernel.head1.len()),
+            },
+            row: Vec::with_capacity(16),
+            facts: Vec::new(),
+            h1: Assignment::new(),
+            h2: Assignment::new(),
+            blocks: [None; MAX_VARIABLES],
+            blocking: RefCell::default(),
+        }
+    }
+
     /// Evaluates every distinct candidate `(h1, K)` of one partition and labelling
-    /// that `seen` does not hold yet, and records it there.
+    /// (`nulls`, the blocks labelled null) that `seen` does not hold yet, and
+    /// records it there.
     fn try_partition(
-        &self,
-        rgs: &[usize],
-        labelling: &[bool],
-        pool: &mut FactPool,
-        seen: &mut FastMap<Vec<(Variable, GroundTerm)>, FastSet<Vec<u32>>>,
+        &mut self,
+        kernel: &Kernel<'_>,
+        partitions: &Partitions,
+        nulls: u16,
         on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        // Block i -> fresh null i or fresh constant i.
-        let value = |block: usize| {
-            let (null, constant) = self.block_values[block];
-            if labelling[block] {
-                null
+        // Block i -> null i or block constant i.
+        for (slot, &block) in self.b.vals.iter_mut().zip(&partitions.blocks[..kernel.n()]) {
+            *slot = if nulls & (1 << block) != 0 {
+                block as Code
             } else {
-                constant
+                CONST | block as Code
+            };
+        }
+        for (ids, range) in [
+            (&mut self.facts1, kernel.body1.clone()),
+            (&mut self.facts2, kernel.body2.clone()),
+        ] {
+            ids.clear();
+            for &atom in &kernel.atoms[range] {
+                self.b.ground(atom, &kernel.terms, &mut self.row);
+                ids.push(self.pool.insert(&self.row).0);
             }
-        };
-        let sigma_map =
-            Assignment::from_pairs(self.all_vars.iter().zip(rgs).map(|(v, &b)| (*v, value(b))));
-        let mut ground = |atoms: &[Atom]| -> Vec<u32> {
-            atoms
-                .iter()
-                .map(|a| {
-                    pool.intern(
-                        sigma_map
-                            .apply_atom(a)
-                            .expect("all body variables are assigned"),
-                    )
-                })
-                .collect()
-        };
-        let facts1 = ground(self.r1.body());
-        let facts2 = ground(self.body2_renamed);
-        let h1 = Assignment::from_pairs(
-            self.all_vars[..self.vars1_len]
-                .iter()
-                .zip(rgs)
-                .map(|(v, &b)| (*v, value(b))),
-        );
-        let pool = &*pool;
-        let seen = seen.entry(h1.canonical()).or_default();
-
-        for mask in 0..(1u32 << facts2.len()) {
-            let masked = facts2
-                .iter()
-                .enumerate()
-                .filter(|(idx, _)| mask & (1 << idx) != 0)
-                .map(|(_, &id)| id);
-            let mut k: Vec<u32> = facts1.iter().copied().chain(masked).collect();
-            k.sort_unstable();
-            k.dedup();
-            if seen.contains(&k) {
-                continue;
+        }
+        // `r2`'s slots are free again for the matches of `h2`.
+        let h1 = kernel.vars1.len();
+        self.b.vals[h1..kernel.n()].fill(UNBOUND);
+        for mask in 0..(1u32 << self.facts2.len()) {
+            self.k_ids.clear();
+            self.k_ids.extend_from_slice(&self.facts1);
+            let masked = self.facts2.iter().enumerate();
+            self.k_ids.extend(
+                masked
+                    .filter(|(i, _)| mask & (1 << i) != 0)
+                    .map(|(_, &id)| id),
+            );
+            self.k_ids.sort_unstable();
+            self.k_ids.dedup();
+            self.row.clear();
+            self.row.extend_from_slice(&self.b.vals[..h1]);
+            self.row.extend_from_slice(&self.k_ids);
+            if self.seen.insert(&self.row).1 {
+                self.evaluate(kernel, on_witness)?;
             }
-            let flow = self.evaluate(pool, &k, &h1, on_witness);
-            seen.insert(k);
-            flow?;
         }
         ControlFlow::Continue(())
     }
@@ -753,211 +1346,269 @@ impl Pair<'_> {
     /// Simulates `r1`'s step under `h1` on the facts of `K` and reports every
     /// `h2 : Body(r2) → J` with `h2(Body(r2)) ⊄ K` and `J ⊭ h2(r2)`.
     fn evaluate(
-        &self,
-        pool: &FactPool,
-        k: &[u32],
-        h1: &Assignment,
+        &mut self,
+        kernel: &Kernel<'_>,
         on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let k_facts: Vec<&Fact> = k.iter().map(|&id| &pool.facts[id as usize]).collect();
-        let Some(j) = step(self.r1, h1, &k_facts, self.applicability, self.existentials) else {
-            return ControlFlow::Continue(());
-        };
-        let j_facts: Vec<&Fact> = j.iter().map(|(f, _)| f.as_ref()).collect();
-        let mut search = Matcher::new(&j_facts, Assignment::new());
-        search.run(self.r2.body(), &mut |h2, matched| {
+        let State {
+            pool,
+            b,
+            k_ids,
+            k,
+            j,
+            row,
+            facts,
+            h1,
+            h2,
+            blocks,
+            blocking,
+            ..
+        } = self;
+        k.clear();
+        for &id in k_ids.iter() {
+            k.push(pool.rows.row(id as usize));
+        }
+        let head1 = &kernel.atoms[kernel.head1.clone()];
+        // The step is a standard one for an EGD and, under standard applicability,
+        // for every TGD step taken; an oblivious TGD step is tested on its first report.
+        let mut standard = None;
+        match kernel.egd1 {
+            None => {
+                if kernel.applicability == Applicability::Standard {
+                    if extends(head1, &kernel.terms, k, b) {
+                        return ControlFlow::Continue(());
+                    }
+                    standard = Some(true);
+                }
+                // Fresh nulls from K's largest null + 1, as `Instance::fresh_null`.
+                let next = k
+                    .iter()
+                    .flat_map(|fact| &fact[1..])
+                    .filter(|&&c| c & CONST == 0)
+                    .max()
+                    .map_or(0, |&c| c + 1);
+                let fresh = kernel.n()..kernel.n() + kernel.existentials1;
+                for (slot, null) in fresh.clone().zip(next..) {
+                    b.vals[slot] = null;
+                }
+                j.tgd_step(k, head1, &kernel.terms, b, row);
+                b.vals[fresh].fill(UNBOUND);
+            }
+            Some((left, right)) => {
+                let Some(substitution) = gamma(b.vals[left], b.vals[right]) else {
+                    return ControlFlow::Continue(());
+                };
+                j.egd_step(k, substitution, row);
+                standard = Some(true);
+            }
+        }
+        let (k, j) = (&*k, &*j);
+        let body2 = &kernel.atoms[kernel.body2.clone()];
+        search(body2, &kernel.terms, &j.facts, b, &mut |b, mark| {
             // A match inside `K` is no witness: `K ⊨ h2(r2)` iff `J ⊨ h2(r2)` then.
-            if matched.iter().all(|&i| j[i].1) || satisfied_in(self.r2, h2, &j_facts) {
+            if b.matched[mark..].iter().all(|&i| j.in_k[i]) || kernel.r2_satisfied(&j.facts, b) {
                 return ControlFlow::Continue(());
+            }
+            let standard = *standard.get_or_insert_with(|| !extends(head1, &kernel.terms, k, b));
+            for (i, row) in k.iter().enumerate() {
+                if i == facts.len() {
+                    facts.push(Fact {
+                        predicate: kernel.predicates[0],
+                        terms: Vec::with_capacity(row.len() - 1),
+                    });
+                }
+                let fact = &mut facts[i];
+                fact.predicate = kernel.predicates[row[0] as usize];
+                fact.terms.clear();
+                fact.terms
+                    .extend(row[1..].iter().map(|&c| kernel.value(c, blocks)));
+            }
+            let k_facts: Vec<&Fact> = facts[..k.len()].iter().collect();
+            let (v1, n) = (kernel.vars1.len(), kernel.n());
+            for (h, vars, codes) in [
+                (&mut *h1, kernel.vars1, &b.vals[..v1]),
+                (&mut *h2, kernel.vars2, &b.vals[v1..n]),
+            ] {
+                for (v, &c) in vars.iter().zip(codes) {
+                    h.bind(*v, kernel.value(c, blocks));
+                }
             }
             on_witness(&FiringWitness {
                 k: &k_facts,
                 h1,
                 h2,
-                r1: self.r1,
+                standard,
+                candidate: Candidate {
+                    kernel,
+                    k,
+                    vals: &b.vals,
+                    blocking,
+                },
             })
         })
     }
 }
 
-/// One chase step of `dep` under `h` on the facts `k`: the result `J` as a
-/// duplicate-free list, each fact with whether it is in `K`, or `None` if there is
-/// no step (a standard TGD step whose head extends `h` into `K`, or an EGD step that
-/// equates nothing or fails). A TGD's existential variables, listed in
-/// `existentials`, get fresh nulls numbered from `K`'s largest null + 1, as
-/// `Instance::fresh_null` numbers them.
-fn step<'k>(
-    dep: &Dependency,
-    h: &Assignment,
-    k: &[&'k Fact],
-    applicability: Applicability,
-    existentials: &[Variable],
-) -> Option<Vec<(Cow<'k, Fact>, bool)>> {
-    let mut j: Vec<(Cow<Fact>, bool)> = Vec::with_capacity(k.len() + 2);
-    match dep {
-        Dependency::Tgd(tgd) => {
-            if applicability == Applicability::Standard && extends_into(tgd.head(), k, h) {
-                return None;
-            }
-            let next = k
-                .iter()
-                .flat_map(|f| &f.terms)
-                .filter_map(|t| match t {
-                    GroundTerm::Null(n) => Some(n.0 + 1),
-                    GroundTerm::Const(_) => None,
-                })
-                .max()
-                .unwrap_or(0);
-            let mut extended = h.clone();
-            for (i, &v) in existentials.iter().enumerate() {
-                extended.bind(v, GroundTerm::Null(NullValue(next + i as u64)));
-            }
-            j.extend(k.iter().map(|&fact| (Cow::Borrowed(fact), true)));
-            for atom in tgd.head() {
-                let fact = extended.apply_atom(atom).expect("head variables bound");
-                let in_k = k.contains(&&fact);
-                push_distinct(&mut j, Cow::Owned(fact), in_k);
-            }
+/// The buffers of the blocking test of Definition 2, reused by every witness of
+/// one enumeration.
+#[derive(Default)]
+struct BlockerBuffers {
+    /// One blocker compiled into the pair's codes, its variables at the slots after
+    /// the pair's, numbered by first occurrence.
+    atoms: Vec<CAtom>,
+    terms: Vec<Code>,
+    body: usize,
+    egd: Option<(usize, usize)>,
+    vars: Vec<Variable>,
+    /// Its constants that the pair lacks, after the pair's.
+    constants: Vec<Constant>,
+    b: Bindings,
+    /// `h2(Body(r2))`, and the result `J'` of a blocker's step.
+    image: Rows,
+    j: StepResult,
+    row: Vec<Code>,
+}
+
+impl BlockerBuffers {
+    fn blocked<D: Borrow<Dependency>>(
+        &mut self,
+        candidate: &Candidate<'_>,
+        full_deps: &[D],
+    ) -> bool {
+        let kernel = candidate.kernel;
+        self.b.vals.clear();
+        self.b.vals.extend_from_slice(candidate.vals);
+        self.image.clear();
+        for &atom in &kernel.atoms[kernel.body2.clone()] {
+            self.b.ground(atom, &kernel.terms, &mut self.row);
+            self.image.push(&self.row);
         }
-        Dependency::Egd(egd) => {
-            let gamma = egd_substitution(egd, h)?;
-            let (null, _) = gamma.mapping().expect("an EGD step replaces one null");
-            for &fact in k {
-                if fact.terms.contains(&GroundTerm::Null(null)) {
-                    let merged = fact.apply(&gamma);
-                    let in_k = k.contains(&&merged);
-                    push_distinct(&mut j, Cow::Owned(merged), in_k);
-                } else {
-                    push_distinct(&mut j, Cow::Borrowed(fact), true);
+        full_deps.iter().any(|r3| {
+            let r3 = r3.borrow();
+            debug_assert!(r3.is_full(), "a blocker is a full dependency");
+            self.compile(kernel, r3) && self.blocks(candidate)
+        })
+    }
+
+    /// Compiles the blocker `r3`; `false` if its body reads a predicate the pair
+    /// lacks, so that it matches nothing in `K`.
+    fn compile(&mut self, kernel: &Kernel<'_>, r3: &Dependency) -> bool {
+        self.atoms.clear();
+        self.terms.clear();
+        self.vars.clear();
+        self.constants.clear();
+        self.body = r3.body().len();
+        for (i, atom) in r3.body().iter().chain(r3.head_atoms()).enumerate() {
+            let predicate = match kernel.predicates.iter().position(|p| *p == atom.predicate) {
+                Some(p) => p as u32,
+                None if i < self.body => return false,
+                None => NO_PREDICATE,
+            };
+            let start = self.terms.len() as u32;
+            for term in &atom.terms {
+                let code = self.code(kernel, term);
+                self.terms.push(code);
+            }
+            let end = self.terms.len() as u32;
+            self.atoms.push(CAtom {
+                predicate,
+                start,
+                end,
+            });
+        }
+        self.egd = r3.as_egd().map(|egd| {
+            let slot = |v| {
+                kernel.slots
+                    + self
+                        .vars
+                        .iter()
+                        .position(|w| *w == v)
+                        .expect("a body variable")
+            };
+            (slot(egd.left), slot(egd.right))
+        });
+        self.b.vals.truncate(kernel.slots);
+        self.b.vals.resize(kernel.slots + self.vars.len(), UNBOUND);
+        true
+    }
+
+    fn code(&mut self, kernel: &Kernel<'_>, term: &Term) -> Code {
+        match term {
+            Term::Var(v) => {
+                let i = self.vars.iter().position(|w| w == v).unwrap_or_else(|| {
+                    self.vars.push(*v);
+                    self.vars.len() - 1
+                });
+                (kernel.slots + i) as Code
+            }
+            Term::Const(c) => {
+                let j = kernel
+                    .constants
+                    .iter()
+                    .position(|d| d == c)
+                    .unwrap_or_else(|| {
+                        let extra =
+                            self.constants
+                                .iter()
+                                .position(|d| d == c)
+                                .unwrap_or_else(|| {
+                                    self.constants.push(*c);
+                                    self.constants.len() - 1
+                                });
+                        kernel.constants.len() + extra
+                    });
+                CONST | (MAX_VARIABLES + j) as Code
+            }
+            Term::Null(_) => unreachable!("dependencies hold no nulls"),
+        }
+    }
+
+    /// Does the compiled blocker have a standard step on `K` whose result satisfies
+    /// `h2(r2)`?
+    fn blocks(&mut self, candidate: &Candidate<'_>) -> bool {
+        let kernel = candidate.kernel;
+        let BlockerBuffers {
+            atoms,
+            terms,
+            body,
+            egd,
+            b,
+            image,
+            j,
+            row,
+            ..
+        } = self;
+        let (body, head) = atoms.split_at(*body);
+        let terms = &*terms;
+        search(body, terms, candidate.k, b, &mut |b, _| {
+            match *egd {
+                Some((left, right)) => {
+                    let Some(substitution) = gamma(b.vals[left], b.vals[right]) else {
+                        return ControlFlow::Continue(());
+                    };
+                    j.egd_step(candidate.k, substitution, row);
+                }
+                // A full TGD: its step is a standard one iff some head fact is new.
+                None => {
+                    let new = head.iter().any(|&atom| {
+                        b.ground(atom, terms, row);
+                        !candidate.k.contains(row)
+                    });
+                    if !new {
+                        return ControlFlow::Continue(());
+                    }
+                    j.tgd_step(candidate.k, head, terms, b, row);
                 }
             }
-        }
-    }
-    Some(j)
-}
-
-/// Appends `fact` to the list `j` unless it is already there.
-fn push_distinct<'a>(j: &mut Vec<(Cow<'a, Fact>, bool)>, fact: Cow<'a, Fact>, in_k: bool) {
-    if !j.iter().any(|(g, _)| *g == fact) {
-        j.push((fact, in_k));
-    }
-}
-
-/// `facts ⊨ h(dep)`, for an `h` that maps `Body(dep)` into `facts`.
-fn satisfied_in(dep: &Dependency, h: &Assignment, facts: &[&Fact]) -> bool {
-    match dep {
-        Dependency::Tgd(tgd) => extends_into(tgd.head(), facts, h),
-        Dependency::Egd(egd) => h.get(egd.left) == h.get(egd.right),
-    }
-}
-
-/// Does `h` extend to a homomorphism from `atoms` into `facts`?
-fn extends_into(atoms: &[Atom], facts: &[&Fact], h: &Assignment) -> bool {
-    Matcher::new(facts, h.clone())
-        .run(atoms, &mut |_, _| ControlFlow::Break(()))
-        .is_break()
-}
-
-/// A backtracking search for homomorphisms from a few atoms into a few facts: the
-/// facts of one firing candidate, too few to index.
-struct Matcher<'f> {
-    facts: &'f [&'f Fact],
-    h: Assignment,
-    /// The variables bound by the search, in binding order.
-    trail: Vec<Variable>,
-    /// The index in `facts` of each matched atom's image.
-    matched: Vec<usize>,
-}
-
-impl<'f> Matcher<'f> {
-    fn new(facts: &'f [&'f Fact], h: Assignment) -> Self {
-        Matcher {
-            facts,
-            h,
-            trail: Vec::new(),
-            matched: Vec::new(),
-        }
-    }
-
-    /// Calls `on_match` with every extension of the start assignment that maps
-    /// `atoms` into the facts, together with the image index of each atom.
-    fn run(
-        &mut self,
-        atoms: &[Atom],
-        on_match: &mut dyn FnMut(&Assignment, &[usize]) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        let Some(atom) = atoms.get(self.matched.len()) else {
-            return on_match(&self.h, &self.matched);
-        };
-        for (i, fact) in self.facts.iter().enumerate() {
-            let mark = self.trail.len();
-            let flow = if self.unify(atom, fact) {
-                self.matched.push(i);
-                let flow = self.run(atoms, on_match);
-                self.matched.pop();
-                flow
+            if !image.iter().all(|fact| j.facts.contains(fact)) || kernel.r2_satisfied(&j.facts, b)
+            {
+                ControlFlow::Break(())
             } else {
                 ControlFlow::Continue(())
-            };
-            for v in self.trail.drain(mark..) {
-                self.h.unbind(v);
             }
-            flow?;
-        }
-        ControlFlow::Continue(())
+        })
+        .is_break()
     }
-
-    /// Extends the assignment so that `atom` maps onto `fact`, if it can.
-    fn unify(&mut self, atom: &Atom, fact: &Fact) -> bool {
-        atom.predicate == fact.predicate
-            && atom.terms.iter().zip(&fact.terms).all(|(t, &g)| match t {
-                Term::Var(v) => match self.h.get(*v) {
-                    Some(bound) => bound == g,
-                    None => {
-                        self.h.bind(*v, g);
-                        self.trail.push(*v);
-                        true
-                    }
-                },
-                other => *other == Term::from(g),
-            })
-    }
-}
-
-/// The substitution of an EGD step under `h`, or `None` if there is no step: the two
-/// sides are equal, or both are constants (a failing step).
-fn egd_substitution(egd: &Egd, h: &Assignment) -> Option<NullSubstitution> {
-    let a = h.get(egd.left)?;
-    let b = h.get(egd.right)?;
-    match (a, b) {
-        _ if a == b => None,
-        (GroundTerm::Const(_), GroundTerm::Const(_)) => None,
-        (GroundTerm::Null(n), other) | (other, GroundTerm::Null(n)) => {
-            Some(NullSubstitution::single(n, other))
-        }
-    }
-}
-
-/// Advances a restricted growth string to the next set partition; returns `false` when
-/// the enumeration is exhausted.
-fn next_restricted_growth_string(rgs: &mut [usize]) -> bool {
-    let n = rgs.len();
-    if n == 0 {
-        return false;
-    }
-    // Standard successor computation: find the rightmost position that can be
-    // incremented (value ≤ max of prefix), increment it, reset the suffix to 0.
-    for i in (1..n).rev() {
-        let prefix_max = rgs[..i].iter().copied().max().unwrap_or(0);
-        if rgs[i] <= prefix_max {
-            rgs[i] += 1;
-            for slot in rgs.iter_mut().skip(i + 1) {
-                *slot = 0;
-            }
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -984,9 +1635,9 @@ mod tests {
     fn partition_enumeration_counts_bell_numbers() {
         // Bell numbers: 1, 1, 2, 5, 15, 52.
         for (n, bell) in [(0usize, 1usize), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)] {
-            let mut rgs = vec![0usize; n];
+            let mut partitions = Partitions::new(n);
             let mut count = 1;
-            while next_restricted_growth_string(&mut rgs) {
+            while partitions.advance() {
                 count += 1;
             }
             if n == 0 {

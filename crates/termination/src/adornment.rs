@@ -948,22 +948,27 @@ impl<'a> Adn<'a> {
     /// two distinct facts through a null no real chase step ever equates, firing a
     /// spurious τ (the historical `adorn_with` soundness gap).
     ///
+    /// Only the facts over `predicates` are built, in the order of `AP(Σµ)`: the
+    /// caller reads no others, so its query sees the facts it would see in the whole
+    /// instance, in the same relative order.
+    ///
     /// Returns the instance together with the adornment symbol of every null.
-    fn dmu_instance(&mut self) -> (Instance, BTreeMap<u64, u32>) {
+    fn dmu_instance(&mut self, predicates: &BTreeSet<Predicate>) -> (Instance, BTreeMap<u64, u32>) {
         let mut inst = Instance::new();
         let mut symbol_of: BTreeMap<u64, u32> = BTreeMap::new();
         let mut next_null: u64 = 0;
-        for (pred, adornment) in self
-            .derived()
-            .ap
+        let b = GroundTerm::Const(Constant::new("b"));
+        let ap = &self.derived().ap;
+        for (pred, adornment) in predicates
             .iter()
+            .filter_map(|pred| Some((pred, ap.get(pred)?)))
             .flat_map(|(pred, adornments)| adornments.iter().map(move |a| (pred, a)))
         {
             let mut per_fact: BTreeMap<u32, NullValue> = BTreeMap::new();
             let terms: Vec<GroundTerm> = adornment
                 .iter()
                 .map(|s| match s {
-                    AdSym::B => GroundTerm::Const(Constant::new("b")),
+                    AdSym::B => b,
                     AdSym::F(i) => {
                         let null = *per_fact.entry(*i).or_insert_with(|| {
                             let n = NullValue(next_null);
@@ -993,7 +998,8 @@ impl<'a> Adn<'a> {
     /// conservative — it can only bias the criterion toward rejection.
     fn dmu_chase_step(&mut self, idx: usize) -> Option<(u32, AdSym)> {
         let egd = self.sigma.as_slice()[idx].as_egd()?;
-        let (dmu, symbol_of) = self.dmu_instance();
+        let read: BTreeSet<Predicate> = egd.body.iter().map(|a| a.predicate).collect();
+        let (dmu, symbol_of) = self.dmu_instance(&read);
         for h in chase_core::homomorphism::homomorphisms(&egd.body, &dmu) {
             let left = h.get(egd.left)?;
             let right = h.get(egd.right)?;

@@ -19,7 +19,10 @@
 //! is a chase-graph edge), which the adornment's Ω(AD) cyclicity test reuses. The
 //! firing tests cost what their distinct shapes cost: each graph build and each
 //! `Adn∃` run answers a pair shape once (`chase_criteria::firing`), and a TGD is
-//! paired only with the dependencies that read its head. A shared artefact is
+//! paired only with the dependencies that read its head. One enumeration costs
+//! what its candidates cost: it runs on codes compiled once per pair, allocates per
+//! pair rather than per partition or candidate, and writes facts and assignments
+//! only for a witness it reports. A shared artefact is
 //! charged to the `elapsed` of the first criterion that needs it: Str's time
 //! includes both chase graphs, CStr's only its components, S-Str's only the
 //! filtering, SAC's the adornment, and the `Adn∃-C` rows time only their inner

@@ -11,9 +11,9 @@
 //!
 //! The witnesses of `≺` come from
 //! [`for_each_firing_witness`](chase_criteria::firing::for_each_firing_witness), each
-//! a view of its candidate's facts. The blocking condition is
+//! a view of its candidate. The blocking condition is
 //! [`FiringWitness::is_blocked_by`](chase_criteria::firing::FiringWitness::is_blocked_by),
-//! which simulates each blocker's standard step on those facts. As for `K ⊨ h2(r2)`,
+//! which simulates each blocker's standard step on the candidate's facts. As for `K ⊨ h2(r2)`,
 //! `J' ⊨ h2(r2)` holds vacuously when `h2` does not map `Body(r2)` into `J'`.
 //!
 //! Only the *relevant* blockers of a pair can block (`Blockers`): those whose body
@@ -27,7 +27,7 @@
 use chase_core::hash::FastMap;
 use chase_core::{Dependency, DependencySet, Predicate};
 use chase_criteria::firing::{
-    for_each_prepared_witness, shape_key, Applicability, PreparedDependency, ShapeKey,
+    for_each_prepared_witness, Applicability, PreparedDependency, ShapeMemo,
 };
 use chase_criteria::graph::DiGraph;
 use chase_criteria::stratification::chase_graphs_in;
@@ -78,7 +78,8 @@ fn definition2_answer<D: Borrow<Dependency>>(
 /// `Body(r1)` and `Body(r2)`. So a blocker whose body reads any other predicate has no
 /// match in `K` and blocks nothing. The pair's *relevant* blockers are the others:
 /// those whose body predicates all occur in `Body(r1)` or `Body(r2)`. Only they are
-/// passed to the blocking check, and only they enter the pair's [`ShapeKey`]. They
+/// passed to the blocking check, and only they enter the pair's
+/// [`ShapeKey`](chase_criteria::firing::ShapeKey). They
 /// are found through the index (a dependency's body is never empty) once per pair,
 /// not once per witness.
 pub(crate) struct Blockers<D> {
@@ -132,7 +133,7 @@ impl<D: Borrow<Dependency>> Blockers<D> {
 /// Definition 2's answers by pair shape (see [`chase_criteria::firing`]), kept for
 /// one firing-graph build or one `Adn∃` run and dropped with it.
 #[derive(Default)]
-pub(crate) struct Definition2Memo(FastMap<ShapeKey, bool>);
+pub(crate) struct Definition2Memo(ShapeMemo<bool>);
 
 impl Definition2Memo {
     /// `r1 < r2` with `blockers` as `Σ∀`.
@@ -154,10 +155,10 @@ impl Definition2Memo {
         r2: &PreparedDependency<'_>,
         relevant: &[&Dependency],
     ) -> bool {
-        *self
-            .0
-            .entry(shape_key(r1, r2, Applicability::Standard, relevant))
-            .or_insert_with(|| definition2_answer(r1, r2, relevant))
+        self.0
+            .get_or_insert_with(r1, r2, Applicability::Standard, relevant, || {
+                definition2_answer(r1, r2, relevant)
+            })
     }
 }
 
