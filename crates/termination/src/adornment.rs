@@ -58,6 +58,30 @@
 //! *rejection*, which is the sound direction for a sufficient termination condition;
 //! genuinely single-fact EGD violations (e.g. Σ1's `E(?x, ?y) -> ?x = ?y`) still fire
 //! their τ exactly as the paper prescribes.
+//!
+//! # Representation
+//!
+//! An adorned predicate `R^α` is a fresh predicate of `Σµ`, and an adorned rule is
+//! kept as what it is: a [`Dependency`] over such predicates, with the index of its
+//! source in Σ, prepared once for the firing test. A per-run table maps `(R, α)` to
+//! its predicate and back. The name (`R`, a separator, then `α`, as in `E__bf1`) is
+//! formatted and interned the first time the table needs it, so rendering an atom is
+//! one lookup, and the algorithm reads an atom's adornment back through the table.
+//!
+//! The separator is the shortest run of two or more `_` that occurs in no predicate
+//! name of Σ: `__` unless some name contains it. An input name never contains the
+//! separator and an adornment string has no `_`, so an adorned predicate is neither
+//! an input predicate nor another adorned one. A fixed `__` would make an input
+//! predicate `E__bb` the adorned `E^bb`, and SAC would accept `E(?x, ?y) → ∃z
+//! E(?y, ?z)` next to any rule reading `E__bb`.
+//!
+//! τ and θ rewrite predicates: a rule is rebuilt only when the adornment of one of
+//! its atoms mentions a rewritten symbol, and the other rules keep their prepared
+//! dependency. When one iteration finds both, `Σµ` takes τ followed by θ in one
+//! pass, so the rewrite names only the predicates of the rewritten rules, in rule
+//! order (predicates order by the interned id of their name, and the `Adn∃-C`
+//! criteria run on `Σµ`). Rules carry no label while the run is in progress:
+//! `base_R` and `adnk_of_rs` are attached by position to the final `Σµ`.
 
 use crate::firing::{Blockers, Definition2Memo};
 use chase_core::hash::FastMap;
@@ -93,8 +117,19 @@ impl fmt::Display for AdSym {
 /// An adornment: one symbol per predicate position.
 pub type Adornment = Vec<AdSym>;
 
-fn adornment_string(adornment: &Adornment) -> String {
+fn adornment_string(adornment: &[AdSym]) -> String {
     adornment.iter().map(|s| s.to_string()).collect()
+}
+
+/// A substitution of free symbols: τ, θ, or τ followed by θ.
+type SymbolMap = BTreeMap<u32, AdSym>;
+
+/// `symbol` under `map`.
+fn substitute(symbol: AdSym, map: &SymbolMap) -> AdSym {
+    match symbol {
+        AdSym::F(i) => map.get(&i).copied().unwrap_or(symbol),
+        AdSym::B => symbol,
+    }
 }
 
 /// An adornment definition `f_i = f^r_z(α)`.
@@ -133,36 +168,118 @@ impl AdnDefinition {
     }
 }
 
-/// An atom whose predicate may carry an adornment (`None` = the original, unadorned
-/// predicate, used in the bodies of the base rules `R(x̄) → R^{b…b}(x̄)`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-struct AdAtom {
-    predicate: Predicate,
-    adornment: Option<Adornment>,
-    terms: Vec<Term>,
+/// The adorned predicates of one run: `R^α` is the fresh predicate named `R`, the
+/// separator, then `α`, interned the first time it is needed (see the module
+/// documentation).
+struct AdornedNames {
+    /// The shortest run of two or more `_` that no predicate name of Σ contains.
+    separator: String,
+    /// `R^α` by `R`, then by `α`.
+    by_source: FastMap<Predicate, FastMap<Adornment, Predicate>>,
+    /// `R` and `α` by `R^α`.
+    by_name: FastMap<Predicate, (Predicate, Adornment)>,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-enum AdHead {
-    Atoms(Vec<AdAtom>),
-    Equality(Variable, Variable),
+impl AdornedNames {
+    fn new(sigma: &DependencySet) -> Self {
+        let longest_run = sigma
+            .predicates()
+            .iter()
+            .flat_map(|p| p.name.as_str().split(|c| c != '_').map(str::len).max())
+            .max()
+            .unwrap_or(0);
+        AdornedNames {
+            separator: "_".repeat(longest_run.max(1) + 1),
+            by_source: FastMap::default(),
+            by_name: FastMap::default(),
+        }
+    }
+
+    /// `source^adornment`.
+    fn predicate(&mut self, source: Predicate, adornment: &[AdSym]) -> Predicate {
+        if let Some(&adorned) = self.by_source.get(&source).and_then(|by| by.get(adornment)) {
+            return adorned;
+        }
+        let name = format!(
+            "{}{}{}",
+            source.name,
+            self.separator,
+            adornment_string(adornment)
+        );
+        let adorned = Predicate::new(&name, source.arity);
+        let adornment = adornment.to_vec();
+        self.by_source
+            .entry(source)
+            .or_default()
+            .insert(adornment.clone(), adorned);
+        self.by_name.insert(adorned, (source, adornment));
+        adorned
+    }
+
+    /// The source and the adornment of an adorned predicate; `None` for a predicate
+    /// of Σ.
+    fn adornment(&self, predicate: Predicate) -> Option<&(Predicate, Adornment)> {
+        self.by_name.get(&predicate)
+    }
+
+    /// `dep` with `map` applied to its adornments, or `None` when no adornment of
+    /// `dep` mentions a symbol that `map` rewrites.
+    fn rewrite(&mut self, dep: &Dependency, map: &SymbolMap) -> Option<Dependency> {
+        let touched = |atom: &Atom| {
+            self.adornment(atom.predicate)
+                .is_some_and(|(_, adornment)| {
+                    adornment
+                        .iter()
+                        .any(|s| matches!(s, AdSym::F(i) if map.contains_key(i)))
+                })
+        };
+        if !dep.body().iter().chain(dep.head_atoms()).any(touched) {
+            return None;
+        }
+        let mut image = |atom: &Atom| {
+            let predicate = match self.adornment(atom.predicate) {
+                Some(&(source, ref adornment)) => {
+                    let adornment: Adornment =
+                        adornment.iter().map(|s| substitute(*s, map)).collect();
+                    self.predicate(source, &adornment)
+                }
+                None => atom.predicate,
+            };
+            Atom {
+                predicate,
+                terms: atom.terms.clone(),
+            }
+        };
+        let body = dep.body().iter().map(&mut image).collect();
+        let head = dep.head_atoms().iter().map(&mut image).collect();
+        Some(adorned_version(dep, body, head))
+    }
 }
 
-/// An adorned dependency together with the original dependency it was derived from.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// `dep` over the atoms `body` and, for a TGD, `head`, unlabelled: an adorned
+/// version of `dep`.
+fn adorned_version(dep: &Dependency, body: Vec<Atom>, head: Vec<Atom>) -> Dependency {
+    match dep {
+        Dependency::Egd(e) => Dependency::Egd(
+            Egd::new(None, body, e.left, e.right).expect("adorned EGD is well-formed"),
+        ),
+        Dependency::Tgd(_) => {
+            Dependency::Tgd(Tgd::new(None, body, head).expect("adorned TGD is well-formed"))
+        }
+    }
+}
+
+/// An adorned dependency: the index in Σ of its source (`None` for a base rule
+/// `R(x̄) → R^{b…b}(x̄)`), and the dependency over adorned predicates, unlabelled
+/// and prepared for the firing test.
 struct AdRule {
-    /// Index of the source dependency in the original set (`None` for base rules).
     src: Option<usize>,
-    body: Vec<AdAtom>,
-    head: AdHead,
+    dep: PreparedDependency<'static>,
 }
 
 impl AdRule {
-    fn head_atoms(&self) -> &[AdAtom] {
-        match &self.head {
-            AdHead::Atoms(atoms) => atoms,
-            AdHead::Equality(_, _) => &[],
-        }
+    fn dependency(&self) -> &Dependency {
+        self.dep.dependency()
     }
 }
 
@@ -175,7 +292,8 @@ const MAX_ADORNED_RULES: usize = 5_000;
 #[derive(Clone, Debug)]
 pub struct AdnResult {
     /// The adorned dependency set `Σµ = Adn∃(Σ)[1]`, with adorned predicates rendered
-    /// as fresh predicates `R__bf1…`. Includes the base rules `R(x̄) → R^{b…b}(x̄)`.
+    /// as fresh predicates `R__bf1…` (with a longer separator when a predicate name of
+    /// Σ contains `__`). Includes the base rules `R(x̄) → R^{b…b}(x̄)`.
     pub adorned: DependencySet,
     /// The boolean `Acyc = Adn∃(Σ)[2]`: `true` iff no cyclic adornment was detected.
     pub acyclic: bool,
@@ -192,10 +310,10 @@ pub struct AdnResult {
     /// rejection).
     pub budget_exhausted: bool,
     /// Number of τ, θ and deduplicating rewrites of `Σµ`: the only steps that are not
-    /// appends, so the only ones after which the incremental state (`AP(Σµ)`, the
-    /// rendering, the rejected candidates, and which bodies of which dependencies are
-    /// still to be tested) is rebuilt, and every dependency revisited in full. Not
-    /// part of the witness.
+    /// appends, so the only ones after which the state indexed from the rules
+    /// (`AP(Σµ)`, the bodies, writers, EGDs and blockers, the rejected candidates,
+    /// and which bodies of which dependencies are still to be tested) is re-indexed,
+    /// and every dependency revisited in full. Not part of the witness.
     pub rebuilds: usize,
 }
 
@@ -295,11 +413,12 @@ struct Adn<'a> {
     existential: usize,
     /// `readers[p]`: the dependencies of the original set whose body mentions `p`.
     readers: HashMap<Predicate, Vec<usize>>,
+    names: AdornedNames,
     rules: Vec<AdRule>,
     /// The indices in `rules` of the adorned versions of each original dependency,
     /// ascending.
     versions: Vec<Vec<usize>>,
-    /// What is derived from `rules`: built on first use, extended in place when a
+    /// What is indexed from `rules`: built on first use, extended in place when a
     /// rule is appended, and dropped when a rewrite changes `rules`.
     derived: Option<Derived>,
     /// Definition 2's answers by pair shape, for the whole run: a shape key describes
@@ -337,7 +456,7 @@ fn index_definition(index: &mut AdIndex, def: &AdnDefinition) {
 /// `(predicate, adornment)` order.
 type AdornedPredicates = BTreeMap<Predicate, BTreeSet<Adornment>>;
 
-/// The state `Adn∃` derives from its adorned rules. Appending a rule only adds to it.
+/// The state `Adn∃` indexes from its adorned rules. Appending a rule only adds to it.
 ///
 /// `rejected` makes the fireability test semi-naive: a candidate that no rule fired is
 /// stored with the number of rules it was tested against, and a re-test only tries the
@@ -356,20 +475,20 @@ type AdornedPredicates = BTreeMap<Predicate, BTreeSet<Adornment>>;
 /// `revisit` makes the main loop semi-naive too: it records, per source dependency,
 /// which of its coherent bodies its next `try_adorn` must look at (see [`Revisit`]).
 /// All of it is dropped, and every dependency revisited in full, when a τ, θ or
-/// deduplicating rewrite changes the rules.
+/// deduplicating rewrite changes the rules. Building it again re-indexes the rules
+/// and renders nothing: the rules are their own dependencies.
 struct Derived {
     ap: AdornedPredicates,
-    /// The bodies of the adorned versions of each original dependency.
-    bodies: Vec<HashSet<Vec<AdAtom>>>,
-    /// The rules rendered as dependencies and prepared for the firing test (same
-    /// order), the TGD rules by head predicate, the EGD rules, and `Σ∀µ`.
-    rendered: Vec<PreparedDependency<'static>>,
+    /// The bodies of the adorned versions of each original dependency, by their
+    /// adorned predicates: a version's terms are its source's.
+    bodies: Vec<HashSet<Vec<Predicate>>>,
+    /// The TGD rules by head predicate, the EGD rules, and `Σ∀µ`.
     writers: FastMap<Predicate, Vec<usize>>,
     egds: Vec<usize>,
     blockers: Blockers<Dependency>,
     /// Candidates that no rule fired, with the number of rules they were tested
     /// against.
-    rejected: HashMap<AdRule, usize>,
+    rejected: HashMap<Dependency, usize>,
     /// Per original dependency, what its next `try_adorn` tests.
     revisit: Vec<Revisit>,
     /// The positions in the scan order of the dependencies that are not settled.
@@ -377,11 +496,10 @@ struct Derived {
 }
 
 impl Derived {
-    fn build(rules: &[AdRule], sources: usize) -> Self {
+    fn build(rules: &[AdRule], names: &AdornedNames, sources: usize) -> Self {
         let mut derived = Derived {
             ap: BTreeMap::new(),
             bodies: vec![HashSet::new(); sources],
-            rendered: Vec::new(),
             writers: FastMap::default(),
             egds: Vec::new(),
             blockers: Blockers::new(),
@@ -390,7 +508,7 @@ impl Derived {
             unsettled: (0..sources).collect(),
         };
         for (k, rule) in rules.iter().enumerate() {
-            derived.append(rule, k);
+            derived.append(rule, names, k);
         }
         derived
     }
@@ -404,19 +522,19 @@ impl Derived {
     }
 
     /// Accounts for `rule`, appended at `index`.
-    fn append(&mut self, rule: &AdRule, index: usize) {
-        for atom in rule.body.iter().chain(rule.head_atoms()) {
-            if let Some(adornment) = &atom.adornment {
-                let known = self.ap.entry(atom.predicate).or_default();
+    fn append(&mut self, rule: &AdRule, names: &AdornedNames, index: usize) {
+        let dep = rule.dependency();
+        for atom in dep.body().iter().chain(dep.head_atoms()) {
+            if let Some((source, adornment)) = names.adornment(atom.predicate) {
+                let known = self.ap.entry(*source).or_default();
                 if !known.contains(adornment) {
                     known.insert(adornment.clone());
                 }
             }
         }
         if let Some(src) = rule.src {
-            self.bodies[src].insert(rule.body.clone());
+            self.bodies[src].insert(dep.body().iter().map(|atom| atom.predicate).collect());
         }
-        let dep = ad_rule_to_dependency(rule, index);
         if dep.is_egd() {
             self.egds.push(index);
         }
@@ -429,11 +547,10 @@ impl Derived {
         if dep.is_full() {
             self.blockers.push(dep.clone());
         }
-        self.rendered.push(PreparedDependency::owned(dep));
     }
 
-    /// The rules from `tested` on that can fire a candidate whose rendered body is
-    /// `body`: the TGD rules writing one of its predicates, then every adorned EGD.
+    /// The rules from `tested` on that can fire a candidate whose body is `body`: the
+    /// TGD rules writing one of its predicates, then every adorned EGD.
     fn sources(&self, body: &[Atom], tested: usize) -> Vec<usize> {
         let mut sources: Vec<usize> = Vec::new();
         for atom in body {
@@ -589,25 +706,30 @@ impl<'a> Adn<'a> {
             rank[i] = k;
         }
         // Base rules: R(x1, …, xn) → R^{b…b}(x1, …, xn) for every predicate of Σ.
-        let mut rules = Vec::new();
-        for pred in sigma.predicates() {
-            let terms: Vec<Term> = (0..pred.arity)
-                .map(|i| Term::Var(Variable::new(&format!("x{i}"))))
-                .collect();
-            rules.push(AdRule {
-                src: None,
-                body: vec![AdAtom {
-                    predicate: pred,
-                    adornment: None,
+        let mut names = AdornedNames::new(sigma);
+        let rules = sigma
+            .predicates()
+            .into_iter()
+            .map(|pred| {
+                let terms: Vec<Term> = (0..pred.arity)
+                    .map(|i| Term::Var(Variable::new(&format!("x{i}"))))
+                    .collect();
+                let head = Atom {
+                    predicate: names.predicate(pred, &vec![AdSym::B; pred.arity]),
                     terms: terms.clone(),
-                }],
-                head: AdHead::Atoms(vec![AdAtom {
+                };
+                let body = Atom {
                     predicate: pred,
-                    adornment: Some(vec![AdSym::B; pred.arity]),
                     terms,
-                }]),
-            });
-        }
+                };
+                let base =
+                    Tgd::new(None, vec![body], vec![head]).expect("base rule is well-formed");
+                AdRule {
+                    src: None,
+                    dep: PreparedDependency::owned(Dependency::Tgd(base)),
+                }
+            })
+            .collect();
         Adn {
             sigma,
             rule_cap,
@@ -616,6 +738,7 @@ impl<'a> Adn<'a> {
             rank,
             existential,
             readers,
+            names,
             rules,
             versions: vec![Vec::new(); sigma.len()],
             derived: None,
@@ -641,8 +764,10 @@ impl<'a> Adn<'a> {
                 break;
             }
             let mut changed = false;
-            // A pushed rule is never a duplicate; only τ and θ can create one.
-            let mut rewritten = false;
+            // The substitution of `Σµ` in this iteration: τ, then θ. `AD` takes each
+            // as it is found; `Σµ` takes their composition once, after θ is looked for
+            // on the rules as τ left them.
+            let mut rewrite = SymbolMap::new();
             // Lines 6–12, in `order`: the first dependency that yields a rule wins.
             // Settled dependencies yield none, so only the others are tried.
             let mut newly_added: Option<usize> = None;
@@ -656,8 +781,10 @@ impl<'a> Adn<'a> {
                     // chase-step substitution τ.
                     if self.sigma.as_slice()[idx].is_egd() {
                         if let Some((from, to)) = self.dmu_chase_step(idx) {
-                            self.apply_tau(from, to);
-                            rewritten = true;
+                            // τ deletes the definitions of `f_from` from `AD`.
+                            self.ad.retain(|d| d.symbol != from);
+                            rewrite.insert(from, to);
+                            self.substitute_ad(&rewrite);
                         }
                     }
                     break;
@@ -666,33 +793,52 @@ impl<'a> Adn<'a> {
             }
             // Lines 13–16: adornment substitution θ and cyclicity detection.
             if let Some(rule_idx) = newly_added {
-                if let Some(theta) = self.find_valid_theta(rule_idx) {
-                    let head = self.rules[rule_idx].head.clone();
-                    self.apply_theta(&theta);
-                    rewritten = true;
-                    let substituted_head = apply_theta_to_head(&head, &theta);
+                let theta = self.find_valid_theta(rule_idx, &rewrite);
+                if let Some(theta) = &theta {
+                    self.substitute_ad(theta);
+                    for to in rewrite.values_mut() {
+                        *to = substitute(*to, theta);
+                    }
+                    for (&i, &to) in theta {
+                        rewrite.entry(i).or_insert(to);
+                    }
+                }
+                if !rewrite.is_empty() {
+                    self.rewrite_rules(&rewrite);
+                }
+                if theta.is_some() {
                     // `headµθ is cyclic`: the head of the newly adorned dependency may
                     // itself be an equality (when the trigger was an adorned EGD, as in
                     // Example 13); in that case the cyclicity introduced by θ shows up
-                    // in the heads that θ rewrote, so we also inspect the whole adorned
-                    // set — matching the example's "since Ω(AD) is cyclic, Acyc ≔ false".
+                    // in the heads that θ rewrote, so we inspect the whole adorned set
+                    // — matching the example's "since Ω(AD) is cyclic, Acyc ≔ false".
                     let omega = self.omega_graph();
-                    if std::iter::once(&substituted_head)
-                        .chain(self.rules.iter().map(|r| &r.head))
-                        .any(|head| head_is_cyclic(head, &omega))
+                    if self
+                        .rules
+                        .iter()
+                        .any(|rule| head_is_cyclic(&self.names, rule.dependency(), &omega))
                     {
                         self.acyclic = false;
                     }
-                }
-                if rewritten {
-                    self.dedupe_rules();
                 }
             }
             if !changed {
                 break;
             }
         }
-        let adorned = render(&self.rules);
+        let adorned = self
+            .rules
+            .iter()
+            .enumerate()
+            .map(|(k, rule)| {
+                let dep = rule.dependency().clone();
+                let label = match rule.src {
+                    None => format!("base_{}", dep.body()[0].predicate.name),
+                    Some(s) => format!("adn{k}_of_r{s}"),
+                };
+                dep.with_label(&label)
+            })
+            .collect();
         let fireable_pairs: Vec<(usize, usize)> = self
             .original_firing
             .edges
@@ -712,11 +858,11 @@ impl<'a> Adn<'a> {
         }
     }
 
-    /// The state derived from the current rules, built if a rewrite dropped it.
+    /// The state indexed from the current rules, built if a rewrite dropped it.
     fn derived(&mut self) -> &mut Derived {
-        let (rules, sources) = (&self.rules, self.sigma.len());
+        let (rules, names, sources) = (&self.rules, &self.names, self.sigma.len());
         self.derived
-            .get_or_insert_with(|| Derived::build(rules, sources))
+            .get_or_insert_with(|| Derived::build(rules, names, sources))
     }
 
     /// The first position of `order` from `from` on whose dependency is not settled.
@@ -728,7 +874,7 @@ impl<'a> Adn<'a> {
         self.derived().unsettled.range(from..).next().copied()
     }
 
-    /// Drops what was derived from `rules`; called on every rewrite of them.
+    /// Drops what was indexed from `rules`; called on every rewrite of them.
     fn rules_changed(&mut self) {
         self.derived = None;
         for versions in &mut self.versions {
@@ -739,7 +885,6 @@ impl<'a> Adn<'a> {
                 self.versions[src].push(k);
             }
         }
-        self.rebuilds += 1;
     }
 
     /// Function 2 (`adorn`): tries to produce a new adorned version of the original
@@ -758,32 +903,32 @@ impl<'a> Adn<'a> {
         let dep = &self.sigma.as_slice()[idx];
         let candidates = coherent_adorned_bodies(dep.body(), &self.derived().ap, &revisit);
         let mut fresh = Vec::new();
-        for (body, var_adornment) in candidates {
+        for (adornments, var_adornment) in candidates {
+            let body: Vec<Predicate> = dep
+                .body()
+                .iter()
+                .zip(&adornments)
+                .map(|(atom, adornment)| self.names.predicate(atom.predicate, adornment))
+                .collect();
             if self.derived().bodies[idx].contains(&body) {
                 continue;
             }
             // Compute the adorned head (HeadAdn); its new definitions are committed to
             // AD only if the rule is appended.
             fresh.clear();
-            let head = self.head_adorn(dep, idx, &var_adornment, &mut fresh);
-            let candidate = AdRule {
-                src: Some(idx),
-                body,
-                head,
-            };
+            let candidate = self.head_adorn(dep, idx, &body, &var_adornment, &mut fresh);
             if !self.is_fireable(&candidate) {
                 continue;
             }
-            let through = candidate
-                .body
-                .iter()
-                .map(|atom| atom.adornment.clone().expect("adorned bodies are adorned"))
-                .collect();
             self.derived().revisit[idx] = Revisit {
-                done: Done::Through(through),
+                done: Done::Through(adornments),
                 fed: BTreeMap::new(),
             };
-            return Some(self.push_rule(candidate, &fresh));
+            let rule = AdRule {
+                src: Some(idx),
+                dep: candidate,
+            };
+            return Some(self.push_rule(rule, &fresh));
         }
         let settled = self.rank[idx];
         let derived = self.derived();
@@ -799,20 +944,21 @@ impl<'a> Adn<'a> {
     /// dependencies it can affect (see [`Revisit`]).
     fn push_rule(&mut self, rule: AdRule, fresh: &[AdnDefinition]) -> usize {
         let index = self.rules.len();
-        let (readers, rank) = (&self.readers, &self.rank);
+        let (readers, rank, names) = (&self.readers, &self.rank, &self.names);
         let derived = self.derived.as_mut().expect("built by try_adorn");
-        derived.append(&rule, index);
-        match &rule.head {
-            AdHead::Atoms(atoms) => {
-                for atom in atoms {
-                    let adornment = atom.adornment.as_ref().expect("adorned heads are adorned");
-                    for &reader in readers.get(&atom.predicate).into_iter().flatten() {
-                        derived.revisit[reader].feed(atom.predicate, adornment);
-                        derived.unsettled.insert(rank[reader]);
-                    }
-                }
+        derived.append(&rule, names, index);
+        let dep = rule.dependency();
+        if dep.is_egd() {
+            derived.revisit_all(0..self.order.len(), &self.order);
+        }
+        for atom in dep.head_atoms() {
+            let (source, adornment) = names
+                .adornment(atom.predicate)
+                .expect("adorned heads are adorned");
+            for &reader in readers.get(source).into_iter().flatten() {
+                derived.revisit[reader].feed(*source, adornment);
+                derived.unsettled.insert(rank[reader]);
             }
-            AdHead::Equality(_, _) => derived.revisit_all(0..self.order.len(), &self.order),
         }
         if !fresh.is_empty() {
             derived.revisit_all(self.existential..self.order.len(), &self.order);
@@ -829,111 +975,96 @@ impl<'a> Adn<'a> {
         index
     }
 
-    /// After a τ or θ rewrote `AD`: drops every definition equal to an earlier one (a
-    /// rewrite can make non-adjacent definitions equal, which `Vec::dedup` would
-    /// miss), then rebuilds the `AD` index and its largest symbol.
-    fn reindex_ad(&mut self) {
-        let mut seen: BTreeSet<AdnDefinition> = BTreeSet::new();
-        self.ad.retain(|d| seen.insert(d.clone()));
-        self.ad_index.clear();
-        self.ad_max = 0;
-        for def in &self.ad {
-            self.ad_max = self.ad_max.max(def.largest_symbol());
-            index_definition(&mut self.ad_index, def);
-        }
-    }
-
-    /// HeadAdn (Section 6): propagate body adornments to the head; existential
+    /// HeadAdn (Section 6): the candidate adorned version of `dep` over the adorned
+    /// predicates `body`, with the body adornments propagated to the head; existential
     /// variables get Skolem-style adornment definitions. A definition `AD` does not
     /// hold yet is pushed to `fresh`, with the next symbol after `AD`'s and `fresh`'s.
     fn head_adorn(
-        &self,
+        &mut self,
         dep: &Dependency,
         idx: usize,
+        body: &[Predicate],
         var_adornment: &BTreeMap<Variable, AdSym>,
         fresh: &mut Vec<AdnDefinition>,
-    ) -> AdHead {
-        match dep {
-            Dependency::Egd(e) => AdHead::Equality(e.left, e.right),
-            Dependency::Tgd(tgd) => {
-                let frontier = tgd.frontier_variables();
-                let args: Vec<AdSym> = frontier
+    ) -> PreparedDependency<'static> {
+        let body: Vec<Atom> = dep
+            .body()
+            .iter()
+            .zip(body)
+            .map(|(atom, &predicate)| Atom {
+                predicate,
+                terms: atom.terms.clone(),
+            })
+            .collect();
+        let mut head = Vec::new();
+        if let Dependency::Tgd(tgd) = dep {
+            let args: Vec<AdSym> = tgd
+                .frontier_variables()
+                .iter()
+                .map(|v| *var_adornment.get(v).unwrap_or(&AdSym::B))
+                .collect();
+            let mut ex_symbols: BTreeMap<Variable, AdSym> = BTreeMap::new();
+            let mut max = self.ad_max;
+            for (z_idx, z) in tgd.existential_variables().iter().enumerate() {
+                let existing = self
+                    .ad_index
+                    .get(&(idx, z_idx))
+                    .and_then(|by_args| by_args.get(args.as_slice()));
+                let sym = match existing {
+                    Some(&symbol) => AdSym::F(symbol),
+                    None => {
+                        let symbol = max + 1;
+                        let def = AdnDefinition {
+                            symbol,
+                            rule: idx,
+                            var_index: z_idx,
+                            args: args.clone(),
+                        };
+                        max = max.max(def.largest_symbol());
+                        fresh.push(def);
+                        AdSym::F(symbol)
+                    }
+                };
+                ex_symbols.insert(*z, sym);
+            }
+            for atom in tgd.head() {
+                let adornment: Adornment = atom
+                    .terms
                     .iter()
-                    .map(|v| *var_adornment.get(v).unwrap_or(&AdSym::B))
-                    .collect();
-                let existential = tgd.existential_variables();
-                let mut ex_symbols: BTreeMap<Variable, AdSym> = BTreeMap::new();
-                let mut max = self.ad_max;
-                for (z_idx, z) in existential.iter().enumerate() {
-                    let existing = self
-                        .ad_index
-                        .get(&(idx, z_idx))
-                        .and_then(|by_args| by_args.get(args.as_slice()));
-                    let sym = match existing {
-                        Some(&symbol) => AdSym::F(symbol),
-                        None => {
-                            let symbol = max + 1;
-                            let def = AdnDefinition {
-                                symbol,
-                                rule: idx,
-                                var_index: z_idx,
-                                args: args.clone(),
-                            };
-                            max = max.max(def.largest_symbol());
-                            fresh.push(def);
-                            AdSym::F(symbol)
-                        }
-                    };
-                    ex_symbols.insert(*z, sym);
-                }
-                let atoms = tgd
-                    .head()
-                    .iter()
-                    .map(|atom| {
-                        let adornment: Adornment = atom
-                            .terms
-                            .iter()
-                            .map(|t| match t {
-                                Term::Const(_) => AdSym::B,
-                                Term::Var(v) => *var_adornment
-                                    .get(v)
-                                    .or_else(|| ex_symbols.get(v))
-                                    .unwrap_or(&AdSym::B),
-                                Term::Null(_) => AdSym::B,
-                            })
-                            .collect();
-                        AdAtom {
-                            predicate: atom.predicate,
-                            adornment: Some(adornment),
-                            terms: atom.terms.clone(),
-                        }
+                    .map(|t| match t {
+                        Term::Var(v) => *var_adornment
+                            .get(v)
+                            .or_else(|| ex_symbols.get(v))
+                            .unwrap_or(&AdSym::B),
+                        Term::Const(_) | Term::Null(_) => AdSym::B,
                     })
                     .collect();
-                AdHead::Atoms(atoms)
+                head.push(Atom {
+                    predicate: self.names.predicate(atom.predicate, &adornment),
+                    terms: atom.terms.clone(),
+                });
             }
         }
+        PreparedDependency::owned(adorned_version(dep, body, head))
     }
 
     /// Is the candidate adorned rule fireable with respect to the current adorned set?
     /// A candidate rejected before is only tested against the rules appended since,
     /// and of those only against the ones that can fire it (see [`Derived`]).
-    fn is_fireable(&mut self, candidate: &AdRule) -> bool {
+    fn is_fireable(&mut self, candidate: &PreparedDependency<'static>) -> bool {
         let rules = self.rules.len();
         let derived = self.derived.as_mut().expect("built by try_adorn");
-        let tested = derived.rejected.get(candidate).copied().unwrap_or(0);
+        let target = candidate.dependency();
+        let tested = derived.rejected.get(target).copied().unwrap_or(0);
         if tested == rules {
             return false;
         }
-        let target = PreparedDependency::owned(ad_rule_to_dependency(candidate, usize::MAX));
-        let fires = derived
-            .sources(target.dependency().body(), tested)
-            .into_iter()
-            .any(|k| {
-                self.memo
-                    .edge(&derived.blockers, &derived.rendered[k], &target)
-            });
+        let fires = derived.sources(target.body(), tested).into_iter().any(|k| {
+            self.memo
+                .edge(&derived.blockers, &self.rules[k].dep, candidate)
+        });
         if !fires {
-            derived.rejected.insert(candidate.clone(), rules);
+            derived.rejected.insert(target.clone(), rules);
         }
         fires
     }
@@ -1025,102 +1156,80 @@ impl<'a> Adn<'a> {
         None
     }
 
-    /// Line 10: apply `τ = {f_from / to}` to `Σµ`, delete the definitions of `f_from`
-    /// from `AD`, and apply `τ` to the remaining definitions.
-    fn apply_tau(&mut self, from: u32, to: AdSym) {
-        let map: BTreeMap<u32, AdSym> = [(from, to)].into_iter().collect();
-        for rule in &mut self.rules {
-            apply_map_to_rule(rule, &map);
-        }
-        self.rules_changed();
-        self.ad.retain(|d| d.symbol != from);
+    /// Lines 10 and 14 on `AD`: applies τ or θ to the definitions, defined symbols
+    /// included (τ's are deleted first), drops every definition equal to an earlier one
+    /// (a rewrite can make non-adjacent definitions equal, which `Vec::dedup` would
+    /// miss), then rebuilds the `AD` index and its largest symbol. `run` rewrites `Σµ`.
+    fn substitute_ad(&mut self, map: &SymbolMap) {
+        self.rebuilds += 1;
         for def in &mut self.ad {
+            if let AdSym::F(j) = substitute(AdSym::F(def.symbol), map) {
+                def.symbol = j;
+            }
             for a in &mut def.args {
-                if let AdSym::F(i) = a {
-                    if *i == from {
-                        *a = to;
-                    }
-                }
+                *a = substitute(*a, map);
             }
         }
-        self.reindex_ad();
+        let mut seen: BTreeSet<AdnDefinition> = BTreeSet::new();
+        self.ad.retain(|d| seen.insert(d.clone()));
+        self.ad_index.clear();
+        self.ad_max = 0;
+        for def in &self.ad {
+            self.ad_max = self.ad_max.max(def.largest_symbol());
+            index_definition(&mut self.ad_index, def);
+        }
     }
 
     /// Lines 13–14: look for a non-empty valid substitution θ mapping the newly adorned
-    /// rule onto an existing adorned version of the same source dependency.
-    fn find_valid_theta(&self, rule_idx: usize) -> Option<BTreeMap<u32, AdSym>> {
-        let new_rule = &self.rules[rule_idx];
-        let src = new_rule.src?;
-        for &k in &self.versions[src] {
-            let other = &self.rules[k];
-            if k == rule_idx {
-                continue;
-            }
-            if let Some(theta) = unify_adornments(new_rule, other) {
-                if theta.is_empty() {
-                    continue;
-                }
-                // No chained replacements: the range must not intersect the domain.
-                let range_symbols: BTreeSet<u32> = theta
-                    .values()
-                    .filter_map(|s| match s {
-                        AdSym::F(i) => Some(*i),
-                        AdSym::B => None,
-                    })
-                    .collect();
-                if theta.keys().any(|k| range_symbols.contains(k)) {
-                    continue;
-                }
-                // Validity: every fi/fj pair must have definitions for the same Skolem
-                // function f^r_z.
-                let valid = theta.iter().all(|(i, s)| match s {
-                    AdSym::F(j) => self.ad.iter().any(|d1| {
-                        d1.symbol == *i
-                            && self.ad.iter().any(|d2| {
-                                d2.symbol == *j
-                                    && d2.rule == d1.rule
-                                    && d2.var_index == d1.var_index
-                            })
-                    }),
-                    AdSym::B => false,
-                });
-                if valid {
-                    return Some(theta);
-                }
-            }
-        }
-        None
+    /// rule onto an existing adorned version of the same source dependency, both read
+    /// under the substitution `pending` that `Σµ` has not taken yet.
+    fn find_valid_theta(&self, rule_idx: usize, pending: &SymbolMap) -> Option<SymbolMap> {
+        let new_rule = self.rules[rule_idx].dependency();
+        let src = self.rules[rule_idx].src?;
+        let others = self.versions[src].iter().filter(|&&k| k != rule_idx);
+        others.copied().find_map(|k| {
+            let other = self.rules[k].dependency();
+            let theta = unify_adornments(&self.names, pending, new_rule, other)?;
+            // No chained replacements: the range must not intersect the domain.
+            let chained = theta
+                .values()
+                .any(|s| matches!(s, AdSym::F(j) if theta.contains_key(j)));
+            // Validity: every fi/fj pair must have definitions for the same Skolem
+            // function f^r_z.
+            let valid = theta.iter().all(|(i, s)| match s {
+                AdSym::F(j) => self.ad.iter().any(|d1| {
+                    d1.symbol == *i
+                        && self.ad.iter().any(|d2| {
+                            d2.symbol == *j && d2.rule == d1.rule && d2.var_index == d1.var_index
+                        })
+                }),
+                AdSym::B => false,
+            });
+            (!theta.is_empty() && !chained && valid).then_some(theta)
+        })
     }
 
-    /// Line 14: apply θ to `Σµ` and `AD` (including the defined symbols).
-    fn apply_theta(&mut self, theta: &BTreeMap<u32, AdSym>) {
+    /// Applies `map` to `Σµ`, then drops the rules it made duplicates. Only the rules
+    /// with an atom whose adornment mentions a symbol of `map` are rebuilt; the others
+    /// keep their prepared dependency.
+    fn rewrite_rules(&mut self, map: &SymbolMap) {
         for rule in &mut self.rules {
-            apply_map_to_rule(rule, theta);
-        }
-        self.rules_changed();
-        for def in &mut self.ad {
-            if let Some(AdSym::F(j)) = theta.get(&def.symbol) {
-                def.symbol = *j;
-            }
-            for a in &mut def.args {
-                if let AdSym::F(i) = a {
-                    if let Some(s) = theta.get(i) {
-                        *a = *s;
-                    }
-                }
+            if let Some(dep) = self.names.rewrite(rule.dependency(), map) {
+                rule.dep = PreparedDependency::owned(dep);
             }
         }
-        self.reindex_ad();
-    }
-
-    fn dedupe_rules(&mut self) {
-        let mut seen: HashSet<&AdRule> = HashSet::with_capacity(self.rules.len());
-        let first: Vec<bool> = self.rules.iter().map(|rule| seen.insert(rule)).collect();
+        let mut seen = HashSet::with_capacity(self.rules.len());
+        let first: Vec<bool> = self
+            .rules
+            .iter()
+            .map(|rule| seen.insert((rule.src, rule.dependency())))
+            .collect();
         if first.contains(&false) {
+            self.rebuilds += 1;
             let mut first = first.into_iter();
             self.rules.retain(|_| first.next() == Some(true));
-            self.rules_changed();
         }
+        self.rules_changed();
     }
 
     /// Builds Ω(AD): an edge `f_i → f_j` labeled `f^r_z` whenever `f_i = f^r_z(… f_j …)`
@@ -1146,34 +1255,22 @@ impl<'a> Adn<'a> {
     }
 }
 
-/// Converts adorned rules into a plain dependency set.
-fn render(rules: &[AdRule]) -> DependencySet {
-    DependencySet::from_vec(
-        rules
-            .iter()
-            .enumerate()
-            .map(|(k, r)| ad_rule_to_dependency(r, k))
-            .collect(),
-    )
-}
-
-/// Lines 15–16: is the (θ-substituted) adorned head cyclic w.r.t. `AD`, whose Ω graph
-/// is `omega`?
-fn head_is_cyclic(head: &AdHead, omega: &[(u32, u32, (usize, usize))]) -> bool {
-    let atoms = match head {
-        AdHead::Atoms(atoms) => atoms,
-        AdHead::Equality(_, _) => return false,
-    };
-    atoms.iter().any(|atom| {
-        atom.adornment
-            .as_ref()
-            .map(|ad| {
-                ad.iter().any(|s| match s {
+/// Lines 15–16: is the head of the adorned rule `dep` cyclic w.r.t. `AD`, whose Ω
+/// graph is `omega`?
+fn head_is_cyclic(
+    names: &AdornedNames,
+    dep: &Dependency,
+    omega: &[(u32, u32, (usize, usize))],
+) -> bool {
+    dep.head_atoms().iter().any(|atom| {
+        names
+            .adornment(atom.predicate)
+            .is_some_and(|(_, adornment)| {
+                adornment.iter().any(|s| match s {
                     AdSym::F(i) => symbol_is_cyclic(*i, omega),
                     AdSym::B => false,
                 })
             })
-            .unwrap_or(false)
     })
 }
 
@@ -1219,109 +1316,36 @@ fn symbol_is_cyclic(start: u32, edges: &[(u32, u32, (usize, usize))]) -> bool {
     false
 }
 
-fn apply_theta_to_head(head: &AdHead, theta: &BTreeMap<u32, AdSym>) -> AdHead {
-    match head {
-        AdHead::Equality(a, b) => AdHead::Equality(*a, *b),
-        AdHead::Atoms(atoms) => AdHead::Atoms(
-            atoms
-                .iter()
-                .map(|atom| {
-                    let mut atom = atom.clone();
-                    if let Some(ad) = &mut atom.adornment {
-                        for s in ad.iter_mut() {
-                            if let AdSym::F(i) = s {
-                                if let Some(to) = theta.get(i) {
-                                    *s = *to;
-                                }
-                            }
-                        }
-                    }
-                    atom
-                })
-                .collect(),
-        ),
-    }
-}
-
-fn apply_map_to_rule(rule: &mut AdRule, map: &BTreeMap<u32, AdSym>) {
-    let fix = |adornment: &mut Option<Adornment>| {
-        if let Some(ad) = adornment {
-            for s in ad.iter_mut() {
-                if let AdSym::F(i) = s {
-                    if let Some(to) = map.get(i) {
-                        *s = *to;
-                    }
-                }
-            }
-        }
-    };
-    for atom in &mut rule.body {
-        fix(&mut atom.adornment);
-    }
-    if let AdHead::Atoms(atoms) = &mut rule.head {
-        for atom in atoms {
-            fix(&mut atom.adornment);
-        }
-    }
-}
-
-/// Computes θ such that `new_rule θ = other`, comparing adornments position by
-/// position; returns `None` if the rules differ structurally or the mapping is
-/// inconsistent. The returned map may be empty (the rules are already equal).
-fn unify_adornments(new_rule: &AdRule, other: &AdRule) -> Option<BTreeMap<u32, AdSym>> {
+/// Computes θ such that `new_rule θ = other` for two adorned versions of one
+/// dependency, comparing their adornments position by position, both under
+/// `pending`; returns `None` if the mapping is inconsistent. The returned map may be
+/// empty (the rules are already equal).
+fn unify_adornments<'d>(
+    names: &AdornedNames,
+    pending: &SymbolMap,
+    new_rule: &'d Dependency,
+    other: &'d Dependency,
+) -> Option<SymbolMap> {
     // `mapping` records the image of every free symbol of `new_rule` (including
     // identities); the returned θ keeps only the non-identity pairs.
-    let mut mapping: BTreeMap<u32, AdSym> = BTreeMap::new();
-    let pair_atoms = |a: &AdAtom, b: &AdAtom, mapping: &mut BTreeMap<u32, AdSym>| -> bool {
-        if a.predicate != b.predicate || a.terms != b.terms {
-            return false;
-        }
-        match (&a.adornment, &b.adornment) {
-            (None, None) => true,
-            (Some(x), Some(y)) => {
-                for (sa, sb) in x.iter().zip(y.iter()) {
-                    match (sa, sb) {
-                        (AdSym::B, AdSym::B) => {}
-                        (AdSym::F(i), s) => match mapping.get(i) {
-                            Some(existing) if existing != s => return false,
-                            Some(_) => {}
-                            None => {
-                                mapping.insert(*i, *s);
-                            }
-                        },
-                        (AdSym::B, AdSym::F(_)) => return false,
+    let mut mapping = SymbolMap::new();
+    let atoms = |dep: &'d Dependency| dep.body().iter().chain(dep.head_atoms());
+    let pairs = atoms(new_rule).zip(atoms(other));
+    for (a, b) in pairs {
+        let ((_, x), (_, y)) = (names.adornment(a.predicate)?, names.adornment(b.predicate)?);
+        for (sa, sb) in x.iter().zip(y) {
+            match (substitute(*sa, pending), substitute(*sb, pending)) {
+                (AdSym::B, AdSym::B) => {}
+                (AdSym::F(i), s) => match mapping.get(&i) {
+                    Some(existing) if *existing != s => return None,
+                    Some(_) => {}
+                    None => {
+                        mapping.insert(i, s);
                     }
-                }
-                true
-            }
-            _ => false,
-        }
-    };
-    if new_rule.body.len() != other.body.len() {
-        return None;
-    }
-    for (a, b) in new_rule.body.iter().zip(other.body.iter()) {
-        if !pair_atoms(a, b, &mut mapping) {
-            return None;
-        }
-    }
-    match (&new_rule.head, &other.head) {
-        (AdHead::Equality(a1, a2), AdHead::Equality(b1, b2)) => {
-            if a1 != b1 || a2 != b2 {
-                return None;
+                },
+                (AdSym::B, AdSym::F(_)) => return None,
             }
         }
-        (AdHead::Atoms(x), AdHead::Atoms(y)) => {
-            if x.len() != y.len() {
-                return None;
-            }
-            for (a, b) in x.iter().zip(y.iter()) {
-                if !pair_atoms(a, b, &mut mapping) {
-                    return None;
-                }
-            }
-        }
-        _ => return None,
     }
     Some(
         mapping
@@ -1332,15 +1356,15 @@ fn unify_adornments(new_rule: &AdRule, other: &AdRule) -> Option<BTreeMap<u32, A
 }
 
 /// Enumerates the coherent adorned versions of a body with respect to the available
-/// adorned predicates, together with the induced variable adornment, in
-/// lexicographic order of their per-atom adornments. Only the bodies `revisit` leaves
-/// open are returned: those after `revisit.done` and those using an element of
-/// `revisit.fed`.
+/// adorned predicates, as per-atom adornments together with the induced variable
+/// adornment, in lexicographic order of their per-atom adornments. Only the bodies
+/// `revisit` leaves open are returned: those after `revisit.done` and those using an
+/// element of `revisit.fed`.
 fn coherent_adorned_bodies(
     body: &[Atom],
     ap: &AdornedPredicates,
     revisit: &Revisit,
-) -> Vec<(Vec<AdAtom>, BTreeMap<Variable, AdSym>)> {
+) -> Vec<(Vec<Adornment>, BTreeMap<Variable, AdSym>)> {
     let no_adornments = BTreeSet::new();
     let mut options = Vec::with_capacity(body.len());
     let mut fed = Vec::with_capacity(body.len());
@@ -1387,7 +1411,7 @@ struct Bodies<'x> {
     done: &'x [Adornment],
     assignment: BTreeMap<Variable, AdSym>,
     chosen: Vec<&'x Adornment>,
-    out: Vec<(Vec<AdAtom>, BTreeMap<Variable, AdSym>)>,
+    out: Vec<(Vec<Adornment>, BTreeMap<Variable, AdSym>)>,
 }
 
 impl<'x> Bodies<'x> {
@@ -1396,17 +1420,8 @@ impl<'x> Bodies<'x> {
     fn extend(&mut self, idx: usize, position: Ordering, fed: bool) {
         if idx == self.body.len() {
             if fed || position == Ordering::Greater {
-                let atoms = self
-                    .body
-                    .iter()
-                    .zip(&self.chosen)
-                    .map(|(atom, adornment)| AdAtom {
-                        predicate: atom.predicate,
-                        adornment: Some((*adornment).clone()),
-                        terms: atom.terms.clone(),
-                    })
-                    .collect();
-                self.out.push((atoms, self.assignment.clone()));
+                let adornments = self.chosen.iter().map(|a| (*a).clone()).collect();
+                self.out.push((adornments, self.assignment.clone()));
             }
             return;
         }
@@ -1449,39 +1464,6 @@ impl<'x> Bodies<'x> {
             for v in newly_bound {
                 self.assignment.remove(&v);
             }
-        }
-    }
-}
-
-/// Renders an adorned rule as an ordinary dependency with mangled predicate names.
-fn ad_rule_to_dependency(rule: &AdRule, index: usize) -> Dependency {
-    let convert = |atom: &AdAtom| -> Atom {
-        match &atom.adornment {
-            None => Atom {
-                predicate: atom.predicate,
-                terms: atom.terms.clone(),
-            },
-            Some(adornment) => Atom {
-                predicate: Predicate::new(
-                    &format!("{}__{}", atom.predicate.name, adornment_string(adornment)),
-                    atom.predicate.arity,
-                ),
-                terms: atom.terms.clone(),
-            },
-        }
-    };
-    let body: Vec<Atom> = rule.body.iter().map(convert).collect();
-    let label = match rule.src {
-        None => format!("base_{}", rule.body[0].predicate.name),
-        Some(s) => format!("adn{index}_of_r{s}"),
-    };
-    match &rule.head {
-        AdHead::Equality(a, b) => Dependency::Egd(
-            Egd::new(Some(label), body, *a, *b).expect("adorned EGD is well-formed"),
-        ),
-        AdHead::Atoms(atoms) => {
-            let head: Vec<Atom> = atoms.iter().map(convert).collect();
-            Dependency::Tgd(Tgd::new(Some(label), body, head).expect("adorned TGD is well-formed"))
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Regression tests for two fixed soundness gaps in the `Adn∃` adornment
-//! algorithm, both of which made SAC accept a set whose standard chase never
+//! Regression tests for three fixed soundness gaps in the `Adn∃` adornment
+//! algorithm, each of which made SAC accept a set whose standard chase never
 //! terminates.
 //!
 //! The `Dµ(Σµ)` gap: the abstraction used to render every free symbol `f_i` as a
@@ -19,6 +19,10 @@
 //! missed the chains through an EGD, and a non-terminating 5-rule set padded with
 //! unrelated rules past 40 dependencies was accepted. Definition 2 now decides
 //! fireability at every size.
+//!
+//! The name gap: `Adn∃` rendered the adorned predicate `E^bb` as `E__bb`
+//! whatever the input's names, so an input predicate called `E__bb` merged with
+//! it in `Σµ`. Adorned names now take a separator that no input name contains.
 
 use chase_core::parser::{parse_database, parse_dependencies};
 use chase_core::DependencySet;
@@ -177,5 +181,33 @@ fn a_non_terminating_set_padded_past_40_dependencies_is_rejected() {
             .with_budget(ChaseBudget::unlimited().with_max_steps(2_000))
             .run(&database);
         assert!(outcome.is_budget_exhausted(), "{order:?} terminated");
+    }
+}
+
+/// The name gap's reproducer: `r` alone never terminates and is rejected, and the
+/// unrelated `s` reads a predicate named like an adorned version of `E`. When
+/// `E^bb` rendered to `E__bb`, the two merged in `Σµ` and SAC accepted the set.
+#[test]
+fn an_input_predicate_named_like_an_adorned_one_stays_apart() {
+    let database = parse_database("E(a, b).").expect("database parses");
+    for name in ["E__bb", "E__bf1"] {
+        let sigma = parse_dependencies(&format!(
+            "r: E(?x, ?y) -> exists ?z: E(?y, ?z).\ns: {name}(?x, ?y) -> F(?x)."
+        ))
+        .expect("reproducer parses");
+        assert!(
+            !adorn(&sigma).acyclic,
+            "{name}: the cycle of r must be found"
+        );
+        let report = TerminationAnalyzer::new().analyze(&sigma);
+        assert!(
+            report.accepted().is_none(),
+            "{name}: unsound acceptance: {}",
+            report.summary()
+        );
+        let outcome = Chase::standard(&sigma)
+            .with_budget(ChaseBudget::unlimited().with_max_steps(1_000))
+            .run(&database);
+        assert!(outcome.is_budget_exhausted(), "{name}: the chase halted");
     }
 }
