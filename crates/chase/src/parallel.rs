@@ -9,8 +9,8 @@
 //! run against a frozen snapshot of the instance and the discovered batch can be
 //! applied wholesale. This module exploits exactly that:
 //!
-//! 1. **snapshot** — the round's new facts (the delta) are discovered against a
-//!    read-only [`Snapshot`] of the [`IndexedInstance`]. `workers` is only the
+//! 1. **discovery** — the round's new facts (the delta) are discovered against a
+//!    shared borrow of the [`IndexedInstance`]. `workers` is only the
 //!    shard width: with `workers > 1` the delta is split over disjoint `FactId`
 //!    ranges as jobs on the persistent worker pool ([`chase_core::pool`] —
 //!    long-lived channel-fed threads, no per-round spawn; see
@@ -58,7 +58,7 @@ use crate::budget::{BudgetClock, ChaseBudget};
 use crate::oblivious::FiredKeys;
 use crate::observer::{record_step_effect, ChaseObserver};
 use crate::result::{ChaseOutcome, ChaseStats};
-use chase_core::{DependencySet, DiscoveryStats, FactId, IndexedInstance, Instance, Snapshot};
+use chase_core::{DependencySet, DiscoveryStats, FactId, IndexedInstance, Instance};
 use chase_trigger::engine::apply_tgd;
 use chase_trigger::{discover_batch, SeedAtoms};
 use std::time::Instant;
@@ -89,13 +89,18 @@ pub(crate) fn run_rounds(
     // routine ([`IndexedInstance::insert_database`]) the trigger engine also
     // uses.
     let mut delta: Vec<FactId> = index.insert_database(database);
+    // Σ is EGD-free, so no fact is ever removed, and every fresh null is in the
+    // new head fact that invents it: the live nulls are the database's plus
+    // `stats.nulls_created`, with no scan of the instance.
+    let database_nulls = database.nulls().len();
     let mut stats = ChaseStats::default();
     let mut round = 0usize;
     loop {
-        // Discovery round: every candidate seeded from the delta, against a
-        // frozen snapshot, sharded across workers, merged in batch order.
+        // Discovery round: every candidate seeded from the delta, against the
+        // index borrowed for the round, sharded across workers, merged in batch
+        // order.
         let had_delta = !delta.is_empty();
-        // A zero-length delta discovers nothing: skip the snapshot and, in
+        // A zero-length delta discovers nothing: skip discovery and, in
         // particular, emit no empty-shard `discovery_completed` event (a round
         // whose steps added no new facts would otherwise report a phantom
         // zero-fact discovery round).
@@ -103,10 +108,9 @@ pub(crate) fn run_rounds(
         // The workers skip keys fired in earlier rounds: the merge would drop
         // them anyway, as keys of an EGD-free run are never rewritten.
         let mut batch = if had_delta {
-            let snapshot = Snapshot::new(&index);
             let keep = |dep, h: &_| !fired.has_fired(dep, h);
             let stats = discovery.as_mut();
-            discover_batch(sigma, &seeds, snapshot, &delta, workers, &keep, stats)
+            discover_batch(sigma, &seeds, &index, &delta, workers, &keep, stats)
         } else {
             Vec::new()
         };
@@ -176,7 +180,7 @@ pub(crate) fn run_rounds(
         // observers never see phantom no-op rounds.
         round += 1;
         observer.round_completed(round, index.len());
-        observer.round_nulls(index.instance().nulls().len());
+        observer.round_nulls(database_nulls + stats.nulls_created);
     }
 }
 
@@ -210,9 +214,8 @@ mod tests {
         let sigma = &p.dependencies;
         let mut index = IndexedInstance::new();
         let delta = index.insert_database(&p.database);
-        let snapshot = Snapshot::new(&index);
         let seeds = SeedAtoms::new(sigma);
-        let mut expected = discover_batch(sigma, &seeds, snapshot, &delta, 2, &|_, _| true, None);
+        let mut expected = discover_batch(sigma, &seeds, &index, &delta, 2, &|_, _| true, None);
         let mut seen = HashSet::new();
         expected.retain(|t| seen.insert((t.dep, t.assignment.canonical())));
         assert!(

@@ -93,11 +93,6 @@ impl Atom {
             .collect()
     }
 
-    /// Returns `true` iff every argument is ground (constant or null).
-    pub fn is_ground(&self) -> bool {
-        self.terms.iter().all(|t| !t.is_var())
-    }
-
     /// Converts the atom into a fact; fails if a variable occurs.
     pub fn to_fact(&self) -> Option<Fact> {
         let mut args = Vec::with_capacity(self.terms.len());
@@ -184,14 +179,6 @@ impl Fact {
         self.terms.iter().all(|t| t.is_const())
     }
 
-    /// Converts the fact into an atom (all arguments stay ground).
-    pub fn to_atom(&self) -> Atom {
-        Atom {
-            predicate: self.predicate,
-            terms: self.terms.iter().map(|&g| g.into()).collect(),
-        }
-    }
-
     /// Applies a null substitution, replacing occurrences of the substituted null.
     pub fn apply(&self, gamma: &NullSubstitution) -> Fact {
         Fact {
@@ -249,8 +236,6 @@ mod tests {
     fn atom_groundness_and_fact_conversion() {
         let ground = Atom::from_parts("R", vec![c("a"), Term::Null(NullValue(1))]);
         let open = Atom::from_parts("R", vec![c("a"), v("x")]);
-        assert!(ground.is_ground());
-        assert!(!open.is_ground());
         assert!(ground.to_fact().is_some());
         assert!(open.to_fact().is_none());
     }
@@ -291,18 +276,5 @@ mod tests {
         assert_eq!(format!("{a}"), "Edge(?x, b)");
         let f = Fact::from_parts("N", vec![GroundTerm::Null(NullValue(4))]);
         assert_eq!(format!("{f}"), "N(_:n4)");
-    }
-
-    #[test]
-    fn fact_to_atom_round_trip() {
-        let f = Fact::from_parts(
-            "E",
-            vec![
-                GroundTerm::Const(Constant::new("a")),
-                GroundTerm::Null(NullValue(9)),
-            ],
-        );
-        let a = f.to_atom();
-        assert_eq!(a.to_fact().unwrap(), f);
     }
 }

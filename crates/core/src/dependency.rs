@@ -422,14 +422,6 @@ impl DependencySet {
             .collect()
     }
 
-    /// Ids of all full dependencies (`Σ∀`): full TGDs and all EGDs.
-    pub fn full_ids(&self) -> Vec<DepId> {
-        self.iter()
-            .filter(|(_, d)| d.is_full())
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Ids of all existentially quantified dependencies (`Σ∃`).
     pub fn existential_ids(&self) -> Vec<DepId> {
         self.iter()
@@ -584,8 +576,7 @@ mod tests {
         let sigma = example1();
         assert_eq!(sigma.tgd_ids(), vec![DepId(0), DepId(1)]);
         assert_eq!(sigma.egd_ids(), vec![DepId(2)]);
-        // Σ∀ contains the full TGD r2 and the EGD r3; Σ∃ contains r1.
-        assert_eq!(sigma.full_ids(), vec![DepId(1), DepId(2)]);
+        // Σ∃ contains r1.
         assert_eq!(sigma.existential_ids(), vec![DepId(0)]);
     }
 

@@ -70,8 +70,8 @@
 //! `Vec`s/`HashMap`s, and the `scratch` buffer is only used by `&mut self`
 //! methods. `FactStore` is therefore `Send + Sync` by construction, and a
 //! shared borrow can be handed to any number of worker threads — this is what
-//! [`Snapshot`](crate::snapshot::Snapshot) relies on for round-parallel trigger
-//! discovery. Appends (interning) still require `&mut self`, so the borrow
+//! round-parallel trigger discovery relies on (see
+//! [`IndexedInstance`](crate::IndexedInstance)). Appends (interning) still require `&mut self`, so the borrow
 //! checker serialises them against all readers.
 
 use crate::atom::{Fact, Predicate};

@@ -149,17 +149,6 @@ impl Assignment {
         })
     }
 
-    /// Applies the assignment to an atom, leaving unbound variables in place.
-    pub fn apply_atom_partial(&self, atom: &Atom) -> Atom {
-        atom.map_terms(|t| match t {
-            Term::Var(v) => match self.get(*v) {
-                Some(g) => g.into(),
-                None => *t,
-            },
-            _ => *t,
-        })
-    }
-
     /// Returns a canonical, sorted vector of bindings (useful as a hash key).
     pub fn canonical(&self) -> Vec<(Variable, GroundTerm)> {
         self.pairs.clone()
@@ -1043,9 +1032,6 @@ mod tests {
         let fact = a.apply_atom(&atom("E", vec![var("x"), var("y")])).unwrap();
         assert_eq!(fact, Fact::from_parts("E", vec![gc("a"), gn(1)]));
         assert!(a.apply_atom(&atom("E", vec![var("x"), var("z")])).is_none());
-        let partial = a.apply_atom_partial(&atom("E", vec![var("x"), var("z")]));
-        assert_eq!(partial.terms[0], Term::Const(Constant::new("a")));
-        assert!(partial.terms[1].is_var());
     }
 
     #[test]

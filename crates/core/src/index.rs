@@ -36,6 +36,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// All mutation goes through [`IndexedInstance::insert`], [`IndexedInstance::remove`]
 /// and [`IndexedInstance::substitute_in_place`], which keep the indexes consistent
 /// with the underlying fact set.
+///
+/// ## Concurrent readers
+///
+/// `IndexedInstance` is `Send + Sync`, so a shared borrow can be handed to any
+/// number of worker threads running joins at once; the round-parallel trigger
+/// discovery of `chase_trigger` and `chase_engine` does exactly that. This is sound
+/// because:
+///
+/// * the [`FactStore`] arena is append-only, and its read path (`&self`) touches no
+///   interior mutability;
+/// * the position and null indexes are only mutated through `&mut self`, and the
+///   one counter read paths update, [`probe_count`](Self::probe_count), is atomic;
+/// * the borrow rules out any mutation while it lives, including
+///   [`Instance::compact`], which re-issues every [`FactId`]: every id below the
+///   store's length stays valid for the borrow's lifetime.
 #[derive(Default)]
 pub struct IndexedInstance {
     instance: Instance,
@@ -71,13 +86,11 @@ impl IndexedInstance {
     /// Builds the indexes over `instance` (taking ownership, preserving its
     /// labeled-null allocator state and arena).
     ///
-    /// Facts are indexed in [`Instance::sorted_fact_ids`] order, which compares
-    /// predicates and constants by their interned `Symbol` ids
-    /// ([`FactStore::compare`](crate::FactStore::compare)). So join candidate
-    /// enumeration, and any chase sequence built on it, does not depend on the
-    /// instance's insertion order, but does follow the process-global interning
-    /// order, which another process, or other threads of this one, can make
-    /// different.
+    /// Facts are indexed in [`Instance::fact_ids`] order, the order in which the
+    /// instance first interned them. So join candidate enumeration, and any chase
+    /// sequence built on it, follows the instance's insertion order, and not the
+    /// process-global interning order of predicate and constant names, which other
+    /// threads of the same process can change.
     pub fn from_instance(instance: Instance) -> Self {
         let mut out = IndexedInstance {
             instance,
@@ -85,7 +98,8 @@ impl IndexedInstance {
             by_null: FastMap::default(),
             probes: AtomicU64::new(0),
         };
-        for id in out.instance.sorted_fact_ids() {
+        let ids: Vec<FactId> = out.instance.fact_ids().collect();
+        for id in ids {
             out.index_fact(id);
         }
         out
@@ -214,8 +228,7 @@ impl IndexedInstance {
 
     /// Loads a database: every fact is re-interned into this instance's arena
     /// straight from the database's term slices (no [`Fact`] values), in
-    /// [`Instance::sorted_fact_ids`] order. That order compares interned `Symbol`
-    /// ids, so it follows the process-global interning order, as in
+    /// [`Instance::fact_ids`] order, as in
     /// [`from_instance`](IndexedInstance::from_instance). Returns the ids of the
     /// newly inserted facts in insertion order: the initial delta. The one loading
     /// routine shared by the trigger engine and the round runner, so their round-0
@@ -223,7 +236,7 @@ impl IndexedInstance {
     pub fn insert_database(&mut self, database: &Instance) -> Vec<FactId> {
         let store = database.store();
         let mut fresh = Vec::new();
-        for id in database.sorted_fact_ids() {
+        for id in database.fact_ids() {
             let (new_id, new) = self.insert_copied(store, id);
             if new {
                 fresh.push(new_id);
@@ -512,5 +525,45 @@ mod tests {
         let delta = k.substitute_in_place(&NullSubstitution::empty());
         assert!(delta.is_empty());
         assert_eq!(k.len(), 1);
+    }
+
+    /// Workers share the store and the index through a plain shared borrow.
+    #[test]
+    fn store_and_index_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<FactStore>();
+        assert_send_sync::<IndexedInstance>();
+        assert_send_sync::<Instance>();
+    }
+
+    #[test]
+    fn concurrent_readers_share_one_borrow() {
+        let mut indexed = IndexedInstance::new();
+        for i in 0..64 {
+            indexed.insert(Fact::from_parts(
+                "E",
+                vec![cst(&format!("v{i}")), cst(&format!("v{}", i + 1))],
+            ));
+        }
+        let indexed = &indexed;
+        let atoms = vec![atom("E", vec![var("x"), var("y")])];
+        let atoms = &atoms;
+        let counts: Vec<usize> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(move || {
+                        let mut n = 0usize;
+                        crate::HomomorphismSearch::over_index(atoms, indexed)
+                            .for_each_extending::<()>(&Assignment::new(), &mut |_| {
+                                n += 1;
+                                std::ops::ControlFlow::Continue(())
+                            });
+                        n
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(counts, vec![64; 4]);
     }
 }

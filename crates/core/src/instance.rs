@@ -293,7 +293,8 @@ impl Instance {
         self.live.iter().map(|id| self.store.fact(id))
     }
 
-    /// Iterates over the ids of all present facts (arbitrary order).
+    /// Iterates over the ids of all present facts, ascending: the order in which the
+    /// store first interned them.
     pub fn fact_ids(&self) -> impl Iterator<Item = FactId> + '_ {
         self.live.iter()
     }

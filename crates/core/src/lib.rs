@@ -65,7 +65,6 @@ pub mod persist;
 pub mod pool;
 pub mod position;
 pub mod satisfaction;
-pub mod snapshot;
 pub mod substitution;
 pub mod term;
 
@@ -81,7 +80,7 @@ pub use interner::Symbol;
 pub use isomorphism::isomorphic_up_to_null_renaming;
 pub use parser::{parse_dependencies, parse_program, Program};
 pub use persist::PersistError;
+pub use pool::{DiscoveryStats, ShardStats};
 pub use position::Position;
-pub use snapshot::{DiscoveryStats, ShardStats, Snapshot};
 pub use substitution::NullSubstitution;
 pub use term::{Constant, GroundTerm, NullValue, Term, Variable};

@@ -39,9 +39,8 @@
 //!
 //! Each column strip is one contiguous block of 4-byte cells, so saving and
 //! loading a strip is a single buffered `write`/`read` of `rows × 4` bytes, and
-//! a future read-only **mmap share** of the strip region (zero-copy
-//! [`Snapshot`](crate::snapshot::Snapshot) cloning across processes) is a
-//! documented follow-up that needs no format change — only an
+//! a future read-only **mmap share** of the strip region (a zero-copy store
+//! shared across processes) is a documented follow-up that needs no format change — only an
 //! alignment-padding bump of the section header.
 //!
 //! Loading validates everything it cannot afford to trust: the magic and

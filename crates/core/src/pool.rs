@@ -40,14 +40,14 @@
 //!
 //! # Lifetime safety
 //!
-//! Jobs borrow from the caller's stack (`&DependencySet`, [`Snapshot`](crate::Snapshot)s, …) but
-//! travel through a `'static` channel, so [`run_jobs`](WorkerPool::run_jobs) erases their lifetime
-//! internally. This is sound because `run_jobs` is a completion barrier: it does
-//! not return until every submitted job has finished running (it collects
-//! exactly one result per job, and panicking jobs still send a result), so the
-//! borrows outlive every use. The global pool's injector is never dropped,
-//! meaning a submitted job can never be silently discarded while borrowed data
-//! goes out of scope.
+//! Jobs borrow from the caller's stack (`&DependencySet`, `&IndexedInstance`, …)
+//! but travel through a `'static` channel, so [`run_jobs`](WorkerPool::run_jobs)
+//! erases their lifetime internally. This is sound because `run_jobs` is a
+//! completion barrier: it does not return until every submitted job has finished
+//! running (it collects exactly one result per job, and panicking jobs still send
+//! a result), so the borrows outlive every use. The global pool's injector is
+//! never dropped, meaning a submitted job can never be silently discarded while
+//! borrowed data goes out of scope.
 
 #![allow(unsafe_code)] // lifetime erasure for scoped jobs; see `run_jobs` safety comment
 
@@ -56,6 +56,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread;
+use std::time::Duration;
 
 /// A type-erased unit of work after lifetime erasure.
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -284,6 +285,52 @@ pub fn with_workers(workers: usize) -> &'static WorkerPool {
     let pool = global();
     pool.ensure_workers(workers);
     pool
+}
+
+/// Work done by one worker over its shard of a discovery batch: how many
+/// interned fact ids it scanned as seeds, how many triggers its joins produced,
+/// and how long the shard took wall-clock.
+///
+/// Shard stats are the raw material for attributing parallel-discovery cost:
+/// a balanced round has near-equal `elapsed` across workers, while a skewed
+/// predicate distribution shows up as one hot shard. They are collected by
+/// `chase_trigger::parallel::discover_batch` (when asked for stats) and surfaced
+/// through the `ChaseObserver::discovery_completed` phase event.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Index of the worker that processed the shard (0-based; sequential
+    /// discovery reports a single shard for worker 0).
+    pub worker: usize,
+    /// Seed fact ids scanned by this shard.
+    pub facts_scanned: usize,
+    /// Triggers the shard's joins produced that the caller's filter kept
+    /// (before cross-shard dedup).
+    pub triggers_found: usize,
+    /// Wall-clock time of the shard, measured inside the worker.
+    pub elapsed: Duration,
+}
+
+/// One discovery batch: the per-worker [`ShardStats`] plus the wall-clock of
+/// the whole batch as seen by the coordinating thread (spawn + join overhead
+/// included, which is why `elapsed` can exceed the max shard time).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct DiscoveryStats {
+    /// Per-worker shard statistics, in worker order.
+    pub shards: Vec<ShardStats>,
+    /// End-to-end batch wall-clock (coordinator view).
+    pub elapsed: Duration,
+}
+
+impl DiscoveryStats {
+    /// Total seed fact ids scanned across all shards.
+    pub fn facts_scanned(&self) -> usize {
+        self.shards.iter().map(|s| s.facts_scanned).sum()
+    }
+
+    /// Total triggers produced across all shards (before dedup).
+    pub fn triggers_found(&self) -> usize {
+        self.shards.iter().map(|s| s.triggers_found).sum()
+    }
 }
 
 #[cfg(test)]

@@ -21,11 +21,6 @@ impl Position {
     pub fn new(predicate: Predicate, index: usize) -> Self {
         Position { predicate, index }
     }
-
-    /// Enumerates all positions of a predicate.
-    pub fn all_of(predicate: Predicate) -> impl Iterator<Item = Position> {
-        (0..predicate.arity).map(move |index| Position { predicate, index })
-    }
 }
 
 impl fmt::Display for Position {
@@ -43,15 +38,6 @@ impl fmt::Debug for Position {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn all_positions_of_predicate() {
-        let p = Predicate::new("T", 3);
-        let ps: Vec<_> = Position::all_of(p).collect();
-        assert_eq!(ps.len(), 3);
-        assert_eq!(ps[0].index, 0);
-        assert_eq!(ps[2].index, 2);
-    }
 
     #[test]
     fn display_is_one_based_like_the_literature() {

@@ -62,11 +62,10 @@ impl DiGraph {
     }
 
     /// Successors of a node.
-    pub fn successors(&self, n: usize) -> Vec<usize> {
+    pub fn successors(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
         self.edges
             .range((n, usize::MIN)..=(n, usize::MAX))
             .map(|(&(_, t), _)| t)
-            .collect()
     }
 
     /// Strongly connected components (Tarjan), returned as sorted vectors of nodes,
@@ -111,11 +110,7 @@ impl DiGraph {
     ) {
         // Iterative Tarjan to avoid deep recursion on large graphs.
         let mut call_stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        let succ: Vec<usize> = self
-            .successors(nodes[v])
-            .into_iter()
-            .map(|s| index_of[&s])
-            .collect();
+        let succ: Vec<usize> = self.successors(nodes[v]).map(|s| index_of[&s]).collect();
         call_stack.push((v, succ, 0));
         state.index[v] = Some(state.next_index);
         state.lowlink[v] = state.next_index;
@@ -137,11 +132,8 @@ impl DiGraph {
                         state.next_index += 1;
                         state.stack.push(w);
                         state.on_stack[w] = true;
-                        let wsucc: Vec<usize> = self
-                            .successors(nodes[w])
-                            .into_iter()
-                            .map(|s| index_of[&s])
-                            .collect();
+                        let wsucc: Vec<usize> =
+                            self.successors(nodes[w]).map(|s| index_of[&s]).collect();
                         call_stack.push((w, wsucc, 0));
                         descended = true;
                         break;

@@ -6,44 +6,55 @@
 //! termination of `Σ` (soundness), but not vice versa (Theorem 2) — which is precisely
 //! why criteria that rely on them lose precision on EGD-heavy inputs.
 
-use chase_core::{Atom, Dependency, DependencySet, Term, Tgd, Variable};
-use std::collections::BTreeMap;
+use chase_core::{Atom, Dependency, DependencySet, Predicate, Symbol, Term, Tgd, Variable};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// The interned name of the auxiliary equality predicate introduced by the simulations.
+/// The name of the auxiliary equality predicate introduced by the simulations, when
+/// no predicate of `Σ` has it; otherwise the first of `Eq1`, `Eq2`, … that none has.
 pub const EQ_PREDICATE: &str = "Eq";
 
-fn eq_atom(a: Term, b: Term) -> Atom {
-    Atom::from_parts(EQ_PREDICATE, vec![a, b])
+fn eq_atom(eq: Predicate, a: Term, b: Term) -> Atom {
+    Atom {
+        predicate: eq,
+        terms: vec![a, b],
+    }
 }
 
-/// Generates the equality axioms shared by both simulations: symmetry, transitivity and
-/// reflexivity-on-active-domain rules (one per predicate position).
-fn equality_axioms(sigma: &DependencySet) -> Vec<Dependency> {
+/// Generates the equality predicate, binary and named apart from every predicate of
+/// `sigma`, and the equality axioms shared by both simulations: symmetry,
+/// transitivity and reflexivity-on-active-domain rules (one per predicate position).
+fn equality_axioms(sigma: &DependencySet) -> (Predicate, Vec<Dependency>) {
     let x = Term::Var(Variable::new("x"));
     let y = Term::Var(Variable::new("y"));
     let z = Term::Var(Variable::new("z"));
+    let predicates = sigma.predicates();
+    let names: BTreeSet<Symbol> = predicates.iter().map(|p| p.name).collect();
+    let eq = (0..)
+        .map(|k| match k {
+            0 => Predicate::new(EQ_PREDICATE, 2),
+            k => Predicate::new(&format!("{EQ_PREDICATE}{k}"), 2),
+        })
+        .find(|eq| !names.contains(&eq.name))
+        .expect("some name is free");
     let mut out = vec![
         Dependency::Tgd(
             Tgd::new(
                 Some("eq_sym".into()),
-                vec![eq_atom(x, y)],
-                vec![eq_atom(y, x)],
+                vec![eq_atom(eq, x, y)],
+                vec![eq_atom(eq, y, x)],
             )
             .expect("well-formed"),
         ),
         Dependency::Tgd(
             Tgd::new(
                 Some("eq_trans".into()),
-                vec![eq_atom(x, y), eq_atom(y, z)],
-                vec![eq_atom(x, z)],
+                vec![eq_atom(eq, x, y), eq_atom(eq, y, z)],
+                vec![eq_atom(eq, x, z)],
             )
             .expect("well-formed"),
         ),
     ];
-    for pred in sigma.predicates() {
-        if pred.name.as_str() == EQ_PREDICATE {
-            continue;
-        }
+    for pred in predicates {
         if pred.arity == 0 {
             continue;
         }
@@ -51,22 +62,22 @@ fn equality_axioms(sigma: &DependencySet) -> Vec<Dependency> {
             .map(|i| Term::Var(Variable::new(&format!("x{i}"))))
             .collect();
         let body = vec![Atom::from_parts(&pred.name.as_str(), vars.clone())];
-        let head: Vec<Atom> = vars.iter().map(|v| eq_atom(*v, *v)).collect();
+        let head: Vec<Atom> = vars.iter().map(|v| eq_atom(eq, *v, *v)).collect();
         out.push(Dependency::Tgd(
             Tgd::new(Some(format!("eq_refl_{}", pred.name)), body, head).expect("well-formed"),
         ));
     }
-    out
+    (eq, out)
 }
 
 /// Replaces every EGD `ϕ → x1 = x2` by the TGD `ϕ → Eq(x1, x2)`.
-fn egd_to_eq_tgd(dep: &Dependency) -> Dependency {
+fn egd_to_eq_tgd(eq: Predicate, dep: &Dependency) -> Dependency {
     match dep {
         Dependency::Egd(e) => Dependency::Tgd(
             Tgd::new(
                 e.label.clone(),
                 e.body.clone(),
-                vec![eq_atom(Term::Var(e.left), Term::Var(e.right))],
+                vec![eq_atom(eq, Term::Var(e.left), Term::Var(e.right))],
             )
             .expect("EGD bodies are valid TGD bodies"),
         ),
@@ -79,21 +90,32 @@ fn egd_to_eq_tgd(dep: &Dependency) -> Dependency {
 /// 1. add the equality axioms;
 /// 2. replace every EGD head `x1 = x2` with `Eq(x1, x2)`;
 /// 3. in every TGD body in which a variable `x` occurs more than once, keep the first
-///    occurrence, rename each further occurrence to a fresh variable `x_k`, and add
-///    `Eq(x, x_k)` to the body.
+///    occurrence, rename each further occurrence `k` to a fresh variable `x__k`, and
+///    add `Eq(x, x__k)` to the body. The separator grows past `__` where that name
+///    is a variable of the dependency already.
 ///
 /// The rewriting in the paper's Example 8 chooses one occurrence to rename
 /// non-deterministically; renaming all further occurrences (as done here) is the
 /// deterministic variant described by Marnette and is equivalent for the purposes of
 /// the termination analysis.
 pub fn substitution_free_simulation(sigma: &DependencySet) -> DependencySet {
-    let mut out: Vec<Dependency> = equality_axioms(sigma);
+    let (eq, mut out) = equality_axioms(sigma);
     for (_, dep) in sigma.iter() {
-        let dep = egd_to_eq_tgd(dep);
+        let dep = egd_to_eq_tgd(eq, dep);
         let tgd = dep
             .as_tgd()
             .expect("all dependencies are TGDs at this point");
-        // Split repeated body variables.
+        // Split repeated body variables, into names no variable of `tgd` has.
+        let mut taken: BTreeSet<Variable> = tgd
+            .body()
+            .iter()
+            .chain(tgd.head())
+            .flat_map(|atom| &atom.terms)
+            .filter_map(|t| match t {
+                Term::Var(v) => Some(*v),
+                _ => None,
+            })
+            .collect();
         let mut seen: BTreeMap<Variable, usize> = BTreeMap::new();
         let mut extra_eq: Vec<Atom> = Vec::new();
         let mut new_body: Vec<Atom> = Vec::new();
@@ -108,8 +130,16 @@ pub fn substitution_free_simulation(sigma: &DependencySet) -> DependencySet {
                             terms.push(Term::Var(*v));
                         } else {
                             *count += 1;
-                            let fresh = Variable::new(&format!("{}__{}", v.name(), *count));
-                            extra_eq.push(eq_atom(Term::Var(*v), Term::Var(fresh)));
+                            let mut separator = String::from("__");
+                            let fresh = loop {
+                                let name = format!("{}{separator}{}", v.name(), *count);
+                                let fresh = Variable::new(&name);
+                                if taken.insert(fresh) {
+                                    break fresh;
+                                }
+                                separator.push('_');
+                            };
+                            extra_eq.push(eq_atom(eq, Term::Var(*v), Term::Var(fresh)));
                             terms.push(Term::Var(fresh));
                         }
                     }
@@ -139,9 +169,9 @@ pub fn substitution_free_simulation(sigma: &DependencySet) -> DependencySet {
 /// predicate position:
 /// `R(x1, …, xi, …, xn) ∧ Eq(xi, y) → R(x1, …, y, …, xn)`.
 pub fn natural_simulation(sigma: &DependencySet) -> DependencySet {
-    let mut out: Vec<Dependency> = equality_axioms(sigma);
+    let (eq, mut out) = equality_axioms(sigma);
     for pred in sigma.predicates() {
-        if pred.name.as_str() == EQ_PREDICATE || pred.arity == 0 {
+        if pred.arity == 0 {
             continue;
         }
         for i in 0..pred.arity {
@@ -153,7 +183,7 @@ pub fn natural_simulation(sigma: &DependencySet) -> DependencySet {
             head_terms[i] = y;
             let body = vec![
                 Atom::from_parts(&pred.name.as_str(), vars.clone()),
-                eq_atom(vars[i], y),
+                eq_atom(eq, vars[i], y),
             ];
             let head = vec![Atom::from_parts(&pred.name.as_str(), head_terms)];
             out.push(Dependency::Tgd(
@@ -163,7 +193,7 @@ pub fn natural_simulation(sigma: &DependencySet) -> DependencySet {
         }
     }
     for (_, dep) in sigma.iter() {
-        out.push(egd_to_eq_tgd(dep));
+        out.push(egd_to_eq_tgd(eq, dep));
     }
     DependencySet::from_vec(out)
 }
@@ -279,5 +309,51 @@ mod tests {
         let (_, r2) = sim.by_label("r2").unwrap();
         assert!(r2.is_existential());
         assert_eq!(r2.head_atoms().len(), 2);
+    }
+
+    #[test]
+    fn a_user_predicate_named_eq_stays_apart_from_the_minted_one() {
+        let sigma =
+            parse_dependencies("r1: Eq(?x, ?y) -> P(?x). r2: P(?x), P(?y) -> ?x = ?y.").unwrap();
+        for sim in [
+            substitution_free_simulation(&sigma),
+            natural_simulation(&sigma),
+        ] {
+            let (_, r2) = sim.by_label("r2").unwrap();
+            let minted = r2.head_atoms()[0].predicate;
+            assert_eq!(minted.name.as_str(), "Eq1");
+            let (_, r1) = sim.by_label("r1").unwrap();
+            assert_eq!(r1.body()[0].predicate.name.as_str(), "Eq");
+            let (_, symmetry) = sim.by_label("eq_sym").unwrap();
+            assert_eq!(symmetry.body()[0].predicate, minted);
+            // The user's `Eq` is an ordinary predicate of Σ.
+            assert!(sim.by_label("eq_refl_Eq").is_some());
+        }
+    }
+
+    #[test]
+    fn a_split_variable_stays_apart_from_a_user_variable() {
+        let sigma = parse_dependencies("r: R(?x, ?x__2), S(?x) -> T(?x).").unwrap();
+        let sim = substitution_free_simulation(&sigma);
+        let (_, r) = sim.by_label("r").unwrap();
+        assert_eq!(
+            r.to_string(),
+            "r: R(?x, ?x__2), S(?x___2), Eq(?x, ?x___2) -> T(?x)"
+        );
+    }
+
+    #[test]
+    fn mfa_rejects_a_cycle_that_a_split_variable_collision_hid() {
+        // {R(a, b), S(a)} starts an infinite chase through r; the EGD only makes
+        // MFA run on the simulation. Had S's argument been renamed to the user's
+        // `x__2`, r would need `Eq(z, ⋆)` after its first step, which nothing
+        // derives, and MFA would accept.
+        let sigma = parse_dependencies(
+            "r: R(?x, ?x__2), S(?x) -> exists ?z: R(?z, ?x), S(?z).
+             e: T(?x, ?y) -> ?x = ?y.",
+        )
+        .unwrap();
+        use crate::TerminationCriterion;
+        assert!(!crate::ModelFaithfulAcyclicity.accepts(&sigma));
     }
 }

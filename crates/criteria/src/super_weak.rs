@@ -102,17 +102,6 @@ pub fn trigger_graph(sigma: &DependencySet) -> DiGraph {
     graph
 }
 
-/// Returns `true` iff the TGD-only set `sigma` is super-weakly acyclic (no cycle in the
-/// trigger graph). Panics in debug builds if EGDs are present — use
-/// [`SuperWeakAcyclicity`] for general sets.
-pub fn is_super_weakly_acyclic_tgds(sigma: &DependencySet) -> bool {
-    debug_assert!(
-        sigma.egd_ids().is_empty(),
-        "is_super_weakly_acyclic_tgds expects a TGD-only set"
-    );
-    !trigger_graph(sigma).has_cycle()
-}
-
 /// Super-weak acyclicity as a witness-producing [`TerminationCriterion`] (`SwA`).
 ///
 /// Rejections carry the cycle of the trigger graph; acceptances its (acyclic) shape.

@@ -10,10 +10,8 @@
 //!
 //! * [`metrics`] — a [`MetricsRegistry`] of
 //!   monotonic counters, gauges and log-bucketed duration histograms with
-//!   `p50`/`p95`/`max`, plus a RAII
-//!   [`ScopedTimer`];
-//! * [`phase`] — named wall-clock spans ([`Phase`]) and their
-//!   per-name accumulation ([`PhaseTimes`]);
+//!   `p50`/`p95`/`max`;
+//! * [`phase`] — per-name accumulation of wall-clock spans ([`PhaseTimes`]);
 //! * [`report`] — [`RunReport`], the JSON-serialisable
 //!   summary of a whole run (headline stats, per-phase timings, per-round
 //!   fact/null curves, per-worker discovery shards, tripped budget, analyzer
@@ -47,8 +45,8 @@ pub mod phase;
 pub mod report;
 
 pub use json::{parse as parse_json, JsonError, JsonValue};
-pub use metrics::{Histogram, MetricsRegistry, ScopedTimer};
-pub use phase::{Phase, PhaseAccum, PhaseTimes};
+pub use metrics::{Histogram, MetricsRegistry};
+pub use phase::{PhaseAccum, PhaseTimes};
 pub use report::{
     duration_ns, PhaseReport, ReportError, ReportStats, RoundPoint, RunReport, VerdictRow,
     WorkerReport, SCHEMA,
@@ -57,8 +55,8 @@ pub use report::{
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::json::JsonValue;
-    pub use crate::metrics::{Histogram, MetricsRegistry, ScopedTimer};
-    pub use crate::phase::{Phase, PhaseTimes};
+    pub use crate::metrics::{Histogram, MetricsRegistry};
+    pub use crate::phase::PhaseTimes;
     pub use crate::report::{
         PhaseReport, ReportStats, RoundPoint, RunReport, VerdictRow, WorkerReport,
     };

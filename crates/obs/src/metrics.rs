@@ -6,7 +6,7 @@
 //! sample is a few arithmetic instructions.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Number of power-of-two buckets: bucket `i` holds samples with
 /// `floor(log2(ns)) == i - 1`, bucket 0 holds zero-duration samples. 64
@@ -172,15 +172,6 @@ impl MetricsRegistry {
         self.histograms.get(name)
     }
 
-    /// Starts a timer that records into histogram `name` when dropped.
-    pub fn time<'a>(&'a mut self, name: &'a str) -> ScopedTimer<'a> {
-        ScopedTimer {
-            registry: self,
-            name,
-            start: Instant::now(),
-        }
-    }
-
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
@@ -191,28 +182,6 @@ impl MetricsRegistry {
 
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-}
-
-/// RAII span: records the elapsed wall-clock into a registry histogram on
-/// drop. Obtained from [`MetricsRegistry::time`].
-pub struct ScopedTimer<'a> {
-    registry: &'a mut MetricsRegistry,
-    name: &'a str,
-    start: Instant,
-}
-
-impl ScopedTimer<'_> {
-    /// Time elapsed so far, without ending the span.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-}
-
-impl Drop for ScopedTimer<'_> {
-    fn drop(&mut self) {
-        let elapsed = self.start.elapsed();
-        self.registry.record(self.name, elapsed);
     }
 }
 
@@ -277,16 +246,5 @@ mod tests {
         assert_eq!(reg.gauge("untouched"), None);
         let names: Vec<&str> = reg.counters().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["steps"]);
-    }
-
-    #[test]
-    fn scoped_timer_records_on_drop() {
-        let mut reg = MetricsRegistry::new();
-        {
-            let timer = reg.time("span");
-            assert!(timer.elapsed() < Duration::from_secs(1));
-        }
-        let h = reg.histogram("span").expect("histogram recorded");
-        assert_eq!(h.count(), 1);
     }
 }

@@ -1,44 +1,12 @@
-//! Named wall-clock spans and their accumulation.
+//! Accumulated wall-clock spans.
 //!
-//! A [`Phase`] is a started span with a name; [`PhaseTimes`] accumulates
-//! finished spans per name, preserving first-appearance order so that
-//! reports list phases in the order the run entered them.
+//! [`PhaseTimes`] accumulates span durations per name, preserving
+//! first-appearance order so that reports list phases in the order the run
+//! entered them.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::metrics::Histogram;
-
-/// A started, named wall-clock span. Finish it explicitly with
-/// [`Phase::finish`] or fold it into a [`PhaseTimes`] with
-/// [`PhaseTimes::record`].
-#[derive(Debug)]
-pub struct Phase {
-    name: String,
-    start: Instant,
-}
-
-impl Phase {
-    pub fn start(name: impl Into<String>) -> Self {
-        Phase {
-            name: name.into(),
-            start: Instant::now(),
-        }
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Ends the span, returning its name and total duration.
-    pub fn finish(self) -> (String, Duration) {
-        let elapsed = self.start.elapsed();
-        (self.name, elapsed)
-    }
-}
 
 /// Accumulated time for one phase name.
 #[derive(Clone, Debug, Default)]
@@ -90,12 +58,6 @@ impl PhaseTimes {
         accum.histogram.record(sample);
     }
 
-    /// Finishes `phase` and folds it in.
-    pub fn record(&mut self, phase: Phase) {
-        let (name, elapsed) = phase.finish();
-        self.add(&name, elapsed);
-    }
-
     pub fn get(&self, name: &str) -> Option<&PhaseAccum> {
         self.phases.iter().find(|(n, _)| n == name).map(|(_, a)| a)
     }
@@ -134,15 +96,5 @@ mod tests {
         assert_eq!(discovery.histogram().max(), Duration::from_millis(5));
         assert_eq!(times.total(), Duration::from_millis(10));
         assert!(times.get("merge").is_none());
-    }
-
-    #[test]
-    fn explicit_phase_spans_fold_in() {
-        let mut times = PhaseTimes::new();
-        let phase = Phase::start("merge");
-        assert_eq!(phase.name(), "merge");
-        assert!(phase.elapsed() < Duration::from_secs(1));
-        times.record(phase);
-        assert_eq!(times.get("merge").unwrap().count(), 1);
     }
 }

@@ -90,6 +90,7 @@ use chase_core::{
     Predicate, Term, Tgd, Variable,
 };
 use chase_criteria::firing::PreparedDependency;
+use chase_criteria::graph::DiGraph;
 use chase_criteria::AnalysisContext;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -311,9 +312,9 @@ pub struct AdnResult {
     pub budget_exhausted: bool,
     /// Number of τ, θ and deduplicating rewrites of `Σµ`: the only steps that are not
     /// appends, so the only ones after which the state indexed from the rules
-    /// (`AP(Σµ)`, the bodies, writers, EGDs and blockers, the rejected candidates,
-    /// and which bodies of which dependencies are still to be tested) is re-indexed,
-    /// and every dependency revisited in full. Not part of the witness.
+    /// (`AP(Σµ)`, the bodies, writers, EGDs and blockers, and which bodies of which
+    /// dependencies are still to be tested) is re-indexed, and every dependency
+    /// revisited in full. Not part of the witness.
     pub rebuilds: usize,
 }
 
@@ -458,21 +459,15 @@ type AdornedPredicates = BTreeMap<Predicate, BTreeSet<Adornment>>;
 
 /// The state `Adn∃` indexes from its adorned rules. Appending a rule only adds to it.
 ///
-/// `rejected` makes the fireability test semi-naive: a candidate that no rule fired is
-/// stored with the number of rules it was tested against, and a re-test only tries the
-/// rules appended since. This is exact while rules are only appended: the old rules
-/// are unchanged, and the new full rules only add blockers to Definition 2, which can
-/// block more witnesses but never unblock one.
-///
 /// The rules a candidate is tested against are found by index: `writers` maps each
 /// adorned predicate to the TGD rules whose head writes it, and `egds` lists the
-/// adorned EGDs, both ascending, so the rules from a test count on are a suffix of
-/// each list. A TGD rule whose head writes no predicate of the candidate's body fails
-/// Definition 2's prefilter, so only an EGD is tried against every candidate.
+/// adorned EGDs, both ascending. A TGD rule whose head writes no predicate of the
+/// candidate's body fails Definition 2's prefilter, so only an EGD is tried against
+/// every candidate.
 /// `blockers` is `Σ∀µ`, indexed for the relevant-blocker lookup. The answers of the
 /// tests are memoised by pair shape in `Adn::memo`, which outlives this state.
 ///
-/// `revisit` makes the main loop semi-naive too: it records, per source dependency,
+/// `revisit` makes the main loop semi-naive: it records, per source dependency,
 /// which of its coherent bodies its next `try_adorn` must look at (see [`Revisit`]).
 /// All of it is dropped, and every dependency revisited in full, when a τ, θ or
 /// deduplicating rewrite changes the rules. Building it again re-indexes the rules
@@ -486,9 +481,6 @@ struct Derived {
     writers: FastMap<Predicate, Vec<usize>>,
     egds: Vec<usize>,
     blockers: Blockers<Dependency>,
-    /// Candidates that no rule fired, with the number of rules they were tested
-    /// against.
-    rejected: HashMap<Dependency, usize>,
     /// Per original dependency, what its next `try_adorn` tests.
     revisit: Vec<Revisit>,
     /// The positions in the scan order of the dependencies that are not settled.
@@ -503,7 +495,6 @@ impl Derived {
             writers: FastMap::default(),
             egds: Vec::new(),
             blockers: Blockers::new(),
-            rejected: HashMap::new(),
             revisit: vec![Revisit::default(); sources],
             unsettled: (0..sources).collect(),
         };
@@ -549,18 +540,18 @@ impl Derived {
         }
     }
 
-    /// The rules from `tested` on that can fire a candidate whose body is `body`: the
-    /// TGD rules writing one of its predicates, then every adorned EGD.
-    fn sources(&self, body: &[Atom], tested: usize) -> Vec<usize> {
+    /// The rules that can fire a candidate whose body is `body`: the TGD rules writing
+    /// one of its predicates, then every adorned EGD.
+    fn sources(&self, body: &[Atom]) -> Vec<usize> {
         let mut sources: Vec<usize> = Vec::new();
         for atom in body {
             if let Some(writers) = self.writers.get(&atom.predicate) {
-                sources.extend_from_slice(&writers[writers.partition_point(|&k| k < tested)..]);
+                sources.extend_from_slice(writers);
             }
         }
         sources.sort_unstable();
         sources.dedup();
-        sources.extend_from_slice(&self.egds[self.egds.partition_point(|&k| k < tested)..]);
+        sources.extend_from_slice(&self.egds);
         sources
     }
 }
@@ -574,9 +565,7 @@ impl Derived {
 /// an adorned version of the dependency, or a candidate that the full rescan would
 /// test and reject now.** `try_adorn` then tests exactly the bodies after `done` and
 /// those using an element of `fed`, in the full order, so it returns what the full
-/// rescan returns, and leaves the rest untested. A rejected candidate's stored test
-/// count may lag behind the full rescan's, but only by rules that fail Definition 2's
-/// prefilter against it, so its next test gives the same answer.
+/// rescan returns, and leaves the rest untested.
 ///
 /// `try_adorn` sets `done` to the body it appended (every body before it was tested),
 /// or to [`Done::Everything`] when it appends nothing (the dependency is *settled*),
@@ -629,46 +618,40 @@ impl Revisit {
 /// Reachability structure over the original dependency set used by the cyclicity
 /// condition of Ω(AD): `s ⇝ r` iff `s < r1 < · · · < rn < r` with every `ri ∈ Σ∀`.
 struct OriginalFiring {
-    /// `edges[s]` = set of direct successors of `s` in the Definition-2 firing graph.
-    edges: Vec<BTreeSet<usize>>,
+    /// The Definition-2 firing graph, shared with the analysis context.
+    graph: Rc<DiGraph>,
     full: Vec<bool>,
 }
 
 impl OriginalFiring {
     fn compute(cx: &AnalysisContext) -> Self {
-        let sigma = cx.sigma();
-        let mut edges = vec![BTreeSet::new(); sigma.len()];
-        for (f, t, _) in crate::firing::firing_graph_in(cx).edges() {
-            edges[f].insert(t);
+        let full = cx.sigma().iter().map(|(_, d)| d.is_full()).collect();
+        OriginalFiring {
+            graph: crate::firing::firing_graph_in(cx),
+            full,
         }
-        let full = sigma.iter().map(|(_, d)| d.is_full()).collect();
-        OriginalFiring { edges, full }
     }
 
     /// Is there a chain `s < r1 < … < rn < r` (n ≥ 0) with every intermediate `ri`
     /// full?
     fn reaches_via_full(&self, s: usize, r: usize) -> bool {
-        if self.edges[s].contains(&r) {
+        if self.graph.has_edge(s, r) {
             return true;
         }
         let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut stack: Vec<usize> = self.edges[s]
-            .iter()
-            .copied()
-            .filter(|&m| self.full[m])
-            .collect();
+        let mut stack: Vec<usize> = self.graph.successors(s).filter(|&m| self.full[m]).collect();
         while let Some(m) = stack.pop() {
             if !seen.insert(m) {
                 continue;
             }
-            if self.edges[m].contains(&r) {
+            if self.graph.has_edge(m, r) {
                 return true;
             }
-            for &next in &self.edges[m] {
-                if self.full[next] && !seen.contains(&next) {
-                    stack.push(next);
-                }
-            }
+            stack.extend(
+                self.graph
+                    .successors(m)
+                    .filter(|&next| self.full[next] && !seen.contains(&next)),
+            );
         }
         false
     }
@@ -841,10 +824,9 @@ impl<'a> Adn<'a> {
             .collect();
         let fireable_pairs: Vec<(usize, usize)> = self
             .original_firing
-            .edges
-            .iter()
-            .enumerate()
-            .flat_map(|(s, succs)| succs.iter().map(move |&r| (s, r)))
+            .graph
+            .edges()
+            .map(|(s, r, _)| (s, r))
             .collect();
         AdnResult {
             adorned_rule_count: self.rules.iter().filter(|r| r.src.is_some()).count(),
@@ -1049,24 +1031,19 @@ impl<'a> Adn<'a> {
     }
 
     /// Is the candidate adorned rule fireable with respect to the current adorned set?
-    /// A candidate rejected before is only tested against the rules appended since,
-    /// and of those only against the ones that can fire it (see [`Derived`]).
+    /// Only the rules that can fire it are tested (see [`Derived`]). A candidate
+    /// rejected before is tested again against every such rule: a rule that did not
+    /// fire it then does not now, as the rules appended since only add blockers, and
+    /// the memo usually answers that test.
     fn is_fireable(&mut self, candidate: &PreparedDependency<'static>) -> bool {
-        let rules = self.rules.len();
-        let derived = self.derived.as_mut().expect("built by try_adorn");
-        let target = candidate.dependency();
-        let tested = derived.rejected.get(target).copied().unwrap_or(0);
-        if tested == rules {
-            return false;
-        }
-        let fires = derived.sources(target.body(), tested).into_iter().any(|k| {
-            self.memo
-                .edge(&derived.blockers, &self.rules[k].dep, candidate)
-        });
-        if !fires {
-            derived.rejected.insert(target.clone(), rules);
-        }
-        fires
+        let derived = self.derived.as_ref().expect("built by try_adorn");
+        derived
+            .sources(candidate.dependency().body())
+            .into_iter()
+            .any(|k| {
+                self.memo
+                    .edge(&derived.blockers, &self.rules[k].dep, candidate)
+            })
     }
 
     /// `Dµ(Σµ)`: one fact per adorned predicate, with `b` as a constant and each free

@@ -30,7 +30,7 @@ use chase_core::hash::{FastMap, FastSet};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
     Assignment, Atom, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm,
-    HomomorphismSearch, IndexedInstance, Instance, NullValue, Snapshot, Term, Tgd,
+    HomomorphismSearch, IndexedInstance, Instance, NullValue, Term, Tgd,
 };
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -148,14 +148,10 @@ impl<'a> TriggerEngine<'a> {
 
     /// Creates an engine and loads the database (every database fact is a delta).
     ///
-    /// Facts are seeded in [`Instance::sorted_fact_ids`] order: by predicate, then
-    /// by argument terms, where predicates and constants compare by their interned
-    /// `Symbol` ids ([`FactStore::compare`](chase_core::FactStore::compare)). That
-    /// order is independent of how the database was built (its live set is a
-    /// `FactIdSet` bitset, which iterates in id order, that is insertion order), but
-    /// it follows the process-global interning order: two processes, or one process
-    /// whose threads intern the same names in another order, can seed the same
-    /// database differently, and so discover and fire triggers in a different order.
+    /// Facts are seeded in [`Instance::fact_ids`] order, the order in which the
+    /// database first interned them. So the same database, built the same way,
+    /// discovers and fires its triggers in the same order in every process,
+    /// whatever order other threads intern predicate and constant names in.
     /// The facts are re-interned into the engine's own arena directly from the
     /// database's term slices; no `Fact` values are materialised.
     pub fn with_database(sigma: &'a DependencySet, database: &Instance) -> Self {
@@ -295,8 +291,14 @@ impl<'a> TriggerEngine<'a> {
     /// `out` in discovery order — the same per-fact search the sharded
     /// [`discover_batch`](crate::parallel::discover_batch) runs.
     fn discover_seeded(&self, id: FactId, out: &mut Vec<Trigger>) {
-        let snapshot = Snapshot::new(&self.index);
-        discover_from(self.sigma, &self.seed_atoms, &snapshot, id, &keep_all, out);
+        discover_from(
+            self.sigma,
+            &self.seed_atoms,
+            &self.index,
+            id,
+            &keep_all,
+            out,
+        );
     }
 
     /// Pops the first discovered trigger accepted by `accept`, trying the

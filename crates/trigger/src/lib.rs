@@ -41,7 +41,7 @@
 //!
 //! Discovery also runs **in parallel** for round-batched consumers:
 //! [`parallel::discover_batch`] shards a delta batch across the worker pool over
-//! a read-only [`chase_core::Snapshot`] and merges the results in batch order,
+//! a shared `&IndexedInstance` and merges the results in batch order,
 //! identically at any worker count. The engine itself drains sequentially.
 
 #![forbid(unsafe_code)]

@@ -1,4 +1,4 @@
-//! Shard-partitioned parallel trigger discovery over a frozen snapshot.
+//! Shard-partitioned parallel trigger discovery over a shared indexed instance.
 //!
 //! Trigger discovery — seeding the join engine from every delta fact — is
 //! embarrassingly parallel: it only *reads* the instance. This module runs the
@@ -11,8 +11,8 @@
 //! 2. each chunk becomes a job on the persistent process-wide worker pool
 //!    ([`chase_core::pool`]) — long-lived threads fed by channels, so the
 //!    per-round `thread::scope` spawn cost of the first parallel cut is gone —
-//!    and every job walks its chunk in order against a shared read-only
-//!    [`Snapshot`], collecting the candidate triggers its seeds discover that
+//!    and every job walks its chunk in order against a shared borrow of the
+//!    [`IndexedInstance`], collecting the candidate triggers its seeds discover that
 //!    pass the caller's filter;
 //! 3. the per-worker results are concatenated **in chunk order**, which
 //!    reconstructs exactly the order a single-threaded drain would have produced
@@ -25,8 +25,10 @@
 use crate::engine::Trigger;
 use chase_core::hash::FastMap;
 use chase_core::pool::{self, ScopedJob};
-use chase_core::snapshot::{DiscoveryStats, ShardStats, Snapshot};
-use chase_core::{Assignment, DepId, DependencySet, FactId, Predicate};
+use chase_core::{
+    Assignment, DepId, DependencySet, DiscoveryStats, FactId, HomomorphismSearch, IndexedInstance,
+    Predicate, ShardStats,
+};
 use std::ops::ControlFlow;
 use std::time::Instant;
 
@@ -84,17 +86,18 @@ pub(crate) fn keep_all(_: DepId, _: &Assignment) -> bool {
 pub(crate) fn discover_from(
     sigma: &DependencySet,
     seeds: &SeedAtoms,
-    snapshot: &Snapshot<'_>,
+    index: &IndexedInstance,
     fact: FactId,
     keep: &impl Fn(DepId, &Assignment) -> bool,
     out: &mut Vec<Trigger>,
 ) {
-    let predicate = snapshot.predicate_of(fact);
+    let predicate = index.store().predicate_of(fact);
     for &(dep, seed_index) in seeds.seeds_for(predicate) {
         let body = sigma.get(dep).body();
-        snapshot
-            .search(body)
-            .for_each_seeded_id::<()>(seed_index, fact, &mut |h| {
+        HomomorphismSearch::over_index(body, index).for_each_seeded_id::<()>(
+            seed_index,
+            fact,
+            &mut |h| {
                 if keep(dep, h) {
                     out.push(Trigger {
                         dep,
@@ -102,11 +105,12 @@ pub(crate) fn discover_from(
                     });
                 }
                 ControlFlow::Continue(())
-            });
+            },
+        );
     }
 }
 
-/// Discovers the candidate triggers of a whole delta batch against `snapshot`,
+/// Discovers the candidate triggers of a whole delta batch against `index`,
 /// sharding the batch across up to `workers` pool workers.
 ///
 /// The returned list is in **batch order** regardless of the worker count: worker
@@ -127,7 +131,7 @@ pub(crate) fn discover_from(
 pub fn discover_batch(
     sigma: &DependencySet,
     seeds: &SeedAtoms,
-    snapshot: Snapshot<'_>,
+    index: &IndexedInstance,
     batch: &[FactId],
     workers: usize,
     keep: &(impl Fn(DepId, &Assignment) -> bool + Sync),
@@ -141,7 +145,7 @@ pub fn discover_batch(
         let shard_start = started.map(|_| Instant::now());
         let mut out = Vec::new();
         for &fact in shard {
-            discover_from(sigma, seeds, &snapshot, fact, keep, &mut out);
+            discover_from(sigma, seeds, index, fact, keep, &mut out);
         }
         (out, shard.len(), shard_start.map(|s| s.elapsed()))
     };
@@ -182,7 +186,7 @@ mod tests {
     use super::*;
     use chase_core::parser::parse_dependencies;
     use chase_core::term::Constant;
-    use chase_core::{Fact, GroundTerm, IndexedInstance};
+    use chase_core::{Fact, GroundTerm};
 
     fn gc(s: &str) -> GroundTerm {
         GroundTerm::Const(Constant::new(s))
@@ -228,10 +232,8 @@ mod tests {
         let sigma = parse_dependencies("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).").unwrap();
         let seeds = SeedAtoms::new(&sigma);
         let (index, batch) = chain_batch();
-        let discover = |workers| {
-            let snapshot = Snapshot::new(&index);
-            discover_batch(&sigma, &seeds, snapshot, &batch, workers, &keep_all, None)
-        };
+        let discover =
+            |workers| discover_batch(&sigma, &seeds, &index, &batch, workers, &keep_all, None);
         let sequential = discover(1);
         assert!(!sequential.is_empty());
         // A filter drops candidates in place: the survivors keep batch order.
@@ -247,8 +249,7 @@ mod tests {
                 discover(workers),
                 "merged discovery order diverged at {workers} workers"
             );
-            let snapshot = Snapshot::new(&index);
-            let filtered = discover_batch(&sigma, &seeds, snapshot, &batch, workers, &keep, None);
+            let filtered = discover_batch(&sigma, &seeds, &index, &batch, workers, &keep, None);
             assert_eq!(
                 kept, filtered,
                 "filtered order diverged at {workers} workers"
@@ -261,14 +262,13 @@ mod tests {
         let sigma = parse_dependencies("t: E(?x, ?y), E(?y, ?z) -> E(?x, ?z).").unwrap();
         let (index, batch) = chain_batch();
         let seeds = SeedAtoms::new(&sigma);
-        let snapshot = Snapshot::new(&index);
-        let plain = discover_batch(&sigma, &seeds, snapshot, &batch, 1, &keep_all, None);
+        let plain = discover_batch(&sigma, &seeds, &index, &batch, 1, &keep_all, None);
         for workers in [1, 4] {
             let mut stats = DiscoveryStats::default();
             let found = discover_batch(
                 &sigma,
                 &seeds,
-                snapshot,
+                &index,
                 &batch,
                 workers,
                 &keep_all,

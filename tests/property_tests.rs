@@ -895,6 +895,48 @@ proptest! {
         }
     }
 
+    /// The round runner counts live nulls without scanning the instance: after
+    /// the last round of a run that halts, the reported count is the final
+    /// instance's, on the corpus above plus a database null.
+    #[test]
+    fn round_runner_null_counts_match_the_final_instance(seed in 0..200u64, facts in 2..8usize) {
+        use chase_ontology::generator::{generate, generate_database, OntologyProfile};
+        let profile = OntologyProfile {
+            existential: (seed % 4) as usize + 1,
+            full: (seed % 6) as usize + 2,
+            egds: 0,
+            cyclic: seed % 5 == 0,
+            seed,
+        };
+        let sigma = generate(&profile);
+        let db = generate_database(&sigma, facts, seed ^ 0x00c0_ffee);
+        let mut with_null = db.clone();
+        if let Some(mut fact) = db.facts().next() {
+            fact.terms[0] = GroundTerm::Null(NullValue(7));
+            with_null.insert(fact);
+        }
+        let budget = ChaseBudget::unlimited().with_max_steps(300);
+        for database in [&db, &with_null] {
+            for variant in [ObliviousVariant::Oblivious, ObliviousVariant::SemiOblivious] {
+                for workers in [1, 2] {
+                    let mut trace = TraceObserver::new();
+                    let out = Chase::oblivious(&sigma, variant)
+                        .with_budget(budget)
+                        .workers(workers)
+                        .run_observed(database, &mut trace);
+                    if let Some(instance) = out.instance().filter(|_| out.is_terminating()) {
+                        prop_assert_eq!(
+                            trace.round_null_counts.last().copied(),
+                            (!trace.rounds.is_empty()).then(|| instance.nulls().len()),
+                            "{:?} at {} workers (seed {})",
+                            variant, workers, seed
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     /// Dependency sets round-trip through the textual format.
     #[test]
     fn dependency_sets_round_trip_through_parser(sigma in terminating_dependency_set()) {
