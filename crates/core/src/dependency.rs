@@ -91,13 +91,13 @@ impl Tgd {
         self.existential_len == 0
     }
 
-    /// Positions of the body in which `v` occurs.
-    pub fn body_positions_of(&self, v: Variable) -> Vec<Position> {
+    /// Positions of the body in which `v` occurs, in order, one per occurrence.
+    pub fn body_positions_of(&self, v: Variable) -> impl Iterator<Item = Position> + '_ {
         positions_of(&self.body, v)
     }
 
-    /// Positions of the head in which `v` occurs.
-    pub fn head_positions_of(&self, v: Variable) -> Vec<Position> {
+    /// Positions of the head in which `v` occurs, in order, one per occurrence.
+    pub fn head_positions_of(&self, v: Variable) -> impl Iterator<Item = Position> + '_ {
         positions_of(&self.head, v)
     }
 }
@@ -129,16 +129,14 @@ fn classify_head_variables(body: &[Atom], head: &[Atom]) -> (Box<[Variable]>, us
     (variables.into_boxed_slice(), existential_len)
 }
 
-fn positions_of(atoms: &[Atom], v: Variable) -> Vec<Position> {
-    let mut out = Vec::new();
-    for atom in atoms {
-        for (i, t) in atom.terms.iter().enumerate() {
-            if *t == Term::Var(v) {
-                out.push(Position::new(atom.predicate, i));
-            }
-        }
-    }
-    out
+fn positions_of(atoms: &[Atom], v: Variable) -> impl Iterator<Item = Position> + '_ {
+    atoms.iter().flat_map(move |atom| {
+        atom.terms
+            .iter()
+            .enumerate()
+            .filter(move |&(_, t)| *t == Term::Var(v))
+            .map(move |(i, _)| Position::new(atom.predicate, i))
+    })
 }
 
 /// An equality generating dependency `∀x∀y ϕ(x,y) → x1 = x2`.
@@ -437,7 +435,11 @@ impl DependencySet {
 
     /// All predicates occurring in the set (the schema `R`).
     pub fn predicates(&self) -> BTreeSet<Predicate> {
-        self.deps.iter().flat_map(|d| d.predicates()).collect()
+        self.deps
+            .iter()
+            .flat_map(|d| d.body().iter().chain(d.head_atoms()))
+            .map(|a| a.predicate)
+            .collect()
     }
 
     /// A subset of this dependency set, preserving labels and relative order.
@@ -662,8 +664,9 @@ mod tests {
         )
         .unwrap();
         let x = Variable::new("x");
-        assert_eq!(t.body_positions_of(x).len(), 1);
-        assert_eq!(t.body_positions_of(x)[0].index, 0);
-        assert_eq!(t.head_positions_of(x)[0].index, 1);
+        let body: Vec<Position> = t.body_positions_of(x).collect();
+        assert_eq!(body.len(), 1);
+        assert_eq!(body[0].index, 0);
+        assert_eq!(t.head_positions_of(x).next().unwrap().index, 1);
     }
 }

@@ -790,20 +790,6 @@ pub fn find_homomorphism_extending(
         .for_each_extending(partial, &mut |a| ControlFlow::Break(a.clone()))
 }
 
-/// Returns `true` iff some homomorphism from `atoms` into `instance` extends `partial`.
-pub fn exists_homomorphism_extending(
-    atoms: &[Atom],
-    instance: &Instance,
-    partial: &Assignment,
-) -> bool {
-    find_homomorphism_extending(atoms, instance, partial).is_some()
-}
-
-/// Returns `true` iff some homomorphism from `atoms` into `instance` exists.
-pub fn exists_homomorphism(atoms: &[Atom], instance: &Instance) -> bool {
-    exists_homomorphism_extending(atoms, instance, &Assignment::new())
-}
-
 /// Reference implementation retained for differential testing: enumerate every
 /// homomorphism from `atoms` into `instance` extending `partial` by plain
 /// backtracking over `facts_of(predicate)` scans, in textual atom order — no
@@ -964,13 +950,16 @@ mod tests {
     }
 
     #[test]
-    fn exists_homomorphism_early_exit() {
+    fn find_homomorphism_answers_existence() {
         let k = path_instance();
-        assert!(exists_homomorphism(
-            &[atom("E", vec![var("x"), var("y")])],
-            &k
-        ));
-        assert!(!exists_homomorphism(&[atom("Missing", vec![var("x")])], &k));
+        let none = Assignment::new();
+        assert!(
+            find_homomorphism_extending(&[atom("E", vec![var("x"), var("y")])], &k, &none)
+                .is_some()
+        );
+        assert!(
+            find_homomorphism_extending(&[atom("Missing", vec![var("x")])], &k, &none).is_none()
+        );
     }
 
     #[test]

@@ -72,9 +72,19 @@ impl DiGraph {
     /// with the components themselves sorted lexicographically (NOT topologically).
     pub fn sccs(&self) -> Vec<Vec<usize>> {
         let nodes: Vec<usize> = self.nodes.iter().copied().collect();
-        let index_of: BTreeMap<usize, usize> =
-            nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let index_of = |node: &usize| nodes.binary_search(node).expect("edges join nodes");
         let n = nodes.len();
+        // Successors by node index: node i's are `succ[first[i]..first[i + 1]]`.
+        // Edges are sorted by source, and so are node indices.
+        let mut first = vec![0; n + 1];
+        let mut succ = Vec::with_capacity(self.edges.len());
+        for (from, to) in self.edges.keys() {
+            first[index_of(from) + 1] += 1;
+            succ.push(index_of(to));
+        }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
         let mut state = TarjanState {
             index: vec![None; n],
             lowlink: vec![0; n],
@@ -85,7 +95,7 @@ impl DiGraph {
         };
         for v in 0..n {
             if state.index[v].is_none() {
-                self.tarjan(v, &nodes, &index_of, &mut state);
+                tarjan(v, &first, &succ, &mut state);
             }
         }
         let mut out: Vec<Vec<usize>> = state
@@ -99,73 +109,6 @@ impl DiGraph {
             .collect();
         out.sort();
         out
-    }
-
-    fn tarjan(
-        &self,
-        v: usize,
-        nodes: &[usize],
-        index_of: &BTreeMap<usize, usize>,
-        state: &mut TarjanState,
-    ) {
-        // Iterative Tarjan to avoid deep recursion on large graphs.
-        let mut call_stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        let succ: Vec<usize> = self.successors(nodes[v]).map(|s| index_of[&s]).collect();
-        call_stack.push((v, succ, 0));
-        state.index[v] = Some(state.next_index);
-        state.lowlink[v] = state.next_index;
-        state.next_index += 1;
-        state.stack.push(v);
-        state.on_stack[v] = true;
-
-        while let Some((node, succ, mut i)) = call_stack.pop() {
-            let mut descended = false;
-            while i < succ.len() {
-                let w = succ[i];
-                i += 1;
-                match state.index[w] {
-                    None => {
-                        // Descend into w.
-                        call_stack.push((node, succ.clone(), i));
-                        state.index[w] = Some(state.next_index);
-                        state.lowlink[w] = state.next_index;
-                        state.next_index += 1;
-                        state.stack.push(w);
-                        state.on_stack[w] = true;
-                        let wsucc: Vec<usize> =
-                            self.successors(nodes[w]).map(|s| index_of[&s]).collect();
-                        call_stack.push((w, wsucc, 0));
-                        descended = true;
-                        break;
-                    }
-                    Some(widx) => {
-                        if state.on_stack[w] {
-                            state.lowlink[node] = state.lowlink[node].min(widx);
-                        }
-                    }
-                }
-            }
-            if descended {
-                continue;
-            }
-            // Finished node: pop SCC if root, propagate lowlink to parent.
-            if Some(state.lowlink[node]) == state.index[node] {
-                let mut comp = Vec::new();
-                loop {
-                    let w = state.stack.pop().expect("stack underflow in Tarjan");
-                    state.on_stack[w] = false;
-                    comp.push(w);
-                    if w == node {
-                        break;
-                    }
-                }
-                state.components.push(comp);
-            }
-            if let Some((parent, _, _)) = call_stack.last() {
-                let parent = *parent;
-                state.lowlink[parent] = state.lowlink[parent].min(state.lowlink[node]);
-            }
-        }
     }
 
     /// Returns `true` iff the graph has a cycle (including self-loops).
@@ -300,6 +243,55 @@ impl DiGraph {
     }
 }
 
+/// Iterative Tarjan from node index `v`, over the successor lists `succ` indexed
+/// by `first` (see [`DiGraph::sccs`]). Each frame on the call stack is a node and
+/// the position of its next successor, so no list is copied on descent.
+fn tarjan(v: usize, first: &[usize], succ: &[usize], state: &mut TarjanState) {
+    let mut call_stack: Vec<(usize, usize)> = vec![(v, first[v])];
+    state.visit(v);
+    while let Some((node, mut i)) = call_stack.pop() {
+        let mut descended = false;
+        while i < first[node + 1] {
+            let w = succ[i];
+            i += 1;
+            match state.index[w] {
+                None => {
+                    // Descend into w.
+                    call_stack.push((node, i));
+                    state.visit(w);
+                    call_stack.push((w, first[w]));
+                    descended = true;
+                    break;
+                }
+                Some(widx) => {
+                    if state.on_stack[w] {
+                        state.lowlink[node] = state.lowlink[node].min(widx);
+                    }
+                }
+            }
+        }
+        if descended {
+            continue;
+        }
+        // Finished node: pop SCC if root, propagate lowlink to parent.
+        if Some(state.lowlink[node]) == state.index[node] {
+            let mut comp = Vec::new();
+            loop {
+                let w = state.stack.pop().expect("stack underflow in Tarjan");
+                state.on_stack[w] = false;
+                comp.push(w);
+                if w == node {
+                    break;
+                }
+            }
+            state.components.push(comp);
+        }
+        if let Some(&(parent, _)) = call_stack.last() {
+            state.lowlink[parent] = state.lowlink[parent].min(state.lowlink[node]);
+        }
+    }
+}
+
 struct TarjanState {
     index: Vec<Option<usize>>,
     lowlink: Vec<usize>,
@@ -307,6 +299,17 @@ struct TarjanState {
     stack: Vec<usize>,
     next_index: usize,
     components: Vec<Vec<usize>>,
+}
+
+impl TarjanState {
+    /// Numbers node `v` and pushes it on the SCC stack.
+    fn visit(&mut self, v: usize) {
+        self.index[v] = Some(self.next_index);
+        self.lowlink[v] = self.next_index;
+        self.next_index += 1;
+        self.stack.push(v);
+        self.on_stack[v] = true;
+    }
 }
 
 #[cfg(test)]

@@ -11,6 +11,9 @@
 //!   firing test of [`firing`];
 //! * [`super_weak`] — super-weak acyclicity **SwA** (Marnette 2009);
 //! * [`mfa`] — model-faithful acyclicity **MFA** (Cuenca Grau et al. 2013);
+//! * [`positions`] — the position table WA, SC and SwA share, compiled once per
+//!   set, with the counter propagation behind SC's affected positions and SwA's
+//!   null reach;
 //! * [`simulation`] — the natural and substitution-free EGD→TGD simulations that the
 //!   TGD-only criteria rely on (Section 4 of the paper);
 //! * [`criterion`] — the [`TerminationCriterion`] trait, the witness-producing
@@ -56,6 +59,7 @@ pub mod criterion;
 pub mod firing;
 pub mod graph;
 pub mod mfa;
+pub mod positions;
 pub mod safety;
 pub mod simulation;
 pub mod stratification;

@@ -21,7 +21,7 @@
 //! interned once and never re-hashed or cloned.
 
 use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness};
-use crate::simulation::{has_egds, substitution_free_simulation};
+use crate::simulation::{has_egds, simulation_in};
 use chase_core::term::Constant;
 use chase_core::{DependencySet, GroundTerm, Instance, Term};
 use chase_trigger::TriggerEngine;
@@ -307,18 +307,19 @@ impl TerminationCriterion for ModelFaithfulAcyclicity {
     }
 
     fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        self.verdict_within(cx.sigma(), MAX_FACTS, MAX_DEPTH)
+        if has_egds(cx.sigma()) {
+            self.verdict_within(&simulation_in(cx), MAX_FACTS, MAX_DEPTH)
+        } else {
+            self.verdict_within(cx.sigma(), MAX_FACTS, MAX_DEPTH)
+        }
     }
 }
 
 impl ModelFaithfulAcyclicity {
-    /// The verdict on `sigma` under the given saturation caps.
-    fn verdict_within(&self, sigma: &DependencySet, max_facts: usize, max_depth: usize) -> Verdict {
-        let report = if has_egds(sigma) {
-            saturate(&substitution_free_simulation(sigma), max_facts, max_depth)
-        } else {
-            saturate(sigma, max_facts, max_depth)
-        };
+    /// The verdict on the TGDs `tgds` (`Σ`, or its simulation) under the given
+    /// saturation caps.
+    fn verdict_within(&self, tgds: &DependencySet, max_facts: usize, max_depth: usize) -> Verdict {
+        let report = saturate(tgds, max_facts, max_depth);
         match report.verdict {
             MfaVerdict::Acyclic => Verdict::accept(
                 self.name(),

@@ -4,12 +4,19 @@
 //! the positions that may actually hold labeled nulls during a chase — and by only
 //! propagating along body variables all of whose occurrences lie in affected positions.
 //! Like weak acyclicity, the analysis ignores EGDs.
+//!
+//! The affected positions are one counter propagation over the shared
+//! [`PositionTable`] (see [`crate::positions`]), started from every existential
+//! position: a frontier variable's clause reaches its head positions once all its
+//! body positions are reached. The propagation graph keeps the clauses at 0 and
+//! numbers its nodes in the order those clauses meet them.
 
 use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict};
 use crate::graph::DiGraph;
+use crate::positions::{position_table_in, PositionTable, Propagation};
 use crate::weak_acyclicity::verdict_from_position_graph;
 use chase_core::{DependencySet, Position};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Computes the set of affected positions of the TGDs of `sigma`:
 ///
@@ -19,81 +26,54 @@ use std::collections::{BTreeMap, BTreeSet};
 ///   occurrences of `x` in the body are in affected positions, then the positions of
 ///   `x` in the head are affected.
 pub fn affected_positions(sigma: &DependencySet) -> BTreeSet<Position> {
-    let mut affected: BTreeSet<Position> = BTreeSet::new();
-    // Base case: existential positions.
-    for (_, dep) in sigma.iter() {
-        if let Some(tgd) = dep.as_tgd() {
-            for &z in tgd.existential_variables() {
-                for q in tgd.head_positions_of(z) {
-                    affected.insert(q);
-                }
-            }
-        }
-    }
-    // Fixpoint: propagate through frontier variables whose body occurrences are all
-    // affected.
-    loop {
-        let mut changed = false;
-        for (_, dep) in sigma.iter() {
-            if let Some(tgd) = dep.as_tgd() {
-                for &x in tgd.frontier_variables() {
-                    let body_pos = tgd.body_positions_of(x);
-                    if body_pos.iter().all(|p| affected.contains(p)) {
-                        for q in tgd.head_positions_of(x) {
-                            if affected.insert(q) {
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !changed {
-            return affected;
-        }
-    }
+    let table = PositionTable::compile(sigma);
+    let mut affected = Propagation::new(&table);
+    affected.run(table.all_markers());
+    affected
+        .visited()
+        .iter()
+        .map(|&p| table.positions()[p as usize])
+        .collect()
 }
 
 /// Builds the safety propagation graph: like the weak-acyclicity graph, but edges are
 /// only created for frontier variables all of whose body occurrences are affected, and
 /// only affected positions participate.
 pub fn propagation_graph(sigma: &DependencySet) -> (DiGraph, Vec<Position>) {
-    let affected = affected_positions(sigma);
+    propagation_graph_of(&PositionTable::compile(sigma))
+}
+
+/// The propagation graph of the table's TGDs, with its nodes numbered in the
+/// order the rules meet them, and the position of each node.
+fn propagation_graph_of(table: &PositionTable) -> (DiGraph, Vec<Position>) {
+    let mut affected = Propagation::new(table);
+    affected.run(table.all_markers());
+    let mut node_of = vec![u32::MAX; table.positions().len()];
     let mut positions: Vec<Position> = Vec::new();
-    let mut id_of: BTreeMap<Position, usize> = BTreeMap::new();
-    let mut graph = DiGraph::new();
-    let mut intern = |p: Position, positions: &mut Vec<Position>| -> usize {
-        *id_of.entry(p).or_insert_with(|| {
-            positions.push(p);
-            positions.len() - 1
-        })
+    let mut node = |p: u32| -> usize {
+        let n = &mut node_of[p as usize];
+        if *n == u32::MAX {
+            *n = positions.len() as u32;
+            positions.push(table.positions()[p as usize]);
+        }
+        *n as usize
     };
-    for (_, dep) in sigma.iter() {
-        let tgd = match dep.as_tgd() {
-            Some(t) => t,
-            None => continue,
-        };
-        let existential = tgd.existential_variables();
-        for &x in tgd.frontier_variables() {
-            let body_pos = tgd.body_positions_of(x);
-            // Only variables that can carry a null propagate: all body occurrences
-            // must be affected.
-            if !body_pos.iter().all(|p| affected.contains(p)) {
-                continue;
-            }
-            for &p in &body_pos {
-                let pid = intern(p, &mut positions);
+    let mut graph = DiGraph::new();
+    for rule in table.rules() {
+        // Only variables that can carry a null propagate: all body occurrences
+        // must be affected.
+        for c in rule.clauses.clone().filter(|&c| affected.has_fired(c)) {
+            for &p in table.body(c) {
+                let pid = node(p);
                 graph.add_node(pid);
-                for q in tgd.head_positions_of(x) {
-                    if affected.contains(&q) {
-                        let qid = intern(q, &mut positions);
-                        graph.add_edge(pid, qid, false);
+                for &q in table.head(c) {
+                    if affected.reached(q) {
+                        graph.add_edge(pid, node(q), false);
                     }
                 }
-                for &z in existential {
-                    for q in tgd.head_positions_of(z) {
-                        let qid = intern(q, &mut positions);
-                        graph.add_edge(pid, qid, true);
+                for m in rule.markers.clone() {
+                    for &q in table.marker(m) {
+                        graph.add_edge(pid, node(q), true);
                     }
                 }
             }
@@ -123,8 +103,7 @@ impl TerminationCriterion for Safety {
     }
 
     fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        let sigma = cx.sigma();
-        let (graph, positions) = propagation_graph(sigma);
+        let (graph, positions) = propagation_graph_of(&position_table_in(cx));
         verdict_from_position_graph(self.name(), self.guarantee(), &graph, &positions)
     }
 }

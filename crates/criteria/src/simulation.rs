@@ -5,9 +5,18 @@
 //! Both rewritings produce a TGD-only set `Σ'` such that termination of `Σ'` implies
 //! termination of `Σ` (soundness), but not vice versa (Theorem 2) — which is precisely
 //! why criteria that rely on them lose precision on EGD-heavy inputs.
+//!
+//! SwA and MFA analyse the substitution-free simulation of an EGD-bearing set; an
+//! analysis builds it once ([`simulation_in`]), by whichever of the two runs first.
+//! The order in which a simulation interns the names it mints (`Eq`, the
+//! reflexivity rules' `x0…xk`, the split variables) is part of its behaviour:
+//! frontier variables are sorted by interned id, and the position criteria number
+//! their graphs' nodes in frontier order. `tests/criteria_golden.rs` pins it.
 
-use chase_core::{Atom, Dependency, DependencySet, Predicate, Symbol, Term, Tgd, Variable};
+use crate::criterion::AnalysisContext;
+use chase_core::{Atom, Dependency, DependencySet, Predicate, Term, Tgd, Variable};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 /// The name of the auxiliary equality predicate introduced by the simulations, when
 /// no predicate of `Σ` has it; otherwise the first of `Eq1`, `Eq2`, … that none has.
@@ -28,13 +37,12 @@ fn equality_axioms(sigma: &DependencySet) -> (Predicate, Vec<Dependency>) {
     let y = Term::Var(Variable::new("y"));
     let z = Term::Var(Variable::new("z"));
     let predicates = sigma.predicates();
-    let names: BTreeSet<Symbol> = predicates.iter().map(|p| p.name).collect();
     let eq = (0..)
         .map(|k| match k {
             0 => Predicate::new(EQ_PREDICATE, 2),
             k => Predicate::new(&format!("{EQ_PREDICATE}{k}"), 2),
         })
-        .find(|eq| !names.contains(&eq.name))
+        .find(|eq| predicates.iter().all(|p| p.name != eq.name))
         .expect("some name is free");
     let mut out = vec![
         Dependency::Tgd(
@@ -54,14 +62,19 @@ fn equality_axioms(sigma: &DependencySet) -> (Predicate, Vec<Dependency>) {
             .expect("well-formed"),
         ),
     ];
+    let widest = predicates.iter().map(|p| p.arity).max().unwrap_or(0);
+    let xs: Vec<Term> = (0..widest)
+        .map(|i| Term::Var(Variable::new(&format!("x{i}"))))
+        .collect();
     for pred in predicates {
         if pred.arity == 0 {
             continue;
         }
-        let vars: Vec<Term> = (0..pred.arity)
-            .map(|i| Term::Var(Variable::new(&format!("x{i}"))))
-            .collect();
-        let body = vec![Atom::from_parts(&pred.name.as_str(), vars.clone())];
+        let vars = &xs[..pred.arity];
+        let body = vec![Atom {
+            predicate: pred,
+            terms: vars.to_vec(),
+        }];
         let head: Vec<Atom> = vars.iter().map(|v| eq_atom(eq, *v, *v)).collect();
         out.push(Dependency::Tgd(
             Tgd::new(Some(format!("eq_refl_{}", pred.name)), body, head).expect("well-formed"),
@@ -105,6 +118,10 @@ pub fn substitution_free_simulation(sigma: &DependencySet) -> DependencySet {
         let tgd = dep
             .as_tgd()
             .expect("all dependencies are TGDs at this point");
+        if !has_repeated_body_variable(tgd) {
+            out.push(dep);
+            continue;
+        }
         // Split repeated body variables, into names no variable of `tgd` has.
         let mut taken: BTreeSet<Variable> = tgd
             .body()
@@ -162,6 +179,27 @@ pub fn substitution_free_simulation(sigma: &DependencySet) -> DependencySet {
         ));
     }
     DependencySet::from_vec(out)
+}
+
+/// The substitution-free simulation of the context's set, built once per analysis
+/// by whichever of SwA and MFA asks first.
+pub fn simulation_in(cx: &AnalysisContext) -> Rc<DependencySet> {
+    cx.shared("substitution-free simulation", || {
+        substitution_free_simulation(cx.sigma())
+    })
+}
+
+fn has_repeated_body_variable(tgd: &Tgd) -> bool {
+    let mut seen: Vec<Variable> = Vec::new();
+    for t in tgd.body().iter().flat_map(|atom| &atom.terms) {
+        if let Term::Var(v) = t {
+            if seen.contains(v) {
+                return true;
+            }
+            seen.push(*v);
+        }
+    }
+    false
 }
 
 /// The **natural simulation** of `Σ` (Gottlob & Nash 2008): equality axioms, EGD heads

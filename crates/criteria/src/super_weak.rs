@@ -14,87 +14,47 @@
 //! The criterion is defined for TGDs only; EGDs are handled through the
 //! substitution-free simulation (`Σ` is accepted iff its simulation is), exactly as the
 //! paper assumes in Sections 3–4.
+//!
+//! Each marker's reach is one counter propagation over the [`PositionTable`] of the
+//! analysed set (see [`crate::positions`]), started from the marker's head
+//! positions; the clauses it brings to 0 are the frontier variables whose body
+//! occurrences its nulls all reach, so their existential rules are its trigger
+//! targets. Without EGDs the table is the one WA and SC share. With EGDs SwA
+//! analyses the simulation, which it builds for the analysis and MFA reuses
+//! ([`simulation_in`]).
 
 use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness};
 use crate::graph::DiGraph;
-use crate::simulation::{has_egds, substitution_free_simulation};
-use chase_core::{DepId, DependencySet, Position, Variable};
-use std::collections::BTreeSet;
-
-/// A marker identifying the nulls invented for one existential variable of one TGD.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct NullMarker {
-    /// Index of the TGD in the dependency set.
-    pub dep: usize,
-    /// Index of the existential variable within that TGD (in declaration order).
-    pub var: usize,
-}
-
-/// Computes the positions reachable by nulls of the given marker: the least set of
-/// positions containing the head positions of the existential variable and closed under
-/// rule application with the all-occurrences condition on body variables.
-pub fn reachable_positions(
-    sigma: &DependencySet,
-    dep_idx: usize,
-    exist_var: Variable,
-) -> BTreeSet<Position> {
-    let mut reach: BTreeSet<Position> = BTreeSet::new();
-    if let Some(tgd) = sigma.as_slice()[dep_idx].as_tgd() {
-        for p in tgd.head_positions_of(exist_var) {
-            reach.insert(p);
-        }
-    }
-    loop {
-        let mut changed = false;
-        for (_, dep) in sigma.iter() {
-            let tgd = match dep.as_tgd() {
-                Some(t) => t,
-                None => continue,
-            };
-            for &x in tgd.frontier_variables() {
-                let body_pos = tgd.body_positions_of(x);
-                // The null can be matched against x only if it can appear in every
-                // occurrence of x in the body (Marnette's repeated-variable refinement).
-                if body_pos.is_empty() || !body_pos.iter().all(|p| reach.contains(p)) {
-                    continue;
-                }
-                for q in tgd.head_positions_of(x) {
-                    if reach.insert(q) {
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            return reach;
-        }
-    }
-}
+use crate::positions::{position_table_in, PositionTable, Propagation, Rule};
+use crate::simulation::{has_egds, simulation_in};
+use chase_core::{DepId, DependencySet};
 
 /// Builds the trigger graph over existential TGDs: an edge `r → r'` iff some null
 /// marker of `r` reaches all body occurrences of some frontier variable of `r'`.
 pub fn trigger_graph(sigma: &DependencySet) -> DiGraph {
+    trigger_graph_of(&PositionTable::compile(sigma))
+}
+
+/// The trigger graph of the table's TGDs, over their indices in the set: one
+/// propagation per null marker, and an edge to every existential rule with a
+/// clause at 0.
+fn trigger_graph_of(table: &PositionTable) -> DiGraph {
     let mut graph = DiGraph::new();
-    let existential: Vec<usize> = sigma
+    let existential: Vec<&Rule> = table
+        .rules()
         .iter()
-        .filter(|(_, d)| d.is_existential())
-        .map(|(i, _)| i.0)
+        .filter(|rule| rule.is_existential())
         .collect();
-    for &i in &existential {
-        graph.add_node(i);
+    for rule in &existential {
+        graph.add_node(rule.dep);
     }
-    for &i in &existential {
-        let tgd = sigma.as_slice()[i].as_tgd().expect("existential TGD");
-        for &y in tgd.existential_variables() {
-            let reach = reachable_positions(sigma, i, y);
-            for &j in &existential {
-                let target = sigma.as_slice()[j].as_tgd().expect("existential TGD");
-                let fires = target.frontier_variables().iter().any(|&x| {
-                    let body_pos = target.body_positions_of(x);
-                    !body_pos.is_empty() && body_pos.iter().all(|p| reach.contains(p))
-                });
-                if fires {
-                    graph.add_edge(i, j, false);
+    let mut reach = Propagation::new(table);
+    for rule in &existential {
+        for m in rule.markers.clone() {
+            reach.run(table.marker(m));
+            for target in &existential {
+                if target.clauses.clone().any(|c| reach.has_fired(c)) {
+                    graph.add_edge(rule.dep, target.dep, false);
                 }
             }
         }
@@ -124,15 +84,12 @@ impl TerminationCriterion for SuperWeakAcyclicity {
     }
 
     fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        let sigma = cx.sigma();
-        let simulated;
-        let analysed: &DependencySet = if has_egds(sigma) {
-            simulated = substitution_free_simulation(sigma);
-            &simulated
+        // Only SwA reads the simulation's positions; MFA shares the simulation.
+        let graph = if has_egds(cx.sigma()) {
+            trigger_graph_of(&PositionTable::compile(&simulation_in(cx)))
         } else {
-            sigma
+            trigger_graph_of(&position_table_in(cx))
         };
-        let graph = trigger_graph(analysed);
         match graph.find_cycle() {
             Some(cycle) => Verdict::reject(
                 self.name(),
@@ -254,21 +211,6 @@ mod tests {
         )
         .unwrap();
         assert!(!SuperWeakAcyclicity.accepts(&sigma));
-    }
-
-    #[test]
-    fn reachable_positions_for_simple_chain() {
-        let sigma = parse_dependencies(
-            r#"
-            r1: A(?x) -> exists ?y: B(?x, ?y).
-            r2: B(?x, ?y) -> C(?y).
-            "#,
-        )
-        .unwrap();
-        let y = Variable::new("y");
-        let reach = reachable_positions(&sigma, 0, y);
-        // B[2] (creation) and C[1] (via r2's frontier y).
-        assert_eq!(reach.len(), 2);
     }
 
     #[test]

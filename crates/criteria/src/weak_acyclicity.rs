@@ -11,61 +11,47 @@
 //! `Σ` is weakly acyclic iff the graph has no cycle through a special edge. EGDs are
 //! ignored by the analysis (exactly as in the original definition — this is the
 //! weakness the paper sets out to address).
+//!
+//! The graph is built from the set's [`PositionTable`], which WA, SC and SwA share
+//! through the [`AnalysisContext`]: its position ids are the graph's node numbers,
+//! and the table's clauses (a frontier variable's body and head positions) and
+//! markers (an existential variable's head positions) are the edges' endpoints.
 
 use crate::criterion::{AnalysisContext, Guarantee, TerminationCriterion, Verdict, Witness};
 use crate::graph::DiGraph;
-use chase_core::{DependencySet, Position, Term};
-use std::collections::BTreeMap;
+use crate::positions::{position_table_in, PositionTable};
+use chase_core::{DependencySet, Position};
 
 /// Builds the weak-acyclicity dependency graph of the TGDs of `sigma`, together with
 /// the mapping from graph node ids to positions.
 pub fn dependency_graph(sigma: &DependencySet) -> (DiGraph, Vec<Position>) {
-    let mut positions: Vec<Position> = Vec::new();
-    let mut id_of: BTreeMap<Position, usize> = BTreeMap::new();
-    let mut graph = DiGraph::new();
-    let mut intern = |p: Position, positions: &mut Vec<Position>| -> usize {
-        *id_of.entry(p).or_insert_with(|| {
-            positions.push(p);
-            positions.len() - 1
-        })
-    };
+    let table = PositionTable::compile(sigma);
+    (dependency_graph_of(&table), table.positions().to_vec())
+}
 
-    for (_, dep) in sigma.iter() {
-        let tgd = match dep.as_tgd() {
-            Some(t) => t,
-            None => continue, // EGDs are ignored by weak acyclicity.
-        };
-        let existential = tgd.existential_variables();
-        for &x in tgd.frontier_variables() {
-            let body_positions = tgd.body_positions_of(x);
-            let head_positions = tgd.head_positions_of(x);
-            for &p in &body_positions {
-                let pid = intern(p, &mut positions);
-                graph.add_node(pid);
-                for &q in &head_positions {
-                    let qid = intern(q, &mut positions);
-                    graph.add_edge(pid, qid, false);
+/// The dependency graph over the table's position ids. Every position of a TGD
+/// is a node, including those mentioned only through constants or
+/// non-propagating variables, so the graph mirrors the schema.
+fn dependency_graph_of(table: &PositionTable) -> DiGraph {
+    let mut graph = DiGraph::new();
+    for p in 0..table.positions().len() {
+        graph.add_node(p);
+    }
+    for rule in table.rules() {
+        for c in rule.clauses.clone() {
+            for &p in table.body(c) {
+                for &q in table.head(c) {
+                    graph.add_edge(p as usize, q as usize, false);
                 }
-                for &z in existential {
-                    for q in tgd.head_positions_of(z) {
-                        let qid = intern(q, &mut positions);
-                        graph.add_edge(pid, qid, true);
+                for m in rule.markers.clone() {
+                    for &q in table.marker(m) {
+                        graph.add_edge(p as usize, q as usize, true);
                     }
                 }
             }
         }
-        // Positions mentioned only through constants or non-propagating variables are
-        // still registered as nodes so the graph mirrors the schema.
-        for atom in tgd.body().iter().chain(tgd.head().iter()) {
-            for (i, t) in atom.terms.iter().enumerate() {
-                if matches!(t, Term::Var(_) | Term::Const(_)) {
-                    let pid = intern(Position::new(atom.predicate, i), &mut positions);
-                    graph.add_node(pid);
-                }
-            }
-        }
     }
-    (graph, positions)
+    graph
 }
 
 /// Weak acyclicity as a witness-producing [`TerminationCriterion`] (`WA`).
@@ -89,9 +75,9 @@ impl TerminationCriterion for WeakAcyclicity {
     }
 
     fn verdict_in(&self, cx: &AnalysisContext) -> Verdict {
-        let sigma = cx.sigma();
-        let (graph, positions) = dependency_graph(sigma);
-        verdict_from_position_graph(self.name(), self.guarantee(), &graph, &positions)
+        let table = position_table_in(cx);
+        let graph = dependency_graph_of(&table);
+        verdict_from_position_graph(self.name(), self.guarantee(), &graph, table.positions())
     }
 }
 

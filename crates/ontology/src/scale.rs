@@ -254,13 +254,16 @@ mod tests {
     #[test]
     fn dependencies_chase_a_small_scale_instance() {
         use chase_core::builder::{atom, var};
-        use chase_core::homomorphism::exists_homomorphism;
+        use chase_core::homomorphism::find_homomorphism_extending;
+        use chase_core::Assignment;
         let k = data_exchange_instance(&ScaleProfile::new(500));
         // The program is satisfiable machinery-wise: its bodies match the base.
-        assert!(exists_homomorphism(
+        assert!(find_homomorphism_extending(
             &[atom("person", vec![var("p"), var("n"), var("c")])],
-            &k
-        ));
+            &k,
+            &Assignment::new()
+        )
+        .is_some());
         assert_eq!(data_exchange_dependencies().len(), 3);
     }
 }

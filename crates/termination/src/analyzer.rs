@@ -22,11 +22,14 @@
 //! paired only with the dependencies that read its head. One enumeration costs
 //! what its candidates cost: it runs on codes compiled once per pair, allocates per
 //! pair rather than per partition or candidate, and writes facts and assignments
-//! only for a witness it reports. A shared artefact is
-//! charged to the `elapsed` of the first criterion that needs it: Str's time
-//! includes both chase graphs, CStr's only its components, S-Str's only the
+//! only for a witness it reports. WA, SC and, on an EGD-free set, SwA share one
+//! position table of the set (`chase_criteria::positions`); on an EGD-bearing
+//! set SwA and MFA share one substitution-free simulation. A shared artefact is
+//! charged to the `elapsed` of the first criterion that needs it: WA's time
+//! includes the position table, SwA's the simulation (MFA reuses it),
+//! Str's both chase graphs, CStr's only its components, S-Str's only the
 //! filtering, SAC's the adornment, and the `Adn∃-C` rows time only their inner
-//! criterion on `Σµ`.
+//! criterion on `Σµ`, each in a context of its own.
 //!
 //! ```
 //! use chase_core::parser::parse_dependencies;

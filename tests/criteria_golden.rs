@@ -86,10 +86,10 @@ fn random_program(seed: u64) -> DependencySet {
     };
     let predicates = [("P", 1), ("E", 2), ("T", 3)];
     let mut text = String::new();
-    if seed % 4 == 0 {
+    if seed.is_multiple_of(4) {
         text.push_str("rep: E(?x, ?x) -> exists ?w: E(?x, ?w).\n");
     }
-    if seed % 5 == 0 {
+    if seed.is_multiple_of(5) {
         text.push_str("dup: E(?x, ?y), E(?x, ?z) -> exists ?w: T(?y, ?z, ?w).\n");
     }
     for i in 0..2 + below(5) {
