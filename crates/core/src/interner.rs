@@ -65,6 +65,12 @@ impl Symbol {
         global().read().expect("interner lock poisoned").strings[self.0 as usize].clone()
     }
 
+    /// Appends the string this symbol was interned from to `out`, read in place
+    /// under the lock instead of cloned.
+    pub fn push_to(&self, out: &mut String) {
+        out.push_str(&global().read().expect("interner lock poisoned").strings[self.0 as usize]);
+    }
+
     /// Returns the raw numeric id. Only meaningful within a single process.
     pub fn raw(&self) -> u32 {
         self.0
@@ -124,6 +130,13 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a.as_str(), "R");
         assert_eq!(b.as_str(), "S");
+    }
+
+    #[test]
+    fn push_to_appends_the_name() {
+        let mut out = String::from("eq_refl_");
+        Symbol::new("Person").push_to(&mut out);
+        assert_eq!(out, "eq_refl_Person");
     }
 
     #[test]

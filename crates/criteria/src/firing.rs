@@ -86,12 +86,18 @@
 //! * **Per candidate.** `K`'s rows, the step's result `J` and the matches of
 //!   `Body(r2)` and of the heads live in buffers reused by the whole enumeration;
 //!   bindings are undone through a trail.
-//! * **Per report.** Only then are `K`'s facts, `h1` and `h2` written out as
-//!   [`Fact`]s and [`Assignment`]s, into a view that every report of the pair
-//!   overwrites in place. The witness's two checks run on the codes: the
-//!   standard-step test once per candidate, and the blocking test on each blocker
-//!   compiled into the pair's codes (a blocker reading a predicate the pair lacks
-//!   matches nothing) in buffers that every report of the pair reuses.
+//! * **Per report.** A witness is a view of the candidate's codes. Its facts `K`,
+//!   `h1` and `h2` are written out as [`Fact`]s and [`Assignment`]s only when a
+//!   caller reads them ([`FiringWitness::k`], [`FiringWitness::h1`],
+//!   [`FiringWitness::h2`]); the graph builders never do. The witness's two checks
+//!   run on the codes: the standard-step test once per candidate, and the blocking
+//!   test on the blockers compiled into the pair's codes once per pair, on the
+//!   pair's first blocking test (a blocker reading a predicate the pair lacks
+//!   matches nothing and is left out).
+//! * **Per workspace.** The buffers of all of the above, the compiled pair and the
+//!   block constants `@c{i}` included, live in a [`FiringWorkspace`] that a graph
+//!   build or an `Adn∃` run reuses for every enumeration through its
+//!   [`ShapeMemo`]. An enumeration allocates only where a buffer must grow.
 //!
 //! # Pairs by index, answers by shape
 //!
@@ -130,8 +136,8 @@
 //! predicate behind it does not matter. Both pairs then get the same answer,
 //! `Unknown` included.
 //!
-//! A memo builds each key into a reused buffer and looks it up by slice; it
-//! allocates a key only for a shape it has not seen.
+//! A memo builds each key into a reused buffer and looks it up by slice; the keys
+//! it keeps are stored end to end in one buffer.
 //!
 //! [`for_each_firing_witness`] and [`chase_graph_edge`] stay single-pair entry
 //! points without a memo. They are the oracle for the builders.
@@ -146,7 +152,7 @@ use chase_core::{
 use std::borrow::{Borrow, Cow};
 use std::cell::{OnceCell, RefCell};
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::ops::{ControlFlow, Range};
 
 /// Which notion of chase-step applicability the witness search uses for `r1`.
@@ -164,15 +170,9 @@ pub enum Applicability {
 const MAX_VARIABLES: usize = 10;
 
 /// A witness that enforcing `r1` can make `r2` violated: a view of the candidate
-/// that reports it.
+/// that reports it. Its facts and homomorphisms are written out only when read.
 #[derive(Clone, Copy)]
 pub struct FiringWitness<'a> {
-    /// The facts of `K`, the instance before the step, each once.
-    pub k: &'a [&'a Fact],
-    /// The homomorphism used to fire `r1`.
-    pub h1: &'a Assignment,
-    /// The homomorphism under which `r2` is satisfied in `K` but violated in `J`.
-    pub h2: &'a Assignment,
     standard: bool,
     candidate: Candidate<'a>,
 }
@@ -186,9 +186,43 @@ struct Candidate<'a> {
     /// The slots: `h1`, `h2` and nothing else bound.
     vals: &'a [Code],
     blocking: &'a RefCell<BlockerBuffers>,
+    blocks: &'a BlockConstants,
 }
 
 impl FiringWitness<'_> {
+    /// The facts of `K`, the instance before the step, each once.
+    pub fn k(&self) -> Vec<Fact> {
+        let Candidate { kernel, k, .. } = self.candidate;
+        k.iter()
+            .map(|row| Fact {
+                predicate: kernel.predicates[row[0] as usize],
+                terms: row[1..].iter().map(|&c| self.value(c)).collect(),
+            })
+            .collect()
+    }
+
+    /// The homomorphism used to fire `r1`.
+    pub fn h1(&self) -> Assignment {
+        let kernel = self.candidate.kernel;
+        self.assignment(kernel.vars1, 0)
+    }
+
+    /// The homomorphism under which `r2` is satisfied in `K` but violated in `J`.
+    pub fn h2(&self) -> Assignment {
+        let kernel = self.candidate.kernel;
+        self.assignment(kernel.vars2, kernel.vars1.len())
+    }
+
+    /// `vars` bound to the values of the slots from `first` on.
+    fn assignment(&self, vars: &[Variable], first: usize) -> Assignment {
+        let codes = &self.candidate.vals[first..first + vars.len()];
+        Assignment::from_pairs(vars.iter().zip(codes).map(|(v, &c)| (*v, self.value(c))))
+    }
+
+    fn value(&self, code: Code) -> GroundTerm {
+        self.candidate.kernel.value(code, self.candidate.blocks)
+    }
+
     /// Is `r1`'s step a standard one: is `r1` an EGD, or does its head not extend
     /// `h1` into `K`?
     pub fn is_standard_step(&self) -> bool {
@@ -199,21 +233,43 @@ impl FiringWitness<'_> {
     /// dependencies `full_deps` have a standard step on `K` whose result `J'`
     /// satisfies `h2(r2)`? As `K ⊨ h2(r2)` does, `J' ⊨ h2(r2)` also holds vacuously
     /// when `h2` does not map `Body(r2)` into `J'`. `r2` is the pair's `r2`.
+    /// `full_deps` is compiled on every call; [`is_blocked`](Self::is_blocked)
+    /// compiles the enumeration's blockers once.
     pub fn is_blocked_by<D: Borrow<Dependency>>(&self, full_deps: &[D], r2: &Dependency) -> bool {
         debug_assert!(r2 == self.candidate.kernel.r2, "r2 is the pair's r2");
-        self.candidate
-            .blocking
-            .borrow_mut()
-            .blocked(&self.candidate, full_deps)
+        let mut blocking = self.candidate.blocking.borrow_mut();
+        let BlockerBuffers {
+            passed, scratch, ..
+        } = &mut *blocking;
+        passed.compile(self.candidate.kernel, full_deps);
+        scratch.blocked(passed, &self.candidate)
+    }
+
+    /// [`is_blocked_by`](Self::is_blocked_by) the blockers given to the
+    /// enumeration ([`FiringWorkspace::for_each_witness`]), compiled on the pair's
+    /// first test.
+    pub fn is_blocked(&self) -> bool {
+        let mut blocking = self.candidate.blocking.borrow_mut();
+        let BlockerBuffers {
+            given,
+            compiled,
+            scratch,
+            ..
+        } = &mut *blocking;
+        if !*compiled {
+            given.compile(self.candidate.kernel, self.candidate.kernel.blockers);
+            *compiled = true;
+        }
+        scratch.blocked(given, &self.candidate)
     }
 }
 
 impl fmt::Debug for FiringWitness<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FiringWitness")
-            .field("k", &self.k)
-            .field("h1", &self.h1)
-            .field("h2", &self.h2)
+            .field("k", &self.k())
+            .field("h1", &self.h1())
+            .field("h2", &self.h2())
             .finish_non_exhaustive()
     }
 }
@@ -257,34 +313,60 @@ pub fn for_each_firing_witness(
     on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
 ) -> FiringAnswer {
     let (r1, r2) = (PreparedDependency::new(r1), PreparedDependency::new(r2));
-    for_each_prepared_witness(&r1, &r2, applicability, on_witness)
+    FiringWorkspace::default().for_each_witness(&r1, &r2, applicability, &[], on_witness)
 }
 
-/// [`for_each_firing_witness`] on prepared dependencies, for callers testing many
-/// pairs of one set: the same witnesses, in the same order.
-pub fn for_each_prepared_witness(
-    r1: &PreparedDependency<'_>,
-    r2: &PreparedDependency<'_>,
-    applicability: Applicability,
-    on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
-) -> FiringAnswer {
-    let (r1_dep, r2_dep) = (r1.dependency(), r2.dependency());
-    // Cheap pruning: a TGD can only newly violate r2 through facts it adds, so its head
-    // must share a predicate with Body(r2). (EGD steps change facts by merging nulls,
-    // so no such pruning applies.)
-    if r1_dep.is_tgd() && !shares_predicate(r1_dep.head_atoms(), r2_dep.body()) {
-        return FiringAnswer::DoesNotFire;
-    }
-    // r2's variables are renamed apart, so that r1 == r2 is handled uniformly.
-    let (side1, side2) = (r1.as_r1(), r2.as_r2());
-    if side1.vars.len() + side2.vars.len() > MAX_VARIABLES || r2_dep.body().len() > MAX_BODY2_ATOMS
-    {
-        return FiringAnswer::Unknown;
-    }
-    let kernel = Kernel::compile(r1_dep, side1, r2_dep, side2, applicability);
-    match kernel.run(on_witness) {
-        ControlFlow::Break(()) => FiringAnswer::Fires,
-        ControlFlow::Continue(()) => FiringAnswer::DoesNotFire,
+/// The buffers of the firing kernel, reused by every enumeration run through them:
+/// the compiled pair, the pools, bindings and step results, the blocking test's
+/// buffers and the block constants `@c{i}`. A graph build or an `Adn∃` run keeps
+/// one in its [`ShapeMemo`], so an enumeration allocates only where a buffer grows.
+#[derive(Default)]
+pub struct FiringWorkspace {
+    code: KernelCode,
+    state: State,
+    blocks: BlockConstants,
+}
+
+/// Block `i`'s constant `@c{i}`, interned when a report first writes it out.
+type BlockConstants = [OnceCell<Constant>; MAX_VARIABLES];
+
+impl FiringWorkspace {
+    /// [`for_each_firing_witness`] on prepared dependencies, for callers testing many
+    /// pairs of one set: the same witnesses, in the same order. `blockers` are the
+    /// full dependencies [`FiringWitness::is_blocked`] tests.
+    pub fn for_each_witness(
+        &mut self,
+        r1: &PreparedDependency<'_>,
+        r2: &PreparedDependency<'_>,
+        applicability: Applicability,
+        blockers: &[&Dependency],
+        on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
+    ) -> FiringAnswer {
+        let (r1_dep, r2_dep) = (r1.dependency(), r2.dependency());
+        // Cheap pruning: a TGD can only newly violate r2 through facts it adds, so its
+        // head must share a predicate with Body(r2). (EGD steps change facts by merging
+        // nulls, so no such pruning applies.)
+        if r1_dep.is_tgd() && !shares_predicate(r1_dep.head_atoms(), r2_dep.body()) {
+            return FiringAnswer::DoesNotFire;
+        }
+        // r2's variables are renamed apart, so that r1 == r2 is handled uniformly.
+        let (side1, side2) = (r1.as_r1(), r2.as_r2());
+        if side1.vars.len() + side2.vars.len() > MAX_VARIABLES
+            || r2_dep.body().len() > MAX_BODY2_ATOMS
+        {
+            return FiringAnswer::Unknown;
+        }
+        let kernel = Kernel::compile(
+            &mut self.code,
+            [(r1_dep, side1), (r2_dep, side2)],
+            applicability,
+            blockers,
+        );
+        self.state.reset(&kernel);
+        match kernel.run(&mut self.state, &self.blocks, on_witness) {
+            ControlFlow::Break(()) => FiringAnswer::Fires,
+            ControlFlow::Continue(()) => FiringAnswer::DoesNotFire,
+        }
     }
 }
 
@@ -332,6 +414,11 @@ impl<'a> PreparedDependency<'a> {
     /// The dependency.
     pub fn dependency(&self) -> &Dependency {
         &self.dep
+    }
+
+    /// The dependency, moved out (cloned if borrowed).
+    pub fn into_dependency(self) -> Dependency {
+        self.dep.into_owned()
     }
 
     fn as_r1(&self) -> &Side {
@@ -467,39 +554,47 @@ pub fn shape_key(
 }
 
 /// Answers by [`shape_key`], for one graph build or one `Adn∃` run: each shape is
-/// answered once. A key is built into a reused buffer and looked up by slice, and
-/// stored only for a shape not seen before.
+/// answered once, by one enumeration in the memo's [`FiringWorkspace`]. A key is
+/// built into a reused buffer and stored end to end with the others, so a new
+/// shape allocates only where a buffer grows.
 pub struct ShapeMemo<V> {
-    answers: FastMap<Box<[Token]>, V>,
+    /// The keys seen; a key's id indexes `answers`.
+    keys: RowSet<Token>,
+    answers: Vec<V>,
     builder: KeyBuilder,
+    workspace: FiringWorkspace,
 }
 
 impl<V> Default for ShapeMemo<V> {
     fn default() -> Self {
         ShapeMemo {
-            answers: FastMap::default(),
+            keys: RowSet::default(),
+            answers: Vec::new(),
             builder: KeyBuilder::default(),
+            workspace: FiringWorkspace::default(),
         }
     }
 }
 
 impl<V: Copy> ShapeMemo<V> {
     /// The answer for the shape of `(r1, r2)` under `applicability` with `blockers`
-    /// (as for [`shape_key`]), from `compute` if the shape is new.
+    /// (as for [`shape_key`]), from `compute` in the memo's workspace if the shape
+    /// is new.
     pub fn get_or_insert_with(
         &mut self,
         r1: &PreparedDependency<'_>,
         r2: &PreparedDependency<'_>,
         applicability: Applicability,
         blockers: &[&Dependency],
-        compute: impl FnOnce() -> V,
+        compute: impl FnOnce(&mut FiringWorkspace) -> V,
     ) -> V {
         let key = self.builder.build(r1, r2, applicability, blockers);
-        if let Some(&answer) = self.answers.get(key) {
-            return answer;
+        let (id, new) = self.keys.insert(key);
+        if !new {
+            return self.answers[id as usize];
         }
-        let answer = compute();
-        self.answers.insert(key.into(), answer);
+        let answer = compute(&mut self.workspace);
+        self.answers.push(answer);
         answer
     }
 }
@@ -609,9 +704,14 @@ pub fn chase_graph_edge(r1: &Dependency, r2: &Dependency, applicability: Applica
 /// Both chase-graph edges of the pair, `(standard, oblivious)`, from one oblivious
 /// enumeration (see the module documentation): a witness counts for the standard
 /// edge iff `r1` is an EGD or its head does not extend `h1` into `K`.
-fn chase_graph_edges(r1: &PreparedDependency<'_>, r2: &PreparedDependency<'_>) -> (bool, bool) {
+fn chase_graph_edges(
+    workspace: &mut FiringWorkspace,
+    r1: &PreparedDependency<'_>,
+    r2: &PreparedDependency<'_>,
+) -> (bool, bool) {
     let mut oblivious = false;
-    let answer = for_each_prepared_witness(r1, r2, Applicability::Oblivious, &mut |w| {
+    let oblivious_step = Applicability::Oblivious;
+    let answer = workspace.for_each_witness(r1, r2, oblivious_step, &[], &mut |w| {
         oblivious = true;
         if w.is_standard_step() {
             ControlFlow::Break(())
@@ -680,8 +780,8 @@ pub fn chase_graphs(sigma: &DependencySet) -> ChaseGraphs {
         for &j in &targets {
             let r2 = &deps[j];
             let (std_edge, obl_edge) =
-                memo.get_or_insert_with(r1, r2, Applicability::Oblivious, &[], || {
-                    chase_graph_edges(r1, r2)
+                memo.get_or_insert_with(r1, r2, Applicability::Oblivious, &[], |workspace| {
+                    chase_graph_edges(workspace, r1, r2)
                 });
             if std_edge {
                 standard.add_edge(i, j, false);
@@ -727,16 +827,25 @@ impl CAtom {
     }
 }
 
+/// The codes of one compiled pair, in buffers a workspace reuses across pairs.
+#[derive(Default)]
+struct KernelCode {
+    predicates: Vec<Predicate>,
+    constants: Vec<Constant>,
+    atoms: Vec<CAtom>,
+    terms: Vec<Code>,
+}
+
 /// One pair compiled for the kernel (see the module documentation).
 struct Kernel<'a> {
     r2: &'a Dependency,
     applicability: Applicability,
     /// The pair's predicates and rule constants, by number.
-    predicates: Vec<Predicate>,
-    constants: Vec<Constant>,
+    predicates: &'a [Predicate],
+    constants: &'a [Constant],
     /// `Body(r1)`, `Head(r1)`, `Body(r2)` and `Head(r2)`, in these ranges.
-    atoms: Vec<CAtom>,
-    terms: Vec<Code>,
+    atoms: &'a [CAtom],
+    terms: &'a [Code],
     body1: Range<usize>,
     head1: Range<usize>,
     body2: Range<usize>,
@@ -751,47 +860,109 @@ struct Kernel<'a> {
     /// of `r2` follow, up to `slots`.
     existentials1: usize,
     slots: usize,
+    /// The full dependencies [`FiringWitness::is_blocked`] tests.
+    blockers: &'a [&'a Dependency],
 }
 
 impl<'a> Kernel<'a> {
+    /// Compiles the pair `[(r1, side1), (r2, side2)]` into `code`.
     fn compile(
-        r1: &'a Dependency,
-        side1: &'a Side,
-        r2: &'a Dependency,
-        side2: &'a Side,
+        code: &'a mut KernelCode,
+        [(r1, side1), (r2, side2)]: [(&'a Dependency, &'a Side); 2],
         applicability: Applicability,
+        blockers: &'a [&'a Dependency],
     ) -> Self {
         let existentials =
             |dep: &Dependency| dep.as_tgd().map_or(0, |t| t.existential_variables().len());
         let (e1, e2) = (existentials(r1), existentials(r2));
         let (v1, n) = (side1.vars.len(), side1.vars.len() + side2.vars.len());
-        let mut kernel = Kernel {
+        code.predicates.clear();
+        code.constants.clear();
+        code.atoms.clear();
+        code.atoms.reserve(
+            r1.body().len() + r1.head_atoms().len() + r2.body().len() + r2.head_atoms().len(),
+        );
+        code.terms.clear();
+        code.terms.reserve(side1.shape.len() + side2.shape.len());
+        let (body1, head1, egd1) = code.compile_side(&side1.shape, 0, n);
+        let (body2, head2, egd2) = code.compile_side(&side2.shape, v1, n + e1);
+        let code = &*code;
+        Kernel {
             r2,
             applicability,
-            predicates: Vec::new(),
-            constants: Vec::new(),
-            atoms: Vec::with_capacity(
-                r1.body().len() + r1.head_atoms().len() + r2.body().len() + r2.head_atoms().len(),
-            ),
-            terms: Vec::with_capacity(side1.shape.len() + side2.shape.len()),
-            body1: 0..0,
-            head1: 0..0,
-            body2: 0..0,
-            head2: 0..0,
-            egd1: None,
-            egd2: None,
+            predicates: &code.predicates,
+            constants: &code.constants,
+            atoms: &code.atoms,
+            terms: &code.terms,
+            body1,
+            head1,
+            body2,
+            head2,
+            egd1,
+            egd2,
             vars1: &side1.vars,
             vars2: &side2.vars,
             existentials1: e1,
             slots: n + e1 + e2,
-        };
-        let (body1, head1, egd1) = kernel.compile_side(&side1.shape, 0, n);
-        let (body2, head2, egd2) = kernel.compile_side(&side2.shape, v1, n + e1);
-        (kernel.body1, kernel.head1, kernel.egd1) = (body1, head1, egd1);
-        (kernel.body2, kernel.head2, kernel.egd2) = (body2, head2, egd2);
-        kernel
+            blockers,
+        }
     }
 
+    fn n(&self) -> usize {
+        self.vars1.len() + self.vars2.len()
+    }
+
+    /// Runs the enumeration in `state`, reset for this pair; breaks iff
+    /// `on_witness` did.
+    fn run(
+        &self,
+        state: &mut State,
+        blocks: &BlockConstants,
+        on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let mut partitions = Partitions::new(self.n());
+        loop {
+            let (labellings, count) = labellings(self.egd1.is_some(), partitions.block_count());
+            for &nulls in &labellings[..count] {
+                // An EGD step exists iff `h1` maps the two sides to distinct values
+                // that are not both constants (see `gamma`). `h1` depends only on the
+                // partition and the labelling, so this settles every subset of step 3.
+                if let Some((left, right)) = self.egd1 {
+                    let (a, b) = (partitions.blocks[left], partitions.blocks[right]);
+                    if a == b || nulls & ((1 << a) | (1 << b)) == 0 {
+                        continue;
+                    }
+                }
+                state.try_partition(self, &partitions, nulls, blocks, on_witness)?;
+            }
+            if !partitions.advance() {
+                return ControlFlow::Continue(());
+            }
+        }
+    }
+
+    /// The value a code stands for.
+    fn value(&self, code: Code, blocks: &BlockConstants) -> GroundTerm {
+        if code & CONST == 0 {
+            return GroundTerm::Null(NullValue(u64::from(code)));
+        }
+        let i = (code & !CONST) as usize;
+        GroundTerm::Const(match i.checked_sub(MAX_VARIABLES) {
+            Some(j) => self.constants[j],
+            None => *blocks[i].get_or_init(|| Constant::new(&format!("@c{i}"))),
+        })
+    }
+
+    /// `facts ⊨ h(r2)`, for bindings `b` that map `Body(r2)` into `facts`.
+    fn r2_satisfied(&self, facts: &Rows, b: &mut Bindings) -> bool {
+        match self.egd2 {
+            Some((left, right)) => b.vals[left] == b.vals[right],
+            None => extends(&self.atoms[self.head2.clone()], self.terms, facts, b),
+        }
+    }
+}
+
+impl KernelCode {
     /// Compiles one side's shape template, its body variables at slots `vars..` and
     /// its existential variables at `existentials..`: the ranges of its body and head
     /// atoms, and the slots of an EGD's sides.
@@ -849,58 +1020,6 @@ impl<'a> Kernel<'a> {
         }
         let head = head.expect("a template has a head");
         (start..head, head..self.atoms.len(), egd)
-    }
-
-    fn n(&self) -> usize {
-        self.vars1.len() + self.vars2.len()
-    }
-
-    /// Runs the enumeration; breaks iff `on_witness` did.
-    fn run(
-        &self,
-        on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        let mut state = State::new(self);
-        let mut partitions = Partitions::new(self.n());
-        loop {
-            let (labellings, count) = labellings(self.egd1.is_some(), partitions.block_count());
-            for &nulls in &labellings[..count] {
-                // An EGD step exists iff `h1` maps the two sides to distinct values
-                // that are not both constants (see `gamma`). `h1` depends only on the
-                // partition and the labelling, so this settles every subset of step 3.
-                if let Some((left, right)) = self.egd1 {
-                    let (a, b) = (partitions.blocks[left], partitions.blocks[right]);
-                    if a == b || nulls & ((1 << a) | (1 << b)) == 0 {
-                        continue;
-                    }
-                }
-                state.try_partition(self, &partitions, nulls, on_witness)?;
-            }
-            if !partitions.advance() {
-                return ControlFlow::Continue(());
-            }
-        }
-    }
-
-    /// The value a code stands for. Block constants are interned on first use,
-    /// into `blocks`.
-    fn value(&self, code: Code, blocks: &mut [Option<Constant>; MAX_VARIABLES]) -> GroundTerm {
-        if code & CONST == 0 {
-            return GroundTerm::Null(NullValue(u64::from(code)));
-        }
-        let i = (code & !CONST) as usize;
-        GroundTerm::Const(match i.checked_sub(MAX_VARIABLES) {
-            Some(j) => self.constants[j],
-            None => *blocks[i].get_or_insert_with(|| Constant::new(&format!("@c{i}"))),
-        })
-    }
-
-    /// `facts ⊨ h(r2)`, for bindings `b` that map `Body(r2)` into `facts`.
-    fn r2_satisfied(&self, facts: &Rows, b: &mut Bindings) -> bool {
-        match self.egd2 {
-            Some((left, right)) => b.vals[left] == b.vals[right],
-            None => extends(&self.atoms[self.head2.clone()], &self.terms, facts, b),
-        }
     }
 }
 
@@ -961,39 +1080,41 @@ impl Partitions {
     }
 }
 
-/// Facts as rows of codes `[predicate, terms…]`, stored end to end.
-#[derive(Default)]
-struct Rows {
-    data: Vec<Code>,
+/// Rows stored end to end: facts as rows of codes `[predicate, terms…]`, or
+/// shape keys as rows of tokens.
+struct Rows<T = Code> {
+    data: Vec<T>,
     ends: Vec<u32>,
 }
 
-impl Rows {
-    fn with_capacity(rows: usize) -> Self {
+impl<T> Default for Rows<T> {
+    fn default() -> Self {
         Rows {
-            data: Vec::with_capacity(4 * rows),
-            ends: Vec::with_capacity(rows),
+            data: Vec::new(),
+            ends: Vec::new(),
         }
     }
+}
 
+impl<T: Copy + PartialEq> Rows<T> {
     fn len(&self) -> usize {
         self.ends.len()
     }
 
-    fn row(&self, i: usize) -> &[Code] {
+    fn row(&self, i: usize) -> &[T] {
         let start = i.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
         &self.data[start..self.ends[i] as usize]
     }
 
-    fn iter(&self) -> impl Iterator<Item = &[Code]> {
+    fn iter(&self) -> impl Iterator<Item = &[T]> {
         (0..self.len()).map(|i| self.row(i))
     }
 
-    fn contains(&self, row: &[Code]) -> bool {
+    fn contains(&self, row: &[T]) -> bool {
         self.iter().any(|r| r == row)
     }
 
-    fn push(&mut self, row: &[Code]) {
+    fn push(&mut self, row: &[T]) {
         self.data.extend_from_slice(row);
         let end = u32::try_from(self.data.len()).expect("fewer than 2^32 codes in a row list");
         self.ends.push(end);
@@ -1003,26 +1124,52 @@ impl Rows {
         self.data.clear();
         self.ends.clear();
     }
+
+    /// Room for `rows` more rows of about four codes.
+    fn reserve(&mut self, rows: usize) {
+        self.data.reserve(4 * rows);
+        self.ends.reserve(rows);
+    }
 }
 
 /// Rows stored once each and found by hash (open addressing): a row's id is the
 /// order of its first insertion.
-struct RowSet {
-    rows: Rows,
-    /// A row's id + 1, or 0 for an empty slot; a power of two long.
+struct RowSet<T = Code> {
+    rows: Rows<T>,
+    /// A row's id + 1, or 0 for an empty slot; a power of two long, or empty before
+    /// the first insertion.
     slots: Vec<u32>,
 }
 
-impl RowSet {
-    fn with_capacity(rows: usize) -> Self {
+impl<T> Default for RowSet<T> {
+    fn default() -> Self {
         RowSet {
-            rows: Rows::with_capacity(rows),
-            slots: vec![0; (2 * rows).next_power_of_two()],
+            rows: Rows::default(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+/// The most slots [`RowSet::reset`] keeps: a larger table is dropped rather than
+/// zeroed for every later enumeration.
+const ROW_SET_SLOTS_KEPT: usize = 1 << 12;
+
+impl<T: Copy + Eq + Hash> RowSet<T> {
+    /// Empties the set, keeping its buffers (the slot table up to
+    /// [`ROW_SET_SLOTS_KEPT`]), with room for `rows` rows.
+    fn reset(&mut self, rows: usize) {
+        self.rows.clear();
+        self.rows.reserve(rows);
+        let slots = (2 * rows).next_power_of_two();
+        if self.slots.len() < slots || self.slots.len() > ROW_SET_SLOTS_KEPT {
+            self.slots = vec![0; slots];
+        } else {
+            self.slots.fill(0);
         }
     }
 
     /// `row`'s id, and whether it was inserted now.
-    fn insert(&mut self, row: &[Code]) -> (u32, bool) {
+    fn insert(&mut self, row: &[T]) -> (u32, bool) {
         if 2 * (self.rows.len() + 1) > self.slots.len() {
             self.grow();
         }
@@ -1043,7 +1190,7 @@ impl RowSet {
     }
 
     fn grow(&mut self) {
-        self.slots = vec![0; 2 * self.slots.len()];
+        self.slots = vec![0; (2 * self.slots.len()).max(64)];
         let mask = self.slots.len() - 1;
         for id in 0..self.rows.len() {
             let mut i = row_hash(self.rows.row(id)) as usize & mask;
@@ -1055,10 +1202,10 @@ impl RowSet {
     }
 }
 
-fn row_hash(row: &[Code]) -> u64 {
+fn row_hash<T: Hash>(row: &[T]) -> u64 {
     let mut h = WordHasher::default();
-    for &code in row {
-        h.write_u32(code);
+    for item in row {
+        item.hash(&mut h);
     }
     h.finish()
 }
@@ -1236,8 +1383,9 @@ impl StepResult {
     }
 }
 
-/// The buffers of one pair's enumeration, reused by all its partitions and
-/// candidates.
+/// The buffers of an enumeration, reused by all its partitions and candidates,
+/// and by a workspace's later pairs.
+#[derive(Default)]
 struct State {
     /// The grounded body facts of every partition so far.
     pool: RowSet,
@@ -1253,42 +1401,30 @@ struct State {
     j: StepResult,
     /// A row or key being built.
     row: Vec<Code>,
-    /// The witness view, rebuilt in place for each report: `K`'s facts (the first
-    /// `|K|`), `h1` and `h2` (their domains never change), and the block constants
-    /// interned for it.
-    facts: Vec<Fact>,
-    h1: Assignment,
-    h2: Assignment,
-    blocks: [Option<Constant>; MAX_VARIABLES],
     blocking: RefCell<BlockerBuffers>,
 }
 
 impl State {
-    fn new(kernel: &Kernel<'_>) -> Self {
+    /// Readies the buffers for `kernel`'s pair, with room for a small pair's
+    /// enumeration.
+    fn reset(&mut self, kernel: &Kernel<'_>) {
         let bodies = kernel.body1.len() + kernel.body2.len();
-        State {
-            pool: RowSet::with_capacity(64),
-            seen: RowSet::with_capacity(256),
-            b: Bindings {
-                vals: vec![UNBOUND; kernel.slots],
-                trail: Vec::with_capacity(kernel.slots),
-                matched: Vec::with_capacity(16),
-            },
-            facts1: Vec::with_capacity(kernel.body1.len()),
-            facts2: Vec::with_capacity(kernel.body2.len()),
-            k_ids: Vec::with_capacity(bodies),
-            k: Rows::with_capacity(bodies),
-            j: StepResult {
-                facts: Rows::with_capacity(bodies + kernel.head1.len()),
-                in_k: Vec::with_capacity(bodies + kernel.head1.len()),
-            },
-            row: Vec::with_capacity(16),
-            facts: Vec::new(),
-            h1: Assignment::new(),
-            h2: Assignment::new(),
-            blocks: [None; MAX_VARIABLES],
-            blocking: RefCell::default(),
-        }
+        self.pool.reset(64);
+        self.seen.reset(256);
+        self.b.vals.clear();
+        self.b.vals.resize(kernel.slots, UNBOUND);
+        self.b.trail.clear();
+        self.b.trail.reserve(kernel.slots);
+        self.b.matched.clear();
+        self.b.matched.reserve(16);
+        self.facts1.reserve(kernel.body1.len());
+        self.facts2.reserve(kernel.body2.len());
+        self.k_ids.reserve(bodies);
+        self.k.reserve(bodies);
+        self.j.facts.reserve(bodies + kernel.head1.len());
+        self.j.in_k.reserve(bodies + kernel.head1.len());
+        self.row.reserve(16);
+        self.blocking.get_mut().compiled = false;
     }
 
     /// Evaluates every distinct candidate `(h1, K)` of one partition and labelling
@@ -1299,6 +1435,7 @@ impl State {
         kernel: &Kernel<'_>,
         partitions: &Partitions,
         nulls: u16,
+        blocks: &BlockConstants,
         on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         // Block i -> null i or block constant i.
@@ -1315,7 +1452,7 @@ impl State {
         ] {
             ids.clear();
             for &atom in &kernel.atoms[range] {
-                self.b.ground(atom, &kernel.terms, &mut self.row);
+                self.b.ground(atom, kernel.terms, &mut self.row);
                 ids.push(self.pool.insert(&self.row).0);
             }
         }
@@ -1337,7 +1474,7 @@ impl State {
             self.row.extend_from_slice(&self.b.vals[..h1]);
             self.row.extend_from_slice(&self.k_ids);
             if self.seen.insert(&self.row).1 {
-                self.evaluate(kernel, on_witness)?;
+                self.evaluate(kernel, blocks, on_witness)?;
             }
         }
         ControlFlow::Continue(())
@@ -1348,6 +1485,7 @@ impl State {
     fn evaluate(
         &mut self,
         kernel: &Kernel<'_>,
+        blocks: &BlockConstants,
         on_witness: &mut dyn FnMut(&FiringWitness<'_>) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let State {
@@ -1357,10 +1495,6 @@ impl State {
             k,
             j,
             row,
-            facts,
-            h1,
-            h2,
-            blocks,
             blocking,
             ..
         } = self;
@@ -1375,7 +1509,7 @@ impl State {
         match kernel.egd1 {
             None => {
                 if kernel.applicability == Applicability::Standard {
-                    if extends(head1, &kernel.terms, k, b) {
+                    if extends(head1, kernel.terms, k, b) {
                         return ControlFlow::Continue(());
                     }
                     standard = Some(true);
@@ -1391,7 +1525,7 @@ impl State {
                 for (slot, null) in fresh.clone().zip(next..) {
                     b.vals[slot] = null;
                 }
-                j.tgd_step(k, head1, &kernel.terms, b, row);
+                j.tgd_step(k, head1, kernel.terms, b, row);
                 b.vals[fresh].fill(UNBOUND);
             }
             Some((left, right)) => {
@@ -1404,45 +1538,20 @@ impl State {
         }
         let (k, j) = (&*k, &*j);
         let body2 = &kernel.atoms[kernel.body2.clone()];
-        search(body2, &kernel.terms, &j.facts, b, &mut |b, mark| {
+        search(body2, kernel.terms, &j.facts, b, &mut |b, mark| {
             // A match inside `K` is no witness: `K ⊨ h2(r2)` iff `J ⊨ h2(r2)` then.
             if b.matched[mark..].iter().all(|&i| j.in_k[i]) || kernel.r2_satisfied(&j.facts, b) {
                 return ControlFlow::Continue(());
             }
-            let standard = *standard.get_or_insert_with(|| !extends(head1, &kernel.terms, k, b));
-            for (i, row) in k.iter().enumerate() {
-                if i == facts.len() {
-                    facts.push(Fact {
-                        predicate: kernel.predicates[0],
-                        terms: Vec::with_capacity(row.len() - 1),
-                    });
-                }
-                let fact = &mut facts[i];
-                fact.predicate = kernel.predicates[row[0] as usize];
-                fact.terms.clear();
-                fact.terms
-                    .extend(row[1..].iter().map(|&c| kernel.value(c, blocks)));
-            }
-            let k_facts: Vec<&Fact> = facts[..k.len()].iter().collect();
-            let (v1, n) = (kernel.vars1.len(), kernel.n());
-            for (h, vars, codes) in [
-                (&mut *h1, kernel.vars1, &b.vals[..v1]),
-                (&mut *h2, kernel.vars2, &b.vals[v1..n]),
-            ] {
-                for (v, &c) in vars.iter().zip(codes) {
-                    h.bind(*v, kernel.value(c, blocks));
-                }
-            }
+            let standard = *standard.get_or_insert_with(|| !extends(head1, kernel.terms, k, b));
             on_witness(&FiringWitness {
-                k: &k_facts,
-                h1,
-                h2,
                 standard,
                 candidate: Candidate {
                     kernel,
                     k,
                     vals: &b.vals,
                     blocking,
+                    blocks,
                 },
             })
         })
@@ -1450,58 +1559,67 @@ impl State {
 }
 
 /// The buffers of the blocking test of Definition 2, reused by every witness of
-/// one enumeration.
+/// an enumeration and by a workspace's later pairs.
 #[derive(Default)]
 struct BlockerBuffers {
-    /// One blocker compiled into the pair's codes, its variables at the slots after
-    /// the pair's, numbered by first occurrence.
-    atoms: Vec<CAtom>,
-    terms: Vec<Code>,
-    body: usize,
-    egd: Option<(usize, usize)>,
-    vars: Vec<Variable>,
-    /// Its constants that the pair lacks, after the pair's.
-    constants: Vec<Constant>,
-    b: Bindings,
-    /// `h2(Body(r2))`, and the result `J'` of a blocker's step.
-    image: Rows,
-    j: StepResult,
-    row: Vec<Code>,
+    /// The blockers given to the enumeration, compiled on its first blocking test
+    /// (`compiled`).
+    given: CompiledBlockers,
+    compiled: bool,
+    /// The blockers of the last [`FiringWitness::is_blocked_by`] call.
+    passed: CompiledBlockers,
+    scratch: BlockingScratch,
 }
 
-impl BlockerBuffers {
-    fn blocked<D: Borrow<Dependency>>(
-        &mut self,
-        candidate: &Candidate<'_>,
-        full_deps: &[D],
-    ) -> bool {
-        let kernel = candidate.kernel;
-        self.b.vals.clear();
-        self.b.vals.extend_from_slice(candidate.vals);
-        self.image.clear();
-        for &atom in &kernel.atoms[kernel.body2.clone()] {
-            self.b.ground(atom, &kernel.terms, &mut self.row);
-            self.image.push(&self.row);
-        }
-        full_deps.iter().any(|r3| {
-            let r3 = r3.borrow();
-            debug_assert!(r3.is_full(), "a blocker is a full dependency");
-            self.compile(kernel, r3) && self.blocks(candidate)
-        })
-    }
+/// Full dependencies compiled into one pair's codes. A blocker's variables take
+/// the slots after the pair's, numbered by first occurrence in the blocker, and its
+/// constants that the pair lacks are numbered after the pair's.
+#[derive(Default)]
+struct CompiledBlockers {
+    atoms: Vec<CAtom>,
+    terms: Vec<Code>,
+    blockers: Vec<CompiledBlocker>,
+    constants: Vec<Constant>,
+    /// The variables of the blocker being compiled.
+    vars: Vec<Variable>,
+}
 
-    /// Compiles the blocker `r3`; `false` if its body reads a predicate the pair
-    /// lacks, so that it matches nothing in `K`.
-    fn compile(&mut self, kernel: &Kernel<'_>, r3: &Dependency) -> bool {
+/// One compiled blocker: its atoms, body then head, the slots of an EGD's sides,
+/// and how many variables it has.
+struct CompiledBlocker {
+    atoms: Range<usize>,
+    body: usize,
+    egd: Option<(usize, usize)>,
+    vars: usize,
+}
+
+impl CompiledBlockers {
+    /// Compiles `deps` into `kernel`'s codes. A blocker whose body reads a
+    /// predicate the pair lacks matches nothing in `K`, and is left out.
+    fn compile<D: Borrow<Dependency>>(&mut self, kernel: &Kernel<'_>, deps: &[D]) {
         self.atoms.clear();
         self.terms.clear();
-        self.vars.clear();
+        self.blockers.clear();
         self.constants.clear();
-        self.body = r3.body().len();
+        for r3 in deps {
+            let r3 = r3.borrow();
+            debug_assert!(r3.is_full(), "a blocker is a full dependency");
+            self.push(kernel, r3);
+        }
+    }
+
+    fn push(&mut self, kernel: &Kernel<'_>, r3: &Dependency) {
+        let (first_atom, first_term) = (self.atoms.len(), self.terms.len());
+        self.vars.clear();
+        let body = r3.body().len();
         for (i, atom) in r3.body().iter().chain(r3.head_atoms()).enumerate() {
             let predicate = match kernel.predicates.iter().position(|p| *p == atom.predicate) {
                 Some(p) => p as u32,
-                None if i < self.body => return false,
+                None if i < body => {
+                    self.atoms.truncate(first_atom);
+                    self.terms.truncate(first_term);
+                    return;
+                }
                 None => NO_PREDICATE,
             };
             let start = self.terms.len() as u32;
@@ -1516,7 +1634,7 @@ impl BlockerBuffers {
                 end,
             });
         }
-        self.egd = r3.as_egd().map(|egd| {
+        let egd = r3.as_egd().map(|egd| {
             let slot = |v| {
                 kernel.slots
                     + self
@@ -1527,9 +1645,12 @@ impl BlockerBuffers {
             };
             (slot(egd.left), slot(egd.right))
         });
-        self.b.vals.truncate(kernel.slots);
-        self.b.vals.resize(kernel.slots + self.vars.len(), UNBOUND);
-        true
+        self.blockers.push(CompiledBlocker {
+            atoms: first_atom..self.atoms.len(),
+            body,
+            egd,
+            vars: self.vars.len(),
+        });
     }
 
     fn code(&mut self, kernel: &Kernel<'_>, term: &Term) -> Code {
@@ -1562,26 +1683,51 @@ impl BlockerBuffers {
             Term::Null(_) => unreachable!("dependencies hold no nulls"),
         }
     }
+}
 
-    /// Does the compiled blocker have a standard step on `K` whose result satisfies
-    /// `h2(r2)`?
-    fn blocks(&mut self, candidate: &Candidate<'_>) -> bool {
+/// The bindings and step results of the blocking test.
+#[derive(Default)]
+struct BlockingScratch {
+    b: Bindings,
+    /// `h2(Body(r2))`, and the result `J'` of a blocker's step.
+    image: Rows,
+    j: StepResult,
+    row: Vec<Code>,
+}
+
+impl BlockingScratch {
+    /// Does some blocker of `set` have a standard step on the candidate's `K` whose
+    /// result satisfies `h2(r2)`?
+    fn blocked(&mut self, set: &CompiledBlockers, candidate: &Candidate<'_>) -> bool {
         let kernel = candidate.kernel;
-        let BlockerBuffers {
-            atoms,
-            terms,
-            body,
-            egd,
-            b,
-            image,
-            j,
-            row,
-            ..
-        } = self;
-        let (body, head) = atoms.split_at(*body);
-        let terms = &*terms;
+        self.b.vals.clear();
+        self.b.vals.extend_from_slice(candidate.vals);
+        self.image.clear();
+        for &atom in &kernel.atoms[kernel.body2.clone()] {
+            self.b.ground(atom, kernel.terms, &mut self.row);
+            self.image.push(&self.row);
+        }
+        set.blockers.iter().any(|blocker| {
+            self.b.vals.truncate(kernel.slots);
+            self.b.vals.resize(kernel.slots + blocker.vars, UNBOUND);
+            self.blocks(set, blocker, candidate)
+        })
+    }
+
+    /// Does the compiled `blocker` have a standard step on `K` whose result
+    /// satisfies `h2(r2)`?
+    fn blocks(
+        &mut self,
+        set: &CompiledBlockers,
+        blocker: &CompiledBlocker,
+        candidate: &Candidate<'_>,
+    ) -> bool {
+        let kernel = candidate.kernel;
+        let BlockingScratch { b, image, j, row } = self;
+        let (body, head) = set.atoms[blocker.atoms.clone()].split_at(blocker.body);
+        let terms = &set.terms[..];
         search(body, terms, candidate.k, b, &mut |b, _| {
-            match *egd {
+            match blocker.egd {
                 Some((left, right)) => {
                     let Some(substitution) = gamma(b.vals[left], b.vals[right]) else {
                         return ControlFlow::Continue(());
@@ -1809,7 +1955,11 @@ mod tests {
         assert!(!chase_graph_edge(r1, r2, STD));
         assert!(chase_graph_edge(r1, r2, OBL));
         assert_eq!(
-            chase_graph_edges(&PreparedDependency::new(r1), &PreparedDependency::new(r2)),
+            chase_graph_edges(
+                &mut FiringWorkspace::default(),
+                &PreparedDependency::new(r1),
+                &PreparedDependency::new(r2)
+            ),
             (false, true)
         );
         let graphs = chase_graphs(&sigma);

@@ -71,6 +71,23 @@ impl DiGraph {
     /// Strongly connected components (Tarjan), returned as sorted vectors of nodes,
     /// with the components themselves sorted lexicographically (NOT topologically).
     pub fn sccs(&self) -> Vec<Vec<usize>> {
+        let (nodes, components) = self.tarjan_components();
+        let mut out: Vec<Vec<usize>> = components
+            .into_iter()
+            .map(|comp| {
+                let mut c: Vec<usize> = comp.into_iter().map(|i| nodes[i]).collect();
+                c.sort_unstable();
+                c
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The nodes in ascending order, a node's position in it being its dense index,
+    /// and the strongly connected components as lists of dense indices, in the order
+    /// Tarjan closes them.
+    fn tarjan_components(&self) -> (Vec<usize>, Vec<Vec<usize>>) {
         let nodes: Vec<usize> = self.nodes.iter().copied().collect();
         let index_of = |node: &usize| nodes.binary_search(node).expect("edges join nodes");
         let n = nodes.len();
@@ -98,17 +115,30 @@ impl DiGraph {
                 tarjan(v, &first, &succ, &mut state);
             }
         }
-        let mut out: Vec<Vec<usize>> = state
-            .components
-            .into_iter()
-            .map(|comp| {
-                let mut c: Vec<usize> = comp.into_iter().map(|i| nodes[i]).collect();
-                c.sort_unstable();
-                c
-            })
-            .collect();
-        out.sort();
-        out
+        (nodes, state.components)
+    }
+
+    /// The first marked edge, in edge order, that lies on a cycle: a marked
+    /// self-loop, or a marked edge inside a strongly connected component of more
+    /// than one node.
+    fn marked_edge_on_a_cycle(&self) -> Option<(usize, usize)> {
+        let (nodes, components) = self.tarjan_components();
+        let mut component_of = vec![0; nodes.len()];
+        for (c, component) in components.iter().enumerate() {
+            for &i in component {
+                component_of[i] = c;
+            }
+        }
+        let index_of = |node: usize| nodes.binary_search(&node).expect("edges join nodes");
+        self.edges().find_map(|(from, to, marked)| {
+            if !marked {
+                return None;
+            }
+            let c = component_of[index_of(from)];
+            let on_cycle =
+                from == to || (c == component_of[index_of(to)] && components[c].len() > 1);
+            on_cycle.then_some((from, to))
+        })
     }
 
     /// Returns `true` iff the graph has a cycle (including self-loops).
@@ -130,24 +160,7 @@ impl DiGraph {
     /// A marked edge `(u, v)` lies on a cycle iff `u` and `v` belong to the same SCC
     /// (for `u == v` a marked self-loop is a cycle).
     pub fn has_cycle_through_marked_edge(&self) -> bool {
-        let sccs = self.sccs();
-        let mut comp_of: BTreeMap<usize, usize> = BTreeMap::new();
-        for (i, scc) in sccs.iter().enumerate() {
-            for &n in scc {
-                comp_of.insert(n, i);
-            }
-        }
-        for (from, to, marked) in self.edges() {
-            if marked {
-                if from == to {
-                    return true;
-                }
-                if comp_of.get(&from) == comp_of.get(&to) && sccs[comp_of[&from]].len() > 1 {
-                    return true;
-                }
-            }
-        }
-        false
+        self.marked_edge_on_a_cycle().is_some()
     }
 
     /// Number of marked edges.
@@ -158,10 +171,13 @@ impl DiGraph {
     /// A shortest path `from → … → to` (BFS over edges), if one exists. For
     /// `from == to` a genuine cycle of length ≥ 1 is required.
     pub fn path_between(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
+        // Parents and `seen` by dense node index (the node's position in order).
+        let nodes: Vec<usize> = self.nodes.iter().copied().collect();
+        let index_of = |node: usize| nodes.binary_search(&node).expect("edges join nodes");
+        let mut parent: Vec<usize> = vec![usize::MAX; nodes.len()];
+        let mut seen = vec![false; nodes.len()];
         let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         queue.push_back(from);
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
         while let Some(n) = queue.pop_front() {
             for s in self.successors(n) {
                 if s == to {
@@ -169,15 +185,17 @@ impl DiGraph {
                     let mut path = vec![n];
                     let mut cur = n;
                     while cur != from {
-                        cur = parent[&cur];
+                        cur = parent[index_of(cur)];
                         path.push(cur);
                     }
                     path.reverse();
                     path.push(to);
                     return Some(path);
                 }
-                if seen.insert(s) {
-                    parent.insert(s, n);
+                let i = index_of(s);
+                if !seen[i] {
+                    seen[i] = true;
+                    parent[i] = n;
                     queue.push_back(s);
                 }
             }
@@ -200,30 +218,16 @@ impl DiGraph {
     /// An explicit cycle through a marked edge, if one exists: the node sequence
     /// starts with the marked edge `n0 → n1` and closes back at `n0`.
     pub fn find_cycle_through_marked_edge(&self) -> Option<Vec<usize>> {
-        let sccs = self.sccs();
-        let mut comp_of: BTreeMap<usize, usize> = BTreeMap::new();
-        for (i, scc) in sccs.iter().enumerate() {
-            for &n in scc {
-                comp_of.insert(n, i);
-            }
+        let (from, to) = self.marked_edge_on_a_cycle()?;
+        if from == to {
+            return Some(vec![from, from]);
         }
-        for (from, to, marked) in self.edges() {
-            if !marked {
-                continue;
-            }
-            if from == to {
-                return Some(vec![from, from]);
-            }
-            if comp_of.get(&from) == comp_of.get(&to) && sccs[comp_of[&from]].len() > 1 {
-                let back = self
-                    .path_between(to, from)
-                    .expect("same non-trivial SCC implies a path back");
-                let mut cycle = vec![from];
-                cycle.extend(back);
-                return Some(cycle);
-            }
-        }
-        None
+        let back = self
+            .path_between(to, from)
+            .expect("same non-trivial SCC implies a path back");
+        let mut cycle = vec![from];
+        cycle.extend(back);
+        Some(cycle)
     }
 
     /// Nodes reachable from `start` (including `start`).

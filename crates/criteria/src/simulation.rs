@@ -76,8 +76,10 @@ fn equality_axioms(sigma: &DependencySet) -> (Predicate, Vec<Dependency>) {
             terms: vars.to_vec(),
         }];
         let head: Vec<Atom> = vars.iter().map(|v| eq_atom(eq, *v, *v)).collect();
+        let mut label = String::from("eq_refl_");
+        pred.name.push_to(&mut label);
         out.push(Dependency::Tgd(
-            Tgd::new(Some(format!("eq_refl_{}", pred.name)), body, head).expect("well-formed"),
+            Tgd::new(Some(label), body, head).expect("well-formed"),
         ));
     }
     (eq, out)

@@ -63,10 +63,11 @@
 //!
 //! An adorned predicate `R^α` is a fresh predicate of `Σµ`, and an adorned rule is
 //! kept as what it is: a [`Dependency`] over such predicates, with the index of its
-//! source in Σ, prepared once for the firing test. A per-run table maps `(R, α)` to
-//! its predicate and back. The name (`R`, a separator, then `α`, as in `E__bf1`) is
-//! formatted and interned the first time the table needs it, so rendering an atom is
-//! one lookup, and the algorithm reads an atom's adornment back through the table.
+//! source in Σ, prepared once for the firing test, and the dense id of each atom's
+//! adorned predicate. A per-run table numbers the adorned predicates densely in
+//! order of first need and maps `(R, α)` to its id, predicate and back. The name
+//! (`R`, a separator, then `α`, as in `E__bf1`) is formatted and interned the first
+//! time the table needs it, so rendering an atom is one lookup.
 //!
 //! The separator is the shortest run of two or more `_` that occurs in no predicate
 //! name of Σ: `__` unless some name contains it. An input name never contains the
@@ -75,26 +76,38 @@
 //! predicate `E__bb` the adorned `E^bb`, and SAC would accept `E(?x, ?y) → ∃z
 //! E(?y, ?z)` next to any rule reading `E__bb`.
 //!
-//! τ and θ rewrite predicates: a rule is rebuilt only when the adornment of one of
-//! its atoms mentions a rewritten symbol, and the other rules keep their prepared
-//! dependency. When one iteration finds both, `Σµ` takes τ followed by θ in one
-//! pass, so the rewrite names only the predicates of the rewritten rules, in rule
-//! order (predicates order by the interned id of their name, and the `Adn∃-C`
-//! criteria run on `Σµ`). Rules carry no label while the run is in progress:
-//! `base_R` and `adnk_of_rs` are attached by position to the final `Σµ`.
+//! What the loop reads is indexed from the rules by id and rule index in flat
+//! lists: `AP(Σµ)` per source predicate in adornment order (the candidate order),
+//! the versions of each dependency by body, the writers of each adorned predicate,
+//! the adorned EGDs, `Σ∀µ`, and per free symbol the rules that mention it.
+//! Candidate bodies are walked one at a time, and the walk stops at the first
+//! fireable one.
+//!
+//! τ and θ rewrite predicates: only the rules whose adornments mention a rewritten
+//! symbol are rebuilt, found through the per-symbol postings, and the index is
+//! patched for them alone. A rewrite that makes a rule equal to an earlier one drops
+//! it by a tombstone, so rule indices stay stable for the whole run. When one
+//! iteration finds both, `Σµ` takes τ followed by θ in one pass, so the rewrite names
+//! only the predicates of the rewritten rules, in rule order (predicates order by the
+//! interned id of their name, and the `Adn∃-C` criteria run on `Σµ`). Rules carry no
+//! label while the run is in progress: `base_R` and `adnk_of_rs` are attached by
+//! position among the live rules of the final `Σµ`.
+//!
+//! Line 9's `Dµ(Σµ)` is never built as an instance: the EGD's body is matched on the
+//! `AP(Σµ)` entries of its predicates directly (`Adn::dmu_chase_step`).
 
 use crate::firing::{Blockers, Definition2Memo};
 use chase_core::hash::FastMap;
 use chase_core::{
-    Atom, Constant, Dependency, DependencySet, Egd, Fact, GroundTerm, Instance, NullValue,
-    Predicate, Term, Tgd, Variable,
+    Assignment, Atom, Constant, Dependency, DependencySet, Egd, JoinPlan, Predicate, Term, Tgd,
+    Variable,
 };
 use chase_criteria::firing::PreparedDependency;
 use chase_criteria::graph::DiGraph;
 use chase_criteria::AnalysisContext;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 /// An adornment symbol: `b` (bound) or a free symbol `f_i`.
@@ -169,91 +182,106 @@ impl AdnDefinition {
     }
 }
 
+/// The dense id of an adorned predicate `R^α` within one run, in order of first need.
+type AdId = u32;
+
+/// The id recorded for an atom over a predicate of Σ: a base rule's body atom.
+const NOT_ADORNED: AdId = AdId::MAX;
+
 /// The adorned predicates of one run: `R^α` is the fresh predicate named `R`, the
 /// separator, then `α`, interned the first time it is needed (see the module
-/// documentation).
+/// documentation), and numbered densely in that order.
 struct AdornedNames {
     /// The shortest run of two or more `_` that no predicate name of Σ contains.
     separator: String,
-    /// `R^α` by `R`, then by `α`.
-    by_source: FastMap<Predicate, FastMap<Adornment, Predicate>>,
-    /// `R` and `α` by `R^α`.
-    by_name: FastMap<Predicate, (Predicate, Adornment)>,
+    /// The predicates of Σ, in [`DependencySet::predicates`] order: a source
+    /// predicate's position is its dense id.
+    sources: Vec<Predicate>,
+    source_ids: FastMap<Predicate, usize>,
+    /// Per source predicate `R`, `α` to the id of `R^α`.
+    by_source: Vec<FastMap<Adornment, AdId>>,
+    /// Per adorned predicate: its source, its adornment and its predicate.
+    source: Vec<usize>,
+    adornment: Vec<Adornment>,
+    predicate: Vec<Predicate>,
 }
 
 impl AdornedNames {
     fn new(sigma: &DependencySet) -> Self {
-        let longest_run = sigma
-            .predicates()
+        let sources: Vec<Predicate> = sigma.predicates().into_iter().collect();
+        let longest_run = sources
             .iter()
             .flat_map(|p| p.name.as_str().split(|c| c != '_').map(str::len).max())
             .max()
             .unwrap_or(0);
         AdornedNames {
             separator: "_".repeat(longest_run.max(1) + 1),
-            by_source: FastMap::default(),
-            by_name: FastMap::default(),
+            source_ids: sources.iter().enumerate().map(|(i, &p)| (p, i)).collect(),
+            by_source: vec![FastMap::default(); sources.len()],
+            sources,
+            source: Vec::new(),
+            adornment: Vec::new(),
+            predicate: Vec::new(),
         }
     }
 
-    /// `source^adornment`.
-    fn predicate(&mut self, source: Predicate, adornment: &[AdSym]) -> Predicate {
-        if let Some(&adorned) = self.by_source.get(&source).and_then(|by| by.get(adornment)) {
-            return adorned;
-        }
-        let name = format!(
-            "{}{}{}",
-            source.name,
-            self.separator,
-            adornment_string(adornment)
-        );
-        let adorned = Predicate::new(&name, source.arity);
-        let adornment = adornment.to_vec();
-        self.by_source
-            .entry(source)
-            .or_default()
-            .insert(adornment.clone(), adorned);
-        self.by_name.insert(adorned, (source, adornment));
-        adorned
+    /// The dense id of a predicate of Σ.
+    fn source_id(&self, predicate: Predicate) -> usize {
+        self.source_ids[&predicate]
     }
 
-    /// The source and the adornment of an adorned predicate; `None` for a predicate
-    /// of Σ.
-    fn adornment(&self, predicate: Predicate) -> Option<&(Predicate, Adornment)> {
-        self.by_name.get(&predicate)
+    /// The id of `R^adornment`, `R` being the source predicate `source`.
+    fn id(&mut self, source: usize, adornment: &[AdSym]) -> AdId {
+        if let Some(&id) = self.by_source[source].get(adornment) {
+            return id;
+        }
+        let of = self.sources[source];
+        let mut name = String::new();
+        of.name.push_to(&mut name);
+        name.push_str(&self.separator);
+        for symbol in adornment {
+            write!(name, "{symbol}").expect("writing to a String");
+        }
+        let id = AdId::try_from(self.predicate.len()).expect("fewer than 2^32 adorned predicates");
+        self.by_source[source].insert(adornment.to_vec(), id);
+        self.source.push(source);
+        self.adornment.push(adornment.to_vec());
+        self.predicate.push(Predicate::new(&name, of.arity));
+        id
     }
 
-    /// `dep` with `map` applied to its adornments, or `None` when no adornment of
-    /// `dep` mentions a symbol that `map` rewrites.
-    fn rewrite(&mut self, dep: &Dependency, map: &SymbolMap) -> Option<Dependency> {
-        let touched = |atom: &Atom| {
-            self.adornment(atom.predicate)
-                .is_some_and(|(_, adornment)| {
-                    adornment
-                        .iter()
-                        .any(|s| matches!(s, AdSym::F(i) if map.contains_key(i)))
-                })
-        };
-        if !dep.body().iter().chain(dep.head_atoms()).any(touched) {
-            return None;
+    fn adornment(&self, id: AdId) -> &[AdSym] {
+        &self.adornment[id as usize]
+    }
+
+    fn source(&self, id: AdId) -> usize {
+        self.source[id as usize]
+    }
+
+    fn predicate(&self, id: AdId) -> Predicate {
+        self.predicate[id as usize]
+    }
+
+    /// Does the adornment of `id` mention a symbol that `map` rewrites?
+    fn mentions(&self, id: AdId, map: &SymbolMap) -> bool {
+        id != NOT_ADORNED
+            && self
+                .adornment(id)
+                .iter()
+                .any(|s| matches!(s, AdSym::F(i) if map.contains_key(i)))
+    }
+
+    /// The id of `id`'s predicate with `map` applied to its adornment.
+    fn substituted(&mut self, id: AdId, map: &SymbolMap) -> AdId {
+        if id == NOT_ADORNED {
+            return id;
         }
-        let mut image = |atom: &Atom| {
-            let predicate = match self.adornment(atom.predicate) {
-                Some(&(source, ref adornment)) => {
-                    let adornment: Adornment =
-                        adornment.iter().map(|s| substitute(*s, map)).collect();
-                    self.predicate(source, &adornment)
-                }
-                None => atom.predicate,
-            };
-            Atom {
-                predicate,
-                terms: atom.terms.clone(),
-            }
-        };
-        let body = dep.body().iter().map(&mut image).collect();
-        let head = dep.head_atoms().iter().map(&mut image).collect();
-        Some(adorned_version(dep, body, head))
+        let adornment: Adornment = self
+            .adornment(id)
+            .iter()
+            .map(|s| substitute(*s, map))
+            .collect();
+        self.id(self.source(id), &adornment)
     }
 }
 
@@ -271,16 +299,144 @@ fn adorned_version(dep: &Dependency, body: Vec<Atom>, head: Vec<Atom>) -> Depend
 }
 
 /// An adorned dependency: the index in Σ of its source (`None` for a base rule
-/// `R(x̄) → R^{b…b}(x̄)`), and the dependency over adorned predicates, unlabelled
-/// and prepared for the firing test.
+/// `R(x̄) → R^{b…b}(x̄)`), the dependency over adorned predicates, unlabelled and
+/// prepared for the firing test, and the adorned predicate of each of its atoms.
 struct AdRule {
     src: Option<usize>,
     dep: PreparedDependency<'static>,
+    /// The adorned predicate of each atom, body then head; [`NOT_ADORNED`] for the
+    /// body atom of a base rule.
+    atoms: Vec<AdId>,
+    /// `false` once a deduplicating rewrite has dropped the rule: rule indices stay
+    /// stable for the whole run.
+    alive: bool,
 }
 
 impl AdRule {
     fn dependency(&self) -> &Dependency {
         self.dep.dependency()
+    }
+
+    fn body(&self) -> &[AdId] {
+        &self.atoms[..self.dependency().body().len()]
+    }
+
+    fn head(&self) -> &[AdId] {
+        &self.atoms[self.dependency().body().len()..]
+    }
+
+    /// The free symbols of the rule's adornments, with repeats.
+    fn symbols<'n>(&'n self, names: &'n AdornedNames) -> impl Iterator<Item = u32> + 'n {
+        self.atoms
+            .iter()
+            .filter(|&&id| id != NOT_ADORNED)
+            .flat_map(|&id| names.adornment(id))
+            .filter_map(|s| match s {
+                AdSym::F(i) => Some(*i),
+                AdSym::B => None,
+            })
+    }
+}
+
+/// A dependency of Σ as `Adn∃` reads it: each atom's predicate by its dense id and
+/// its terms by code, body variables by rank in order of first occurrence.
+struct SourceRule {
+    body: Vec<(usize, Vec<BodyTerm>)>,
+    /// How many distinct variables the body has.
+    vars: usize,
+    /// A TGD's frontier variables, in [`Tgd::frontier_variables`] order, and its head
+    /// atoms.
+    frontier: Vec<usize>,
+    head: Vec<(usize, Vec<HeadTerm>)>,
+    /// An EGD's two sides.
+    egd: Option<(usize, usize)>,
+}
+
+#[derive(Clone, Copy)]
+enum BodyTerm {
+    Var(usize),
+    Const(Constant),
+    Null,
+}
+
+#[derive(Clone, Copy)]
+enum HeadTerm {
+    /// A body variable, by rank.
+    Var(usize),
+    /// An existential variable, by its position in the TGD's list.
+    Existential(usize),
+    Ground,
+}
+
+impl SourceRule {
+    fn compile(dep: &Dependency, names: &AdornedNames) -> Self {
+        let mut vars: Vec<Variable> = Vec::new();
+        let mut rank = |v: Variable| {
+            vars.iter().position(|w| *w == v).unwrap_or_else(|| {
+                vars.push(v);
+                vars.len() - 1
+            })
+        };
+        let body = dep
+            .body()
+            .iter()
+            .map(|atom| {
+                let terms = atom
+                    .terms
+                    .iter()
+                    .map(|t| match t {
+                        Term::Var(v) => BodyTerm::Var(rank(*v)),
+                        Term::Const(c) => BodyTerm::Const(*c),
+                        Term::Null(_) => BodyTerm::Null,
+                    })
+                    .collect();
+                (names.source_id(atom.predicate), terms)
+            })
+            .collect();
+        let ranked = |v: &Variable| vars.iter().position(|w| w == v);
+        let (mut frontier, mut head) = (Vec::new(), Vec::new());
+        if let Some(tgd) = dep.as_tgd() {
+            frontier = tgd
+                .frontier_variables()
+                .iter()
+                .map(|v| ranked(v).expect("a frontier variable is a body variable"))
+                .collect();
+            let existentials = tgd.existential_variables();
+            head = tgd
+                .head()
+                .iter()
+                .map(|atom| {
+                    let terms = atom
+                        .terms
+                        .iter()
+                        .map(|t| match t {
+                            Term::Var(v) => match ranked(v) {
+                                Some(r) => HeadTerm::Var(r),
+                                None => HeadTerm::Existential(
+                                    existentials
+                                        .iter()
+                                        .position(|z| z == v)
+                                        .expect("a head-only variable is existential"),
+                                ),
+                            },
+                            Term::Const(_) | Term::Null(_) => HeadTerm::Ground,
+                        })
+                        .collect();
+                    (names.source_id(atom.predicate), terms)
+                })
+                .collect();
+        }
+        let egd = dep.as_egd().map(|e| {
+            let side = |v| ranked(&v).expect("an EGD side is a body variable");
+            (side(e.left), side(e.right))
+        });
+        SourceRule {
+            vars: vars.len(),
+            body,
+            frontier,
+            head,
+            egd,
+        }
     }
 }
 
@@ -312,9 +468,9 @@ pub struct AdnResult {
     pub budget_exhausted: bool,
     /// Number of τ, θ and deduplicating rewrites of `Σµ`: the only steps that are not
     /// appends, so the only ones after which the state indexed from the rules
-    /// (`AP(Σµ)`, the bodies, writers, EGDs and blockers, and which bodies of which
-    /// dependencies are still to be tested) is re-indexed, and every dependency
-    /// revisited in full. Not part of the witness.
+    /// (`AP(Σµ)`, the bodies, writers, EGDs and blockers) is patched for the rules
+    /// rewritten or dropped, and every dependency revisited in full. Not part of the
+    /// witness.
     pub rebuilds: usize,
 }
 
@@ -412,16 +568,22 @@ struct Adn<'a> {
     order: Vec<usize>,
     rank: Vec<usize>,
     existential: usize,
-    /// `readers[p]`: the dependencies of the original set whose body mentions `p`.
-    readers: HashMap<Predicate, Vec<usize>>,
+    /// The dependencies of Σ as the algorithm reads them.
+    sources: Vec<SourceRule>,
+    /// `readers[p]`: the dependencies of the original set whose body mentions the
+    /// source predicate `p`.
+    readers: Vec<Vec<usize>>,
     names: AdornedNames,
+    /// The adorned rules, dropped ones included, and how many are alive.
     rules: Vec<AdRule>,
-    /// The indices in `rules` of the adorned versions of each original dependency,
-    /// ascending.
+    live: usize,
+    /// The indices in `rules` of the live adorned versions of each original
+    /// dependency, ascending.
     versions: Vec<Vec<usize>>,
-    /// What is indexed from `rules`: built on first use, extended in place when a
-    /// rule is appended, and dropped when a rewrite changes `rules`.
-    derived: Option<Derived>,
+    /// What is indexed from `rules`, patched as they change.
+    derived: Derived,
+    /// The walk through one dependency's coherent bodies, reused by every try.
+    bodies: CoherentBodies,
     /// Definition 2's answers by pair shape, for the whole run: a shape key describes
     /// its pair up to renaming, so it stays valid across rewrites.
     memo: Definition2Memo,
@@ -439,6 +601,10 @@ struct Adn<'a> {
     /// full rescan of lines 6–12 does.
     #[cfg(test)]
     full_rescan: bool,
+    /// Test-only: after every rewrite, compare the patched [`Derived`] with one built
+    /// from scratch, and every `Dµ(Σµ)` step with its `Instance` reference.
+    #[cfg(test)]
+    checked: bool,
 }
 
 /// `AD` by `(rule, var_index)`, then by `args`, to the symbol of the first such
@@ -453,11 +619,9 @@ fn index_definition(index: &mut AdIndex, def: &AdnDefinition) {
         .or_insert(def.symbol);
 }
 
-/// `AP(Σµ)`, the adorned predicates, indexed by predicate. Iterated nested, it is in
-/// `(predicate, adornment)` order.
-type AdornedPredicates = BTreeMap<Predicate, BTreeSet<Adornment>>;
-
-/// The state `Adn∃` indexes from its adorned rules. Appending a rule only adds to it.
+/// The state `Adn∃` indexes from its live adorned rules, keyed by adorned predicate
+/// id and rule index. Appending a rule adds to it; a rewrite takes out the rules it
+/// changes or drops and puts the changed ones back, so it costs what it rewrites.
 ///
 /// The rules a candidate is tested against are found by index: `writers` maps each
 /// adorned predicate to the TGD rules whose head writes it, and `egds` lists the
@@ -465,43 +629,76 @@ type AdornedPredicates = BTreeMap<Predicate, BTreeSet<Adornment>>;
 /// candidate's body fails Definition 2's prefilter, so only an EGD is tried against
 /// every candidate.
 /// `blockers` is `Σ∀µ`, indexed for the relevant-blocker lookup. The answers of the
-/// tests are memoised by pair shape in `Adn::memo`, which outlives this state.
+/// tests are memoised by pair shape in `Adn::memo`. `postings` finds the rules a
+/// rewrite changes.
 ///
 /// `revisit` makes the main loop semi-naive: it records, per source dependency,
 /// which of its coherent bodies its next `try_adorn` must look at (see [`Revisit`]).
-/// All of it is dropped, and every dependency revisited in full, when a τ, θ or
-/// deduplicating rewrite changes the rules. Building it again re-indexes the rules
-/// and renders nothing: the rules are their own dependencies.
+/// A τ, θ or deduplicating rewrite resets it, and every dependency is revisited in
+/// full, as the full rescan does.
 struct Derived {
-    ap: AdornedPredicates,
-    /// The bodies of the adorned versions of each original dependency, by their
-    /// adorned predicates: a version's terms are its source's.
-    bodies: Vec<HashSet<Vec<Predicate>>>,
-    /// The TGD rules by head predicate, the EGD rules, and `Σ∀µ`.
-    writers: FastMap<Predicate, Vec<usize>>,
+    /// `AP(Σµ)` by source predicate: the adorned predicates of the live rules, in
+    /// adornment order (the order in which candidates are enumerated).
+    ap: Vec<Vec<AdId>>,
+    /// How many atoms of live rules each adorned predicate has.
+    uses: Vec<u32>,
+    /// Per source dependency, its live adorned versions by body.
+    bodies: Vec<FastMap<Box<[AdId]>, Vec<usize>>>,
+    /// The live TGD rules by head predicate, and the live EGD rules.
+    writers: Vec<Vec<usize>>,
     egds: Vec<usize>,
-    blockers: Blockers<Dependency>,
+    blockers: Blockers,
+    /// Per free symbol, rules whose adornments mention it: every live one, and
+    /// possibly dropped ones or repeats, which a rewrite skips.
+    postings: Vec<Vec<usize>>,
     /// Per original dependency, what its next `try_adorn` tests.
     revisit: Vec<Revisit>,
     /// The positions in the scan order of the dependencies that are not settled.
     unsettled: BTreeSet<usize>,
 }
 
+/// `v[i]`, growing `v` to hold it.
+fn at<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
+}
+
+/// Inserts `k` into the ascending `list`, unless it is there.
+fn insert_sorted(list: &mut Vec<usize>, k: usize) {
+    if let Err(at) = list.binary_search(&k) {
+        list.insert(at, k);
+    }
+}
+
+/// Removes `k` from the ascending `list`, if it is there.
+fn remove_sorted(list: &mut Vec<usize>, k: usize) {
+    if let Ok(at) = list.binary_search(&k) {
+        list.remove(at);
+    }
+}
+
 impl Derived {
-    fn build(rules: &[AdRule], names: &AdornedNames, sources: usize) -> Self {
-        let mut derived = Derived {
-            ap: BTreeMap::new(),
-            bodies: vec![HashSet::new(); sources],
-            writers: FastMap::default(),
+    fn new(sources: usize, predicates: usize) -> Self {
+        Derived {
+            ap: vec![Vec::new(); predicates],
+            uses: Vec::new(),
+            bodies: vec![FastMap::default(); sources],
+            writers: Vec::new(),
             egds: Vec::new(),
             blockers: Blockers::new(),
+            postings: Vec::new(),
             revisit: vec![Revisit::default(); sources],
             unsettled: (0..sources).collect(),
-        };
-        for (k, rule) in rules.iter().enumerate() {
-            derived.append(rule, names, k);
         }
-        derived
+    }
+
+    /// Revisits every dependency in full, as after a rewrite.
+    fn reset_revisits(&mut self) {
+        let sources = self.revisit.len();
+        self.revisit.fill(Revisit::default());
+        self.unsettled = (0..sources).collect();
     }
 
     /// Revisits in full the dependencies at `positions` of the scan `order`.
@@ -512,66 +709,130 @@ impl Derived {
         }
     }
 
-    /// Accounts for `rule`, appended at `index`.
-    fn append(&mut self, rule: &AdRule, names: &AdornedNames, index: usize) {
-        let dep = rule.dependency();
-        for atom in dep.body().iter().chain(dep.head_atoms()) {
-            if let Some((source, adornment)) = names.adornment(atom.predicate) {
-                let known = self.ap.entry(*source).or_default();
-                if !known.contains(adornment) {
-                    known.insert(adornment.clone());
-                }
+    /// Accounts for the live rule `rule` at index `k`.
+    fn add(&mut self, rule: &AdRule, k: usize, names: &AdornedNames) {
+        for &id in &rule.atoms {
+            if id == NOT_ADORNED {
+                continue;
+            }
+            let uses = at(&mut self.uses, id as usize);
+            *uses += 1;
+            if *uses == 1 {
+                let known = &mut self.ap[names.source(id)];
+                let at = known
+                    .binary_search_by(|&other| names.adornment(other).cmp(names.adornment(id)))
+                    .expect_err("a predicate enters AP once");
+                known.insert(at, id);
             }
         }
         if let Some(src) = rule.src {
-            self.bodies[src].insert(dep.body().iter().map(|atom| atom.predicate).collect());
+            let versions = self.bodies[src].entry(rule.body().into()).or_default();
+            insert_sorted(versions, k);
         }
+        let dep = rule.dependency();
         if dep.is_egd() {
-            self.egds.push(index);
+            insert_sorted(&mut self.egds, k);
         }
-        for atom in dep.head_atoms() {
-            let writers = self.writers.entry(atom.predicate).or_default();
-            if writers.last() != Some(&index) {
-                writers.push(index);
-            }
+        for &id in rule.head() {
+            insert_sorted(at(&mut self.writers, id as usize), k);
         }
         if dep.is_full() {
-            self.blockers.push(dep.clone());
+            self.blockers.insert(dep.body()[0].predicate, k);
+        }
+        for symbol in rule.symbols(names) {
+            let posting = at(&mut self.postings, symbol as usize);
+            if posting.last() != Some(&k) {
+                posting.push(k);
+            }
         }
     }
 
-    /// The rules that can fire a candidate whose body is `body`: the TGD rules writing
-    /// one of its predicates, then every adorned EGD.
-    fn sources(&self, body: &[Atom]) -> Vec<usize> {
+    /// Takes out what [`Derived::add`] put in for `rule` at index `k`, but its
+    /// postings: a rewrite skips the rules that no longer mention a symbol.
+    fn remove(&mut self, rule: &AdRule, k: usize, names: &AdornedNames) {
+        for &id in &rule.atoms {
+            if id == NOT_ADORNED {
+                continue;
+            }
+            let uses = &mut self.uses[id as usize];
+            *uses -= 1;
+            if *uses == 0 {
+                let known = &mut self.ap[names.source(id)];
+                let at = known.iter().position(|&other| other == id);
+                known.remove(at.expect("a used predicate is in AP"));
+            }
+        }
+        if let Some(src) = rule.src {
+            let bodies = &mut self.bodies[src];
+            let versions = bodies
+                .get_mut(rule.body())
+                .expect("a live version has a body");
+            remove_sorted(versions, k);
+            if versions.is_empty() {
+                bodies.remove(rule.body());
+            }
+        }
+        let dep = rule.dependency();
+        if dep.is_egd() {
+            remove_sorted(&mut self.egds, k);
+        }
+        for &id in rule.head() {
+            remove_sorted(&mut self.writers[id as usize], k);
+        }
+        if dep.is_full() {
+            self.blockers.remove(dep.body()[0].predicate, k);
+        }
+    }
+
+    /// Is the candidate, whose body has the adorned predicates `body`, fireable with
+    /// respect to the live `rules`? Only the rules that can fire it are tested: the
+    /// TGD rules writing one of its predicates, then every adorned EGD. A candidate
+    /// rejected before is tested again against every such rule: a rule that did not
+    /// fire it then does not now, as the rules appended since only add blockers, and
+    /// the memo usually answers that test.
+    fn fires(
+        &self,
+        rules: &[AdRule],
+        memo: &mut Definition2Memo,
+        candidate: &PreparedDependency<'static>,
+        body: &[AdId],
+    ) -> bool {
         let mut sources: Vec<usize> = Vec::new();
-        for atom in body {
-            if let Some(writers) = self.writers.get(&atom.predicate) {
+        for &id in body {
+            if let Some(writers) = self.writers.get(id as usize) {
                 sources.extend_from_slice(writers);
             }
         }
         sources.sort_unstable();
         sources.dedup();
         sources.extend_from_slice(&self.egds);
-        sources
+        let target = candidate.dependency();
+        sources.into_iter().any(|k| {
+            let r1 = &rules[k].dep;
+            let relevant = self
+                .blockers
+                .relevant(r1.dependency(), target, |b| rules[b].dependency());
+            memo.answer(r1, candidate, &relevant)
+        })
     }
 }
 
 /// Which coherent bodies of one source dependency its next `try_adorn` must test.
 ///
 /// Bodies are ordered by their per-atom adornment tuples: the order in which
-/// [`coherent_adorned_bodies`] enumerates them, and so the order in which `try_adorn`
-/// tests them and picks the first fireable one. The invariant is: **every coherent
-/// body that is not after `done` and uses no element of `fed` is already the body of
-/// an adorned version of the dependency, or a candidate that the full rescan would
-/// test and reject now.** `try_adorn` then tests exactly the bodies after `done` and
-/// those using an element of `fed`, in the full order, so it returns what the full
-/// rescan returns, and leaves the rest untested.
+/// [`CoherentBodies`] walks them, and so the order in which `try_adorn` tests them
+/// and picks the first fireable one. The invariant is: **every coherent body that is
+/// not after `done` and uses no element of `fed` is already the body of an adorned
+/// version of the dependency, or a candidate that the full rescan would test and
+/// reject now.** `try_adorn` then tests exactly the bodies after `done` and those
+/// using an element of `fed`, in the full order, so it returns what the full rescan
+/// returns, and leaves the rest untested.
 ///
 /// `try_adorn` sets `done` to the body it appended (every body before it was tested),
 /// or to [`Done::Everything`] when it appends nothing (the dependency is *settled*),
 /// and empties `fed`. The rest of the loop keeps the invariant like this:
 ///
-/// 1. An appended TGD rule whose head atom is `p^α` adds `(p, α)` to `fed` for every
+/// 1. An appended TGD rule whose head atom is `p^α` adds `p^α` to `fed` for every
 ///    dependency with `p` in its body. A body without `p^α` cannot be fired by the
 ///    rule: Definition 2's prefilter needs a head atom and a body atom with the same
 ///    adorned predicate. When `p^α` is new in `AP(Σµ)` the new bodies are exactly
@@ -582,12 +843,13 @@ impl Derived {
 /// 3. A new definition in `AD` revisits every existential dependency in full: the
 ///    next fresh symbol moves, so a retried candidate gets a different head, and
 ///    Definition 2's blocking check reads the head.
-/// 4. A τ, θ or deduplicating rewrite drops the whole [`Derived`] state.
-#[derive(Clone, Debug, Default)]
+/// 4. A τ, θ or deduplicating rewrite revisits every dependency in full; the rest of
+///    [`Derived`] is patched, not dropped.
+#[derive(Clone, Debug, Default, PartialEq)]
 struct Revisit {
     done: Done,
     /// The adorned predicates fed to the dependency's body since `done` was set.
-    fed: AdornedPredicates,
+    fed: Vec<AdId>,
 }
 
 /// How far through the ordered coherent bodies a dependency's last `try_adorn` got.
@@ -596,79 +858,25 @@ enum Done {
     /// Nothing: every body is tested.
     #[default]
     Nothing,
-    /// Every body up to this one (by per-atom adornments), included.
-    Through(Vec<Adornment>),
+    /// Every body up to this one (by per-atom adorned predicates), included.
+    Through(Vec<AdId>),
     /// Every body: the dependency is settled.
     Everything,
 }
 
 impl Revisit {
-    /// Records that an appended rule feeds `predicate^adornment` to the body; nothing
-    /// to record while every body is to be tested anyway.
-    fn feed(&mut self, predicate: Predicate, adornment: &Adornment) {
-        if self.done != Done::Nothing {
-            let fed = self.fed.entry(predicate).or_default();
-            if !fed.contains(adornment) {
-                fed.insert(adornment.clone());
-            }
+    /// Records that an appended rule feeds the adorned predicate `id` to the body;
+    /// nothing to record while every body is to be tested anyway.
+    fn feed(&mut self, id: AdId) {
+        if self.done != Done::Nothing && !self.fed.contains(&id) {
+            self.fed.push(id);
         }
-    }
-}
-
-/// Reachability structure over the original dependency set used by the cyclicity
-/// condition of Ω(AD): `s ⇝ r` iff `s < r1 < · · · < rn < r` with every `ri ∈ Σ∀`.
-struct OriginalFiring {
-    /// The Definition-2 firing graph, shared with the analysis context.
-    graph: Rc<DiGraph>,
-    full: Vec<bool>,
-}
-
-impl OriginalFiring {
-    fn compute(cx: &AnalysisContext) -> Self {
-        let full = cx.sigma().iter().map(|(_, d)| d.is_full()).collect();
-        OriginalFiring {
-            graph: crate::firing::firing_graph_in(cx),
-            full,
-        }
-    }
-
-    /// Is there a chain `s < r1 < … < rn < r` (n ≥ 0) with every intermediate `ri`
-    /// full?
-    fn reaches_via_full(&self, s: usize, r: usize) -> bool {
-        if self.graph.has_edge(s, r) {
-            return true;
-        }
-        let mut seen: BTreeSet<usize> = BTreeSet::new();
-        let mut stack: Vec<usize> = self.graph.successors(s).filter(|&m| self.full[m]).collect();
-        while let Some(m) = stack.pop() {
-            if !seen.insert(m) {
-                continue;
-            }
-            if self.graph.has_edge(m, r) {
-                return true;
-            }
-            stack.extend(
-                self.graph
-                    .successors(m)
-                    .filter(|&next| self.full[next] && !seen.contains(&next)),
-            );
-        }
-        false
     }
 }
 
 impl<'a> Adn<'a> {
     fn new(cx: &AnalysisContext<'a>, rule_cap: usize) -> Self {
         let sigma = cx.sigma();
-        let mut readers: HashMap<Predicate, Vec<usize>> = HashMap::new();
-        for (i, dep) in sigma.iter() {
-            for atom in dep.body() {
-                let list = readers.entry(atom.predicate).or_default();
-                if list.last() != Some(&i.0) {
-                    list.push(i.0);
-                }
-            }
-        }
         let original_firing = OriginalFiring::compute(cx);
         // EGDs before full TGDs (the order is immaterial for correctness).
         let mut order: Vec<usize> = sigma
@@ -688,31 +896,49 @@ impl<'a> Adn<'a> {
         for (k, &i) in order.iter().enumerate() {
             rank[i] = k;
         }
-        // Base rules: R(x1, …, xn) → R^{b…b}(x1, …, xn) for every predicate of Σ.
         let mut names = AdornedNames::new(sigma);
-        let rules = sigma
-            .predicates()
-            .into_iter()
-            .map(|pred| {
-                let terms: Vec<Term> = (0..pred.arity)
-                    .map(|i| Term::Var(Variable::new(&format!("x{i}"))))
-                    .collect();
-                let head = Atom {
-                    predicate: names.predicate(pred, &vec![AdSym::B; pred.arity]),
-                    terms: terms.clone(),
-                };
-                let body = Atom {
-                    predicate: pred,
-                    terms,
-                };
-                let base =
-                    Tgd::new(None, vec![body], vec![head]).expect("base rule is well-formed");
-                AdRule {
-                    src: None,
-                    dep: PreparedDependency::owned(Dependency::Tgd(base)),
-                }
-            })
+        let sources: Vec<SourceRule> = sigma
+            .as_slice()
+            .iter()
+            .map(|dep| SourceRule::compile(dep, &names))
             .collect();
+        let mut readers: Vec<Vec<usize>> = vec![Vec::new(); names.sources.len()];
+        for (i, source) in sources.iter().enumerate() {
+            for &(predicate, _) in &source.body {
+                if readers[predicate].last() != Some(&i) {
+                    readers[predicate].push(i);
+                }
+            }
+        }
+        // Base rules: R(x0, …, xn) → R^{b…b}(x0, …, xn) for every predicate of Σ.
+        let widest = names.sources.iter().map(|p| p.arity).max().unwrap_or(0);
+        let xs: Vec<Term> = (0..widest)
+            .map(|i| Term::Var(Variable::new(&format!("x{i}"))))
+            .collect();
+        let mut derived = Derived::new(sigma.len(), names.sources.len());
+        let mut rules = Vec::with_capacity(names.sources.len());
+        for source in 0..names.sources.len() {
+            let pred = names.sources[source];
+            let id = names.id(source, &vec![AdSym::B; pred.arity]);
+            let terms = xs[..pred.arity].to_vec();
+            let head = Atom {
+                predicate: names.predicate(id),
+                terms: terms.clone(),
+            };
+            let body = Atom {
+                predicate: pred,
+                terms,
+            };
+            let base = Tgd::new(None, vec![body], vec![head]).expect("base rule is well-formed");
+            let rule = AdRule {
+                src: None,
+                dep: PreparedDependency::owned(Dependency::Tgd(base)),
+                atoms: vec![NOT_ADORNED, id],
+                alive: true,
+            };
+            derived.add(&rule, rules.len(), &names);
+            rules.push(rule);
+        }
         Adn {
             sigma,
             rule_cap,
@@ -720,11 +946,14 @@ impl<'a> Adn<'a> {
             order,
             rank,
             existential,
+            sources,
             readers,
             names,
+            live: rules.len(),
             rules,
             versions: vec![Vec::new(); sigma.len()],
-            derived: None,
+            derived,
+            bodies: CoherentBodies::default(),
             memo: Definition2Memo::default(),
             ad: Vec::new(),
             ad_index: HashMap::new(),
@@ -735,13 +964,15 @@ impl<'a> Adn<'a> {
             rebuilds: 0,
             #[cfg(test)]
             full_rescan: false,
+            #[cfg(test)]
+            checked: false,
         }
     }
 
     fn run(mut self) -> AdnResult {
         loop {
             self.iterations += 1;
-            if self.rules.len() > self.rule_cap || self.iterations > 4 * self.rule_cap {
+            if self.live > self.rule_cap || self.iterations > 4 * self.rule_cap {
                 self.budget_exhausted = true;
                 self.acyclic = false;
                 break;
@@ -796,10 +1027,12 @@ impl<'a> Adn<'a> {
                     // in the heads that θ rewrote, so we inspect the whole adorned set
                     // — matching the example's "since Ω(AD) is cyclic, Acyc ≔ false".
                     let omega = self.omega_graph();
+                    let names = &self.names;
                     if self
                         .rules
                         .iter()
-                        .any(|rule| head_is_cyclic(&self.names, rule.dependency(), &omega))
+                        .filter(|rule| rule.alive)
+                        .any(|rule| head_is_cyclic(names, rule, &omega))
                     {
                         self.acyclic = false;
                     }
@@ -809,19 +1042,21 @@ impl<'a> Adn<'a> {
                 break;
             }
         }
+        let mut position = 0;
         let adorned = self
             .rules
-            .iter()
-            .enumerate()
-            .map(|(k, rule)| {
-                let dep = rule.dependency().clone();
+            .into_iter()
+            .filter(|rule| rule.alive)
+            .map(|rule| {
+                let dep = rule.dep.into_dependency();
                 let label = match rule.src {
                     None => format!("base_{}", dep.body()[0].predicate.name),
-                    Some(s) => format!("adn{k}_of_r{s}"),
+                    Some(s) => format!("adn{position}_of_r{s}"),
                 };
+                position += 1;
                 dep.with_label(&label)
             })
-            .collect();
+            .collect::<DependencySet>();
         let fireable_pairs: Vec<(usize, usize)> = self
             .original_firing
             .graph
@@ -829,7 +1064,7 @@ impl<'a> Adn<'a> {
             .map(|(s, r, _)| (s, r))
             .collect();
         AdnResult {
-            adorned_rule_count: self.rules.iter().filter(|r| r.src.is_some()).count(),
+            adorned_rule_count: self.live - self.names.sources.len(),
             adorned,
             acyclic: self.acyclic,
             definitions: self.ad,
@@ -840,85 +1075,81 @@ impl<'a> Adn<'a> {
         }
     }
 
-    /// The state indexed from the current rules, built if a rewrite dropped it.
-    fn derived(&mut self) -> &mut Derived {
-        let (rules, names, sources) = (&self.rules, &self.names, self.sigma.len());
-        self.derived
-            .get_or_insert_with(|| Derived::build(rules, names, sources))
-    }
-
     /// The first position of `order` from `from` on whose dependency is not settled.
-    fn next_unsettled(&mut self, from: usize) -> Option<usize> {
+    fn next_unsettled(&self, from: usize) -> Option<usize> {
         #[cfg(test)]
         if self.full_rescan {
             return (from < self.order.len()).then_some(from);
         }
-        self.derived().unsettled.range(from..).next().copied()
-    }
-
-    /// Drops what was indexed from `rules`; called on every rewrite of them.
-    fn rules_changed(&mut self) {
-        self.derived = None;
-        for versions in &mut self.versions {
-            versions.clear();
-        }
-        for (k, rule) in self.rules.iter().enumerate() {
-            if let Some(src) = rule.src {
-                self.versions[src].push(k);
-            }
-        }
+        self.derived.unsettled.range(from..).next().copied()
     }
 
     /// Function 2 (`adorn`): tries to produce a new adorned version of the original
     /// dependency `idx`; on success the rule is appended and its index returned.
     ///
     /// Only the bodies that the dependency's [`Revisit`] leaves open are tested, in the
-    /// full enumeration order, so the first fireable one is the full rescan's.
+    /// full enumeration order, so the first fireable one is the full rescan's. They
+    /// are walked one at a time, and the walk stops at the first fireable one.
     fn try_adorn(&mut self, idx: usize) -> Option<usize> {
-        let revisit = std::mem::take(&mut self.derived().revisit[idx]);
+        let revisit = std::mem::take(&mut self.derived.revisit[idx]);
         #[cfg(test)]
         let revisit = if self.full_rescan {
             Revisit::default()
         } else {
             revisit
         };
-        let dep = &self.sigma.as_slice()[idx];
-        let candidates = coherent_adorned_bodies(dep.body(), &self.derived().ap, &revisit);
+        let sigma = self.sigma;
+        let dep = &sigma.as_slice()[idx];
+        let source = &self.sources[idx];
         let mut fresh = Vec::new();
-        for (adornments, var_adornment) in candidates {
-            let body: Vec<Predicate> = dep
-                .body()
-                .iter()
-                .zip(&adornments)
-                .map(|(atom, adornment)| self.names.predicate(atom.predicate, adornment))
-                .collect();
-            if self.derived().bodies[idx].contains(&body) {
+        self.bodies.start(source, &self.names, &revisit);
+        while self
+            .bodies
+            .next(source, &self.names, &self.derived.ap, &revisit)
+        {
+            let body = &self.bodies.chosen[..];
+            if self.derived.bodies[idx].contains_key(body) {
                 continue;
             }
             // Compute the adorned head (HeadAdn); its new definitions are committed to
             // AD only if the rule is appended.
             fresh.clear();
-            let candidate = self.head_adorn(dep, idx, &body, &var_adornment, &mut fresh);
-            if !self.is_fireable(&candidate) {
+            let head_adornment = HeadAdn {
+                ad_index: &self.ad_index,
+                ad_max: self.ad_max,
+                dep,
+                idx,
+                source,
+            };
+            let (candidate, atoms) = head_adornment.candidate(
+                &mut self.names,
+                body,
+                &self.bodies.assignment,
+                &mut fresh,
+            );
+            if !self
+                .derived
+                .fires(&self.rules, &mut self.memo, &candidate, body)
+            {
                 continue;
             }
-            self.derived().revisit[idx] = Revisit {
-                done: Done::Through(adornments),
-                fed: BTreeMap::new(),
+            self.derived.revisit[idx] = Revisit {
+                done: Done::Through(body.to_vec()),
+                fed: Vec::new(),
             };
             let rule = AdRule {
                 src: Some(idx),
                 dep: candidate,
+                atoms,
+                alive: true,
             };
             return Some(self.push_rule(rule, &fresh));
         }
-        let settled = self.rank[idx];
-        let derived = self.derived();
-        derived.revisit[idx] = Revisit {
+        self.derived.revisit[idx] = Revisit {
             done: Done::Everything,
-            fed: BTreeMap::new(),
+            fed: Vec::new(),
         };
-        derived.unsettled.remove(&settled);
+        self.derived.unsettled.remove(&self.rank[idx]);
         None
     }
 
@@ -926,20 +1157,15 @@ impl<'a> Adn<'a> {
     /// dependencies it can affect (see [`Revisit`]).
     fn push_rule(&mut self, rule: AdRule, fresh: &[AdnDefinition]) -> usize {
         let index = self.rules.len();
-        let (readers, rank, names) = (&self.readers, &self.rank, &self.names);
-        let derived = self.derived.as_mut().expect("built by try_adorn");
-        derived.append(&rule, names, index);
-        let dep = rule.dependency();
-        if dep.is_egd() {
+        let derived = &mut self.derived;
+        derived.add(&rule, index, &self.names);
+        if rule.dependency().is_egd() {
             derived.revisit_all(0..self.order.len(), &self.order);
         }
-        for atom in dep.head_atoms() {
-            let (source, adornment) = names
-                .adornment(atom.predicate)
-                .expect("adorned heads are adorned");
-            for &reader in readers.get(source).into_iter().flatten() {
-                derived.revisit[reader].feed(*source, adornment);
-                derived.unsettled.insert(rank[reader]);
+        for &id in rule.head() {
+            for &reader in &self.readers[self.names.source(id)] {
+                derived.revisit[reader].feed(id);
+                derived.unsettled.insert(self.rank[reader]);
             }
         }
         if !fresh.is_empty() {
@@ -954,150 +1180,27 @@ impl<'a> Adn<'a> {
             self.versions[src].push(index);
         }
         self.rules.push(rule);
+        self.live += 1;
         index
-    }
-
-    /// HeadAdn (Section 6): the candidate adorned version of `dep` over the adorned
-    /// predicates `body`, with the body adornments propagated to the head; existential
-    /// variables get Skolem-style adornment definitions. A definition `AD` does not
-    /// hold yet is pushed to `fresh`, with the next symbol after `AD`'s and `fresh`'s.
-    fn head_adorn(
-        &mut self,
-        dep: &Dependency,
-        idx: usize,
-        body: &[Predicate],
-        var_adornment: &BTreeMap<Variable, AdSym>,
-        fresh: &mut Vec<AdnDefinition>,
-    ) -> PreparedDependency<'static> {
-        let body: Vec<Atom> = dep
-            .body()
-            .iter()
-            .zip(body)
-            .map(|(atom, &predicate)| Atom {
-                predicate,
-                terms: atom.terms.clone(),
-            })
-            .collect();
-        let mut head = Vec::new();
-        if let Dependency::Tgd(tgd) = dep {
-            let args: Vec<AdSym> = tgd
-                .frontier_variables()
-                .iter()
-                .map(|v| *var_adornment.get(v).unwrap_or(&AdSym::B))
-                .collect();
-            let mut ex_symbols: BTreeMap<Variable, AdSym> = BTreeMap::new();
-            let mut max = self.ad_max;
-            for (z_idx, z) in tgd.existential_variables().iter().enumerate() {
-                let existing = self
-                    .ad_index
-                    .get(&(idx, z_idx))
-                    .and_then(|by_args| by_args.get(args.as_slice()));
-                let sym = match existing {
-                    Some(&symbol) => AdSym::F(symbol),
-                    None => {
-                        let symbol = max + 1;
-                        let def = AdnDefinition {
-                            symbol,
-                            rule: idx,
-                            var_index: z_idx,
-                            args: args.clone(),
-                        };
-                        max = max.max(def.largest_symbol());
-                        fresh.push(def);
-                        AdSym::F(symbol)
-                    }
-                };
-                ex_symbols.insert(*z, sym);
-            }
-            for atom in tgd.head() {
-                let adornment: Adornment = atom
-                    .terms
-                    .iter()
-                    .map(|t| match t {
-                        Term::Var(v) => *var_adornment
-                            .get(v)
-                            .or_else(|| ex_symbols.get(v))
-                            .unwrap_or(&AdSym::B),
-                        Term::Const(_) | Term::Null(_) => AdSym::B,
-                    })
-                    .collect();
-                head.push(Atom {
-                    predicate: self.names.predicate(atom.predicate, &adornment),
-                    terms: atom.terms.clone(),
-                });
-            }
-        }
-        PreparedDependency::owned(adorned_version(dep, body, head))
-    }
-
-    /// Is the candidate adorned rule fireable with respect to the current adorned set?
-    /// Only the rules that can fire it are tested (see [`Derived`]). A candidate
-    /// rejected before is tested again against every such rule: a rule that did not
-    /// fire it then does not now, as the rules appended since only add blockers, and
-    /// the memo usually answers that test.
-    fn is_fireable(&mut self, candidate: &PreparedDependency<'static>) -> bool {
-        let derived = self.derived.as_ref().expect("built by try_adorn");
-        derived
-            .sources(candidate.dependency().body())
-            .into_iter()
-            .any(|k| {
-                self.memo
-                    .edge(&derived.blockers, &self.rules[k].dep, candidate)
-            })
-    }
-
-    /// `Dµ(Σµ)`: one fact per adorned predicate, with `b` as a constant and each free
-    /// symbol rendered as a labeled null that is **unique to its fact**: two
-    /// occurrences of `f_i` inside the same fact share a null, occurrences in
-    /// distinct facts never do. A free symbol denotes a *family* of nulls — one per
-    /// Skolem instantiation of its definitions (and θ-merges can fold several Skolem
-    /// classes into one symbol) — so only same-fact occurrences are known to be the
-    /// same null. A single global null `η_i` per symbol would let an EGD body join
-    /// two distinct facts through a null no real chase step ever equates, firing a
-    /// spurious τ (the historical `adorn_with` soundness gap).
-    ///
-    /// Only the facts over `predicates` are built, in the order of `AP(Σµ)`: the
-    /// caller reads no others, so its query sees the facts it would see in the whole
-    /// instance, in the same relative order.
-    ///
-    /// Returns the instance together with the adornment symbol of every null.
-    fn dmu_instance(&mut self, predicates: &BTreeSet<Predicate>) -> (Instance, BTreeMap<u64, u32>) {
-        let mut inst = Instance::new();
-        let mut symbol_of: BTreeMap<u64, u32> = BTreeMap::new();
-        let mut next_null: u64 = 0;
-        let b = GroundTerm::Const(Constant::new("b"));
-        let ap = &self.derived().ap;
-        for (pred, adornment) in predicates
-            .iter()
-            .filter_map(|pred| Some((pred, ap.get(pred)?)))
-            .flat_map(|(pred, adornments)| adornments.iter().map(move |a| (pred, a)))
-        {
-            let mut per_fact: BTreeMap<u32, NullValue> = BTreeMap::new();
-            let terms: Vec<GroundTerm> = adornment
-                .iter()
-                .map(|s| match s {
-                    AdSym::B => b,
-                    AdSym::F(i) => {
-                        let null = *per_fact.entry(*i).or_insert_with(|| {
-                            let n = NullValue(next_null);
-                            next_null += 1;
-                            symbol_of.insert(n.0, *i);
-                            n
-                        });
-                        GroundTerm::Null(null)
-                    }
-                })
-                .collect();
-            inst.insert(Fact {
-                predicate: *pred,
-                terms,
-            });
-        }
-        (inst, symbol_of)
     }
 
     /// Line 9 of Algorithm 1: if the original EGD `idx` is violated by `Dµ(Σµ)`, run one
     /// chase step and return the induced symbol substitution `{f_i / s}`.
+    ///
+    /// `Dµ(Σµ)` has one fact per adorned predicate, with `b` as a constant and each
+    /// free symbol as a labeled null that is **unique to its fact**: two occurrences
+    /// of `f_i` inside the same fact share a null, occurrences in distinct facts never
+    /// do. A free symbol denotes a *family* of nulls — one per Skolem instantiation of
+    /// its definitions (and θ-merges can fold several Skolem classes into one symbol)
+    /// — so only same-fact occurrences are known to be the same null. A single global
+    /// null `η_i` per symbol would let an EGD body join two distinct facts through a
+    /// null no real chase step ever equates, firing a spurious τ (the historical
+    /// `adorn_with` soundness gap).
+    ///
+    /// The EGD's body is matched on the `AP(Σµ)` entries of its predicates directly,
+    /// as facts in `AP` order, in the join order [`JoinPlan`] gives the body over
+    /// those facts; the first violating match is the one the homomorphism search over
+    /// the instance `Dµ(Σµ)` would find first.
     ///
     /// A violation only counts when it is realizable in an actual chase: matches that
     /// equate two nulls of the *same* symbol are skipped (the symbol stands for a family
@@ -1106,31 +1209,24 @@ impl<'a> Adn<'a> {
     /// conservative — it can only bias the criterion toward rejection.
     fn dmu_chase_step(&mut self, idx: usize) -> Option<(u32, AdSym)> {
         let egd = self.sigma.as_slice()[idx].as_egd()?;
-        let read: BTreeSet<Predicate> = egd.body.iter().map(|a| a.predicate).collect();
-        let (dmu, symbol_of) = self.dmu_instance(&read);
-        for h in chase_core::homomorphism::homomorphisms(&egd.body, &dmu) {
-            let left = h.get(egd.left)?;
-            let right = h.get(egd.right)?;
-            if left == right {
-                continue;
-            }
-            // Definition 1(2b): replace a labeled null; both sides being constants is
-            // impossible here since the only constant is `b`.
-            let tau = match (left, right) {
-                (GroundTerm::Null(n), GroundTerm::Null(m)) => {
-                    let (sn, sm) = (symbol_of[&n.0], symbol_of[&m.0]);
-                    if sn == sm {
-                        continue;
-                    }
-                    (sn, AdSym::F(sm))
-                }
-                (GroundTerm::Null(n), GroundTerm::Const(_)) => (symbol_of[&n.0], AdSym::B),
-                (GroundTerm::Const(_), GroundTerm::Null(m)) => (symbol_of[&m.0], AdSym::B),
-                (GroundTerm::Const(_), GroundTerm::Const(_)) => continue,
-            };
-            return Some(tau);
+        let b = Constant::new("b");
+        let dmu = Dmu {
+            source: &self.sources[idx],
+            ap: &self.derived.ap,
+            names: &self.names,
+            b,
+        };
+        // The instance's candidate-count estimate with nothing bound: the smallest
+        // bucket over the constant positions, or the predicate's fact count.
+        let plan = JoinPlan::new(&egd.body, &Assignment::new(), |i| dmu.estimate(i));
+        let mut values = vec![None; dmu.source.vars];
+        let tau = dmu.step(plan.order(), &mut values);
+        #[cfg(test)]
+        if self.checked {
+            let egd = &self.sigma.as_slice()[idx];
+            assert_eq!(tau, self.reference_dmu_chase_step(idx), "Dµ step of {egd}");
         }
-        None
+        tau
     }
 
     /// Lines 10 and 14 on `AD`: applies τ or θ to the definitions, defined symbols
@@ -1161,12 +1257,11 @@ impl<'a> Adn<'a> {
     /// rule onto an existing adorned version of the same source dependency, both read
     /// under the substitution `pending` that `Σµ` has not taken yet.
     fn find_valid_theta(&self, rule_idx: usize, pending: &SymbolMap) -> Option<SymbolMap> {
-        let new_rule = self.rules[rule_idx].dependency();
-        let src = self.rules[rule_idx].src?;
+        let new_rule = &self.rules[rule_idx];
+        let src = new_rule.src?;
         let others = self.versions[src].iter().filter(|&&k| k != rule_idx);
         others.copied().find_map(|k| {
-            let other = self.rules[k].dependency();
-            let theta = unify_adornments(&self.names, pending, new_rule, other)?;
+            let theta = unify_adornments(&self.names, pending, new_rule, &self.rules[k])?;
             // No chained replacements: the range must not intersect the domain.
             let chained = theta
                 .values()
@@ -1186,27 +1281,82 @@ impl<'a> Adn<'a> {
         })
     }
 
-    /// Applies `map` to `Σµ`, then drops the rules it made duplicates. Only the rules
-    /// with an atom whose adornment mentions a symbol of `map` are rebuilt; the others
-    /// keep their prepared dependency.
+    /// Applies `map` to `Σµ`, then drops the rules it made duplicates of earlier ones.
+    /// Only the rules with an atom whose adornment mentions a symbol of `map` are
+    /// rebuilt, found through the postings, and [`Derived`] is patched for them and
+    /// for the rules dropped; every dependency is then revisited in full.
     fn rewrite_rules(&mut self, map: &SymbolMap) {
-        for rule in &mut self.rules {
-            if let Some(dep) = self.names.rewrite(rule.dependency(), map) {
-                rule.dep = PreparedDependency::owned(dep);
+        let derived = &mut self.derived;
+        let mut touched: Vec<usize> = Vec::new();
+        for &i in map.keys() {
+            if let Some(posting) = derived.postings.get_mut(i as usize) {
+                touched.append(posting);
             }
         }
-        let mut seen = HashSet::with_capacity(self.rules.len());
-        let first: Vec<bool> = self
-            .rules
-            .iter()
-            .map(|rule| seen.insert((rule.src, rule.dependency())))
-            .collect();
-        if first.contains(&false) {
-            self.rebuilds += 1;
-            let mut first = first.into_iter();
-            self.rules.retain(|_| first.next() == Some(true));
+        touched.sort_unstable();
+        touched.dedup();
+        let names = &mut self.names;
+        touched.retain(|&k| {
+            let rule = &self.rules[k];
+            rule.alive && rule.atoms.iter().any(|&id| names.mentions(id, map))
+        });
+        for &k in &touched {
+            let rule = &mut self.rules[k];
+            derived.remove(rule, k, names);
+            let atoms: Vec<AdId> = rule
+                .atoms
+                .iter()
+                .map(|&id| names.substituted(id, map))
+                .collect();
+            let dep = rule.dependency();
+            let mut image =
+                dep.body()
+                    .iter()
+                    .chain(dep.head_atoms())
+                    .zip(&atoms)
+                    .map(|(atom, &id)| Atom {
+                        predicate: match id {
+                            NOT_ADORNED => atom.predicate,
+                            id => names.predicate(id),
+                        },
+                        terms: atom.terms.clone(),
+                    });
+            let body = image.by_ref().take(dep.body().len()).collect();
+            let head = image.collect();
+            rule.dep = PreparedDependency::owned(adorned_version(dep, body, head));
+            rule.atoms = atoms;
+            derived.add(rule, k, names);
         }
-        self.rules_changed();
+        // A rewritten rule can equal a rule before or after it; the first stays.
+        let mut dropped = false;
+        for &k in &touched {
+            let rule = &self.rules[k];
+            let Some(src) = rule.src.filter(|_| rule.alive) else {
+                continue;
+            };
+            let same_body = &derived.bodies[src][rule.body()];
+            let equal: Vec<usize> = same_body
+                .iter()
+                .copied()
+                .filter(|&j| self.rules[j].dependency() == rule.dependency())
+                .collect();
+            for &j in &equal[1..] {
+                let duplicate = &mut self.rules[j];
+                derived.remove(duplicate, j, names);
+                duplicate.alive = false;
+                remove_sorted(&mut self.versions[src], j);
+                self.live -= 1;
+                dropped = true;
+            }
+        }
+        if dropped {
+            self.rebuilds += 1;
+        }
+        derived.reset_revisits();
+        #[cfg(test)]
+        if self.checked {
+            self.check_derived();
+        }
     }
 
     /// Builds Ω(AD): an edge `f_i → f_j` labeled `f^r_z` whenever `f_i = f^r_z(… f_j …)`
@@ -1232,22 +1382,248 @@ impl<'a> Adn<'a> {
     }
 }
 
-/// Lines 15–16: is the head of the adorned rule `dep` cyclic w.r.t. `AD`, whose Ω
-/// graph is `omega`?
+/// HeadAdn (Section 6) for the dependency `dep` (`idx` in Σ, read as `source`), with
+/// `AD` as indexed now.
+struct HeadAdn<'x> {
+    ad_index: &'x AdIndex,
+    ad_max: u32,
+    dep: &'x Dependency,
+    idx: usize,
+    source: &'x SourceRule,
+}
+
+impl HeadAdn<'_> {
+    /// The candidate adorned version of the dependency over the adorned predicates
+    /// `body`, and the adorned predicate of each of its atoms: the body adornments,
+    /// whose variables `assignment` adorns by rank, are propagated to the head, and
+    /// existential variables get Skolem-style adornment definitions. A definition `AD`
+    /// does not hold yet is pushed to `fresh`, with the next symbol after `AD`'s and
+    /// `fresh`'s.
+    fn candidate(
+        &self,
+        names: &mut AdornedNames,
+        body: &[AdId],
+        assignment: &[Option<AdSym>],
+        fresh: &mut Vec<AdnDefinition>,
+    ) -> (PreparedDependency<'static>, Vec<AdId>) {
+        let adorn = |rank: usize| assignment[rank].unwrap_or(AdSym::B);
+        let dep = self.dep;
+        let body_atoms: Vec<Atom> = dep
+            .body()
+            .iter()
+            .zip(body)
+            .map(|(atom, &id)| Atom {
+                predicate: names.predicate(id),
+                terms: atom.terms.clone(),
+            })
+            .collect();
+        let mut atoms = Vec::with_capacity(body.len() + self.source.head.len());
+        atoms.extend_from_slice(body);
+        let mut head = Vec::new();
+        if let Dependency::Tgd(tgd) = dep {
+            let args: Vec<AdSym> = self.source.frontier.iter().map(|&r| adorn(r)).collect();
+            let existentials = tgd.existential_variables().len();
+            let mut ex_symbols: Vec<AdSym> = Vec::with_capacity(existentials);
+            let mut max = self.ad_max;
+            for z_idx in 0..existentials {
+                let existing = self
+                    .ad_index
+                    .get(&(self.idx, z_idx))
+                    .and_then(|by_args| by_args.get(args.as_slice()));
+                ex_symbols.push(match existing {
+                    Some(&symbol) => AdSym::F(symbol),
+                    None => {
+                        let symbol = max + 1;
+                        let def = AdnDefinition {
+                            symbol,
+                            rule: self.idx,
+                            var_index: z_idx,
+                            args: args.clone(),
+                        };
+                        max = max.max(def.largest_symbol());
+                        fresh.push(def);
+                        AdSym::F(symbol)
+                    }
+                });
+            }
+            for ((predicate, terms), atom) in self.source.head.iter().zip(tgd.head()) {
+                let adornment: Adornment = terms
+                    .iter()
+                    .map(|t| match *t {
+                        HeadTerm::Var(r) => adorn(r),
+                        HeadTerm::Existential(z) => ex_symbols[z],
+                        HeadTerm::Ground => AdSym::B,
+                    })
+                    .collect();
+                let id = names.id(*predicate, &adornment);
+                atoms.push(id);
+                head.push(Atom {
+                    predicate: names.predicate(id),
+                    terms: atom.terms.clone(),
+                });
+            }
+        }
+        let candidate = PreparedDependency::owned(adorned_version(dep, body_atoms, head));
+        (candidate, atoms)
+    }
+}
+
+/// A term's value in `Dµ(Σµ)`: `b`, or the null of a free symbol in one fact, the
+/// fact being its adorned predicate.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum DmuValue {
+    B,
+    Null(AdId, u32),
+}
+
+/// An EGD of Σ matched on `Dµ(Σµ)`'s facts over its predicates ([`Adn::dmu_chase_step`]).
+struct Dmu<'x> {
+    source: &'x SourceRule,
+    ap: &'x [Vec<AdId>],
+    names: &'x AdornedNames,
+    /// The constant `b`: a body constant matches a `b` position only if it is `b`.
+    b: Constant,
+}
+
+impl Dmu<'_> {
+    fn value(&self, id: AdId, position: usize) -> DmuValue {
+        match self.names.adornment(id)[position] {
+            AdSym::B => DmuValue::B,
+            AdSym::F(i) => DmuValue::Null(id, i),
+        }
+    }
+
+    /// How many facts body atom `i` can match on its constant positions alone, or its
+    /// predicate's fact count if it has none: the homomorphism search's plan-time
+    /// estimate.
+    fn estimate(&self, i: usize) -> usize {
+        let (predicate, terms) = &self.source.body[i];
+        let facts = &self.ap[*predicate];
+        let mut best: Option<usize> = None;
+        for (position, term) in terms.iter().enumerate() {
+            let bucket = match *term {
+                BodyTerm::Var(_) => continue,
+                BodyTerm::Const(c) if c == self.b => facts
+                    .iter()
+                    .filter(|&&id| self.value(id, position) == DmuValue::B)
+                    .count(),
+                BodyTerm::Const(_) | BodyTerm::Null => 0,
+            };
+            best = Some(best.map_or(bucket, |b| b.min(bucket)));
+            if bucket == 0 {
+                break;
+            }
+        }
+        best.unwrap_or(facts.len())
+    }
+
+    /// The first match of the body atoms in `order` (from the first unmatched one on)
+    /// that violates the EGD in a realizable way, as its substitution.
+    fn step(&self, order: &[usize], values: &mut [Option<DmuValue>]) -> Option<(u32, AdSym)> {
+        let Some((&atom, rest)) = order.split_first() else {
+            let (left, right) = self.source.egd.expect("an EGD");
+            let (left, right) = (values[left].expect("bound"), values[right].expect("bound"));
+            // Definition 1(2b): replace a labeled null; both sides being constants is
+            // impossible here since the only constant is `b`.
+            return match (left, right) {
+                (DmuValue::Null(_, sn), DmuValue::Null(_, sm)) if sn != sm => {
+                    Some((sn, AdSym::F(sm)))
+                }
+                (DmuValue::Null(_, s), DmuValue::B) | (DmuValue::B, DmuValue::Null(_, s)) => {
+                    Some((s, AdSym::B))
+                }
+                // Equal values, or two nulls of one symbol: no realizable step.
+                _ => None,
+            };
+        };
+        let (predicate, terms) = &self.source.body[atom];
+        let mut bound: Vec<usize> = Vec::with_capacity(terms.len());
+        for &id in &self.ap[*predicate] {
+            let coherent = terms.iter().enumerate().all(|(position, term)| {
+                let value = self.value(id, position);
+                match *term {
+                    BodyTerm::Var(r) => match values[r] {
+                        Some(existing) => existing == value,
+                        None => {
+                            values[r] = Some(value);
+                            bound.push(r);
+                            true
+                        }
+                    },
+                    BodyTerm::Const(c) => c == self.b && value == DmuValue::B,
+                    BodyTerm::Null => false,
+                }
+            });
+            let tau = if coherent {
+                self.step(rest, values)
+            } else {
+                None
+            };
+            for r in bound.drain(..) {
+                values[r] = None;
+            }
+            if tau.is_some() {
+                return tau;
+            }
+        }
+        None
+    }
+}
+
+/// Reachability structure over the original dependency set used by the cyclicity
+/// condition of Ω(AD): `s ⇝ r` iff `s < r1 < · · · < rn < r` with every `ri ∈ Σ∀`.
+struct OriginalFiring {
+    /// The Definition-2 firing graph, shared with the analysis context.
+    graph: Rc<DiGraph>,
+    full: Vec<bool>,
+}
+
+impl OriginalFiring {
+    fn compute(cx: &AnalysisContext) -> Self {
+        let full = cx.sigma().iter().map(|(_, d)| d.is_full()).collect();
+        OriginalFiring {
+            graph: crate::firing::firing_graph_in(cx),
+            full,
+        }
+    }
+
+    /// Is there a chain `s < r1 < … < rn < r` (n ≥ 0) with every intermediate `ri`
+    /// full?
+    fn reaches_via_full(&self, s: usize, r: usize) -> bool {
+        if self.graph.has_edge(s, r) {
+            return true;
+        }
+        let mut seen: BTreeSet<usize> = BTreeSet::new();
+        let mut stack: Vec<usize> = self.graph.successors(s).filter(|&m| self.full[m]).collect();
+        while let Some(m) = stack.pop() {
+            if !seen.insert(m) {
+                continue;
+            }
+            if self.graph.has_edge(m, r) {
+                return true;
+            }
+            stack.extend(
+                self.graph
+                    .successors(m)
+                    .filter(|&next| self.full[next] && !seen.contains(&next)),
+            );
+        }
+        false
+    }
+}
+
+/// Lines 15–16: is the head of the adorned rule cyclic w.r.t. `AD`, whose Ω graph is
+/// `omega`?
 fn head_is_cyclic(
     names: &AdornedNames,
-    dep: &Dependency,
+    rule: &AdRule,
     omega: &[(u32, u32, (usize, usize))],
 ) -> bool {
-    dep.head_atoms().iter().any(|atom| {
-        names
-            .adornment(atom.predicate)
-            .is_some_and(|(_, adornment)| {
-                adornment.iter().any(|s| match s {
-                    AdSym::F(i) => symbol_is_cyclic(*i, omega),
-                    AdSym::B => false,
-                })
-            })
+    rule.head().iter().any(|&id| {
+        names.adornment(id).iter().any(|s| match s {
+            AdSym::F(i) => symbol_is_cyclic(*i, omega),
+            AdSym::B => false,
+        })
     })
 }
 
@@ -1297,20 +1673,20 @@ fn symbol_is_cyclic(start: u32, edges: &[(u32, u32, (usize, usize))]) -> bool {
 /// dependency, comparing their adornments position by position, both under
 /// `pending`; returns `None` if the mapping is inconsistent. The returned map may be
 /// empty (the rules are already equal).
-fn unify_adornments<'d>(
+fn unify_adornments(
     names: &AdornedNames,
     pending: &SymbolMap,
-    new_rule: &'d Dependency,
-    other: &'d Dependency,
+    new_rule: &AdRule,
+    other: &AdRule,
 ) -> Option<SymbolMap> {
     // `mapping` records the image of every free symbol of `new_rule` (including
     // identities); the returned θ keeps only the non-identity pairs.
     let mut mapping = SymbolMap::new();
-    let atoms = |dep: &'d Dependency| dep.body().iter().chain(dep.head_atoms());
-    let pairs = atoms(new_rule).zip(atoms(other));
-    for (a, b) in pairs {
-        let ((_, x), (_, y)) = (names.adornment(a.predicate)?, names.adornment(b.predicate)?);
-        for (sa, sb) in x.iter().zip(y) {
+    for (&a, &b) in new_rule.atoms.iter().zip(&other.atoms) {
+        if a == NOT_ADORNED || b == NOT_ADORNED {
+            return None;
+        }
+        for (sa, sb) in names.adornment(a).iter().zip(names.adornment(b)) {
             match (substitute(*sa, pending), substitute(*sb, pending)) {
                 (AdSym::B, AdSym::B) => {}
                 (AdSym::F(i), s) => match mapping.get(&i) {
@@ -1332,116 +1708,170 @@ fn unify_adornments<'d>(
     )
 }
 
-/// Enumerates the coherent adorned versions of a body with respect to the available
-/// adorned predicates, as per-atom adornments together with the induced variable
-/// adornment, in lexicographic order of their per-atom adornments. Only the bodies
-/// `revisit` leaves open are returned: those after `revisit.done` and those using an
-/// element of `revisit.fed`.
-fn coherent_adorned_bodies(
-    body: &[Atom],
-    ap: &AdornedPredicates,
-    revisit: &Revisit,
-) -> Vec<(Vec<Adornment>, BTreeMap<Variable, AdSym>)> {
-    let no_adornments = BTreeSet::new();
-    let mut options = Vec::with_capacity(body.len());
-    let mut fed = Vec::with_capacity(body.len());
-    for atom in body {
-        match ap.get(&atom.predicate) {
-            Some(adornments) => options.push(adornments),
-            None => return Vec::new(),
-        }
-        fed.push(revisit.fed.get(&atom.predicate).unwrap_or(&no_adornments));
-    }
-    // `fed_after[i]`: some atom from `i` on has a fed adornment.
-    let mut fed_after = vec![false; body.len() + 1];
-    for i in (0..body.len()).rev() {
-        fed_after[i] = fed_after[i + 1] || !fed[i].is_empty();
-    }
-    // The position of the bodies enumerated so far relative to `done`: all after it,
-    // tied with its prefix, or all before it.
-    let (position, done): (Ordering, &[Adornment]) = match &revisit.done {
-        Done::Nothing => (Ordering::Greater, &[]),
-        Done::Through(done) => (Ordering::Equal, done),
-        Done::Everything => (Ordering::Less, &[]),
-    };
-    let mut bodies = Bodies {
-        body,
-        options,
-        fed,
-        fed_after,
-        done,
-        assignment: BTreeMap::new(),
-        chosen: Vec::with_capacity(body.len()),
-        out: Vec::new(),
-    };
-    bodies.extend(0, position, false);
-    bodies.out
-}
-
-/// The state of [`coherent_adorned_bodies`]' depth-first enumeration.
-struct Bodies<'x> {
-    body: &'x [Atom],
-    /// Per body atom, the adornments of its predicate in `AP(Σµ)` and the fed ones.
-    options: Vec<&'x BTreeSet<Adornment>>,
-    fed: Vec<&'x BTreeSet<Adornment>>,
+/// The walk through the coherent adorned versions of one source dependency's body
+/// with respect to `AP(Σµ)`, one body at a time, in lexicographic order of their
+/// per-atom adornments. Only the bodies its [`Revisit`] leaves open are yielded:
+/// those after `done` and those using an element of `fed`. A yielded body is
+/// `chosen`, one adorned predicate per atom, and `assignment` adorns its variables
+/// by rank.
+///
+/// The walk is a depth-first search with one frame per atom; its buffers are reused
+/// by every walk of the run.
+#[derive(Default)]
+struct CoherentBodies {
+    /// Per atom, the fed adorned predicates of its source predicate, in adornment
+    /// order: `fed[spans[i]]`.
+    fed: Vec<AdId>,
+    spans: Vec<std::ops::Range<usize>>,
+    /// `fed_after[i]`: some atom from `i` on has a fed adorned predicate.
     fed_after: Vec<bool>,
-    done: &'x [Adornment],
-    assignment: BTreeMap<Variable, AdSym>,
-    chosen: Vec<&'x Adornment>,
-    out: Vec<(Vec<Adornment>, BTreeMap<Variable, AdSym>)>,
+    frames: Vec<Frame>,
+    chosen: Vec<AdId>,
+    assignment: Vec<Option<AdSym>>,
+    /// The variable ranks bound, in order, for undoing.
+    trail: Vec<usize>,
 }
 
-impl<'x> Bodies<'x> {
-    /// Extends the chosen prefix from atom `idx` on; `position` compares the prefix
-    /// with `done`'s, and `fed` tells whether it uses a fed adornment.
-    fn extend(&mut self, idx: usize, position: Ordering, fed: bool) {
-        if idx == self.body.len() {
-            if fed || position == Ordering::Greater {
-                let adornments = self.chosen.iter().map(|a| (*a).clone()).collect();
-                self.out.push((adornments, self.assignment.clone()));
-            }
-            return;
+/// One atom's place in the walk: the next option to try, where the prefix before
+/// the atom stands relative to `done`'s, whether the prefix uses a fed adorned
+/// predicate, whether only fed ones can open a body here, and the trail length
+/// before the atom's bindings.
+#[derive(Clone, Copy)]
+struct Frame {
+    next: usize,
+    position: Ordering,
+    fed: bool,
+    only_fed: bool,
+    mark: usize,
+}
+
+impl CoherentBodies {
+    /// Starts the walk over `source`'s body under `revisit`.
+    fn start(&mut self, source: &SourceRule, names: &AdornedNames, revisit: &Revisit) {
+        let len = source.body.len();
+        self.fed.clear();
+        self.spans.clear();
+        for &(predicate, _) in &source.body {
+            let start = self.fed.len();
+            let fed = revisit
+                .fed
+                .iter()
+                .filter(|&&id| names.source(id) == predicate);
+            self.fed.extend(fed);
+            self.fed[start..].sort_unstable_by(|&a, &b| names.adornment(a).cmp(names.adornment(b)));
+            self.spans.push(start..self.fed.len());
         }
+        self.fed_after.clear();
+        self.fed_after.resize(len + 1, false);
+        for i in (0..len).rev() {
+            self.fed_after[i] = self.fed_after[i + 1] || !self.spans[i].is_empty();
+        }
+        self.chosen.clear();
+        self.assignment.clear();
+        self.assignment.resize(source.vars, None);
+        self.trail.clear();
+        self.frames.clear();
+        // The position of the bodies walked so far relative to `done`: all after it,
+        // tied with its prefix, or all before it.
+        let position = match revisit.done {
+            Done::Nothing => Ordering::Greater,
+            Done::Through(_) => Ordering::Equal,
+            Done::Everything => Ordering::Less,
+        };
+        self.push_frame(position, false);
+    }
+
+    /// Opens the frame of the next atom, after a prefix at `position` that uses a fed
+    /// adorned predicate iff `fed`.
+    fn push_frame(&mut self, position: Ordering, fed: bool) {
+        let atom = self.frames.len();
         // Before `done` with nothing fed yet, and no fed adornment further right: only
         // this atom's fed adornments can still open a body.
-        let only_fed = position == Ordering::Less && !fed && !self.fed_after[idx + 1];
-        let options = if only_fed {
-            self.fed[idx]
-        } else {
-            self.options[idx]
+        let only_fed = position == Ordering::Less && !fed && !self.fed_after[atom + 1];
+        self.frames.push(Frame {
+            next: 0,
+            position,
+            fed,
+            only_fed,
+            mark: self.trail.len(),
+        });
+    }
+
+    /// Advances to the next open coherent body; `false` when there is none.
+    fn next(
+        &mut self,
+        source: &SourceRule,
+        names: &AdornedNames,
+        ap: &[Vec<AdId>],
+        revisit: &Revisit,
+    ) -> bool {
+        let done: &[AdId] = match &revisit.done {
+            Done::Through(done) => done,
+            Done::Nothing | Done::Everything => &[],
         };
-        let atom = &self.body[idx];
-        for adornment in options {
-            let position = match position {
-                Ordering::Equal => adornment.cmp(&self.done[idx]),
-                other => other,
+        while let Some(&frame) = self.frames.last() {
+            let atom = self.frames.len() - 1;
+            // Undo this atom's last choice.
+            unwind(&mut self.trail, &mut self.assignment, frame.mark);
+            self.chosen.truncate(atom);
+            let (predicate, terms) = &source.body[atom];
+            let fed_here = &self.fed[self.spans[atom].clone()];
+            let options: &[AdId] = if frame.only_fed {
+                fed_here
+            } else {
+                &ap[*predicate]
             };
-            let fed = fed || only_fed || self.fed[idx].contains(adornment);
-            if position == Ordering::Less && !fed && !self.fed_after[idx + 1] {
+            let mut next = frame.next;
+            let mut found = None;
+            while let Some(&id) = options.get(next) {
+                next += 1;
+                let adornment = names.adornment(id);
+                let position = match frame.position {
+                    Ordering::Equal => adornment.cmp(names.adornment(done[atom])),
+                    other => other,
+                };
+                let fed = frame.fed || frame.only_fed || fed_here.contains(&id);
+                if position == Ordering::Less && !fed && !self.fed_after[atom + 1] {
+                    continue;
+                }
+                let coherent = terms.iter().zip(adornment).all(|(t, &s)| match *t {
+                    BodyTerm::Const(_) => s == AdSym::B,
+                    BodyTerm::Null => true,
+                    BodyTerm::Var(r) => match self.assignment[r] {
+                        Some(existing) => existing == s,
+                        None => {
+                            self.assignment[r] = Some(s);
+                            self.trail.push(r);
+                            true
+                        }
+                    },
+                });
+                if coherent {
+                    found = Some((id, position, fed));
+                    break;
+                }
+                unwind(&mut self.trail, &mut self.assignment, frame.mark);
+            }
+            self.frames[atom].next = next;
+            let Some((id, position, fed)) = found else {
+                self.frames.pop();
                 continue;
-            }
-            let mut newly_bound: Vec<Variable> = Vec::new();
-            let coherent = atom.terms.iter().zip(adornment).all(|(t, s)| match t {
-                Term::Const(_) => *s == AdSym::B,
-                Term::Null(_) => true,
-                Term::Var(v) => match self.assignment.get(v) {
-                    Some(existing) => existing == s,
-                    None => {
-                        self.assignment.insert(*v, *s);
-                        newly_bound.push(*v);
-                        true
-                    }
-                },
-            });
-            if coherent {
-                self.chosen.push(adornment);
-                self.extend(idx + 1, position, fed);
-                self.chosen.pop();
-            }
-            for v in newly_bound {
-                self.assignment.remove(&v);
+            };
+            self.chosen.push(id);
+            if atom + 1 < source.body.len() {
+                self.push_frame(position, fed);
+            } else if fed || position == Ordering::Greater {
+                return true;
             }
         }
+        false
+    }
+}
+
+/// Undoes the bindings of `assignment` that `trail` recorded after `mark`.
+fn unwind(trail: &mut Vec<usize>, assignment: &mut [Option<AdSym>], mark: usize) {
+    for rank in trail.drain(mark..) {
+        assignment[rank] = None;
     }
 }
 
@@ -1449,7 +1879,161 @@ impl<'x> Bodies<'x> {
 mod tests {
     use super::*;
     use chase_core::parser::parse_dependencies;
+    use chase_core::{Fact, GroundTerm, Instance, NullValue};
     use chase_criteria::TerminationCriterion;
+
+    /// [`Derived`] with its per-id lists cut after their last non-empty entry, and
+    /// each posting list reduced to the live rules that mention its symbol, sorted:
+    /// what a patched state and a rebuilt one must agree on.
+    #[derive(Debug, PartialEq)]
+    struct Normalized {
+        ap: Vec<Vec<AdId>>,
+        uses: Vec<u32>,
+        bodies: Vec<Vec<VersionsByBody>>,
+        writers: Vec<Vec<usize>>,
+        egds: Vec<usize>,
+        postings: Vec<Vec<usize>>,
+        revisit: Vec<Revisit>,
+        unsettled: BTreeSet<usize>,
+    }
+
+    /// A body and the live versions that have it.
+    type VersionsByBody = (Box<[AdId]>, Vec<usize>);
+
+    fn trimmed<T: Clone>(list: &[T], empty: impl Fn(&T) -> bool) -> Vec<T> {
+        let end = list.iter().rposition(|x| !empty(x)).map_or(0, |i| i + 1);
+        list[..end].to_vec()
+    }
+
+    impl Derived {
+        /// The reference for the patched state: every live rule added in order.
+        fn build(rules: &[AdRule], names: &AdornedNames, sources: usize) -> Self {
+            let mut derived = Derived::new(sources, names.sources.len());
+            for (k, rule) in rules.iter().enumerate() {
+                if rule.alive {
+                    derived.add(rule, k, names);
+                }
+            }
+            derived
+        }
+
+        fn normalized(&self, rules: &[AdRule], names: &AdornedNames) -> Normalized {
+            let postings: Vec<Vec<usize>> = self
+                .postings
+                .iter()
+                .enumerate()
+                .map(|(symbol, posting)| {
+                    let mut live: Vec<usize> = posting
+                        .iter()
+                        .copied()
+                        .filter(|&k| {
+                            rules[k].alive && rules[k].symbols(names).any(|s| s as usize == symbol)
+                        })
+                        .collect();
+                    live.sort_unstable();
+                    live.dedup();
+                    live
+                })
+                .collect();
+            Normalized {
+                ap: self.ap.clone(),
+                uses: trimmed(&self.uses, |&n| n == 0),
+                bodies: self
+                    .bodies
+                    .iter()
+                    .map(|by_body| {
+                        let mut entries: Vec<_> = by_body
+                            .iter()
+                            .map(|(b, v)| (b.clone(), v.clone()))
+                            .collect();
+                        entries.sort();
+                        entries
+                    })
+                    .collect(),
+                writers: trimmed(&self.writers, Vec::is_empty),
+                egds: self.egds.clone(),
+                postings: trimmed(&postings, Vec::is_empty),
+                revisit: self.revisit.clone(),
+                unsettled: self.unsettled.clone(),
+            }
+        }
+    }
+
+    impl Adn<'_> {
+        /// The patched [`Derived`] equals one built from the live rules from scratch.
+        pub(super) fn check_derived(&self) {
+            let rebuilt = Derived::build(&self.rules, &self.names, self.sigma.len());
+            assert_eq!(
+                self.derived.normalized(&self.rules, &self.names),
+                rebuilt.normalized(&self.rules, &self.names),
+                "patched and rebuilt state differ after a rewrite of\n{}",
+                self.sigma
+            );
+            assert_eq!(self.derived.blockers, rebuilt.blockers);
+            let live = self.rules.iter().filter(|rule| rule.alive).count();
+            assert_eq!(self.live, live);
+            for (src, versions) in self.versions.iter().enumerate() {
+                let expected: Vec<usize> = (0..self.rules.len())
+                    .filter(|&k| self.rules[k].alive && self.rules[k].src == Some(src))
+                    .collect();
+                assert_eq!(versions, &expected);
+            }
+        }
+
+        /// Line 9 as it ran on an `Instance`: `Dµ(Σµ)` over the EGD's predicates,
+        /// searched by `homomorphisms`.
+        pub(super) fn reference_dmu_chase_step(&self, idx: usize) -> Option<(u32, AdSym)> {
+            let egd = self.sigma.as_slice()[idx].as_egd()?;
+            let read: BTreeSet<Predicate> = egd.body.iter().map(|a| a.predicate).collect();
+            let mut dmu = Instance::new();
+            let mut symbol_of: BTreeMap<u64, u32> = BTreeMap::new();
+            let mut next_null: u64 = 0;
+            let b = GroundTerm::Const(Constant::new("b"));
+            for &predicate in &read {
+                for &id in &self.derived.ap[self.names.source_id(predicate)] {
+                    let mut per_fact: BTreeMap<u32, NullValue> = BTreeMap::new();
+                    let terms: Vec<GroundTerm> = self
+                        .names
+                        .adornment(id)
+                        .iter()
+                        .map(|s| match s {
+                            AdSym::B => b,
+                            AdSym::F(i) => {
+                                let null = *per_fact.entry(*i).or_insert_with(|| {
+                                    let n = NullValue(next_null);
+                                    next_null += 1;
+                                    symbol_of.insert(n.0, *i);
+                                    n
+                                });
+                                GroundTerm::Null(null)
+                            }
+                        })
+                        .collect();
+                    dmu.insert(Fact { predicate, terms });
+                }
+            }
+            for h in chase_core::homomorphism::homomorphisms(&egd.body, &dmu) {
+                let (left, right) = (h.get(egd.left)?, h.get(egd.right)?);
+                if left == right {
+                    continue;
+                }
+                let tau = match (left, right) {
+                    (GroundTerm::Null(n), GroundTerm::Null(m)) => {
+                        let (sn, sm) = (symbol_of[&n.0], symbol_of[&m.0]);
+                        if sn == sm {
+                            continue;
+                        }
+                        (sn, AdSym::F(sm))
+                    }
+                    (GroundTerm::Null(n), GroundTerm::Const(_)) => (symbol_of[&n.0], AdSym::B),
+                    (GroundTerm::Const(_), GroundTerm::Null(m)) => (symbol_of[&m.0], AdSym::B),
+                    (GroundTerm::Const(_), GroundTerm::Const(_)) => continue,
+                };
+                return Some(tau);
+            }
+            None
+        }
+    }
 
     fn is_semi_acyclic(sigma: &DependencySet) -> bool {
         SemiAcyclicity.accepts(sigma)
@@ -1777,6 +2361,75 @@ mod tests {
             let what = format!("Table 2 class {} at scale 0.003", ontology.class_id);
             assert_matches_full_rescan(&ontology.sigma, MAX_ADORNED_RULES, &what);
         }
+    }
+
+    /// After every τ, θ and deduplicating rewrite, the patched [`Derived`] equals one
+    /// rebuilt from scratch, and every `Dµ(Σµ)` step equals the one the homomorphism
+    /// search over the instance takes. Seeds 338, 835 and 2307 rewrite `Σµ` by τ and θ
+    /// in one iteration.
+    #[test]
+    fn the_patched_state_equals_a_rebuild_after_every_rewrite() {
+        let checked_run = |sigma: &DependencySet, rule_cap: usize| {
+            let cx = AnalysisContext::new(sigma);
+            let mut adn = Adn::new(&cx, rule_cap);
+            adn.checked = true;
+            adn.run()
+        };
+        let mut rewrites = 0;
+        for seed in 0..3000 {
+            let result = checked_run(&random_program(seed), 60);
+            rewrites += result.rebuilds;
+            if [338, 835, 2307].contains(&seed) {
+                assert!(result.rebuilds >= 2, "seed {seed} rewrites by τ and θ");
+            }
+        }
+        assert!(rewrites > 500, "{rewrites} rewrites");
+        for program in chase_ontology::atlas_corpus(&[8], 20160396) {
+            checked_run(&program.sigma, MAX_ADORNED_RULES);
+        }
+    }
+
+    /// On a `Dµ(Σµ)` where the matches disagree, the direct match takes the one the
+    /// homomorphism search over the instance finds first (`checked` compares the two
+    /// on every call). The loop applies τ as soon as one free symbol can meet `b`, so
+    /// such states are set up by hand.
+    #[test]
+    fn the_dmu_step_takes_the_searchs_first_violating_match() {
+        let sigma = parse_dependencies(
+            r#"
+            r1: A(?x) -> exists ?y: T(?x, ?y).
+            e1: T(?x, ?y), T(?x, ?z) -> ?y = ?z.
+            e2: T(?x, ?y), U(?x, ?z), T(?z, ?w) -> ?y = ?w.
+            "#,
+        )
+        .unwrap();
+        let cx = AnalysisContext::new(&sigma);
+        let mut adn = Adn::new(&cx, 60);
+        adn.checked = true;
+        let (b, f) = (AdSym::B, AdSym::F);
+        for (name, adornment) in [
+            ("T", [b, f(2)]),
+            ("T", [b, f(1)]),
+            ("T", [f(2), f(3)]),
+            ("U", [b, f(2)]),
+            ("U", [f(4), f(4)]),
+            ("T", [f(4), f(5)]),
+        ] {
+            let source = adn.names.source_id(Predicate::new(name, 2));
+            let id = adn.names.id(source, &adornment);
+            let rule = AdRule {
+                src: None,
+                dep: PreparedDependency::owned(sigma.as_slice()[0].clone()),
+                atoms: vec![id],
+                alive: true,
+            };
+            adn.derived.add(&rule, 100, &adn.names);
+        }
+        // `T(b, b)` twice agrees; `T(b, b), T(b, η1)` sends `f1` to `b`. In the
+        // other order, `T(b, η2), T(b, η1)` would send `f2` to `f1`.
+        assert_eq!(adn.dmu_chase_step(1), Some((1, AdSym::B)));
+        // The plan joins `U` first, then the first `T`.
+        assert_eq!(adn.dmu_chase_step(2), Some((1, AdSym::B)));
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! This is what allows semi-stratification to recognise sets such as Σ11 of Example 11,
 //! where the re-firing of the existential rule can always be blocked by a full TGD.
 //!
-//! The witnesses of `≺` come from
-//! [`for_each_firing_witness`](chase_criteria::firing::for_each_firing_witness), each
-//! a view of its candidate. The blocking condition is
-//! [`FiringWitness::is_blocked_by`](chase_criteria::firing::FiringWitness::is_blocked_by),
-//! which simulates each blocker's standard step on the candidate's facts. As for `K ⊨ h2(r2)`,
+//! The witnesses of `≺` come from the enumeration of
+//! [`chase_criteria::firing`], each a view of its candidate, run in a
+//! [`FiringWorkspace`] that a graph build or an `Adn∃` run reuses. The blocking
+//! condition is
+//! [`FiringWitness::is_blocked`](chase_criteria::firing::FiringWitness::is_blocked),
+//! which simulates the standard step of each blocker given to the enumeration on the
+//! candidate's facts, the blockers compiled once per pair. As for `K ⊨ h2(r2)`,
 //! `J' ⊨ h2(r2)` holds vacuously when `h2` does not map `Body(r2)` into `J'`.
 //!
 //! Only the *relevant* blockers of a pair can block (`Blockers`): those whose body
@@ -26,13 +28,10 @@
 
 use chase_core::hash::FastMap;
 use chase_core::{Dependency, DependencySet, Predicate};
-use chase_criteria::firing::{
-    for_each_prepared_witness, Applicability, PreparedDependency, ShapeMemo,
-};
+use chase_criteria::firing::{Applicability, FiringWorkspace, PreparedDependency, ShapeMemo};
 use chase_criteria::graph::DiGraph;
 use chase_criteria::stratification::chase_graphs_in;
 use chase_criteria::AnalysisContext;
-use std::borrow::Borrow;
 use std::ops::ControlFlow;
 use std::rc::Rc;
 
@@ -41,7 +40,8 @@ use std::rc::Rc;
 /// blocking condition.
 pub fn definition2_edge(sigma: &DependencySet, r1: &Dependency, r2: &Dependency) -> bool {
     let (r1, r2) = (PreparedDependency::new(r1), PreparedDependency::new(r2));
-    definition2_answer(&r1, &r2, &full_dependencies(sigma))
+    let mut workspace = FiringWorkspace::default();
+    definition2_answer(&mut workspace, &r1, &r2, &full_dependencies(sigma))
 }
 
 /// `Σ∀`: the full dependencies of `sigma`, the blockers of Definition 2.
@@ -53,17 +53,18 @@ fn full_dependencies(sigma: &DependencySet) -> Vec<&Dependency> {
         .collect()
 }
 
-/// `r1 < r2` by one witness enumeration, with `blockers` as `Σ∀` (all of it, or only
-/// the blockers relevant to the pair: the answer is the same).
-fn definition2_answer<D: Borrow<Dependency>>(
+/// `r1 < r2` by one witness enumeration in `workspace`, with `blockers` as `Σ∀` (all
+/// of it, or only the blockers relevant to the pair: the answer is the same).
+fn definition2_answer(
+    workspace: &mut FiringWorkspace,
     r1: &PreparedDependency<'_>,
     r2: &PreparedDependency<'_>,
-    blockers: &[D],
+    blockers: &[&Dependency],
 ) -> bool {
-    let target = r2.dependency();
-    let existential = target.is_existential();
-    let answer = for_each_prepared_witness(r1, r2, Applicability::Standard, &mut |w| {
-        if !existential || !w.is_blocked_by(blockers, target) {
+    let existential = r2.dependency().is_existential();
+    let standard = Applicability::Standard;
+    let answer = workspace.for_each_witness(r1, r2, standard, blockers, &mut |w| {
+        if !existential || !w.is_blocked() {
             ControlFlow::Break(())
         } else {
             ControlFlow::Continue(())
@@ -72,7 +73,8 @@ fn definition2_answer<D: Borrow<Dependency>>(
     answer.may_fire()
 }
 
-/// `Σ∀`, the blockers of Definition 2, indexed by their first body predicate.
+/// `Σ∀`, the blockers of Definition 2, as indices into a list of dependencies,
+/// indexed by their first body predicate.
 ///
 /// A candidate `K` of the pair `(r1, r2)` holds only facts over the predicates of
 /// `Body(r1)` and `Body(r2)`. So a blocker whose body reads any other predicate has no
@@ -82,32 +84,46 @@ fn definition2_answer<D: Borrow<Dependency>>(
 /// [`ShapeKey`](chase_criteria::firing::ShapeKey). They
 /// are found through the index (a dependency's body is never empty) once per pair,
 /// not once per witness.
-pub(crate) struct Blockers<D> {
-    deps: Vec<D>,
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Blockers {
+    /// Per first body predicate, the blockers' indices, ascending.
     by_first_predicate: FastMap<Predicate, Vec<usize>>,
 }
 
-impl<D: Borrow<Dependency>> Blockers<D> {
+impl Blockers {
     pub(crate) fn new() -> Self {
-        Blockers {
-            deps: Vec::new(),
-            by_first_predicate: FastMap::default(),
+        Blockers::default()
+    }
+
+    /// Adds the full dependency at index `k`, whose body starts with `first`.
+    pub(crate) fn insert(&mut self, first: Predicate, k: usize) {
+        let list = self.by_first_predicate.entry(first).or_default();
+        if let Err(at) = list.binary_search(&k) {
+            list.insert(at, k);
         }
     }
 
-    /// Adds a full dependency.
-    pub(crate) fn push(&mut self, blocker: D) {
-        let first = blocker.borrow().body()[0].predicate;
-        self.by_first_predicate
-            .entry(first)
-            .or_default()
-            .push(self.deps.len());
-        self.deps.push(blocker);
+    /// Takes out the dependency at index `k`, whose body starts with `first`.
+    pub(crate) fn remove(&mut self, first: Predicate, k: usize) {
+        if let Some(list) = self.by_first_predicate.get_mut(&first) {
+            if let Ok(at) = list.binary_search(&k) {
+                list.remove(at);
+            }
+            if list.is_empty() {
+                self.by_first_predicate.remove(&first);
+            }
+        }
     }
 
-    /// The blockers relevant to the pair `(r1, r2)`: none when `r2` is full, as
-    /// Definition 2 blocks nothing then.
-    fn relevant(&self, r1: &Dependency, r2: &Dependency) -> Vec<&Dependency> {
+    /// The blockers relevant to the pair `(r1, r2)`, the dependency at index `k`
+    /// being `dependency(k)`: none when `r2` is full, as Definition 2 blocks nothing
+    /// then.
+    pub(crate) fn relevant<'d>(
+        &self,
+        r1: &Dependency,
+        r2: &Dependency,
+        dependency: impl Fn(usize) -> &'d Dependency,
+    ) -> Vec<&'d Dependency> {
         if r2.is_full() {
             return Vec::new();
         }
@@ -120,7 +136,7 @@ impl<D: Borrow<Dependency>> Blockers<D> {
         let mut out: Vec<&Dependency> = Vec::new();
         for p in &read {
             for &k in self.by_first_predicate.get(p).into_iter().flatten() {
-                let blocker = self.deps[k].borrow();
+                let blocker = dependency(k);
                 if blocker.body().iter().all(|a| read.contains(&a.predicate)) {
                     out.push(blocker);
                 }
@@ -136,28 +152,17 @@ impl<D: Borrow<Dependency>> Blockers<D> {
 pub(crate) struct Definition2Memo(ShapeMemo<bool>);
 
 impl Definition2Memo {
-    /// `r1 < r2` with `blockers` as `Σ∀`.
-    pub(crate) fn edge<D: Borrow<Dependency>>(
-        &mut self,
-        blockers: &Blockers<D>,
-        r1: &PreparedDependency<'_>,
-        r2: &PreparedDependency<'_>,
-    ) -> bool {
-        let relevant = blockers.relevant(r1.dependency(), r2.dependency());
-        self.answer(r1, r2, &relevant)
-    }
-
-    /// `r1 < r2` given the pair's `relevant` blockers: one enumeration per shape, the
-    /// shape including them.
-    fn answer(
+    /// `r1 < r2` given the pair's `relevant` blockers (see [`Blockers::relevant`]):
+    /// one enumeration per shape, the shape including them.
+    pub(crate) fn answer(
         &mut self,
         r1: &PreparedDependency<'_>,
         r2: &PreparedDependency<'_>,
         relevant: &[&Dependency],
     ) -> bool {
         self.0
-            .get_or_insert_with(r1, r2, Applicability::Standard, relevant, || {
-                definition2_answer(r1, r2, relevant)
+            .get_or_insert_with(r1, r2, Applicability::Standard, relevant, |workspace| {
+                definition2_answer(workspace, r1, r2, relevant)
             })
     }
 }
@@ -190,8 +195,10 @@ pub(crate) fn firing_graph_in(cx: &AnalysisContext) -> Rc<DiGraph> {
             .map(PreparedDependency::new)
             .collect();
         let mut blockers = Blockers::new();
-        for blocker in full_dependencies(sigma) {
-            blockers.push(blocker);
+        for (k, dep) in sigma.iter() {
+            if dep.is_full() {
+                blockers.insert(dep.body()[0].predicate, k.0);
+            }
         }
         let mut memo = Definition2Memo::default();
         let mut g = DiGraph::new();
@@ -200,7 +207,8 @@ pub(crate) fn firing_graph_in(cx: &AnalysisContext) -> Rc<DiGraph> {
         }
         for (i, j, _) in graphs.standard.edges() {
             let (r1, r2) = (&deps[i], &deps[j]);
-            let relevant = blockers.relevant(r1.dependency(), r2.dependency());
+            let relevant =
+                blockers.relevant(r1.dependency(), r2.dependency(), |k| &sigma.as_slice()[k]);
             if relevant.is_empty() || memo.answer(r1, r2, &relevant) {
                 g.add_edge(i, j, false);
             }
@@ -214,9 +222,15 @@ pub(crate) fn firing_graph_in(cx: &AnalysisContext) -> Rc<DiGraph> {
 pub fn is_fireable(sigma: &DependencySet, r1: &Dependency) -> bool {
     let full_deps = full_dependencies(sigma);
     let target = PreparedDependency::new(r1);
-    sigma
-        .iter()
-        .any(|(_, r2)| definition2_answer(&PreparedDependency::new(r2), &target, &full_deps))
+    let mut workspace = FiringWorkspace::default();
+    sigma.iter().any(|(_, r2)| {
+        definition2_answer(
+            &mut workspace,
+            &PreparedDependency::new(r2),
+            &target,
+            &full_deps,
+        )
+    })
 }
 
 #[cfg(test)]

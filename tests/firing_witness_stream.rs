@@ -193,10 +193,10 @@ fn stream(
     let mut witnesses = 0;
     let answer = for_each_firing_witness(r1, r2, applicability, &mut |w| {
         witnesses += 1;
-        for f in w.k {
+        for f in w.k() {
             write!(text, "{f};").unwrap();
         }
-        write!(text, "|{}|{}|{}", w.h1, w.h2, w.is_standard_step()).unwrap();
+        write!(text, "|{}|{}|{}", w.h1(), w.h2(), w.is_standard_step()).unwrap();
         if definition2 {
             write!(text, "|{}", w.is_blocked_by(&blockers, r2)).unwrap();
         }
