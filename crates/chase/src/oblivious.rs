@@ -67,6 +67,12 @@ const INLINE_KEY: usize = 16;
 /// substitutions in between. The per-step loop ([`chase_steps`]), the round
 /// runner and incremental maintenance (`chase_ivm`, which also un-fires keys
 /// on retraction) all keep their state here.
+///
+/// The keys sit on [`KeySets`]' flat rows, one stride per dependency (its
+/// key variables). Testing a trigger's key and recording it is one call and
+/// one probe ([`FiredKeys::fire`], [`FiredKeys::next_unfired`]), which hands
+/// back the key as recorded; nothing is cloned to record it. An un-fired
+/// key's row is reused by the next key fired for its dependency.
 #[derive(Clone, Debug)]
 pub struct FiredKeys {
     /// Per dependency, the key variables in a fixed order.
@@ -79,21 +85,20 @@ impl FiredKeys {
     /// No key fired yet, with `variant`'s key variables for every dependency of
     /// `sigma`.
     pub fn new(sigma: &DependencySet, variant: ObliviousVariant) -> Self {
-        FiredKeys {
-            key_vars: sigma
-                .iter()
-                .map(|(_, dep)| key_variables(variant, dep))
-                .collect(),
-            fired: KeySets::new(sigma.len()),
-        }
+        let key_vars: Vec<Vec<Variable>> = sigma
+            .iter()
+            .map(|(_, dep)| key_variables(variant, dep))
+            .collect();
+        let fired = KeySets::new(key_vars.iter().map(Vec::len));
+        FiredKeys { key_vars, fired }
     }
 
-    /// The key of the trigger `(dep, h)`, or `None` if an equivalent trigger
-    /// already fired.
-    pub fn unfired_key(&self, dep: DepId, h: &Assignment) -> Option<Vec<GroundTerm>> {
-        self.with_key(dep, h, |key| {
-            (!self.fired.contains(dep, key)).then(|| key.to_vec())
-        })
+    /// Fires the key of the trigger `(dep, h)` unless an equivalent trigger
+    /// already fired, testing and recording it with one probe. Returns the
+    /// key as recorded if it is new, `None` if it had fired.
+    pub fn fire(&mut self, dep: DepId, h: &Assignment) -> Option<&[GroundTerm]> {
+        let row = fire_key(&self.key_vars, &mut self.fired, dep, h)?;
+        Some(self.fired.key(dep, row))
     }
 
     /// `true` iff a trigger equivalent to `(dep, h)` already fired. Allocates
@@ -118,27 +123,23 @@ impl FiredKeys {
     }
 
     /// Pops the engine's next trigger whose key has not fired, trying the
-    /// dependencies in `order`, together with that key. Candidates with a
-    /// fired key are dropped.
+    /// dependencies in `order`, fires its key ([`FiredKeys::fire`]) and
+    /// returns the trigger with the key as recorded. Candidates with a fired
+    /// key are dropped.
     pub fn next_unfired(
-        &self,
+        &mut self,
         engine: &mut TriggerEngine<'_>,
         order: &[DepId],
-    ) -> Option<(Trigger, Vec<GroundTerm>)> {
-        let mut accepted = None;
+    ) -> Option<(Trigger, &[GroundTerm])> {
+        let (key_vars, fired) = (&self.key_vars, &mut self.fired);
+        let mut row = None;
         let trigger = engine.next_trigger_where(order, |_, dep, h| {
-            accepted = self.unfired_key(dep, h);
-            accepted.is_some()
+            row = fire_key(key_vars, fired, dep, h);
+            row.is_some()
         })?;
-        Some((
-            trigger,
-            accepted.expect("an accepted trigger always sets its key"),
-        ))
-    }
-
-    /// Records `key` as fired for `dep`.
-    pub fn fire(&mut self, dep: DepId, key: Vec<GroundTerm>) {
-        self.fired.insert(dep, key);
+        let row = row.expect("an accepted trigger fired its key");
+        let key = self.fired.key(trigger.dep, row);
+        Some((trigger, key))
     }
 
     /// The number of keys fired so far, over all dependencies.
@@ -174,6 +175,18 @@ impl FiredKeys {
                 .zip(key.iter().copied()),
         )
     }
+}
+
+/// Records the key of `(dep, h)` in `fired` with one probe: its row if it is
+/// new.
+fn fire_key(
+    key_vars: &[Vec<Variable>],
+    fired: &mut KeySets,
+    dep: DepId,
+    h: &Assignment,
+) -> Option<u32> {
+    let image = |&v: &Variable| h.get(v).expect("body variables are bound");
+    fired.insert_iter(dep, key_vars[dep.0].iter().map(image))
 }
 
 /// Runs the (semi-)oblivious chase under `budget`, reporting events to `observer`.
@@ -224,15 +237,18 @@ pub enum StepHalt {
 
 /// The per-step (semi-)oblivious chase loop, on a caller-owned engine and
 /// fired-key state: pops the engine's next trigger whose key has not fired
-/// (dependencies in textual order), applies it, records its key, and
-/// propagates an EGD substitution to the recorded keys, until the engine
-/// quiesces (`Ok`) or the run halts.
+/// (dependencies in textual order), recording its key in the same probe,
+/// applies it, and propagates an EGD substitution to the recorded keys, until
+/// the engine quiesces (`Ok`) or the run halts.
 ///
 /// `budget` is checked before every step against `stats`, which the loop
 /// adds each applied step to. With `log`, each trigger that consumed its key
 /// appends a [`MaterializeEvent::Fired`] in the engine's own fact ids — EGD
 /// triggers with equal images too, with empty heads — and a substitution
-/// step appends its [`MaterializeEvent::Rewritten`] right after.
+/// step appends its [`MaterializeEvent::Rewritten`] right after. The event's
+/// key is the one copy of the recorded key the step makes, and its body is
+/// the body image discovery found for the trigger
+/// ([`TriggerEngine::apply_trigger_logged`]).
 ///
 /// Discovery is delta-driven: homomorphisms are found once, when the facts
 /// completing them appear, and wait in the engine's queues; the fired-key
@@ -255,8 +271,10 @@ pub fn chase_steps(
         if let Some(limit) = clock.check_step(stats, engine.instance().len(), observer) {
             return Err(StepHalt::Budget(limit));
         }
+        let logging = log.is_some();
         let next = observed_pop(engine, observer, phases, |engine| {
-            fired.next_unfired(engine, &order)
+            let (trigger, key) = fired.next_unfired(engine, &order)?;
+            Some((trigger, logging.then(|| key.to_vec())))
         });
         let Some((trigger, key)) = next else {
             return Ok(());
@@ -274,11 +292,11 @@ pub fn chase_steps(
                 return Err(StepHalt::Violation(violation));
             }
         }
-        let rewrites = match (log.as_deref_mut(), step) {
-            (Some(log), Some(step)) => {
+        let rewrites = match (log.as_deref_mut(), step, key) {
+            (Some(log), Some(step), Some(key)) => {
                 log.push(MaterializeEvent::Fired {
                     dep: trigger.dep,
-                    key: key.clone(),
+                    key,
                     body: step.body,
                     heads: step.heads,
                 });
@@ -286,9 +304,8 @@ pub fn chase_steps(
             }
             _ => Vec::new(),
         };
-        // Record the trigger key, then propagate the substitution (if any) to all
-        // recorded keys so that future comparisons are "modulo γ_j · · · γ_{i-1}".
-        fired.fire(trigger.dep, key);
+        // The key was recorded at pop: propagate the substitution (if any) to
+        // all recorded keys so that future comparisons are "modulo γ_j · · · γ_{i-1}".
         if let StepEffect::Substituted { gamma } = effect {
             fired.apply_gamma(&gamma);
             if let Some(log) = log.as_deref_mut() {
@@ -328,20 +345,17 @@ mod tests {
         let r = DepId(0);
         let mut fired = FiredKeys::new(&sigma, ObliviousVariant::SemiOblivious);
         // Semi-oblivious: the key is the frontier image `x` alone.
-        fired.fire(r, vec![gn(1)]);
-        fired.fire(r, vec![gn(2)]);
+        assert_eq!(fired.fire(r, &bind(&[("x", gn(1))])), Some(&[gn(1)][..]));
+        assert!(fired.fire(r, &bind(&[("x", gn(2))])).is_some());
         assert_eq!(fired.fired.len(r), 2);
         fired.apply_gamma(&NullSubstitution::single(NullValue(1), gn(2)));
         assert_eq!(fired.fired.len(r), 1);
         assert!(fired.fired.contains(r, &[gn(2)]));
         // Both the rewritten key and an equal fresh one count as fired.
+        assert_eq!(fired.fire(r, &bind(&[("x", gn(2)), ("y", gc("b"))])), None);
         assert_eq!(
-            fired.unfired_key(r, &bind(&[("x", gn(2)), ("y", gc("b"))])),
-            None
-        );
-        assert_eq!(
-            fired.unfired_key(r, &bind(&[("x", gc("a")), ("y", gn(2))])),
-            Some(vec![gc("a")])
+            fired.fire(r, &bind(&[("x", gc("a")), ("y", gn(2))])),
+            Some(&[gc("a")][..])
         );
     }
 
@@ -352,14 +366,14 @@ mod tests {
         let mut fired = FiredKeys::new(&sigma, ObliviousVariant::Oblivious);
         let h = bind(&[("x", gc("a")), ("y", gc("b"))]);
         // Oblivious: the key is the image of every body variable.
-        let key = fired.unfired_key(r, &h).expect("nothing fired yet");
-        assert_eq!(key.len(), 2);
         assert!(!fired.has_fired(r, &h));
-        fired.fire(r, key.clone());
-        assert_eq!(fired.unfired_key(r, &h), None);
+        let key = fired.fire(r, &h).expect("nothing fired yet").to_vec();
+        assert_eq!(key, [gc("a"), gc("b")]);
+        assert_eq!(fired.fire(r, &h), None);
         assert!(fired.has_fired(r, &h));
         fired.unfire(r, &key);
-        assert_eq!(fired.unfired_key(r, &h), Some(key.clone()));
+        assert!(!fired.has_fired(r, &h));
+        assert_eq!(fired.fire(r, &h), Some(&key[..]));
         // The rederive seed binds exactly the key variables.
         assert_eq!(fired.seed(r, &key), h);
     }
@@ -379,11 +393,10 @@ mod tests {
                 .map(|v| (v.as_str(), gc(v)))
                 .collect::<Vec<_>>(),
         );
-        let key = fired.unfired_key(r, &h).expect("nothing fired yet");
-        assert_eq!(key.len(), n);
-        fired.fire(r, key);
+        assert!(!fired.has_fired(r, &h));
+        assert_eq!(fired.fire(r, &h).expect("nothing fired yet").len(), n);
         assert!(fired.has_fired(r, &h));
-        assert_eq!(fired.unfired_key(r, &h), None);
+        assert_eq!(fired.fire(r, &h), None);
     }
 
     #[test]

@@ -126,13 +126,7 @@ pub(crate) fn run_rounds(
         // stay paired).
         let merge_start = (phases && had_delta).then(Instant::now);
         let candidates = batch.len();
-        batch.retain(|t| match fired.unfired_key(t.dep, &t.assignment) {
-            Some(key) => {
-                fired.fire(t.dep, key);
-                true
-            }
-            None => false,
-        });
+        batch.retain(|t| fired.fire(t.dep, &t.assignment).is_some());
         if let Some(start) = merge_start {
             observer.merge_completed(candidates, batch.len(), start.elapsed());
         }

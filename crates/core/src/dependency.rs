@@ -104,7 +104,8 @@ impl Tgd {
 
 /// The head variables of a TGD, split by [`Tgd::new`]: the existential ones in
 /// first-occurrence order, then the frontier sorted, and the number of existential
-/// ones. Linear scans over the atoms; TGDs are small.
+/// ones. Linear scans over the atoms; TGDs are small. The variables are counted
+/// before they are stored, so the list is allocated once, at its exact size.
 fn classify_head_variables(body: &[Atom], head: &[Atom]) -> (Box<[Variable]>, usize) {
     let head_vars = || {
         head.iter().flat_map(|a| &a.terms).filter_map(|t| match t {
@@ -113,18 +114,21 @@ fn classify_head_variables(body: &[Atom], head: &[Atom]) -> (Box<[Variable]>, us
         })
     };
     let in_body = |v: Variable| body.iter().any(|a| a.terms.contains(&Term::Var(v)));
-    let mut variables: Vec<Variable> = Vec::new();
-    for v in head_vars() {
-        if !variables.contains(&v) && !in_body(v) {
-            variables.push(v);
-        }
+    // Each distinct head variable at its first occurrence.
+    let distinct = || {
+        head_vars()
+            .enumerate()
+            .filter(move |&(i, v)| !head_vars().take(i).any(|w| w == v))
+            .map(|(_, v)| v)
+    };
+    let (mut existential_len, mut total) = (0, 0);
+    for v in distinct() {
+        existential_len += usize::from(!in_body(v));
+        total += 1;
     }
-    let existential_len = variables.len();
-    for v in head_vars() {
-        if !variables[existential_len..].contains(&v) && in_body(v) {
-            variables.push(v);
-        }
-    }
+    let mut variables: Vec<Variable> = Vec::with_capacity(total);
+    variables.extend(distinct().filter(|&v| !in_body(v)));
+    variables.extend(distinct().filter(|&v| in_body(v)));
     variables[existential_len..].sort_unstable();
     (variables.into_boxed_slice(), existential_len)
 }

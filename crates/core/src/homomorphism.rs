@@ -96,6 +96,15 @@ impl Assignment {
         }
     }
 
+    /// Rebinds the assignment to exactly `vars[i] ↦ terms[i]`, keeping its
+    /// buffer. `vars` must be ascending and as many as `terms`.
+    pub fn rebind(&mut self, vars: &[Variable], terms: impl IntoIterator<Item = GroundTerm>) {
+        debug_assert!(vars.windows(2).all(|w| w[0] < w[1]));
+        self.pairs.clear();
+        self.pairs.extend(vars.iter().copied().zip(terms));
+        debug_assert_eq!(self.pairs.len(), vars.len());
+    }
+
     /// Removes a binding (used by backtracking searches).
     pub fn unbind(&mut self, v: Variable) {
         if let Ok(i) = self.slot(v) {
@@ -643,7 +652,13 @@ impl<'a> HomomorphismSearch<'a> {
         });
         let mut assignment = Assignment::with_capacity(partial.len() + binding_room(self.atoms));
         assignment.pairs.extend_from_slice(&partial.pairs);
-        self.run(plan.order(), &mut assignment, &mut Trail::new(), visit)
+        self.run(
+            plan.order(),
+            &mut assignment,
+            &mut Trail::new(),
+            &mut [],
+            &mut |h, _| visit(h),
+        )
     }
 
     /// Visits every homomorphism in which atom `seed_index` is mapped to `seed_fact`
@@ -662,17 +677,29 @@ impl<'a> HomomorphismSearch<'a> {
             return None;
         }
         debug_assert_eq!(atom.terms.len(), seed_fact.terms.len());
-        self.seeded(seed_index, |pos| seed_fact.terms[pos], visit)
+        self.seeded(
+            seed_index,
+            |pos| seed_fact.terms[pos],
+            &mut Assignment::new(),
+            &mut [],
+            &mut |h, _| visit(h),
+        )
     }
 
     /// Visits every homomorphism in which atom `seed_index` is mapped to the
-    /// interned fact `seed` of the source's store. The seed unifies straight
-    /// from the store's strips — no term slice is materialised.
+    /// interned fact `seed` of the source's store, together with its *body
+    /// image*: one fact id per atom, in atom order (`seed` at `seed_index`,
+    /// and at every other atom the candidate the join unified it with). The
+    /// seed unifies straight from the store's strips — no term slice is
+    /// materialised — and a search over up to eight atoms keeps its image
+    /// inline. The search binds into `scratch`, which it clears first: a caller
+    /// that seeds many searches passes one buffer, and no search allocates.
     pub fn for_each_seeded_id<B>(
         &self,
         seed_index: usize,
         seed: FactId,
-        visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
+        scratch: &mut Assignment,
+        visit: &mut impl FnMut(&Assignment, &[FactId]) -> ControlFlow<B>,
     ) -> Option<B> {
         let store = self.source.store();
         if self.atoms[seed_index].predicate != store.predicate_of(seed) {
@@ -680,46 +707,49 @@ impl<'a> HomomorphismSearch<'a> {
         }
         let view = store.terms(seed);
         debug_assert_eq!(self.atoms[seed_index].terms.len(), view.len());
-        self.seeded(seed_index, |pos| view.get(pos), visit)
+        let mut image: SmallVec<FactId, 8> = SmallVec::new();
+        image.extend(std::iter::repeat_n(seed, self.atoms.len()));
+        self.seeded(seed_index, |pos| view.get(pos), scratch, &mut image, visit)
     }
 
     /// Unifies the seed atom with the fact whose term at position `i` is
-    /// `term_at(i)`, then joins the other atoms.
+    /// `term_at(i)`, binding into the cleared `assignment`, then joins the
+    /// other atoms, writing the body image into `image` unless it is empty.
     fn seeded<B>(
         &self,
         seed_index: usize,
         term_at: impl Fn(usize) -> GroundTerm,
-        visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
+        assignment: &mut Assignment,
+        image: &mut [FactId],
+        visit: &mut impl FnMut(&Assignment, &[FactId]) -> ControlFlow<B>,
     ) -> Option<B> {
-        let mut assignment = Assignment::with_capacity(binding_room(self.atoms));
+        assignment.pairs.clear();
+        assignment.pairs.reserve(binding_room(self.atoms));
         let mut trail = Trail::new();
-        if !unify(
-            &self.atoms[seed_index],
-            term_at,
-            &mut assignment,
-            &mut trail,
-        ) {
+        if !unify(&self.atoms[seed_index], term_at, assignment, &mut trail) {
             return None;
         }
         // The seed's bindings hold for the whole search.
         trail.clear();
         let others = (0..self.atoms.len()).filter(|&i| i != seed_index);
-        let plan = JoinPlan::plan(self.atoms, others, self.atoms.len() - 1, &assignment, |i| {
-            self.source.candidate_count(&self.atoms[i], &assignment)
+        let plan = JoinPlan::plan(self.atoms, others, self.atoms.len() - 1, assignment, |i| {
+            self.source.candidate_count(&self.atoms[i], assignment)
         });
-        self.run(plan.order(), &mut assignment, &mut trail, visit)
+        self.run(plan.order(), assignment, &mut trail, image, visit)
     }
 
     /// Runs the join in `order` from `assignment`, with one (empty) trail for
-    /// the whole search.
+    /// the whole search. `image` is either empty or one slot per atom, which
+    /// the join fills with the fact each atom is matched to.
     fn run<B>(
         &self,
         order: &[usize],
         assignment: &mut Assignment,
         trail: &mut Trail,
-        visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
+        image: &mut [FactId],
+        visit: &mut impl FnMut(&Assignment, &[FactId]) -> ControlFlow<B>,
     ) -> Option<B> {
-        match self.search(order, 0, assignment, trail, visit) {
+        match self.search(order, 0, assignment, trail, image, visit) {
             ControlFlow::Break(b) => Some(b),
             ControlFlow::Continue(()) => None,
         }
@@ -731,10 +761,11 @@ impl<'a> HomomorphismSearch<'a> {
         depth: usize,
         assignment: &mut Assignment,
         trail: &mut Trail,
-        visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
+        image: &mut [FactId],
+        visit: &mut impl FnMut(&Assignment, &[FactId]) -> ControlFlow<B>,
     ) -> ControlFlow<B> {
         if depth == order.len() {
-            return visit(assignment);
+            return visit(assignment, image);
         }
         let atom = &self.atoms[order[depth]];
         let candidates = match &self.source {
@@ -748,7 +779,10 @@ impl<'a> HomomorphismSearch<'a> {
         for &id in candidates {
             let mark = trail.len();
             if unify_stored(atom, store, id, assignment, trail) {
-                let flow = self.search(order, depth + 1, assignment, trail, visit);
+                if let Some(slot) = image.get_mut(order[depth]) {
+                    *slot = id;
+                }
+                let flow = self.search(order, depth + 1, assignment, trail, image, visit);
                 assignment.unwind(trail, mark);
                 flow?;
             }

@@ -7,7 +7,7 @@
 //! in dependency sets and chase runs are small, so the table never becomes a
 //! bottleneck.
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 use std::fmt;
 use std::sync::{OnceLock, RwLock};
 
@@ -18,14 +18,14 @@ use std::sync::{OnceLock, RwLock};
 pub struct Symbol(u32);
 
 struct Interner {
-    map: HashMap<String, u32>,
+    map: FastMap<String, u32>,
     strings: Vec<String>,
 }
 
 impl Interner {
     fn new() -> Self {
         Interner {
-            map: HashMap::new(),
+            map: FastMap::default(),
             strings: Vec::new(),
         }
     }

@@ -1,15 +1,23 @@
 //! Small directed-graph utilities shared by the termination criteria: strongly
 //! connected components (Tarjan), cycle detection and marked-edge cycle detection.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A directed graph over nodes identified by `usize`, with optionally *marked* edges
 /// (used for the "special" edges of weak acyclicity and its refinements).
+///
+/// The criteria number their nodes densely (dependency indices, position ids), so
+/// the graph is kept as dense adjacency indexed by node id: a presence flag and a
+/// successor list sorted by target per id. Nodes iterate in ascending order and
+/// edges by source, then target.
 #[derive(Clone, Debug, Default)]
 pub struct DiGraph {
-    nodes: BTreeSet<usize>,
-    /// edge -> is there a marked (special) edge between the endpoints
-    edges: BTreeMap<(usize, usize), bool>,
+    /// Per node id, whether the node is in the graph.
+    present: Vec<bool>,
+    node_count: usize,
+    /// Per node id, its successors with their marks, sorted by target.
+    succ: Vec<Vec<(usize, bool)>>,
+    edge_count: usize,
 }
 
 impl DiGraph {
@@ -20,87 +28,104 @@ impl DiGraph {
 
     /// Adds a node (idempotent).
     pub fn add_node(&mut self, n: usize) {
-        self.nodes.insert(n);
+        if n >= self.present.len() {
+            self.present.resize(n + 1, false);
+            self.succ.resize_with(n + 1, Vec::new);
+        }
+        if !self.present[n] {
+            self.present[n] = true;
+            self.node_count += 1;
+        }
     }
 
     /// Adds an edge; `marked` edges are never downgraded by later unmarked insertions.
     pub fn add_edge(&mut self, from: usize, to: usize, marked: bool) {
-        self.nodes.insert(from);
-        self.nodes.insert(to);
-        let entry = self.edges.entry((from, to)).or_insert(false);
-        *entry = *entry || marked;
+        self.add_node(from);
+        self.add_node(to);
+        let list = &mut self.succ[from];
+        match list.binary_search_by_key(&to, |&(t, _)| t) {
+            Ok(i) => list[i].1 |= marked,
+            Err(i) => {
+                list.insert(i, (to, marked));
+                self.edge_count += 1;
+            }
+        }
+    }
+
+    /// The mark of the edge `from → to`, if it exists.
+    fn edge(&self, from: usize, to: usize) -> Option<bool> {
+        let list = self.succ.get(from)?;
+        let i = list.binary_search_by_key(&to, |&(t, _)| t).ok()?;
+        Some(list[i].1)
     }
 
     /// Returns `true` iff the edge exists (marked or not).
     pub fn has_edge(&self, from: usize, to: usize) -> bool {
-        self.edges.contains_key(&(from, to))
+        self.edge(from, to).is_some()
     }
 
     /// Returns `true` iff a marked edge exists between the endpoints.
     pub fn has_marked_edge(&self, from: usize, to: usize) -> bool {
-        self.edges.get(&(from, to)).copied().unwrap_or(false)
+        self.edge(from, to).unwrap_or(false)
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.node_count
     }
 
     /// Number of edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_count
     }
 
-    /// Iterates over all nodes.
+    /// Iterates over all nodes, in ascending order.
     pub fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
-        self.nodes.iter().copied()
+        self.present
+            .iter()
+            .enumerate()
+            .filter_map(|(n, &present)| present.then_some(n))
     }
 
-    /// Iterates over all edges as `(from, to, marked)`.
+    /// Iterates over all edges as `(from, to, marked)`, by source, then target.
     pub fn edges(&self) -> impl Iterator<Item = (usize, usize, bool)> + '_ {
-        self.edges.iter().map(|(&(f, t), &m)| (f, t, m))
+        self.succ
+            .iter()
+            .enumerate()
+            .flat_map(|(f, list)| list.iter().map(move |&(t, m)| (f, t, m)))
     }
 
-    /// Successors of a node.
+    /// Successors of a node, in ascending order.
     pub fn successors(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
-        self.edges
-            .range((n, usize::MIN)..=(n, usize::MAX))
-            .map(|(&(_, t), _)| t)
+        self.succ
+            .get(n)
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .map(|&(t, _)| t)
     }
 
     /// Strongly connected components (Tarjan), returned as sorted vectors of nodes,
     /// with the components themselves sorted lexicographically (NOT topologically).
     pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let (nodes, components) = self.tarjan_components();
-        let mut out: Vec<Vec<usize>> = components
-            .into_iter()
-            .map(|comp| {
-                let mut c: Vec<usize> = comp.into_iter().map(|i| nodes[i]).collect();
-                c.sort_unstable();
-                c
-            })
-            .collect();
+        let mut out = self.tarjan_components();
+        for c in &mut out {
+            c.sort_unstable();
+        }
         out.sort();
         out
     }
 
-    /// The nodes in ascending order, a node's position in it being its dense index,
-    /// and the strongly connected components as lists of dense indices, in the order
-    /// Tarjan closes them.
-    fn tarjan_components(&self) -> (Vec<usize>, Vec<Vec<usize>>) {
-        let nodes: Vec<usize> = self.nodes.iter().copied().collect();
-        let index_of = |node: &usize| nodes.binary_search(node).expect("edges join nodes");
-        let n = nodes.len();
-        // Successors by node index: node i's are `succ[first[i]..first[i + 1]]`.
-        // Edges are sorted by source, and so are node indices.
-        let mut first = vec![0; n + 1];
-        let mut succ = Vec::with_capacity(self.edges.len());
-        for (from, to) in self.edges.keys() {
-            first[index_of(from) + 1] += 1;
-            succ.push(index_of(to));
-        }
-        for i in 0..n {
-            first[i + 1] += first[i];
+    /// The strongly connected components as lists of nodes, in the order Tarjan
+    /// closes them, starting from the nodes in ascending order.
+    fn tarjan_components(&self) -> Vec<Vec<usize>> {
+        let n = self.present.len();
+        // Successors by node id: node i's are `succ[first[i]..first[i + 1]]`.
+        let mut first = Vec::with_capacity(n + 1);
+        let mut succ = Vec::with_capacity(self.edge_count);
+        first.push(0);
+        for list in &self.succ {
+            succ.extend(list.iter().map(|&(t, _)| t));
+            first.push(succ.len());
         }
         let mut state = TarjanState {
             index: vec![None; n],
@@ -110,33 +135,31 @@ impl DiGraph {
             next_index: 0,
             components: Vec::new(),
         };
-        for v in 0..n {
+        for v in self.nodes() {
             if state.index[v].is_none() {
                 tarjan(v, &first, &succ, &mut state);
             }
         }
-        (nodes, state.components)
+        state.components
     }
 
     /// The first marked edge, in edge order, that lies on a cycle: a marked
     /// self-loop, or a marked edge inside a strongly connected component of more
     /// than one node.
     fn marked_edge_on_a_cycle(&self) -> Option<(usize, usize)> {
-        let (nodes, components) = self.tarjan_components();
-        let mut component_of = vec![0; nodes.len()];
+        let components = self.tarjan_components();
+        let mut component_of = vec![0; self.present.len()];
         for (c, component) in components.iter().enumerate() {
-            for &i in component {
-                component_of[i] = c;
+            for &node in component {
+                component_of[node] = c;
             }
         }
-        let index_of = |node: usize| nodes.binary_search(&node).expect("edges join nodes");
         self.edges().find_map(|(from, to, marked)| {
             if !marked {
                 return None;
             }
-            let c = component_of[index_of(from)];
-            let on_cycle =
-                from == to || (c == component_of[index_of(to)] && components[c].len() > 1);
+            let c = component_of[from];
+            let on_cycle = from == to || (c == component_of[to] && components[c].len() > 1);
             on_cycle.then_some((from, to))
         })
     }
@@ -165,17 +188,15 @@ impl DiGraph {
 
     /// Number of marked edges.
     pub fn marked_edge_count(&self) -> usize {
-        self.edges.values().filter(|&&m| m).count()
+        self.edges().filter(|&(_, _, m)| m).count()
     }
 
     /// A shortest path `from → … → to` (BFS over edges), if one exists. For
     /// `from == to` a genuine cycle of length ≥ 1 is required.
     pub fn path_between(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        // Parents and `seen` by dense node index (the node's position in order).
-        let nodes: Vec<usize> = self.nodes.iter().copied().collect();
-        let index_of = |node: usize| nodes.binary_search(&node).expect("edges join nodes");
-        let mut parent: Vec<usize> = vec![usize::MAX; nodes.len()];
-        let mut seen = vec![false; nodes.len()];
+        // Parents and `seen` by node id.
+        let mut parent: Vec<usize> = vec![usize::MAX; self.present.len()];
+        let mut seen = vec![false; self.present.len()];
         let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         queue.push_back(from);
         while let Some(n) = queue.pop_front() {
@@ -185,17 +206,16 @@ impl DiGraph {
                     let mut path = vec![n];
                     let mut cur = n;
                     while cur != from {
-                        cur = parent[index_of(cur)];
+                        cur = parent[cur];
                         path.push(cur);
                     }
                     path.reverse();
                     path.push(to);
                     return Some(path);
                 }
-                let i = index_of(s);
-                if !seen[i] {
-                    seen[i] = true;
-                    parent[i] = n;
+                if !seen[s] {
+                    seen[s] = true;
+                    parent[s] = n;
                     queue.push_back(s);
                 }
             }
@@ -247,7 +267,7 @@ impl DiGraph {
     }
 }
 
-/// Iterative Tarjan from node index `v`, over the successor lists `succ` indexed
+/// Iterative Tarjan from node `v`, over the successor lists `succ` indexed
 /// by `first` (see [`DiGraph::sccs`]). Each frame on the call stack is a node and
 /// the position of its next successor, so no list is copied on descent.
 fn tarjan(v: usize, first: &[usize], succ: &[usize], state: &mut TarjanState) {

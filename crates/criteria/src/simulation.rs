@@ -120,7 +120,8 @@ pub fn substitution_free_simulation(sigma: &DependencySet) -> DependencySet {
         let tgd = dep
             .as_tgd()
             .expect("all dependencies are TGDs at this point");
-        if !has_repeated_body_variable(tgd) {
+        let repeated = repeated_body_occurrences(tgd);
+        if repeated == 0 {
             out.push(dep);
             continue;
         }
@@ -136,8 +137,8 @@ pub fn substitution_free_simulation(sigma: &DependencySet) -> DependencySet {
             })
             .collect();
         let mut seen: BTreeMap<Variable, usize> = BTreeMap::new();
-        let mut extra_eq: Vec<Atom> = Vec::new();
-        let mut new_body: Vec<Atom> = Vec::new();
+        let mut extra_eq: Vec<Atom> = Vec::with_capacity(repeated);
+        let mut new_body: Vec<Atom> = Vec::with_capacity(tgd.body().len() + repeated);
         for atom in tgd.body() {
             let mut terms = Vec::with_capacity(atom.terms.len());
             for t in &atom.terms {
@@ -191,17 +192,14 @@ pub fn simulation_in(cx: &AnalysisContext) -> Rc<DependencySet> {
     })
 }
 
-fn has_repeated_body_variable(tgd: &Tgd) -> bool {
-    let mut seen: Vec<Variable> = Vec::new();
-    for t in tgd.body().iter().flat_map(|atom| &atom.terms) {
-        if let Term::Var(v) = t {
-            if seen.contains(v) {
-                return true;
-            }
-            seen.push(*v);
-        }
-    }
-    false
+/// The occurrences of body variables after each one's first: the `Eq` atoms
+/// that splitting the repeated variables adds to the body.
+fn repeated_body_occurrences(tgd: &Tgd) -> usize {
+    let terms = || tgd.body().iter().flat_map(|atom| &atom.terms);
+    terms()
+        .enumerate()
+        .filter(|&(i, t)| matches!(t, Term::Var(_)) && terms().take(i).any(|u| u == t))
+        .count()
 }
 
 /// The **natural simulation** of `Σ` (Gottlob & Nash 2008): equality axioms, EGD heads

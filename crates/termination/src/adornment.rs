@@ -1419,7 +1419,7 @@ impl HeadAdn<'_> {
             .collect();
         let mut atoms = Vec::with_capacity(body.len() + self.source.head.len());
         atoms.extend_from_slice(body);
-        let mut head = Vec::new();
+        let mut head = Vec::with_capacity(dep.head_atoms().len());
         if let Dependency::Tgd(tgd) = dep {
             let args: Vec<AdSym> = self.source.frontier.iter().map(|&r| adorn(r)).collect();
             let existentials = tgd.existential_variables().len();

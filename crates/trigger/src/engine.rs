@@ -18,6 +18,19 @@
 //!   triggers are left as discovered and resolved through the substituted
 //!   nulls when popped (`h ↦ γ∘h`), so no discovered work is discarded.
 //!
+//! ## Pending triggers carry their body image
+//!
+//! Discovery tests a found assignment against the dedup keys ([`KeySets`],
+//! one probe) before it keeps anything, and a new one is queued as a flat
+//! row: its terms in variable order, beside its *body image*, the fact id the
+//! seeded search matched each body atom to. Both sit in per-dependency rings
+//! popped in lockstep, so a discovered trigger allocates nothing of its own;
+//! only a popped trigger the caller accepts is built as an [`Assignment`].
+//! [`TriggerEngine::apply_trigger_logged`] logs the popped trigger's body
+//! image as it was found instead of looking each body fact up again. A
+//! trigger whose terms a substitution rewrote between discovery and pop names
+//! rewritten facts, so its image is looked up from its resolved assignment.
+//!
 //! Dropping a trigger that is found inactive is sound for the standard chase:
 //! instances only grow or get substituted, both of which preserve TGD head
 //! witnesses (as `γ∘h'`) and EGD equalities, so an inactive trigger can never
@@ -25,12 +38,12 @@
 
 use crate::delta::DeltaQueue;
 use crate::keys::KeySets;
-use crate::parallel::{discover_from, keep_all, SeedAtoms};
+use crate::parallel::{discover_from, SeedAtoms};
 use chase_core::hash::{FastMap, FastSet};
 use chase_core::substitution::NullSubstitution;
 use chase_core::{
     Assignment, Atom, DepId, Dependency, DependencySet, Fact, FactId, GroundTerm,
-    HomomorphismSearch, IndexedInstance, Instance, NullValue, Term, Tgd,
+    HomomorphismSearch, IndexedInstance, Instance, NullValue, Term, Tgd, Variable,
 };
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
@@ -92,8 +105,9 @@ pub struct EngineStats {
 /// [`TriggerEngine::apply_trigger_logged`] for support-ledger consumers
 /// (`chase_ivm`).
 ///
-/// The body image is resolved **before** the step mutates anything, so for an
-/// EGD substitution step the recorded ids are the pre-rewrite ids; `rewrites`
+/// The body image is the one discovery found (or, for a trigger rewritten
+/// since, looked up) **before** the step mutates anything, so for an EGD
+/// substitution step the recorded ids are the pre-rewrite ids; `rewrites`
 /// maps them (and every other rewritten fact) forward into the post-step
 /// instance.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -121,8 +135,13 @@ pub struct TriggerEngine<'a> {
     /// fact visits only the matching seed atoms instead of scanning all of `Σ`.
     seed_atoms: SeedAtoms,
     /// Per-dependency FIFO of discovered candidate triggers, holding the terms
-    /// they were discovered with; [`Replaced`] resolves them when popped.
-    pending: Vec<VecDeque<Assignment>>,
+    /// they were discovered with and their body images; [`Replaced`] resolves
+    /// the terms when popped.
+    pending: Pending,
+    /// The trigger popped last, and its body image while that is still good.
+    popped: Popped,
+    /// The assignment every seeded discovery search binds into.
+    search: Assignment,
     /// Every null an EGD substitution replaced, with its replacement.
     replaced: Replaced,
     /// Per-dependency dedup keys of every assignment ever discovered,
@@ -134,14 +153,19 @@ pub struct TriggerEngine<'a> {
 impl<'a> TriggerEngine<'a> {
     /// Creates an engine for `sigma` over an empty instance.
     pub fn new(sigma: &'a DependencySet) -> Self {
+        let pending = Pending::new(sigma);
+        // A dedup key is an assignment's terms: one per body variable.
+        let seen = KeySets::new(pending.queues.iter().map(|queue| queue.vars.len()));
         TriggerEngine {
             sigma,
             index: IndexedInstance::new(),
             deltas: DeltaQueue::new(),
             seed_atoms: SeedAtoms::new(sigma),
-            pending: vec![VecDeque::new(); sigma.len()],
+            pending,
+            popped: Popped::default(),
+            search: Assignment::new(),
             replaced: Replaced::default(),
-            seen: KeySets::new(sigma.len()),
+            seen,
             stats: EngineStats::default(),
         }
     }
@@ -212,7 +236,7 @@ impl<'a> TriggerEngine<'a> {
     /// dependencies (diagnostics; a quiesced engine has zero pending and an
     /// empty delta worklist).
     pub fn pending_len(&self) -> usize {
-        self.pending.iter().map(|q| q.len()).sum()
+        self.pending.lens.iter().sum()
     }
 
     /// Returns `true` iff no delta is waiting and no candidate is pending — the
@@ -226,11 +250,14 @@ impl<'a> TriggerEngine<'a> {
     /// discovered must no longer resolve past it. Resolves every pending
     /// trigger in place and forgets the replacements — O(pending), but only
     /// reached when a replaced null is re-inserted from outside the chase.
+    /// Every pending body image is then looked up when popped.
     fn revive_replaced_nulls(&mut self) {
-        for queue in &mut self.pending {
-            for h in queue.iter_mut() {
-                self.replaced.resolve_all(h);
+        let pending = &mut self.pending;
+        for (queue, &len) in pending.queues.iter_mut().zip(&pending.lens) {
+            for t in queue.terms.iter_mut() {
+                *t = self.replaced.resolve(*t);
             }
+            queue.stale = len;
         }
         self.replaced.0.clear();
     }
@@ -249,6 +276,7 @@ impl<'a> TriggerEngine<'a> {
             return Vec::new();
         };
         self.stats.substitutions += 1;
+        self.popped.dep = None;
         let delta = self.index.substitute_in_place(gamma);
         // Facts still waiting in the worklist must be rewritten too: they were
         // enqueued as members of `K` and only their images exist in `K γ`. The id
@@ -263,42 +291,34 @@ impl<'a> TriggerEngine<'a> {
     }
 
     /// Drains the delta worklist, seeding homomorphism search from every (body
-    /// atom, delta fact) pair and queueing each newly discovered assignment. The
-    /// `seed_atoms` map keyed by predicate means a delta fact visits only the body
-    /// atoms it can actually unify with, not all of `Σ`.
+    /// atom, delta fact) pair and queueing each newly discovered assignment with
+    /// its body image. The `seed_atoms` map keyed by predicate means a delta
+    /// fact visits only the body atoms it can actually unify with, not all of
+    /// `Σ`.
+    ///
+    /// An assignment's dedup key is its terms in variable order: every
+    /// assignment discovered for one dependency binds exactly its body
+    /// variables, so the terms alone identify it. The key is tested and
+    /// recorded with one probe, and a known one is dropped before anything is
+    /// copied.
     pub fn drain_deltas(&mut self) {
-        let mut found = Vec::new();
         while let Some(fact_id) = self.deltas.pop() {
             self.stats.deltas_processed += 1;
-            self.discover_seeded(fact_id, &mut found);
-            for t in found.drain(..) {
-                if self.seen.insert(t.dep, Self::dedup_key(&t.assignment)) {
-                    self.stats.triggers_discovered += 1;
-                    self.pending[t.dep.0].push_back(t.assignment);
-                }
-            }
+            let (seen, pending, stats) = (&mut self.seen, &mut self.pending, &mut self.stats);
+            discover_from(
+                self.sigma,
+                &self.seed_atoms,
+                &self.index,
+                fact_id,
+                &mut self.search,
+                &mut |dep, h, body| {
+                    if seen.insert_iter(dep, h.iter().map(|(_, t)| t)).is_some() {
+                        stats.triggers_discovered += 1;
+                        pending.push(dep, h, body);
+                    }
+                },
+            );
         }
-    }
-
-    /// The dedup key of `h`: its terms in variable order. Every assignment
-    /// discovered for one dependency binds exactly its body variables, so
-    /// the terms alone identify it.
-    fn dedup_key(h: &Assignment) -> Vec<GroundTerm> {
-        h.iter().map(|(_, t)| t).collect()
-    }
-
-    /// Every candidate trigger seeded from the live fact `id`, appended to
-    /// `out` in discovery order — the same per-fact search the sharded
-    /// [`discover_batch`](crate::parallel::discover_batch) runs.
-    fn discover_seeded(&self, id: FactId, out: &mut Vec<Trigger>) {
-        discover_from(
-            self.sigma,
-            &self.seed_atoms,
-            &self.index,
-            id,
-            &keep_all,
-            out,
-        );
     }
 
     /// Pops the first discovered trigger accepted by `accept`, trying the
@@ -314,13 +334,22 @@ impl<'a> TriggerEngine<'a> {
         mut accept: impl FnMut(&IndexedInstance, DepId, &Assignment) -> bool,
     ) -> Option<Trigger> {
         self.drain_deltas();
+        let popped = &mut self.popped;
+        popped.dep = None;
         for &id in order {
-            while let Some(mut h) = self.pending[id.0].pop_front() {
-                self.replaced.resolve_all(&mut h);
-                if accept(&self.index, id, &h) {
+            // Most queues are empty: test the dense length before the queue.
+            while self.pending.lens[id.0] > 0 {
+                let fresh = self
+                    .pending
+                    .pop_into(id, &mut popped.assignment, &mut popped.body);
+                let moved = self.replaced.resolve_all(&mut popped.assignment);
+                if accept(&self.index, id, &popped.assignment) {
+                    if fresh && !moved {
+                        popped.dep = Some(id);
+                    }
                     return Some(Trigger {
                         dep: id,
-                        assignment: h,
+                        assignment: popped.assignment.clone(),
                     });
                 }
                 self.stats.triggers_dropped += 1;
@@ -339,28 +368,46 @@ impl<'a> TriggerEngine<'a> {
 
     /// [`TriggerEngine::apply_trigger`] plus a [`StepLog`]: the step's body
     /// image, head ids and rewrite pairs at the [`FactId`] level, for support
-    /// ledgers. The body image is resolved before the step runs (see
-    /// [`StepLog`] for the EGD id-space caveat); the effect and every state
-    /// change are identical to the unlogged call.
+    /// ledgers. The effect and every state change are identical to the
+    /// unlogged call.
+    ///
+    /// For the trigger [`TriggerEngine::next_trigger_where`] returned last,
+    /// with nothing applied, substituted or retracted since, the body image is
+    /// the one discovery found. A trigger whose assignment a substitution
+    /// rewrote between discovery and pop, or one the engine did not pop, has
+    /// its image looked up from `h`. Either way it is taken before the step
+    /// runs (see [`StepLog`] for the EGD id-space caveat).
     pub fn apply_trigger_logged(&mut self, dep_id: DepId, h: &Assignment) -> (StepEffect, StepLog) {
-        let mut log = StepLog::default();
-        let body = self.sigma.get(dep_id).body();
-        let mut terms: Vec<GroundTerm> = Vec::with_capacity(max_arity(body));
-        for atom in body {
-            terms.clear();
-            terms.extend(atom.terms.iter().map(|t| match *t {
-                Term::Var(v) => h.get(v).expect("body variables are bound"),
-                _ => t.as_ground().expect("a non-variable term is ground"),
-            }));
-            let id = self
-                .index
-                .instance()
-                .id_of_parts(atom.predicate, &terms)
-                .expect("a trigger's body maps into the live instance");
-            log.body.push(id);
+        let mut log = StepLog {
+            body: Vec::with_capacity(self.pending.queues[dep_id.0].atoms),
+            ..StepLog::default()
+        };
+        if self.popped.dep == Some(dep_id) && self.popped.assignment == *h {
+            log.body.extend_from_slice(&self.popped.body);
+        } else {
+            log.body = self.look_up_body(dep_id, h);
         }
         let effect = self.apply_trigger_inner(dep_id, h, Some(&mut log));
         (effect, log)
+    }
+
+    /// The ids of the facts `h` maps `dep_id`'s body atoms to, in body order.
+    fn look_up_body(&self, dep_id: DepId, h: &Assignment) -> Vec<FactId> {
+        let body = self.sigma.get(dep_id).body();
+        let mut terms: Vec<GroundTerm> = Vec::with_capacity(max_arity(body));
+        body.iter()
+            .map(|atom| {
+                terms.clear();
+                terms.extend(atom.terms.iter().map(|t| match *t {
+                    Term::Var(v) => h.get(v).expect("body variables are bound"),
+                    _ => t.as_ground().expect("a non-variable term is ground"),
+                }));
+                self.index
+                    .instance()
+                    .id_of_parts(atom.predicate, &terms)
+                    .expect("a trigger's body maps into the live instance")
+            })
+            .collect()
     }
 
     fn apply_trigger_inner(
@@ -369,8 +416,12 @@ impl<'a> TriggerEngine<'a> {
         h: &Assignment,
         mut log: Option<&mut StepLog>,
     ) -> StepEffect {
+        self.popped.dep = None;
         match self.sigma.get(dep_id) {
             Dependency::Tgd(tgd) => {
+                if let Some(log) = log.as_deref_mut() {
+                    log.heads.reserve_exact(tgd.head().len());
+                }
                 let (stats, deltas) = (&mut self.stats, &mut self.deltas);
                 apply_tgd(&mut self.index, tgd, h, |id, new| {
                     record_insert(stats, deltas, id, new);
@@ -413,18 +464,27 @@ impl<'a> TriggerEngine<'a> {
     /// as a fresh delta — a stale dedup entry would silently suppress its
     /// triggers forever.
     pub fn retract_ids(&mut self, ids: &[FactId]) -> usize {
-        let mut found = Vec::new();
+        self.popped.dep = None;
+        let mut key = Vec::new();
+        let (seen, pending, replaced) = (&mut self.seen, &mut self.pending, &mut self.replaced);
         for &id in ids {
             if !self.index.instance().contains_id(id) {
                 continue;
             }
-            self.discover_seeded(id, &mut found);
-            for t in found.drain(..) {
-                if self.seen.remove(t.dep, &Self::dedup_key(&t.assignment)) {
-                    let replaced = &mut self.replaced;
-                    self.pending[t.dep.0].retain(|p| !replaced.resolves_to(p, &t.assignment));
-                }
-            }
+            discover_from(
+                self.sigma,
+                &self.seed_atoms,
+                &self.index,
+                id,
+                &mut self.search,
+                &mut |dep, h, _| {
+                    key.clear();
+                    key.extend(h.iter().map(|(_, t)| t));
+                    if seen.remove(dep, &key) {
+                        pending.retain(dep, |p| !replaced.resolves_to(p, h));
+                    }
+                },
+            );
         }
         let dead: FastSet<FactId> = ids.iter().copied().collect();
         self.deltas.retain(|id| !dead.contains(&id));
@@ -537,17 +597,145 @@ impl Replaced {
         root
     }
 
-    /// Resolves every term of `h` in place.
-    fn resolve_all(&mut self, h: &mut Assignment) {
+    /// Resolves every term of `h` in place; `true` iff one of them changed.
+    fn resolve_all(&mut self, h: &mut Assignment) -> bool {
+        let mut moved = false;
         if !self.0.is_empty() {
-            h.rewrite_terms(|t| self.resolve(t));
+            h.rewrite_terms(|t| {
+                let root = self.resolve(t);
+                moved |= root != t;
+                root
+            });
+        }
+        moved
+    }
+
+    /// `true` iff the pending terms `p` (in variable order) resolve to `h`'s.
+    fn resolves_to(&mut self, p: &[GroundTerm], h: &Assignment) -> bool {
+        p.len() == h.len()
+            && p.iter()
+                .zip(h.iter())
+                .all(|(&t, (_, u))| self.resolve(t) == u)
+    }
+}
+
+/// Every dependency's discovered-but-unpopped triggers. The queue lengths
+/// sit apart from the queues, in one dense array, so that a pop walking the
+/// dependency order past empty queues reads a word per dependency.
+#[derive(Clone, Debug)]
+struct Pending {
+    lens: Vec<usize>,
+    queues: Vec<PendingQueue>,
+}
+
+impl Pending {
+    fn new(sigma: &DependencySet) -> Self {
+        Pending {
+            lens: vec![0; sigma.len()],
+            queues: sigma
+                .iter()
+                .map(|(_, dep)| PendingQueue::new(dep))
+                .collect(),
         }
     }
 
-    /// `true` iff the pending assignment `p` resolves to `h`.
-    fn resolves_to(&mut self, p: &Assignment, h: &Assignment) -> bool {
-        p.len() == h.len() && p.iter().all(|(v, t)| h.get(v) == Some(self.resolve(t)))
+    fn push(&mut self, dep: DepId, h: &Assignment, body: &[FactId]) {
+        self.queues[dep.0].push(h, body);
+        self.lens[dep.0] += 1;
     }
+
+    /// Pops the oldest trigger of `dep`'s non-empty queue: its assignment into
+    /// `h` and its body image into `body`. `false` if that image may be stale.
+    fn pop_into(&mut self, dep: DepId, h: &mut Assignment, body: &mut Vec<FactId>) -> bool {
+        self.lens[dep.0] -= 1;
+        self.queues[dep.0].pop_into(h, body)
+    }
+
+    /// Keeps `dep`'s triggers whose terms `keep` accepts, in order.
+    fn retain(&mut self, dep: DepId, keep: impl FnMut(&[GroundTerm]) -> bool) {
+        let len = &mut self.lens[dep.0];
+        *len = self.queues[dep.0].retain(*len, keep);
+    }
+}
+
+/// One dependency's queued triggers, oldest first, on flat rows: each
+/// trigger's terms (one per body variable, in variable order) and its body
+/// image (one fact id per body atom), in two rings popped in lockstep. Its
+/// length is kept in [`Pending`].
+#[derive(Clone, Debug)]
+struct PendingQueue {
+    /// The dependency's body variables, ascending: what every discovered
+    /// assignment binds.
+    vars: Box<[Variable]>,
+    /// The dependency's body atoms.
+    atoms: usize,
+    terms: VecDeque<GroundTerm>,
+    body: VecDeque<FactId>,
+    /// How many of the oldest triggers have a body image that may name
+    /// rewritten facts (set when replaced nulls are revived).
+    stale: usize,
+}
+
+impl PendingQueue {
+    fn new(dep: &Dependency) -> Self {
+        PendingQueue {
+            vars: dep.body_variables().into_iter().collect(),
+            atoms: dep.body().len(),
+            terms: VecDeque::new(),
+            body: VecDeque::new(),
+            stale: 0,
+        }
+    }
+
+    fn push(&mut self, h: &Assignment, body: &[FactId]) {
+        debug_assert!(h.iter().map(|(v, _)| v).eq(self.vars.iter().copied()));
+        debug_assert_eq!(body.len(), self.atoms);
+        self.terms.extend(h.iter().map(|(_, t)| t));
+        self.body.extend(body);
+    }
+
+    /// Pops the oldest trigger of a non-empty queue; `false` if its image
+    /// may be stale.
+    fn pop_into(&mut self, h: &mut Assignment, body: &mut Vec<FactId>) -> bool {
+        h.rebind(&self.vars, self.terms.drain(..self.vars.len()));
+        body.clear();
+        body.extend(self.body.drain(..self.atoms));
+        let fresh = self.stale == 0;
+        self.stale = self.stale.saturating_sub(1);
+        fresh
+    }
+
+    /// Keeps the first `len` triggers whose terms `keep` accepts, in order;
+    /// returns how many it kept.
+    fn retain(&mut self, len: usize, mut keep: impl FnMut(&[GroundTerm]) -> bool) -> usize {
+        let (n, m) = (self.vars.len(), self.atoms);
+        let terms = self.terms.make_contiguous();
+        let body = self.body.make_contiguous();
+        let (mut kept, mut stale) = (0, 0);
+        for i in 0..len {
+            if keep(&terms[i * n..(i + 1) * n]) {
+                terms.copy_within(i * n..(i + 1) * n, kept * n);
+                body.copy_within(i * m..(i + 1) * m, kept * m);
+                stale += usize::from(i < self.stale);
+                kept += 1;
+            }
+        }
+        self.terms.truncate(kept * n);
+        self.body.truncate(kept * m);
+        self.stale = stale;
+        kept
+    }
+}
+
+/// The trigger [`TriggerEngine::next_trigger_where`] popped last: pending
+/// triggers are popped into `assignment` and `body`, and `dep` is set when an
+/// accepted trigger's body image is good (its terms were not rewritten since
+/// discovery) until the engine next changes its instance.
+#[derive(Clone, Debug, Default)]
+struct Popped {
+    dep: Option<DepId>,
+    assignment: Assignment,
+    body: Vec<FactId>,
 }
 
 #[cfg(test)]
@@ -1047,6 +1235,31 @@ mod tests {
         assert!(log.body.contains(&ground_id));
         assert_eq!(log.rewrites, vec![(null_fact_id, ground_id)]);
         assert!(log.heads.is_empty());
+    }
+
+    #[test]
+    fn logged_bodies_of_rewritten_triggers_are_looked_up() {
+        let p = parse_program("r: P(?x, ?y) -> Q(?x, ?y).").unwrap();
+        let order: Vec<DepId> = p.dependencies.ids().collect();
+        let p_ab = Fact::from_parts("P", vec![gc("a"), gc("b")]);
+        for revive in [false, true] {
+            let mut engine = TriggerEngine::new(&p.dependencies);
+            let (stale, _) = engine.push_fact_full(Fact::from_parts("P", vec![gc("a"), gn(1)]));
+            engine.drain_deltas();
+            // The pending trigger's image names P(a, η1), which γ rewrites.
+            engine.apply_substitution(&subst(1, gc("b")));
+            if revive {
+                // η1 comes back: the pending trigger is resolved in place and
+                // the substitutions are forgotten before it pops.
+                engine.push_facts([Fact::from_parts("P", vec![gc("c"), gn(1)])]);
+            }
+            let t = engine.next_trigger_where(&order, |_, _, _| true).unwrap();
+            assert_eq!(t.assignment.get(Variable::new("y")), Some(gc("b")));
+            let (_, log) = engine.apply_trigger_logged(t.dep, &t.assignment);
+            let fresh = engine.instance().id_of(&p_ab).unwrap();
+            assert_ne!(fresh, stale);
+            assert_eq!(log.body, vec![fresh], "revive {revive}");
+        }
     }
 
     #[test]

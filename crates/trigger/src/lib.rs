@@ -34,10 +34,11 @@
 //!
 //! EGD substitutions are first-class, and a substitution `γ = {η/t}` costs
 //! what mentions `η`: the dedup keys are rewritten through a per-null index
-//! ([`KeySets`], which also holds the oblivious chase's fired keys), pending
-//! triggers are resolved to `γ∘h` when popped, and the rewritten facts
-//! re-enter the worklist because a substitution can *create* matches (e.g. a
-//! body atom `E(x, x)` matching only after two nulls collapse).
+//! ([`KeySets`], flat per-dependency rows that also hold the oblivious chase's
+//! fired keys), pending triggers are resolved to `γ∘h` when popped, and the
+//! rewritten facts re-enter the worklist because a substitution can *create*
+//! matches (e.g. a body atom `E(x, x)` matching only after two nulls
+//! collapse).
 //!
 //! Discovery also runs **in parallel** for round-batched consumers:
 //! [`parallel::discover_batch`] shards a delta batch across the worker pool over

@@ -73,23 +73,19 @@ impl SeedAtoms {
     }
 }
 
-/// The `keep` filter of [`discover_batch`] that keeps every candidate.
-pub(crate) fn keep_all(_: DepId, _: &Assignment) -> bool {
-    true
-}
-
-/// Discovers every candidate trigger seeded from `fact` that `keep` accepts,
-/// in the deterministic order of the sequential drain (seed atoms in
-/// dependency-set order, join enumeration order within each seed), appending
-/// to `out`. Shared by the shard jobs here and the
-/// [`TriggerEngine`](crate::TriggerEngine)'s drain.
+/// Visits every candidate trigger seeded from `fact`, with its body image
+/// (one fact id per body atom, in body order), in the deterministic order of
+/// the sequential drain: seed atoms in dependency-set order, join enumeration
+/// order within each seed. Shared by the shard jobs here and the
+/// [`TriggerEngine`](crate::TriggerEngine)'s drain and retraction. The
+/// searches bind into `scratch`.
 pub(crate) fn discover_from(
     sigma: &DependencySet,
     seeds: &SeedAtoms,
     index: &IndexedInstance,
     fact: FactId,
-    keep: &impl Fn(DepId, &Assignment) -> bool,
-    out: &mut Vec<Trigger>,
+    scratch: &mut Assignment,
+    visit: &mut impl FnMut(DepId, &Assignment, &[FactId]),
 ) {
     let predicate = index.store().predicate_of(fact);
     for &(dep, seed_index) in seeds.seeds_for(predicate) {
@@ -97,13 +93,9 @@ pub(crate) fn discover_from(
         HomomorphismSearch::over_index(body, index).for_each_seeded_id::<()>(
             seed_index,
             fact,
-            &mut |h| {
-                if keep(dep, h) {
-                    out.push(Trigger {
-                        dep,
-                        assignment: h.clone(),
-                    });
-                }
+            scratch,
+            &mut |h, image| {
+                visit(dep, h, image);
                 ControlFlow::Continue(())
             },
         );
@@ -144,8 +136,16 @@ pub fn discover_batch(
     let discover_shard = |shard: &[FactId]| {
         let shard_start = started.map(|_| Instant::now());
         let mut out = Vec::new();
+        let mut scratch = Assignment::new();
         for &fact in shard {
-            discover_from(sigma, seeds, index, fact, keep, &mut out);
+            discover_from(sigma, seeds, index, fact, &mut scratch, &mut |dep, h, _| {
+                if keep(dep, h) {
+                    out.push(Trigger {
+                        dep,
+                        assignment: h.clone(),
+                    });
+                }
+            });
         }
         (out, shard.len(), shard_start.map(|s| s.elapsed()))
     };
@@ -190,6 +190,10 @@ mod tests {
 
     fn gc(s: &str) -> GroundTerm {
         GroundTerm::Const(Constant::new(s))
+    }
+
+    fn keep_all(_: DepId, _: &Assignment) -> bool {
+        true
     }
 
     fn edge(a: &str, b: &str) -> Fact {
