@@ -6,9 +6,11 @@
 //! multiply, and [`Hasher::finish`] rotates the product's well-mixed high bits
 //! into the low bits, which the maps index by (`hash & mask` for the
 //! [`FactStore`](crate::FactStore)'s open-addressing tables, the bucket index
-//! for `std`'s `HashMap`). Keys are ids the program allocated, never raw
+//! for `std`'s `HashMap`). Those keys are ids the program allocated, never raw
 //! outside input, so the collision resistance of the default `SipHash` buys
-//! nothing here.
+//! nothing there. The one exception is the symbol table, keyed by the names of
+//! the programs a caller parses: names crafted to collide would slow
+//! interning, so a caller that parses untrusted programs bounds their size.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
