@@ -12,12 +12,10 @@
 //!   slices;
 //! - **probe** — ns/op for 100k random exact-fact lookups through the
 //!   open-addressing dedup table, issued through the bulk
-//!   `FactStore::lookup_batch` path (software-pipelined groups of eight, so
-//!   independent DRAM misses overlap — the representative shape for engine
-//!   bulk dedup). The one-at-a-time `FactStore::lookup` latency is reported
-//!   alongside as `lookup1` but not gated: a single dependent probe chain
-//!   pays full serialized miss latency on a DRAM-resident store, which
-//!   measures the memory hierarchy, not the data structure;
+//!   `FactStore::lookup_batch` path (every query hashed first, then the term
+//!   table, the dedup table and the strips each swept in address order). The
+//!   one-at-a-time `FactStore::lookup` latency is reported alongside as
+//!   `lookup1` but not gated;
 //! - **scan** — ns/fact to sweep every column strip (the cache-linear path
 //!   joins take per position);
 //! - **footprint** — bytes/fact of the columnar layout vs. the row-major
@@ -176,8 +174,7 @@ impl Row {
 }
 
 /// Feeds `flat` into `instance` through the bulk `extend_parts` path in
-/// 1M-fact batches (matching the store's internal chunking) — the loading
-/// shape real million-fact ingests use.
+/// 1M-fact batches, so the borrowed batch stays bounded at 10M facts.
 fn load_bulk(instance: &mut Instance, flat: &FlatFacts) {
     let mut buf: Vec<(Predicate, &[GroundTerm])> = Vec::with_capacity(flat.len().min(1 << 20));
     let mut i = 0;

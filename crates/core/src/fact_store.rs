@@ -48,8 +48,16 @@
 //! predicate differ are skipped without touching any other structure, and a
 //! candidate match is confirmed by comparing the cells at `(predicate, row)`
 //! straight against the strips — one dependent memory hop, not a chain through
-//! the per-fact meta records. This is what keeps probe latency flat from 100k
-//! to 10M facts: the table walk costs O(1) cache lines regardless of store size.
+//! the per-fact meta records, so the table walk costs O(1) cache lines
+//! regardless of store size.
+//!
+//! There is one way in: facts are interned one at a time.
+//! [`FactStore::try_intern`], [`FactStore::intern_copied`], compaction and
+//! bulk loads through [`Instance::extend_parts`](crate::Instance::extend_parts)
+//! translate and hash their terms through one core, an EGD rewrite
+//! ([`FactStore::intern_rewritten`]) hashes its swapped cells, and all of them
+//! probe both tables with the same walks. A loaded snapshot refills the
+//! tables through those walks too, in id order.
 //!
 //! ## Capacity and overflow
 //!
@@ -258,7 +266,7 @@ impl FactStore {
     /// A store with tiny injected id capacities, for exercising the overflow
     /// guards without interning four billion entries.
     #[cfg(test)]
-    fn with_limits(max_terms: u32, max_facts: u32) -> Self {
+    pub(crate) fn with_limits(max_terms: u32, max_facts: u32) -> Self {
         FactStore {
             max_terms,
             max_facts,
@@ -365,6 +373,13 @@ impl FactStore {
         if self.term_table.is_empty() {
             return None;
         }
+        self.find_term(term).ok()
+    }
+
+    /// Walks the term table from `term`'s home slot. Returns the term's id, or
+    /// the empty slot where it would be inserted together with the 32-bit hash
+    /// tag to store there. The table must not be empty.
+    fn find_term(&self, term: GroundTerm) -> Result<TermId, (usize, u32)> {
         let hash = hash_one(&term);
         let tag = (hash >> 32) as u32;
         let mask = self.term_table.len() - 1;
@@ -372,32 +387,37 @@ impl FactStore {
         loop {
             let b = self.term_table[slot];
             if b.id == EMPTY_TERM_BUCKET.id {
-                return None;
+                return Err((slot, tag));
             }
             if b.tag == tag && b.term == term {
-                return Some(TermId(b.id));
+                return Ok(TermId(b.id));
             }
             slot = (slot + 1) & mask;
         }
     }
 
-    fn grow_term_table(&mut self) {
-        let new_cap = (self.term_table.len().max(8)) * 2;
-        let mut fresh = vec![EMPTY_TERM_BUCKET; new_cap];
-        let mask = new_cap - 1;
+    /// Fills the empty term table with the dictionary, in `TermId` order.
+    /// Returns the first term that is already in the table.
+    fn fill_term_table(&mut self) -> Result<(), TermId> {
         for (i, &term) in self.dict.iter().enumerate() {
-            let hash = hash_one(&term);
-            let mut slot = (hash as usize) & mask;
-            while fresh[slot].id != EMPTY_TERM_BUCKET.id {
-                slot = (slot + 1) & mask;
+            match self.find_term(term) {
+                Ok(_) => return Err(TermId(i as u32)),
+                Err((slot, tag)) => {
+                    self.term_table[slot] = TermBucket {
+                        term,
+                        id: i as u32,
+                        tag,
+                    }
+                }
             }
-            fresh[slot] = TermBucket {
-                term,
-                id: i as u32,
-                tag: (hash >> 32) as u32,
-            };
         }
-        self.term_table = fresh;
+        Ok(())
+    }
+
+    fn grow_term_table(&mut self) {
+        self.term_table = vec![EMPTY_TERM_BUCKET; self.term_table.len().max(8) * 2];
+        self.fill_term_table()
+            .expect("the dictionary holds each term once");
     }
 
     /// Interns a ground term into the dictionary, returning its dense id; fails
@@ -407,20 +427,10 @@ impl FactStore {
         if self.term_table.len() < (self.dict.len() + 1) * 2 {
             self.grow_term_table();
         }
-        let hash = hash_one(&term);
-        let tag = (hash >> 32) as u32;
-        let mask = self.term_table.len() - 1;
-        let mut slot = (hash as usize) & mask;
-        loop {
-            let b = self.term_table[slot];
-            if b.id == EMPTY_TERM_BUCKET.id {
-                break;
-            }
-            if b.tag == tag && b.term == term {
-                return Ok(TermId(b.id));
-            }
-            slot = (slot + 1) & mask;
-        }
+        let (slot, tag) = match self.find_term(term) {
+            Ok(id) => return Ok(id),
+            Err(empty) => empty,
+        };
         if self.dict.len() >= self.max_terms as usize {
             return Err(CoreError::CapacityExhausted {
                 resource: "term dictionary",
@@ -435,10 +445,6 @@ impl FactStore {
             tag,
         };
         Ok(id)
-    }
-
-    fn intern_term(&mut self, term: GroundTerm) -> TermId {
-        self.try_intern_term(term).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The column strip of `pred` at argument position `position`: one
@@ -535,10 +541,6 @@ impl FactStore {
         h.finish()
     }
 
-    fn hash_cells(&self, pred: PredicateId, cells: &[TermId]) -> u64 {
-        Self::hash_fact(pred, cells.iter().map(|c| self.dict[c.0 as usize]))
-    }
-
     /// Walks the dedup table from `hash`'s home slot. Returns the first bucket
     /// whose tag and predicate match and whose row satisfies `matches`, or the
     /// empty slot where the fact would be inserted together with the 32-bit
@@ -565,9 +567,7 @@ impl FactStore {
         }
     }
 
-    /// Probes the dedup table for `(pred, cells)` with the value hash in hand (the
-    /// interning paths fold the hash in while translating terms, so the
-    /// dictionary is not re-read per cell).
+    /// Probes the dedup table for `(pred, cells)` with the value hash in hand.
     fn probe_cells_hashed(
         &self,
         hash: u64,
@@ -582,100 +582,67 @@ impl FactStore {
         })
     }
 
-    fn grow_table(&mut self) {
-        let new_cap = (self.table.len().max(8)) * 2;
-        let mut fresh = vec![EMPTY_BUCKET; new_cap];
-        let mask = new_cap - 1;
-        let mut cells: Vec<TermId> = Vec::new();
-        for (i, m) in self.meta.iter().enumerate() {
-            let strip = &self.strips[m.pred.0 as usize];
-            cells.clear();
-            cells.extend(strip.columns.iter().map(|col| col[m.row as usize]));
-            let hash = self.hash_cells(m.pred, &cells);
-            let mut slot = (hash as usize) & mask;
-            while fresh[slot].fact != EMPTY_BUCKET.fact {
-                slot = (slot + 1) & mask;
-            }
-            fresh[slot] = Bucket {
-                fact: i as u32,
-                pred: m.pred.0,
-                row: m.row,
-                tag: (hash >> 32) as u32,
+    /// Fills the empty dedup table with every interned fact, in `FactId`
+    /// order. Returns the first fact whose cells repeat an earlier fact's,
+    /// together with that earlier fact.
+    fn fill_table(&mut self) -> Result<(), (FactId, FactId)> {
+        for i in 0..self.meta.len() {
+            let FactMeta { pred, row } = self.meta[i];
+            let columns = &self.strips[pred.0 as usize].columns;
+            let hash = Self::hash_fact(
+                pred,
+                columns
+                    .iter()
+                    .map(|col| self.dict[col[row as usize].0 as usize]),
+            );
+            let same_cells = |strip: &Strip, other: u32| {
+                strip
+                    .columns
+                    .iter()
+                    .all(|col| col[other as usize] == col[row as usize])
             };
-        }
-        self.table = fresh;
-    }
-
-    /// Interns a fact given as already-dictionary-interned cells.
-    fn try_intern_cells(
-        &mut self,
-        pred: PredicateId,
-        cells: &[TermId],
-    ) -> Result<FactId, CoreError> {
-        self.try_intern_cells_hashed(self.hash_cells(pred, cells), pred, cells)
-    }
-
-    /// [`FactStore::try_intern_cells`] with the value hash already in hand.
-    fn try_intern_cells_hashed(
-        &mut self,
-        hash: u64,
-        pred: PredicateId,
-        cells: &[TermId],
-    ) -> Result<FactId, CoreError> {
-        // Keep the load factor ≤ 1/2 so probe chains stay short.
-        if self.table.len() < (self.meta.len() + 1) * 2 {
-            self.grow_table();
-        }
-        match self.probe_cells_hashed(hash, pred, cells) {
-            Ok(id) => Ok(id),
-            Err((slot, tag)) => {
-                if self.meta.len() >= self.max_facts as usize {
-                    return Err(CoreError::CapacityExhausted {
-                        resource: "fact-id space",
-                        capacity: self.max_facts as u64,
-                    });
+            match self.probe_with(hash, pred, same_cells) {
+                Ok(earlier) => return Err((FactId(i as u32), earlier)),
+                Err((slot, tag)) => {
+                    self.table[slot] = Bucket {
+                        fact: i as u32,
+                        pred: pred.0,
+                        row,
+                        tag,
+                    }
                 }
-                let id = FactId(self.meta.len() as u32);
-                let strip = &mut self.strips[pred.0 as usize];
-                let row = strip.fact_of_row.len() as u32;
-                for (col, &c) in strip.columns.iter_mut().zip(cells) {
-                    col.push(c);
-                }
-                strip.fact_of_row.push(id);
-                self.meta.push(FactMeta { pred, row });
-                self.table[slot] = Bucket {
-                    fact: id.0,
-                    pred: pred.0,
-                    row,
-                    tag,
-                };
-                Ok(id)
             }
         }
+        Ok(())
     }
 
-    /// Interns a fact given as predicate + argument terms; returns its dense id,
-    /// or [`CoreError::CapacityExhausted`] when the dictionary or the fact-id
-    /// space is full. Interning an already-present fact returns the existing id.
-    pub fn try_intern(
+    fn grow_table(&mut self) {
+        self.table = vec![EMPTY_BUCKET; self.table.len().max(8) * 2];
+        self.fill_table().expect("the store holds each fact once");
+    }
+
+    /// The translate-and-hash core behind every path that interns terms:
+    /// `items` yields each argument term of a `pred` fact in order, with
+    /// whatever `cell` needs to find the term's cell in this store's
+    /// dictionary. The fact's value hash is folded in while translating, so
+    /// the dictionary is not re-read to hash. Returns the existing id of an
+    /// interned fact, or appends the fact to `pred`'s strips under the next id.
+    fn try_intern_with<T>(
         &mut self,
-        predicate: Predicate,
-        terms: &[GroundTerm],
+        pred: PredicateId,
+        items: impl IntoIterator<Item = (GroundTerm, T)>,
+        mut cell: impl FnMut(&mut FactStore, GroundTerm, T) -> Result<TermId, CoreError>,
     ) -> Result<FactId, CoreError> {
-        debug_assert_eq!(predicate.arity, terms.len());
-        let pred = self.predicate_id(predicate);
         let mut cells = std::mem::take(&mut self.scratch);
         cells.clear();
-        // Fold the fact's value hash in while translating terms, so the hot
-        // intern path never re-reads the dictionary to hash.
         let mut h = WordHasher::default();
         pred.0.hash(&mut h);
         let mut failed = None;
-        for &t in terms {
-            match self.try_intern_term(t) {
+        for (term, item) in items {
+            match cell(self, term, item) {
                 Ok(c) => {
                     cells.push(c);
-                    t.hash(&mut h);
+                    term.hash(&mut h);
                 }
                 Err(e) => {
                     failed = Some(e);
@@ -689,6 +656,58 @@ impl FactStore {
         };
         self.scratch = cells;
         result
+    }
+
+    /// Interns a fact given as dictionary cells, with its value hash in hand.
+    fn try_intern_cells_hashed(
+        &mut self,
+        hash: u64,
+        pred: PredicateId,
+        cells: &[TermId],
+    ) -> Result<FactId, CoreError> {
+        // Keep the load factor ≤ 1/2 so probe chains stay short.
+        if self.table.len() < (self.meta.len() + 1) * 2 {
+            self.grow_table();
+        }
+        let (slot, tag) = match self.probe_cells_hashed(hash, pred, cells) {
+            Ok(id) => return Ok(id),
+            Err(empty) => empty,
+        };
+        if self.meta.len() >= self.max_facts as usize {
+            return Err(CoreError::CapacityExhausted {
+                resource: "fact-id space",
+                capacity: self.max_facts as u64,
+            });
+        }
+        let id = FactId(self.meta.len() as u32);
+        let strip = &mut self.strips[pred.0 as usize];
+        let row = strip.fact_of_row.len() as u32;
+        for (col, &c) in strip.columns.iter_mut().zip(cells) {
+            col.push(c);
+        }
+        strip.fact_of_row.push(id);
+        self.meta.push(FactMeta { pred, row });
+        self.table[slot] = Bucket {
+            fact: id.0,
+            pred: pred.0,
+            row,
+            tag,
+        };
+        Ok(id)
+    }
+
+    /// Interns a fact given as predicate + argument terms; returns its dense id,
+    /// or [`CoreError::CapacityExhausted`] when the dictionary or the fact-id
+    /// space is full. Interning an already-present fact returns the existing id.
+    pub fn try_intern(
+        &mut self,
+        predicate: Predicate,
+        terms: &[GroundTerm],
+    ) -> Result<FactId, CoreError> {
+        debug_assert_eq!(predicate.arity, terms.len());
+        let pred = self.predicate_id(predicate);
+        let items = terms.iter().map(|&t| (t, ()));
+        self.try_intern_with(pred, items, |store, t, ()| store.try_intern_term(t))
     }
 
     /// Interns a fact given as predicate + argument terms; returns its dense id.
@@ -709,298 +728,6 @@ impl FactStore {
         self.intern(fact.predicate, &fact.terms)
     }
 
-    /// Bulk interning: interns every `(predicate, terms)` fact of `batch` and
-    /// returns their ids in input order. Duplicates — against the store or
-    /// within the batch — resolve to the same id, and fact ids are assigned
-    /// in input order, exactly as repeated [`FactStore::try_intern`] calls
-    /// would assign them; only the dictionary-internal [`TermId`] assignment
-    /// order may differ (values, not ids, define fact identity).
-    ///
-    /// Like [`FactStore::lookup_batch`], the batch is processed in phases that
-    /// sweep each hash table in address order (chunked, so the per-chunk sorts
-    /// stay cache-resident): value hashes first, then one sorted sweep that
-    /// translates-or-interns ground terms, then a sorted dedup-table resolve,
-    /// then input-order fact insertion. On a DRAM-resident store the sweeps
-    /// turn dependent random misses into near-sequential streams — the
-    /// intended loading path for million-fact instances. If a table must grow
-    /// mid-chunk, the remainder of that chunk takes the plain per-fact path
-    /// (growth is amortised-rare, and a store pre-sized with
-    /// [`FactStore::with_capacity`] never grows).
-    ///
-    /// On a capacity error, facts before the failing one stay interned — the
-    /// same partial-progress contract as sequential interning.
-    pub fn try_intern_batch(
-        &mut self,
-        batch: &[(Predicate, &[GroundTerm])],
-    ) -> Result<Vec<FactId>, CoreError> {
-        Ok(self.try_intern_batch_tracking_nulls(batch)?.0)
-    }
-
-    /// [`FactStore::try_intern_batch`] plus the largest null label occurring
-    /// anywhere in `batch` — observed for free while hashing, so
-    /// `Instance::try_extend_parts` can maintain its null allocator without
-    /// re-reading every interned fact's terms through the dictionary.
-    pub(crate) fn try_intern_batch_tracking_nulls(
-        &mut self,
-        batch: &[(Predicate, &[GroundTerm])],
-    ) -> Result<(Vec<FactId>, Option<u64>), CoreError> {
-        let mut out = Vec::with_capacity(batch.len());
-        let mut max_null = None;
-        for chunk in batch.chunks(1 << 20) {
-            self.intern_chunk(chunk, &mut out, &mut max_null)?;
-        }
-        Ok((out, max_null))
-    }
-
-    fn intern_chunk(
-        &mut self,
-        chunk: &[(Predicate, &[GroundTerm])],
-        out: &mut Vec<FactId>,
-        max_null: &mut Option<u64>,
-    ) -> Result<(), CoreError> {
-        let n = chunk.len();
-        // Phase A: predicates, value hashes, flat cell layout (CPU, streaming).
-        let mut pred = Vec::with_capacity(n);
-        let mut fhash = Vec::with_capacity(n);
-        let mut start = Vec::with_capacity(n + 1);
-        start.push(0u32);
-        let mut total = 0usize;
-        for &(p, terms) in chunk {
-            debug_assert_eq!(p.arity, terms.len());
-            let pid = self.predicate_id(p);
-            pred.push(pid);
-            fhash.push(Self::hash_fact(pid, terms.iter().copied()));
-            total += terms.len();
-            start.push(total as u32);
-        }
-
-        // Phase B: one sweep in term-table address order that translates known
-        // terms and interns new ones in place (a walk that lands on an empty
-        // slot may claim it — sweep order preserves linear-probing chains).
-        let mut cells = vec![TermId(0); total];
-        if total > 0 {
-            if self.term_table.is_empty() {
-                self.grow_term_table();
-            }
-            // Each request carries its term and hash inline so the sorted
-            // sweep below reads nothing but the request stream and the table —
-            // fetching them through a flat-index indirection would turn every
-            // sweep step into scattered reads of the chunk-sized side arrays.
-            #[derive(Clone, Copy)]
-            struct TermReq {
-                /// `(home slot << 32) | flat cell index`.
-                key: u64,
-                term: GroundTerm,
-                hash: u64,
-            }
-            let tmask = self.term_table.len() - 1;
-            let mut reqs: Vec<TermReq> = Vec::with_capacity(total);
-            for (i, &(_, terms)) in chunk.iter().enumerate() {
-                let base = start[i] as usize;
-                for (j, &t) in terms.iter().enumerate() {
-                    if let GroundTerm::Null(nv) = t {
-                        *max_null = Some(max_null.map_or(nv.0, |m: u64| m.max(nv.0)));
-                    }
-                    let h = hash_one(&t);
-                    reqs.push(TermReq {
-                        key: ((((h as usize) & tmask) as u64) << 32) | (base + j) as u64,
-                        term: t,
-                        hash: h,
-                    });
-                }
-            }
-            reqs.sort_unstable_by_key(|r| r.key);
-            // Every occurrence of one term sorts to the same home slot, so
-            // repeats of the chunk's heavy terms are adjacent: resolve each
-            // distinct (slot, term) once and copy the cell forward.
-            let mut k = 0usize;
-            'sweep: while k < reqs.len() {
-                let tmask = self.term_table.len() - 1;
-                let mut prev: Option<usize> = None;
-                while k < reqs.len() {
-                    let r = reqs[k];
-                    let flat = r.key as u32 as usize;
-                    if let Some(p) = prev {
-                        let pr = reqs[p];
-                        if pr.key >> 32 == r.key >> 32 && pr.term == r.term {
-                            cells[flat] = cells[pr.key as u32 as usize];
-                            k += 1;
-                            continue;
-                        }
-                    }
-                    prev = Some(k);
-                    let tag = (r.hash >> 32) as u32;
-                    let mut slot = (r.key >> 32) as usize;
-                    loop {
-                        let b = self.term_table[slot];
-                        if b.id == EMPTY_TERM_BUCKET.id {
-                            if self.term_table.len() < (self.dict.len() + 1) * 2 {
-                                // Growth is due, which rehashes every home
-                                // slot and so forces a rekey + re-sort of the
-                                // unswept tail. One doubling per trigger would
-                                // repeat that once per doubling (~20 times
-                                // when a fresh store loads its first chunk) —
-                                // instead, count the distinct term hashes
-                                // still unswept and grow once to cover them
-                                // all, then resume the sweep on the tail.
-                                let mut hashes: Vec<u64> =
-                                    reqs[k..].iter().map(|r| r.hash).collect();
-                                hashes.sort_unstable();
-                                hashes.dedup();
-                                let distinct = hashes.len();
-                                drop(hashes);
-                                while self.term_table.len() < (self.dict.len() + distinct + 1) * 2 {
-                                    self.grow_term_table();
-                                }
-                                let nmask = (self.term_table.len() - 1) as u64;
-                                for r in &mut reqs[k..] {
-                                    r.key =
-                                        ((r.hash & nmask) << 32) | (r.key & u64::from(u32::MAX));
-                                }
-                                reqs[k..].sort_unstable_by_key(|r| r.key);
-                                continue 'sweep;
-                            }
-                            if self.dict.len() >= self.max_terms as usize {
-                                return Err(CoreError::CapacityExhausted {
-                                    resource: "term dictionary",
-                                    capacity: self.max_terms as u64,
-                                });
-                            }
-                            let id = TermId(self.dict.len() as u32);
-                            self.dict.push(r.term);
-                            self.term_table[slot] = TermBucket {
-                                term: r.term,
-                                id: id.0,
-                                tag,
-                            };
-                            cells[flat] = id;
-                            break;
-                        }
-                        if b.tag == tag && b.term == r.term {
-                            cells[flat] = TermId(b.id);
-                            break;
-                        }
-                        slot = (slot + 1) & tmask;
-                    }
-                    k += 1;
-                }
-            }
-        }
-
-        // Phase C... — an existing id, or the empty slot where it would insert.
-        // Pre-grow the fact table to fit the whole chunk (the worst case of
-        // every fact being new), so neither sorted pass below ever rehashes
-        // mid-chunk; doubling reaches the same final capacity as the per-fact
-        // growth path, so the amortized work and footprint are unchanged.
-        while self.table.len() < (self.meta.len() + n + 1) * 2 {
-            self.grow_table();
-        }
-        let mask = self.table.len() - 1;
-        // As in phase B, the request carries everything the walk compares on
-        // (tag and predicate) so the sweep streams instead of gathering.
-        #[derive(Clone, Copy)]
-        struct FactReq {
-            /// `(home slot << 32) | chunk position`.
-            key: u64,
-            tag: u32,
-            pid: u32,
-        }
-        let mut reqs: Vec<FactReq> = (0..n)
-            .map(|i| FactReq {
-                key: ((((fhash[i] as usize) & mask) as u64) << 32) | i as u64,
-                tag: (fhash[i] >> 32) as u32,
-                pid: pred[i].0,
-            })
-            .collect();
-        reqs.sort_unstable_by_key(|r| r.key);
-        // Per chunk position: `(1 << 63) | fact` for a fact already in the
-        // table, otherwise the empty slot its walk ended on. Every position is
-        // written exactly once, so the zero init is never read.
-        let mut probe = vec![0u64; n];
-        for &r in &reqs {
-            let q = r.key as u32 as usize;
-            let mut slot = (r.key >> 32) as usize;
-            loop {
-                let b = self.table[slot];
-                if b.fact == EMPTY_BUCKET.fact {
-                    probe[q] = slot as u64;
-                    break;
-                }
-                if b.tag == r.tag
-                    && b.pred == r.pid
-                    && cells[start[q] as usize..start[q + 1] as usize]
-                        .iter()
-                        .zip(&self.strips[r.pid as usize].columns)
-                        .all(|(&c, col)| col[b.row as usize] == c)
-                {
-                    probe[q] = (1 << 63) | u64::from(b.fact);
-                    break;
-                }
-                slot = (slot + 1) & mask;
-            }
-        }
-
-        // Phase D: insert in input order, so fact ids come out exactly as
-        // sequential interning would assign them. A walk restarts from the
-        // recorded slot: an earlier insert of this chunk may have claimed it
-        // (including an identical fact, which then resolves as a duplicate).
-        for q in 0..n {
-            let p = probe[q];
-            if p >> 63 == 1 {
-                out.push(FactId(p as u32));
-                continue;
-            }
-            if self.meta.len() >= self.max_facts as usize {
-                return Err(CoreError::CapacityExhausted {
-                    resource: "fact-id space",
-                    capacity: self.max_facts as u64,
-                });
-            }
-            let pid = pred[q];
-            let tag = (fhash[q] >> 32) as u32;
-            let span = start[q] as usize..start[q + 1] as usize;
-            let mut slot = p as usize;
-            let mut existing = None;
-            loop {
-                let b = self.table[slot];
-                if b.fact == EMPTY_BUCKET.fact {
-                    break;
-                }
-                if b.tag == tag
-                    && b.pred == pid.0
-                    && cells[span.clone()]
-                        .iter()
-                        .zip(&self.strips[pid.0 as usize].columns)
-                        .all(|(&c, col)| col[b.row as usize] == c)
-                {
-                    existing = Some(b.fact);
-                    break;
-                }
-                slot = (slot + 1) & mask;
-            }
-            if let Some(f) = existing {
-                out.push(FactId(f));
-                continue;
-            }
-            let id = FactId(self.meta.len() as u32);
-            let strip = &mut self.strips[pid.0 as usize];
-            let row = strip.fact_of_row.len() as u32;
-            for (col, &c) in strip.columns.iter_mut().zip(&cells[span]) {
-                col.push(c);
-            }
-            strip.fact_of_row.push(id);
-            self.meta.push(FactMeta { pred: pid, row });
-            self.table[slot] = Bucket {
-                fact: id.0,
-                pred: pid.0,
-                row,
-                tag,
-            };
-            out.push(id);
-        }
-        Ok(())
-    }
-
     /// Re-interns the fact `id` of `src` into this store (predicate, dictionary
     /// terms and cells are translated), returning the local id. The cross-store
     /// copy primitive behind [`Instance`](crate::Instance) union / restriction
@@ -1008,20 +735,12 @@ impl FactStore {
     pub fn intern_copied(&mut self, src: &FactStore, id: FactId) -> FactId {
         let m = src.meta[id.0 as usize];
         let pred = self.predicate_id(src.predicates[m.pred.0 as usize]);
-        let mut cells = std::mem::take(&mut self.scratch);
-        cells.clear();
-        let mut h = WordHasher::default();
-        pred.0.hash(&mut h);
-        for col in &src.strips[m.pred.0 as usize].columns {
-            let term = src.dict[col[m.row as usize].0 as usize];
-            cells.push(self.intern_term(term));
-            term.hash(&mut h);
-        }
-        let out = self
-            .try_intern_cells_hashed(h.finish(), pred, &cells)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.scratch = cells;
-        out
+        let items = src.strips[m.pred.0 as usize]
+            .columns
+            .iter()
+            .map(|col| (src.dict[col[m.row as usize].0 as usize], ()));
+        self.try_intern_with(pred, items, |store, t, ()| store.try_intern_term(t))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`FactStore::intern_copied`], but memoising the `src`-dictionary →
@@ -1038,57 +757,54 @@ impl FactStore {
     ) -> FactId {
         let m = src.meta[id.0 as usize];
         let pred = self.predicate_id(src.predicates[m.pred.0 as usize]);
-        let mut cells = std::mem::take(&mut self.scratch);
-        cells.clear();
-        let mut h = WordHasher::default();
-        pred.0.hash(&mut h);
-        for col in &src.strips[m.pred.0 as usize].columns {
+        let items = src.strips[m.pred.0 as usize].columns.iter().map(|col| {
             let old = col[m.row as usize];
-            let term = src.dict[old.0 as usize];
-            term.hash(&mut h);
-            let slot = memo[old.0 as usize];
-            let cell = if slot != u32::MAX {
-                TermId(slot)
-            } else {
-                let c = self.intern_term(term);
-                memo[old.0 as usize] = c.0;
-                c
-            };
-            cells.push(cell);
-        }
-        let out = self
-            .try_intern_cells_hashed(h.finish(), pred, &cells)
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.scratch = cells;
-        out
+            (src.dict[old.0 as usize], old)
+        });
+        self.try_intern_with(pred, items, |store, term, old| {
+            if memo[old.0 as usize] == u32::MAX {
+                memo[old.0 as usize] = store.try_intern_term(term)?.0;
+            }
+            Ok(TermId(memo[old.0 as usize]))
+        })
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     const INLINE_ARITY: usize = 16;
 
-    /// Looks up a fact without interning it; `None` if it was never interned.
-    /// Any term absent from the dictionary occurs in no fact, so the lookup
-    /// misses immediately. The query terms are translated through the
-    /// inline-key term table (independent single-line probes the CPU can
-    /// overlap) and the fact hash is computed from the term values directly,
-    /// so the dedup-table walk and the cell comparisons form a two-hop
-    /// dependency chain regardless of store size.
-    pub fn lookup(&self, predicate: Predicate, terms: &[GroundTerm]) -> Option<FactId> {
-        let pred = self.lookup_predicate(predicate)?;
+    /// The one lookup core: `terms` yields the query's argument terms. Any
+    /// term absent from the dictionary occurs in no fact, so the lookup misses
+    /// immediately. The query terms are translated through the inline-key
+    /// term table (independent single-line probes the CPU can overlap) and the
+    /// fact hash is computed from the term values directly, so the dedup-table
+    /// walk and the cell comparisons form a two-hop dependency chain
+    /// regardless of store size.
+    fn lookup_with(
+        &self,
+        pred: PredicateId,
+        terms: impl ExactSizeIterator<Item = GroundTerm> + Clone,
+    ) -> Option<FactId> {
         if self.table.is_empty() {
             return None;
         }
-        let hash = Self::hash_fact(pred, terms.iter().copied());
-        if terms.len() <= Self::INLINE_ARITY {
+        let hash = Self::hash_fact(pred, terms.clone());
+        let arity = terms.len();
+        if arity <= Self::INLINE_ARITY {
             let mut buf = [TermId(0); Self::INLINE_ARITY];
-            for (slot, &t) in buf.iter_mut().zip(terms) {
-                *slot = self.term_id(t)?;
+            for (cell, t) in buf.iter_mut().zip(terms) {
+                *cell = self.term_id(t)?;
             }
-            self.probe_cells_hashed(hash, pred, &buf[..terms.len()])
-                .ok()
+            self.probe_cells_hashed(hash, pred, &buf[..arity]).ok()
         } else {
-            let cells: Option<Vec<TermId>> = terms.iter().map(|&t| self.term_id(t)).collect();
+            let cells: Option<Vec<TermId>> = terms.map(|t| self.term_id(t)).collect();
             self.probe_cells_hashed(hash, pred, &cells?).ok()
         }
+    }
+
+    /// Looks up a fact without interning it; `None` if it was never interned.
+    pub fn lookup(&self, predicate: Predicate, terms: &[GroundTerm]) -> Option<FactId> {
+        let pred = self.lookup_predicate(predicate)?;
+        self.lookup_with(pred, terms.iter().copied())
     }
 
     /// Looks up a [`Fact`] value without interning it.
@@ -1099,16 +815,12 @@ impl FactStore {
     /// Bulk membership: resolves each `(predicate, terms)` query to its
     /// interned fact id (`None` where the fact was never interned).
     ///
-    /// Large batches are processed out-of-order, database-style (partitioned /
-    /// vectorized probing): all query hashes are computed up front, then each
-    /// table-walking phase — term translation, dedup-bucket walk, strip
-    /// verification — runs over its requests **sorted by target address**, so
-    /// a phase sweeps its table in address order instead of hopping randomly
-    /// through it. On a DRAM-resident store this turns dependent random misses
-    /// into hardware-prefetchable near-sequential streams, which is what keeps
-    /// bulk probe throughput flat as the store outgrows the caches; a
-    /// one-at-a-time [`FactStore::lookup`] loop instead pays serialized miss
-    /// latency on every hop. Batches under 32 queries take the plain path.
+    /// Batches of 32 queries or more are processed in phases: all query hashes
+    /// are computed up front, then term translation, the dedup-bucket walk
+    /// and the strip verification each run over their requests sorted by
+    /// target address. Smaller batches take one [`FactStore::lookup`] per
+    /// query. The `fact_store` bench gates its probe latency on this path; it
+    /// has measured slower than one `lookup` per query at 100k and at 1M facts.
     pub fn lookup_batch(&self, queries: &[(Predicate, &[GroundTerm])]) -> Vec<Option<FactId>> {
         let n = queries.len();
         let mut out = vec![None; n];
@@ -1247,31 +959,13 @@ impl FactStore {
     pub fn lookup_copied(&self, src: &FactStore, id: FactId) -> Option<FactId> {
         let m = src.meta[id.0 as usize];
         let pred = self.lookup_predicate(src.predicates[m.pred.0 as usize])?;
-        if self.table.is_empty() {
-            return None;
-        }
-        let src_columns = &src.strips[m.pred.0 as usize].columns;
-        let src_row = m.row as usize;
-        let hash = Self::hash_fact(
+        let columns = &src.strips[m.pred.0 as usize].columns;
+        self.lookup_with(
             pred,
-            src_columns
+            columns
                 .iter()
-                .map(|col| src.dict[col[src_row].0 as usize]),
-        );
-        if src_columns.len() <= Self::INLINE_ARITY {
-            let mut buf = [TermId(0); Self::INLINE_ARITY];
-            for (slot, col) in buf.iter_mut().zip(src_columns) {
-                *slot = self.term_id(src.dict[col[src_row].0 as usize])?;
-            }
-            self.probe_cells_hashed(hash, pred, &buf[..src_columns.len()])
-                .ok()
-        } else {
-            let cells: Option<Vec<TermId>> = src_columns
-                .iter()
-                .map(|col| self.term_id(src.dict[col[src_row].0 as usize]))
-                .collect();
-            self.probe_cells_hashed(hash, pred, &cells?).ok()
-        }
+                .map(|col| src.dict[col[m.row as usize].0 as usize]),
+        )
     }
 
     /// Interns the image of fact `id` under the substitution `γ` and returns the
@@ -1289,16 +983,23 @@ impl FactStore {
         if !self.mentions(id, needle) {
             return id;
         }
-        let to_cell = self.intern_term(target);
+        let to_cell = self
+            .try_intern_term(target)
+            .unwrap_or_else(|e| panic!("{e}"));
         let m = self.meta[id.0 as usize];
         let mut cells = std::mem::take(&mut self.scratch);
         cells.clear();
-        for col in &self.strips[m.pred.0 as usize].columns {
+        cells.extend(self.strips[m.pred.0 as usize].columns.iter().map(|col| {
             let c = col[m.row as usize];
-            cells.push(if c == needle { to_cell } else { c });
-        }
+            if c == needle {
+                to_cell
+            } else {
+                c
+            }
+        }));
+        let hash = Self::hash_fact(m.pred, cells.iter().map(|c| self.dict[c.0 as usize]));
         let new = self
-            .try_intern_cells(m.pred, &cells)
+            .try_intern_cells_hashed(hash, m.pred, &cells)
             .unwrap_or_else(|e| panic!("{e}"));
         self.scratch = cells;
         new
@@ -1322,6 +1023,8 @@ impl FactStore {
     /// Rebuilds a store from deserialized snapshot parts, re-deriving the meta
     /// records, dictionary map and dedup table, and validating structural
     /// invariants (dense ids, consistent strip dimensions, no duplicates).
+    /// Both tables are refilled through the probes interning uses, in id
+    /// order, so a duplicate term or fact runs into its earlier copy.
     /// Errors are returned as human-readable detail strings for
     /// [`PersistError::Format`](crate::persist::PersistError).
     pub(crate) fn from_raw_parts(
@@ -1336,56 +1039,6 @@ impl FactStore {
                 predicates.len()
             ));
         }
-        // Rebuild the dictionary map with the same sorted sweep the batched
-        // interning path uses: processing terms in home-slot order turns the
-        // table writes into a near-sequential pass (per-term probing would
-        // scatter a cache miss per entry), while still rejecting a corrupt
-        // image with duplicate dictionary terms — a duplicate shares its
-        // home slot, so its walk runs into the earlier bucket.
-        let term_table = match dict.len() {
-            0 => Vec::new(),
-            n => {
-                let cap = (n * 2).max(8).next_power_of_two();
-                let mut fresh = vec![EMPTY_TERM_BUCKET; cap];
-                let mask = cap - 1;
-                let mut reqs: Vec<(u64, GroundTerm, u64)> = dict
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &term)| {
-                        let hash = hash_one(&term);
-                        (
-                            ((((hash as usize) & mask) as u64) << 32) | i as u64,
-                            term,
-                            hash,
-                        )
-                    })
-                    .collect();
-                reqs.sort_unstable_by_key(|&(key, _, _)| key);
-                for &(key, term, hash) in &reqs {
-                    let tag = (hash >> 32) as u32;
-                    let mut slot = (key >> 32) as usize;
-                    loop {
-                        let b = fresh[slot];
-                        if b.id == EMPTY_TERM_BUCKET.id {
-                            break;
-                        }
-                        if b.tag == tag && b.term == term {
-                            return Err(format!(
-                                "duplicate dictionary term at TermId({})",
-                                key as u32
-                            ));
-                        }
-                        slot = (slot + 1) & mask;
-                    }
-                    fresh[slot] = TermBucket {
-                        term,
-                        id: key as u32,
-                        tag,
-                    };
-                }
-                fresh
-            }
-        };
         let mut predicate_ids: FastMap<Predicate, PredicateId> =
             FastMap::with_capacity_and_hasher(predicates.len(), Default::default());
         for (i, &p) in predicates.iter().enumerate() {
@@ -1451,81 +1104,24 @@ impl FactStore {
                 fact_of_row,
             });
         }
+        let n_terms = dict.len();
         let mut store = FactStore {
             predicates,
             predicate_ids,
             dict,
-            term_table,
             strips,
             meta,
-            table: match n_facts {
-                0 => Vec::new(),
-                n => vec![EMPTY_BUCKET; (n * 2).max(8).next_power_of_two()],
-            },
-            scratch: Vec::new(),
-            row_hint: 0,
-            max_terms: u32::MAX,
-            max_facts: u32::MAX,
+            ..FactStore::with_capacity(0, n_facts, n_terms)
         };
-        // Rebuild the fact dedup table with the same sorted sweep: hash every
-        // row predicate-by-predicate (three sequential column streams beat a
-        // meta-order gather), then claim slots in home-slot order. A corrupt
-        // image with duplicate facts is still rejected instead of silently
-        // shadowing ids — duplicates share a home slot, so the later one's
-        // walk runs into the earlier one's bucket and the cells compare equal.
-        #[derive(Clone, Copy)]
-        struct RebuildReq {
-            /// `(home slot << 32) | fact id`.
-            key: u64,
-            tag: u32,
-            pred: u32,
-            row: u32,
-        }
-        let mask = store.table.len().wrapping_sub(1);
-        let mut reqs: Vec<RebuildReq> = Vec::with_capacity(n_facts);
-        let mut cells: Vec<TermId> = Vec::new();
-        for (pi, strip) in store.strips.iter().enumerate() {
-            for (row, &fid) in strip.fact_of_row.iter().enumerate() {
-                cells.clear();
-                cells.extend(strip.columns.iter().map(|col| col[row]));
-                let hash = store.hash_cells(PredicateId(pi as u32), &cells);
-                reqs.push(RebuildReq {
-                    key: ((((hash as usize) & mask) as u64) << 32) | u64::from(fid.0),
-                    tag: (hash >> 32) as u32,
-                    pred: pi as u32,
-                    row: row as u32,
-                });
-            }
-        }
-        reqs.sort_unstable_by_key(|r| r.key);
-        for &r in &reqs {
-            let mut slot = (r.key >> 32) as usize;
-            loop {
-                let b = store.table[slot];
-                if b.fact == EMPTY_BUCKET.fact {
-                    break;
-                }
-                if b.tag == r.tag
-                    && b.pred == r.pred
-                    && store.strips[r.pred as usize]
-                        .columns
-                        .iter()
-                        .all(|col| col[r.row as usize] == col[b.row as usize])
-                {
-                    return Err(format!(
-                        "FactId({}) duplicates the fact behind FactId({})",
-                        r.key as u32, b.fact
-                    ));
-                }
-                slot = (slot + 1) & mask;
-            }
-            store.table[slot] = Bucket {
-                fact: r.key as u32,
-                pred: r.pred,
-                row: r.row,
-                tag: r.tag,
-            };
-        }
+        store
+            .fill_term_table()
+            .map_err(|t| format!("duplicate dictionary term at TermId({})", t.0))?;
+        store.fill_table().map_err(|(fact, earlier)| {
+            format!(
+                "FactId({}) duplicates the fact behind FactId({})",
+                fact.0, earlier.0
+            )
+        })?;
         Ok(store)
     }
 
@@ -1803,72 +1399,6 @@ mod tests {
     }
 
     #[test]
-    fn intern_batch_matches_sequential_interning() {
-        // A mixed batch: 0-ary, nulls, cross-predicate, duplicates both within
-        // the batch and against already-interned facts.
-        let mut facts: Vec<Fact> = Vec::new();
-        facts.push(Fact::from_parts("unit", vec![]));
-        facts.push(Fact::from_parts("E", vec![null(0), null(1)]));
-        for i in 0..300 {
-            facts.push(Fact::from_parts(
-                "P",
-                vec![cst(&format!("v{}", i % 200)), cst(&format!("v{}", i % 7))],
-            ));
-        }
-        facts.push(Fact::from_parts("unit", vec![]));
-        facts.push(Fact::from_parts("E", vec![null(0), null(1)]));
-
-        let mut seq = FactStore::new();
-        let seq_ids: Vec<FactId> = facts.iter().map(|f| seq.intern_fact(f)).collect();
-
-        let mut pre = FactStore::new();
-        let pre_seed = pre.intern_fact(&facts[5]);
-        let borrowed: Vec<(Predicate, &[GroundTerm])> = facts
-            .iter()
-            .map(|f| (f.predicate, f.terms.as_slice()))
-            .collect();
-        let batch_ids = pre.try_intern_batch(&borrowed).unwrap();
-
-        // Same value → id mapping as sequential interning would produce on the
-        // pre-seeded store: the seed keeps id 0, everything else shifts but
-        // duplicates still coincide.
-        assert_eq!(batch_ids.len(), seq_ids.len());
-        assert_eq!(batch_ids[5], pre_seed, "batch dedups against the store");
-        for (i, f) in facts.iter().enumerate() {
-            assert_eq!(Some(batch_ids[i]), pre.lookup_fact(f), "lookup of {f}");
-            assert_eq!(pre.fact(batch_ids[i]), *f, "roundtrip of {f}");
-        }
-        for i in 0..facts.len() {
-            for j in i + 1..facts.len() {
-                assert_eq!(
-                    seq_ids[i] == seq_ids[j],
-                    batch_ids[i] == batch_ids[j],
-                    "duplicate structure diverges at ({i}, {j})"
-                );
-            }
-        }
-        assert_eq!(pre.len(), seq.len());
-        assert_eq!(pre.term_count(), seq.term_count());
-
-        // A fresh store (growth from empty exercises the mid-chunk spill into
-        // the plain path) assigns exactly the sequential ids.
-        let mut fresh = FactStore::new();
-        assert_eq!(fresh.try_intern_batch(&borrowed).unwrap(), seq_ids);
-
-        // A pre-sized store (no growth: the pure sorted-sweep path) agrees too.
-        let mut sized = FactStore::with_capacity(4, facts.len(), 512);
-        assert_eq!(sized.try_intern_batch(&borrowed).unwrap(), seq_ids);
-        assert_eq!(sized.try_intern_batch(&borrowed).unwrap(), seq_ids);
-
-        // Capacity errors surface instead of wrapping.
-        let mut tiny = FactStore::with_limits(8, 4);
-        assert!(matches!(
-            tiny.try_intern_batch(&borrowed),
-            Err(CoreError::CapacityExhausted { .. })
-        ));
-    }
-
-    #[test]
     fn lookup_misses_fast_on_unknown_terms() {
         let mut s = FactStore::new();
         s.intern_fact(&Fact::from_parts("P", vec![cst("a")]));
@@ -2044,5 +1574,139 @@ mod tests {
         s.intern_fact(&Fact::from_parts("N", vec![cst("b")]));
         let b = s.term_id(cst("b")).unwrap();
         assert!(!s.mentions(id, b));
+    }
+
+    type RawParts = (
+        Vec<Predicate>,
+        Vec<GroundTerm>,
+        Vec<(Vec<Vec<TermId>>, Vec<FactId>)>,
+    );
+
+    /// The parts of `s` as a snapshot carries them.
+    fn raw_parts(s: &FactStore) -> RawParts {
+        let strips = (0..s.predicate_count())
+            .map(|p| {
+                let pid = PredicateId(p as u32);
+                let columns = (0..s.predicate(pid).arity)
+                    .map(|i| s.column(pid, i).to_vec())
+                    .collect();
+                (columns, s.row_facts(pid).to_vec())
+            })
+            .collect();
+        (s.predicate_list().to_vec(), s.dict_terms().to_vec(), strips)
+    }
+
+    /// `E/2` holds F0 = E(a, b) and F2 = E(b, η3), `N/1` holds F1 = N(η3) and
+    /// `unit/0` holds F3; the dictionary is a, b, η3.
+    fn snapshot_source() -> FactStore {
+        let mut s = FactStore::new();
+        s.intern_fact(&Fact::from_parts("E", vec![cst("a"), cst("b")]));
+        s.intern_fact(&Fact::from_parts("N", vec![null(3)]));
+        s.intern_fact(&Fact::from_parts("E", vec![cst("b"), null(3)]));
+        s.intern_fact(&Fact::from_parts("unit", vec![]));
+        s
+    }
+
+    /// Rebuilds the source image after `corrupt` and returns the error.
+    fn rejected(corrupt: impl FnOnce(&mut RawParts)) -> String {
+        let mut parts = raw_parts(&snapshot_source());
+        corrupt(&mut parts);
+        let (predicates, dict, strips) = parts;
+        FactStore::from_raw_parts(predicates, dict, strips)
+            .expect_err("the corrupt image is rejected")
+    }
+
+    #[test]
+    fn a_valid_snapshot_image_rebuilds_the_same_lookups() {
+        let mut src = snapshot_source();
+        for i in 0..300 {
+            src.intern(
+                Predicate::new("E", 2),
+                &[cst(&format!("v{}", i % 40)), null(i % 13)],
+            );
+        }
+        let (predicates, dict, strips) = raw_parts(&src);
+        let mut loaded = FactStore::from_raw_parts(predicates, dict, strips).unwrap();
+        assert_eq!(loaded.len(), src.len());
+        for id in (0..src.len() as u32).map(FactId) {
+            let f = src.fact(id);
+            assert_eq!(loaded.lookup_fact(&f), Some(id), "lookup of {f}");
+            assert_eq!(loaded.fact(id), f);
+            assert_eq!(loaded.lookup_copied(&src, id), Some(id));
+        }
+        for &t in src.dict_terms() {
+            assert_eq!(loaded.term_id(t), src.term_id(t));
+        }
+        let absent = Fact::from_parts("E", vec![cst("a"), cst("a")]);
+        assert_eq!(loaded.lookup_fact(&absent), None);
+        // The rebuilt store keeps interning where the source left off.
+        assert_eq!(loaded.intern_fact(&src.fact(FactId(2))), FactId(2));
+        assert_eq!(loaded.intern_fact(&absent).0 as usize, src.len());
+    }
+
+    #[test]
+    fn a_snapshot_with_a_strip_per_missing_predicate_is_rejected() {
+        let err = rejected(|(_, _, strips)| strips.push((Vec::new(), Vec::new())));
+        assert!(err.contains("strip count"), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_with_a_repeated_predicate_is_rejected() {
+        let err = rejected(|(predicates, _, strips)| {
+            predicates.push(predicates[0]);
+            strips.push((vec![Vec::new(); 2], Vec::new()));
+        });
+        assert!(err.contains("duplicate predicate"), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_strip_of_the_wrong_arity_is_rejected() {
+        let err = rejected(|(_, _, strips)| {
+            strips[0].0.pop();
+        });
+        assert!(err.contains("arity 2 but 1 columns"), "{err}");
+    }
+
+    #[test]
+    fn a_ragged_snapshot_strip_is_rejected() {
+        let err = rejected(|(_, _, strips)| {
+            strips[0].0[1].pop();
+        });
+        assert!(err.contains("ragged strip"), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_cell_outside_the_dictionary_is_rejected() {
+        let err = rejected(|(_, dict, strips)| strips[0].0[0][0] = TermId(dict.len() as u32));
+        assert!(err.contains("outside the dictionary"), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_fact_id_outside_the_fact_space_is_rejected() {
+        let err = rejected(|(_, _, strips)| strips[1].1[0] = FactId(99));
+        assert!(err.contains("outside the fact space"), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_fact_id_on_two_rows_is_rejected() {
+        let err = rejected(|(_, _, strips)| strips[1].1[0] = strips[0].1[0]);
+        assert!(err.contains("assigned to two rows"), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_dictionary_with_a_repeated_term_is_rejected() {
+        let err = rejected(|(_, dict, _)| dict[1] = dict[0]);
+        assert!(err.contains("duplicate dictionary term"), "{err}");
+    }
+
+    #[test]
+    fn a_snapshot_with_a_repeated_fact_is_rejected() {
+        // Rewrite F2 = E(b, η3) into a second copy of F0 = E(a, b).
+        let err = rejected(|(_, _, strips)| {
+            let columns = &mut strips[0].0;
+            columns[0][1] = columns[0][0];
+            columns[1][1] = columns[1][0];
+        });
+        assert!(err.contains("duplicates the fact"), "{err}");
     }
 }

@@ -152,35 +152,18 @@ impl Instance {
         (id, self.insert_id(id))
     }
 
-    /// Bulk insertion: interns `batch` through
-    /// [`FactStore::try_intern_batch`] — sorted, cache-friendly table sweeps
-    /// instead of one dependent walk per fact — and makes every fact live.
-    /// Returns the number of facts that were not already present. Equivalent
-    /// to calling [`Instance::insert_parts`] per element (same fact ids, same
-    /// final state); this is the intended path for million-fact loads.
+    /// Bulk insertion: inserts every fact of `batch` in order, exactly as
+    /// [`Instance::insert_parts`] per element would (same fact ids, same final
+    /// state), and returns the number of facts that were not already present.
+    /// On a capacity error the facts before the failing one stay inserted.
     pub fn try_extend_parts(
         &mut self,
         batch: &[(Predicate, &[GroundTerm])],
     ) -> Result<usize, CoreError> {
-        let (ids, max_null) = self.store.try_intern_batch_tracking_nulls(batch)?;
-        // The interning pass already saw every term value, so the null
-        // allocator bumps off its report — no per-fact dictionary re-reads
-        // (which at 10M facts is ~2.4 random DRAM hits per fact).
-        if let Some(n) = max_null {
-            if n >= self.next_null {
-                self.next_null = n + 1;
-            }
-        }
         let mut added = 0;
-        for id in ids {
-            if self.live.insert(id) {
-                let pid = self.store.predicate_id_of(id);
-                if self.by_predicate.len() <= pid.0 as usize {
-                    self.by_predicate.resize_with(pid.0 as usize + 1, Vec::new);
-                }
-                self.by_predicate[pid.0 as usize].push(id);
-                added += 1;
-            }
+        for &(predicate, terms) in batch {
+            let id = self.store.try_intern(predicate, terms)?;
+            added += usize::from(self.insert_id(id));
         }
         Ok(added)
     }
@@ -623,33 +606,110 @@ mod tests {
 
     #[test]
     fn extend_parts_matches_per_fact_inserts() {
-        let p = Predicate::new("P", 2);
-        let q = Predicate::new("Q", 1);
-        let batch: Vec<(Predicate, Vec<GroundTerm>)> = vec![
+        // 0-ary facts, nulls, three predicates, and duplicates both within the
+        // batch and against a fact already in the instance.
+        let (p, q, unit) = (
+            Predicate::new("P", 2),
+            Predicate::new("Q", 1),
+            Predicate::new("unit", 0),
+        );
+        let mut batch: Vec<(Predicate, Vec<GroundTerm>)> = vec![
+            (unit, vec![]),
             (p, vec![cst("a"), null(4)]),
             (q, vec![cst("a")]),
             (p, vec![cst("a"), null(4)]), // in-batch duplicate
             (q, vec![null(9)]),
+            (q, vec![cst("seed")]), // duplicate of the seeded fact
         ];
+        for i in 0..300 {
+            batch.push((
+                p,
+                vec![cst(&format!("v{}", i % 200)), cst(&format!("v{}", i % 7))],
+            ));
+        }
+        batch.push((unit, vec![]));
         let borrowed: Vec<(Predicate, &[GroundTerm])> =
             batch.iter().map(|(pr, ts)| (*pr, ts.as_slice())).collect();
 
-        let mut bulk = Instance::new();
-        bulk.insert_parts(q, &[cst("seed")]);
-        assert_eq!(bulk.extend_parts(&borrowed), 3, "duplicates count once");
-        assert_eq!(bulk.extend_parts(&borrowed), 0, "idempotent");
+        let seeded = |mut k: Instance| {
+            k.insert_parts(q, &[cst("seed")]);
+            k
+        };
+        let mut seq = seeded(Instance::new());
+        let seq_ids: Vec<FactId> = batch
+            .iter()
+            .map(|(pr, ts)| seq.insert_parts(*pr, ts).0)
+            .collect();
 
-        let mut seq = Instance::new();
-        seq.insert_parts(q, &[cst("seed")]);
-        for (pr, ts) in &batch {
-            seq.insert_parts(*pr, ts);
+        let grown = seeded(Instance::new());
+        let sized = seeded(Instance::with_capacity(3, batch.len(), 512));
+        for mut bulk in [grown, sized] {
+            assert_eq!(
+                bulk.extend_parts(&borrowed),
+                seq.len() - 1,
+                "duplicates count once"
+            );
+            assert_eq!(bulk.extend_parts(&borrowed), 0, "idempotent");
+            for ((pr, ts), &id) in batch.iter().zip(&seq_ids) {
+                assert_eq!(
+                    bulk.id_of_parts(*pr, ts),
+                    Some(id),
+                    "the id insert_parts gives"
+                );
+            }
+            assert_eq!(bulk, seq);
+            assert_eq!(bulk.sorted_fact_ids(), seq.sorted_fact_ids());
+            for pr in [p, q, unit] {
+                assert_eq!(bulk.ids_of(pr), seq.ids_of(pr));
+            }
+            // Terms enter the dictionary in first-occurrence order.
+            assert_eq!(bulk.store().dict_terms(), seq.store().dict_terms());
+            assert_eq!(
+                bulk.fresh_null(),
+                seq.clone().fresh_null(),
+                "the bulk path bumps the null allocator past every batch null"
+            );
         }
-        assert_eq!(bulk, seq);
-        assert_eq!(bulk.sorted_fact_ids(), seq.sorted_fact_ids());
+
+        // Capacity errors surface instead of wrapping.
+        let mut tiny = Instance {
+            store: FactStore::with_limits(8, 4),
+            ..Instance::default()
+        };
+        assert!(matches!(
+            tiny.try_extend_parts(&borrowed),
+            Err(CoreError::CapacityExhausted { .. })
+        ));
+    }
+
+    #[test]
+    fn extend_parts_keeps_the_facts_before_a_capacity_error() {
+        // Room for three facts: the fourth new fact of the batch fails.
+        let mut k = Instance {
+            store: FactStore::with_limits(u32::MAX, 3),
+            ..Instance::default()
+        };
+        let p = Predicate::new("P", 1);
+        let batch = [[null(5)], [cst("a")], [null(5)], [null(2)], [null(8)]];
+        let borrowed: Vec<(Predicate, &[GroundTerm])> =
+            batch.iter().map(|ts| (p, ts.as_slice())).collect();
+        assert!(matches!(
+            k.try_extend_parts(&borrowed),
+            Err(CoreError::CapacityExhausted {
+                resource: "fact-id space",
+                ..
+            })
+        ));
+        assert_eq!(k.len(), 3, "the facts before the failing one are live");
+        for ts in &batch[..4] {
+            assert!(k.contains_parts(p, ts));
+        }
+        assert!(!k.contains_parts(p, &batch[4]));
+        assert_eq!(k.ids_of(p).len(), 3);
         assert_eq!(
-            bulk.fresh_null(),
-            seq.fresh_null(),
-            "the bulk path bumps the null allocator past every batch null"
+            k.fresh_null(),
+            NullValue(6),
+            "the allocator skips their nulls"
         );
     }
 

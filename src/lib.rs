@@ -129,8 +129,8 @@
 //! ## Snapshots and million-fact instances
 //!
 //! Instances persist to a versioned, self-checking binary snapshot —
-//! `Instance::save` / `Instance::load`, no serde involved — and bulk loads go
-//! through the columnar store's batched interning. Pre-size with
+//! `Instance::save` / `Instance::load`, no serde involved. Bulk loads intern
+//! fact by fact into the columnar store: pre-size with
 //! `Instance::with_capacity` and feed batches via `extend_parts`; chase the
 //! result now or reload it later instead of regenerating:
 //!
