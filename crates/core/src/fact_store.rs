@@ -57,7 +57,10 @@
 //! translate and hash their terms through one core, an EGD rewrite
 //! ([`FactStore::intern_rewritten`]) hashes its swapped cells, and all of them
 //! probe both tables with the same walks. A loaded snapshot refills the
-//! tables through those walks too, in id order.
+//! tables through those walks too, in id order. A bulk load asks for the
+//! first lines each fact will probe a few facts ahead
+//! (`FactStore::prefetch_intern`), so on a store that has outgrown the caches
+//! those misses overlap instead of stalling one after another.
 //!
 //! ## Capacity and overflow
 //!
@@ -160,6 +163,32 @@ const EMPTY_TERM_BUCKET: TermBucket = TermBucket {
     tag: 0,
 };
 
+/// Asks the CPU to start loading `slot`'s cache line now, so a later probe
+/// of it overlaps the work in between instead of stalling on memory. A no-op
+/// off x86-64.
+#[inline]
+#[allow(unsafe_code)]
+fn prefetch<T>(slot: &T) {
+    // SAFETY: a prefetch is a hint: it cannot fault, writes nothing and
+    // returns nothing, and `slot` is a live reference in any case.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((slot as *const T).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = slot;
+}
+
+/// An all-`empty` open-addressing table holding `entries` at load ≤ 1/2 with
+/// no growth (none at all for zero entries).
+fn sized_table<B: Copy>(entries: usize, empty: B) -> Vec<B> {
+    match entries {
+        0 => Vec::new(),
+        n => vec![empty; (n * 2).max(8).next_power_of_two()],
+    }
+}
+
 /// Columnar interned fact storage. See the [module docs](self) for the layout.
 #[derive(Clone, Debug)]
 pub struct FactStore {
@@ -240,22 +269,14 @@ impl FactStore {
     /// doubling. The hints are capacities, not limits; a store grows past them
     /// exactly like one built with [`FactStore::new`].
     pub fn with_capacity(predicates: usize, facts: usize, terms: usize) -> Self {
-        let table = match facts {
-            0 => Vec::new(),
-            n => vec![EMPTY_BUCKET; (n * 2).max(8).next_power_of_two()],
-        };
-        let term_table = match terms {
-            0 => Vec::new(),
-            n => vec![EMPTY_TERM_BUCKET; (n * 2).max(8).next_power_of_two()],
-        };
         FactStore {
             predicates: Vec::with_capacity(predicates),
             predicate_ids: FastMap::with_capacity_and_hasher(predicates, Default::default()),
             dict: Vec::with_capacity(terms),
-            term_table,
+            term_table: sized_table(terms, EMPTY_TERM_BUCKET),
             strips: Vec::with_capacity(predicates),
             meta: Vec::with_capacity(facts),
-            table,
+            table: sized_table(facts, EMPTY_BUCKET),
             scratch: Vec::new(),
             row_hint: facts.checked_div(predicates).unwrap_or(0),
             max_terms: u32::MAX,
@@ -696,6 +717,26 @@ impl FactStore {
         Ok(id)
     }
 
+    /// Starts loading the cache lines that interning `(predicate, terms)` will
+    /// probe first: each term's home slot in the term table and the fact's home
+    /// slot in the dedup table. Changes nothing. A bulk loader calls it a few
+    /// facts ahead of [`FactStore::try_intern`], so on a store larger than the
+    /// caches those misses overlap instead of stalling one after another.
+    pub(crate) fn prefetch_intern(&self, predicate: Predicate, terms: &[GroundTerm]) {
+        if let Some(mask) = self.term_table.len().checked_sub(1) {
+            for t in terms {
+                prefetch(&self.term_table[(hash_one(t) as usize) & mask]);
+            }
+        }
+        if let (Some(pred), Some(mask)) = (
+            self.lookup_predicate(predicate),
+            self.table.len().checked_sub(1),
+        ) {
+            let hash = Self::hash_fact(pred, terms.iter().copied());
+            prefetch(&self.table[(hash as usize) & mask]);
+        }
+    }
+
     /// Interns a fact given as predicate + argument terms; returns its dense id,
     /// or [`CoreError::CapacityExhausted`] when the dictionary or the fact-id
     /// space is full. Interning an already-present fact returns the existing id.
@@ -772,39 +813,30 @@ impl FactStore {
 
     const INLINE_ARITY: usize = 16;
 
-    /// The one lookup core: `terms` yields the query's argument terms. Any
-    /// term absent from the dictionary occurs in no fact, so the lookup misses
-    /// immediately. The query terms are translated through the inline-key
-    /// term table (independent single-line probes the CPU can overlap) and the
-    /// fact hash is computed from the term values directly, so the dedup-table
-    /// walk and the cell comparisons form a two-hop dependency chain
-    /// regardless of store size.
-    fn lookup_with(
-        &self,
-        pred: PredicateId,
-        terms: impl ExactSizeIterator<Item = GroundTerm> + Clone,
-    ) -> Option<FactId> {
+    /// Looks up a fact without interning it; `None` if it was never interned.
+    /// Any term absent from the dictionary occurs in no fact, so the lookup
+    /// misses immediately. The query terms are translated through the
+    /// inline-key term table (independent single-line probes the CPU can
+    /// overlap) and the fact hash is computed from the term values directly,
+    /// so the dedup-table walk and the cell comparisons form a two-hop
+    /// dependency chain regardless of store size.
+    pub fn lookup(&self, predicate: Predicate, terms: &[GroundTerm]) -> Option<FactId> {
+        let pred = self.lookup_predicate(predicate)?;
         if self.table.is_empty() {
             return None;
         }
-        let hash = Self::hash_fact(pred, terms.clone());
-        let arity = terms.len();
-        if arity <= Self::INLINE_ARITY {
+        let hash = Self::hash_fact(pred, terms.iter().copied());
+        if terms.len() <= Self::INLINE_ARITY {
             let mut buf = [TermId(0); Self::INLINE_ARITY];
-            for (cell, t) in buf.iter_mut().zip(terms) {
-                *cell = self.term_id(t)?;
+            for (slot, &t) in buf.iter_mut().zip(terms) {
+                *slot = self.term_id(t)?;
             }
-            self.probe_cells_hashed(hash, pred, &buf[..arity]).ok()
+            self.probe_cells_hashed(hash, pred, &buf[..terms.len()])
+                .ok()
         } else {
-            let cells: Option<Vec<TermId>> = terms.map(|t| self.term_id(t)).collect();
+            let cells: Option<Vec<TermId>> = terms.iter().map(|&t| self.term_id(t)).collect();
             self.probe_cells_hashed(hash, pred, &cells?).ok()
         }
-    }
-
-    /// Looks up a fact without interning it; `None` if it was never interned.
-    pub fn lookup(&self, predicate: Predicate, terms: &[GroundTerm]) -> Option<FactId> {
-        let pred = self.lookup_predicate(predicate)?;
-        self.lookup_with(pred, terms.iter().copied())
     }
 
     /// Looks up a [`Fact`] value without interning it.
@@ -959,13 +991,31 @@ impl FactStore {
     pub fn lookup_copied(&self, src: &FactStore, id: FactId) -> Option<FactId> {
         let m = src.meta[id.0 as usize];
         let pred = self.lookup_predicate(src.predicates[m.pred.0 as usize])?;
-        let columns = &src.strips[m.pred.0 as usize].columns;
-        self.lookup_with(
+        if self.table.is_empty() {
+            return None;
+        }
+        let src_columns = &src.strips[m.pred.0 as usize].columns;
+        let src_row = m.row as usize;
+        let hash = Self::hash_fact(
             pred,
-            columns
+            src_columns
                 .iter()
-                .map(|col| src.dict[col[m.row as usize].0 as usize]),
-        )
+                .map(|col| src.dict[col[src_row].0 as usize]),
+        );
+        if src_columns.len() <= Self::INLINE_ARITY {
+            let mut buf = [TermId(0); Self::INLINE_ARITY];
+            for (slot, col) in buf.iter_mut().zip(src_columns) {
+                *slot = self.term_id(src.dict[col[src_row].0 as usize])?;
+            }
+            self.probe_cells_hashed(hash, pred, &buf[..src_columns.len()])
+                .ok()
+        } else {
+            let cells: Option<Vec<TermId>> = src_columns
+                .iter()
+                .map(|col| self.term_id(src.dict[col[src_row].0 as usize]))
+                .collect();
+            self.probe_cells_hashed(hash, pred, &cells?).ok()
+        }
     }
 
     /// Interns the image of fact `id` under the substitution `γ` and returns the
@@ -1104,14 +1154,18 @@ impl FactStore {
                 fact_of_row,
             });
         }
-        let n_terms = dict.len();
         let mut store = FactStore {
             predicates,
             predicate_ids,
+            term_table: sized_table(dict.len(), EMPTY_TERM_BUCKET),
             dict,
             strips,
             meta,
-            ..FactStore::with_capacity(0, n_facts, n_terms)
+            table: sized_table(n_facts, EMPTY_BUCKET),
+            scratch: Vec::new(),
+            row_hint: 0,
+            max_terms: u32::MAX,
+            max_facts: u32::MAX,
         };
         store
             .fill_term_table()

@@ -142,28 +142,35 @@ impl Instance {
     /// Inserts a fact, returning its interned id and whether it was new.
     pub fn insert_full(&mut self, fact: Fact) -> (FactId, bool) {
         let id = self.store.intern_fact(&fact);
-        (id, self.insert_id(id))
+        (id, self.insert_interned(id, &fact.terms))
     }
 
     /// Inserts a fact given as predicate + terms (no [`Fact`] value needed),
     /// returning its interned id and whether it was new.
     pub fn insert_parts(&mut self, predicate: Predicate, terms: &[GroundTerm]) -> (FactId, bool) {
         let id = self.store.intern(predicate, terms);
-        (id, self.insert_id(id))
+        (id, self.insert_interned(id, terms))
     }
 
     /// Bulk insertion: inserts every fact of `batch` in order, exactly as
     /// [`Instance::insert_parts`] per element would (same fact ids, same final
     /// state), and returns the number of facts that were not already present.
     /// On a capacity error the facts before the failing one stay inserted.
+    /// Faster than that loop on a store larger than the caches: it prefetches
+    /// the table slots of the facts ahead of the one it interns.
     pub fn try_extend_parts(
         &mut self,
         batch: &[(Predicate, &[GroundTerm])],
     ) -> Result<usize, CoreError> {
+        // How many facts ahead of the one being interned to prefetch.
+        const AHEAD: usize = 8;
         let mut added = 0;
-        for &(predicate, terms) in batch {
+        for (i, &(predicate, terms)) in batch.iter().enumerate() {
+            if let Some(&(p, ts)) = batch.get(i + AHEAD) {
+                self.store.prefetch_intern(p, ts);
+            }
             let id = self.store.try_intern(predicate, terms)?;
-            added += usize::from(self.insert_id(id));
+            added += usize::from(self.insert_interned(id, terms));
         }
         Ok(added)
     }
@@ -188,13 +195,21 @@ impl Instance {
 
     /// Inserts an already-interned fact by id; returns `true` iff it was new.
     pub fn insert_id(&mut self, id: FactId) -> bool {
-        for t in self.store.terms(id) {
-            if let GroundTerm::Null(n) = t {
-                if n.0 >= self.next_null {
-                    self.next_null = n.0 + 1;
-                }
-            }
-        }
+        bump_past_nulls(&mut self.next_null, self.store.terms(id));
+        self.make_live(id)
+    }
+
+    /// [`Instance::insert_id`] for a fact just interned from `terms`: the null
+    /// allocator is bumped off the caller's terms, so the fact's cells are not
+    /// read back through the dictionary, a random access on a large store.
+    fn insert_interned(&mut self, id: FactId, terms: &[GroundTerm]) -> bool {
+        bump_past_nulls(&mut self.next_null, terms.iter().copied());
+        self.make_live(id)
+    }
+
+    /// Adds an interned fact to the live set and its predicate's id list;
+    /// returns `true` iff it was not live yet.
+    fn make_live(&mut self, id: FactId) -> bool {
         if self.live.insert(id) {
             let pid = self.store.predicate_id_of(id);
             if self.by_predicate.len() <= pid.0 as usize {
@@ -548,6 +563,17 @@ impl Instance {
             .into_iter()
             .map(|id| self.store.fact(id))
             .collect()
+    }
+}
+
+/// Raises the null allocator `next_null` past every labeled null in `terms`.
+fn bump_past_nulls(next_null: &mut u64, terms: impl IntoIterator<Item = GroundTerm>) {
+    for t in terms {
+        if let GroundTerm::Null(n) = t {
+            if n.0 >= *next_null {
+                *next_null = n.0 + 1;
+            }
+        }
     }
 }
 
