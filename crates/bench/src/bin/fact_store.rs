@@ -265,6 +265,9 @@ impl SizeState {
     }
 
     fn intern_round(&mut self) {
+        // Drop the previous round's instance first, so that no two instances
+        // of the size are held at once.
+        self.instance = None;
         let t = Instant::now();
         let instance = build_presized(&self.profile, &self.flat);
         self.intern_ns = self.intern_ns.min(t.elapsed().as_nanos());

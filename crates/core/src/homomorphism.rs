@@ -10,11 +10,10 @@
 //!
 //! * a [`JoinPlan`] orders the body atoms most-selective-first (see its docs for the
 //!   exact heuristic);
-//! * per-atom candidate enumeration goes through a per-(predicate, position) index —
-//!   either the incrementally maintained one of an
-//!   [`IndexedInstance`]
-//!   ([`HomomorphismSearch::over_index`]) or a transient per-query index built over a
-//!   plain [`Instance`] ([`HomomorphismSearch::new`]);
+//! * per-atom candidate enumeration goes through one [`PositionIndex`]: built for
+//!   the query over a plain [`Instance`] ([`HomomorphismSearch::new`]), or borrowed
+//!   from the maintained index of an [`IndexedInstance`]
+//!   ([`HomomorphismSearch::over_index`]);
 //! * the early-exit callback interface lets callers stop at the first witness.
 //!
 //! Trying a candidate fact allocates nothing and hashes nothing: the
@@ -25,13 +24,13 @@
 //! A deliberately index-free, plan-free reference implementation is retained as
 //! [`naive_homomorphisms_extending`] for differential testing of the engine.
 
-use crate::atom::{Atom, Fact, Predicate};
+use crate::atom::Atom;
 use crate::fact_store::{FactId, FactStore};
-use crate::hash::FastMap;
-use crate::index::IndexedInstance;
+use crate::index::{IndexedInstance, PositionIndex};
 use crate::instance::Instance;
 use crate::term::{GroundTerm, Term, Variable};
-use std::collections::{BTreeSet, HashMap};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 use std::ops::{ControlFlow, Deref, DerefMut};
 
@@ -187,23 +186,27 @@ impl fmt::Debug for Assignment {
 /// them; a search binding up to sixteen variables keeps it inline.
 type Trail = SmallVec<Variable, 16>;
 
-/// The one unification routine: unifies `atom` with the fact whose term at
-/// position `i` is `term_at(i)`, under `assignment`, binding the unbound
-/// variables. Each new binding is pushed onto `trail`, so the caller undoes the
-/// match with [`Assignment::unwind`] to the trail's length before the call. On a
-/// mismatch the bindings made so far are undone and `false` is returned. The
-/// predicate is assumed to match. Atoms of any width unify; nothing allocates
-/// while the assignment and the trail have room.
+/// The one unification routine: unifies `atom` with the interned fact `id` of
+/// `store` under `assignment`, reading each position straight from the store's
+/// column strips and binding the unbound variables. Each new binding is pushed
+/// onto `trail`, so the caller undoes the match with [`Assignment::unwind`] to
+/// the trail's length before the call. On a mismatch the bindings made so far
+/// are undone and `false` is returned. The predicate is assumed to match. Atoms
+/// of any width unify; nothing allocates while the assignment and the trail
+/// have room.
 #[inline]
 fn unify(
     atom: &Atom,
-    term_at: impl Fn(usize) -> GroundTerm,
+    store: &FactStore,
+    id: FactId,
     assignment: &mut Assignment,
     trail: &mut Trail,
 ) -> bool {
+    let view = store.terms(id);
+    debug_assert_eq!(atom.terms.len(), view.len());
     let mark = trail.len();
     for (pos, t) in atom.terms.iter().enumerate() {
-        let g = term_at(pos);
+        let g = view.get(pos);
         let ok = match t {
             Term::Const(c) => GroundTerm::Const(*c) == g,
             Term::Null(n) => GroundTerm::Null(*n) == g,
@@ -222,21 +225,6 @@ fn unify(
         }
     }
     true
-}
-
-/// [`unify`] against the interned fact `id` of `store`, reading each position
-/// straight from the store's column strips.
-#[inline]
-fn unify_stored(
-    atom: &Atom,
-    store: &FactStore,
-    id: FactId,
-    assignment: &mut Assignment,
-    trail: &mut Trail,
-) -> bool {
-    let view = store.terms(id);
-    debug_assert_eq!(atom.terms.len(), view.len());
-    unify(atom, |pos| view.get(pos), assignment, trail)
 }
 
 /// The room a search over `atoms` reserves for its bindings: the atoms'
@@ -486,157 +474,46 @@ fn unbound_variables(atom: &Atom, bound: &[Variable]) -> usize {
 }
 
 // ---------------------------------------------------------------------------------
-// Candidate sources
-// ---------------------------------------------------------------------------------
-
-/// Selects the smallest candidate bucket among the atom's ground positions under
-/// `assignment` — the one bucket-selection heuristic shared by the transient
-/// per-query index and the maintained [`IndexedInstance`] index, so the two cannot
-/// drift. A position is ground when it carries a constant, a null, or a variable
-/// bound by `assignment`; the scan stops early on an empty bucket (no candidate can
-/// match). Returns `None` when no position is ground (callers fall back to the
-/// per-predicate scan).
-pub(crate) fn select_smallest_bucket<B>(
-    atom: &Atom,
-    assignment: &Assignment,
-    mut bucket_for: impl FnMut(usize, GroundTerm) -> B,
-    len_of: impl Fn(&B) -> usize,
-) -> Option<B> {
-    let mut best: Option<B> = None;
-    for (i, term) in atom.terms.iter().enumerate() {
-        let ground: Option<GroundTerm> = match term {
-            Term::Const(c) => Some(GroundTerm::Const(*c)),
-            Term::Null(n) => Some(GroundTerm::Null(*n)),
-            Term::Var(v) => assignment.get(*v),
-        };
-        if let Some(g) = ground {
-            let bucket = bucket_for(i, g);
-            let bucket_len = len_of(&bucket);
-            if best.as_ref().is_none_or(|b| bucket_len < len_of(b)) {
-                best = Some(bucket);
-            }
-            if bucket_len == 0 {
-                break;
-            }
-        }
-    }
-    best
-}
-
-/// A transient per-(predicate, position) index over a plain [`Instance`], built for
-/// the predicates of one query. Buckets hold [`FactId`]s into the instance's arena,
-/// so facts are never cloned.
-struct QueryIndex {
-    buckets: FastMap<(Predicate, usize, GroundTerm), Vec<FactId>>,
-}
-
-impl QueryIndex {
-    fn build(atoms: &[Atom], instance: &Instance) -> QueryIndex {
-        let mut buckets: FastMap<(Predicate, usize, GroundTerm), Vec<FactId>> = FastMap::default();
-        let predicates: BTreeSet<Predicate> = atoms.iter().map(|a| a.predicate).collect();
-        let store = instance.store();
-        // Column-major build: one pass per (predicate, position) over that
-        // position's contiguous strip — cache-linear, instead of striding
-        // across every fact's full row.
-        for p in predicates {
-            let Some(pid) = store.lookup_predicate(p) else {
-                continue;
-            };
-            for pos in 0..p.arity {
-                let col = store.column(pid, pos);
-                for &id in instance.ids_of(p) {
-                    let t = store.term(col[store.row_of(id)]);
-                    buckets.entry((p, pos, t)).or_default().push(id);
-                }
-            }
-        }
-        QueryIndex { buckets }
-    }
-
-    /// The smallest bucket among the atom's ground positions under `assignment`, or
-    /// `None` when no position is ground (callers fall back to the predicate scan).
-    fn best_bucket(&self, atom: &Atom, assignment: &Assignment) -> Option<&[FactId]> {
-        const EMPTY: &[FactId] = &[];
-        select_smallest_bucket(
-            atom,
-            assignment,
-            |i, g| {
-                self.buckets
-                    .get(&(atom.predicate, i, g))
-                    .map(|v| v.as_slice())
-                    .unwrap_or(EMPTY)
-            },
-            |b| b.len(),
-        )
-    }
-}
-
-enum Source<'a> {
-    /// A plain instance plus a transient index over the query's predicates.
-    Scan {
-        instance: &'a Instance,
-        index: QueryIndex,
-    },
-    /// An instance with incrementally maintained indexes.
-    Indexed(&'a IndexedInstance),
-}
-
-impl Source<'_> {
-    /// Candidate-count estimate for `atom` under `h` (plan-time and ordering hints).
-    fn candidate_count(&self, atom: &Atom, h: &Assignment) -> usize {
-        match self {
-            Source::Scan { instance, index } => match index.best_bucket(atom, h) {
-                Some(bucket) => bucket.len(),
-                None => instance.ids_of(atom.predicate).len(),
-            },
-            Source::Indexed(ix) => ix.candidate_count(atom, h),
-        }
-    }
-
-    /// The arena behind the candidate ids this source enumerates.
-    fn store(&self) -> &FactStore {
-        match self {
-            Source::Scan { instance, .. } => instance.store(),
-            Source::Indexed(ix) => ix.store(),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------------
 // The search
 // ---------------------------------------------------------------------------------
 
 /// Backtracking homomorphism search from a conjunction of atoms into an instance,
-/// executing a [`JoinPlan`] over an indexed candidate source.
+/// executing a [`JoinPlan`] over the candidates of a [`PositionIndex`].
 pub struct HomomorphismSearch<'a> {
     atoms: &'a [Atom],
-    source: Source<'a>,
+    instance: &'a Instance,
+    index: Cow<'a, PositionIndex>,
 }
 
 impl<'a> HomomorphismSearch<'a> {
     /// Creates a search for homomorphisms from `atoms` into `instance`.
     ///
-    /// Builds a transient per-(predicate, position) index over the predicates the
-    /// query mentions (cost: one pass over their facts), so that the join itself is
-    /// index-backed even though plain instances maintain no indexes.
+    /// Builds a [`PositionIndex`] over the predicates the query mentions (cost:
+    /// one pass over their facts), so that the join itself is index-backed even
+    /// though plain instances maintain no indexes.
     pub fn new(atoms: &'a [Atom], instance: &'a Instance) -> Self {
         HomomorphismSearch {
             atoms,
-            source: Source::Scan {
-                instance,
-                index: QueryIndex::build(atoms, instance),
-            },
+            instance,
+            index: Cow::Owned(PositionIndex::for_query(atoms, instance)),
         }
     }
 
     /// Creates a search for homomorphisms from `atoms` into an [`IndexedInstance`],
-    /// reusing its incrementally maintained indexes (no per-query build cost). This
+    /// borrowing its maintained [`PositionIndex`] (no per-query build cost). This
     /// is the entry point of the delta-driven trigger engine.
     pub fn over_index(atoms: &'a [Atom], index: &'a IndexedInstance) -> Self {
         HomomorphismSearch {
             atoms,
-            source: Source::Indexed(index),
+            instance: index.instance(),
+            index: Cow::Borrowed(index.positions()),
         }
+    }
+
+    /// The candidate fact ids for `atom` under `assignment`.
+    #[inline]
+    fn candidates(&self, atom: &Atom, assignment: &Assignment) -> &[FactId] {
+        self.index.candidates(self.instance, atom, assignment)
     }
 
     /// Visits every homomorphism extending `partial`, invoking `visit` for each.
@@ -648,7 +525,7 @@ impl<'a> HomomorphismSearch<'a> {
         visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
     ) -> Option<B> {
         let plan = JoinPlan::new(self.atoms, partial, |i| {
-            self.source.candidate_count(&self.atoms[i], partial)
+            self.candidates(&self.atoms[i], partial).len()
         });
         let mut assignment = Assignment::with_capacity(partial.len() + binding_room(self.atoms));
         assignment.pairs.extend_from_slice(&partial.pairs);
@@ -661,33 +538,9 @@ impl<'a> HomomorphismSearch<'a> {
         )
     }
 
-    /// Visits every homomorphism in which atom `seed_index` is mapped to `seed_fact`
-    /// — the semi-naive seeding step of delta-driven trigger discovery. The seed is
-    /// unified from the given fact value; [`HomomorphismSearch::for_each_seeded_id`]
-    /// is the entry point for seeds already interned in the source's
-    /// [`FactStore`].
-    pub fn for_each_seeded<B>(
-        &self,
-        seed_index: usize,
-        seed_fact: &Fact,
-        visit: &mut impl FnMut(&Assignment) -> ControlFlow<B>,
-    ) -> Option<B> {
-        let atom = &self.atoms[seed_index];
-        if atom.predicate != seed_fact.predicate {
-            return None;
-        }
-        debug_assert_eq!(atom.terms.len(), seed_fact.terms.len());
-        self.seeded(
-            seed_index,
-            |pos| seed_fact.terms[pos],
-            &mut Assignment::new(),
-            &mut [],
-            &mut |h, _| visit(h),
-        )
-    }
-
     /// Visits every homomorphism in which atom `seed_index` is mapped to the
-    /// interned fact `seed` of the source's store, together with its *body
+    /// interned fact `seed` of the instance's store — the semi-naive seeding
+    /// step of delta-driven trigger discovery — together with its *body
     /// image*: one fact id per atom, in atom order (`seed` at `seed_index`,
     /// and at every other atom the candidate the join unified it with). The
     /// seed unifies straight from the store's strips — no term slice is
@@ -701,41 +554,25 @@ impl<'a> HomomorphismSearch<'a> {
         scratch: &mut Assignment,
         visit: &mut impl FnMut(&Assignment, &[FactId]) -> ControlFlow<B>,
     ) -> Option<B> {
-        let store = self.source.store();
+        let store = self.instance.store();
         if self.atoms[seed_index].predicate != store.predicate_of(seed) {
             return None;
         }
-        let view = store.terms(seed);
-        debug_assert_eq!(self.atoms[seed_index].terms.len(), view.len());
-        let mut image: SmallVec<FactId, 8> = SmallVec::new();
-        image.extend(std::iter::repeat_n(seed, self.atoms.len()));
-        self.seeded(seed_index, |pos| view.get(pos), scratch, &mut image, visit)
-    }
-
-    /// Unifies the seed atom with the fact whose term at position `i` is
-    /// `term_at(i)`, binding into the cleared `assignment`, then joins the
-    /// other atoms, writing the body image into `image` unless it is empty.
-    fn seeded<B>(
-        &self,
-        seed_index: usize,
-        term_at: impl Fn(usize) -> GroundTerm,
-        assignment: &mut Assignment,
-        image: &mut [FactId],
-        visit: &mut impl FnMut(&Assignment, &[FactId]) -> ControlFlow<B>,
-    ) -> Option<B> {
-        assignment.pairs.clear();
-        assignment.pairs.reserve(binding_room(self.atoms));
+        scratch.pairs.clear();
+        scratch.pairs.reserve(binding_room(self.atoms));
         let mut trail = Trail::new();
-        if !unify(&self.atoms[seed_index], term_at, assignment, &mut trail) {
+        if !unify(&self.atoms[seed_index], store, seed, scratch, &mut trail) {
             return None;
         }
         // The seed's bindings hold for the whole search.
         trail.clear();
         let others = (0..self.atoms.len()).filter(|&i| i != seed_index);
-        let plan = JoinPlan::plan(self.atoms, others, self.atoms.len() - 1, assignment, |i| {
-            self.source.candidate_count(&self.atoms[i], assignment)
+        let plan = JoinPlan::plan(self.atoms, others, self.atoms.len() - 1, scratch, |i| {
+            self.candidates(&self.atoms[i], scratch).len()
         });
-        self.run(plan.order(), assignment, &mut trail, image, visit)
+        let mut image: SmallVec<FactId, 8> = SmallVec::new();
+        image.extend(std::iter::repeat_n(seed, self.atoms.len()));
+        self.run(plan.order(), scratch, &mut trail, &mut image, visit)
     }
 
     /// Runs the join in `order` from `assignment`, with one (empty) trail for
@@ -768,17 +605,10 @@ impl<'a> HomomorphismSearch<'a> {
             return visit(assignment, image);
         }
         let atom = &self.atoms[order[depth]];
-        let candidates = match &self.source {
-            Source::Indexed(ix) => ix.candidates_for(atom, assignment),
-            Source::Scan { instance, index } => match index.best_bucket(atom, assignment) {
-                Some(bucket) => bucket,
-                None => instance.ids_of(atom.predicate),
-            },
-        };
-        let store = self.source.store();
-        for &id in candidates {
+        let store = self.instance.store();
+        for &id in self.candidates(atom, assignment) {
             let mark = trail.len();
-            if unify_stored(atom, store, id, assignment, trail) {
+            if unify(atom, store, id, assignment, trail) {
                 if let Some(slot) = image.get_mut(order[depth]) {
                     *slot = id;
                 }
@@ -848,7 +678,7 @@ pub fn naive_homomorphisms_extending(
         };
         for &id in instance.ids_of(atom.predicate) {
             let mark = trail.len();
-            if unify_stored(atom, instance.store(), id, assignment, trail) {
+            if unify(atom, instance.store(), id, assignment, trail) {
                 recurse(atoms, instance, depth + 1, assignment, trail, out);
                 assignment.unwind(trail, mark);
             }
@@ -910,6 +740,7 @@ mod tests {
     use crate::atom::Fact;
     use crate::builder::{atom, cst, var};
     use crate::term::{Constant, NullValue};
+    use std::collections::BTreeSet;
 
     fn gc(s: &str) -> GroundTerm {
         GroundTerm::Const(Constant::new(s))
@@ -1102,18 +933,20 @@ mod tests {
     }
 
     /// Collects every homomorphism the index search visits with atom
-    /// `seed_index` pinned to `seed`.
+    /// `seed_index` pinned to the stored fact `seed`.
     fn seeded(
         atoms: &[Atom],
         idx: &IndexedInstance,
         seed_index: usize,
         seed: &Fact,
     ) -> Vec<Assignment> {
+        let id = idx.instance().id_of(seed).expect("the seed is stored");
         let mut homs = Vec::new();
-        HomomorphismSearch::over_index(atoms, idx).for_each_seeded::<()>(
+        HomomorphismSearch::over_index(atoms, idx).for_each_seeded_id::<()>(
             seed_index,
-            seed,
-            &mut |h| {
+            id,
+            &mut Assignment::new(),
+            &mut |h, _| {
                 homs.push(h.clone());
                 ControlFlow::Continue(())
             },

@@ -1,36 +1,161 @@
-//! Opt-in indexed instances: per-(predicate, position) and per-null id indexes.
+//! Position and null indexes over an instance's fact ids.
 //!
-//! An [`IndexedInstance`] wraps a plain [`Instance`] and maintains, *incrementally*,
-//! the two indexes the join engine and the EGD substitution path consume — both as
-//! buckets of [`FactId`]s over the instance's arena (no fact is ever cloned into an
-//! index):
+//! A [`PositionIndex`] answers "which facts of `P` carry this ground term at
+//! position `i`?" by lookup instead of scan: one bucket of [`FactId`]s per
+//! (predicate, position, term), over the instance's arena (no fact is cloned
+//! into it). It is the one candidate index of the join engine, filled in one of
+//! two ways:
 //!
-//! * a per-(predicate, position, term) index answering "which facts of `P` carry this
-//!   ground term at position `i`?" by lookup instead of scan — the fast path behind
+//! * **per query** — [`PositionIndex::for_query`] builds the buckets of the
+//!   predicates a query mentions over a plain [`Instance`], one column strip at a
+//!   time; [`HomomorphismSearch::new`](crate::homomorphism::HomomorphismSearch::new)
+//!   owns one;
+//! * **maintained** — an [`IndexedInstance`] adds and removes each fact's entries
+//!   as the instance changes, and
 //!   [`HomomorphismSearch::over_index`](crate::homomorphism::HomomorphismSearch::over_index)
-//!   and the trigger engine of `chase_trigger`;
-//! * a per-null occurrence index, so an EGD substitution rewrites only the facts that
-//!   mention the substituted null and reports the `(old, new)` id delta.
+//!   borrows it; the trigger engine of `chase_trigger` joins through it.
 //!
-//! Keeping these indexes *off* [`Instance`] is deliberate: maintaining them costs
-//! roughly `(arity + 2)×` extra work and memory per insert, which consumers that never
-//! join through them (parsers, satisfaction checks on small witness instances, the
-//! naive re-scan chase baseline) should not pay. Code that performs many joins against
-//! an evolving instance owns an `IndexedInstance`; everyone else keeps a plain
-//! [`Instance`] and gets a transient, per-query index from
-//! [`HomomorphismSearch::new`](crate::homomorphism::HomomorphismSearch::new).
+//! Either way a bucket lists its facts in the order of [`Instance::ids_of`]:
+//! insertion order, with a removed fact that is inserted again at the end. The
+//! one exception is [`IndexedInstance::from_instance`], which indexes a finished
+//! instance in ascending ids.
+//!
+//! An [`IndexedInstance`] also keeps a per-null occurrence index, so an EGD
+//! substitution rewrites only the facts that mention the substituted null and
+//! reports the `(old, new)` id delta.
+//!
+//! Keeping the maintained indexes *off* [`Instance`] is deliberate: maintaining
+//! them costs roughly `(arity + 2)×` extra work and memory per insert, which
+//! consumers that never join through them (parsers, satisfaction checks on small
+//! witness instances, the naive re-scan chase baseline) should not pay.
 
 use crate::atom::{Atom, Fact, Predicate};
 use crate::fact_store::{FactId, FactStore};
 use crate::hash::{FastMap, FastSet};
-use crate::homomorphism::select_smallest_bucket;
+use crate::homomorphism::Assignment;
 use crate::instance::Instance;
 use crate::substitution::NullSubstitution;
-use crate::term::{GroundTerm, NullValue};
+use crate::term::{GroundTerm, NullValue, Term};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// An [`Instance`] plus incrementally maintained position and null indexes, both
+/// Per-(predicate, position, term) buckets of fact ids, with the join's choice
+/// of the smallest bucket for an atom. See the [module docs](self) for its two
+/// fillings.
+#[derive(Default)]
+pub struct PositionIndex {
+    buckets: FastMap<(Predicate, usize, GroundTerm), Vec<FactId>>,
+    /// Number of bucket lookups served (diagnostics; lets tests assert that a
+    /// caller routed through the index rather than a scan). Atomic so the
+    /// counter does not cost the type its `Sync`-ness.
+    probes: AtomicU64,
+}
+
+impl Clone for PositionIndex {
+    fn clone(&self) -> Self {
+        PositionIndex {
+            buckets: self.buckets.clone(),
+            probes: AtomicU64::new(self.probe_count()),
+        }
+    }
+}
+
+impl PositionIndex {
+    /// Builds the buckets of the predicates `atoms` mention over `instance`.
+    pub fn for_query(atoms: &[Atom], instance: &Instance) -> PositionIndex {
+        let mut index = PositionIndex::default();
+        let predicates: BTreeSet<Predicate> = atoms.iter().map(|a| a.predicate).collect();
+        let store = instance.store();
+        // Column-major build: one pass per (predicate, position) over that
+        // position's contiguous strip — cache-linear, instead of striding
+        // across every fact's full row.
+        for p in predicates {
+            let Some(pid) = store.lookup_predicate(p) else {
+                continue;
+            };
+            for pos in 0..p.arity {
+                let col = store.column(pid, pos);
+                for &id in instance.ids_of(p) {
+                    index.add(p, pos, store.term(col[store.row_of(id)]), id);
+                }
+            }
+        }
+        index
+    }
+
+    /// Appends the fact `id` to the bucket of `term` at `position` of
+    /// `predicate`.
+    fn add(&mut self, predicate: Predicate, position: usize, term: GroundTerm, id: FactId) {
+        self.buckets
+            .entry((predicate, position, term))
+            .or_default()
+            .push(id);
+    }
+
+    /// Removes the fact `id` from the bucket of `term` at `position` of
+    /// `predicate`, dropping the bucket once it is empty.
+    fn remove(&mut self, predicate: Predicate, position: usize, term: GroundTerm, id: FactId) {
+        let key = (predicate, position, term);
+        if let Some(v) = self.buckets.get_mut(&key) {
+            v.retain(|&f| f != id);
+            if v.is_empty() {
+                self.buckets.remove(&key);
+            }
+        }
+    }
+
+    /// Ids of the facts of `predicate` carrying `term` at position `position`
+    /// (empty slice if none).
+    pub fn bucket(&self, predicate: Predicate, position: usize, term: GroundTerm) -> &[FactId] {
+        self.probes.fetch_add(1, Ordering::Relaxed);
+        self.buckets
+            .get(&(predicate, position, term))
+            .map(|v| v.as_slice())
+            .unwrap_or(&[])
+    }
+
+    /// The candidate fact ids for `atom` under `assignment`: the smallest bucket
+    /// among the atom's ground positions (a constant, a null, or a variable
+    /// `assignment` binds), or every fact of the predicate in `instance` when no
+    /// position is ground. The scan of positions stops at an empty bucket.
+    ///
+    /// Every fact the atom can map to is in the returned slice; unification
+    /// still has to check the other positions.
+    pub fn candidates<'a>(
+        &'a self,
+        instance: &'a Instance,
+        atom: &Atom,
+        assignment: &Assignment,
+    ) -> &'a [FactId] {
+        let mut best: Option<&[FactId]> = None;
+        for (i, term) in atom.terms.iter().enumerate() {
+            let ground = match term {
+                Term::Const(c) => Some(GroundTerm::Const(*c)),
+                Term::Null(n) => Some(GroundTerm::Null(*n)),
+                Term::Var(v) => assignment.get(*v),
+            };
+            if let Some(g) = ground {
+                let bucket = self.bucket(atom.predicate, i, g);
+                if best.is_none_or(|b| bucket.len() < b.len()) {
+                    best = Some(bucket);
+                }
+                if bucket.is_empty() {
+                    break;
+                }
+            }
+        }
+        best.unwrap_or_else(|| instance.ids_of(atom.predicate))
+    }
+
+    /// Total number of bucket lookups served so far. Monotone counter; lets
+    /// tests prove that an evaluation routed through the index.
+    pub fn probe_count(&self) -> u64 {
+        self.probes.load(Ordering::Relaxed)
+    }
+}
+
+/// An [`Instance`] plus a maintained [`PositionIndex`] and null index, both
 /// holding [`FactId`]s into the instance's arena.
 ///
 /// All mutation goes through [`IndexedInstance::insert`], [`IndexedInstance::remove`]
@@ -51,30 +176,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// * the borrow rules out any mutation while it lives, including
 ///   [`Instance::compact`], which re-issues every [`FactId`]: every id below the
 ///   store's length stays valid for the borrow's lifetime.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct IndexedInstance {
     instance: Instance,
-    /// Per-(predicate, position) index: maps the ground term at that position to the
-    /// ids of the facts carrying it there.
-    by_position: FastMap<(Predicate, usize, GroundTerm), Vec<FactId>>,
+    positions: PositionIndex,
     /// Ids of the facts mentioning each labeled null (each fact listed once per
     /// distinct null), so EGD substitution touches only the facts it rewrites.
     by_null: FastMap<NullValue, Vec<FactId>>,
-    /// Number of position-index lookups served (diagnostics; lets tests assert that a
-    /// caller routed through the indexed path rather than a scan). Atomic so the
-    /// counter does not cost the type its `Sync`-ness.
-    probes: AtomicU64,
-}
-
-impl Clone for IndexedInstance {
-    fn clone(&self) -> Self {
-        IndexedInstance {
-            instance: self.instance.clone(),
-            by_position: self.by_position.clone(),
-            by_null: self.by_null.clone(),
-            probes: AtomicU64::new(self.probes.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl IndexedInstance {
@@ -94,9 +202,7 @@ impl IndexedInstance {
     pub fn from_instance(instance: Instance) -> Self {
         let mut out = IndexedInstance {
             instance,
-            by_position: FastMap::default(),
-            by_null: FastMap::default(),
-            probes: AtomicU64::new(0),
+            ..IndexedInstance::default()
         };
         let ids: Vec<FactId> = out.instance.fact_ids().collect();
         for id in ids {
@@ -107,16 +213,14 @@ impl IndexedInstance {
 
     /// Records `id` in the position and null indexes (the single place the indexing
     /// scheme is defined; `from_instance`, `insert` and `substitute_in_place` all go
-    /// through it).
+    /// through it). One pass over the fact's terms fills both: each term is read
+    /// through the store's dictionary once.
     fn index_fact(&mut self, id: FactId) {
         let store = self.instance.store();
         let predicate = store.predicate_of(id);
         let terms = store.terms(id);
         for (i, t) in terms.iter().enumerate() {
-            self.by_position
-                .entry((predicate, i, t))
-                .or_default()
-                .push(id);
+            self.positions.add(predicate, i, t, id);
             // A null is listed once per fact: at its first position.
             if let GroundTerm::Null(n) = t {
                 if !terms.iter().take(i).any(|u| u == t) {
@@ -131,14 +235,7 @@ impl IndexedInstance {
         let store = self.instance.store();
         let predicate = store.predicate_of(id);
         for (i, t) in store.terms(id).iter().enumerate() {
-            if let Some(v) = self.by_position.get_mut(&(predicate, i, t)) {
-                v.retain(|&f| f != id);
-                if v.is_empty() {
-                    self.by_position.remove(&(predicate, i, t));
-                }
-            }
-        }
-        for t in store.terms(id) {
+            self.positions.remove(predicate, i, t, id);
             if let GroundTerm::Null(n) = t {
                 if let Some(v) = self.by_null.get_mut(&n) {
                     v.retain(|&f| f != id);
@@ -155,6 +252,10 @@ impl IndexedInstance {
         &self.instance
     }
 
+    /// The maintained position index.
+    pub fn positions(&self) -> &PositionIndex {
+        &self.positions
+    }
     /// The arena-interned fact store behind the indexes.
     pub fn store(&self) -> &FactStore {
         self.instance.store()
@@ -312,58 +413,19 @@ impl IndexedInstance {
         delta
     }
 
-    /// Ids of the facts of `predicate` carrying `term` at position `position` (empty
-    /// slice if none). O(1) lookup instead of a scan over all facts of the predicate.
-    pub fn facts_by_predicate_position(
-        &self,
-        predicate: Predicate,
-        position: usize,
-        term: GroundTerm,
-    ) -> &[FactId] {
-        self.probes.fetch_add(1, Ordering::Relaxed);
-        self.by_position
-            .get(&(predicate, position, term))
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// The candidate fact ids for `atom` under `assignment`: the smallest
-    /// per-(predicate, position) bucket among the atom's bound positions, or all
-    /// facts of the predicate when no position is bound.
-    ///
-    /// Every fact the atom can map to is in the returned slice; the slice may
-    /// contain non-matching facts (unification still has to check the remaining
-    /// positions), but for selective positions it is far smaller than the
-    /// per-predicate list.
-    pub fn candidates_for<'a>(
-        &'a self,
-        atom: &Atom,
-        assignment: &crate::homomorphism::Assignment,
-    ) -> &'a [FactId] {
-        select_smallest_bucket(
-            atom,
-            assignment,
-            |i, g| self.facts_by_predicate_position(atom.predicate, i, g),
-            |b| b.len(),
-        )
-        .unwrap_or_else(|| self.instance.ids_of(atom.predicate))
-    }
-
     /// An upper bound on the number of candidates for `atom` under `assignment`
-    /// (the length of [`IndexedInstance::candidates_for`]'s result), used to order
-    /// join atoms most-selective-first.
-    pub fn candidate_count(
-        &self,
-        atom: &Atom,
-        assignment: &crate::homomorphism::Assignment,
-    ) -> usize {
-        self.candidates_for(atom, assignment).len()
+    /// (the length of [`PositionIndex::candidates`]' result), used to order join
+    /// atoms most-selective-first.
+    pub fn candidate_count(&self, atom: &Atom, assignment: &Assignment) -> usize {
+        self.positions
+            .candidates(&self.instance, atom, assignment)
+            .len()
     }
 
-    /// Total number of position-index lookups served so far. Monotone counter; lets
-    /// tests prove that an evaluation routed through the maintained index.
+    /// Total number of position-index lookups served so far (see
+    /// [`PositionIndex::probe_count`]).
     pub fn probe_count(&self) -> u64 {
-        self.probes.load(Ordering::Relaxed)
+        self.positions.probe_count()
     }
 }
 
@@ -404,24 +466,33 @@ mod tests {
             Fact::from_parts("E", vec![cst("b"), cst("c")]),
         ]));
         let e = Predicate::new("E", 2);
-        assert_eq!(k.facts_by_predicate_position(e, 0, cst("a")).len(), 2);
-        assert_eq!(k.facts_by_predicate_position(e, 1, cst("c")).len(), 2);
-        assert_eq!(k.facts_by_predicate_position(e, 0, cst("c")).len(), 0);
-        assert_eq!(k.facts_by_predicate_position(e, 1, cst("z")).len(), 0);
+        let ix = k.positions();
+        assert_eq!(ix.bucket(e, 0, cst("a")).len(), 2);
+        assert_eq!(ix.bucket(e, 1, cst("c")).len(), 2);
+        assert_eq!(ix.bucket(e, 0, cst("c")).len(), 0);
+        assert_eq!(ix.bucket(e, 1, cst("z")).len(), 0);
         assert!(k.probe_count() >= 4);
         // Join candidates: the smallest bucket among bound positions and
         // constants, or the whole predicate when nothing is bound.
         let (x, y) = (Variable::new("x"), Variable::new("y"));
         let e_xy = atom("E", vec![var("x"), var("y")]);
-        assert_eq!(k.candidates_for(&e_xy, &Assignment::new()).len(), 3);
+        assert_eq!(
+            ix.candidates(k.instance(), &e_xy, &Assignment::new()).len(),
+            3
+        );
         let h = Assignment::from_pairs([(x, cst("b"))]);
-        assert_eq!(k.candidates_for(&e_xy, &h).len(), 1);
+        assert_eq!(ix.candidates(k.instance(), &e_xy, &h).len(), 1);
         let h = Assignment::from_pairs([(y, cst("b"))]);
-        assert_eq!(k.candidates_for(&e_xy, &h).len(), 1);
+        assert_eq!(ix.candidates(k.instance(), &e_xy, &h).len(), 1);
         let a_y = atom("E", vec![constant("a"), var("y")]);
-        assert_eq!(k.candidates_for(&a_y, &Assignment::new()).len(), 2);
+        assert_eq!(
+            ix.candidates(k.instance(), &a_y, &Assignment::new()).len(),
+            2
+        );
         let z_y = atom("E", vec![constant("z"), var("y")]);
-        assert!(k.candidates_for(&z_y, &Assignment::new()).is_empty());
+        assert!(ix
+            .candidates(k.instance(), &z_y, &Assignment::new())
+            .is_empty());
     }
 
     #[test]
@@ -433,13 +504,13 @@ mod tests {
         let a_b = Fact::from_parts("E", vec![cst("a"), cst("b")]);
         let id = k.instance().id_of(&a_b).expect("stored");
         k.remove(&a_b);
-        assert_eq!(k.facts_by_predicate_position(e, 0, cst("a")).len(), 1);
-        assert_eq!(k.facts_by_predicate_position(e, 1, cst("b")).len(), 0);
+        assert_eq!(k.positions().bucket(e, 0, cst("a")).len(), 1);
+        assert_eq!(k.positions().bucket(e, 1, cst("b")).len(), 0);
         assert!(!k.remove_id(id), "a removed fact stays removed");
         assert_eq!(k.instance().id_of(&a_b), None);
         // The arena keeps the interning: a re-insert gets the same id back.
         assert_eq!(k.insert_full(a_b), (id, true));
-        assert_eq!(k.facts_by_predicate_position(e, 1, cst("b")), &[id]);
+        assert_eq!(k.positions().bucket(e, 1, cst("b")), &[id]);
     }
 
     #[test]
@@ -477,9 +548,9 @@ mod tests {
         // The two facts collapsed: every index must agree on the single survivor.
         assert_eq!(k.len(), 1);
         assert_eq!(k.ids_of(e).len(), 1);
-        assert_eq!(k.facts_by_predicate_position(e, 0, cst("a")).len(), 1);
-        assert_eq!(k.facts_by_predicate_position(e, 1, cst("a")).len(), 1);
-        assert_eq!(k.facts_by_predicate_position(e, 1, null(1)).len(), 0);
+        assert_eq!(k.positions().bucket(e, 0, cst("a")).len(), 1);
+        assert_eq!(k.positions().bucket(e, 1, cst("a")).len(), 1);
+        assert_eq!(k.positions().bucket(e, 1, null(1)).len(), 0);
         assert!(k.instance().nulls().is_empty());
     }
 

@@ -13,7 +13,7 @@
 //! indexes: those cost ~(arity + 2)× extra work and memory on every insert, which
 //! most consumers never recoup. Join-heavy code opts into
 //! [`IndexedInstance`](crate::index::IndexedInstance), and one-shot queries get a
-//! transient per-query index from
+//! [`PositionIndex`](crate::index::PositionIndex) built for the query by
 //! [`HomomorphismSearch::new`](crate::homomorphism::HomomorphismSearch::new).
 
 use crate::atom::{Fact, Predicate};

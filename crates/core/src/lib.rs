@@ -16,7 +16,8 @@
 //!   strips of dense [`TermId`] cells, dense [`FactId`]s) — see [`fact_store`]
 //!   — with store-backed instances and databases holding per-predicate id lists
 //!   and on-disk snapshot save/load — see [`instance`] and [`persist`] — and
-//!   opt-in per-(predicate, position) / per-null id indexes — see [`index`];
+//!   the position index of the join, built per query or maintained by an
+//!   opt-in indexed instance beside its per-null id index — see [`index`];
 //! * the workspace's single join engine ([`JoinPlan`] + [`HomomorphismSearch`]),
 //!   substitutions and first-order satisfaction — see [`homomorphism`],
 //!   [`substitution`] and [`satisfaction`];
@@ -74,7 +75,7 @@ pub use error::CoreError;
 pub use fact_store::{FactId, FactStore, FactTerms, PredicateId, StoreFootprint, TermId};
 pub use homomorphism::{Assignment, HomomorphismSearch, JoinPlan};
 pub use id_set::FactIdSet;
-pub use index::IndexedInstance;
+pub use index::{IndexedInstance, PositionIndex};
 pub use instance::Instance;
 pub use interner::Symbol;
 pub use isomorphism::isomorphic_up_to_null_renaming;

@@ -322,7 +322,8 @@ fn a_70_ary_atom_unifies_and_rolls_back_past_position_64() {
     let search = HomomorphismSearch::over_index(&atoms, &ix);
     let mut seeded = 0;
     for fact in instance.facts() {
-        search.for_each_seeded::<()>(0, &fact, &mut |h| {
+        let id = ix.instance().id_of(&fact).expect("stored");
+        search.for_each_seeded_id::<()>(0, id, &mut Assignment::new(), &mut |h, _| {
             assert_eq!(h, &homs[0]);
             seeded += 1;
             ControlFlow::Continue(())
